@@ -13,7 +13,7 @@ import os
 import sys
 
 from .config import ExperimentConfig, RunConfig, load_config
-from .errors import SplabError
+from .errors import ConfigurationError, SplabError
 from .harness import run_suite
 from .report import ExperimentReport, emit_report
 
@@ -97,6 +97,16 @@ def _ints(text: str) -> list[int]:
     return [int(tok) for tok in str(text).split(",") if tok != ""]
 
 
+def _worker_count(value, source: str) -> int:
+    try:
+        count = int(value)
+    except ValueError:
+        raise ConfigurationError(f"{source} must be a positive integer, got {value!r}") from None
+    if count < 1:
+        raise ConfigurationError(f"{source} must be >= 1, got {count}")
+    return count
+
+
 def _experiment_from_args(args) -> ExperimentConfig | None:
     cmd = args.command
     if cmd == "suite":
@@ -168,10 +178,10 @@ def main(argv=None) -> int:
         if args.seed is not None:
             overrides["seed"] = args.seed
         if args.workers is not None:
-            overrides["worker_count"] = args.workers
+            overrides["worker_count"] = _worker_count(args.workers, "--workers")
         env_workers = os.environ.get("SPL_WORKERS")
         if env_workers is not None:
-            overrides["worker_count"] = int(env_workers)
+            overrides["worker_count"] = _worker_count(env_workers, "SPL_WORKERS")
         if overrides:
             cfg = RunConfig(
                 experiments=cfg.experiments,

@@ -15,7 +15,7 @@ from numpy.typing import NDArray
 
 from .chords import estimate_constant
 from .config import RunConfig
-from .energy import FractionalParams, Region, gagliardo_energy
+from .energy import EnergyPlan, FractionalParams, Region, gagliardo_energy
 from .errors import ConfigurationError, DegenerateShiftError
 from .grid import Box, make_grid, sample_map
 from .patches import LayerSpec, PatchModel, PatchSpec
@@ -153,7 +153,8 @@ def averaging_check(cfg: AveragingConfig, workers: int = 1) -> dict:
 def _averaging_core(cfg: AveragingConfig, workers: int = 1) -> dict:
     u = TEST_MAPS[cfg.map_kind](cfg.spacing)
     region = Region.from_ball((0.0, 0.0), 1.0) if u.grid.dim == 2 else Region.whole()
-    base = gagliardo_energy(u, cfg.params, region, workers=workers).value
+    plan = EnergyPlan(u.grid, cfg.params, region, workers=workers)
+    base = plan.energy(u).value
     rng = np.random.default_rng(cfg.seed)
     shifts = _uniform_ball_2d(rng, cfg.n_mc, cfg.alpha)
     energies = []
@@ -164,8 +165,7 @@ def _averaging_core(cfg: AveragingConfig, workers: int = 1) -> dict:
         except DegenerateShiftError:
             degenerate += 1
             continue
-        reg = region.without([h.node for h in hits]) if hits else region
-        energies.append(gagliardo_energy(proj, cfg.params, reg, workers=workers).value)
+        energies.append(plan.energy(proj, drop=[h.node for h in hits]).value)
     if degenerate > 0.1 * cfg.n_mc:
         raise DegenerateShiftError(
             f"{degenerate} of {cfg.n_mc} shifts collapsed onto the singular set"
@@ -182,6 +182,7 @@ def _averaging_core(cfg: AveragingConfig, workers: int = 1) -> dict:
         "histogram_edges": edges.tolist(),
         "degenerate_shifts": degenerate,
         "spacing": cfg.spacing,
+        "scheme": plan.route,
     }
     return out
 
@@ -305,9 +306,11 @@ def _run_seminorm(opts: dict, cfg: RunConfig) -> ExperimentReport:
     kind = opts.get("map", "indicator1d")
     params = FractionalParams(s=s, p=p, ell=ell)
     u = TEST_MAPS[kind](spacing)
-    value = gagliardo_energy(u, params, workers=cfg.worker_count).value
+    energy = gagliardo_energy(u, params, workers=cfg.worker_count)
+    value = energy.value
     report = ExperimentReport(name=opts.get("name", "seminorm"),
-                              params={"map": kind, "s": s, "p": p, "spacing": spacing})
+                              params={"map": kind, "s": s, "p": p, "spacing": spacing},
+                              scheme=energy.scheme)
     report.add_row(spacing, upper=value, lower=value)
     if kind == "indicator1d" and s == 0.25 and p == 2.0:
         rel = abs(value - INDICATOR_TRUNCATED) / INDICATOR_TRUNCATED
@@ -407,7 +410,8 @@ def _run_averaging(opts: dict, cfg: RunConfig) -> ExperimentReport:
     )
     out = averaging_check(acfg, workers=cfg.worker_count)
     report = ExperimentReport(name=opts.get("name", "averaging"),
-                              params={"s": s, "p": p, "spacing": spacing, "n_mc": acfg.n_mc})
+                              params={"s": s, "p": p, "spacing": spacing, "n_mc": acfg.n_mc},
+                              scheme=out.pop("scheme"))
     report.add_row(spacing, upper=out["base_energy"], lower=out["mean_projected_energy"])
     report.constants.update({k: v for k, v in out.items() if np.isscalar(v)})
     if "selftest_rel_err" in out:

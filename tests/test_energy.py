@@ -1,9 +1,13 @@
+import sys
+
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from splab._pairsum import DEFAULT_BLOCK, TILE_ROWS, KernelPlan, pair_kernel_sum
 from splab.energy import (
+    EnergyPlan,
     FractionalParams,
     Region,
     dirichlet_energy,
@@ -212,3 +216,117 @@ def test_scaling_property_random_powers(scale_pow):
     base = gagliardo_energy(u, params).value
     scaled = gagliardo_energy(rescale_map(u, Placement((0.0,), lam)), params).value
     assert scaled / base == pytest.approx(lam ** (1 - params.sp), rel=1e-12)
+
+
+def test_energy_plan_matches_gagliardo_energy():
+    u = smooth_bump_1d(0.02)
+    params = FractionalParams(s=0.35, p=1.5)
+    region = Region.from_box(Box((-1.2,), (1.3,)))
+    plan = EnergyPlan(u.grid, params, region, workers=2)
+    direct = gagliardo_energy(u, params, region)
+    assert plan.energy(u).value == pytest.approx(direct.value, rel=1e-12)
+    assert plan.energy(u, drop=[3, 70, 71]).value == pytest.approx(
+        gagliardo_energy(u, params, region.without([3, 70, 71])).value, rel=1e-12)
+    assert plan.energy(u).scheme.startswith("pair-sum plan kernel_exp=")
+    single = EnergyPlan(u.grid, params, region, workers=1)
+    assert single.energy(u, drop=[70]).value == plan.energy(u, drop=[70]).value
+
+
+def test_energy_plan_rejects_other_grid():
+    params = FractionalParams(s=0.35, p=1.5)
+    plan = EnergyPlan(smooth_bump_1d(0.05).grid, params)
+    with pytest.raises(GeometryError):
+        plan.energy(smooth_bump_1d(0.1))
+
+
+# ---------------------------------------------------------------------------
+# The pair-sum engine against a naive O(N^2) loop
+# ---------------------------------------------------------------------------
+
+
+def naive_pair_sum(points, values, p, q, weights, groups, drop=()):
+    n = points.shape[0]
+    w = np.broadcast_to(np.asarray(weights, dtype=float), (n,))
+    live = np.ones(n, dtype=bool)
+    live[list(drop)] = False
+    total = 0.0
+    for i in range(n):
+        j = np.arange(i + 1, n)
+        j = j[live[j]] if live[i] else j[:0]
+        if groups is not None and groups[i] >= 0:
+            j = j[groups[j] != groups[i]]
+        dr = np.linalg.norm(points[j] - points[i], axis=1)
+        j, dr = j[dr > 0], dr[dr > 0]
+        dv = np.linalg.norm(values[j] - values[i], axis=1)
+        total += float(np.sum(w[i] * w[j] * dv**p / dr**q))
+    return total
+
+
+@st.composite
+def clouds(draw):
+    """Weighted, grouped clouds with coincident points and constant value runs."""
+    n = draw(st.integers(min_value=1, max_value=700))
+    rng = np.random.default_rng(draw(st.integers(min_value=0, max_value=2**32 - 1)))
+    m, nu = draw(st.integers(1, 2)), draw(st.integers(1, 2))
+    points = rng.random((n, m))
+    for _ in range(draw(st.integers(0, 5))):  # coincident points
+        i, j = rng.integers(n, size=2)
+        points[i] = points[j]
+    if draw(st.booleans()):  # long constant runs, two of them at one value
+        cuts = np.sort(rng.integers(0, n + 1, size=3))
+        levels = rng.random((2, nu))
+        values = np.empty((n, nu))
+        for k, (a, b) in enumerate(zip(np.r_[0, cuts], np.r_[cuts, n])):
+            values[a:b] = levels[k % 2]
+    else:
+        values = rng.normal(size=(n, nu))
+    weights = draw(st.sampled_from(["one", "scalar", "array"]))
+    weights = {"one": 1.0, "scalar": 0.3, "array": rng.random(n) + 0.1}[weights]
+    groups = rng.integers(-1, 6, size=n) if draw(st.booleans()) else None
+    p = draw(st.sampled_from([1.0, 1.5, 2.0, 2.5, 3.0]))
+    q = draw(st.sampled_from([1.3, 2.0, 2.6, 3.0]))
+    return points, values, weights, groups, p, q
+
+
+ENGINE_SETTINGS = settings(max_examples=25, deadline=None, derandomize=True)
+
+
+@ENGINE_SETTINGS
+@given(clouds(), st.sampled_from([3, 100, TILE_ROWS, DEFAULT_BLOCK]))
+@example((np.zeros((1, 1)), np.zeros((1, 1)), 1.0, None, 2.0, 2.0), DEFAULT_BLOCK)
+def test_pair_kernel_sum_matches_naive(cloud, block):
+    points, values, weights, groups, p, q = cloud
+    expected = naive_pair_sum(points, values, p, q, weights, groups)
+    sums = [pair_kernel_sum(points, values, p, q, weights=weights, groups=groups,
+                            block=block, workers=w) for w in (1, 2, 3)]
+    assert sums[0] == sums[1] == sums[2]
+    assert sums[0] == pytest.approx(expected, rel=1e-12, abs=1e-300)
+
+
+@ENGINE_SETTINGS
+@given(clouds(), st.lists(st.integers(0, 699), max_size=4))
+def test_kernel_plan_matches_naive(cloud, drop):
+    points, values, weights, groups, p, q = cloud
+    drop = [i for i in drop if i < points.shape[0]]
+    plan = KernelPlan(points, q, weights=weights, groups=groups, workers=2)
+    for vals in (values, values[::-1].copy()):
+        expected = naive_pair_sum(points, vals, p, q, weights, groups, drop)
+        sums = [plan.sum(vals, p, workers=w, drop=drop) for w in (1, 2, 3)]
+        assert sums[0] == sums[1] == sums[2]
+        assert sums[0] == pytest.approx(expected, rel=1e-12, abs=1e-300)
+    rebuilt = KernelPlan(points, q, weights=weights, groups=groups, workers=3)
+    assert rebuilt.sum(values, p, workers=1) == plan.sum(values, p, workers=3)
+
+
+def test_pair_kernel_sum_many_threads_lose_no_tile():
+    # more threads than cores and a short switch interval: a lost tile changes the sum
+    rng = np.random.default_rng(5)
+    points, values = rng.random((400, 2)), rng.random((400, 2))
+    expected = pair_kernel_sum(points, values, 1.5, 2.6, block=8)
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        got = [pair_kernel_sum(points, values, 1.5, 2.6, block=8, workers=8) for _ in range(3)]
+    finally:
+        sys.setswitchinterval(interval)
+    assert got == [expected] * 3

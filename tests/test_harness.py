@@ -2,17 +2,19 @@ import numpy as np
 import pytest
 
 from splab.config import ExperimentConfig, RunConfig, load_config, roundtrip, validate_config
-from splab.energy import FractionalParams
+from splab.energy import EnergyPlan, FractionalParams, Region, gagliardo_energy
 from splab.errors import ConfigurationError
 from splab.harness import (
     AveragingConfig,
     averaging_check,
     cone_distance_sum,
+    identity_map_2d,
     kernel_selftest,
     run_suite,
     threshold_scan,
     threshold_verdict,
 )
+from splab.sphere import ShiftPoint, shifted_projection
 
 H16 = 3.3807289932289937
 
@@ -53,6 +55,21 @@ def test_averaging_deterministic():
     b = averaging_check(cfg)
     assert a["mean_projected_energy"] == b["mean_projected_energy"]
     assert a["selftest_estimate"] == b["selftest_estimate"]
+
+
+def test_averaging_plan_drops_singular_hit():
+    # a shift equal to a node value puts that node on the singular set
+    params = FractionalParams(s=0.4, p=1.5)
+    u = identity_map_2d(0.1)
+    region = Region.from_ball((0.0, 0.0), 1.0)
+    node = int(np.argmin(np.linalg.norm(u.grid.nodes() - (0.3, -0.2), axis=1)))
+    proj, hits = shifted_projection(u, ShiftPoint(tuple(u.values[node])))
+    assert [h.node for h in hits] == [node]
+    plan = EnergyPlan(u.grid, params, region, workers=2)
+    planned = plan.energy(proj, drop=[h.node for h in hits]).value
+    direct = gagliardo_energy(proj, params, region.without([node])).value
+    assert planned == pytest.approx(direct, rel=1e-12)
+    assert planned != pytest.approx(plan.energy(proj).value, rel=1e-6)
 
 
 def test_cone_distance_sum_harmonic():

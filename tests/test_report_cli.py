@@ -94,6 +94,39 @@ def test_cli_invalid_config_exit_code(tmp_path):
     assert rc == 2
 
 
+GEOMETRY_ARGS = ["geometry", "--samples", "200", "--n-min", "1", "--n-max", "2"]
+
+
+@pytest.mark.parametrize("env, flags", [
+    ("abc", []),
+    ("0", []),
+    ("-3", []),
+    (None, ["--workers", "0"]),
+], ids=["env-abc", "env-0", "env-minus-3", "flag-0"])
+def test_cli_bad_worker_count_exits_two(tmp_path, monkeypatch, capsys, env, flags):
+    if env is None:
+        monkeypatch.delenv("SPL_WORKERS", raising=False)
+    else:
+        monkeypatch.setenv("SPL_WORKERS", env)
+    rc = main(GEOMETRY_ARGS + flags + ["--out", str(tmp_path / "out")])
+    assert rc == 2
+    assert "error:" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
+def test_cli_reports_name_their_scheme(tmp_path):
+    rc = main(["seminorm", "--spacing", "0.05", "--out", str(tmp_path), "--formats", "json"])
+    assert rc == 0
+    scheme = json.loads((tmp_path / "seminorm.json").read_text())["scheme"]
+    assert scheme == "pair-sum kernel_exp=1.5 h=0.05"
+    rc = main(["averaging", "--spacing", "0.1", "--n-mc", "100", "--out", str(tmp_path),
+               "--formats", "json"])
+    assert rc == 0
+    report = json.loads((tmp_path / "averaging.json").read_text())
+    assert report["scheme"] == "pair-sum plan kernel_exp=2.6"
+    assert "scheme" not in report["constants"]
+
+
 def test_cli_geometry_run_and_outputs(tmp_path):
     rc = main([
         "geometry", "--lemma", "geom1", "--samples", "2000",
