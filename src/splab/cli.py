@@ -11,10 +11,12 @@ import argparse
 import datetime
 import os
 import sys
+from dataclasses import fields, replace
+from typing import get_args, get_origin, get_type_hints
 
 from .config import ExperimentConfig, RunConfig, load_config
 from .errors import ConfigurationError, SplabError
-from .harness import run_suite
+from .harness import EXPERIMENTS, run_suite
 from .report import ExperimentReport, emit_report
 
 
@@ -27,74 +29,39 @@ def _add_common(sub):
     sub.add_argument("--name", default=None)
 
 
+def _list_of(item):
+    def parse(text: str) -> tuple:
+        return tuple(item(tok) for tok in text.split(",") if tok != "")
+    parse.__name__ = f"list of {item.__name__}"
+    return parse
+
+
+def _add_fields(sub, cls):
+    """One flag per field of an experiment's options class."""
+    hints = get_type_hints(cls)
+    for f in fields(cls):
+        flag = f.metadata.get("flag", "--" + f.name.replace("_", "-"))
+        kw = {"dest": f.name, "default": f.default, "choices": f.metadata.get("choices")}
+        hint = hints[f.name]
+        if hint is bool:
+            kw["action"] = argparse.BooleanOptionalAction
+        else:
+            kw["type"] = _list_of(get_args(hint)[0]) if get_origin(hint) is tuple else hint
+        sub.add_argument(flag, **kw)
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="spl", description="Numerical laboratory for singular projections of Sobolev maps"
     )
     subs = parser.add_subparsers(dest="command", required=True)
-
-    p = subs.add_parser("seminorm", help="fractional seminorm of a reference map")
-    _add_common(p)
-    p.add_argument("--map", default="indicator1d", dest="map_kind")
-    p.add_argument("--s", type=float, default=0.25)
-    p.add_argument("--p", type=float, default=2.0)
-    p.add_argument("--spacing", type=float, default=1e-3)
-
-    p = subs.add_parser("patch", help="patch energies and projected lower bounds")
-    _add_common(p)
-    p.add_argument("--s", type=float, default=0.4)
-    p.add_argument("--p", type=float, default=2.5)
-    p.add_argument("--n-values", default="1,2,3")
-    p.add_argument("--shifts", type=int, default=100)
-
-    p = subs.add_parser("layer", help="one glued dyadic layer")
-    _add_common(p)
-    p.add_argument("--s", type=float, default=0.4)
-    p.add_argument("--p", type=float, default=2.5)
-    p.add_argument("--n", type=int, default=1)
-
-    p = subs.add_parser("geometry", help="empirical chord-bound constants")
-    _add_common(p)
-    p.add_argument("--lemma", choices=("geom1", "geom2"), default="geom1")
-    p.add_argument("--ell", type=int, default=2)
-    p.add_argument("--samples", type=int, default=100_000)
-    p.add_argument("--n-min", type=int, default=1)
-    p.add_argument("--n-max", type=int, default=8)
-
-    p = subs.add_parser("averaging", help="Monte Carlo shift averaging")
-    _add_common(p)
-    p.add_argument("--s", type=float, default=0.4)
-    p.add_argument("--p", type=float, default=1.5)
-    p.add_argument("--alpha", type=float, default=1.0)
-    p.add_argument("--n-mc", type=int, default=128)
-    p.add_argument("--spacing", type=float, default=0.04)
-
-    p = subs.add_parser("threshold", help="layer ratio growth across parameters")
-    _add_common(p)
-    p.add_argument("--s", default="0.4,0.4,0.5")
-    p.add_argument("--p", default="2.5,1.5,2.0")
-    p.add_argument("--ell", type=int, default=2)
-    p.add_argument("--n-max", type=int, default=6)
-
-    p = subs.add_parser("almost", help="almost retraction rates and blow-up scan")
-    _add_common(p)
-    p.add_argument("--s", type=float, default=0.6)
-    p.add_argument("--p", type=float, default=1.5)
-    p.add_argument("--alpha", type=float, default=0.0)
-    p.add_argument("--n-min", type=int, default=2)
-    p.add_argument("--n-max", type=int, default=6)
-
+    for kind, (cls, _) in EXPERIMENTS.items():
+        p = subs.add_parser(kind, help=cls.__doc__)
+        _add_common(p)
+        _add_fields(p, cls)
     p = subs.add_parser("suite", help="run a configured experiment pipeline")
     _add_common(p)
     return parser
-
-
-def _floats(text: str) -> list[float]:
-    return [float(tok) for tok in str(text).split(",") if tok != ""]
-
-
-def _ints(text: str) -> list[int]:
-    return [int(tok) for tok in str(text).split(",") if tok != ""]
 
 
 def _worker_count(value, source: str) -> int:
@@ -105,32 +72,6 @@ def _worker_count(value, source: str) -> int:
     if count < 1:
         raise ConfigurationError(f"{source} must be >= 1, got {count}")
     return count
-
-
-def _experiment_from_args(args) -> ExperimentConfig | None:
-    cmd = args.command
-    if cmd == "suite":
-        return None
-    opts: dict = {}
-    if args.name:
-        opts["name"] = args.name
-    if cmd == "seminorm":
-        opts.update(map=args.map_kind, s=args.s, p=args.p, spacing=args.spacing)
-    elif cmd == "patch":
-        opts.update(s=args.s, p=args.p, n_values=_ints(args.n_values), shift_count=args.shifts)
-    elif cmd == "layer":
-        opts.update(s=args.s, p=args.p, n=args.n)
-    elif cmd == "geometry":
-        opts.update(lemma=args.lemma, ell=args.ell, samples=args.samples,
-                    n_min=args.n_min, n_max=args.n_max)
-    elif cmd == "averaging":
-        opts.update(s=args.s, p=args.p, alpha=args.alpha, n_mc=args.n_mc, spacing=args.spacing)
-    elif cmd == "threshold":
-        opts.update(s_values=_floats(args.s), p_values=_floats(args.p),
-                    ell=args.ell, n_max=args.n_max)
-    elif cmd == "almost":
-        opts.update(s=args.s, p=args.p, alpha=args.alpha, n_min=args.n_min, n_max=args.n_max)
-    return ExperimentConfig(kind=cmd, options=opts)
 
 
 def _series_stems(report: ExperimentReport) -> list[tuple[str, ExperimentReport]]:
@@ -159,38 +100,22 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        if args.config:
-            cfg = load_config(args.config)
-        else:
-            cfg = RunConfig()
-        exp = _experiment_from_args(args)
-        if exp is not None:
-            cfg = RunConfig(
-                experiments=(exp,),
-                output_dir=cfg.output_dir,
-                seed=cfg.seed,
-                node_budget=cfg.node_budget,
-                worker_count=cfg.worker_count,
-            )
-        overrides = {}
+        cfg = load_config(args.config) if args.config else RunConfig()
+        if args.command != "suite":
+            cls = EXPERIMENTS[args.command][0]
+            options = {f.name: getattr(args, f.name) for f in fields(cls)}
+            if args.name:
+                options["name"] = args.name
+            cfg = replace(cfg, experiments=(ExperimentConfig(args.command, options),))
         if args.out is not None:
-            overrides["output_dir"] = args.out
+            cfg = replace(cfg, output_dir=args.out)
         if args.seed is not None:
-            overrides["seed"] = args.seed
+            cfg = replace(cfg, seed=args.seed)
         if args.workers is not None:
-            overrides["worker_count"] = _worker_count(args.workers, "--workers")
+            cfg = replace(cfg, worker_count=_worker_count(args.workers, "--workers"))
         env_workers = os.environ.get("SPL_WORKERS")
         if env_workers is not None:
-            overrides["worker_count"] = _worker_count(env_workers, "SPL_WORKERS")
-        if overrides:
-            cfg = RunConfig(
-                experiments=cfg.experiments,
-                output_dir=overrides.get("output_dir", cfg.output_dir),
-                seed=overrides.get("seed", cfg.seed),
-                node_budget=cfg.node_budget,
-                worker_count=overrides.get("worker_count", cfg.worker_count),
-                description=cfg.description,
-            )
+            cfg = replace(cfg, worker_count=_worker_count(env_workers, "SPL_WORKERS"))
         formats = tuple(tok for tok in args.formats.split(",") if tok)
         reports = run_suite(cfg)
         stamp = datetime.datetime.now(datetime.timezone.utc).isoformat()

@@ -1,31 +1,56 @@
 """Run configuration: JSON schema, validation, and round-trip serialization.
 
-The schema is strict: unknown keys are rejected with a JSON-pointer path;
-a free-form "description" string is allowed in every object.
+The schema is strict: unknown keys and wrongly typed values are rejected
+with a JSON-pointer path; a free-form "description" string is allowed in
+every object.  The keys of each experiment kind are the fields of its
+options class in `harness.EXPERIMENTS`, plus an optional report "name".
 """
 
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from pathlib import Path
+from typing import get_args, get_origin, get_type_hints
 
 from .errors import ConfigurationError
+from .harness import EXPERIMENTS
 
-EXPERIMENT_KINDS = ("seminorm", "patch", "layer", "geometry", "averaging", "threshold", "almost")
+# keys every experiment accepts besides the fields of its options class
+_COMMON_KEYS = {"name": str, "description": str}
 
-_TOP_KEYS = {"experiments", "output_dir", "seed", "node_budget", "worker_count", "description"}
 
-_EXPERIMENT_KEYS = {
-    "seminorm": {"kind", "name", "map", "s", "p", "ell", "spacing", "description"},
-    "patch": {"kind", "name", "s", "p", "ell", "n_values", "shift_count", "description"},
-    "layer": {"kind", "name", "s", "p", "ell", "n", "description"},
-    "geometry": {"kind", "name", "lemma", "ell", "n_min", "n_max", "samples", "seed", "description"},
-    "averaging": {"kind", "name", "s", "p", "ell", "alpha", "n_mc", "seed", "spacing",
-                  "refine", "selftest_samples", "description"},
-    "threshold": {"kind", "name", "s_values", "p_values", "ell", "n_max", "description"},
-    "almost": {"kind", "name", "s", "p", "alpha", "n_min", "n_max", "xi_side", "description"},
-}
+def _typed(value, hint, pointer: str):
+    """`value` checked against the type hint `hint`, converted to it."""
+    if get_origin(hint) is tuple:
+        if not isinstance(value, (list, tuple)) or not value:
+            raise ConfigurationError(f"expected a non-empty list at {pointer}, got {value!r}")
+        return tuple(_typed(v, get_args(hint)[0], f"{pointer}/{i}") for i, v in enumerate(value))
+    accepted = (int, float) if hint is float else hint
+    if isinstance(value, bool) != (hint is bool) or not isinstance(value, accepted):
+        raise ConfigurationError(f"expected {hint.__name__} at {pointer}, got {value!r}")
+    return hint(value)
+
+
+def _typed_fields(cls, data: dict, pointer: str, extra: dict) -> dict:
+    """Keyword arguments of dataclass `cls` from `data`, type-checked per field.
+
+    Keys of `extra` are type-checked against their value but not returned.
+    """
+    hints = get_type_hints(cls)
+    choices = {f.name: f.metadata.get("choices") for f in fields(cls)}
+    out = {}
+    for key, value in data.items():
+        ptr = f"{pointer}/{key}"
+        if key in extra:
+            _typed(value, extra[key], ptr)
+        elif key in hints:
+            out[key] = _typed(value, hints[key], ptr)
+            if choices[key] and out[key] not in choices[key]:
+                raise ConfigurationError(f"expected one of {choices[key]} at {ptr}, got {value!r}")
+        else:
+            raise ConfigurationError(f"unknown key at {ptr}")
+    return out
 
 
 @dataclass(frozen=True)
@@ -37,13 +62,19 @@ class ExperimentConfig:
     def name(self) -> str:
         return self.options.get("name", self.kind)
 
+    def spec(self, pointer: str = ""):
+        """The typed options of this experiment, checked against its kind's schema."""
+        if self.kind not in EXPERIMENTS:
+            raise ConfigurationError(f"unknown experiment kind {self.kind!r} at {pointer}/kind")
+        cls = EXPERIMENTS[self.kind][0]
+        return cls(**_typed_fields(cls, self.options, pointer, _COMMON_KEYS))
+
 
 @dataclass(frozen=True)
 class RunConfig:
     experiments: tuple[ExperimentConfig, ...] = ()
     output_dir: str = "reports"
     seed: int = 7
-    node_budget: int = 4_000_000
     worker_count: int = 1
     description: str = ""
 
@@ -52,7 +83,6 @@ class RunConfig:
             "experiments": [dict(e.options, kind=e.kind) for e in self.experiments],
             "output_dir": self.output_dir,
             "seed": self.seed,
-            "node_budget": self.node_budget,
             "worker_count": self.worker_count,
         }
         if self.description:
@@ -63,42 +93,22 @@ class RunConfig:
         return json.dumps(self.to_dict(), sort_keys=True, indent=2) + "\n"
 
 
-def _check_keys(obj: dict, allowed: set, pointer: str):
-    for key in obj:
-        if key not in allowed:
-            raise ConfigurationError(f"unknown key at {pointer}/{key}")
-
-
 def validate_config(data: dict) -> RunConfig:
     if not isinstance(data, dict):
         raise ConfigurationError("config root must be an object at /")
-    _check_keys(data, _TOP_KEYS, "")
+    top = _typed_fields(RunConfig, data, "", {"experiments": list})
     experiments = []
-    raw = data.get("experiments", [])
-    if not isinstance(raw, list):
-        raise ConfigurationError("expected a list at /experiments")
-    for i, entry in enumerate(raw):
+    for i, entry in enumerate(data.get("experiments", [])):
         ptr = f"/experiments/{i}"
         if not isinstance(entry, dict):
             raise ConfigurationError(f"expected an object at {ptr}")
-        kind = entry.get("kind")
-        if kind not in EXPERIMENT_KINDS:
-            raise ConfigurationError(f"unknown experiment kind {kind!r} at {ptr}/kind")
-        _check_keys(entry, _EXPERIMENT_KEYS[kind], ptr)
-        options = {k: v for k, v in entry.items() if k != "kind"}
-        experiments.append(ExperimentConfig(kind=kind, options=options))
-    cfg = RunConfig(
-        experiments=tuple(experiments),
-        output_dir=str(data.get("output_dir", "reports")),
-        seed=int(data.get("seed", 7)),
-        node_budget=int(data.get("node_budget", 4_000_000)),
-        worker_count=int(data.get("worker_count", 1)),
-        description=str(data.get("description", "")),
-    )
+        exp = ExperimentConfig(kind=entry.get("kind"),
+                               options={k: v for k, v in entry.items() if k != "kind"})
+        exp.spec(ptr)
+        experiments.append(exp)
+    cfg = RunConfig(experiments=tuple(experiments), **top)
     if cfg.worker_count < 1:
         raise ConfigurationError("worker_count must be >= 1 at /worker_count")
-    if cfg.node_budget < 1000:
-        raise ConfigurationError("node_budget must be >= 1000 at /node_budget")
     return cfg
 
 

@@ -200,21 +200,9 @@ def make_grid(dim: int, box, spacing: float) -> Grid:
     """
     if dim < 1:
         raise ConfigurationError(f"grid dimension must be >= 1, got {dim}")
-    if spacing <= 0:
-        raise ConfigurationError(f"spacing must be positive, got {spacing}")
-    b = _normalize_box(box, dim)
-    hi = []
-    for side, lo_i, hi_i in zip(b.sides, b.lo, b.hi):
-        if side <= 0:
-            raise ConfigurationError("box sides must be positive")
-        ratio = side / spacing
-        snapped = round(ratio)
-        if snapped < 1 or abs(ratio - snapped) > _SNAP_REL_TOL * max(1.0, abs(ratio)):
-            raise ConfigurationError(
-                f"box side {side} not divisible by spacing {spacing} within tolerance"
-            )
-        hi.append(lo_i + snapped * spacing)
-    return Grid(dim, Box(b.lo, tuple(hi)), spacing)
+    loose = Grid(dim, _normalize_box(box, dim), spacing)
+    hi = tuple(lo + (n - 1) * spacing for lo, n in zip(loose.box.lo, loose.shape))
+    return Grid(dim, Box(loose.box.lo, hi), spacing)
 
 
 def sample_map(

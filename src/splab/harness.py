@@ -1,4 +1,5 @@
-"""Top-level experiments: averaging, threshold scan, and the suite runner.
+"""Top-level experiments: averaging, threshold scan, the table of experiment
+kinds (`EXPERIMENTS`), and the suite runner.
 
 Monte Carlo shifts are drawn with a seeded generator through an explicit
 polar transform (no rejection), so runs are bit-reproducible.  Every
@@ -8,13 +9,13 @@ process exit status.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field, replace
+from typing import TYPE_CHECKING
 
 import numpy as np
 from numpy.typing import NDArray
 
 from .chords import estimate_constant
-from .config import RunConfig
 from .energy import EnergyPlan, FractionalParams, Region, gagliardo_energy
 from .errors import ConfigurationError, DegenerateShiftError
 from .grid import Box, make_grid, sample_map
@@ -30,8 +31,12 @@ from .retraction import (
 )
 from .sphere import ShiftPoint, shifted_projection
 
+if TYPE_CHECKING:
+    from .config import RunConfig
+
 INDICATOR_FULL_LINE = {"s": 0.25, "p": 2.0, "value": 16.0}
 INDICATOR_TRUNCATED = 10.914604076867487  # closed form on [-2, 3]
+SELFTEST_SAMPLES = 100_000
 
 _CALIBRATION_CACHE: dict = {}
 
@@ -77,8 +82,6 @@ class AveragingConfig:
     n_mc: int = 128
     seed: int = 11
     spacing: float = 0.04
-    map_kind: str = "identity2d"
-    selftest_samples: int = 100_000
 
     def __post_init__(self):
         if self.n_mc < 100:
@@ -136,12 +139,12 @@ def averaging_check(cfg: AveragingConfig, workers: int = 1) -> dict:
     out = _averaging_core(cfg, workers)
     # the asserted self-test runs at p = 1 where the estimator has a
     # finite-variance-like tail; the run-p estimate is reported alongside
-    est, closed = kernel_selftest(1.0, cfg.selftest_samples, cfg.seed + 1)
+    est, closed = kernel_selftest(1.0, SELFTEST_SAMPLES, cfg.seed + 1)
     out["selftest_estimate"] = est
     out["selftest_closed_form"] = closed
     out["selftest_rel_err"] = abs(est - closed) / closed
     if cfg.params.p < cfg.params.ell:
-        est_p, closed_p = kernel_selftest(cfg.params.p, cfg.selftest_samples, cfg.seed + 1)
+        est_p, closed_p = kernel_selftest(cfg.params.p, SELFTEST_SAMPLES, cfg.seed + 1)
         out["selftest_estimate_run_p"] = est_p
         out["selftest_closed_form_run_p"] = closed_p
         c_avg = calibrated_average_bound(cfg.params, workers)
@@ -151,8 +154,8 @@ def averaging_check(cfg: AveragingConfig, workers: int = 1) -> dict:
 
 
 def _averaging_core(cfg: AveragingConfig, workers: int = 1) -> dict:
-    u = TEST_MAPS[cfg.map_kind](cfg.spacing)
-    region = Region.from_ball((0.0, 0.0), 1.0) if u.grid.dim == 2 else Region.whole()
+    u = identity_map_2d(cfg.spacing)
+    region = Region.from_ball((0.0, 0.0), 1.0)
     plan = EnergyPlan(u.grid, cfg.params, region, workers=workers)
     base = plan.energy(u).value
     rng = np.random.default_rng(cfg.seed)
@@ -294,25 +297,35 @@ def threshold_scan(
 
 
 # ---------------------------------------------------------------------------
-# Suite runner
+# Experiment kinds: one options dataclass and one runner per kind
 # ---------------------------------------------------------------------------
+#
+# The fields of each options class, with their types and defaults, are the
+# only declaration of a kind's keys: the `spl` subcommand flags and the
+# strict config schema are both generated from them.  Field metadata may
+# name the CLI flag ("flag") and the allowed values ("choices").
 
 
-def _run_seminorm(opts: dict, cfg: RunConfig) -> ExperimentReport:
-    s = float(opts.get("s", 0.25))
-    p = float(opts.get("p", 2.0))
-    ell = int(opts.get("ell", 2))
-    spacing = float(opts.get("spacing", 1e-3))
-    kind = opts.get("map", "indicator1d")
-    params = FractionalParams(s=s, p=p, ell=ell)
-    u = TEST_MAPS[kind](spacing)
-    energy = gagliardo_energy(u, params, workers=cfg.worker_count)
+@dataclass(frozen=True)
+class SeminormOptions:
+    """fractional seminorm of a reference map"""
+
+    map: str = field(default="indicator1d", metadata={"choices": tuple(TEST_MAPS)})
+    s: float = 0.25
+    p: float = 2.0
+    spacing: float = 1e-3
+
+
+def _run_seminorm(opts: SeminormOptions, cfg: RunConfig) -> ExperimentReport:
+    params = FractionalParams(s=opts.s, p=opts.p)
+    energy = gagliardo_energy(TEST_MAPS[opts.map](opts.spacing), params, workers=cfg.worker_count)
     value = energy.value
-    report = ExperimentReport(name=opts.get("name", "seminorm"),
-                              params={"map": kind, "s": s, "p": p, "spacing": spacing},
+    report = ExperimentReport(name="seminorm",
+                              params={"map": opts.map, "s": opts.s, "p": opts.p,
+                                      "spacing": opts.spacing},
                               scheme=energy.scheme)
-    report.add_row(spacing, upper=value, lower=value)
-    if kind == "indicator1d" and s == 0.25 and p == 2.0:
+    report.add_row(opts.spacing, upper=value, lower=value)
+    if opts.map == "indicator1d" and opts.s == 0.25 and opts.p == 2.0:
         rel = abs(value - INDICATOR_TRUNCATED) / INDICATOR_TRUNCATED
         report.constants["full_line_value"] = INDICATOR_FULL_LINE["value"]
         report.constants["truncated_oracle"] = INDICATOR_TRUNCATED
@@ -321,17 +334,23 @@ def _run_seminorm(opts: dict, cfg: RunConfig) -> ExperimentReport:
     return report
 
 
-def _run_patch(opts: dict, cfg: RunConfig) -> ExperimentReport:
-    s = float(opts.get("s", 0.4))
-    p = float(opts.get("p", 2.5))
-    n_values = [int(n) for n in opts.get("n_values", (1, 2, 3))]
-    shift_count = int(opts.get("shift_count", 100))
-    params = FractionalParams(s=s, p=p, ell=int(opts.get("ell", 2)))
+@dataclass(frozen=True)
+class PatchOptions:
+    """patch energies and projected lower bounds"""
+
+    s: float = 0.4
+    p: float = 2.5
+    n_values: tuple[int, ...] = (1, 2, 3)
+    shift_count: int = field(default=100, metadata={"flag": "--shifts"})
+
+
+def _run_patch(opts: PatchOptions, cfg: RunConfig) -> ExperimentReport:
+    params = FractionalParams(s=opts.s, p=opts.p)
     model = PatchModel(params, workers=cfg.worker_count)
-    report = ExperimentReport(name=opts.get("name", "patch"),
-                              params={"s": s, "p": p, "n_values": n_values})
+    report = ExperimentReport(name="patch",
+                              params={"s": opts.s, "p": opts.p, "n_values": list(opts.n_values)})
     energies = {}
-    for n in n_values:
+    for n in opts.n_values:
         spec = PatchSpec((0.3, 0.2), n, params)
         energies[n] = model.patch_energy_direct(spec)
         report.add_row(n, upper=energies[n], lower=model.cluster_energy(spec))
@@ -340,9 +359,9 @@ def _run_patch(opts: dict, cfg: RunConfig) -> ExperimentReport:
     report.check("patch energies uniform within factor 2", spread <= 2.0,
                  f"max/min = {spread:.4g}")
     rng = np.random.default_rng(cfg.seed)
-    shifts = _uniform_ball_2d(rng, shift_count, 1.0)
+    shifts = _uniform_ball_2d(rng, opts.shift_count, 1.0)
     for n in (1, 2):
-        if n not in n_values:
+        if n not in opts.n_values:
             continue
         spec = PatchSpec((0.3, 0.2), n, params)
         worst = np.inf
@@ -353,37 +372,50 @@ def _run_patch(opts: dict, cfg: RunConfig) -> ExperimentReport:
                 worst = min(worst, direct / lower)
         report.constants[f"min_direct_over_lower_n{n}"] = worst
         report.check(f"projected lower bound holds at n={n} (0.1 margin)", worst >= 0.1,
-                     f"min direct/lower = {worst:.4g} over {shift_count} shifts")
+                     f"min direct/lower = {worst:.4g} over {opts.shift_count} shifts")
     return report
 
 
-def _run_layer(opts: dict, cfg: RunConfig) -> ExperimentReport:
-    s = float(opts.get("s", 0.4))
-    p = float(opts.get("p", 2.5))
-    n = int(opts.get("n", 1))
-    params = FractionalParams(s=s, p=p, ell=int(opts.get("ell", 2)))
-    model = PatchModel(params, workers=cfg.worker_count)
-    layer = LayerSpec(n)
+@dataclass(frozen=True)
+class LayerOptions:
+    """one glued dyadic layer"""
+
+    s: float = 0.4
+    p: float = 2.5
+    n: int = 1
+
+
+def _run_layer(opts: LayerOptions, cfg: RunConfig) -> ExperimentReport:
+    model = PatchModel(FractionalParams(s=opts.s, p=opts.p), workers=cfg.worker_count)
+    layer = LayerSpec(opts.n)
     direct = model.layer_energy_direct(layer)
     upper = model.layer_upper_compositional(layer)
-    report = ExperimentReport(name=opts.get("name", "layer"),
-                              params={"s": s, "p": p, "n": n, "patches": layer.count})
-    report.add_row(n, upper=upper, lower=direct)
+    report = ExperimentReport(name="layer",
+                              params={"s": opts.s, "p": opts.p, "n": opts.n,
+                                      "patches": layer.count})
+    report.add_row(opts.n, upper=upper, lower=direct)
     report.check("compositional upper bounds direct", direct <= upper,
                  f"direct={direct:.6g} upper={upper:.6g}")
     return report
 
 
-def _run_geometry(opts: dict, cfg: RunConfig) -> ExperimentReport:
-    lemma = opts.get("lemma", "geom1")
-    n_min = int(opts.get("n_min", 1))
-    n_max = int(opts.get("n_max", 8))
-    samples = int(opts.get("samples", 100_000))
-    seed = int(opts.get("seed", cfg.seed))
-    est = estimate_constant(lemma, range(n_min, n_max + 1), samples, seed,
-                            ell=int(opts.get("ell", 2)))
-    report = ExperimentReport(name=opts.get("name", f"geometry-{lemma}"),
-                              params={"lemma": lemma, "samples": samples, "seed": seed})
+@dataclass(frozen=True)
+class GeometryOptions:
+    """empirical chord-bound constants"""
+
+    lemma: str = field(default="geom1", metadata={"choices": ("geom1", "geom2")})
+    ell: int = 2
+    samples: int = 100_000
+    n_min: int = 1
+    n_max: int = 8
+
+
+def _run_geometry(opts: GeometryOptions, cfg: RunConfig) -> ExperimentReport:
+    est = estimate_constant(opts.lemma, range(opts.n_min, opts.n_max + 1), opts.samples,
+                            cfg.seed, ell=opts.ell)
+    report = ExperimentReport(name=f"geometry-{opts.lemma}",
+                              params={"lemma": opts.lemma, "samples": opts.samples,
+                                      "seed": cfg.seed})
     for n, v in est.per_n.items():
         report.add_row(n, upper=v, lower=v)
     spread = max(est.per_n.values()) / min(est.per_n.values()) - 1.0
@@ -395,64 +427,77 @@ def _run_geometry(opts: dict, cfg: RunConfig) -> ExperimentReport:
     return report
 
 
-def _run_averaging(opts: dict, cfg: RunConfig) -> ExperimentReport:
-    s = float(opts.get("s", 0.4))
-    p = float(opts.get("p", 1.5))
-    params = FractionalParams(s=s, p=p, ell=int(opts.get("ell", 2)))
-    spacing = float(opts.get("spacing", 0.04))
-    acfg = AveragingConfig(
-        params=params,
-        alpha=float(opts.get("alpha", 1.0)),
-        n_mc=int(opts.get("n_mc", 128)),
-        seed=int(opts.get("seed", cfg.seed)),
-        spacing=spacing,
-        selftest_samples=int(opts.get("selftest_samples", 100_000)),
-    )
+@dataclass(frozen=True)
+class AveragingOptions:
+    """Monte Carlo shift averaging"""
+
+    s: float = 0.4
+    p: float = 1.5
+    alpha: float = 1.0
+    n_mc: int = 128
+    spacing: float = 0.04
+    refine: bool = True
+
+
+def _run_averaging(opts: AveragingOptions, cfg: RunConfig) -> ExperimentReport:
+    params = FractionalParams(s=opts.s, p=opts.p)
+    acfg = AveragingConfig(params=params, alpha=opts.alpha, n_mc=opts.n_mc, seed=cfg.seed,
+                           spacing=opts.spacing)
     out = averaging_check(acfg, workers=cfg.worker_count)
-    report = ExperimentReport(name=opts.get("name", "averaging"),
-                              params={"s": s, "p": p, "spacing": spacing, "n_mc": acfg.n_mc},
+    report = ExperimentReport(name="averaging",
+                              params={"s": opts.s, "p": opts.p, "spacing": opts.spacing,
+                                      "n_mc": opts.n_mc},
                               scheme=out.pop("scheme"))
-    report.add_row(spacing, upper=out["base_energy"], lower=out["mean_projected_energy"])
+    report.add_row(opts.spacing, upper=out["base_energy"], lower=out["mean_projected_energy"])
     report.constants.update({k: v for k, v in out.items() if np.isscalar(v)})
-    if "selftest_rel_err" in out:
-        report.check("kernel self-test within 2%", out["selftest_rel_err"] <= 0.02,
-                     f"rel err {out['selftest_rel_err']:.4g}")
+    report.check("kernel self-test within 2%", out["selftest_rel_err"] <= 0.02,
+                 f"rel err {out['selftest_rel_err']:.4g}")
     if "bound_ok" in out:
         report.check("bound ratio below calibrated constant", out["bound_ok"],
                      f"ratio {out['bound_ratio']:.4g} vs C_avg {out['calibrated_bound']:.4g}")
-    if bool(opts.get("refine", True)):
-        fine = AveragingConfig(params=params, alpha=acfg.alpha, n_mc=max(100, acfg.n_mc // 2),
-                               seed=acfg.seed, spacing=spacing / 2,
-                               selftest_samples=acfg.selftest_samples)
+    if opts.refine:
+        fine = replace(acfg, n_mc=max(100, acfg.n_mc // 2), spacing=opts.spacing / 2)
         out2 = averaging_check(fine, workers=cfg.worker_count)
-        report.add_row(spacing / 2, upper=out2["base_energy"], lower=out2["mean_projected_energy"])
+        report.add_row(fine.spacing, upper=out2["base_energy"],
+                       lower=out2["mean_projected_energy"])
         drift = abs(out2["bound_ratio"] / out["bound_ratio"] - 1.0)
         report.constants["ratio_drift_under_halving"] = drift
-        if p < params.ell:
+        if opts.p < params.ell:
             report.check("bound ratio stable under h-halving (p < ell)", drift <= 0.25,
                          f"drift {drift:.4g}")
     return report
 
 
-def _run_threshold(opts: dict, cfg: RunConfig) -> ExperimentReport:
-    s_values = [float(v) for v in opts.get("s_values", (0.4, 0.4, 0.5))]
-    p_values = [float(v) for v in opts.get("p_values", (2.5, 1.5, 2.0))]
-    n_max = int(opts.get("n_max", 6))
-    report = threshold_scan(s_values, p_values, range(1, n_max + 1),
-                            ell=int(opts.get("ell", 2)), workers=cfg.worker_count)
-    report.name = opts.get("name", "threshold")
-    return report
+@dataclass(frozen=True)
+class ThresholdOptions:
+    """layer ratio growth across parameters"""
+
+    s_values: tuple[float, ...] = field(default=(0.4, 0.4, 0.5), metadata={"flag": "--s"})
+    p_values: tuple[float, ...] = field(default=(2.5, 1.5, 2.0), metadata={"flag": "--p"})
+    n_max: int = 6
 
 
-def _run_almost(opts: dict, cfg: RunConfig) -> ExperimentReport:
-    s = float(opts.get("s", 0.6))
-    p = float(opts.get("p", 1.5))
-    params = FractionalParams(s=s, p=p, ell=2)
-    spec = AlmostCtrexSpec(params=params, alpha=float(opts.get("alpha", 0.0)))
-    n_min = int(opts.get("n_min", 2))
-    n_max = int(opts.get("n_max", 6))
-    report = ExperimentReport(name=opts.get("name", "almost"),
-                              params={"s": s, "p": p, "alpha": spec.alpha})
+def _run_threshold(opts: ThresholdOptions, cfg: RunConfig) -> ExperimentReport:
+    return threshold_scan(opts.s_values, opts.p_values, range(1, opts.n_max + 1),
+                          workers=cfg.worker_count)
+
+
+@dataclass(frozen=True)
+class AlmostOptions:
+    """almost retraction rates and blow-up scan"""
+
+    s: float = 0.6
+    p: float = 1.5
+    alpha: float = 0.0
+    n_min: int = 2
+    n_max: int = 6
+
+
+def _run_almost(opts: AlmostOptions, cfg: RunConfig) -> ExperimentReport:
+    params = FractionalParams(s=opts.s, p=opts.p)
+    spec = AlmostCtrexSpec(params=params, alpha=opts.alpha)
+    report = ExperimentReport(name="almost",
+                              params={"s": opts.s, "p": opts.p, "alpha": spec.alpha})
     products = []
     for m in range(2, 8):
         eps = 2.0**-m
@@ -466,7 +511,7 @@ def _run_almost(opts: dict, cfg: RunConfig) -> ExperimentReport:
         spread = max(vals) / min(vals) - 1.0
         report.constants[f"{label} spread"] = spread
         report.check(f"{label} * eps stable within 10%", spread <= 0.10, f"spread {spread:.4g}")
-    scan = almost_projection_scan(spec, n_range=range(n_min, n_max + 1),
+    scan = almost_projection_scan(spec, n_range=range(opts.n_min, opts.n_max + 1),
                                   workers=cfg.worker_count)
     for row in scan["rows"]:
         report.add_row(row["n"], upper=row["energy_upper"], lower=row["projected_inf"],
@@ -475,7 +520,6 @@ def _run_almost(opts: dict, cfg: RunConfig) -> ExperimentReport:
     for key in ("support", "energy", "projected"):
         report.constants[f"{key}_exponent"] = scan[f"{key}_exponent"]
         report.constants[f"{key}_target"] = scan[f"{key}_target"]
-    sp = params.sp
     report.check("support exponent within 5%",
                  abs(scan["support_exponent"] - scan["support_target"]) <= 0.05 * scan["support_target"],
                  f"{scan['support_exponent']:.4g} vs {scan['support_target']:.4g}")
@@ -491,14 +535,14 @@ def _run_almost(opts: dict, cfg: RunConfig) -> ExperimentReport:
     return report
 
 
-_RUNNERS = {
-    "seminorm": _run_seminorm,
-    "patch": _run_patch,
-    "layer": _run_layer,
-    "geometry": _run_geometry,
-    "averaging": _run_averaging,
-    "threshold": _run_threshold,
-    "almost": _run_almost,
+EXPERIMENTS = {
+    "seminorm": (SeminormOptions, _run_seminorm),
+    "patch": (PatchOptions, _run_patch),
+    "layer": (LayerOptions, _run_layer),
+    "geometry": (GeometryOptions, _run_geometry),
+    "averaging": (AveragingOptions, _run_averaging),
+    "threshold": (ThresholdOptions, _run_threshold),
+    "almost": (AlmostOptions, _run_almost),
 }
 
 
@@ -506,11 +550,11 @@ def run_suite(cfg: RunConfig) -> list[ExperimentReport]:
     """Execute the configured experiments in declared order."""
     reports = []
     for exp in cfg.experiments:
-        runner = _RUNNERS.get(exp.kind)
-        if runner is None:
-            raise ConfigurationError(f"no runner for experiment kind {exp.kind!r}")
         try:
-            reports.append(runner(exp.options, cfg))
+            spec = exp.spec()
+            report = EXPERIMENTS[exp.kind][1](spec, cfg)
         except ConfigurationError as exc:
             raise ConfigurationError(f"experiment {exp.name!r}: {exc}") from exc
+        report.name = exp.options.get("name", report.name)
+        reports.append(report)
     return reports

@@ -178,13 +178,18 @@ def basic_values(points: NDArray, spec: PatchSpec) -> NDArray:
     return vals
 
 
+def _check_resolution(spacing: float, scale: float = 1.0) -> None:
+    """The bump's transition annulus, shrunk by `scale`, needs 4 nodes across."""
+    feature = scale * (BUMP_RADIUS - PLATEAU_RADIUS)
+    if spacing > feature / 4 + 1e-15:
+        raise ResolutionError(
+            f"spacing {spacing} leaves fewer than 4 nodes across the feature {feature}"
+        )
+
+
 def build_basic_patch(spec: PatchSpec, grid: Grid) -> SampledMap:
     """Sample the frame map on a grid; the transition annulus needs 4 nodes."""
-    annulus = BUMP_RADIUS - PLATEAU_RADIUS
-    if grid.spacing > annulus / 4 + 1e-15:
-        raise ResolutionError(
-            f"spacing {grid.spacing} leaves fewer than 4 nodes across the transition annulus"
-        )
+    _check_resolution(grid.spacing)
     support = Box.cube(FRAME_HALFWIDTH, dim=grid.dim)
     if not grid.box.contains_box(Box.cube(BUMP_RADIUS + 1.0, dim=grid.dim)):
         raise ResolutionError("grid must cover the two-bump frame")
@@ -194,11 +199,7 @@ def build_basic_patch(spec: PatchSpec, grid: Grid) -> SampledMap:
 def build_clustered_patch(spec: PatchSpec, grid: Grid) -> SampledMap:
     """Sample the clustered map; equals c outside the central block."""
     _check_cluster_geometry(spec.k, spec.ell)
-    feature = cluster_scale(spec.k) * (BUMP_RADIUS - PLATEAU_RADIUS)
-    if grid.spacing > feature / 4 + 1e-15:
-        raise ResolutionError(
-            f"spacing {grid.spacing} cannot resolve cluster feature {feature}"
-        )
+    _check_resolution(grid.spacing, cluster_scale(spec.k))
     support = Box.cube(BLOCK_HALFWIDTH, dim=grid.dim)
     return sample_map(grid, lambda p: clustered_values(p, spec), support, spec.c)
 
@@ -206,11 +207,7 @@ def build_clustered_patch(spec: PatchSpec, grid: Grid) -> SampledMap:
 def build_patch(spec: PatchSpec, grid: Grid) -> SampledMap:
     """Sample the compactly supported patch; zero outside the unit cube."""
     _check_cluster_geometry(spec.k, spec.ell)
-    feature = cluster_scale(spec.k) * (BUMP_RADIUS - PLATEAU_RADIUS)
-    if grid.spacing > feature / 4 + 1e-15:
-        raise ResolutionError(
-            f"spacing {grid.spacing} cannot resolve cluster feature {feature}"
-        )
+    _check_resolution(grid.spacing, cluster_scale(spec.k))
     support = Box.cube(SUPPORT_HALFWIDTH, dim=grid.dim)
     return sample_map(grid, lambda p: patch_values(p, spec), support, (0.0,) * spec.ell)
 
@@ -274,11 +271,7 @@ def build_layer(
     regions = []
     for ps, pl in zip(spec.patch_specs(params), spec.placements()):
         pgrid = make_grid(spec.ell, Box.cube(PATCH_MARGIN, dim=spec.ell), piece_h)
-        feature = cluster_scale(ps.k) * (BUMP_RADIUS - PLATEAU_RADIUS)
-        if piece_h > feature / 4 + 1e-15:
-            raise ResolutionError(
-                f"layer spacing {grid.spacing} cannot resolve patch features at n={spec.n}"
-            )
+        _check_resolution(piece_h, cluster_scale(ps.k))
         pieces.append((build_patch(ps, pgrid), pl))
         regions.append(Region.from_box(Box.cube(SUPPORT_HALFWIDTH, dim=spec.ell).transformed(pl.translate, pl.scale)))
     glued = glue_disjoint(pieces, grid, (0.0,) * spec.ell)
@@ -290,16 +283,22 @@ def build_layer(
 # ---------------------------------------------------------------------------
 
 
-def _midpoint_lattice(halfwidth: float, spacing: float, center=(0.0, 0.0)) -> tuple[NDArray, float]:
-    """Cell-centered lattice tiling the box exactly (spacing adapted if needed).
+def cell_midpoints(halfwidth: float, spacing: float) -> tuple[NDArray, float]:
+    """Cell-centered coordinates tiling [-halfwidth, halfwidth] exactly.
 
-    Returns the points and the effective spacing actually used.
+    The spacing is adapted if needed; returns the coordinates and the
+    effective spacing actually used.
     """
     n = max(1, int(round(2 * halfwidth / spacing)))
     h = 2 * halfwidth / n
-    coords = -halfwidth + h * (np.arange(n) + 0.5)
+    return -halfwidth + h * (np.arange(n) + 0.5), h
+
+
+def _midpoint_lattice(halfwidth: float, spacing: float) -> tuple[NDArray, float]:
+    """The square lattice of `cell_midpoints` and its effective spacing."""
+    coords, h = cell_midpoints(halfwidth, spacing)
     xx, yy = np.meshgrid(coords, coords, indexing="ij")
-    return np.column_stack([xx.ravel(), yy.ravel()]) + np.asarray(center), h
+    return np.column_stack([xx.ravel(), yy.ravel()]), h
 
 
 def _project_values(values: NDArray, a: NDArray) -> tuple[NDArray, NDArray]:
@@ -630,28 +629,3 @@ class PatchModel:
                     best_shift = sh[i]
         return best, upper, best / upper, best_shift
 
-
-def compositional_energy(
-    spec,
-    mode: str,
-    model: PatchModel | None = None,
-    a=None,
-):
-    """Closed-form energy bounds assembled from measured constants.
-
-    mode "upper" returns the patching upper bound; mode "lower" needs a
-    shift and returns the contributing-patch lower bound.
-    """
-    if model is None:
-        raise ConfigurationError("compositional accounting needs a PatchModel with cached constants")
-    if mode == "upper":
-        if isinstance(spec, LayerSpec):
-            return model.layer_upper_compositional(spec)
-        return model.patch_energy_compositional(spec)
-    if mode == "lower":
-        if a is None:
-            raise ConfigurationError("lower bounds need a shift")
-        if isinstance(spec, LayerSpec):
-            return model.layer_lower_compositional(spec, np.asarray(a, dtype=float))
-        return model.patch_projected_lower(spec, a)
-    raise ConfigurationError(f"unknown mode {mode!r}")

@@ -22,10 +22,16 @@ from numpy.typing import NDArray
 
 from ._pairsum import pair_kernel_sum
 from .energy import FractionalParams
-from .errors import AssertionFailure, BudgetError, ConfigurationError, SamplingError, SingularHitError
+from .errors import AssertionFailure, BudgetError, ConfigurationError, SamplingError
 from .grid import Box, Placement, SampledMap, make_grid, rescale_map, sample_map
-from .patches import BLOCK_HALFWIDTH, PLATEAU_STOP, SUPPORT_HALFWIDTH, radial_cutoff, smoothstep5
-from .sphere import SINGULAR_EXCLUSION_RADIUS, nearest_point_extension
+from .patches import (
+    BLOCK_HALFWIDTH,
+    PLATEAU_STOP,
+    SUPPORT_HALFWIDTH,
+    cell_midpoints,
+    radial_cutoff,
+    smoothstep5,
+)
 
 BLEND_FRACTION = 0.05  # C^1 blend zone at each end of the cap, as a cap fraction
 FRAME_HALFWIDTH_1D = 2.0
@@ -92,24 +98,6 @@ class AlmostRetraction:
         if np.any(inside):
             out[inside] = self._cap_displacement(phi[inside])
         return self.spec.cap_center + out
-
-    def point_map(self, points: NDArray) -> NDArray:
-        """S^1 -> S^1 in Cartesian coordinates."""
-        pts = np.atleast_2d(np.asarray(points, dtype=float))
-        theta = np.arctan2(pts[:, 1], pts[:, 0])
-        beta = self.angle_map(theta)
-        return np.column_stack([np.cos(beta), np.sin(beta)])
-
-    def extension(self, points: NDArray) -> NDArray:
-        """R^2 -> S^1 through the nearest-point extension then the cap map."""
-        pts = np.atleast_2d(np.asarray(points, dtype=float))
-        r = np.linalg.norm(pts, axis=1)
-        if np.any(r <= SINGULAR_EXCLUSION_RADIUS):
-            raise SingularHitError("extension evaluated at the origin")
-        unit = nearest_point_extension(pts, self.spec.iota)
-        norm = np.linalg.norm(unit, axis=1)
-        unit = unit / np.where(norm > 0, norm, 1.0)[:, None]
-        return self.point_map(unit)
 
 
 def build_almost_retraction(spec: AlmostRetractionSpec) -> AlmostRetraction:
@@ -225,16 +213,6 @@ def collar_factor_1d(tau: NDArray) -> NDArray:
     return 1.0 - smoothstep5(t)
 
 
-def slot_angles(tau: NDArray, delta: float, k: int, pair_half: float, base: float) -> NDArray:
-    """Angle profile of one slot in frame coordinates tau in [-2, 2].
-
-    base angle outside the support, the center angle base+delta on the
-    plateau, and the two values base+delta +/- pair_half on the cluster
-    plateaus.
-    """
-    return base + collar_factor_1d(tau) * delta + pair_half * cluster_profile_1d(tau, k)
-
-
 def ctrex_values(points: NDArray, spec: AlmostCtrexSpec, eps: float) -> NDArray:
     """Circle values of the unscaled glue v_eps over the interval [-1, 1]."""
     x = np.atleast_2d(points)[:, 0]
@@ -294,12 +272,6 @@ def build_almost_counterexample(
 # ---------------------------------------------------------------------------
 
 
-def _midpoints_1d(halfwidth: float, spacing: float, center: float = 0.0) -> tuple[NDArray, float]:
-    n = max(1, int(round(2 * halfwidth / spacing)))
-    h = 2 * halfwidth / n
-    return center - halfwidth + h * (np.arange(n) + 0.5), h
-
-
 def xi_grid(iota: float = 0.3, side: int = 21) -> NDArray:
     """Uniform side x side grid on the square, filtered to the disk B_iota."""
     coords = np.linspace(-iota, iota, side)
@@ -316,7 +288,7 @@ class AlmostModel:
         self.params = spec.params
         self.h0 = frame_spacing
         self.workers = workers
-        self._frame_tau, self.h0 = _midpoints_1d(FRAME_HALFWIDTH_1D, frame_spacing)
+        self._frame_tau, self.h0 = cell_midpoints(FRAME_HALFWIDTH_1D, frame_spacing)
         self._kernel_exp = 1 + self.params.sp
         self._plateau_kernel = None
         self._collar_unit = None
@@ -382,12 +354,12 @@ class AlmostModel:
         """Coarse midpoint cloud of one slot in frame coordinates."""
         k = self.spec.cluster_count(eps)
         width = 2 * BLOCK_HALFWIDTH / k
-        cells, cell_h = _midpoints_1d(width / 2, width / 5)
+        cells, cell_h = cell_midpoints(width / 2, width / 5)
         centers = -BLOCK_HALFWIDTH + width * (np.arange(k) + 0.5)
         cell_pts = (centers[:, None] + cells[None, :]).ravel()
         groups = np.repeat(np.arange(k), cells.shape[0])
         cell_w = np.full(cell_pts.shape[0], cell_h)
-        bg, bg_h = _midpoints_1d(FRAME_HALFWIDTH_1D, self.h0)
+        bg, bg_h = cell_midpoints(FRAME_HALFWIDTH_1D, self.h0)
         bg = bg[np.abs(bg) > BLOCK_HALFWIDTH]
         pts = np.concatenate([cell_pts, bg])
         w = np.concatenate([cell_w, np.full(bg.shape[0], bg_h)])
@@ -416,15 +388,21 @@ class AlmostModel:
 
     # projected quantities -------------------------------------------------------
 
-    def _pair_images(self, eps: float, retr: AlmostRetraction, xi: NDArray) -> NDArray:
-        """Image angles of every slot's two plateau values under the full chain."""
+    def _pair_angles(self, eps: float, xi: NDArray) -> NDArray:
+        """Angles of every slot's two plateau values after the shift by xi.
+
+        The lower values of all slots come first, then the upper values.
+        """
         centers = self.spec.center_angles(eps)
         half = self.spec.pair_half_separation(eps)
         angles = np.concatenate([centers - half, centers + half])
         z = np.column_stack([np.cos(angles), np.sin(angles)]) - xi
-        beta = np.arctan2(z[:, 1], z[:, 0])
-        mapped = retr.angle_map(beta)
-        m = centers.shape[0]
+        return np.arctan2(z[:, 1], z[:, 0])
+
+    def _pair_images(self, eps: float, retr: AlmostRetraction, xi: NDArray) -> NDArray:
+        """Image angles of every slot's two plateau values under the full chain."""
+        mapped = retr.angle_map(self._pair_angles(eps, xi))
+        m = mapped.shape[0] // 2
         return mapped[:m], mapped[m:]
 
     def projected_lower(self, eps: float, retr: AlmostRetraction, xi: NDArray) -> float:
@@ -434,14 +412,9 @@ class AlmostModel:
 
     def coverage_check(self, eps: float, retr: AlmostRetraction, shifts: NDArray) -> None:
         """Every shift must leave one full pair inside the amplified half-cap."""
-        centers = self.spec.center_angles(eps)
-        half = self.spec.pair_half_separation(eps)
         for xi in shifts:
-            angles = np.concatenate([centers - half, centers + half])
-            z = np.column_stack([np.cos(angles), np.sin(angles)]) - xi
-            beta = np.arctan2(z[:, 1], z[:, 0])
-            phi = np.abs(wrap_angle(beta - retr.spec.cap_center))
-            m = centers.shape[0]
+            phi = np.abs(wrap_angle(self._pair_angles(eps, xi) - retr.spec.cap_center))
+            m = phi.shape[0] // 2
             both = (phi[:m] <= eps / 2) & (phi[m:] <= eps / 2)
             if not both.any():
                 raise SamplingError(

@@ -32,8 +32,6 @@ def test_kernel_selftest_divergent_rejected():
 
 def test_averaging_constant_map_zero():
     params = FractionalParams(s=0.4, p=1.5)
-    cfg = AveragingConfig(params=params, spacing=0.1, n_mc=100, seed=3, map_kind="bump1d")
-    # a 1D bump never hits the shift in R^2... use the 2D identity instead
     cfg = AveragingConfig(params=params, spacing=0.1, n_mc=100, seed=3)
     out = averaging_check(cfg)
     assert out["mean_projected_energy"] > 0

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from splab.energy import FractionalParams, gagliardo_energy
-from splab.errors import BudgetError, ConfigurationError, ResolutionError
+from splab.errors import BudgetError, ResolutionError
 from splab.grid import Box, make_grid
 from splab.patches import (
     LayerSpec,
@@ -15,7 +15,6 @@ from splab.patches import (
     build_layer,
     build_patch,
     cluster_cell_centers,
-    compositional_energy,
     default_cluster_count,
     patch_values,
 )
@@ -217,20 +216,11 @@ def test_layer_ratio_slope_pos_regime(model_main):
     assert abs(slope - 0.5) <= 0.5  # p - ell = 0.5
 
 
-def test_compositional_requires_model(params_main):
-    with pytest.raises(ConfigurationError):
-        compositional_energy(LayerSpec(1), "upper", model=None)
-
-
 def test_compositional_modes(model_main, params_main):
     layer = LayerSpec(1)
-    up = compositional_energy(layer, "upper", model=model_main)
-    lo = compositional_energy(layer, "lower", model=model_main, a=(0.1, 0.2))
+    up = model_main.layer_upper_compositional(layer)
+    lo = model_main.layer_lower_compositional(layer, (0.1, 0.2))
     assert up > lo > 0
-    with pytest.raises(ConfigurationError):
-        compositional_energy(layer, "lower", model=model_main)
-    with pytest.raises(ConfigurationError):
-        compositional_energy(layer, "sideways", model=model_main)
 
 
 def test_upper_bound_brackets_direct(model_main):

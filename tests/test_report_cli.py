@@ -5,8 +5,11 @@ from pathlib import Path
 
 import pytest
 
+from splab import cli
 from splab.cli import main
+from splab.config import validate_config
 from splab.errors import ConfigurationError, OutputError
+from splab.harness import EXPERIMENTS
 from splab.report import CSV_COLUMNS, ExperimentReport, emit_report, to_csv, to_json, to_svg
 
 
@@ -94,6 +97,40 @@ def test_cli_invalid_config_exit_code(tmp_path):
     assert rc == 2
 
 
+@pytest.mark.parametrize("config, argv", [
+    ({"experiments": [{"kind": "layer", "s": "abc"}]}, None),
+    ({"experiments": [{"kind": "patch", "n_values": 3}]}, None),
+    ({"seed": "x"}, None),
+    ({"experiments": [{"kind": "seminorm", "map": "nope"}]}, None),
+    (None, ["threshold", "--s", "abc"]),
+    (None, ["patch", "--n-values", "x"]),
+    (None, ["seminorm", "--map", "nope"]),
+], ids=["config-layer-s", "config-patch-n-values", "config-seed", "config-seminorm-map",
+        "flag-threshold-s", "flag-patch-n-values", "flag-seminorm-map"])
+def test_malformed_input_exits_two(tmp_path, capsys, config, argv):
+    if config is not None:
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps(config))
+        argv = ["suite", "--config", str(path)]
+    try:
+        rc = main(argv + ["--out", str(tmp_path / "out")])
+    except SystemExit as exc:  # argparse rejects bad flags itself
+        rc = exc.code
+    assert rc == 2
+    assert "error:" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("kind", list(EXPERIMENTS))
+def test_cli_defaults_match_config_defaults(kind, monkeypatch):
+    seen = []
+    monkeypatch.setattr(cli, "run_suite", lambda cfg: seen.append(cfg) or [])
+    monkeypatch.delenv("SPL_WORKERS", raising=False)
+    assert main([kind]) == 0
+    from_config = validate_config({"experiments": [{"kind": kind}]}).experiments[0]
+    assert seen[0].experiments[0].spec() == from_config.spec()
+
+
 GEOMETRY_ARGS = ["geometry", "--samples", "200", "--n-min", "1", "--n-max", "2"]
 
 
@@ -178,7 +215,8 @@ def test_suite_deterministic_outputs(tmp_path):
 
 
 def test_entry_point_exists():
-    proc = subprocess.run([sys.executable, "-m", "splab.cli", "--help"],
-                          capture_output=True, text=True)
-    # argparse prints usage and exits 0 for --help at the top level
-    assert proc.returncode == 0 or "usage" in (proc.stdout + proc.stderr).lower()
+    for kind in EXPERIMENTS:
+        proc = subprocess.run([sys.executable, "-m", "splab.cli", kind, "--help"],
+                              capture_output=True, text=True)
+        assert proc.returncode == 0, proc.stderr
+        assert f"usage: spl {kind}" in proc.stdout
