@@ -17,7 +17,7 @@ from typing import get_args, get_origin, get_type_hints
 from .config import ExperimentConfig, RunConfig, load_config
 from .errors import ConfigurationError, SplabError
 from .harness import EXPERIMENTS, run_suite
-from .report import ExperimentReport, emit_report
+from .report import FORMATS, ExperimentReport, emit_report
 
 
 def _add_common(sub):
@@ -25,7 +25,7 @@ def _add_common(sub):
     sub.add_argument("--out", default=None, help="output directory for reports")
     sub.add_argument("--seed", type=int, default=None)
     sub.add_argument("--workers", type=int, default=None)
-    sub.add_argument("--formats", default="csv,json,svg")
+    sub.add_argument("--formats", default=",".join(FORMATS))
     sub.add_argument("--name", default=None)
 
 
@@ -117,6 +117,11 @@ def main(argv=None) -> int:
         if env_workers is not None:
             cfg = replace(cfg, worker_count=_worker_count(env_workers, "SPL_WORKERS"))
         formats = tuple(tok for tok in args.formats.split(",") if tok)
+        unknown = [f for f in formats if f not in FORMATS]
+        if unknown:
+            raise ConfigurationError(
+                f"unknown --formats {','.join(unknown)}; choose from {','.join(FORMATS)}"
+            )
         reports = run_suite(cfg)
         stamp = datetime.datetime.now(datetime.timezone.utc).isoformat()
         all_ok = True

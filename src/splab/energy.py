@@ -16,7 +16,7 @@ import numpy as np
 from numpy.typing import NDArray
 
 from ._pairsum import KernelPlan, pair_kernel_sum
-from .errors import ConfigurationError, GeometryError, WrongSchemeError
+from .errors import ConfigurationError, GeometryError, NumericalError, WrongSchemeError
 from .grid import Box, Grid, SampledMap
 
 
@@ -107,7 +107,7 @@ class EnergyValue:
 
     def __post_init__(self):
         if not np.isfinite(self.value) or self.value < -0.0:
-            raise ConfigurationError(f"energy value must be finite and >= 0, got {self.value}")
+            raise NumericalError(f"energy value must be finite and >= 0, got {self.value}")
 
 
 def _pair_setup(grid: Grid, params: FractionalParams, region: Region | None):

@@ -47,6 +47,12 @@ class ConsistencyError(SplabError):
     exit_code = 2
 
 
+class NumericalError(SplabError):
+    """A numerical evaluation produced a non-finite or negative energy."""
+
+    exit_code = 2
+
+
 class WrongSchemeError(SplabError):
     """Energy scheme does not apply to the requested parameters."""
 

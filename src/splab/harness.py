@@ -242,6 +242,10 @@ def threshold_scan(
     """
     s_values = list(s_values)
     p_values = list(p_values)
+    if len(s_values) != len(p_values):
+        raise ConfigurationError(
+            f"s and p values pair up: got {len(s_values)} s and {len(p_values)} p values"
+        )
     pairs = list(zip(s_values, p_values))
     for s, p in pairs:
         if s * p >= ell:

@@ -165,7 +165,10 @@ def to_svg(report: ExperimentReport, x_label: str = "n", y_label: str = "log2 ra
     return "\n".join(body) + "\n"
 
 
-def emit_report(report: ExperimentReport, out_dir, formats=("csv", "json", "svg"), stem=None) -> list[str]:
+FORMATS = ("csv", "json", "svg")
+
+
+def emit_report(report: ExperimentReport, out_dir, formats=FORMATS, stem=None) -> list[str]:
     """Write the requested serializations; returns the written paths."""
     out = Path(out_dir)
     try:

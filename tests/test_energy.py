@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 from splab._pairsum import DEFAULT_BLOCK, TILE_ROWS, KernelPlan, pair_kernel_sum
 from splab.energy import (
     EnergyPlan,
+    EnergyValue,
     FractionalParams,
     Region,
     dirichlet_energy,
@@ -15,7 +16,7 @@ from splab.energy import (
     localized_energy_table,
     pair_tail_bound,
 )
-from splab.errors import ConfigurationError, GeometryError, WrongSchemeError
+from splab.errors import ConfigurationError, GeometryError, NumericalError, WrongSchemeError
 from splab.grid import Box, Placement, make_grid, rescale_map, sample_map
 
 INDICATOR_TRUNCATED = 10.914604076867487  # closed-form double integral on [-2, 3]
@@ -47,6 +48,13 @@ def test_params_regime_flags():
         FractionalParams(s=1.2, p=2.0)
     with pytest.raises(ConfigurationError):
         FractionalParams(s=0.5, p=0.5)
+
+
+def test_non_finite_energy_is_numerical_error():
+    for bad in (float("nan"), float("inf"), -1.0):
+        with pytest.raises(NumericalError):
+            EnergyValue(bad, "pair-sum", 0.1)
+    assert NumericalError.exit_code == 2
 
 
 def test_constant_map_zero_energy():

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from splab.chords import chords_vectorized
 from splab.energy import FractionalParams, gagliardo_energy
 from splab.errors import BudgetError, ResolutionError
 from splab.grid import Box, make_grid
@@ -237,3 +238,57 @@ def test_lower_bound_below_direct_projected(model_main):
     direct_proj = model_main.layer_projected_direct(layer, argmin)
     comp_lower = model_main.layer_lower_compositional(layer, argmin)
     assert comp_lower <= 1.5 * direct_proj
+
+
+THRESHOLD_PAIRS = ((0.4, 2.5), (0.4, 1.5), (0.5, 2.0))
+
+
+@pytest.fixture(scope="module")
+def threshold_models(model_main):
+    models = {(s, p): PatchModel(FractionalParams(s=s, p=p), workers=2) for s, p in THRESHOLD_PAIRS[1:]}
+    models[THRESHOLD_PAIRS[0]] = model_main
+    return models
+
+
+def _reference_lower(model, layer, a):
+    """Per-shift lower bound from the selection rule: the cube, and the cone for p <= ell."""
+    centers = layer.centers()
+    r = layer.cube_inradius
+    d = a - centers
+    dist = np.linalg.norm(d, axis=1)
+    sel = np.max(np.abs(d), axis=1) <= r + 1e-12
+    if model.params.p <= 2:
+        sel |= (8 * np.abs(d[:, 0]) <= dist) & (dist >= r)
+    chords = chords_vectorized(centers[sel], layer.n, np.broadcast_to(a, (int(sel.sum()), 2)))
+    spec = PatchSpec(tuple(centers[0]), layer.n, model.params)
+    coeff = layer.placement_scale ** (2 - model.params.sp) * model.cluster_lower_constant(spec)
+    return coeff * float(np.sum(chords**model.params.p))
+
+
+@pytest.mark.parametrize("pair", THRESHOLD_PAIRS)
+def test_layer_lowers_match_per_shift_reference(threshold_models, pair):
+    # p <= ell pairs also select the transverse cone, p > ell the cube alone
+    model = threshold_models[pair]
+    for n in (1, 2, 3, 4):
+        layer = LayerSpec(n)
+        shifts = model.shift_grid(layer)
+        ref = np.array([_reference_lower(model, layer, a) for a in shifts])
+        per_shift = np.array([model.layer_lower_compositional(layer, a) for a in shifts])
+        np.testing.assert_allclose(per_shift, ref, rtol=1e-12, atol=0)
+        np.testing.assert_allclose(model.layer_lowers(layer), ref, rtol=1e-12, atol=0)
+        lower, _, _, argmin = model.layer_ratio(layer)
+        assert any(np.array_equal(argmin, a) for a in shifts)
+        assert lower == model.layer_lower_compositional(layer, argmin)
+        assert np.all(ref >= lower * (1 - 1e-12))
+
+
+@pytest.mark.parametrize("pair", THRESHOLD_PAIRS)
+def test_layer_upper_closed_form_matches_patch_sum(threshold_models, pair):
+    model = threshold_models[pair]
+    for n in (1, 2, 3, 4):
+        layer = LayerSpec(n)
+        weight = layer.placement_scale ** (2 - model.params.sp)
+        per_patch = sum(weight * model.patch_energy_compositional(spec)
+                        for spec in layer.patch_specs(model.params))
+        expected = model.layer_margin_factor * per_patch
+        assert model.layer_upper_compositional(layer) == pytest.approx(expected, rel=1e-12, abs=0)

@@ -105,8 +105,9 @@ def test_cli_invalid_config_exit_code(tmp_path):
     (None, ["threshold", "--s", "abc"]),
     (None, ["patch", "--n-values", "x"]),
     (None, ["seminorm", "--map", "nope"]),
+    (None, ["threshold", "--s", "0.4", "--p", "2.5,1.5", "--n-max", "2"]),
 ], ids=["config-layer-s", "config-patch-n-values", "config-seed", "config-seminorm-map",
-        "flag-threshold-s", "flag-patch-n-values", "flag-seminorm-map"])
+        "flag-threshold-s", "flag-patch-n-values", "flag-seminorm-map", "flag-threshold-unpaired"])
 def test_malformed_input_exits_two(tmp_path, capsys, config, argv):
     if config is not None:
         path = tmp_path / "cfg.json"
@@ -148,6 +149,14 @@ def test_cli_bad_worker_count_exits_two(tmp_path, monkeypatch, capsys, env, flag
     rc = main(GEOMETRY_ARGS + flags + ["--out", str(tmp_path / "out")])
     assert rc == 2
     assert "error:" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
+def test_cli_unknown_format_exits_two(tmp_path, capsys):
+    rc = main(GEOMETRY_ARGS + ["--formats", "xyz", "--out", str(tmp_path / "out")])
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert "error:" in err and "csv,json,svg" in err
     assert not (tmp_path / "out").exists()
 
 
