@@ -9,15 +9,17 @@ of the pair matrix is cut into tiles: row slab [a, a + TILE_ROWS) meets
 the columns from a onward in chunks of ``block``.  Per-tile partial sums
 are combined by a pairwise tree reduction in fixed tile order, so the
 result is bit-stable for any worker count.  Tiles whose two value blocks
-hold one and the same constant are skipped exactly (their contribution
-is zero).
+hold one and the same constant, and tiles whose pairs all share one
+nonnegative group, are skipped exactly (their contribution is zero).
 
 A tile's kernel w_i w_j |x_i - x_j|^-q, with the diagonal, same-group
 and coincident pairs zeroed, depends on the geometry only.  A
 ``KernelPlan`` computes every kernel tile once and keeps it (8 B per
 pair), so each further value set costs only the numerator.
-``pair_kernel_sum`` is the one-shot pass through the same tile code:
-each kernel tile is computed, used and discarded.
+``pair_kernel_sum`` is the streaming pass through the same tile code:
+each kernel tile is computed, applied to every value set of a stack,
+and discarded.  ``cell_lattice_sum`` sums the pairs between the cells
+of a lattice of congruent cells by their index difference.
 
 An optional integer group id per point supports composite quadratures:
 pairs within the same nonnegative group are excluded (they are accounted
@@ -35,6 +37,7 @@ from numpy.typing import NDArray
 
 TILE_ROWS = 128
 DEFAULT_BLOCK = 512
+LATTICE_CHUNK = 32  # displacements per block of cell_lattice_sum
 
 
 def tree_reduce(values) -> float:
@@ -68,15 +71,36 @@ def _as_values(values: NDArray) -> NDArray:
     return vals[:, None] if vals.ndim == 1 else vals
 
 
-def _varying_tiles(vals: NDArray, tiles: list) -> list[int]:
-    """Indices of the tiles not made of two blocks of one identical constant."""
-    n = vals.shape[0]
-    breaks = np.flatnonzero(np.any(vals[1:] != vals[:-1], axis=1)) + 1
+def _drop_index(drop) -> NDArray | None:
+    return np.unique(np.asarray(drop, dtype=np.int64)) if len(drop) else None
+
+
+def _within_runs(keys: NDArray, tiles: list) -> NDArray:
+    """Per tile: do its row block and its column block lie in runs of one and the same key row?"""
+    n = keys.shape[0]
+    breaks = np.flatnonzero(np.any(keys[1:] != keys[:-1], axis=1)) + 1
     run_end = np.append(breaks, n)[np.searchsorted(breaks, np.arange(n), side="right")]
-    return [
-        i for i, (a0, a1, b0, b1) in enumerate(tiles)
-        if not (run_end[a0] >= a1 and run_end[b0] >= b1 and np.array_equal(vals[a0], vals[b0]))
-    ]
+    a0, a1, b0, b1 = np.asarray(tiles, dtype=np.int64).reshape(-1, 4).T
+    return (run_end[a0] >= a1) & (run_end[b0] >= b1) & np.all(keys[a0] == keys[b0], axis=1)
+
+
+def _one_group_tiles(groups: NDArray | None, tiles: list) -> NDArray:
+    """Tiles whose rows and columns all carry one nonnegative group id (kernel all zero)."""
+    if groups is None:
+        return np.zeros(len(tiles), dtype=bool)
+    first_rows = np.asarray(tiles, dtype=np.int64).reshape(-1, 4)[:, 0]
+    return _within_runs(groups[:, None], tiles) & (groups[first_rows] >= 0)
+
+
+def _live_tiles(stack: NDArray, tiles: list, groups: NDArray | None) -> NDArray:
+    """(S, T) mask of the tiles that can contribute for each value set of the stack.
+
+    A tile is dead when its two value blocks hold one identical constant
+    (every numerator is zero) or when one group holds all its pairs.
+    """
+    grouped = _one_group_tiles(groups, tiles)
+    dead = np.array([_within_runs(vals, tiles) | grouped for vals in stack], dtype=bool)
+    return ~dead.reshape(len(stack), len(tiles))
 
 
 class _Scratch:
@@ -197,6 +221,7 @@ class KernelPlan:
     ):
         geo = _Geometry(points, q, weights, groups)
         self.n = geo.n
+        self.groups = geo.g
         self.tiles = _tiles(self.n, DEFAULT_BLOCK)
 
         def build(tile, scratch):
@@ -211,8 +236,8 @@ class KernelPlan:
         vals = _as_values(values)
         if vals.shape[0] != self.n:
             raise ValueError(f"plan holds {self.n} points, got {vals.shape[0]} values")
-        cut = np.unique(np.asarray(drop, dtype=np.int64)) if len(drop) else None
-        live = _varying_tiles(vals, self.tiles)
+        cut = _drop_index(drop)
+        live = np.flatnonzero(_live_tiles(vals[None], self.tiles, self.groups)[0])
 
         def run(i, scratch):
             a0, a1, b0, b1 = tile = self.tiles[i]
@@ -231,29 +256,90 @@ def pair_kernel_sum(
     groups: NDArray | None = None,
     block: int = DEFAULT_BLOCK,
     workers: int = 1,
-) -> float:
+    drop=(),
+) -> float | NDArray:
     """Off-diagonal weighted kernel sum over unordered pairs (counted once).
 
     Parameters
     ----------
     points : (N, m) coordinates
-    values : (N, nu) map values
+    values : (N, nu) or (N,) map values, or an (S, N, nu) stack of S value sets
     p : numerator exponent applied to |v_i - v_j|
     q : kernel exponent applied to |x_i - x_j|
     weights : scalar or (N,) quadrature weights
     groups : optional (N,) int ids; pairs sharing a nonnegative id are skipped
     block : columns per tile; part of the reduction order
     workers : thread count; results are identical for any value
+    drop : point indices whose pairs are left out; for a stack, one index
+        set per value set (or empty for none)
+
+    One value set gives a float.  A stack gives the (S,) array of its sums:
+    each kernel tile is computed once and applied to every set for which
+    the tile is live, and each set is reduced by its own tree over its own
+    live tiles, so every sum equals the call on that set alone bit for bit.
     """
     geo = _Geometry(points, q, weights, groups)
-    vals = _as_values(values)
+    single = np.ndim(values) < 3
+    stack = _as_values(values)[None] if single else np.ascontiguousarray(values, dtype=float)
+    drops = [drop] if single else (list(drop) or [()] * stack.shape[0])
+    if len(drops) != stack.shape[0]:
+        raise ValueError(f"{stack.shape[0]} value sets but {len(drops)} drop sets")
+    cuts = [_drop_index(d) for d in drops]
     tiles = _tiles(geo.n, block)
-    live = [tiles[i] for i in _varying_tiles(vals, tiles)]
+    live = _live_tiles(stack, tiles, geo.g)
+    used = [int(i) for i in np.flatnonzero(live.any(axis=0))]
 
-    def run(tile, scratch):
-        a0, a1, b0, b1 = tile
+    def run(i, scratch):
+        a0, a1, b0, b1 = tile = tiles[i]
         kern, buf, tmp, mask = scratch.views(a1 - a0, b1 - b0)
         geo.kernel_tile(tile, kern, tmp, mask)
-        return _numerator_sum(vals, p, tile, kern, buf, tmp)
+        return [_numerator_sum(vals, p, tile, kern, buf, tmp, cut) if on else 0.0
+                for vals, cut, on in zip(stack, cuts, live[:, i])]
 
-    return tree_reduce(_map_tiles(run, live, block, workers))
+    parts = dict(zip(used, _map_tiles(run, used, block, workers)))
+    sums = np.array([tree_reduce(parts[i][k] for i in np.flatnonzero(live[k]))
+                     for k in range(stack.shape[0])])
+    return float(sums[0]) if single else sums
+
+
+def cell_lattice_sum(
+    offsets: NDArray,
+    values: NDArray,
+    p: float,
+    q: float,
+    weight: float,
+    width: float,
+    k: int,
+    chunk: int = LATTICE_CHUNK,
+) -> float:
+    """Pair sum over the pairs that join two different cells of a k^m cell lattice.
+
+    Every cell carries the same ``values`` at the same local ``offsets``
+    and the same point ``weight``; the cell of lattice index J sits at
+    ``width * J``.  Exactly prod_i (k - |D_i|) ordered cell pairs have the
+    index difference D, and D and -D contribute alike, so the sum is
+
+        sum_{D > 0} prod_i (k - |D_i|) sum_{a, b} w^2 |v_a - v_b|^p |width D + o_a - o_b|^-q
+
+    over the half lattice of D whose first nonzero entry is positive:
+    (2k - 1)^m / 2 kernel blocks of P^2 values (P points per cell) instead
+    of (P k^m)^2 / 2 pairs.  The displacements are streamed ``chunk`` at a
+    time.  Offsets must lie strictly inside the cell, so no two points of
+    different cells coincide.
+    """
+    offs = np.ascontiguousarray(offsets, dtype=float)
+    vals = _as_values(values)
+    m = offs.shape[1]
+    dv = vals[:, None, :] - vals[None, :, :]
+    num = weight * weight * np.einsum("abi,abi->ab", dv, dv) ** (0.5 * p)
+    rel = offs[:, None, :] - offs[None, :, :]
+    span = np.arange(1 - k, k)
+    disp = np.stack(np.meshgrid(*([span] * m), indexing="ij"), axis=-1).reshape(-1, m)
+    disp = disp[disp.shape[0] // 2 + 1:]  # lexicographic order: the D after D = 0 are D > 0
+    count = np.prod(k - np.abs(disp), axis=1).astype(float)
+    parts = []
+    for c0 in range(0, disp.shape[0], chunk):
+        sep = width * disp[c0:c0 + chunk, None, None, :] + rel
+        kern = np.einsum("dabi,dabi->dab", sep, sep) ** (-0.5 * q)
+        parts.append(float(count[c0:c0 + chunk] @ (kern.reshape(kern.shape[0], -1) @ num.ravel())))
+    return tree_reduce(parts)

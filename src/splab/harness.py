@@ -369,11 +369,10 @@ def _run_patch(opts: PatchOptions, cfg: RunConfig) -> ExperimentReport:
             continue
         spec = PatchSpec((0.3, 0.2), n, params)
         worst = np.inf
-        for a in shifts:
-            direct = model.patch_projected_direct(spec, a)
+        for a, direct in zip(shifts, model.patch_projected_direct(spec, shifts)):
             lower = model.patch_projected_lower(spec, a)
             if lower > 0:
-                worst = min(worst, direct / lower)
+                worst = min(worst, float(direct) / lower)
         report.constants[f"min_direct_over_lower_n{n}"] = worst
         report.check(f"projected lower bound holds at n={n} (0.1 margin)", worst >= 0.1,
                      f"min direct/lower = {worst:.4g} over {opts.shift_count} shifts")

@@ -21,7 +21,7 @@ from dataclasses import dataclass
 import numpy as np
 from numpy.typing import NDArray
 
-from ._pairsum import pair_kernel_sum
+from ._pairsum import cell_lattice_sum, pair_kernel_sum
 from .chords import COS_CONE_BOUND, chords_vectorized
 from .energy import FractionalParams, Region, WeightedCloud, cloud_energy
 from .errors import BudgetError, ConfigurationError, GeometryError, ResolutionError
@@ -318,6 +318,17 @@ def _project_values(values: NDArray, a: NDArray) -> tuple[NDArray, NDArray]:
     return out, hits
 
 
+def _projected_pair_sums(points: NDArray, value_sets, shifts: NDArray, p: float, q: float,
+                         **kwargs) -> NDArray:
+    """Stacked `pair_kernel_sum` of value set i projected by shift i, singular hits dropped."""
+    stack = np.empty((len(shifts), points.shape[0], shifts.shape[1]))
+    hits = []
+    for i, (vals, a) in enumerate(zip(value_sets, shifts)):
+        stack[i], hit = _project_values(vals, a)
+        hits.append(np.flatnonzero(hit))
+    return pair_kernel_sum(points, stack, p, q, drop=hits, **kwargs)
+
+
 class PatchModel:
     """Measured building-block constants for one parameter set (ell = 2).
 
@@ -406,17 +417,17 @@ class PatchModel:
 
     # -- composite quadrature clouds -------------------------------------------
 
+    def _cell_lattice(self, k: int) -> tuple[NDArray, NDArray, float]:
+        """Cell centers, the midpoint offsets every cell shares, and their weight."""
+        width = 2 * BLOCK_HALFWIDTH / k
+        offs, cell_h = _midpoint_lattice(width / 2, width / self.cell_subdivision)
+        return cluster_cell_centers(k), offs, cell_h**2
+
     def _patch_cloud(self, spec: PatchSpec, group_base: int = 0, placement: Placement | None = None):
         """Coarse cloud for one patch: cell reps (grouped) + background."""
-        k = spec.k
-        width = 2 * BLOCK_HALFWIDTH / k
-        sub = self.cell_subdivision
-        cell_h = width / sub
-        centers = cluster_cell_centers(k, spec.ell)
-        offs, cell_h = _midpoint_lattice(width / 2, cell_h)
+        centers, offs, cell_w = self._cell_lattice(spec.k)
         cell_pts = (centers[:, None, :] + offs[None, :, :]).reshape(-1, 2)
         cell_groups = np.repeat(np.arange(len(centers)) + group_base, offs.shape[0])
-        cell_w = np.full(cell_pts.shape[0], cell_h**2)
 
         bg, bg_h = _midpoint_lattice(PATCH_MARGIN, self.h_bg)
         bg = bg[np.max(np.abs(bg), axis=1) > BLOCK_HALFWIDTH]
@@ -424,7 +435,7 @@ class PatchModel:
         bg_groups = np.full(bg.shape[0], -1, dtype=np.int64)
 
         pts = np.concatenate([cell_pts, bg])
-        w = np.concatenate([cell_w, bg_w])
+        w = np.concatenate([np.full(cell_pts.shape[0], cell_w), bg_w])
         groups = np.concatenate([cell_groups, bg_groups])
         vals = patch_values(pts, spec)
         if placement is not None:
@@ -433,47 +444,62 @@ class PatchModel:
         return pts, vals, w, groups
 
     def patch_energy_direct(self, spec: PatchSpec) -> float:
-        """Composite quadrature of the full patch energy over its frame box."""
+        """Composite quadrature of the full patch energy over its frame box.
+
+        Pairs inside one cell scale to the frame (`cluster_energy`).  Pairs
+        joining two cells come from `cell_lattice_sum` over the congruent
+        cells; the cloud sum puts every cell point in one group, so the
+        engine evaluates only the pairs that touch the background.  The block
+        lies inside the plateau, where `collar_factor` is exactly 1, so every
+        cell holds the frame map at its offsets scaled by 1/mu.
+        """
         key = ("patch", spec)
         if key not in self._memo:
             pts, vals, w, groups = self._patch_cloud(spec)
-            cloud = WeightedCloud(pts, vals, w, groups)
-            cross = cloud_energy(cloud, self.params, m=2, workers=self.workers)
+            cloud = WeightedCloud(pts, vals, w, np.minimum(groups, 0))
+            _, offs, cell_w = self._cell_lattice(spec.k)
+            cell_vals = basic_values(offs / cluster_scale(spec.k), spec)
+            cells = cell_lattice_sum(offs, cell_vals, self.params.p, self._kernel_exp, cell_w,
+                                     2 * BLOCK_HALFWIDTH / spec.k, spec.k)
+            cross = cloud_energy(cloud, self.params, m=2, workers=self.workers) + 2.0 * cells
             self._memo[key] = cross + self.cluster_energy(spec)
         return self._memo[key]
 
-    def _projected_frame_energy(self, spec: PatchSpec, a: NDArray) -> float:
-        """Frame energy of the projected two-bump map, shared by all cells."""
-        c = np.asarray(spec.c)
-        vals = np.tile(c, (self._frame_pts.shape[0], 1))
-        vals[:, spec.axis] += spec.amplitude * self._frame_g
-        proj, hits = _project_values(vals, a)
-        w = np.full(proj.shape[0], self.h0**2)
-        w[hits] = 0.0
-        s = pair_kernel_sum(self._frame_pts, proj, self.params.p, self._kernel_exp,
-                            weights=w, workers=self.workers)
-        return 2.0 * s
+    def _projected_energies(self, specs: list[PatchSpec], shifts: NDArray) -> NDArray:
+        """`patch_projected_direct` of every (spec, shift) pair, for specs of one k.
 
-    def patch_projected_direct(self, spec: PatchSpec, a, localized: bool = True) -> float:
-        """Composite quadrature of the projected patch energy for one shift.
+        Specs of one cluster count share the frame and the cloud geometry, so
+        the frame sums and the cloud sums are one stacked pair sum each;
+        singular hits are dropped from their own value set.
+        """
+        if not specs:
+            return np.zeros(0)
+        k = specs[0].k
+        if any(spec.k != k for spec in specs):
+            raise ConfigurationError("stacked projected energies need one cluster count")
+        pts, _, w, groups = self._patch_cloud(specs[0])
+        p, q = self.params.p, self._kernel_exp
+        frames = (basic_values(self._frame_pts, spec) for spec in specs)
+        frame_sums = _projected_pair_sums(self._frame_pts, frames, shifts, p, q,
+                                          weights=self.h0**2, workers=self.workers)
+        clouds = (patch_values(pts, spec) for spec in specs)
+        cloud_sums = _projected_pair_sums(pts, clouds, shifts, p, q, weights=w, groups=groups,
+                                          workers=self.workers)
+        mu = cluster_scale(k)
+        fine = k ** specs[0].ell * mu ** (specs[0].ell - self.params.sp) * (2.0 * frame_sums)
+        return fine + 2.0 * cloud_sums
 
-        The localized form keeps only within-patch pairs (a lower portion
-        of the full energy); cells reuse one frame computation exactly.
+    def patch_projected_direct(self, spec: PatchSpec, a) -> float | NDArray:
+        """Composite quadrature of the projected patch energy, within-patch pairs only.
+
+        ``a`` is one shift (2,), giving a float, or a stack (S, 2), giving the
+        (S,) array of the per-shift values (equal to them bit for bit).  Cells
+        reuse one frame computation exactly.
         """
         a = np.asarray(a, dtype=float)
-        mu = cluster_scale(spec.k)
-        fine = (
-            spec.k ** spec.ell
-            * mu ** (spec.ell - self.params.sp)
-            * self._projected_frame_energy(spec, a)
-        )
-        pts, vals, w, groups = self._patch_cloud(spec)
-        proj, hits = _project_values(vals, a)
-        w = w.copy()
-        w[hits] = 0.0
-        cloud = WeightedCloud(pts, proj, w, groups)
-        cross = cloud_energy(cloud, self.params, m=2, workers=self.workers)
-        return fine + cross
+        shifts = np.atleast_2d(a)
+        energies = self._projected_energies([spec] * shifts.shape[0], shifts)
+        return float(energies[0]) if a.ndim == 1 else energies
 
     def patch_projected_lower(self, spec: PatchSpec, a) -> float:
         """Closed-form plateau-block lower bound: CL(n) * chord^p."""
@@ -534,11 +560,19 @@ class PatchModel:
         return self._memo[key]
 
     def layer_projected_direct(self, layer: LayerSpec, a) -> float:
-        """Localized projected layer energy: the sum of per-patch contributions."""
+        """Localized projected layer energy: the sum of per-patch contributions.
+
+        The patches of one layer share their geometry, so their projected
+        energies come from one stacked `_projected_energies` call; the sum
+        runs in patch order.
+        """
         sigma = layer.placement_scale
+        specs = layer.patch_specs(self.params)
+        shifts = np.broadcast_to(np.asarray(a, dtype=float), (len(specs), 2))
+        energies = self._projected_energies(specs, shifts)
         total = 0.0
-        for spec in layer.patch_specs(self.params):
-            total += sigma ** (2 - self.params.sp) * self.patch_projected_direct(spec, a)
+        for energy in energies:
+            total += sigma ** (2 - self.params.sp) * float(energy)
         return total
 
     @property

@@ -5,7 +5,14 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from splab._pairsum import DEFAULT_BLOCK, TILE_ROWS, KernelPlan, pair_kernel_sum
+from splab._pairsum import (
+    DEFAULT_BLOCK,
+    TILE_ROWS,
+    KernelPlan,
+    _one_group_tiles,
+    _tiles,
+    pair_kernel_sum,
+)
 from splab.energy import (
     EnergyPlan,
     EnergyValue,
@@ -338,3 +345,96 @@ def test_pair_kernel_sum_many_threads_lose_no_tile():
     finally:
         sys.setswitchinterval(interval)
     assert got == [expected] * 3
+
+
+# ---------------------------------------------------------------------------
+# Stacked value sets and the one-group tile skip
+# ---------------------------------------------------------------------------
+
+
+@st.composite
+def stacks(draw):
+    """A cloud with 1-4 value sets of one shape and one drop set each.
+
+    Besides the drawn values, a set may be one constant everywhere (every
+    tile dead for it) or the drawn values with one block replaced by a
+    constant, so a tile can be dead for one set and live for another.
+    """
+    points, values, weights, groups, p, q = draw(clouds())
+    n = points.shape[0]
+    rng = np.random.default_rng(draw(st.integers(min_value=0, max_value=2**32 - 1)))
+    sets = [values]
+    for kind in draw(st.lists(st.sampled_from(["const", "patched", "fresh"]), max_size=3)):
+        if kind == "const":
+            sets.append(np.full_like(values, rng.random()))
+        elif kind == "patched":
+            patched = values.copy()
+            a, b = np.sort(rng.integers(0, n + 1, size=2))
+            patched[a:b] = rng.random(values.shape[1])
+            sets.append(patched)
+        else:
+            sets.append(rng.normal(size=values.shape))
+    drops = [rng.integers(0, n, size=draw(st.integers(0, 4))) for _ in sets]
+    return points, np.stack(sets), weights, groups, p, q, drops
+
+
+@ENGINE_SETTINGS
+@given(stacks(), st.sampled_from([8, 100, DEFAULT_BLOCK]))
+@example((np.random.default_rng(1).random((300, 2)),
+          np.stack([np.random.default_rng(2).random((300, 1)), np.full((300, 1), 0.5),
+                    np.r_[np.zeros((200, 1)), np.random.default_rng(3).random((100, 1))]]),
+          1.0, None, 2.5, 2.6, [np.array([3, 250]), np.array([], dtype=int), np.array([7])]), 8)
+def test_stacked_pair_kernel_sum_equals_per_set_calls(stack, block):
+    points, values, weights, groups, p, q, drops = stack
+    per_set = [pair_kernel_sum(points, vals, p, q, weights=weights, groups=groups, block=block,
+                               drop=drop) for vals, drop in zip(values, drops)]
+    for workers in (1, 2, 3):
+        stacked = pair_kernel_sum(points, values, p, q, weights=weights, groups=groups,
+                                  block=block, workers=workers, drop=drops)
+        assert stacked.shape == (values.shape[0],)
+        assert stacked.tolist() == per_set
+    for vals, drop, got in zip(values, drops, per_set):
+        expected = naive_pair_sum(points, vals, p, q, weights, groups, drop)
+        assert got == pytest.approx(expected, rel=1e-12, abs=1e-300)
+
+
+def test_stacked_pair_kernel_sum_rejects_mismatched_drops():
+    points = np.random.default_rng(0).random((10, 2))
+    with pytest.raises(ValueError, match="drop sets"):
+        pair_kernel_sum(points, np.zeros((3, 10, 1)), 2.0, 2.0, drop=[[1], [2]])
+
+
+@ENGINE_SETTINGS
+@given(st.integers(min_value=0, max_value=2**32 - 1), st.sampled_from([4, 16, DEFAULT_BLOCK]))
+def test_one_group_tiles_skipped_exactly(seed, block):
+    # long group runs fill whole tiles (one run at -1 stays live); the sum is the naive one
+    rng = np.random.default_rng(seed)
+    n = int(rng.integers(TILE_ROWS, 3 * TILE_ROWS + 40))
+    cuts = np.sort(rng.integers(0, n + 1, size=3))
+    groups = np.repeat(np.array([0, -1, 1, 0]), np.diff(np.r_[0, cuts, n]))
+    points, values = rng.random((n, 2)), rng.normal(size=(n, 2))
+    weights = rng.random(n) + 0.1
+    tiles = _tiles(n, block)
+    skipped = _one_group_tiles(groups, tiles)
+    for i in np.flatnonzero(skipped):  # a skipped tile holds no cross-group pair
+        a0, a1, b0, b1 = tiles[i]
+        assert set(groups[a0:a1]) == set(groups[b0:b1]) == {groups[a0]} and groups[a0] >= 0
+    expected = naive_pair_sum(points, values, 2.5, 2.6, weights, groups)
+    got = [pair_kernel_sum(points, values, 2.5, 2.6, weights=weights, groups=groups,
+                           block=block, workers=w) for w in (1, 2)]
+    assert got[0] == got[1]
+    assert got[0] == pytest.approx(expected, rel=1e-12)
+    if block == DEFAULT_BLOCK:
+        plan = KernelPlan(points, 2.6, weights=weights, groups=groups)
+        assert plan.sum(values, 2.5) == pytest.approx(expected, rel=1e-12)
+
+
+def test_one_group_tiles_are_found():
+    # 600 points in one group: the tiles inside it are skipped, the one meeting -1 is not
+    groups = np.r_[np.zeros(600, dtype=np.int64), -np.ones(40, dtype=np.int64)]
+    tiles = _tiles(640, 128)
+    skipped = _one_group_tiles(groups, tiles)
+    assert [tiles[i] for i in np.flatnonzero(skipped)] == [
+        t for t in tiles if t[1] <= 600 and t[3] <= 600
+    ]
+    assert skipped.sum() == 10

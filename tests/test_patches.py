@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from splab._pairsum import cell_lattice_sum, pair_kernel_sum
 from splab.chords import chords_vectorized
 from splab.energy import FractionalParams, gagliardo_energy
 from splab.errors import BudgetError, ResolutionError
@@ -11,11 +12,13 @@ from splab.patches import (
     PatchSpec,
     SUPPORT_HALFWIDTH,
     PATCH_MARGIN,
+    basic_values,
     build_basic_patch,
     build_clustered_patch,
     build_layer,
     build_patch,
     cluster_cell_centers,
+    cluster_scale,
     default_cluster_count,
     patch_values,
 )
@@ -292,3 +295,79 @@ def test_layer_upper_closed_form_matches_patch_sum(threshold_models, pair):
                         for spec in layer.patch_specs(model.params))
         expected = model.layer_margin_factor * per_patch
         assert model.layer_upper_compositional(layer) == pytest.approx(expected, rel=1e-12, abs=0)
+
+
+# ---------------------------------------------------------------------------
+# Cell-lattice reduction and stacked projected energies
+# ---------------------------------------------------------------------------
+
+LATTICE_CENTERS = ((0.3, 0.2), (0.0, 0.0), (0.5, 0.5))
+
+
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_cell_lattice_energy_matches_grouped_pair_sum(model_main, params_main, n):
+    # reference: the grouped cloud sum with one group per cell, all pairs of
+    # distinct cells evaluated point by point (one stacked call for the three c)
+    specs = [PatchSpec(c, n, params_main) for c in LATTICE_CENTERS]
+    pts, _, w, groups = model_main._patch_cloud(specs[0])
+    values = np.stack([model_main._patch_cloud(spec)[1] for spec in specs])
+    grouped = pair_kernel_sum(pts, values, params_main.p, 2 + params_main.sp, weights=w,
+                              groups=groups, workers=2)
+    for spec, pair_sum in zip(specs, grouped):
+        expected = 2.0 * pair_sum + model_main.cluster_energy(spec)
+        assert model_main.patch_energy_direct(spec) == pytest.approx(expected, rel=1e-12, abs=0)
+
+
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_patch_cloud_cells_share_one_template(model_main, params_main, n):
+    for c in LATTICE_CENTERS:
+        spec = PatchSpec(c, n, params_main)
+        pts, vals, w, groups = model_main._patch_cloud(spec)
+        centers, offs, cell_w = model_main._cell_lattice(spec.k)
+        cells = centers.shape[0] * offs.shape[0]
+        assert np.array_equal(groups[:cells], np.repeat(np.arange(centers.shape[0]), offs.shape[0]))
+        assert np.all(groups[cells:] == -1)
+        assert np.all(w[:cells] == cell_w)
+        local = pts[:cells].reshape(centers.shape[0], -1, 2) - centers[:, None, :]
+        np.testing.assert_allclose(local, np.broadcast_to(offs, local.shape), rtol=0, atol=1e-15)
+        shared = basic_values(offs / cluster_scale(spec.k), spec)
+        np.testing.assert_allclose(vals[:cells].reshape(centers.shape[0], -1, 2),
+                                   np.broadcast_to(shared, (centers.shape[0],) + shared.shape),
+                                   rtol=0, atol=1e-14)
+
+
+def test_cell_lattice_sum_matches_point_pairs():
+    # a 3 x 3 lattice of 4-point cells against the grouped engine, point by point
+    rng = np.random.default_rng(4)
+    k, width = 3, 0.2
+    offs = (rng.random((4, 2)) - 0.5) * 0.9 * width
+    vals = rng.normal(size=(4, 2))
+    cells = width * np.stack(np.meshgrid(np.arange(k), np.arange(k), indexing="ij"), -1).reshape(-1, 2)
+    pts = (cells[:, None, :] + offs).reshape(-1, 2)
+    groups = np.repeat(np.arange(k * k), 4)
+    expected = pair_kernel_sum(pts, np.tile(vals, (k * k, 1)), 1.5, 2.6, weights=0.01, groups=groups)
+    got = cell_lattice_sum(offs, vals, 1.5, 2.6, 0.01, width, k, chunk=5)
+    assert got == pytest.approx(expected, rel=1e-13)
+    assert cell_lattice_sum(offs, vals, 1.5, 2.6, 0.01, width, 1) == 0.0
+
+
+def test_stacked_projected_equals_per_shift(model_main, params_main):
+    rng = np.random.default_rng(17)
+    shifts = np.vstack([rng.random((5, 2)) - 0.5, [[0.8, 0.2]]])  # the last one hits at n = 2
+    for n in (1, 2):
+        spec = PatchSpec((0.3, 0.2), n, params_main)
+        per_shift = [model_main.patch_projected_direct(spec, a) for a in shifts]
+        assert model_main.patch_projected_direct(spec, shifts).tolist() == per_shift
+    assert model_main.patch_projected_direct(spec, np.zeros((0, 2))).shape == (0,)
+
+
+def test_layer_projected_is_sum_of_patch_projected(model_main, params_main):
+    # one stacked call per layer keeps the per-patch values and their summation order
+    for n in (1, 2):
+        layer = LayerSpec(n)
+        a = np.array([0.1, -0.35])
+        weight = layer.placement_scale ** (2 - params_main.sp)
+        total = 0.0
+        for spec in layer.patch_specs(params_main):
+            total += weight * model_main.patch_projected_direct(spec, a)
+        assert model_main.layer_projected_direct(layer, a) == total

@@ -3,6 +3,7 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from splab import cli
@@ -10,7 +11,7 @@ from splab.cli import main
 from splab.config import validate_config
 from splab.errors import ConfigurationError, OutputError
 from splab.harness import EXPERIMENTS
-from splab.report import CSV_COLUMNS, ExperimentReport, emit_report, to_csv, to_json, to_svg
+from splab.report import CSV_COLUMNS, ExperimentReport, _fmt, emit_report, to_csv, to_json, to_svg
 
 
 def small_report():
@@ -229,3 +230,20 @@ def test_entry_point_exists():
                               capture_output=True, text=True)
         assert proc.returncode == 0, proc.stderr
         assert f"usage: spl {kind}" in proc.stdout
+
+
+def test_fmt_writes_numpy_floats_as_plain_floats():
+    assert _fmt(np.float64(82.48089356508412)) == "82.48089356508412"
+    assert _fmt(np.float32(0.5)) == "0.5"
+
+
+@pytest.mark.parametrize("argv", [
+    ["threshold", "--n-max", "1"],
+    ["patch", "--n-values", "1,2", "--shifts", "3"],
+])
+def test_cli_csv_has_no_numpy_reprs(tmp_path, argv):
+    assert main(argv + ["--out", str(tmp_path), "--formats", "csv", "--workers", "2"]) == 0
+    csvs = list(tmp_path.glob("*.csv"))
+    assert csvs
+    for path in csvs:
+        assert "np.float64(" not in path.read_text(), path.name
