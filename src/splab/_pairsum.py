@@ -287,18 +287,17 @@ def pair_kernel_sum(
     cuts = [_drop_index(d) for d in drops]
     tiles = _tiles(geo.n, block)
     live = _live_tiles(stack, tiles, geo.g)
-    used = [int(i) for i in np.flatnonzero(live.any(axis=0))]
+    partials = np.zeros(live.shape)
 
     def run(i, scratch):
         a0, a1, b0, b1 = tile = tiles[i]
         kern, buf, tmp, mask = scratch.views(a1 - a0, b1 - b0)
         geo.kernel_tile(tile, kern, tmp, mask)
-        return [_numerator_sum(vals, p, tile, kern, buf, tmp, cut) if on else 0.0
-                for vals, cut, on in zip(stack, cuts, live[:, i])]
+        for k in np.flatnonzero(live[:, i]):
+            partials[k, i] = _numerator_sum(stack[k], p, tile, kern, buf, tmp, cuts[k])
 
-    parts = dict(zip(used, _map_tiles(run, used, block, workers)))
-    sums = np.array([tree_reduce(parts[i][k] for i in np.flatnonzero(live[k]))
-                     for k in range(stack.shape[0])])
+    _map_tiles(run, np.flatnonzero(live.any(axis=0)), block, workers)
+    sums = np.array([tree_reduce(partials[k, live[k]].tolist()) for k in range(stack.shape[0])])
     return float(sums[0]) if single else sums
 
 
@@ -310,7 +309,6 @@ def cell_lattice_sum(
     weight: float,
     width: float,
     k: int,
-    chunk: int = LATTICE_CHUNK,
 ) -> float:
     """Pair sum over the pairs that join two different cells of a k^m cell lattice.
 
@@ -323,9 +321,9 @@ def cell_lattice_sum(
 
     over the half lattice of D whose first nonzero entry is positive:
     (2k - 1)^m / 2 kernel blocks of P^2 values (P points per cell) instead
-    of (P k^m)^2 / 2 pairs.  The displacements are streamed ``chunk`` at a
-    time.  Offsets must lie strictly inside the cell, so no two points of
-    different cells coincide.
+    of (P k^m)^2 / 2 pairs.  The displacements are streamed
+    ``LATTICE_CHUNK`` at a time.  Offsets must lie strictly inside the
+    cell, so no two points of different cells coincide.
     """
     offs = np.ascontiguousarray(offsets, dtype=float)
     vals = _as_values(values)
@@ -338,8 +336,9 @@ def cell_lattice_sum(
     disp = disp[disp.shape[0] // 2 + 1:]  # lexicographic order: the D after D = 0 are D > 0
     count = np.prod(k - np.abs(disp), axis=1).astype(float)
     parts = []
-    for c0 in range(0, disp.shape[0], chunk):
-        sep = width * disp[c0:c0 + chunk, None, None, :] + rel
+    for c0 in range(0, disp.shape[0], LATTICE_CHUNK):
+        c1 = c0 + LATTICE_CHUNK
+        sep = width * disp[c0:c1, None, None, :] + rel
         kern = np.einsum("dabi,dabi->dab", sep, sep) ** (-0.5 * q)
-        parts.append(float(count[c0:c0 + chunk] @ (kern.reshape(kern.shape[0], -1) @ num.ravel())))
+        parts.append(float(count[c0:c1] @ (kern.reshape(kern.shape[0], -1) @ num.ravel())))
     return tree_reduce(parts)

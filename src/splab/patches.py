@@ -15,6 +15,7 @@ assembles closed-form bounds from constants measured at small n.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 
@@ -318,6 +319,14 @@ def _project_values(values: NDArray, a: NDArray) -> tuple[NDArray, NDArray]:
     return out, hits
 
 
+def _per_run(fn, specs):
+    """fn(spec) for every spec, computed once per run of equal specs."""
+    for spec, run in itertools.groupby(specs):
+        vals = fn(spec)
+        for _ in run:
+            yield vals
+
+
 def _projected_pair_sums(points: NDArray, value_sets, shifts: NDArray, p: float, q: float,
                          **kwargs) -> NDArray:
     """Stacked `pair_kernel_sum` of value set i projected by shift i, singular hits dropped."""
@@ -456,7 +465,7 @@ class PatchModel:
         key = ("patch", spec)
         if key not in self._memo:
             pts, vals, w, groups = self._patch_cloud(spec)
-            cloud = WeightedCloud(pts, vals, w, np.minimum(groups, 0))
+            cloud = WeightedCloud(pts, vals, w, np.minimum(groups, 0, out=groups))
             _, offs, cell_w = self._cell_lattice(spec.k)
             cell_vals = basic_values(offs / cluster_scale(spec.k), spec)
             cells = cell_lattice_sum(offs, cell_vals, self.params.p, self._kernel_exp, cell_w,
@@ -465,28 +474,32 @@ class PatchModel:
             self._memo[key] = cross + self.cluster_energy(spec)
         return self._memo[key]
 
-    def _projected_energies(self, specs: list[PatchSpec], shifts: NDArray) -> NDArray:
-        """`patch_projected_direct` of every (spec, shift) pair, for specs of one k.
+    def _frame_values(self, spec: PatchSpec) -> NDArray:
+        """`basic_values` on the frame lattice, from the cached profile."""
+        vals = np.tile(np.asarray(spec.c), (self._frame_pts.shape[0], 1))
+        vals[:, spec.axis] += spec.amplitude * self._frame_g
+        return vals
 
-        Specs of one cluster count share the frame and the cloud geometry, so
-        the frame sums and the cloud sums are one stacked pair sum each;
-        singular hits are dropped from their own value set.
+    def _projected_energies(self, specs: list[PatchSpec], shifts: NDArray) -> NDArray:
+        """`patch_projected_direct` of spec i at shift i, for specs of one n and k.
+
+        Such specs share the frame and the cloud geometry, so the frame sums
+        and the cloud sums are one stacked pair sum each; singular hits are
+        dropped from their own value set.  A run of equal specs computes its
+        unprojected values once.
         """
         if not specs:
             return np.zeros(0)
-        k = specs[0].k
-        if any(spec.k != k for spec in specs):
-            raise ConfigurationError("stacked projected energies need one cluster count")
         pts, _, w, groups = self._patch_cloud(specs[0])
         p, q = self.params.p, self._kernel_exp
-        frames = (basic_values(self._frame_pts, spec) for spec in specs)
+        frames = _per_run(self._frame_values, specs)
         frame_sums = _projected_pair_sums(self._frame_pts, frames, shifts, p, q,
                                           weights=self.h0**2, workers=self.workers)
-        clouds = (patch_values(pts, spec) for spec in specs)
+        clouds = _per_run(lambda spec: patch_values(pts, spec), specs)
         cloud_sums = _projected_pair_sums(pts, clouds, shifts, p, q, weights=w, groups=groups,
                                           workers=self.workers)
-        mu = cluster_scale(k)
-        fine = k ** specs[0].ell * mu ** (specs[0].ell - self.params.sp) * (2.0 * frame_sums)
+        k, ell = specs[0].k, specs[0].ell
+        fine = k**ell * cluster_scale(k) ** (ell - self.params.sp) * (2.0 * frame_sums)
         return fine + 2.0 * cloud_sums
 
     def patch_projected_direct(self, spec: PatchSpec, a) -> float | NDArray:

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from splab import _pairsum
 from splab._pairsum import cell_lattice_sum, pair_kernel_sum
 from splab.chords import chords_vectorized
 from splab.energy import FractionalParams, gagliardo_energy
@@ -336,8 +337,10 @@ def test_patch_cloud_cells_share_one_template(model_main, params_main, n):
                                    rtol=0, atol=1e-14)
 
 
-def test_cell_lattice_sum_matches_point_pairs():
-    # a 3 x 3 lattice of 4-point cells against the grouped engine, point by point
+def test_cell_lattice_sum_matches_point_pairs(monkeypatch):
+    # a 3 x 3 lattice of 4-point cells against the grouped engine, point by point;
+    # its 12 displacements stream in three chunks
+    monkeypatch.setattr(_pairsum, "LATTICE_CHUNK", 5)
     rng = np.random.default_rng(4)
     k, width = 3, 0.2
     offs = (rng.random((4, 2)) - 0.5) * 0.9 * width
@@ -346,7 +349,7 @@ def test_cell_lattice_sum_matches_point_pairs():
     pts = (cells[:, None, :] + offs).reshape(-1, 2)
     groups = np.repeat(np.arange(k * k), 4)
     expected = pair_kernel_sum(pts, np.tile(vals, (k * k, 1)), 1.5, 2.6, weights=0.01, groups=groups)
-    got = cell_lattice_sum(offs, vals, 1.5, 2.6, 0.01, width, k, chunk=5)
+    got = cell_lattice_sum(offs, vals, 1.5, 2.6, 0.01, width, k)
     assert got == pytest.approx(expected, rel=1e-13)
     assert cell_lattice_sum(offs, vals, 1.5, 2.6, 0.01, width, 1) == 0.0
 
