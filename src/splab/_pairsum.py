@@ -13,13 +13,14 @@ hold one and the same constant, and tiles whose pairs all share one
 nonnegative group, are skipped exactly (their contribution is zero).
 
 A tile's kernel w_i w_j |x_i - x_j|^-q, with the diagonal, same-group
-and coincident pairs zeroed, depends on the geometry only.  A
-``KernelPlan`` computes every kernel tile once and keeps it (8 B per
-pair), so each further value set costs only the numerator.
-``pair_kernel_sum`` is the streaming pass through the same tile code:
-each kernel tile is computed, applied to every value set of a stack,
-and discarded.  ``cell_lattice_sum`` sums the pairs between the cells
-of a lattice of congruent cells by their index difference.
+and coincident pairs zeroed, depends on the geometry only.  Both entry
+points take a stack of value sets and run one tile loop: each kernel
+tile is applied to every value set for which it is live while it is in
+cache.  A ``KernelPlan`` computes every kernel tile once and keeps it
+(8 B per pair), so each further value set costs only the numerator;
+``pair_kernel_sum`` computes each kernel tile in the loop and discards
+it.  ``cell_lattice_sum`` sums the pairs between the cells of a lattice
+of congruent cells by their index difference.
 
 An optional integer group id per point supports composite quadratures:
 pairs within the same nonnegative group are excluded (they are accounted
@@ -203,6 +204,39 @@ def _numerator_sum(vals: NDArray, p: float, tile, kern: NDArray, buf: NDArray, t
     return float(buf.sum())
 
 
+def _value_stack(values: NDArray, drop) -> tuple[bool, NDArray, list]:
+    """(single set?, (S, N, nu) value stack, per-set drop index arrays) of a sum's input."""
+    single = np.ndim(values) < 3
+    stack = _as_values(values)[None] if single else np.ascontiguousarray(values, dtype=float)
+    drops = [drop] if single else (list(drop) or [()] * stack.shape[0])
+    if len(drops) != stack.shape[0]:
+        raise ValueError(f"{stack.shape[0]} value sets but {len(drops)} drop sets")
+    return single, stack, [_drop_index(d) for d in drops]
+
+
+def _stacked_sums(stack: NDArray, p: float, cuts: list, tiles: list, groups: NDArray | None,
+                  block: int, workers: int, kernel) -> NDArray:
+    """(S,) pair sums of a value stack; ``kernel(i, scratch)`` gives tile i's kernel.
+
+    The kernel may fill any scratch buffer but the second, which holds the
+    numerators.  Each live tile's kernel is applied to every set for which
+    it is live, and each set is reduced by its own tree over its own live
+    tiles, so every sum equals the sum of that set alone bit for bit.
+    """
+    live = _live_tiles(stack, tiles, groups)
+    partials = np.zeros(live.shape)
+
+    def run(i, scratch):
+        a0, a1, b0, b1 = tile = tiles[i]
+        kern = kernel(i, scratch)
+        _, buf, tmp, _ = scratch.views(a1 - a0, b1 - b0)
+        for k in np.flatnonzero(live[:, i]):
+            partials[k, i] = _numerator_sum(stack[k], p, tile, kern, buf, tmp, cuts[k])
+
+    _map_tiles(run, np.flatnonzero(live.any(axis=0)), block, workers)
+    return np.array([tree_reduce(partials[k, live[k]].tolist()) for k in range(stack.shape[0])])
+
+
 class KernelPlan:
     """Kernel tiles of one point set, computed once and kept for many value sets.
 
@@ -231,20 +265,18 @@ class KernelPlan:
 
         self.kernels = _map_tiles(build, self.tiles, DEFAULT_BLOCK, workers)
 
-    def sum(self, values: NDArray, p: float, workers: int = 1, drop=()) -> float:
-        """Pair sum for one value set; pairs touching a ``drop`` index are left out."""
-        vals = _as_values(values)
-        if vals.shape[0] != self.n:
-            raise ValueError(f"plan holds {self.n} points, got {vals.shape[0]} values")
-        cut = _drop_index(drop)
-        live = np.flatnonzero(_live_tiles(vals[None], self.tiles, self.groups)[0])
+    def sum(self, values: NDArray, p: float, workers: int = 1, drop=()) -> float | NDArray:
+        """Pair sum of one value set, or the (S,) sums of an (S, N, nu) stack.
 
-        def run(i, scratch):
-            a0, a1, b0, b1 = tile = self.tiles[i]
-            buf, tmp, _, _ = scratch.views(a1 - a0, b1 - b0)
-            return _numerator_sum(vals, p, tile, self.kernels[i], buf, tmp, cut)
-
-        return tree_reduce(_map_tiles(run, live, DEFAULT_BLOCK, workers))
+        Pairs touching a ``drop`` index are left out; for a stack, ``drop``
+        holds one index set per value set (or is empty for none).
+        """
+        single, stack, cuts = _value_stack(values, drop)
+        if stack.shape[1] != self.n:
+            raise ValueError(f"plan holds {self.n} points, got {stack.shape[1]} values")
+        sums = _stacked_sums(stack, p, cuts, self.tiles, self.groups, DEFAULT_BLOCK, workers,
+                             lambda i, scratch: self.kernels[i])
+        return float(sums[0]) if single else sums
 
 
 def pair_kernel_sum(
@@ -279,25 +311,15 @@ def pair_kernel_sum(
     live tiles, so every sum equals the call on that set alone bit for bit.
     """
     geo = _Geometry(points, q, weights, groups)
-    single = np.ndim(values) < 3
-    stack = _as_values(values)[None] if single else np.ascontiguousarray(values, dtype=float)
-    drops = [drop] if single else (list(drop) or [()] * stack.shape[0])
-    if len(drops) != stack.shape[0]:
-        raise ValueError(f"{stack.shape[0]} value sets but {len(drops)} drop sets")
-    cuts = [_drop_index(d) for d in drops]
+    single, stack, cuts = _value_stack(values, drop)
     tiles = _tiles(geo.n, block)
-    live = _live_tiles(stack, tiles, geo.g)
-    partials = np.zeros(live.shape)
 
-    def run(i, scratch):
-        a0, a1, b0, b1 = tile = tiles[i]
-        kern, buf, tmp, mask = scratch.views(a1 - a0, b1 - b0)
-        geo.kernel_tile(tile, kern, tmp, mask)
-        for k in np.flatnonzero(live[:, i]):
-            partials[k, i] = _numerator_sum(stack[k], p, tile, kern, buf, tmp, cuts[k])
+    def kernel(i, scratch):
+        a0, a1, b0, b1 = tiles[i]
+        kern, _, tmp, mask = scratch.views(a1 - a0, b1 - b0)
+        return geo.kernel_tile(tiles[i], kern, tmp, mask)
 
-    _map_tiles(run, np.flatnonzero(live.any(axis=0)), block, workers)
-    sums = np.array([tree_reduce(partials[k, live[k]].tolist()) for k in range(stack.shape[0])])
+    sums = _stacked_sums(stack, p, cuts, tiles, geo.g, block, workers, kernel)
     return float(sums[0]) if single else sums
 
 

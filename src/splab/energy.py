@@ -145,13 +145,68 @@ def gagliardo_energy(
     return _pair_energy(s, u.grid, f"pair-sum kernel_exp={q!r}")
 
 
+class _ConvolutionSum:
+    """Pair sums at p = 2 over a masked lattice by zero-padded FFT convolution.
+
+    With the kernel K(d) = |h d|^-q on node offsets d, K(0) = 0, and the
+    region mask m, the pair sum of a value set u is
+
+        sum_{x < y} m(x) m(y) K(x - y) |u(x) - u(y)|^2
+            = sum_x m |v|^2 (K * m) - sum_k (m v_k) . (K * (m v_k)),
+
+    where v = u - mean of u over the mask leaves the sum unchanged and
+    keeps the two terms small.  Each axis is padded to twice its node
+    count, so the circular convolution equals the linear one on the grid;
+    the kernel's transform is computed once.
+    """
+
+    def __init__(self, grid: Grid, mask: NDArray, q: float):
+        self.shape = grid.shape
+        self.pad = tuple(2 * n for n in self.shape)
+        self.axes = tuple(range(-grid.dim, 0))
+        offsets = np.meshgrid(*(np.fft.fftfreq(n, 1.0 / n) for n in self.pad), indexing="ij")
+        r2 = grid.spacing**2 * sum(d * d for d in offsets)
+        kern = np.zeros(self.pad)
+        np.power(r2, -0.5 * q, out=kern, where=r2 > 0)
+        self.kernel_hat = np.fft.rfftn(kern)
+        self.mask = mask
+        self.k_mask = self._convolve(mask.astype(float))
+
+    def _convolve(self, f: NDArray) -> NDArray:
+        """K * f on the grid for (..., node_count) arrays f."""
+        spec = np.fft.rfftn(f.reshape(f.shape[:-1] + self.shape), s=self.pad, axes=self.axes)
+        spec *= self.kernel_hat
+        conv = np.fft.irfftn(spec, s=self.pad, axes=self.axes)
+        return conv[(...,) + tuple(slice(0, n) for n in self.shape)].reshape(f.shape)
+
+    def sums(self, stack: NDArray, drops: list) -> NDArray:
+        """Pair sums of an (S, node_count, nu) stack, each without its ``drops`` nodes."""
+        out = np.empty(stack.shape[0])
+        for i, (vals, drop) in enumerate(zip(stack, drops)):
+            mask, k_mask = self.mask, self.k_mask
+            if len(drop):
+                mask = mask.copy()
+                mask[np.asarray(drop, dtype=np.int64)] = False
+                k_mask = self._convolve(mask.astype(float))
+            nodes = np.flatnonzero(mask)
+            v = vals[nodes] - vals[nodes[0]]  # exactly zero for a constant set
+            v -= v.mean(axis=0)
+            field = np.zeros((vals.shape[1], mask.size))
+            field[:, nodes] = v.T
+            out[i] = np.sum(v * v * k_mask[nodes, None]) - np.sum(field * self._convolve(field))
+        return out
+
+
 class EnergyPlan:
     """``gagliardo_energy`` of many maps on one grid region, geometry built once.
 
-    The kernel tiles of the region's node pairs are computed at
-    construction and kept (8 B per pair); each ``energy`` call evaluates
-    only the numerator.  Results equal ``gagliardo_energy`` to rounding
-    and are bit-identical for any worker count.
+    The route depends on p alone.  At p = 2 the pair sum is a convolution,
+    evaluated exactly by zero-padded FFT (``_ConvolutionSum``).  Otherwise
+    the kernel tiles of the region's node pairs are computed at
+    construction and kept (8 B per pair), and each value set costs only
+    the numerator.  ``energies`` takes a stack of value sets in one call.
+    Results equal ``gagliardo_energy`` to rounding and are bit-identical
+    for any worker count.
     """
 
     def __init__(self, grid: Grid, params: FractionalParams, region: Region | None = None,
@@ -160,10 +215,39 @@ class EnergyPlan:
         self.params = params
         self.workers = workers
         self._nodes, q = _pair_setup(grid, params, region)
-        self._position = np.full(grid.node_count, -1, dtype=np.int64)
-        self._position[self._nodes] = np.arange(self._nodes.size)
-        self.route = f"pair-sum plan kernel_exp={q!r}"
-        self._plan = KernelPlan(grid.nodes()[self._nodes], q, workers=workers)
+        if params.p == 2.0:
+            self.route = f"fft-convolution kernel_exp={q!r}"
+            mask = np.zeros(grid.node_count, dtype=bool)
+            mask[self._nodes] = True
+            self._fft = _ConvolutionSum(grid, mask, q)
+        else:
+            self.route = f"pair-sum plan kernel_exp={q!r}"
+            self._fft = None
+            self._position = np.full(grid.node_count, -1, dtype=np.int64)
+            self._position[self._nodes] = np.arange(self._nodes.size)
+            self._plan = KernelPlan(grid.nodes()[self._nodes], q, workers=workers)
+
+    def energies(self, values: NDArray, drops=()) -> list[EnergyValue]:
+        """Energies of an (S, node_count, nu) stack of node values on the plan's grid.
+
+        ``drops`` holds one set of grid nodes per value set (or is empty for
+        none); value set k's energy equals ``gagliardo_energy`` over the
+        region without the nodes in ``drops[k]``, up to rounding.
+        """
+        stack = np.asarray(values, dtype=float)
+        if stack.ndim != 3 or stack.shape[1] != self.grid.node_count:
+            raise GeometryError(f"expected (S, {self.grid.node_count}, nu) values, "
+                                f"got shape {stack.shape}")
+        drops = list(drops) or [()] * stack.shape[0]
+        if len(drops) != stack.shape[0]:
+            raise ValueError(f"{stack.shape[0]} value sets but {len(drops)} drop sets")
+        if self._fft is not None:
+            sums = self._fft.sums(stack, drops)
+        else:
+            pos = [self._position[np.asarray(d, dtype=np.int64)] for d in drops]
+            sums = self._plan.sum(stack[:, self._nodes], self.params.p, self.workers,
+                                  drop=[c[c >= 0] for c in pos])
+        return [_pair_energy(float(s), self.grid, self.route) for s in sums]
 
     def energy(self, u: SampledMap, drop=()) -> EnergyValue:
         """Energy of ``u`` over the region without the grid nodes in ``drop``.
@@ -173,9 +257,7 @@ class EnergyPlan:
         """
         if u.grid != self.grid:
             raise GeometryError("map grid differs from the plan's grid")
-        pos = self._position[np.asarray(drop, dtype=np.int64)]
-        s = self._plan.sum(u.values[self._nodes], self.params.p, self.workers, drop=pos[pos >= 0])
-        return _pair_energy(s, self.grid, self.route)
+        return self.energies(u.values[None], [drop])[0]
 
 
 def dirichlet_energy(

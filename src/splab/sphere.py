@@ -62,6 +62,34 @@ def project(x) -> NDArray:
     return out[0] if np.asarray(x).ndim == 1 else out
 
 
+def shifted_unit_values(u: SampledMap, a, out: NDArray) -> tuple[NDArray, NDArray]:
+    """Fill ``out`` with the node values (u(x) - a)/|u(x) - a|; return the singular hits.
+
+    Returns the hit nodes and their distances |u(x) - a|.  Hit nodes get
+    the placeholder value e_1.  Fails if more than 1% of the nodes are
+    hits (the shift sits on a plateau of u), or if a is the outer
+    constant of a map that has an outside.
+    """
+    a = np.asarray(a, dtype=float)
+    if u.nu != a.shape[0]:
+        raise SingularHitError(f"shift dimension {a.shape[0]} != map dimension {u.nu}")
+    np.subtract(u.values, a, out=out)
+    r = np.linalg.norm(out, axis=1)
+    hit_mask = r <= SINGULAR_EXCLUSION_RADIUS
+    nodes = np.flatnonzero(hit_mask)
+    shift = tuple(a.tolist())
+    if nodes.size > DEGENERATE_HIT_FRACTION * u.grid.node_count:
+        raise DegenerateShiftError(
+            f"shift {shift} hits the singular set at {nodes.size} of {u.grid.node_count} nodes"
+        )
+    out /= np.where(hit_mask, 1.0, r)[:, None]
+    out[hit_mask] = np.eye(u.nu)[0]
+    rc = float(np.linalg.norm(np.asarray(u.constant) - a))
+    if rc <= SINGULAR_EXCLUSION_RADIUS and not u.support.contains_box(u.grid.box):
+        raise DegenerateShiftError(f"shift {shift} coincides with the outer constant of u")
+    return nodes, r[nodes]
+
+
 def shifted_projection(u: SampledMap, shift: ShiftPoint) -> tuple[SampledMap, list[SingularHit]]:
     """Nodewise x -> (u(x) - a)/|u(x) - a|, excluding singular hits.
 
@@ -69,33 +97,13 @@ def shifted_projection(u: SampledMap, shift: ShiftPoint) -> tuple[SampledMap, li
     drop them from energy regions.  If more than 1% of nodes are hits the
     shift sits on a plateau of u and the call fails.
     """
-    a = np.asarray(shift.a)
-    if u.nu != a.shape[0]:
-        raise SingularHitError(f"shift dimension {a.shape[0]} != map dimension {u.nu}")
-    d = u.values - a
-    r = np.linalg.norm(d, axis=1)
-    hit_mask = r <= SINGULAR_EXCLUSION_RADIUS
-    hits = [SingularHit(int(i), float(r[i])) for i in np.nonzero(hit_mask)[0]]
-    if len(hits) > DEGENERATE_HIT_FRACTION * u.grid.node_count:
-        raise DegenerateShiftError(
-            f"shift {shift.a} hits the singular set at {len(hits)} of {u.grid.node_count} nodes"
-        )
-    safe_r = np.where(hit_mask, 1.0, r)
-    out = d / safe_r[:, None]
-    basis = np.zeros(u.nu)
-    basis[0] = 1.0
-    out[hit_mask] = basis
-    const = np.asarray(u.constant) - a
+    out = np.empty_like(u.values, dtype=float)
+    nodes, dist = shifted_unit_values(u, shift.a, out)
+    const = np.asarray(u.constant) - np.asarray(shift.a)
     rc = float(np.linalg.norm(const))
-    has_outside = not u.support.contains_box(u.grid.box)
-    if rc <= SINGULAR_EXCLUSION_RADIUS:
-        if has_outside:
-            raise DegenerateShiftError(f"shift {shift.a} coincides with the outer constant of u")
-        proj_const = tuple(basis)
-    else:
-        proj_const = tuple(const / rc)
+    proj_const = tuple(np.eye(u.nu)[0]) if rc <= SINGULAR_EXCLUSION_RADIUS else tuple(const / rc)
     projected = SampledMap(u.grid, out, u.nu, u.grid.box, proj_const)
-    return projected, hits
+    return projected, [SingularHit(int(i), float(d)) for i, d in zip(nodes, dist)]
 
 
 def projection_jacobian(x) -> NDArray:

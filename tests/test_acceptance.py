@@ -159,8 +159,7 @@ def test_criterion_05_patch_uniformity():
     worst = np.inf
     for n in (1, 2):
         spec = PatchSpec((0.3, 0.2), n, params)
-        for a in shifts:
-            direct = model.patch_projected_direct(spec, a)
+        for a, direct in zip(shifts, model.patch_projected_direct(spec, shifts)):
             lower = model.patch_projected_lower(spec, a)
             if lower > 0:
                 ratio = direct / lower

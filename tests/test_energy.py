@@ -5,6 +5,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from splab import energy as energy_module
 from splab._pairsum import (
     DEFAULT_BLOCK,
     TILE_ROWS,
@@ -25,6 +26,7 @@ from splab.energy import (
 )
 from splab.errors import ConfigurationError, GeometryError, NumericalError, WrongSchemeError
 from splab.grid import Box, Placement, make_grid, rescale_map, sample_map
+from splab.harness import TEST_MAPS
 
 INDICATOR_TRUNCATED = 10.914604076867487  # closed-form double integral on [-2, 3]
 
@@ -247,6 +249,64 @@ def test_energy_plan_matches_gagliardo_energy():
     assert single.energy(u, drop=[70]).value == plan.energy(u, drop=[70]).value
 
 
+def _unit_shifted(u, a):
+    d = u.values - np.asarray(a)
+    return u.with_values(d / np.linalg.norm(d, axis=1)[:, None])
+
+
+BALL = Region.from_ball((0.0, 0.0), 1.0)
+FFT_CASES = {
+    # map, region, dropped nodes
+    "identity2d-ball": (lambda: TEST_MAPS["identity2d"](0.1), BALL, [0, 60, 61, 200]),
+    "shifted-identity2d-box": (lambda: _unit_shifted(TEST_MAPS["identity2d"](0.05), (0.31, -0.27)),
+                               Region.from_box(Box((-0.8, -0.5), (0.9, 1.0))), [1000, 1001]),
+    "indicator1d-box": (lambda: TEST_MAPS["indicator1d"](0.01),
+                        Region.from_box(Box((-1.2,), (1.3,))), [5, 200]),
+    "bump1d-box": (lambda: TEST_MAPS["bump1d"](0.01), Region.from_box(Box((-1.2,), (1.3,))), [40]),
+}
+
+
+@pytest.mark.parametrize("case", list(FFT_CASES))
+def test_energy_plan_fft_route_matches_pair_sum(case, monkeypatch):
+    make, region, drop = FFT_CASES[case]
+    u = make()
+    params = FractionalParams(s=0.4, p=2.0)
+    monkeypatch.setattr(energy_module, "KernelPlan", None)  # this route stores no kernel tiles
+    plan = EnergyPlan(u.grid, params, region)
+    assert plan.route.startswith("fft-convolution ")
+    for cut in ([], drop):
+        expected = gagliardo_energy(u, params, region.without(cut)).value
+        assert plan.energy(u, drop=cut).value == pytest.approx(expected, rel=1e-12)
+    stacked = plan.energies(np.stack([u.values, u.values]), [drop, []])
+    assert [e.value for e in stacked] == [plan.energy(u, drop=drop).value, plan.energy(u).value]
+
+
+def test_energy_plan_fft_route_constant_and_worker_count():
+    u = TEST_MAPS["identity2d"](0.1)
+    params = FractionalParams(s=0.3, p=2.0)
+    one = EnergyPlan(u.grid, params, BALL, workers=1)
+    three = EnergyPlan(u.grid, params, BALL, workers=3)
+    constant = u.with_values(np.broadcast_to((0.1, -0.7), u.values.shape))
+    assert one.energy(constant).value == 0.0
+    assert one.energy(constant, drop=[7]).value == 0.0
+    shifted = _unit_shifted(u, (0.2, 0.45))
+    assert one.energy(shifted, drop=[3]).value == three.energy(shifted, drop=[3]).value
+
+
+def test_energy_plan_stack_matches_single_calls():
+    u = TEST_MAPS["identity2d"](0.1)
+    params = FractionalParams(s=0.4, p=1.5)
+    plan = EnergyPlan(u.grid, params, BALL, workers=2)
+    maps = [_unit_shifted(u, a) for a in ((0.1, 0.2), (-0.5, 0.3), (0.05, -0.66))]
+    drops = [[], [10, 11], [300]]
+    stacked = plan.energies(np.stack([m.values for m in maps]), drops)
+    assert [e.value for e in stacked] == [plan.energy(m, drop=d).value for m, d in zip(maps, drops)]
+    with pytest.raises(GeometryError):
+        plan.energies(maps[0].values)
+    with pytest.raises(ValueError, match="drop sets"):
+        plan.energies(np.stack([m.values for m in maps]), drops[:2])
+
+
 def test_energy_plan_rejects_other_grid():
     params = FractionalParams(s=0.35, p=1.5)
     plan = EnergyPlan(smooth_bump_1d(0.05).grid, params)
@@ -402,6 +462,27 @@ def test_stacked_pair_kernel_sum_rejects_mismatched_drops():
     points = np.random.default_rng(0).random((10, 2))
     with pytest.raises(ValueError, match="drop sets"):
         pair_kernel_sum(points, np.zeros((3, 10, 1)), 2.0, 2.0, drop=[[1], [2]])
+
+
+@ENGINE_SETTINGS
+@given(stacks())
+def test_stacked_kernel_plan_sum_equals_per_set_calls(stack):
+    points, values, weights, groups, p, q, drops = stack
+    plan = KernelPlan(points, q, weights=weights, groups=groups, workers=2)
+    per_set = [plan.sum(vals, p, drop=drop) for vals, drop in zip(values, drops)]
+    for workers in (1, 2, 3):
+        stacked = plan.sum(values, p, workers=workers, drop=drops)
+        assert stacked.shape == (values.shape[0],)
+        assert stacked.tolist() == per_set
+    for vals, drop, got in zip(values, drops, per_set):
+        expected = naive_pair_sum(points, vals, p, q, weights, groups, drop)
+        assert got == pytest.approx(expected, rel=1e-12, abs=1e-300)
+
+
+def test_stacked_kernel_plan_sum_rejects_mismatched_drops():
+    plan = KernelPlan(np.random.default_rng(0).random((10, 2)), 2.0)
+    with pytest.raises(ValueError, match="drop sets"):
+        plan.sum(np.zeros((3, 10, 1)), 2.0, drop=[[1], [2]])
 
 
 @ENGINE_SETTINGS

@@ -107,8 +107,11 @@ def test_cli_invalid_config_exit_code(tmp_path):
     (None, ["patch", "--n-values", "x"]),
     (None, ["seminorm", "--map", "nope"]),
     (None, ["threshold", "--s", "0.4", "--p", "2.5,1.5", "--n-max", "2"]),
+    (None, ["patch", "--n-values", "1", "--shifts", "0"]),
+    (None, ["patch", "--n-values", "1", "--shifts", "-1"]),
 ], ids=["config-layer-s", "config-patch-n-values", "config-seed", "config-seminorm-map",
-        "flag-threshold-s", "flag-patch-n-values", "flag-seminorm-map", "flag-threshold-unpaired"])
+        "flag-threshold-s", "flag-patch-n-values", "flag-seminorm-map", "flag-threshold-unpaired",
+        "flag-patch-shifts-0", "flag-patch-shifts-minus-1"])
 def test_malformed_input_exits_two(tmp_path, capsys, config, argv):
     if config is not None:
         path = tmp_path / "cfg.json"
@@ -172,6 +175,11 @@ def test_cli_reports_name_their_scheme(tmp_path):
     report = json.loads((tmp_path / "averaging.json").read_text())
     assert report["scheme"] == "pair-sum plan kernel_exp=2.6"
     assert "scheme" not in report["constants"]
+    rc = main(["averaging", "--p", "2", "--spacing", "0.1", "--n-mc", "100",
+               "--out", str(tmp_path / "p2"), "--formats", "json"])
+    assert rc == 0
+    report = json.loads((tmp_path / "p2" / "averaging.json").read_text())
+    assert report["scheme"] == "fft-convolution kernel_exp=2.8"
 
 
 def test_cli_geometry_run_and_outputs(tmp_path):
