@@ -204,13 +204,19 @@ def _numerator_sum(vals: NDArray, p: float, tile, kern: NDArray, buf: NDArray, t
     return float(buf.sum())
 
 
+def _drop_sets(count: int, drops) -> list:
+    """One drop set per value set: ``drops`` itself, or ``count`` empty sets if it is empty."""
+    drops = list(drops) or [()] * count
+    if len(drops) != count:
+        raise ValueError(f"{count} value sets but {len(drops)} drop sets")
+    return drops
+
+
 def _value_stack(values: NDArray, drop) -> tuple[bool, NDArray, list]:
     """(single set?, (S, N, nu) value stack, per-set drop index arrays) of a sum's input."""
     single = np.ndim(values) < 3
     stack = _as_values(values)[None] if single else np.ascontiguousarray(values, dtype=float)
-    drops = [drop] if single else (list(drop) or [()] * stack.shape[0])
-    if len(drops) != stack.shape[0]:
-        raise ValueError(f"{stack.shape[0]} value sets but {len(drops)} drop sets")
+    drops = _drop_sets(stack.shape[0], [drop] if single else drop)
     return single, stack, [_drop_index(d) for d in drops]
 
 

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 from numpy.typing import NDArray
 
-from ._pairsum import KernelPlan, pair_kernel_sum
+from ._pairsum import KernelPlan, _drop_sets, pair_kernel_sum
 from .errors import ConfigurationError, GeometryError, NumericalError, WrongSchemeError
 from .grid import Box, Grid, SampledMap
 
@@ -238,9 +238,7 @@ class EnergyPlan:
         if stack.ndim != 3 or stack.shape[1] != self.grid.node_count:
             raise GeometryError(f"expected (S, {self.grid.node_count}, nu) values, "
                                 f"got shape {stack.shape}")
-        drops = list(drops) or [()] * stack.shape[0]
-        if len(drops) != stack.shape[0]:
-            raise ValueError(f"{stack.shape[0]} value sets but {len(drops)} drop sets")
+        drops = _drop_sets(stack.shape[0], drops)
         if self._fft is not None:
             sums = self._fft.sums(stack, drops)
         else:

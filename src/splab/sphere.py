@@ -95,7 +95,10 @@ def shifted_projection(u: SampledMap, shift: ShiftPoint) -> tuple[SampledMap, li
 
     Hit nodes keep a placeholder unit value and are reported; callers must
     drop them from energy regions.  If more than 1% of nodes are hits the
-    shift sits on a plateau of u and the call fails.
+    shift sits on a plateau of u and the call fails.  The averaging fills
+    its value stacks through ``shifted_unit_values`` instead; this
+    map-level form is kept because the perfbench tracer counts its calls
+    and hits.
     """
     out = np.empty_like(u.values, dtype=float)
     nodes, dist = shifted_unit_values(u, shift.a, out)

@@ -37,10 +37,12 @@ def test_kernel_selftest_passes_where_the_disk_estimator_failed(run_seed):
 
 
 def test_kernel_selftest_catches_a_wrong_sampler(monkeypatch):
-    def uniform_radii(rng, count, inner, outer):  # not uniform over the annulus
-        return inner + (outer - inner) * rng.random(count)
+    def uniform_radii(rng, count, radius):  # uniform r instead of sqrt: not uniform over the disk
+        r = radius * rng.random(count)
+        theta = 2 * np.pi * rng.random(count)
+        return np.column_stack([r * np.cos(theta), r * np.sin(theta)])
 
-    monkeypatch.setattr(harness, "_annulus_radii", uniform_radii)
+    monkeypatch.setattr(harness, "_uniform_ball_2d", uniform_radii)
     for seed in (12, 13, 75):
         est, closed = kernel_selftest(1.0, SELFTEST_SAMPLES, seed=seed)
         assert abs(est - closed) / closed > 0.02

@@ -14,6 +14,7 @@ from splab.sphere import (
     projection_jacobian,
     restricted_diffeo_check,
     shifted_projection,
+    shifted_unit_values,
 )
 
 
@@ -80,6 +81,22 @@ def test_shifted_projection_degenerate_plateau():
     u = sample_map(g, lambda x: np.zeros((x.shape[0], 2)), g.box, (0.0, 0.0))
     with pytest.raises(DegenerateShiftError):
         shifted_projection(u, ShiftPoint((0.0, 0.0)))
+
+
+def test_shifted_unit_values_fills_buffer_and_reports_hits():
+    g = make_grid(2, [[-1.0, -1.0], [1.0, 1.0]], 0.1)  # 441 nodes: one hit is under 1%
+    u = sample_map(g, lambda x: x, g.box, (0.0, 0.0))
+    a = u.values[7].copy()
+    out = np.full_like(u.values, np.nan)
+    nodes, dist = shifted_unit_values(u, a, out)
+    assert nodes.tolist() == [7] and dist.tolist() == [0.0]
+    assert out[7].tolist() == [1.0, 0.0]
+    keep = np.arange(g.node_count) != 7
+    diff = u.values[keep] - a
+    assert np.allclose(out[keep], diff / np.linalg.norm(diff, axis=1)[:, None], rtol=0, atol=1e-15)
+    flat = sample_map(g, lambda x: np.zeros((x.shape[0], 2)), g.box, (0.0, 0.0))
+    with pytest.raises(DegenerateShiftError):
+        shifted_unit_values(flat, (0.0, 0.0), out)
 
 
 def test_shifted_identity_divergence_at_large_sp():
