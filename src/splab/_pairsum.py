@@ -19,8 +19,14 @@ tile is applied to every value set for which it is live while it is in
 cache.  A ``KernelPlan`` computes every kernel tile once and keeps it
 (8 B per pair), so each further value set costs only the numerator;
 ``pair_kernel_sum`` computes each kernel tile in the loop and discards
-it.  ``cell_lattice_sum`` sums the pairs between the cells of a lattice
-of congruent cells by their index difference.
+it.
+
+When the values are a function of a class label with few classes,
+``class_kernel`` sums the kernel tiles once into a (C, C) matrix per pair
+of classes, and ``class_pair_sum`` gives the pair sum of any such value
+set from C^2 / 2 numerators.  ``cell_lattice_kernel`` gives the kernel
+between the points of a lattice of congruent cells by their index
+difference.
 
 An optional integer group id per point supports composite quadratures:
 pairs within the same nonnegative group are excluded (they are accounted
@@ -30,6 +36,8 @@ for separately, e.g. by an exact rescaling identity).  Group id -1 means
 
 from __future__ import annotations
 
+import itertools
+import math
 import threading
 from concurrent.futures import ThreadPoolExecutor
 
@@ -38,33 +46,39 @@ from numpy.typing import NDArray
 
 TILE_ROWS = 128
 DEFAULT_BLOCK = 512
-LATTICE_CHUNK = 32  # displacements per block of cell_lattice_sum
+LATTICE_CHUNK = 32  # displacements per block of cell_lattice_kernel
+CLASS_CHUNK = 64  # tiles whose class partials class_kernel holds at once
 
 
-def tree_reduce(values) -> float:
-    """Sum a list of floats by fixed pairwise tree; order independent of workers."""
-    vals = list(values)
-    if not vals:
-        return 0.0
-    while len(vals) > 1:
-        nxt = []
-        for i in range(0, len(vals) - 1, 2):
-            nxt.append(vals[i] + vals[i + 1])
-        if len(vals) % 2:
-            nxt.append(vals[-1])
-        vals = nxt
-    return float(vals[0])
+def tree_reduce(values, empty=0.0):
+    """Sum floats or arrays by a fixed pairwise tree in the order given.
+
+    Neighbours are paired level by level, an odd last one carried up; the
+    sum streams, holding O(log n) subtotals (``empty`` for no values).
+    The order depends on the input order alone, not on the worker count.
+    """
+    stack = []  # (leaf count, subtotal), leaf counts strictly decreasing
+    for part in values:
+        size = 1
+        while stack and stack[-1][0] == size:
+            size, part = 2 * size, stack.pop()[1] + part
+        stack.append((size, part))
+    total = stack.pop()[1] if stack else empty
+    while stack:
+        total = stack.pop()[1] + total
+    return total
+
+
+def _slab_tiles(a0: int, n: int, block: int) -> list[tuple[int, int, int, int]]:
+    """(row start, row stop, column start, column stop) of the tiles of row slab a0."""
+    if block < 1:
+        raise ValueError(f"block must be >= 1, got {block}")
+    return [(a0, min(a0 + TILE_ROWS, n), b0, min(b0 + block, n)) for b0 in range(a0, n, block)]
 
 
 def _tiles(n: int, block: int) -> list[tuple[int, int, int, int]]:
-    """(row start, row stop, column start, column stop) of every upper-triangle tile."""
-    if block < 1:
-        raise ValueError(f"block must be >= 1, got {block}")
-    return [
-        (a0, min(a0 + TILE_ROWS, n), b0, min(b0 + block, n))
-        for a0 in range(0, n, TILE_ROWS)
-        for b0 in range(a0, n, block)
-    ]
+    """Every upper-triangle tile, row slab by row slab."""
+    return [tile for a0 in range(0, n, TILE_ROWS) for tile in _slab_tiles(a0, n, block)]
 
 
 def _as_values(values: NDArray) -> NDArray:
@@ -76,21 +90,29 @@ def _drop_index(drop) -> NDArray | None:
     return np.unique(np.asarray(drop, dtype=np.int64)) if len(drop) else None
 
 
-def _within_runs(keys: NDArray, tiles: list) -> NDArray:
-    """Per tile: do its row block and its column block lie in runs of one and the same key row?"""
+def _run_ends(keys: NDArray) -> NDArray:
+    """Per index: one past the end of the run of equal key rows that holds it."""
     n = keys.shape[0]
     breaks = np.flatnonzero(np.any(keys[1:] != keys[:-1], axis=1)) + 1
-    run_end = np.append(breaks, n)[np.searchsorted(breaks, np.arange(n), side="right")]
+    return np.append(breaks, n)[np.searchsorted(breaks, np.arange(n), side="right")]
+
+
+def _within_runs(keys: NDArray, tiles: list, run_end: NDArray | None = None) -> NDArray:
+    """Per tile: do its row block and its column block lie in runs of one and the same key row?
+
+    ``run_end`` is `_run_ends(keys)`, computed here when not given.
+    """
+    run_end = _run_ends(keys) if run_end is None else run_end
     a0, a1, b0, b1 = np.asarray(tiles, dtype=np.int64).reshape(-1, 4).T
     return (run_end[a0] >= a1) & (run_end[b0] >= b1) & np.all(keys[a0] == keys[b0], axis=1)
 
 
-def _one_group_tiles(groups: NDArray | None, tiles: list) -> NDArray:
+def _one_group_tiles(groups: NDArray | None, tiles: list, run_end: NDArray | None = None) -> NDArray:
     """Tiles whose rows and columns all carry one nonnegative group id (kernel all zero)."""
     if groups is None:
         return np.zeros(len(tiles), dtype=bool)
     first_rows = np.asarray(tiles, dtype=np.int64).reshape(-1, 4)[:, 0]
-    return _within_runs(groups[:, None], tiles) & (groups[first_rows] >= 0)
+    return _within_runs(groups[:, None], tiles, run_end) & (groups[first_rows] >= 0)
 
 
 def _live_tiles(stack: NDArray, tiles: list, groups: NDArray | None) -> NDArray:
@@ -329,44 +351,116 @@ def pair_kernel_sum(
     return float(sums[0]) if single else sums
 
 
-def cell_lattice_sum(
-    offsets: NDArray,
-    values: NDArray,
-    p: float,
+def class_kernel(
+    points: NDArray,
+    labels: NDArray,
     q: float,
-    weight: float,
-    width: float,
-    k: int,
-) -> float:
-    """Pair sum over the pairs that join two different cells of a k^m cell lattice.
+    weights: NDArray | float = 1.0,
+    groups: NDArray | None = None,
+    block: int = DEFAULT_BLOCK,
+    workers: int = 1,
+) -> NDArray:
+    """(C, C) kernel of the live pairs between the value classes of a cloud.
 
-    Every cell carries the same ``values`` at the same local ``offsets``
-    and the same point ``weight``; the cell of lattice index J sits at
-    ``width * J``.  Exactly prod_i (k - |D_i|) ordered cell pairs have the
-    index difference D, and D and -D contribute alike, so the sum is
+    ``labels`` puts point i in class labels[i] of [0, C).  Entry [c, c']
+    is sum w_i w_j |x_i - x_j|^-q over the unordered pairs with one point
+    in class c and the other in c' (for c = c', both in c), with the same
+    pairs left out as in `pair_kernel_sum`; the matrix is symmetric.  For
+    any values that are a function of the class, V_c at class c,
 
-        sum_{D > 0} prod_i (k - |D_i|) sum_{a, b} w^2 |v_a - v_b|^p |width D + o_a - o_b|^-q
+        pair_kernel_sum = sum_{c < c'} K[c, c'] |V_c - V_c'|^p   (`class_pair_sum`).
+
+    The tiles and the one-group tile skip are those of `pair_kernel_sum`;
+    the live tiles are found row slab by row slab, so the tile list is
+    never held whole.  Each live tile's kernel is binned by class pair;
+    the (C, C) partials are combined by a pairwise tree in tile order,
+    ``CLASS_CHUNK`` tiles at a time, so memory stays bounded and the result
+    is bit-identical for any worker count.
+    """
+    geo = _Geometry(points, q, weights, groups)
+    lab = np.ascontiguousarray(labels, dtype=np.int64)
+    count = int(lab.max()) + 1 if lab.size else 0
+    run_end = None if geo.g is None else _run_ends(geo.g[:, None])
+
+    def live_tiles():
+        for a0 in range(0, geo.n, TILE_ROWS):
+            slab = _slab_tiles(a0, geo.n, block)
+            yield from itertools.compress(slab, ~_one_group_tiles(geo.g, slab, run_end))
+
+    def partial(tile, scratch):
+        a0, a1, b0, b1 = tile
+        kern, _, tmp, mask = scratch.views(a1 - a0, b1 - b0)
+        return class_bins(lab[a0:a1], lab[b0:b1], geo.kernel_tile(tile, kern, tmp, mask), count)
+
+    def parts():
+        tiles = live_tiles()
+        while chunk := list(itertools.islice(tiles, CLASS_CHUNK)):
+            yield from _map_tiles(partial, chunk, block, workers)
+
+    return symmetric(tree_reduce(parts(), np.zeros((count, count))))
+
+
+def class_bins(rows: NDArray, cols: NDArray, values: NDArray, count: int) -> NDArray:
+    """(count, count) sums of the (R, S) ``values`` by (class rows[i], class cols[j])."""
+    index = rows[:, None] * count + cols
+    return np.bincount(index.ravel(), weights=values.ravel(),
+                       minlength=count * count).reshape(count, count)
+
+
+def symmetric(ordered: NDArray) -> NDArray:
+    """The symmetric class matrix of a sum over ordered class pairs (diagonal kept once)."""
+    out = ordered + ordered.T
+    np.fill_diagonal(out, ordered.diagonal())
+    return out
+
+
+def class_pair_sum(kernel: NDArray, values: NDArray, p: float, drop=()) -> float:
+    """sum_{c < c'} K[c, c'] |V_c - V_c'|^p, the pairs touching a ``drop`` class left out.
+
+    ``values`` holds one value (or value vector) per class.  The terms are
+    summed by one `math.fsum`, so a value set's sum is the same whatever
+    else is computed with it.
+    """
+    vals = _as_values(values)
+    rows, cols = np.triu_indices(kernel.shape[0], 1)
+    diff = vals[rows] - vals[cols]
+    terms = kernel[rows, cols] * np.einsum("ij,ij->i", diff, diff) ** (0.5 * p)
+    if len(drop):
+        terms[np.isin(rows, drop) | np.isin(cols, drop)] = 0.0
+    return math.fsum(terms)
+
+
+def cell_lattice_kernel(offsets: NDArray, q: float, weight: float, width: float, k: int) -> NDArray:
+    """(P, P) kernel of the pairs that join two different cells of a k^m cell lattice.
+
+    Every cell holds the same P local ``offsets`` with the same point
+    ``weight``; the cell of lattice index J sits at ``width * J``.  Exactly
+    prod_i (k - |D_i|) ordered cell pairs have the index difference D, and
+    D and -D contribute alike, so for values v_a that every cell shares at
+    offset a the pair sum over all pairs of distinct cells is
+    sum_{a, b} K[a, b] |v_a - v_b|^p with
+
+        K[a, b] = w^2 sum_{D > 0} prod_i (k - |D_i|) |width D + o_a - o_b|^-q
 
     over the half lattice of D whose first nonzero entry is positive:
-    (2k - 1)^m / 2 kernel blocks of P^2 values (P points per cell) instead
-    of (P k^m)^2 / 2 pairs.  The displacements are streamed
-    ``LATTICE_CHUNK`` at a time.  Offsets must lie strictly inside the
-    cell, so no two points of different cells coincide.
+    (2k - 1)^m / 2 kernel blocks of P^2 values instead of (P k^m)^2 / 2
+    pairs.  The displacements are streamed ``LATTICE_CHUNK`` at a time.
+    Offsets must lie strictly inside the cell, so no two points of
+    different cells coincide.
     """
     offs = np.ascontiguousarray(offsets, dtype=float)
-    vals = _as_values(values)
-    m = offs.shape[1]
-    dv = vals[:, None, :] - vals[None, :, :]
-    num = weight * weight * np.einsum("abi,abi->ab", dv, dv) ** (0.5 * p)
+    size, m = offs.shape
     rel = offs[:, None, :] - offs[None, :, :]
     span = np.arange(1 - k, k)
     disp = np.stack(np.meshgrid(*([span] * m), indexing="ij"), axis=-1).reshape(-1, m)
     disp = disp[disp.shape[0] // 2 + 1:]  # lexicographic order: the D after D = 0 are D > 0
     count = np.prod(k - np.abs(disp), axis=1).astype(float)
-    parts = []
-    for c0 in range(0, disp.shape[0], LATTICE_CHUNK):
-        c1 = c0 + LATTICE_CHUNK
-        sep = width * disp[c0:c1, None, None, :] + rel
-        kern = np.einsum("dabi,dabi->dab", sep, sep) ** (-0.5 * q)
-        parts.append(float(count[c0:c1] @ (kern.reshape(kern.shape[0], -1) @ num.ravel())))
-    return tree_reduce(parts)
+
+    def chunks():
+        for c0 in range(0, disp.shape[0], LATTICE_CHUNK):
+            c1 = c0 + LATTICE_CHUNK
+            sep = width * disp[c0:c1, None, None, :] + rel
+            kern = np.einsum("dabi,dabi->dab", sep, sep) ** (-0.5 * q)
+            yield count[c0:c1] @ kern.reshape(kern.shape[0], -1)
+
+    return weight * weight * tree_reduce(chunks(), np.zeros(size * size)).reshape(size, size)

@@ -96,6 +96,24 @@ def _series_stems(report: ExperimentReport) -> list[tuple[str, ExperimentReport]
     return out
 
 
+def _emit(reports: list[ExperimentReport], out_dir: str, formats: tuple) -> bool:
+    """Write the reports, print their assertions; whether every assertion passed."""
+    stamp = datetime.datetime.now(datetime.timezone.utc).isoformat()
+    all_ok = True
+    for report in reports:
+        report.timestamp = stamp
+        emit_report(report, out_dir, formats=[f for f in formats if f != "svg"], stem=report.name)
+        if "svg" in formats:
+            for stem, sub in _series_stems(report):
+                sub.timestamp = stamp
+                emit_report(sub, out_dir, formats=("svg",), stem=stem)
+        for a in report.assertions:
+            status = "PASS" if a.passed else "FAIL"
+            print(f"[{status}] {report.name}: {a.name}" + (f" ({a.detail})" if a.detail else ""))
+            all_ok &= a.passed
+    return all_ok
+
+
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
@@ -122,21 +140,13 @@ def main(argv=None) -> int:
             raise ConfigurationError(
                 f"unknown --formats {','.join(unknown)}; choose from {','.join(FORMATS)}"
             )
-        reports = run_suite(cfg)
-        stamp = datetime.datetime.now(datetime.timezone.utc).isoformat()
-        all_ok = True
-        for report in reports:
-            report.timestamp = stamp
-            emit_report(report, cfg.output_dir, formats=[f for f in formats if f != "svg"],
-                        stem=report.name)
-            if "svg" in formats:
-                for stem, sub in _series_stems(report):
-                    sub.timestamp = stamp
-                    emit_report(sub, cfg.output_dir, formats=("svg",), stem=stem)
-            for a in report.assertions:
-                status = "PASS" if a.passed else "FAIL"
-                print(f"[{status}] {report.name}: {a.name}" + (f" ({a.detail})" if a.detail else ""))
-                all_ok &= a.passed
+        try:
+            reports, failure = run_suite(cfg), None
+        except SplabError as exc:
+            reports, failure = getattr(exc, "completed", []), exc
+        all_ok = _emit(reports, cfg.output_dir, formats)
+        if failure is not None:
+            raise failure
         return 0 if all_ok else 1
     except SplabError as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -17,7 +17,7 @@ from numpy.typing import NDArray
 
 from .chords import estimate_constant
 from .energy import EnergyPlan, FractionalParams, Region, gagliardo_energy
-from .errors import ConfigurationError, DegenerateShiftError
+from .errors import ConfigurationError, DegenerateShiftError, SplabError
 from .grid import Box, make_grid, sample_map
 from .patches import LayerSpec, PatchModel, PatchSpec
 from .report import ExperimentReport
@@ -492,6 +492,10 @@ class ThresholdOptions:
     p_values: tuple[float, ...] = field(default=(2.5, 1.5, 2.0), metadata={"flag": "--p"})
     n_max: int = 6
 
+    def __post_init__(self):
+        if self.n_max < 2:
+            raise ConfigurationError(f"a slope needs n_max >= 2, got {self.n_max}")
+
 
 def _run_threshold(opts: ThresholdOptions, cfg: RunConfig) -> ExperimentReport:
     return threshold_scan(opts.s_values, opts.p_values, range(1, opts.n_max + 1),
@@ -507,6 +511,12 @@ class AlmostOptions:
     alpha: float = 0.0
     n_min: int = 2
     n_max: int = 6
+
+    def __post_init__(self):
+        if self.n_max <= self.n_min:
+            raise ConfigurationError(
+                f"an exponent fit needs n_max > n_min, got n_min={self.n_min} n_max={self.n_max}"
+            )
 
 
 def _run_almost(opts: AlmostOptions, cfg: RunConfig) -> ExperimentReport:
@@ -562,15 +572,29 @@ EXPERIMENTS = {
 }
 
 
+def _named(exp, step):
+    """step(), with a ConfigurationError prefixed by the experiment's name."""
+    try:
+        return step()
+    except ConfigurationError as exc:
+        raise ConfigurationError(f"experiment {exp.name!r}: {exc}") from exc
+
+
 def run_suite(cfg: RunConfig) -> list[ExperimentReport]:
-    """Execute the configured experiments in declared order."""
+    """Execute the configured experiments in declared order.
+
+    Every experiment's options are checked before the first one runs.  When
+    an experiment fails, the error raised carries the reports completed
+    before it as ``completed``.
+    """
+    specs = [_named(exp, exp.spec) for exp in cfg.experiments]
     reports = []
-    for exp in cfg.experiments:
+    for exp, spec in zip(cfg.experiments, specs):
         try:
-            spec = exp.spec()
-            report = EXPERIMENTS[exp.kind][1](spec, cfg)
-        except ConfigurationError as exc:
-            raise ConfigurationError(f"experiment {exp.name!r}: {exc}") from exc
+            report = _named(exp, lambda: EXPERIMENTS[exp.kind][1](spec, cfg))
+        except SplabError as exc:
+            exc.completed = reports
+            raise
         report.name = exp.options.get("name", report.name)
         reports.append(report)
     return reports

@@ -15,14 +15,20 @@ assembles closed-form bounds from constants measured at small n.
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass
 
 import numpy as np
 from numpy.typing import NDArray
 
-from ._pairsum import cell_lattice_sum, pair_kernel_sum
+from ._pairsum import (
+    cell_lattice_kernel,
+    class_bins,
+    class_kernel,
+    class_pair_sum,
+    pair_kernel_sum,
+    symmetric,
+)
 from .chords import COS_CONE_BOUND, chords_vectorized
 from .energy import FractionalParams, Region, WeightedCloud, cloud_energy
 from .errors import BudgetError, ConfigurationError, GeometryError, ResolutionError
@@ -150,33 +156,29 @@ def collar_factor(points: NDArray) -> NDArray:
     return 1.0 - smoothstep5(t)
 
 
+def _values_from(collar: NDArray, profile: NDArray, spec: PatchSpec) -> NDArray:
+    """Patch values collar * c + amplitude * profile * e_axis, one row per entry."""
+    vals = np.outer(collar, np.asarray(spec.c))
+    vals[:, spec.axis] += spec.amplitude * profile
+    return vals
+
+
 def patch_values(points: NDArray, spec: PatchSpec) -> NDArray:
     """Full compactly supported patch: cluster + constant plateau + collar."""
     pts = np.atleast_2d(points)
-    c = np.asarray(spec.c)
-    vals = np.outer(collar_factor(pts), c)
-    g = clustered_profile(pts, spec.k)
-    vals[:, spec.axis] += spec.amplitude * g
-    return vals
+    return _values_from(collar_factor(pts), clustered_profile(pts, spec.k), spec)
 
 
 def clustered_values(points: NDArray, spec: PatchSpec) -> NDArray:
     """Cluster over the constant background c (no collar, constant outside)."""
     pts = np.atleast_2d(points)
-    c = np.asarray(spec.c)
-    vals = np.tile(c, (pts.shape[0], 1))
-    g = clustered_profile(pts, spec.k)
-    vals[:, spec.axis] += spec.amplitude * g
-    return vals
+    return _values_from(np.ones(pts.shape[0]), clustered_profile(pts, spec.k), spec)
 
 
 def basic_values(points: NDArray, spec: PatchSpec) -> NDArray:
     """Unclustered frame map: c + amplitude * profile(x) along the axis."""
     pts = np.atleast_2d(points)
-    c = np.asarray(spec.c)
-    vals = np.tile(c, (pts.shape[0], 1))
-    vals[:, spec.axis] += spec.amplitude * two_bump_profile(pts)
-    return vals
+    return _values_from(np.ones(pts.shape[0]), two_bump_profile(pts), spec)
 
 
 def _check_resolution(spacing: float, scale: float = 1.0) -> None:
@@ -319,23 +321,13 @@ def _project_values(values: NDArray, a: NDArray) -> tuple[NDArray, NDArray]:
     return out, hits
 
 
-def _per_run(fn, specs):
-    """fn(spec) for every spec, computed once per run of equal specs."""
-    for spec, run in itertools.groupby(specs):
-        vals = fn(spec)
-        for _ in run:
-            yield vals
+def _projected_sum(kernel: NDArray, values: NDArray, a: NDArray, p: float) -> float:
+    """`class_pair_sum` of the class values projected by shift a, singular hits dropped.
 
-
-def _projected_pair_sums(points: NDArray, value_sets, shifts: NDArray, p: float, q: float,
-                         **kwargs) -> NDArray:
-    """Stacked `pair_kernel_sum` of value set i projected by shift i, singular hits dropped."""
-    stack = np.empty((len(shifts), points.shape[0], shifts.shape[1]))
-    hits = []
-    for i, (vals, a) in enumerate(zip(value_sets, shifts)):
-        stack[i], hit = _project_values(vals, a)
-        hits.append(np.flatnonzero(hit))
-    return pair_kernel_sum(points, stack, p, q, drop=hits, **kwargs)
+    A hit depends only on the value, so it drops a whole class.
+    """
+    projected, hits = _project_values(values, a)
+    return class_pair_sum(kernel, projected, p, drop=np.flatnonzero(hits))
 
 
 class PatchModel:
@@ -371,6 +363,7 @@ class PatchModel:
         self._patch_margin_factor = None
         self._layer_margin_factor = None
         self._memo: dict = {}
+        self._class_memo: dict = {}
 
     # -- frame-level constants ------------------------------------------------
 
@@ -432,75 +425,120 @@ class PatchModel:
         offs, cell_h = _midpoint_lattice(width / 2, width / self.cell_subdivision)
         return cluster_cell_centers(k), offs, cell_h**2
 
+    def _background(self) -> tuple[NDArray, float]:
+        """Background points of one patch frame (outside the cluster block) and their weight."""
+        bg, bg_h = _midpoint_lattice(PATCH_MARGIN, self.h_bg)
+        return bg[np.max(np.abs(bg), axis=1) > BLOCK_HALFWIDTH], bg_h**2
+
+    def _check_cloud_size(self, k: int, patches: int = 1) -> None:
+        """BudgetError unless ``patches`` clouds of cluster count k fit the node budget."""
+        width = 2 * BLOCK_HALFWIDTH / k
+        per_cell = cell_midpoints(width / 2, width / self.cell_subdivision)[0].size ** 2
+        size = patches * (k**2 * per_cell + self._background()[0].shape[0])
+        if size > DEFAULT_NODE_BUDGET:
+            raise BudgetError(
+                f"patch cloud of {size} points > budget {DEFAULT_NODE_BUDGET} "
+                f"(cluster count {k}); use compositional accounting instead"
+            )
+
     def _patch_cloud(self, spec: PatchSpec, group_base: int = 0, placement: Placement | None = None):
         """Coarse cloud for one patch: cell reps (grouped) + background."""
         centers, offs, cell_w = self._cell_lattice(spec.k)
         cell_pts = (centers[:, None, :] + offs[None, :, :]).reshape(-1, 2)
         cell_groups = np.repeat(np.arange(len(centers)) + group_base, offs.shape[0])
-
-        bg, bg_h = _midpoint_lattice(PATCH_MARGIN, self.h_bg)
-        bg = bg[np.max(np.abs(bg), axis=1) > BLOCK_HALFWIDTH]
-        bg_w = np.full(bg.shape[0], bg_h**2)
-        bg_groups = np.full(bg.shape[0], -1, dtype=np.int64)
-
+        bg, bg_w = self._background()
         pts = np.concatenate([cell_pts, bg])
-        w = np.concatenate([np.full(cell_pts.shape[0], cell_w), bg_w])
-        groups = np.concatenate([cell_groups, bg_groups])
+        w = np.concatenate([np.full(cell_pts.shape[0], cell_w), np.full(bg.shape[0], bg_w)])
+        groups = np.concatenate([cell_groups, np.full(bg.shape[0], -1, dtype=np.int64)])
         vals = patch_values(pts, spec)
         if placement is not None:
             pts = pts * placement.scale + np.asarray(placement.translate)
             w = w * placement.scale**2
         return pts, vals, w, groups
 
+    def _classes(self, k: int) -> tuple[NDArray, NDArray, NDArray]:
+        """Value classes of the patch cloud of cluster count k and their class matrix.
+
+        Returns the collar factor and the cluster profile of each class and
+        the symmetric `class_kernel` matrix of all pairs that do not lie in
+        one cell.  A patch value is collar(x) c + A g(x) e_axis, so points
+        with equal (collar, g) carry equal values for every spec of this k.
+        A cell point takes the class of its offset: the block lies inside
+        the plateau, where `collar_factor` is exactly 1, so every cell holds
+        the frame profile at its offsets scaled by 1/mu.  The cloud sum
+        puts every cell point in one group, so the engine evaluates only
+        the pairs that touch the background; the pairs that join two cells
+        come from `cell_lattice_kernel` scattered onto the cells' classes.
+        Built once per k.
+        """
+        if k not in self._class_memo:
+            self._check_cloud_size(k)
+            centers, offs, cell_w = self._cell_lattice(k)
+            bg, bg_w = self._background()
+            sizes = [centers.shape[0] * offs.shape[0], bg.shape[0]]
+            # (collar, g) of the cell template's offsets, then of the background points
+            keys = np.concatenate([
+                np.column_stack([np.ones(offs.shape[0]), two_bump_profile(offs / cluster_scale(k))]),
+                np.column_stack([collar_factor(bg), clustered_profile(bg, k)]),
+            ])
+            classes, labels = np.unique(keys, axis=0, return_inverse=True)
+            cell_labels, bg_labels = np.split(labels.ravel(), [offs.shape[0]])
+            kern = class_kernel(
+                np.concatenate([(centers[:, None, :] + offs).reshape(-1, 2), bg]),
+                np.concatenate([np.tile(cell_labels, centers.shape[0]), bg_labels]),
+                self._kernel_exp,
+                weights=np.repeat([cell_w, bg_w], sizes),
+                groups=np.repeat([0, -1], sizes),
+                workers=self.workers,
+            )
+            lattice = cell_lattice_kernel(offs, self._kernel_exp, cell_w, 2 * BLOCK_HALFWIDTH / k, k)
+            kern += symmetric(class_bins(cell_labels, cell_labels, lattice, classes.shape[0]))
+            self._class_memo[k] = classes[:, 0], classes[:, 1], kern
+        return self._class_memo[k]
+
+    def _frame_classes(self) -> tuple[NDArray, NDArray]:
+        """Profile value of each class of the frame lattice and their `class_kernel` matrix."""
+        if "frame" not in self._class_memo:
+            profile, labels = np.unique(self._frame_g, return_inverse=True)
+            kern = class_kernel(self._frame_pts, labels.ravel(), self._kernel_exp,
+                                weights=self.h0**2, workers=self.workers)
+            self._class_memo["frame"] = profile, kern
+        return self._class_memo["frame"]
+
     def patch_energy_direct(self, spec: PatchSpec) -> float:
         """Composite quadrature of the full patch energy over its frame box.
 
-        Pairs inside one cell scale to the frame (`cluster_energy`).  Pairs
-        joining two cells come from `cell_lattice_sum` over the congruent
-        cells; the cloud sum puts every cell point in one group, so the
-        engine evaluates only the pairs that touch the background.  The block
-        lies inside the plateau, where `collar_factor` is exactly 1, so every
-        cell holds the frame map at its offsets scaled by 1/mu.
+        Pairs inside one cell scale to the frame (`cluster_energy`); all
+        other pairs come from the class matrix of the patch cloud
+        (`_classes`).
         """
         key = ("patch", spec)
         if key not in self._memo:
-            pts, vals, w, groups = self._patch_cloud(spec)
-            cloud = WeightedCloud(pts, vals, w, np.minimum(groups, 0, out=groups))
-            _, offs, cell_w = self._cell_lattice(spec.k)
-            cell_vals = basic_values(offs / cluster_scale(spec.k), spec)
-            cells = cell_lattice_sum(offs, cell_vals, self.params.p, self._kernel_exp, cell_w,
-                                     2 * BLOCK_HALFWIDTH / spec.k, spec.k)
-            cross = cloud_energy(cloud, self.params, m=2, workers=self.workers) + 2.0 * cells
+            collar, profile, kern = self._classes(spec.k)
+            vals = _values_from(collar, profile, spec)
+            cross = 2.0 * class_pair_sum(kern, vals, self.params.p)
             self._memo[key] = cross + self.cluster_energy(spec)
         return self._memo[key]
 
-    def _frame_values(self, spec: PatchSpec) -> NDArray:
-        """`basic_values` on the frame lattice, from the cached profile."""
-        vals = np.tile(np.asarray(spec.c), (self._frame_pts.shape[0], 1))
-        vals[:, spec.axis] += spec.amplitude * self._frame_g
-        return vals
-
     def _projected_energies(self, specs: list[PatchSpec], shifts: NDArray) -> NDArray:
-        """`patch_projected_direct` of spec i at shift i, for specs of one n and k.
+        """`patch_projected_direct` of spec i at shift i.
 
-        Such specs share the frame and the cloud geometry, so the frame sums
-        and the cloud sums are one stacked pair sum each; singular hits are
-        dropped from their own value set.  A run of equal specs computes its
-        unprojected values once.
+        The frame and the patch cloud of each k have one class matrix, so
+        every (spec, shift) projects only the class values; a singular hit
+        drops its class.  Each value set is summed on its own, so a stack
+        equals the per-shift calls bit for bit.
         """
-        if not specs:
-            return np.zeros(0)
-        pts, _, w, groups = self._patch_cloud(specs[0])
-        p, q = self.params.p, self._kernel_exp
-        frames = _per_run(self._frame_values, specs)
-        frame_sums = _projected_pair_sums(self._frame_pts, frames, shifts, p, q,
-                                          weights=self.h0**2, workers=self.workers)
-        clouds = _per_run(lambda spec: patch_values(pts, spec), specs)
-        cloud_sums = _projected_pair_sums(pts, clouds, shifts, p, q, weights=w, groups=groups,
-                                          workers=self.workers)
-        k, ell = specs[0].k, specs[0].ell
-        fine = k**ell * cluster_scale(k) ** (ell - self.params.sp) * (2.0 * frame_sums)
-        return fine + 2.0 * cloud_sums
+        p, sp = self.params.p, self.params.sp
+        frame_profile, frame_kern = self._frame_classes()
+        frame_collar = np.ones(frame_profile.shape[0])
+        out = np.empty(len(specs))
+        for i, (spec, a) in enumerate(zip(specs, shifts)):
+            collar, profile, kern = self._classes(spec.k)
+            frame = _projected_sum(frame_kern, _values_from(frame_collar, frame_profile, spec), a, p)
+            cloud = _projected_sum(kern, _values_from(collar, profile, spec), a, p)
+            fine = spec.k**spec.ell * cluster_scale(spec.k) ** (spec.ell - sp) * (2.0 * frame)
+            out[i] = fine + 2.0 * cloud
+        return out
 
     def patch_projected_direct(self, spec: PatchSpec, a) -> float | NDArray:
         """Composite quadrature of the projected patch energy, within-patch pairs only.
@@ -544,6 +582,7 @@ class PatchModel:
     # -- layers -----------------------------------------------------------------
 
     def layer_cloud(self, layer: LayerSpec) -> WeightedCloud:
+        self._check_cloud_size(default_cluster_count(layer.n, self.params.s), layer.count)
         sigma = layer.placement_scale
         parts = []
         specs = layer.patch_specs(self.params)

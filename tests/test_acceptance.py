@@ -297,7 +297,8 @@ def test_criterion_10_determinism(tmp_path):
              "n_values": [1], "shift_count": 5},
             {"kind": "averaging", "name": "avg", "s": 0.4, "p": 1.5,
              "spacing": 0.1, "n_mc": 100, "refine": False},
-            {"kind": "threshold", "name": "thr", "n_max": 1},
+            {"kind": "threshold", "name": "thr", "s_values": [0.95, 0.95],
+             "p_values": [1.5, 2.1], "n_max": 2},
             {"kind": "almost", "name": "alm", "s": 0.6, "p": 1.5, "n_min": 2, "n_max": 4},
         ],
     }

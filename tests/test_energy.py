@@ -12,6 +12,8 @@ from splab._pairsum import (
     KernelPlan,
     _one_group_tiles,
     _tiles,
+    class_kernel,
+    class_pair_sum,
     pair_kernel_sum,
 )
 from splab.energy import (
@@ -397,14 +399,18 @@ def test_pair_kernel_sum_many_threads_lose_no_tile():
     # more threads than cores and a short switch interval: a lost tile changes the sum
     rng = np.random.default_rng(5)
     points, values = rng.random((400, 2)), rng.random((400, 2))
+    labels = rng.integers(0, 5, size=400)
     expected = pair_kernel_sum(points, values, 1.5, 2.6, block=8)
+    expected_classes = class_kernel(points, labels, 2.6, block=8)
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)
     try:
         got = [pair_kernel_sum(points, values, 1.5, 2.6, block=8, workers=8) for _ in range(3)]
+        got_classes = [class_kernel(points, labels, 2.6, block=8, workers=8) for _ in range(3)]
     finally:
         sys.setswitchinterval(interval)
     assert got == [expected] * 3
+    assert all(np.array_equal(k, expected_classes) for k in got_classes)
 
 
 # ---------------------------------------------------------------------------
@@ -519,3 +525,61 @@ def test_one_group_tiles_are_found():
         t for t in tiles if t[1] <= 600 and t[3] <= 600
     ]
     assert skipped.sum() == 10
+
+
+# ---------------------------------------------------------------------------
+# Class kernels against a naive O(N^2) loop
+# ---------------------------------------------------------------------------
+
+
+def naive_class_kernel(points, labels, q, weights, groups, count):
+    n = points.shape[0]
+    w = np.broadcast_to(np.asarray(weights, dtype=float), (n,))
+    ordered = np.zeros((count, count))
+    for i in range(n):
+        j = np.arange(i + 1, n)
+        if groups is not None and groups[i] >= 0:
+            j = j[groups[j] != groups[i]]
+        dr = np.linalg.norm(points[j] - points[i], axis=1)
+        j, dr = j[dr > 0], dr[dr > 0]
+        np.add.at(ordered, (labels[i], labels[j]), w[i] * w[j] / dr**q)
+    return ordered + ordered.T - np.diag(ordered.diagonal())
+
+
+@st.composite
+def labelled_clouds(draw):
+    """A cloud of `clouds` with 1-6 value classes, the last one held by point 0."""
+    points, _, weights, groups, p, q = draw(clouds())
+    rng = np.random.default_rng(draw(st.integers(min_value=0, max_value=2**32 - 1)))
+    count = draw(st.integers(1, 6))
+    labels = rng.integers(0, count, size=points.shape[0])
+    labels[0] = count - 1
+    return points, labels, count, weights, groups, p, q
+
+
+@ENGINE_SETTINGS
+@given(labelled_clouds(), st.sampled_from([3, 100, TILE_ROWS, DEFAULT_BLOCK]))
+@example((np.random.default_rng(6).random((300, 2)), np.arange(300) % 4, 4, 1.0,
+          np.full(300, -1), 2.5, 2.6), 8)  # tiles inside one run of group -1 stay live
+def test_class_kernel_matches_naive(cloud, block):
+    points, labels, count, weights, groups, _, q = cloud
+    expected = naive_class_kernel(points, labels, q, weights, groups, count)
+    got = [class_kernel(points, labels, q, weights=weights, groups=groups, block=block, workers=w)
+           for w in (1, 2, 3)]
+    assert got[0].tobytes() == got[1].tobytes() == got[2].tobytes()
+    assert np.array_equal(got[0], got[0].T)
+    np.testing.assert_allclose(got[0], expected, rtol=1e-12, atol=0)
+
+
+@ENGINE_SETTINGS
+@given(labelled_clouds(), st.lists(st.integers(0, 5), max_size=2))
+def test_class_pair_sum_matches_pair_kernel_sum(cloud, drop):
+    # values that are a function of the class; a dropped class drops all its points
+    points, labels, count, weights, groups, p, q = cloud
+    class_values = np.random.default_rng(count).normal(size=(count, 2))
+    drop = [c for c in drop if c < count]
+    kern = class_kernel(points, labels, q, weights=weights, groups=groups, block=100, workers=2)
+    got = class_pair_sum(kern, class_values, p, drop=drop)
+    expected = pair_kernel_sum(points, class_values[labels], p, q, weights=weights, groups=groups,
+                               drop=np.flatnonzero(np.isin(labels, drop)), workers=2)
+    assert got == pytest.approx(expected, rel=1e-12, abs=1e-300)

@@ -133,6 +133,19 @@ def test_run_suite_empty_config():
     assert run_suite(RunConfig()) == []
 
 
+def test_run_suite_checks_every_spec_before_running(monkeypatch):
+    ran = []
+    monkeypatch.setitem(harness.EXPERIMENTS, "geometry",
+                        (harness.GeometryOptions, lambda opts, cfg: ran.append(opts)))
+    cfg = RunConfig(experiments=(
+        ExperimentConfig("geometry", {"samples": 200}),
+        ExperimentConfig("threshold", {"n_max": 1}),
+    ))
+    with pytest.raises(ConfigurationError, match="experiment 'threshold'"):
+        run_suite(cfg)
+    assert ran == []
+
+
 def test_run_suite_single_geometry():
     cfg = RunConfig(experiments=(
         ExperimentConfig("geometry", {"samples": 2000, "n_min": 1, "n_max": 3}),

@@ -2,7 +2,8 @@ import numpy as np
 import pytest
 
 from splab import _pairsum
-from splab._pairsum import cell_lattice_sum, pair_kernel_sum
+from patch_reference import projected_point_by_point
+from splab._pairsum import cell_lattice_kernel, pair_kernel_sum
 from splab.chords import chords_vectorized
 from splab.energy import FractionalParams, gagliardo_energy
 from splab.errors import BudgetError, ResolutionError
@@ -20,6 +21,7 @@ from splab.patches import (
     build_patch,
     cluster_cell_centers,
     cluster_scale,
+    _project_values,
     default_cluster_count,
     patch_values,
 )
@@ -338,8 +340,9 @@ def test_patch_cloud_cells_share_one_template(model_main, params_main, n):
 
 
 def test_cell_lattice_sum_matches_point_pairs(monkeypatch):
-    # a 3 x 3 lattice of 4-point cells against the grouped engine, point by point;
-    # its 12 displacements stream in three chunks
+    # the pair sum from the cell-lattice kernel: a 3 x 3 lattice of 4-point cells
+    # against the grouped engine, point by point; its 12 displacements stream in
+    # three chunks
     monkeypatch.setattr(_pairsum, "LATTICE_CHUNK", 5)
     rng = np.random.default_rng(4)
     k, width = 3, 0.2
@@ -349,9 +352,10 @@ def test_cell_lattice_sum_matches_point_pairs(monkeypatch):
     pts = (cells[:, None, :] + offs).reshape(-1, 2)
     groups = np.repeat(np.arange(k * k), 4)
     expected = pair_kernel_sum(pts, np.tile(vals, (k * k, 1)), 1.5, 2.6, weights=0.01, groups=groups)
-    got = cell_lattice_sum(offs, vals, 1.5, 2.6, 0.01, width, k)
+    kern = cell_lattice_kernel(offs, 2.6, 0.01, width, k)
+    got = float(np.sum(kern * np.linalg.norm(vals[:, None] - vals[None, :], axis=-1) ** 1.5))
     assert got == pytest.approx(expected, rel=1e-13)
-    assert cell_lattice_sum(offs, vals, 1.5, 2.6, 0.01, width, 1) == 0.0
+    assert not cell_lattice_kernel(offs, 2.6, 0.01, width, 1).any()
 
 
 def test_stacked_projected_equals_per_shift(model_main, params_main):
@@ -362,6 +366,35 @@ def test_stacked_projected_equals_per_shift(model_main, params_main):
         per_shift = [model_main.patch_projected_direct(spec, a) for a in shifts]
         assert model_main.patch_projected_direct(spec, shifts).tolist() == per_shift
     assert model_main.patch_projected_direct(spec, np.zeros((0, 2))).shape == (0,)
+
+
+def test_projected_classes_match_point_by_point(model_main, params_main):
+    # class values against every point projected and dropped on its own
+    rng = np.random.default_rng(17)
+    shifts = np.vstack([rng.random((5, 2)) - 0.5, [[0.8, 0.2]]])
+    for n in (1, 2):
+        spec = PatchSpec((0.3, 0.2), n, params_main)
+        np.testing.assert_allclose(model_main.patch_projected_direct(spec, shifts),
+                                   projected_point_by_point(model_main, spec, shifts),
+                                   rtol=1e-12, atol=0)
+    pts = model_main._patch_cloud(spec)[0]
+    assert _project_values(patch_values(pts, spec), shifts[-1])[1].any()  # the drop rule runs
+
+
+def test_patch_cloud_budget(model_main, params_main):
+    # n = 4 (828k points) fits the node budget, n = 5 (26M points) does not;
+    # the layer ratio builds no cloud and runs at any n
+    model = PatchModel(params_main)
+    model._check_cloud_size(PatchSpec((0.3, 0.2), 4, params_main).k)
+    spec = PatchSpec((0.3, 0.2), 5, params_main)
+    with pytest.raises(BudgetError):
+        model.patch_energy_direct(spec)
+    with pytest.raises(BudgetError):
+        model.patch_projected_direct(spec, np.array([0.1, 0.1]))
+    for n in (4, 9):
+        with pytest.raises(BudgetError):
+            model.layer_energy_direct(LayerSpec(n))
+    assert model_main.layer_ratio(LayerSpec(8))[2] > 0
 
 
 def test_layer_projected_is_sum_of_patch_projected(model_main, params_main):

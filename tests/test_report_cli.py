@@ -1,3 +1,4 @@
+import functools
 import json
 import subprocess
 import sys
@@ -6,7 +7,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from splab import cli
+from splab import cli, harness
 from splab.cli import main
 from splab.config import validate_config
 from splab.errors import ConfigurationError, OutputError
@@ -109,9 +110,13 @@ def test_cli_invalid_config_exit_code(tmp_path):
     (None, ["threshold", "--s", "0.4", "--p", "2.5,1.5", "--n-max", "2"]),
     (None, ["patch", "--n-values", "1", "--shifts", "0"]),
     (None, ["patch", "--n-values", "1", "--shifts", "-1"]),
+    (None, ["threshold", "--n-max", "1"]),
+    (None, ["almost", "--n-max", "1"]),
+    (None, ["almost", "--n-min", "3", "--n-max", "3"]),
 ], ids=["config-layer-s", "config-patch-n-values", "config-seed", "config-seminorm-map",
         "flag-threshold-s", "flag-patch-n-values", "flag-seminorm-map", "flag-threshold-unpaired",
-        "flag-patch-shifts-0", "flag-patch-shifts-minus-1"])
+        "flag-patch-shifts-0", "flag-patch-shifts-minus-1", "flag-threshold-n-max-1",
+        "flag-almost-n-max-1", "flag-almost-one-scale"])
 def test_malformed_input_exits_two(tmp_path, capsys, config, argv):
     if config is not None:
         path = tmp_path / "cfg.json"
@@ -124,6 +129,31 @@ def test_malformed_input_exits_two(tmp_path, capsys, config, argv):
     assert rc == 2
     assert "error:" in capsys.readouterr().err
     assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("argv", [
+    ["layer", "--n", "9"],
+    ["patch", "--n-values", "5", "--shifts", "1"],
+], ids=["layer-n-9", "patch-n-5"])
+def test_oversized_cloud_exits_two(tmp_path, capsys, argv):
+    assert main(argv + ["--out", str(tmp_path / "out")]) == 2
+    assert "budget" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
+def test_suite_failure_keeps_completed_reports(tmp_path, capsys):
+    # the first experiment's report is written and printed, then the second one's error
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps({"experiments": [
+        {"kind": "seminorm", "spacing": 0.01},
+        {"kind": "seminorm", "spacing": 3.0, "name": "coarse"},
+    ]}))
+    assert main(["suite", "--config", str(path), "--out", str(tmp_path / "out")]) == 2
+    out = capsys.readouterr()
+    assert "[PASS] seminorm:" in out.out
+    assert "error: experiment 'coarse'" in out.err
+    assert sorted(p.name for p in (tmp_path / "out").iterdir()) == [
+        "seminorm-0.25-2.0.svg", "seminorm.csv", "seminorm.json"]
 
 
 @pytest.mark.parametrize("kind", list(EXPERIMENTS))
@@ -246,10 +276,13 @@ def test_fmt_writes_numpy_floats_as_plain_floats():
 
 
 @pytest.mark.parametrize("argv", [
-    ["threshold", "--n-max", "1"],
+    ["threshold", "--n-max", "2"],
     ["patch", "--n-values", "1,2", "--shifts", "3"],
 ])
-def test_cli_csv_has_no_numpy_reprs(tmp_path, argv):
+def test_cli_csv_has_no_numpy_reprs(tmp_path, monkeypatch, argv):
+    # the threshold rows do not depend on the n <= 2 cross-check, which takes ~25 s
+    monkeypatch.setattr(harness, "threshold_scan",
+                        functools.partial(harness.threshold_scan, cross_validate=False))
     assert main(argv + ["--out", str(tmp_path), "--formats", "csv", "--workers", "2"]) == 0
     csvs = list(tmp_path.glob("*.csv"))
     assert csvs
