@@ -47,7 +47,7 @@ from numpy.typing import NDArray
 TILE_ROWS = 128
 DEFAULT_BLOCK = 512
 LATTICE_CHUNK = 32  # displacements per block of cell_lattice_kernel
-CLASS_CHUNK = 64  # tiles whose class partials class_kernel holds at once
+CLASS_CHUNK = 1024  # tiles per thread pool of class_kernel (their partials are held at once)
 
 
 def tree_reduce(values, empty=0.0):
@@ -370,16 +370,27 @@ def class_kernel(
 
         pair_kernel_sum = sum_{c < c'} K[c, c'] |V_c - V_c'|^p   (`class_pair_sum`).
 
+    The points are first put in (group, label) order, which leaves the
+    pair set unchanged, keeps each group in one run and lays the labels in
+    runs, so the rows and the columns of a tile meet only a few classes.
     The tiles and the one-group tile skip are those of `pair_kernel_sum`;
     the live tiles are found row slab by row slab, so the tile list is
-    never held whole.  Each live tile's kernel is binned by class pair;
-    the (C, C) partials are combined by a pairwise tree in tile order,
-    ``CLASS_CHUNK`` tiles at a time, so memory stays bounded and the result
-    is bit-identical for any worker count.
+    never held whole.  Each live tile's kernel is summed over its blocks of
+    one row run and one column run (`_run_sums`), so what a tile does
+    while holding the GIL is a few small calls, not a pass over its pairs.
+    The partials are binned into (C, C) and combined by a pairwise tree in
+    tile order, so the result is bit-identical for any worker count.  One
+    thread pool serves ``CLASS_CHUNK`` tiles, whose few-entry partials it
+    holds at once.
     """
-    geo = _Geometry(points, q, weights, groups)
-    lab = np.ascontiguousarray(labels, dtype=np.int64)
+    lab = np.ascontiguousarray(labels, dtype=np.int64).ravel()
     count = int(lab.max()) + 1 if lab.size else 0
+    order = np.argsort(lab, kind="stable") if groups is None else np.lexsort((lab, groups))
+    w = weights if np.isscalar(weights) else np.asarray(weights, dtype=float)[order]
+    geo = _Geometry(np.asarray(points, dtype=float)[order], q, w,
+                    None if groups is None else np.asarray(groups)[order])
+    lab = lab[order]
+    run_starts = np.flatnonzero(lab[1:] != lab[:-1]) + 1
     run_end = None if geo.g is None else _run_ends(geo.g[:, None])
 
     def live_tiles():
@@ -390,14 +401,29 @@ def class_kernel(
     def partial(tile, scratch):
         a0, a1, b0, b1 = tile
         kern, _, tmp, mask = scratch.views(a1 - a0, b1 - b0)
-        return class_bins(lab[a0:a1], lab[b0:b1], geo.kernel_tile(tile, kern, tmp, mask), count)
+        rows, cols = _runs(run_starts, a0, a1), _runs(run_starts, b0, b1)
+        sums = _run_sums(geo.kernel_tile(tile, kern, tmp, mask), rows - a0, cols - b0)
+        return lab[rows], lab[cols], sums
 
     def parts():
         tiles = live_tiles()
         while chunk := list(itertools.islice(tiles, CLASS_CHUNK)):
-            yield from _map_tiles(partial, chunk, block, workers)
+            for rows, cols, sums in _map_tiles(partial, chunk, block, workers):
+                yield class_bins(rows, cols, sums, count)
 
     return symmetric(tree_reduce(parts(), np.zeros((count, count))))
+
+
+def _runs(run_starts: NDArray, i0: int, i1: int) -> NDArray:
+    """First index of each run of equal labels in [i0, i1); ``run_starts`` are the cloud's."""
+    inside = run_starts[np.searchsorted(run_starts, i0, side="right"):
+                        np.searchsorted(run_starts, i1, side="left")]
+    return np.concatenate([[i0], inside])
+
+
+def _run_sums(tile: NDArray, rows: NDArray, cols: NDArray) -> NDArray:
+    """Sums of the tile's blocks between the row runs and the column runs starting at rows, cols."""
+    return np.add.reduceat(np.add.reduceat(tile, cols, axis=1), rows, axis=0)
 
 
 def class_bins(rows: NDArray, cols: NDArray, values: NDArray, count: int) -> NDArray:

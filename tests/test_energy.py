@@ -583,3 +583,40 @@ def test_class_pair_sum_matches_pair_kernel_sum(cloud, drop):
     expected = pair_kernel_sum(points, class_values[labels], p, q, weights=weights, groups=groups,
                                drop=np.flatnonzero(np.isin(labels, drop)), workers=2)
     assert got == pytest.approx(expected, rel=1e-12, abs=1e-300)
+
+
+@ENGINE_SETTINGS
+@given(labelled_clouds(), st.integers(0, 2**32 - 1))
+def test_class_kernel_ignores_point_order(cloud, seed):
+    # class_kernel sorts the points by (group, label); any input order gives the same matrix
+    points, labels, _, weights, groups, _, q = cloud
+    perm = np.random.default_rng(seed).permutation(points.shape[0])
+    weights_perm = np.asarray(weights)[perm] if np.ndim(weights) else weights
+    groups_perm = None if groups is None else groups[perm]
+    expected = class_kernel(points, labels, q, weights=weights, groups=groups, block=100)
+    got = class_kernel(points[perm], labels[perm], q, weights=weights_perm, groups=groups_perm,
+                       block=100, workers=2)
+    np.testing.assert_allclose(got, expected, rtol=1e-12, atol=0)
+
+
+def test_class_kernel_keeps_groups_in_runs(monkeypatch):
+    # labels shared across groups 0 and -1: sorting by label alone would interleave the groups
+    from splab import _pairsum
+
+    rng = np.random.default_rng(8)
+    groups = np.r_[np.zeros(600, dtype=np.int64), -np.ones(40, dtype=np.int64)]
+    labels = rng.integers(0, 4, size=640)
+    points = rng.random((640, 2))
+    live = []
+    real_map = _pairsum._map_tiles
+
+    def spy(fn, tiles, block, workers):
+        live.extend(tiles)
+        return real_map(fn, tiles, block, workers)
+
+    monkeypatch.setattr(_pairsum, "_map_tiles", spy)
+    kern = class_kernel(points, labels, 2.6, groups=groups, block=128)
+    # the 40 points of group -1 come first: only the first row slab's 5 tiles are live
+    assert len(live) == 5
+    expected = naive_class_kernel(points, labels, 2.6, 1.0, groups, 4)
+    np.testing.assert_allclose(kern, expected, rtol=1e-12, atol=0)
