@@ -13,13 +13,10 @@ hold one and the same constant, and tiles whose pairs all share one
 nonnegative group, are skipped exactly (their contribution is zero).
 
 A tile's kernel w_i w_j |x_i - x_j|^-q, with the diagonal, same-group
-and coincident pairs zeroed, depends on the geometry only.  Both entry
-points take a stack of value sets and run one tile loop: each kernel
-tile is applied to every value set for which it is live while it is in
-cache.  A ``KernelPlan`` computes every kernel tile once and keeps it
-(8 B per pair), so each further value set costs only the numerator;
-``pair_kernel_sum`` computes each kernel tile in the loop and discards
-it.
+and coincident pairs zeroed, depends on the geometry only.
+``pair_kernel_sum`` takes a stack of value sets and runs one tile loop:
+each kernel tile is computed once, applied to every value set for which
+it is live while it is in cache, and discarded.
 
 When the values are a function of a class label with few classes,
 ``class_kernel`` sums the kernel tiles once into a (C, C) matrix per pair
@@ -234,79 +231,6 @@ def _drop_sets(count: int, drops) -> list:
     return drops
 
 
-def _value_stack(values: NDArray, drop) -> tuple[bool, NDArray, list]:
-    """(single set?, (S, N, nu) value stack, per-set drop index arrays) of a sum's input."""
-    single = np.ndim(values) < 3
-    stack = _as_values(values)[None] if single else np.ascontiguousarray(values, dtype=float)
-    drops = _drop_sets(stack.shape[0], [drop] if single else drop)
-    return single, stack, [_drop_index(d) for d in drops]
-
-
-def _stacked_sums(stack: NDArray, p: float, cuts: list, tiles: list, groups: NDArray | None,
-                  block: int, workers: int, kernel) -> NDArray:
-    """(S,) pair sums of a value stack; ``kernel(i, scratch)`` gives tile i's kernel.
-
-    The kernel may fill any scratch buffer but the second, which holds the
-    numerators.  Each live tile's kernel is applied to every set for which
-    it is live, and each set is reduced by its own tree over its own live
-    tiles, so every sum equals the sum of that set alone bit for bit.
-    """
-    live = _live_tiles(stack, tiles, groups)
-    partials = np.zeros(live.shape)
-
-    def run(i, scratch):
-        a0, a1, b0, b1 = tile = tiles[i]
-        kern = kernel(i, scratch)
-        _, buf, tmp, _ = scratch.views(a1 - a0, b1 - b0)
-        for k in np.flatnonzero(live[:, i]):
-            partials[k, i] = _numerator_sum(stack[k], p, tile, kern, buf, tmp, cuts[k])
-
-    _map_tiles(run, np.flatnonzero(live.any(axis=0)), block, workers)
-    return np.array([tree_reduce(partials[k, live[k]].tolist()) for k in range(stack.shape[0])])
-
-
-class KernelPlan:
-    """Kernel tiles of one point set, computed once and kept for many value sets.
-
-    Memory is 8 B per stored pair (the upper triangle plus one
-    TILE_ROWS-wide triangle per row slab).  ``sum`` gives the same tile
-    partition, hence the same reduction order, for every worker count.
-    """
-
-    def __init__(
-        self,
-        points: NDArray,
-        q: float,
-        weights: NDArray | float = 1.0,
-        groups: NDArray | None = None,
-        workers: int = 1,
-    ):
-        geo = _Geometry(points, q, weights, groups)
-        self.n = geo.n
-        self.groups = geo.g
-        self.tiles = _tiles(self.n, DEFAULT_BLOCK)
-
-        def build(tile, scratch):
-            a0, a1, b0, b1 = tile
-            _, tmp, _, mask = scratch.views(a1 - a0, b1 - b0)
-            return geo.kernel_tile(tile, np.empty((a1 - a0, b1 - b0)), tmp, mask)
-
-        self.kernels = _map_tiles(build, self.tiles, DEFAULT_BLOCK, workers)
-
-    def sum(self, values: NDArray, p: float, workers: int = 1, drop=()) -> float | NDArray:
-        """Pair sum of one value set, or the (S,) sums of an (S, N, nu) stack.
-
-        Pairs touching a ``drop`` index are left out; for a stack, ``drop``
-        holds one index set per value set (or is empty for none).
-        """
-        single, stack, cuts = _value_stack(values, drop)
-        if stack.shape[1] != self.n:
-            raise ValueError(f"plan holds {self.n} points, got {stack.shape[1]} values")
-        sums = _stacked_sums(stack, p, cuts, self.tiles, self.groups, DEFAULT_BLOCK, workers,
-                             lambda i, scratch: self.kernels[i])
-        return float(sums[0]) if single else sums
-
-
 def pair_kernel_sum(
     points: NDArray,
     values: NDArray,
@@ -339,16 +263,23 @@ def pair_kernel_sum(
     live tiles, so every sum equals the call on that set alone bit for bit.
     """
     geo = _Geometry(points, q, weights, groups)
-    single, stack, cuts = _value_stack(values, drop)
+    single = np.ndim(values) < 3
+    stack = _as_values(values)[None] if single else np.ascontiguousarray(values, dtype=float)
+    cuts = [_drop_index(d) for d in _drop_sets(stack.shape[0], [drop] if single else drop)]
     tiles = _tiles(geo.n, block)
+    live = _live_tiles(stack, tiles, geo.g)
+    partials = np.zeros(live.shape)
 
-    def kernel(i, scratch):
-        a0, a1, b0, b1 = tiles[i]
-        kern, _, tmp, mask = scratch.views(a1 - a0, b1 - b0)
-        return geo.kernel_tile(tiles[i], kern, tmp, mask)
+    def run(i, scratch):
+        a0, a1, b0, b1 = tile = tiles[i]
+        kern, buf, tmp, mask = scratch.views(a1 - a0, b1 - b0)
+        geo.kernel_tile(tile, kern, tmp, mask)
+        for k in np.flatnonzero(live[:, i]):
+            partials[k, i] = _numerator_sum(stack[k], p, tile, kern, buf, tmp, cuts[k])
 
-    sums = _stacked_sums(stack, p, cuts, tiles, geo.g, block, workers, kernel)
-    return float(sums[0]) if single else sums
+    _map_tiles(run, np.flatnonzero(live.any(axis=0)), block, workers)
+    sums = [tree_reduce(partials[k, live[k]].tolist()) for k in range(stack.shape[0])]
+    return sums[0] if single else np.array(sums)
 
 
 def class_kernel(

@@ -9,6 +9,7 @@ options class in `harness.EXPERIMENTS`, plus an optional report "name".
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass, fields
 from pathlib import Path
 from typing import get_args, get_origin, get_type_hints
@@ -29,7 +30,13 @@ def _typed(value, hint, pointer: str):
     accepted = (int, float) if hint is float else hint
     if isinstance(value, bool) != (hint is bool) or not isinstance(value, accepted):
         raise ConfigurationError(f"expected {hint.__name__} at {pointer}, got {value!r}")
-    return hint(value)
+    try:
+        out = hint(value)
+    except OverflowError:  # an integer beyond the float range
+        out = math.inf
+    if hint is float and not math.isfinite(out):
+        raise ConfigurationError(f"expected a finite number at {pointer}, got {out!r}")
+    return out
 
 
 def _typed_fields(cls, data: dict, pointer: str, extra: dict) -> dict:

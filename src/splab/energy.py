@@ -9,13 +9,12 @@ or a slope, so the choice is immaterial.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
 from numpy.typing import NDArray
 
-from ._pairsum import KernelPlan, _drop_sets, pair_kernel_sum
+from ._pairsum import _drop_sets, pair_kernel_sum
 from .errors import ConfigurationError, GeometryError, NumericalError, WrongSchemeError
 from .grid import Box, Grid, SampledMap
 
@@ -202,11 +201,10 @@ class EnergyPlan:
 
     The route depends on p alone.  At p = 2 the pair sum is a convolution,
     evaluated exactly by zero-padded FFT (``_ConvolutionSum``).  Otherwise
-    the kernel tiles of the region's node pairs are computed at
-    construction and kept (8 B per pair), and each value set costs only
-    the numerator.  ``energies`` takes a stack of value sets in one call.
-    Results equal ``gagliardo_energy`` to rounding and are bit-identical
-    for any worker count.
+    ``energies`` hands its whole value stack to one `pair_kernel_sum` call
+    over the region's nodes, which computes each kernel tile once for the
+    stack and keeps none.  Results equal ``gagliardo_energy`` to rounding
+    and are bit-identical for any worker count.
     """
 
     def __init__(self, grid: Grid, params: FractionalParams, region: Region | None = None,
@@ -223,9 +221,10 @@ class EnergyPlan:
         else:
             self.route = f"pair-sum plan kernel_exp={q!r}"
             self._fft = None
+            self._points = grid.nodes()[self._nodes]
+            self._q = q
             self._position = np.full(grid.node_count, -1, dtype=np.int64)
             self._position[self._nodes] = np.arange(self._nodes.size)
-            self._plan = KernelPlan(grid.nodes()[self._nodes], q, workers=workers)
 
     def energies(self, values: NDArray, drops=()) -> list[EnergyValue]:
         """Energies of an (S, node_count, nu) stack of node values on the plan's grid.
@@ -243,8 +242,8 @@ class EnergyPlan:
             sums = self._fft.sums(stack, drops)
         else:
             pos = [self._position[np.asarray(d, dtype=np.int64)] for d in drops]
-            sums = self._plan.sum(stack[:, self._nodes], self.params.p, self.workers,
-                                  drop=[c[c >= 0] for c in pos])
+            sums = pair_kernel_sum(self._points, stack[:, self._nodes], self.params.p, self._q,
+                                   workers=self.workers, drop=[c[c >= 0] for c in pos])
         return [_pair_energy(float(s), self.grid, self.route) for s in sums]
 
     def energy(self, u: SampledMap, drop=()) -> EnergyValue:
@@ -332,59 +331,22 @@ def localized_energy_table(
     return [gagliardo_energy(u, params, r, workers=workers) for r in regions]
 
 
-def pair_tail_bound(u: SampledMap, params: FractionalParams, cutoff: float) -> float:
-    """Analytic bound on the pair-sum mass beyond a cutoff radius.
-
-    For a bounded map with oscillation osc over a support of measure V in
-    dimension m, the pairs with |x-y| > R contribute at most
-    osc^p * V * sigma_m * R^(-sp) / sp where sigma_m is the unit-sphere area.
-    """
-    m = u.grid.dim
-    osc = float(np.max(np.linalg.norm(u.values - np.asarray(u.constant), axis=1)))
-    vol = float(np.prod(u.support.sides)) if u.support.sides else 0.0
-    sigma = 2 * np.pi ** (m / 2) / math.gamma(m / 2) if m > 1 else 2.0
-    return (2 * osc) ** params.p * vol * sigma * cutoff ** (-params.sp) / params.sp
-
-
-@dataclass(frozen=True)
-class WeightedCloud:
-    """Composite quadrature cloud: points, values, per-node weights, group ids.
-
-    Group ids >= 0 mark congruent fine blocks whose internal pairs are
-    accounted for exactly elsewhere; pairs within one such group are
-    excluded from the cross sum.
-    """
-
-    points: NDArray
-    values: NDArray
-    weights: NDArray
-    groups: NDArray
-
-    def __post_init__(self):
-        for name in ("points", "values", "weights", "groups"):
-            arr = getattr(self, name)
-            arr.setflags(write=False)
-
-    @staticmethod
-    def concat(parts: list["WeightedCloud"]) -> "WeightedCloud":
-        return WeightedCloud(
-            np.ascontiguousarray(np.concatenate([p.points for p in parts])),
-            np.ascontiguousarray(np.concatenate([p.values for p in parts])),
-            np.ascontiguousarray(np.concatenate([p.weights for p in parts])),
-            np.ascontiguousarray(np.concatenate([p.groups for p in parts])),
-        )
-
-
 def cloud_energy(
-    cloud: WeightedCloud,
+    points: NDArray,
+    values: NDArray,
+    weights: NDArray,
+    groups: NDArray,
     params: FractionalParams,
     m: int,
     *,
     workers: int = 1,
 ) -> float:
-    """Cross-pair part of the composite quadrature (same-group pairs excluded)."""
+    """Cross-pair part of a composite quadrature cloud.
+
+    Group ids >= 0 mark congruent fine blocks whose internal pairs are
+    accounted for exactly elsewhere; pairs within one such group are
+    excluded from the cross sum.
+    """
     q = m + params.sp
-    return 2.0 * pair_kernel_sum(
-        cloud.points, cloud.values, params.p, q,
-        weights=cloud.weights, groups=cloud.groups, workers=workers,
-    )
+    return 2.0 * pair_kernel_sum(points, values, params.p, q, weights=weights, groups=groups,
+                                 workers=workers)

@@ -38,7 +38,7 @@ INDICATOR_FULL_LINE = {"s": 0.25, "p": 2.0, "value": 16.0}
 INDICATOR_TRUNCATED = 10.914604076867487  # closed form on [-2, 3]
 SELFTEST_SAMPLES = 100_000
 SELFTEST_INNER_RADIUS = 0.5
-SHIFT_CHUNK = 16  # shifts per stacked EnergyPlan call
+SHIFT_CHUNK = 64  # shifts per stacked EnergyPlan call; each call computes its kernel once
 
 _CALIBRATION_CACHE: dict = {}
 
@@ -424,6 +424,12 @@ class GeometryOptions:
     samples: int = 100_000
     n_min: int = 1
     n_max: int = 8
+
+    def __post_init__(self):
+        if self.n_max <= self.n_min:
+            raise ConfigurationError(
+                f"comparing scales needs n_max > n_min, got n_min={self.n_min} n_max={self.n_max}"
+            )
 
 
 def _run_geometry(opts: GeometryOptions, cfg: RunConfig) -> ExperimentReport:

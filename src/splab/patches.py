@@ -30,7 +30,7 @@ from ._pairsum import (
     symmetric,
 )
 from .chords import COS_CONE_BOUND, chords_vectorized
-from .energy import FractionalParams, Region, WeightedCloud, cloud_energy
+from .energy import FractionalParams, Region, cloud_energy
 from .errors import BudgetError, ConfigurationError, GeometryError, ResolutionError
 from .grid import Box, Grid, Placement, SampledMap, glue_disjoint, make_grid, sample_map
 from .sphere import SINGULAR_EXCLUSION_RADIUS
@@ -581,30 +581,26 @@ class PatchModel:
 
     # -- layers -----------------------------------------------------------------
 
-    def layer_cloud(self, layer: LayerSpec) -> WeightedCloud:
+    def layer_cloud(self, layer: LayerSpec) -> tuple[NDArray, NDArray, NDArray, NDArray]:
+        """(points, values, weights, groups) of the glued layer: its patch clouds and background."""
         self._check_cloud_size(default_cluster_count(layer.n, self.params.s), layer.count)
         sigma = layer.placement_scale
-        parts = []
         specs = layer.patch_specs(self.params)
-        for i, (spec, pl) in enumerate(zip(specs, layer.placements())):
-            pts, vals, w, groups = self._patch_cloud(spec, group_base=i * spec.k**2, placement=pl)
-            parts.append(WeightedCloud(pts, vals, w, groups))
+        parts = [self._patch_cloud(spec, group_base=i * spec.k**2, placement=pl)
+                 for i, (spec, pl) in enumerate(zip(specs, layer.placements()))]
         bg, bg_h = _midpoint_lattice(1.0 + PATCH_MARGIN * sigma, sigma * self.h_bg * 4)
         outside = np.max(np.abs(bg), axis=1) > 1.0  # patch frames tile the unit cube
         bg = bg[outside]
-        parts.append(WeightedCloud(
-            bg, np.zeros((bg.shape[0], 2)), np.full(bg.shape[0], bg_h**2),
-            np.full(bg.shape[0], -1, dtype=np.int64),
-        ))
-        return WeightedCloud.concat(parts)
+        parts.append((bg, np.zeros((bg.shape[0], 2)), np.full(bg.shape[0], bg_h**2),
+                      np.full(bg.shape[0], -1, dtype=np.int64)))
+        return tuple(np.concatenate(arrays) for arrays in zip(*parts))
 
     def layer_energy_direct(self, layer: LayerSpec) -> float:
         """Composite quadrature of the glued layer (all cross pairs included)."""
         key = ("layer", layer, self.params)
         if key not in self._memo:
             sigma = layer.placement_scale
-            cloud = self.layer_cloud(layer)
-            cross = cloud_energy(cloud, self.params, m=2, workers=self.workers)
+            cross = cloud_energy(*self.layer_cloud(layer), self.params, m=2, workers=self.workers)
             fine = 0.0
             for spec in layer.patch_specs(self.params):
                 fine += sigma ** (2 - self.params.sp) * self.cluster_energy(spec)

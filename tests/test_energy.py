@@ -1,4 +1,5 @@
 import sys
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -9,7 +10,6 @@ from splab import energy as energy_module
 from splab._pairsum import (
     DEFAULT_BLOCK,
     TILE_ROWS,
-    KernelPlan,
     _one_group_tiles,
     _tiles,
     class_kernel,
@@ -24,7 +24,6 @@ from splab.energy import (
     dirichlet_energy,
     gagliardo_energy,
     localized_energy_table,
-    pair_tail_bound,
 )
 from splab.errors import ConfigurationError, GeometryError, NumericalError, WrongSchemeError
 from splab.grid import Box, Placement, make_grid, rescale_map, sample_map
@@ -210,14 +209,6 @@ def test_zero_iff_constant():
     assert gagliardo_energy(u, FractionalParams(s=0.5, p=2.0)).value > 1e-14
 
 
-def test_tail_bound_positive_and_decreasing():
-    u = indicator_1d(0.05)
-    params = FractionalParams(s=0.25, p=2.0)
-    b1 = pair_tail_bound(u, params, 1.0)
-    b2 = pair_tail_bound(u, params, 2.0)
-    assert b1 > b2 > 0
-
-
 def test_workers_bit_stable():
     u = indicator_1d(0.02)
     params = FractionalParams(s=0.25, p=2.0)
@@ -273,12 +264,16 @@ def test_energy_plan_fft_route_matches_pair_sum(case, monkeypatch):
     make, region, drop = FFT_CASES[case]
     u = make()
     params = FractionalParams(s=0.4, p=2.0)
-    monkeypatch.setattr(energy_module, "KernelPlan", None)  # this route stores no kernel tiles
+    expected = [gagliardo_energy(u, params, region.without(cut)).value for cut in ([], drop)]
+
+    def no_tiles(*args, **kwargs):
+        raise AssertionError("the p = 2 route runs no pair-sum tile")
+
+    monkeypatch.setattr(energy_module, "pair_kernel_sum", no_tiles)
     plan = EnergyPlan(u.grid, params, region)
     assert plan.route.startswith("fft-convolution ")
-    for cut in ([], drop):
-        expected = gagliardo_energy(u, params, region.without(cut)).value
-        assert plan.energy(u, drop=cut).value == pytest.approx(expected, rel=1e-12)
+    for cut, value in zip(([], drop), expected):
+        assert plan.energy(u, drop=cut).value == pytest.approx(value, rel=1e-12)
     stacked = plan.energies(np.stack([u.values, u.values]), [drop, []])
     assert [e.value for e in stacked] == [plan.energy(u, drop=drop).value, plan.energy(u).value]
 
@@ -298,15 +293,32 @@ def test_energy_plan_fft_route_constant_and_worker_count():
 def test_energy_plan_stack_matches_single_calls():
     u = TEST_MAPS["identity2d"](0.1)
     params = FractionalParams(s=0.4, p=1.5)
-    plan = EnergyPlan(u.grid, params, BALL, workers=2)
     maps = [_unit_shifted(u, a) for a in ((0.1, 0.2), (-0.5, 0.3), (0.05, -0.66))]
     drops = [[], [10, 11], [300]]
-    stacked = plan.energies(np.stack([m.values for m in maps]), drops)
-    assert [e.value for e in stacked] == [plan.energy(m, drop=d).value for m, d in zip(maps, drops)]
+    single = [EnergyPlan(u.grid, params, BALL).energy(m, drop=d).value
+              for m, d in zip(maps, drops)]
+    for workers in (1, 2, 3):
+        plan = EnergyPlan(u.grid, params, BALL, workers=workers)
+        stacked = plan.energies(np.stack([m.values for m in maps]), drops)
+        assert [e.value for e in stacked] == single
     with pytest.raises(GeometryError):
         plan.energies(maps[0].values)
     with pytest.raises(ValueError, match="drop sets"):
         plan.energies(np.stack([m.values for m in maps]), drops[:2])
+
+
+def test_energy_plan_keeps_no_kernel():
+    # the h = 0.04 ball has 1,957 nodes: a stored kernel would take 15.6 MB
+    grid = TEST_MAPS["identity2d"](0.04).grid
+    params = FractionalParams(s=0.4, p=1.5)
+    tracemalloc.start()
+    try:
+        plan = EnergyPlan(grid, params, BALL, workers=2)
+        held, _ = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert plan.route.startswith("pair-sum plan ")
+    assert held < 1e6
 
 
 def test_energy_plan_rejects_other_grid():
@@ -378,21 +390,6 @@ def test_pair_kernel_sum_matches_naive(cloud, block):
                             block=block, workers=w) for w in (1, 2, 3)]
     assert sums[0] == sums[1] == sums[2]
     assert sums[0] == pytest.approx(expected, rel=1e-12, abs=1e-300)
-
-
-@ENGINE_SETTINGS
-@given(clouds(), st.lists(st.integers(0, 699), max_size=4))
-def test_kernel_plan_matches_naive(cloud, drop):
-    points, values, weights, groups, p, q = cloud
-    drop = [i for i in drop if i < points.shape[0]]
-    plan = KernelPlan(points, q, weights=weights, groups=groups, workers=2)
-    for vals in (values, values[::-1].copy()):
-        expected = naive_pair_sum(points, vals, p, q, weights, groups, drop)
-        sums = [plan.sum(vals, p, workers=w, drop=drop) for w in (1, 2, 3)]
-        assert sums[0] == sums[1] == sums[2]
-        assert sums[0] == pytest.approx(expected, rel=1e-12, abs=1e-300)
-    rebuilt = KernelPlan(points, q, weights=weights, groups=groups, workers=3)
-    assert rebuilt.sum(values, p, workers=1) == plan.sum(values, p, workers=3)
 
 
 def test_pair_kernel_sum_many_threads_lose_no_tile():
@@ -471,27 +468,6 @@ def test_stacked_pair_kernel_sum_rejects_mismatched_drops():
 
 
 @ENGINE_SETTINGS
-@given(stacks())
-def test_stacked_kernel_plan_sum_equals_per_set_calls(stack):
-    points, values, weights, groups, p, q, drops = stack
-    plan = KernelPlan(points, q, weights=weights, groups=groups, workers=2)
-    per_set = [plan.sum(vals, p, drop=drop) for vals, drop in zip(values, drops)]
-    for workers in (1, 2, 3):
-        stacked = plan.sum(values, p, workers=workers, drop=drops)
-        assert stacked.shape == (values.shape[0],)
-        assert stacked.tolist() == per_set
-    for vals, drop, got in zip(values, drops, per_set):
-        expected = naive_pair_sum(points, vals, p, q, weights, groups, drop)
-        assert got == pytest.approx(expected, rel=1e-12, abs=1e-300)
-
-
-def test_stacked_kernel_plan_sum_rejects_mismatched_drops():
-    plan = KernelPlan(np.random.default_rng(0).random((10, 2)), 2.0)
-    with pytest.raises(ValueError, match="drop sets"):
-        plan.sum(np.zeros((3, 10, 1)), 2.0, drop=[[1], [2]])
-
-
-@ENGINE_SETTINGS
 @given(st.integers(min_value=0, max_value=2**32 - 1), st.sampled_from([4, 16, DEFAULT_BLOCK]))
 def test_one_group_tiles_skipped_exactly(seed, block):
     # long group runs fill whole tiles (one run at -1 stays live); the sum is the naive one
@@ -511,9 +487,6 @@ def test_one_group_tiles_skipped_exactly(seed, block):
                            block=block, workers=w) for w in (1, 2)]
     assert got[0] == got[1]
     assert got[0] == pytest.approx(expected, rel=1e-12)
-    if block == DEFAULT_BLOCK:
-        plan = KernelPlan(points, 2.6, weights=weights, groups=groups)
-        assert plan.sum(values, 2.5) == pytest.approx(expected, rel=1e-12)
 
 
 def test_one_group_tiles_are_found():

@@ -113,10 +113,24 @@ def test_cli_invalid_config_exit_code(tmp_path):
     (None, ["threshold", "--n-max", "1"]),
     (None, ["almost", "--n-max", "1"]),
     (None, ["almost", "--n-min", "3", "--n-max", "3"]),
+    ({"experiments": [{"kind": "seminorm", "spacing": float("nan")}]}, None),
+    ({"experiments": [{"kind": "seminorm", "spacing": 10**400}]}, None),
+    (None, ["seminorm", "--spacing", "nan"]),
+    (None, ["averaging", "--spacing", "nan", "--no-refine"]),
+    (None, ["layer", "--n", "1", "--p", "nan"]),
+    (None, ["seminorm", "--p", "inf"]),
+    (None, ["averaging", "--alpha", "inf"]),
+    (None, ["threshold", "--p", "2.5,inf,2.0"]),
+    (None, ["geometry", "--n-min", "5", "--n-max", "2", "--samples", "1000"]),
+    (None, ["geometry", "--n-min", "3", "--n-max", "3"]),
 ], ids=["config-layer-s", "config-patch-n-values", "config-seed", "config-seminorm-map",
         "flag-threshold-s", "flag-patch-n-values", "flag-seminorm-map", "flag-threshold-unpaired",
         "flag-patch-shifts-0", "flag-patch-shifts-minus-1", "flag-threshold-n-max-1",
-        "flag-almost-n-max-1", "flag-almost-one-scale"])
+        "flag-almost-n-max-1", "flag-almost-one-scale", "config-seminorm-spacing-nan",
+        "config-seminorm-spacing-beyond-float",
+        "flag-seminorm-spacing-nan", "flag-averaging-spacing-nan", "flag-layer-p-nan",
+        "flag-seminorm-p-inf", "flag-averaging-alpha-inf", "flag-threshold-p-inf",
+        "flag-geometry-empty-range", "flag-geometry-one-scale"])
 def test_malformed_input_exits_two(tmp_path, capsys, config, argv):
     if config is not None:
         path = tmp_path / "cfg.json"
