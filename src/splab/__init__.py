@@ -1,7 +1,7 @@
 """Numerical laboratory for singular projections of fractional Sobolev maps."""
 
-from .energy import FractionalParams, Region, EnergyValue, gagliardo_energy, dirichlet_energy
-from .grid import Box, Grid, Placement, SampledMap, glue_disjoint, make_grid, rescale_map, sample_map
+from .energy import FractionalParams, Region, EnergyValue, gagliardo_energy
+from .grid import Box, Grid, Placement, SampledMap, make_grid, rescale_map, sample_map
 
 __all__ = [
     "Box",
@@ -11,9 +11,7 @@ __all__ = [
     "Placement",
     "Region",
     "SampledMap",
-    "dirichlet_energy",
     "gagliardo_energy",
-    "glue_disjoint",
     "make_grid",
     "rescale_map",
     "sample_map",

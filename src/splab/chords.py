@@ -143,42 +143,6 @@ def chords_vectorized(c: NDArray, n: int, a: NDArray) -> NDArray:
 
 
 @dataclass(frozen=True)
-class BoundReport:
-    applicable: bool
-    chord: float
-    bound_ratio: float
-
-
-def geom1_check(case: ChordCase, empirical_constant: float = 1.0) -> BoundReport:
-    """Near-field bound: a in the closed cube of inradius 2^-n around c.
-
-    When applicable, the chord is bounded below by a dimension constant;
-    bound_ratio = chord / empirical_constant.
-    """
-    d = np.abs(np.asarray(case.a) - np.asarray(case.c))
-    applicable = bool(np.all(d <= 2.0 ** (-case.n) + 1e-15))
-    if not applicable:
-        return BoundReport(False, 0.0, 0.0)
-    chord = chord_exact(case).closed_form
-    return BoundReport(True, chord, chord / empirical_constant)
-
-
-def geom2_check(case: ChordCase, empirical_constant: float = 1.0) -> BoundReport:
-    """Far-field bound: |cos phi| <= 1/8 and |a - c| >= 2^-n.
-
-    When applicable, chord >= C * 2^(1-n)/|a - c|;
-    bound_ratio = chord / (2^(1-n)/|a-c|), normalized by the constant.
-    """
-    dist = case.center_distance
-    applicable = bool(abs(case.cos_phi) <= COS_CONE_BOUND and dist >= 2.0 ** (-case.n))
-    if not applicable:
-        return BoundReport(False, 0.0, 0.0)
-    chord = chord_exact(case).closed_form
-    scale = case.displacement / dist
-    return BoundReport(True, chord, chord / (scale * empirical_constant))
-
-
-@dataclass(frozen=True)
 class ConstantEstimate:
     lemma: str
     minimum: float

@@ -1,8 +1,7 @@
 """Numerical Sobolev energies.
 
-Two schemes: the double-sum quadrature of the fractional seminorm (to the
-p-th power) for 0 < s < 1, and a central-difference first-order energy
-for s = 1.  Both localize to regions.  The raw double integral carries no
+The double-sum quadrature of the fractional seminorm (to the p-th power)
+for 0 < s < 1, localized to regions.  The raw double integral carries no
 dimensional normalization constant; every downstream assertion is a ratio
 or a slope, so the choice is immaterial.
 """
@@ -38,14 +37,6 @@ class FractionalParams:
     @property
     def sp(self) -> float:
         return self.s * self.p
-
-    @property
-    def regime_sp_lt_ell(self) -> bool:
-        return self.sp < self.ell
-
-    @property
-    def regime_p_ge_ell(self) -> bool:
-        return self.p >= self.ell
 
 
 @dataclass(frozen=True)
@@ -112,7 +103,7 @@ class EnergyValue:
 def _pair_setup(grid: Grid, params: FractionalParams, region: Region | None):
     """(node indices of the region, kernel exponent m + sp) of a pair-sum energy."""
     if params.s >= 1:
-        raise WrongSchemeError("s = 1 requires dirichlet_energy, not the pair sum")
+        raise WrongSchemeError(f"the pair-sum quadrature needs 0 < s < 1, got s = {params.s}")
     mask = (region or Region.whole()).mask(grid)
     if not mask.any():
         raise ConfigurationError("empty region")
@@ -255,80 +246,6 @@ class EnergyPlan:
         if u.grid != self.grid:
             raise GeometryError("map grid differs from the plan's grid")
         return self.energies(u.values[None], [drop])[0]
-
-
-def dirichlet_energy(
-    u: SampledMap,
-    p: float,
-    region: Region | None = None,
-) -> EnergyValue:
-    """First-order energy: node quadrature of |Du|^p, central differences.
-
-    |Du| is the Frobenius norm of the finite-difference Jacobian.  Nodes on
-    the grid boundary use one-sided differences; this is flagged in the
-    scheme descriptor.
-    """
-    region = region or Region.whole()
-    mask = region.mask(u.grid)
-    if not mask.any():
-        raise ConfigurationError("empty region")
-    grid = u.grid
-    h = grid.spacing
-    shape = grid.shape
-    vals = u.values.reshape(shape + (u.nu,))
-    frob2 = np.zeros(shape)
-    boundary = np.zeros(shape, dtype=bool)
-    for axis in range(grid.dim):
-        idx = [slice(None)] * grid.dim
-        idx[axis] = slice(0, 1)
-        boundary[tuple(idx)] = True
-        idx[axis] = slice(-1, None)
-        boundary[tuple(idx)] = True
-    one_sided = bool(np.any(boundary.ravel() & mask))
-    for axis in range(grid.dim):
-        d = np.empty_like(vals)
-        fwd = [slice(None)] * grid.dim
-        bwd = [slice(None)] * grid.dim
-        ctr = [slice(None)] * grid.dim
-        fwd[axis] = slice(2, None)
-        bwd[axis] = slice(0, -2)
-        ctr[axis] = slice(1, -1)
-        d[tuple(ctr)] = (vals[tuple(fwd)] - vals[tuple(bwd)]) / (2 * h)
-        lo = [slice(None)] * grid.dim
-        lo_n = [slice(None)] * grid.dim
-        lo[axis] = slice(0, 1)
-        lo_n[axis] = slice(1, 2)
-        d[tuple(lo)] = (vals[tuple(lo_n)] - vals[tuple(lo)]) / h
-        hi = [slice(None)] * grid.dim
-        hi_p = [slice(None)] * grid.dim
-        hi[axis] = slice(-1, None)
-        hi_p[axis] = slice(-2, -1)
-        d[tuple(hi)] = (vals[tuple(hi)] - vals[tuple(hi_p)]) / h
-        frob2 += np.sum(d * d, axis=-1)
-    integrand = np.power(frob2.ravel()[mask], 0.5 * p)
-    value = float(h**grid.dim * np.sum(integrand))
-    flag = " one-sided-at-boundary" if one_sided else ""
-    return EnergyValue(value=value, scheme=f"central-diff h={h!r} p={p!r}{flag}", spacing=h)
-
-
-def localized_energy_table(
-    u: SampledMap,
-    params: FractionalParams,
-    regions: list[Region],
-    *,
-    workers: int = 1,
-) -> list[EnergyValue]:
-    """Per-region energies for pairwise disjoint regions.
-
-    Pair terms crossing two regions are dropped from the per-region
-    values, so the table sums to at most the energy over the union.
-    """
-    masks = [r.mask(u.grid) for r in regions]
-    for i in range(len(masks)):
-        for j in range(i):
-            if np.any(masks[i] & masks[j]):
-                raise GeometryError(f"regions {j} and {i} overlap")
-    return [gagliardo_energy(u, params, r, workers=workers) for r in regions]
 
 
 def cloud_energy(

@@ -13,7 +13,7 @@ from typing import Callable, Sequence
 import numpy as np
 from numpy.typing import NDArray
 
-from .errors import ConfigurationError, ConsistencyError, EvaluationError, GeometryError
+from .errors import ConfigurationError, ConsistencyError, EvaluationError
 
 _SNAP_REL_TOL = 1e-9
 
@@ -54,13 +54,6 @@ class Box:
     def contains_box(self, other: "Box", tol: float = 1e-12) -> bool:
         return all(ol >= l - tol for ol, l in zip(other.lo, self.lo)) and all(
             oh <= h + tol for oh, h in zip(other.hi, self.hi)
-        )
-
-    def overlaps_interior(self, other: "Box") -> bool:
-        # Touching faces do not count as overlap.
-        return all(
-            ol < h - 1e-15 and l < oh - 1e-15
-            for l, h, ol, oh in zip(self.lo, self.hi, other.lo, other.hi)
         )
 
     def transformed(self, translate: Sequence[float], scale: float) -> "Box":
@@ -243,68 +236,3 @@ def rescale_map(u: SampledMap, placement: Placement) -> SampledMap:
     grid = u.grid.transformed(placement.translate, placement.scale)
     support = u.support.transformed(placement.translate, placement.scale)
     return SampledMap(grid, u.values, u.nu, support, u.constant)
-
-
-def _lattice_offset(piece: Grid, ambient: Grid) -> tuple[int, ...]:
-    """Index offset of a piece grid inside the ambient lattice, or raise."""
-    if abs(piece.spacing - ambient.spacing) > 1e-12 * max(piece.spacing, ambient.spacing):
-        raise GeometryError(
-            f"piece spacing {piece.spacing} does not match ambient spacing {ambient.spacing}"
-        )
-    offs = []
-    for axis in range(ambient.dim):
-        shift = (piece.box.lo[axis] - ambient.box.lo[axis]) / ambient.spacing
-        snapped = round(shift)
-        if abs(shift - snapped) > 1e-6:
-            raise GeometryError(f"piece lattice misaligned with ambient grid on axis {axis}")
-        if snapped < 0 or snapped + piece.shape[axis] > ambient.shape[axis]:
-            raise GeometryError("piece grid exceeds ambient grid")
-        offs.append(int(snapped))
-    return tuple(offs)
-
-
-def glue_disjoint(
-    pieces: Sequence[tuple[SampledMap, Placement]],
-    ambient: Grid,
-    background,
-) -> SampledMap:
-    """Glue transformed pieces with pairwise disjoint supports over a background.
-
-    Each piece's outer constant must equal the background; transformed
-    supports must be pairwise disjoint (touching faces allowed) and
-    contained in the ambient box.  Restricting the glue to one piece's
-    support reproduces that piece's values exactly.
-    """
-    bg = np.atleast_1d(np.asarray(background, dtype=float))
-    placed = [rescale_map(u, pl) for u, pl in pieces]
-    for i, a in enumerate(placed):
-        if not np.allclose(np.asarray(a.constant), bg, rtol=0, atol=0):
-            raise ConsistencyError(
-                f"piece {i} outer constant {a.constant} != background {tuple(bg)}"
-            )
-        if not ambient.box.contains_box(a.support):
-            raise GeometryError(f"piece {i} support {a.support} not contained in ambient box")
-        for j in range(i):
-            if a.support.overlaps_interior(placed[j].support):
-                raise GeometryError(f"pieces {j} and {i} have overlapping supports")
-
-    nu = len(bg) if not placed else placed[0].nu
-    values = np.tile(bg, (ambient.node_count, 1)).astype(float)
-    full = values.reshape(ambient.shape + (nu,))
-    for a in placed:
-        off = _lattice_offset(a.grid, ambient)
-        sl = tuple(slice(o, o + n) for o, n in zip(off, a.grid.shape))
-        full[sl] = a.values.reshape(a.grid.shape + (nu,))
-    if placed:
-        lo = tuple(min(p.support.lo[i] for p in placed) for i in range(ambient.dim))
-        hi = tuple(max(p.support.hi[i] for p in placed) for i in range(ambient.dim))
-        hull = Box(lo, hi)
-    else:
-        hull = Box(ambient.box.lo, ambient.box.lo)
-    return SampledMap(ambient, values.reshape(-1, nu), nu, hull, tuple(bg))
-
-
-def restrict_to_box(u: SampledMap, box: Box) -> NDArray:
-    """Values of u at the nodes lying in ``box`` (for glue/restrict checks)."""
-    mask = box.contains_points(u.grid.nodes())
-    return u.values[mask]

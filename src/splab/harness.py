@@ -426,6 +426,8 @@ class GeometryOptions:
     n_max: int = 8
 
     def __post_init__(self):
+        if self.ell < 2:
+            raise ConfigurationError(f"chord geometry needs ell >= 2, got ell={self.ell}")
         if self.n_max <= self.n_min:
             raise ConfigurationError(
                 f"comparing scales needs n_max > n_min, got n_min={self.n_min} n_max={self.n_max}"

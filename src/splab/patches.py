@@ -30,9 +30,9 @@ from ._pairsum import (
     symmetric,
 )
 from .chords import COS_CONE_BOUND, chords_vectorized
-from .energy import FractionalParams, Region, cloud_energy
-from .errors import BudgetError, ConfigurationError, GeometryError, ResolutionError
-from .grid import Box, Grid, Placement, SampledMap, glue_disjoint, make_grid, sample_map
+from .energy import FractionalParams, cloud_energy
+from .errors import BudgetError, ConfigurationError
+from .grid import Placement
 from .sphere import SINGULAR_EXCLUSION_RADIUS
 
 # Frame geometry shared by every patch (frame coordinates).
@@ -44,7 +44,13 @@ PLATEAU_STOP = 0.6         # collar starts here (sup-norm radius)
 SUPPORT_HALFWIDTH = 0.95   # collar ends here; support inside the unit cube
 PATCH_MARGIN = 1.25        # energy frame box half-width around one patch
 
+# Composite quadrature resolution: frame lattice, patch background, midpoints per cell side
+FRAME_SPACING = 1 / 8
+COARSE_SPACING = 1 / 16
+CELL_SUBDIVISION = 5
+
 DEFAULT_NODE_BUDGET = 4_000_000
+LAYER_PAIR_BUDGET = 2_000_000_000  # point pairs of one glued layer cloud
 
 
 def smoothstep5(t: NDArray) -> NDArray:
@@ -96,14 +102,6 @@ class PatchSpec:
     def ell(self) -> int:
         return len(self.c)
 
-    @property
-    def displaced_values_in_ball(self) -> bool:
-        """Whether both displaced values stay in the closed unit ball."""
-        c = np.asarray(self.c)
-        e = np.zeros(self.ell)
-        e[self.axis] = self.amplitude
-        return bool(np.linalg.norm(c + e) <= 1.0 and np.linalg.norm(c - e) <= 1.0)
-
 
 def default_cluster_count(n: int, s: float) -> int:
     """Smallest k with k^(sp) >= 2^((n-1)p): k = ceil(2^((n-1)/s))."""
@@ -121,15 +119,6 @@ def cluster_cell_centers(k: int, ell: int = 2) -> NDArray:
 def cluster_scale(k: int) -> float:
     """Frame-to-cell scale: the frame box maps onto one cell box."""
     return (BLOCK_HALFWIDTH / k) / FRAME_HALFWIDTH
-
-
-def _check_cluster_geometry(k: int, ell: int) -> None:
-    # cells tile a block whose corners must stay inside the radius-1/2 ball
-    corner = BLOCK_HALFWIDTH * math.sqrt(ell)
-    if corner >= 0.5:
-        raise GeometryError(f"cluster block corner radius {corner} exceeds the host ball")
-    if k**ell > 10**8:
-        raise GeometryError(f"cluster count {k}^{ell} is unreasonably large")
 
 
 def clustered_profile(points: NDArray, k: int) -> NDArray:
@@ -169,50 +158,10 @@ def patch_values(points: NDArray, spec: PatchSpec) -> NDArray:
     return _values_from(collar_factor(pts), clustered_profile(pts, spec.k), spec)
 
 
-def clustered_values(points: NDArray, spec: PatchSpec) -> NDArray:
-    """Cluster over the constant background c (no collar, constant outside)."""
-    pts = np.atleast_2d(points)
-    return _values_from(np.ones(pts.shape[0]), clustered_profile(pts, spec.k), spec)
-
-
 def basic_values(points: NDArray, spec: PatchSpec) -> NDArray:
     """Unclustered frame map: c + amplitude * profile(x) along the axis."""
     pts = np.atleast_2d(points)
     return _values_from(np.ones(pts.shape[0]), two_bump_profile(pts), spec)
-
-
-def _check_resolution(spacing: float, scale: float = 1.0) -> None:
-    """The bump's transition annulus, shrunk by `scale`, needs 4 nodes across."""
-    feature = scale * (BUMP_RADIUS - PLATEAU_RADIUS)
-    if spacing > feature / 4 + 1e-15:
-        raise ResolutionError(
-            f"spacing {spacing} leaves fewer than 4 nodes across the feature {feature}"
-        )
-
-
-def build_basic_patch(spec: PatchSpec, grid: Grid) -> SampledMap:
-    """Sample the frame map on a grid; the transition annulus needs 4 nodes."""
-    _check_resolution(grid.spacing)
-    support = Box.cube(FRAME_HALFWIDTH, dim=grid.dim)
-    if not grid.box.contains_box(Box.cube(BUMP_RADIUS + 1.0, dim=grid.dim)):
-        raise ResolutionError("grid must cover the two-bump frame")
-    return sample_map(grid, lambda p: basic_values(p, spec), support, spec.c)
-
-
-def build_clustered_patch(spec: PatchSpec, grid: Grid) -> SampledMap:
-    """Sample the clustered map; equals c outside the central block."""
-    _check_cluster_geometry(spec.k, spec.ell)
-    _check_resolution(grid.spacing, cluster_scale(spec.k))
-    support = Box.cube(BLOCK_HALFWIDTH, dim=grid.dim)
-    return sample_map(grid, lambda p: clustered_values(p, spec), support, spec.c)
-
-
-def build_patch(spec: PatchSpec, grid: Grid) -> SampledMap:
-    """Sample the compactly supported patch; zero outside the unit cube."""
-    _check_cluster_geometry(spec.k, spec.ell)
-    _check_resolution(grid.spacing, cluster_scale(spec.k))
-    support = Box.cube(SUPPORT_HALFWIDTH, dim=grid.dim)
-    return sample_map(grid, lambda p: patch_values(p, spec), support, (0.0,) * spec.ell)
 
 
 @dataclass(frozen=True)
@@ -257,36 +206,6 @@ def _stencil_offsets(layer: LayerSpec) -> NDArray:
     return np.array([[0.0, 0.0], [d, 0.0], [-d, 0.0], [0.0, d], [0.0, -d]])
 
 
-def build_layer(
-    spec: LayerSpec,
-    params: FractionalParams,
-    grid: Grid,
-    node_budget: int = DEFAULT_NODE_BUDGET,
-) -> tuple[SampledMap, list[Region]]:
-    """Glue one patch per dyadic cube onto the ambient grid.
-
-    Returns the glued map and the per-patch support regions used for
-    localized energy accounting.  Fails with a budget error when the
-    ambient grid cannot resolve the construction within the node budget.
-    """
-    if grid.node_count > node_budget:
-        raise BudgetError(
-            f"ambient grid has {grid.node_count} nodes > budget {node_budget}; "
-            "use compositional accounting instead"
-        )
-    sigma = spec.placement_scale
-    piece_h = grid.spacing / sigma
-    pieces = []
-    regions = []
-    for ps, pl in zip(spec.patch_specs(params), spec.placements()):
-        pgrid = make_grid(spec.ell, Box.cube(PATCH_MARGIN, dim=spec.ell), piece_h)
-        _check_resolution(piece_h, cluster_scale(ps.k))
-        pieces.append((build_patch(ps, pgrid), pl))
-        regions.append(Region.from_box(Box.cube(SUPPORT_HALFWIDTH, dim=spec.ell).transformed(pl.translate, pl.scale)))
-    glued = glue_disjoint(pieces, grid, (0.0,) * spec.ell)
-    return glued, regions
-
-
 # ---------------------------------------------------------------------------
 # Composite quadrature and compositional accounting
 # ---------------------------------------------------------------------------
@@ -308,6 +227,13 @@ def _midpoint_lattice(halfwidth: float, spacing: float) -> tuple[NDArray, float]
     coords, h = cell_midpoints(halfwidth, spacing)
     xx, yy = np.meshgrid(coords, coords, indexing="ij")
     return np.column_stack([xx.ravel(), yy.ravel()]), h
+
+
+def frame_energy(points: NDArray, values: NDArray, p: float, q: float, spacing: float,
+                 workers: int = 1) -> float:
+    """Energy of values on a midpoint lattice of spacing h in R^m: 2 h^(2m) times the pair sum."""
+    s = pair_kernel_sum(points, values, p, q, workers=workers)
+    return 2.0 * spacing ** (2 * points.shape[1]) * s
 
 
 def _project_values(values: NDArray, a: NDArray) -> tuple[NDArray, NDArray]:
@@ -339,22 +265,12 @@ class PatchModel:
     these by exact scaling identities.
     """
 
-    def __init__(
-        self,
-        params: FractionalParams,
-        frame_spacing: float = 1 / 8,
-        coarse_spacing: float = 1 / 16,
-        cell_subdivision: int = 5,
-        workers: int = 1,
-    ):
+    def __init__(self, params: FractionalParams, workers: int = 1):
         if params.ell != 2:
             raise ConfigurationError("patch models are specialized to ell = 2")
         self.params = params
-        self.h0 = frame_spacing
-        self.h_bg = coarse_spacing
-        self.cell_subdivision = cell_subdivision
         self.workers = workers
-        self._frame_pts, self.h0 = _midpoint_lattice(FRAME_HALFWIDTH, self.h0)
+        self._frame_pts, self.h0 = _midpoint_lattice(FRAME_HALFWIDTH, FRAME_SPACING)
         self._frame_g = two_bump_profile(self._frame_pts)
         self._kernel_exp = 2 + params.sp
         self._profile_energy = None
@@ -371,11 +287,9 @@ class PatchModel:
     def profile_energy(self) -> float:
         """Energy of the scalar two-bump profile over the frame box."""
         if self._profile_energy is None:
-            s = pair_kernel_sum(
-                self._frame_pts, self._frame_g[:, None], self.params.p,
-                self._kernel_exp, workers=self.workers,
-            )
-            self._profile_energy = 2.0 * self.h0**4 * s
+            self._profile_energy = frame_energy(self._frame_pts, self._frame_g[:, None],
+                                                self.params.p, self._kernel_exp, self.h0,
+                                                self.workers)
         return self._profile_energy
 
     @property
@@ -396,10 +310,9 @@ class PatchModel:
     def collar_unit_energy(self) -> float:
         """Energy of the unit-amplitude collar profile over the patch frame."""
         if self._collar_unit is None:
-            pts, h = _midpoint_lattice(PATCH_MARGIN, self.h_bg)
-            vals = collar_factor(pts)[:, None]
-            s = pair_kernel_sum(pts, vals, self.params.p, self._kernel_exp, workers=self.workers)
-            self._collar_unit = 2.0 * h**4 * s
+            pts, h = _midpoint_lattice(PATCH_MARGIN, COARSE_SPACING)
+            self._collar_unit = frame_energy(pts, collar_factor(pts)[:, None], self.params.p,
+                                             self._kernel_exp, h, self.workers)
         return self._collar_unit
 
     def cluster_energy(self, spec: PatchSpec) -> float:
@@ -422,18 +335,18 @@ class PatchModel:
     def _cell_lattice(self, k: int) -> tuple[NDArray, NDArray, float]:
         """Cell centers, the midpoint offsets every cell shares, and their weight."""
         width = 2 * BLOCK_HALFWIDTH / k
-        offs, cell_h = _midpoint_lattice(width / 2, width / self.cell_subdivision)
+        offs, cell_h = _midpoint_lattice(width / 2, width / CELL_SUBDIVISION)
         return cluster_cell_centers(k), offs, cell_h**2
 
     def _background(self) -> tuple[NDArray, float]:
         """Background points of one patch frame (outside the cluster block) and their weight."""
-        bg, bg_h = _midpoint_lattice(PATCH_MARGIN, self.h_bg)
+        bg, bg_h = _midpoint_lattice(PATCH_MARGIN, COARSE_SPACING)
         return bg[np.max(np.abs(bg), axis=1) > BLOCK_HALFWIDTH], bg_h**2
 
     def _check_cloud_size(self, k: int, patches: int = 1) -> None:
         """BudgetError unless ``patches`` clouds of cluster count k fit the node budget."""
         width = 2 * BLOCK_HALFWIDTH / k
-        per_cell = cell_midpoints(width / 2, width / self.cell_subdivision)[0].size ** 2
+        per_cell = cell_midpoints(width / 2, width / CELL_SUBDIVISION)[0].size ** 2
         size = patches * (k**2 * per_cell + self._background()[0].shape[0])
         if size > DEFAULT_NODE_BUDGET:
             raise BudgetError(
@@ -588,7 +501,7 @@ class PatchModel:
         specs = layer.patch_specs(self.params)
         parts = [self._patch_cloud(spec, group_base=i * spec.k**2, placement=pl)
                  for i, (spec, pl) in enumerate(zip(specs, layer.placements()))]
-        bg, bg_h = _midpoint_lattice(1.0 + PATCH_MARGIN * sigma, sigma * self.h_bg * 4)
+        bg, bg_h = _midpoint_lattice(1.0 + PATCH_MARGIN * sigma, sigma * COARSE_SPACING * 4)
         outside = np.max(np.abs(bg), axis=1) > 1.0  # patch frames tile the unit cube
         bg = bg[outside]
         parts.append((bg, np.zeros((bg.shape[0], 2)), np.full(bg.shape[0], bg_h**2),
@@ -600,7 +513,15 @@ class PatchModel:
         key = ("layer", layer, self.params)
         if key not in self._memo:
             sigma = layer.placement_scale
-            cross = cloud_energy(*self.layer_cloud(layer), self.params, m=2, workers=self.workers)
+            cloud = self.layer_cloud(layer)
+            size = cloud[0].shape[0]
+            pairs = size * (size - 1) // 2
+            if pairs > LAYER_PAIR_BUDGET:
+                raise BudgetError(
+                    f"layer cloud of {size} points has {pairs} pairs > budget "
+                    f"{LAYER_PAIR_BUDGET}; use compositional accounting instead"
+                )
+            cross = cloud_energy(*cloud, self.params, m=2, workers=self.workers)
             fine = 0.0
             for spec in layer.patch_specs(self.params):
                 fine += sigma ** (2 - self.params.sp) * self.cluster_energy(spec)

@@ -22,20 +22,21 @@ from numpy.typing import NDArray
 
 from ._pairsum import pair_kernel_sum
 from .energy import FractionalParams
-from .errors import AssertionFailure, BudgetError, ConfigurationError, SamplingError
-from .grid import Box, Placement, SampledMap, make_grid, rescale_map, sample_map
+from .errors import AssertionFailure, ConfigurationError, SamplingError
 from .patches import (
     BLOCK_HALFWIDTH,
-    PLATEAU_STOP,
-    SUPPORT_HALFWIDTH,
+    CELL_SUBDIVISION,
+    FRAME_HALFWIDTH,
     cell_midpoints,
-    radial_cutoff,
-    smoothstep5,
+    clustered_profile,
+    collar_factor,
+    frame_energy,
+    two_bump_profile,
 )
 
 BLEND_FRACTION = 0.05  # C^1 blend zone at each end of the cap, as a cap fraction
-FRAME_HALFWIDTH_1D = 2.0
-DEFAULT_NODE_BUDGET_1D = 2_000_000
+SLOT_FRAME_SPACING = 1 / 64  # frame lattice of one 1D copy
+GLUE_MARGIN = 1.25  # headroom of the glue's upper accounting over its slot sums
 
 
 def wrap_angle(theta: NDArray) -> NDArray:
@@ -48,13 +49,10 @@ def wrap_angle(theta: NDArray) -> NDArray:
 class AlmostRetractionSpec:
     epsilon: float
     cap_center: float = np.pi
-    iota: float = 0.3
 
     def __post_init__(self):
         if not 0 < self.epsilon < np.pi / 4:
             raise ConfigurationError(f"cap half-width must lie in (0, pi/4), got {self.epsilon}")
-        if not 0 < self.iota < 1:
-            raise ConfigurationError(f"tube radius must lie in (0, 1), got {self.iota}")
 
 
 class AlmostRetraction:
@@ -191,82 +189,6 @@ class AlmostCtrexSpec:
         return eps ** (self.alpha / (1.0 - sp)) if sp < 1 else eps
 
 
-def cluster_profile_1d(tau: NDArray, k: int) -> NDArray:
-    """Scalar cluster profile on the 1D frame [-2, 2]: k scaled two-bump copies."""
-    tau = np.asarray(tau, dtype=float)
-    out = np.zeros_like(tau)
-    width = 2 * BLOCK_HALFWIDTH / k
-    inside = np.abs(tau) < BLOCK_HALFWIDTH
-    if not inside.any():
-        return out
-    local = tau[inside]
-    idx = np.clip(np.floor((local + BLOCK_HALFWIDTH) / width).astype(int), 0, k - 1)
-    centers = -BLOCK_HALFWIDTH + width * (idx + 0.5)
-    xi = (local - centers) / ((width / 2) / FRAME_HALFWIDTH_1D)
-    out[inside] = radial_cutoff((xi - 1.0)[:, None]) - radial_cutoff((xi + 1.0)[:, None])
-    return out
-
-
-def collar_factor_1d(tau: NDArray) -> NDArray:
-    r = np.abs(np.asarray(tau, dtype=float))
-    t = (r - PLATEAU_STOP) / (SUPPORT_HALFWIDTH - PLATEAU_STOP)
-    return 1.0 - smoothstep5(t)
-
-
-def ctrex_values(points: NDArray, spec: AlmostCtrexSpec, eps: float) -> NDArray:
-    """Circle values of the unscaled glue v_eps over the interval [-1, 1]."""
-    x = np.atleast_2d(points)[:, 0]
-    m = spec.center_count(eps)
-    k = spec.cluster_count(eps)
-    slot_width = 2.0 / m
-    theta = np.full(x.shape, spec.base_angle)
-    inside = np.abs(x) < 1.0
-    idx = np.clip(np.floor((x[inside] + 1.0) / slot_width).astype(int), 0, m - 1)
-    mids = -1.0 + slot_width * (idx + 0.5)
-    tau = (x[inside] - mids) / (slot_width / 2) * FRAME_HALFWIDTH_1D
-    deltas = wrap_angle(spec.center_angles(eps) - spec.base_angle)
-    theta_in = spec.base_angle + collar_factor_1d(tau) * deltas[idx] \
-        + spec.pair_half_separation(eps) * cluster_profile_1d(tau, k)
-    theta[inside] = theta_in
-    return np.column_stack([np.cos(theta), np.sin(theta)])
-
-
-def build_almost_counterexample(
-    spec: AlmostCtrexSpec,
-    eps: float,
-    spacing: float | None = None,
-    node_budget: int = DEFAULT_NODE_BUDGET_1D,
-) -> SampledMap:
-    """Sample the rescaled construction w_eps on a 1D grid.
-
-    The unscaled glue lives on [-1, 1]; the returned map is the exact
-    grid-rescaled copy with support radius lambda = eps^(alpha/(1-sp)).
-    """
-    m = spec.center_count(eps)
-    k = spec.cluster_count(eps)
-    slot_width = 2.0 / m
-    feature = slot_width / (32 * k)
-    if spacing is None:
-        spacing = feature / 4
-    if spacing > feature / 4 + 1e-18:
-        raise ConfigurationError(f"spacing {spacing} cannot resolve feature {feature}")
-    n_nodes = int(round(2.4 / spacing)) + 1
-    if n_nodes > node_budget:
-        raise BudgetError(
-            f"flat grid would need {n_nodes} nodes > budget {node_budget}; "
-            "use compositional accounting instead"
-        )
-    grid = make_grid(1, [-1.2, 1.2], 2.4 / (n_nodes - 1))
-    base = sample_map(
-        grid,
-        lambda pts: ctrex_values(pts, spec, eps),
-        Box((-1.0,), (1.0,)),
-        (np.cos(spec.base_angle), np.sin(spec.base_angle)),
-    )
-    lam = spec.support_scale(eps)
-    return rescale_map(base, Placement((0.0,), lam))
-
-
 # ---------------------------------------------------------------------------
 # Composite energies and the shift scan
 # ---------------------------------------------------------------------------
@@ -283,12 +205,11 @@ def xi_grid(iota: float = 0.3, side: int = 21) -> NDArray:
 class AlmostModel:
     """Composite energies and closed-form accounting for the 1D construction."""
 
-    def __init__(self, spec: AlmostCtrexSpec, frame_spacing: float = 1 / 64, workers: int = 1):
+    def __init__(self, spec: AlmostCtrexSpec, workers: int = 1):
         self.spec = spec
         self.params = spec.params
-        self.h0 = frame_spacing
         self.workers = workers
-        self._frame_tau, self.h0 = cell_midpoints(FRAME_HALFWIDTH_1D, frame_spacing)
+        self._frame_tau, self.h0 = cell_midpoints(FRAME_HALFWIDTH, SLOT_FRAME_SPACING)
         self._kernel_exp = 1 + self.params.sp
         self._plateau_kernel = None
         self._collar_unit = None
@@ -309,10 +230,9 @@ class AlmostModel:
     def collar_unit_energy(self) -> float:
         """Frame energy of the unit-amplitude scalar collar profile."""
         if self._collar_unit is None:
-            vals = collar_factor_1d(self._frame_tau)[:, None]
-            s = pair_kernel_sum(self._frame_tau[:, None], vals, self.params.p,
-                                self._kernel_exp, workers=self.workers)
-            self._collar_unit = 2.0 * self.h0**2 * s
+            pts = self._frame_tau[:, None]
+            self._collar_unit = frame_energy(pts, collar_factor(pts)[:, None], self.params.p,
+                                             self._kernel_exp, self.h0, self.workers)
         return self._collar_unit
 
     # geometry helpers ---------------------------------------------------------
@@ -334,11 +254,10 @@ class AlmostModel:
     def copy_frame_energy(self, eps: float) -> float:
         """Circle-metric frame energy of one copy at the pair amplitude."""
         half = self.spec.pair_half_separation(eps)
-        g = radial_cutoff((self._frame_tau - 1.0)[:, None]) - radial_cutoff((self._frame_tau + 1.0)[:, None])
+        pts = self._frame_tau[:, None]
+        g = two_bump_profile(pts)
         vals = np.column_stack([np.cos(half * g), np.sin(half * g)])
-        s = pair_kernel_sum(self._frame_tau[:, None], vals, self.params.p,
-                            self._kernel_exp, workers=self.workers)
-        return 2.0 * self.h0**2 * s
+        return frame_energy(pts, vals, self.params.p, self._kernel_exp, self.h0, self.workers)
 
     def slot_cluster_energy(self, eps: float) -> float:
         k = self.spec.cluster_count(eps)
@@ -347,44 +266,46 @@ class AlmostModel:
 
     def slot_collar_bound(self, eps: float, delta: float) -> float:
         """Angle-Lipschitz upper bound on one slot's collar energy."""
-        q = self.slot_width(eps) / (2 * FRAME_HALFWIDTH_1D)
+        q = self.slot_width(eps) / (2 * FRAME_HALFWIDTH)
         return q ** (1 - self.params.sp) * abs(delta) ** self.params.p * self.collar_unit_energy
 
     def _slot_cloud(self, eps: float, delta: float):
         """Coarse midpoint cloud of one slot in frame coordinates."""
         k = self.spec.cluster_count(eps)
         width = 2 * BLOCK_HALFWIDTH / k
-        cells, cell_h = cell_midpoints(width / 2, width / 5)
+        cells, cell_h = cell_midpoints(width / 2, width / CELL_SUBDIVISION)
         centers = -BLOCK_HALFWIDTH + width * (np.arange(k) + 0.5)
         cell_pts = (centers[:, None] + cells[None, :]).ravel()
         groups = np.repeat(np.arange(k), cells.shape[0])
         cell_w = np.full(cell_pts.shape[0], cell_h)
-        bg, bg_h = cell_midpoints(FRAME_HALFWIDTH_1D, self.h0)
+        bg, bg_h = cell_midpoints(FRAME_HALFWIDTH, self.h0)
         bg = bg[np.abs(bg) > BLOCK_HALFWIDTH]
         pts = np.concatenate([cell_pts, bg])
         w = np.concatenate([cell_w, np.full(bg.shape[0], bg_h)])
         groups = np.concatenate([groups, np.full(bg.shape[0], -1, dtype=np.int64)])
         half = self.spec.pair_half_separation(eps)
-        theta = self.spec.base_angle + collar_factor_1d(pts) * delta + half * cluster_profile_1d(pts, k)
+        column = pts[:, None]
+        theta = (self.spec.base_angle + collar_factor(column) * delta
+                 + half * clustered_profile(column, k))
         return pts, theta, w, groups
 
     def slot_energy_direct(self, eps: float, delta: float) -> float:
         """Composite quadrature of one slot's energy (frame coordinates)."""
-        q = self.slot_width(eps) / (2 * FRAME_HALFWIDTH_1D)
+        q = self.slot_width(eps) / (2 * FRAME_HALFWIDTH)
         pts, theta, w, groups = self._slot_cloud(eps, delta)
         vals = np.column_stack([np.cos(theta), np.sin(theta)])
         cross = 2.0 * pair_kernel_sum(pts[:, None], vals, self.params.p, self._kernel_exp,
                                       weights=w, groups=groups, workers=self.workers)
         return q ** (1 - self.params.sp) * cross + self.slot_cluster_energy(eps)
 
-    def glue_energy_upper(self, eps: float, margin: float = 1.25) -> float:
+    def glue_energy_upper(self, eps: float) -> float:
         """Upper accounting of the unscaled glue: slot sums with a glue margin."""
         deltas = wrap_angle(self.spec.center_angles(eps) - self.spec.base_angle)
         total = 0.0
         cluster = self.slot_cluster_energy(eps)
         for d in deltas:
             total += cluster + self.slot_collar_bound(eps, float(d))
-        return margin * total
+        return GLUE_MARGIN * total
 
     # projected quantities -------------------------------------------------------
 
@@ -422,13 +343,11 @@ class AlmostModel:
                     "increase the net density"
                 )
 
-    def scan_row(self, n: int, shifts: NDArray, check_coverage: bool = True) -> dict:
+    def scan_row(self, n: int, shifts: NDArray) -> dict:
         """One scan row: support radius, energy bound, projected inf-energy."""
         eps = 2.0**-n
-        retr = build_almost_retraction(
-            AlmostRetractionSpec(epsilon=eps, cap_center=np.pi, iota=0.3)
-        )
-        if check_coverage and self.spec.regime_ok:
+        retr = build_almost_retraction(AlmostRetractionSpec(epsilon=eps, cap_center=np.pi))
+        if self.spec.regime_ok:
             self.coverage_check(eps, retr, shifts)
         lam = self.spec.support_scale(eps)
         scale_pow = lam ** (1 - self.params.sp)

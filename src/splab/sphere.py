@@ -1,7 +1,6 @@
 """The model radial projection x -> x/|x| onto the unit sphere.
 
-Covers shifted compositions, the first-derivative blow-up check, a smooth
-nearest-point extension, and the small-shift restricted-diffeomorphism
+Covers shifted compositions and the small-shift restricted-diffeomorphism
 check on the circle.  All functions are stateless and pure.
 """
 
@@ -16,7 +15,6 @@ from .errors import DegenerateShiftError, SingularHitError
 from .grid import SampledMap
 
 SINGULAR_EXCLUSION_RADIUS = 1e-12
-SMALL_SHIFT_RADIUS = 0.5
 DEGENERATE_HIT_FRACTION = 0.01
 
 
@@ -31,10 +29,6 @@ class ShiftPoint:
         object.__setattr__(self, "a", tuple(float(x) for x in self.a))
         if not np.isfinite(self.a).all():
             raise SingularHitError("shift point must be finite")
-
-    @property
-    def small_shift(self) -> bool:
-        return float(np.linalg.norm(self.a)) <= SMALL_SHIFT_RADIUS
 
 
 @dataclass(frozen=True)
@@ -107,60 +101,6 @@ def shifted_projection(u: SampledMap, shift: ShiftPoint) -> tuple[SampledMap, li
     proj_const = tuple(np.eye(u.nu)[0]) if rc <= SINGULAR_EXCLUSION_RADIUS else tuple(const / rc)
     projected = SampledMap(u.grid, out, u.nu, u.grid.box, proj_const)
     return projected, [SingularHit(int(i), float(d)) for i, d in zip(nodes, dist)]
-
-
-def projection_jacobian(x) -> NDArray:
-    """Analytic Jacobian of x -> x/|x|: (I - unit unit^T)/|x|, per point."""
-    pts = np.atleast_2d(np.asarray(x, dtype=float))
-    r = np.linalg.norm(pts, axis=1)
-    bad = r <= SINGULAR_EXCLUSION_RADIUS
-    if bad.any():
-        i = int(np.argmax(bad))
-        raise SingularHitError("zero sample in Jacobian evaluation", point=pts[i])
-    unit = pts / r[:, None]
-    ell = pts.shape[1]
-    eye = np.eye(ell)
-    jac = (eye[None, :, :] - unit[:, :, None] * unit[:, None, :]) / r[:, None, None]
-    return jac[0] if np.asarray(x).ndim == 1 else jac
-
-
-def jacobian_blowup_check(samples, order: int = 1) -> float:
-    """Worst-case |DP(x)| * |x|^order over the samples (operator norm).
-
-    Only first derivatives are supported (the failure constructions use
-    no higher order).  For the radial projection the tangential
-    eigenvalue is exactly 1/|x|, so the returned ratio equals 1 at every
-    sample.
-    """
-    if order != 1:
-        raise SingularHitError("only first-derivative blow-up checks are supported")
-    pts = np.atleast_2d(np.asarray(samples, dtype=float))
-    jac = projection_jacobian(pts)
-    opnorm = np.linalg.norm(jac, ord=2, axis=(1, 2))
-    r = np.linalg.norm(pts, axis=1)
-    return float(np.max(opnorm * r))
-
-
-def _smoothstep(t: NDArray) -> NDArray:
-    t = np.clip(t, 0.0, 1.0)
-    return t * t * (3.0 - 2.0 * t)
-
-
-def nearest_point_extension(x, iota: float) -> NDArray:
-    """Smooth total extension of the nearest-point projection onto the sphere.
-
-    Equals x/|x| whenever ||x| - 1| < iota; elsewhere eta(|x|) * x/|x|
-    with the cubic smoothstep profile eta rescaled to [0, 1 - iota], so the
-    map vanishes at the origin and is bounded by 1 + iota everywhere.
-    """
-    if not 0 < iota < 1:
-        raise SingularHitError(f"tube radius must lie in (0, 1), got {iota}")
-    pts = np.atleast_2d(np.asarray(x, dtype=float))
-    r = np.linalg.norm(pts, axis=1)
-    eta = _smoothstep(r / (1.0 - iota))
-    safe = np.where(r > 0, r, 1.0)
-    out = pts * (eta / safe)[:, None]
-    return out[0] if np.asarray(x).ndim == 1 else out
 
 
 @dataclass(frozen=True)

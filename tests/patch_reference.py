@@ -1,4 +1,8 @@
-"""Point-by-point reference for the projected patch energies.
+"""Flat-grid and point-by-point references for the patch energies.
+
+`build_patch` samples the compactly supported patch on a uniform grid, so
+its `gagliardo_energy` is the flat quadrature that
+`PatchModel.patch_energy_direct` is checked against.
 
 `projected_point_by_point` evaluates `PatchModel.patch_projected_direct`
 without value classes: every frame point and every cloud point is
@@ -6,10 +10,50 @@ projected on its own, singular hits are dropped point by point, and the
 pairs of different cells are summed point by point in the grouped cloud.
 """
 
+import math
+
 import numpy as np
 
 from splab._pairsum import pair_kernel_sum
-from splab.patches import _project_values, basic_values, cluster_scale, patch_values
+from splab.errors import GeometryError, ResolutionError
+from splab.grid import Box, Grid, SampledMap, sample_map
+from splab.patches import (
+    BLOCK_HALFWIDTH,
+    BUMP_RADIUS,
+    PLATEAU_RADIUS,
+    SUPPORT_HALFWIDTH,
+    PatchSpec,
+    _project_values,
+    basic_values,
+    cluster_scale,
+    patch_values,
+)
+
+
+def _check_cluster_geometry(k: int, ell: int) -> None:
+    # cells tile a block whose corners must stay inside the radius-1/2 ball
+    corner = BLOCK_HALFWIDTH * math.sqrt(ell)
+    if corner >= 0.5:
+        raise GeometryError(f"cluster block corner radius {corner} exceeds the host ball")
+    if k**ell > 10**8:
+        raise GeometryError(f"cluster count {k}^{ell} is unreasonably large")
+
+
+def _check_resolution(spacing: float, scale: float = 1.0) -> None:
+    """The bump's transition annulus, shrunk by `scale`, needs 4 nodes across."""
+    feature = scale * (BUMP_RADIUS - PLATEAU_RADIUS)
+    if spacing > feature / 4 + 1e-15:
+        raise ResolutionError(
+            f"spacing {spacing} leaves fewer than 4 nodes across the feature {feature}"
+        )
+
+
+def build_patch(spec: PatchSpec, grid: Grid) -> SampledMap:
+    """Sample the compactly supported patch; zero outside the unit cube."""
+    _check_cluster_geometry(spec.k, spec.ell)
+    _check_resolution(grid.spacing, cluster_scale(spec.k))
+    support = Box.cube(SUPPORT_HALFWIDTH, dim=grid.dim)
+    return sample_map(grid, lambda p: patch_values(p, spec), support, (0.0,) * spec.ell)
 
 
 def _projected_pair_sums(points, values, shifts, p, q, **kwargs):

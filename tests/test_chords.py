@@ -2,13 +2,12 @@ import numpy as np
 import pytest
 
 from splab.chords import (
+    COS_CONE_BOUND,
     ChordCase,
     chord_direct,
     chord_exact,
     chords_vectorized,
     estimate_constant,
-    geom1_check,
-    geom2_check,
 )
 from splab.errors import ConfigurationError, SingularHitError
 
@@ -64,40 +63,11 @@ def test_closed_form_matches_direct_bulk(rng):
         assert np.max(np.abs(cf - np.linalg.norm(dv, axis=1))) <= 1e-12
 
 
-def test_geom1_gate_and_center_value():
-    case = ChordCase(c=(0.3, -0.2), n=3, a=(0.3, -0.2))
-    rep = geom1_check(case)
-    assert rep.applicable
-    assert rep.chord == pytest.approx(2.0, rel=1e-12)
-    outside = ChordCase(c=(0.0, 0.0), n=2, a=(0.5, 0.5))
-    assert not geom1_check(outside).applicable
-
-
 def test_geom1_cube_corner_applicable():
+    # the corner of the near-field cube, where geom1 applies: the chord stays above 1
     n = 3
     corner = (2.0**-n, 2.0**-n)
-    rep = geom1_check(ChordCase(c=(0.0, 0.0), n=n, a=corner))
-    assert rep.applicable
-    assert rep.chord > 1.0  # empirical minimum sits near 1.70
-
-
-def test_geom2_gate_and_ratio():
-    case = ChordCase(c=(0.0, 0.0), n=2, a=(0.0, 1.0))
-    rep = geom2_check(case)
-    assert rep.applicable
-    assert case.cos_phi == pytest.approx(0.0)
-    assert rep.chord == pytest.approx(2.0 / np.sqrt(5.0), rel=1e-12)
-    assert rep.bound_ratio == pytest.approx(rep.chord / 0.5, rel=1e-12)
-
-
-def test_geom2_cone_gate():
-    case = ChordCase(c=(0.0, 0.0), n=2, a=(0.5, 0.0))  # aligned: |cos| = 1
-    assert not geom2_check(case).applicable
-
-
-def test_geom2_distance_gate():
-    case = ChordCase(c=(0.0, 0.0), n=4, a=(0.0, 2.0**-5))
-    assert not geom2_check(case).applicable
+    assert chord_exact(ChordCase(c=(0.0, 0.0), n=n, a=corner)).closed_form > 1.0
 
 
 def test_estimate_needs_enough_samples():
@@ -122,8 +92,12 @@ def test_constant_estimates_stable(lemma, floor):
     vals = list(est.per_n.values())
     assert min(vals) > floor
     assert max(vals) / min(vals) - 1.0 <= 0.10
-    rep = (geom1_check if lemma == "geom1" else geom2_check)(est.argmin)
-    assert rep.applicable
+    # the minimizing case lies where the lemma applies
+    case = est.argmin
+    if lemma == "geom1":
+        assert np.all(np.abs(np.subtract(case.a, case.c)) <= 2.0**-case.n + 1e-15)
+    else:
+        assert abs(case.cos_phi) <= COS_CONE_BOUND and case.center_distance >= 2.0**-case.n
 
 
 def test_chord_monotone_when_receding_on_diagonal():

@@ -21,9 +21,7 @@ from splab.energy import (
     EnergyValue,
     FractionalParams,
     Region,
-    dirichlet_energy,
     gagliardo_energy,
-    localized_energy_table,
 )
 from splab.errors import ConfigurationError, GeometryError, NumericalError, WrongSchemeError
 from splab.grid import Box, Placement, make_grid, rescale_map, sample_map
@@ -51,9 +49,6 @@ def smooth_bump_1d(h, halfwidth=1.5):
 def test_params_regime_flags():
     p = FractionalParams(s=0.4, p=2.5)
     assert p.sp == pytest.approx(1.0)
-    assert p.regime_sp_lt_ell and p.regime_p_ge_ell
-    q = FractionalParams(s=0.4, p=1.5)
-    assert q.regime_sp_lt_ell and not q.regime_p_ge_ell
     with pytest.raises(ConfigurationError):
         FractionalParams(s=1.2, p=2.0)
     with pytest.raises(ConfigurationError):
@@ -107,9 +102,9 @@ def test_scaling_under_resampling():
     assert resampled / base == pytest.approx(lam ** (1 - params.sp), rel=0.02)
 
 
-def test_s_equal_one_routed_to_dirichlet():
+def test_s_equal_one_rejected_by_pair_sum():
     u = smooth_bump_1d(0.1)
-    with pytest.raises(WrongSchemeError):
+    with pytest.raises(WrongSchemeError, match="0 < s < 1"):
         gagliardo_energy(u, FractionalParams(s=1.0, p=2.0))
 
 
@@ -119,43 +114,11 @@ def test_empty_region_rejected():
         gagliardo_energy(u, FractionalParams(s=0.5, p=2.0), Region.from_ball((99.0,), 0.1))
 
 
-def test_dirichlet_constant_zero():
-    g = make_grid(2, [[-1.0, -1.0], [1.0, 1.0]], 0.25)
-    u = sample_map(g, lambda x: np.ones((x.shape[0], 2)), g.box, (1.0, 1.0))
-    assert dirichlet_energy(u, 2.0).value == 0.0
-
-
-def test_dirichlet_identity_on_disk():
-    g = make_grid(2, [[-1.0, -1.0], [1.0, 1.0]], 0.01)
-    u = sample_map(g, lambda x: x, g.box, (0.0, 0.0))
-    e = dirichlet_energy(u, 2.0, Region.from_ball((0.0, 0.0), 1.0))
-    assert e.value == pytest.approx(2 * np.pi, rel=0.02)
-
-
-def test_dirichlet_linear_exact():
-    A = np.array([[1.0, 2.0], [0.5, -1.0]])
-    g = make_grid(2, [[-1.0, -1.0], [1.0, 1.0]], 0.05)
-    u = sample_map(g, lambda x: x @ A.T, g.box, (0.0, 0.0))
-    region = Region.from_box(Box((-0.5, -0.5), (0.5, 0.5)))
-    nodes_in = int(region.mask(g).sum())
-    e = dirichlet_energy(u, 2.0, region)
-    # central differences are exact on linear data; the measure is the node count
-    assert e.value == pytest.approx(np.sum(A * A) * nodes_in * g.spacing**2, rel=1e-12)
-
-
-def test_dirichlet_boundary_flagged():
-    g = make_grid(1, [0.0, 1.0], 0.1)
-    u = sample_map(g, lambda x: x, g.box, (0.0,))
-    e = dirichlet_energy(u, 2.0)
-    assert "one-sided" in e.scheme
-
-
 def test_localized_whole_equals_total():
     u = indicator_1d(0.02)
     params = FractionalParams(s=0.25, p=2.0)
     total = gagliardo_energy(u, params).value
-    table = localized_energy_table(u, params, [Region.whole()])
-    assert table[0].value == total
+    assert gagliardo_energy(u, params, Region.whole()).value == total
 
 
 def test_localized_cross_term_identity():
@@ -163,7 +126,7 @@ def test_localized_cross_term_identity():
     params = FractionalParams(s=0.25, p=2.0)
     left = Region.from_box(Box((-2.0,), (0.5,)))
     right = Region.from_box(Box((0.5 + 1e-9,), (3.0,)))
-    parts = localized_energy_table(u, params, [left, right])
+    parts = [gagliardo_energy(u, params, region) for region in (left, right)]
     total = gagliardo_energy(u, params).value
     part_sum = parts[0].value + parts[1].value
     assert part_sum <= total + 1e-12
@@ -178,20 +141,13 @@ def test_localized_cross_term_identity():
     assert total - part_sum == pytest.approx(cross, rel=1e-10)
 
 
-def test_localized_overlap_rejected():
-    u = indicator_1d(0.1)
-    params = FractionalParams(s=0.25, p=2.0)
-    with pytest.raises(GeometryError):
-        localized_energy_table(u, params, [Region.whole(), Region.whole()])
-
-
 def test_superadditivity_exact():
     u = indicator_1d(0.05)
     params = FractionalParams(s=0.25, p=2.0)
     regions = [Region.from_box(Box((-2.0,), (0.0,))),
                Region.from_box(Box((0.05,), (1.0,))),
                Region.from_box(Box((1.05,), (3.0,)))]
-    parts = localized_energy_table(u, params, regions)
+    parts = [gagliardo_energy(u, params, region) for region in regions]
     total = gagliardo_energy(u, params).value
     assert sum(p.value for p in parts) <= total + 1e-12
 

@@ -5,8 +5,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from splab.errors import ConfigurationError, ConsistencyError, EvaluationError, GeometryError
-from splab.grid import Box, Placement, glue_disjoint, make_grid, rescale_map, restrict_to_box, sample_map
+from splab.errors import ConfigurationError, ConsistencyError, EvaluationError
+from splab.grid import Placement, SampledMap, make_grid, rescale_map, sample_map
 from splab.patches import radial_cutoff
 
 
@@ -126,94 +126,9 @@ def test_rescale_inverse_property(scale_pow, translate):
     assert back.grid.spacing == pytest.approx(u.grid.spacing, rel=1e-15)
 
 
-def _bump_piece(center_val):
-    g = make_grid(1, [-1.0, 1.0], 0.125)
-    f = lambda x: center_val * np.clip(1 - np.abs(x), 0.0, None) ** 2
-    return sample_map(g, f, Box((-1.0,), (1.0,)), (0.0,))
-
-
-def test_glue_single_piece_is_piece():
-    piece = _bump_piece(1.0)
-    ambient = make_grid(1, [-2.0, 2.0], 0.125)
-    glued = glue_disjoint([(piece, Placement.identity(1))], ambient, (0.0,))
-    assert np.array_equal(restrict_to_box(glued, piece.support), piece.values)
-
-
-def test_glue_two_disjoint_pieces():
-    a = _bump_piece(1.0)
-    b = _bump_piece(-2.0)
-    ambient = make_grid(1, [-4.0, 4.0], 0.0625)
-    glued = glue_disjoint(
-        [(a, Placement((-2.0,), 0.5)), (b, Placement((2.0,), 0.5))], ambient, (0.0,)
-    )
-    assert np.array_equal(
-        restrict_to_box(glued, a.support.transformed((-2.0,), 0.5)), a.values
-    )
-    assert np.array_equal(
-        restrict_to_box(glued, b.support.transformed((2.0,), 0.5)), b.values
-    )
-
-
-def test_glue_overlap_rejected():
-    a = _bump_piece(1.0)
-    ambient = make_grid(1, [-4.0, 4.0], 0.125)
-    with pytest.raises(GeometryError, match="overlap"):
-        glue_disjoint(
-            [(a, Placement((0.0,), 1.0)), (a, Placement((0.5,), 1.0))], ambient, (0.0,)
-        )
-
-
-def test_glue_background_mismatch_rejected():
-    a = _bump_piece(1.0)
-    ambient = make_grid(1, [-4.0, 4.0], 0.125)
+def test_sampled_map_outside_support_must_equal_constant():
+    g = make_grid(1, [-1.0, 1.0], 0.25)
+    u = sample_map(g, lambda x: np.clip(1 - np.abs(x), 0.0, None), (-0.5, 0.5), (0.0,))
+    assert np.all(u.values[np.abs(u.grid.nodes()[:, 0]) > 0.5] == 0.0)
     with pytest.raises(ConsistencyError):
-        glue_disjoint([(a, Placement.identity(1))], ambient, (1.0,))
-
-
-def test_glue_misaligned_rejected():
-    a = _bump_piece(1.0)
-    ambient = make_grid(1, [-4.0, 4.0], 0.125)
-    with pytest.raises(GeometryError, match="misaligned|spacing"):
-        glue_disjoint([(a, Placement((0.033,), 1.0))], ambient, (0.0,))
-
-
-def test_glue_localized_energies_almost_add():
-    # union map of two disjoint bumps: localized energies sum to the total
-    # minus the explicitly recomputed cross-pair term
-    from splab.energy import FractionalParams, Region, gagliardo_energy, localized_energy_table
-
-    a = _bump_piece(1.0)
-    b = _bump_piece(-2.0)
-    ambient = make_grid(1, [-4.0, 4.0], 0.125)
-    glued = glue_disjoint(
-        [(a, Placement((-2.0,), 1.0)), (b, Placement((2.0,), 1.0))], ambient, (0.0,)
-    )
-    params = FractionalParams(s=0.4, p=2.0)
-    left = Region.from_box(Box((-4.0,), (0.0,)))
-    right = Region.from_box(Box((0.125,), (4.0,)))
-    parts = localized_energy_table(glued, params, [left, right])
-    total = gagliardo_energy(glued, params).value
-    part_sum = sum(p.value for p in parts)
-    assert part_sum <= total + 1e-12
-    pts = np.asarray(glued.grid.nodes()).ravel()
-    vals = glued.values.ravel()
-    lm = left.mask(glued.grid)
-    rm = right.mask(glued.grid)
-    d = np.abs(pts[lm][:, None] - pts[rm][None, :])
-    dv = np.abs(vals[lm][:, None] - vals[rm][None, :])
-    cross = 2.0 * glued.grid.spacing**2 * float(np.sum(dv**params.p / d ** (1 + params.sp)))
-    assert total == pytest.approx(part_sum + cross, rel=1e-10)
-
-
-def test_glue_dyadic_layer_piece_count():
-    # four translated pieces on the dyadic grid of the square at level one
-    from splab.energy import FractionalParams
-    from splab.patches import LayerSpec, build_layer
-
-    layer = LayerSpec(1)
-    assert layer.count == 4
-    params = FractionalParams(s=0.4, p=2.5)
-    grid = make_grid(2, [[-1.1, -1.1], [1.1, 1.1]], 1 / 160)
-    glued, regions = build_layer(layer, params, grid)
-    assert len(regions) == 4
-    assert LayerSpec(2).count == 16
+        SampledMap(g, u.values, 1, u.support, (1.0,))

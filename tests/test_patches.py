@@ -2,23 +2,20 @@ import numpy as np
 import pytest
 
 from splab import _pairsum
-from patch_reference import projected_point_by_point
+from patch_reference import build_patch, projected_point_by_point
 from splab._pairsum import cell_lattice_kernel, pair_kernel_sum
 from splab.chords import chords_vectorized
-from splab.energy import FractionalParams, gagliardo_energy
-from splab.errors import BudgetError, ResolutionError
-from splab.grid import Box, make_grid
+from splab.energy import FractionalParams, Region, gagliardo_energy
+from splab.errors import BudgetError
+from splab.grid import Box, make_grid, sample_map
 from splab.patches import (
+    FRAME_HALFWIDTH,
     LayerSpec,
     PatchModel,
     PatchSpec,
     SUPPORT_HALFWIDTH,
     PATCH_MARGIN,
     basic_values,
-    build_basic_patch,
-    build_clustered_patch,
-    build_layer,
-    build_patch,
     cluster_cell_centers,
     cluster_scale,
     _project_values,
@@ -49,41 +46,25 @@ def test_cluster_cells_fit_disjointly():
 
 def test_basic_patch_plateau_values(params_main):
     spec = PatchSpec((0.2, -0.1), 2, params_main)
-    g = frame_grid(1 / 8)
-    u = build_basic_patch(spec, g)
-    pts = np.asarray(g.nodes())
     amp = spec.amplitude
-    at_plus = np.argmin(np.linalg.norm(pts - [1.0, 0.0], axis=1))
-    at_minus = np.argmin(np.linalg.norm(pts - [-1.0, 0.0], axis=1))
-    far = np.argmin(np.linalg.norm(pts - [2.4, 2.4], axis=1))
-    assert np.allclose(u.values[at_plus], [0.2 + amp, -0.1])
-    assert np.allclose(u.values[at_minus], [0.2 - amp, -0.1])
-    assert np.allclose(u.values[far], [0.2, -0.1])
-
-
-def test_basic_patch_resolution_gate(params_main):
-    spec = PatchSpec((0.0, 0.0), 1, params_main)
-    with pytest.raises(ResolutionError):
-        build_basic_patch(spec, frame_grid(1 / 4))
+    at_plus, at_minus, far = basic_values(np.array([[1.0, 0.0], [-1.0, 0.0], [2.4, 2.4]]), spec)
+    assert np.allclose(at_plus, [0.2 + amp, -0.1])
+    assert np.allclose(at_minus, [0.2 - amp, -0.1])
+    assert np.allclose(far, [0.2, -0.1])
 
 
 def test_basic_patch_amplitude_scaling(params_main):
     # on a fixed grid the energy scales exactly with the amplitude power
     g = frame_grid(1 / 8)
+    frame = Box.cube(FRAME_HALFWIDTH, dim=2)
     energies = {}
     for n in (1, 2, 3):
         spec = PatchSpec((0.0, 0.0), n, params_main)
-        u = build_basic_patch(spec, g)
+        u = sample_map(g, lambda x: basic_values(x, spec), frame, spec.c)
         energies[n] = gagliardo_energy(u, params_main).value
     p = params_main.p
     assert energies[2] / energies[1] == pytest.approx(2.0**-p, rel=1e-12)
     assert energies[3] / energies[2] == pytest.approx(2.0**-p, rel=1e-12)
-
-
-def test_clustered_patch_requires_resolution(params_main):
-    spec = PatchSpec((0.0, 0.0), 2, params_main)  # k = 6, feature 1/96
-    with pytest.raises(ResolutionError):
-        build_clustered_patch(spec, frame_grid(1 / 64))
 
 
 def test_clustered_over_single_energy_scales_like_cluster_power():
@@ -132,19 +113,13 @@ def test_localized_cluster_cells_symmetric(params_main):
     # the four cells of a k = 2 cluster are exact translates carrying the
     # same values, so their localized energies coincide and their sum
     # stays below the total
-    from splab.energy import Region, localized_energy_table
-    from splab.patches import cluster_cell_centers
-
     spec = PatchSpec((0.0, 0.0), 1, params_main, k=2)
     g = make_grid(2, Box.cube(PATCH_MARGIN, dim=2), 1 / 128)
-    u = build_clustered_patch(spec, g)
+    u = build_patch(spec, g)
     r_cell = 1 / (4 * spec.k)
-    regions = [
-        Region.from_box(Box.cube(r_cell - 1e-9, center=c, dim=2))
-        for c in cluster_cell_centers(spec.k)
-    ]
-    parts = localized_energy_table(u, params_main, regions)
-    vals = [p.value for p in parts]
+    cells = [Region.from_box(Box.cube(r_cell - 1e-9, center=c, dim=2))
+             for c in cluster_cell_centers(spec.k)]
+    vals = [gagliardo_energy(u, params_main, cell).value for cell in cells]
     assert max(vals) / min(vals) - 1.0 <= 1e-9
     block = gagliardo_energy(u, params_main,
                              Region.from_box(Box.cube(0.25, dim=2))).value
@@ -193,12 +168,13 @@ def test_projected_center_shift_value(model_main, params_main):
 
 
 def test_layer_counts_and_budget(params_main):
+    # the n = 3 layer cloud fits the node budget but not the pair budget
     layer = LayerSpec(1)
     assert layer.count == 4
+    assert len(layer.placements()) == 4
     assert LayerSpec(2).count == 16
-    grid = make_grid(2, [[-1.1, -1.1], [1.1, 1.1]], 1 / 160)
-    with pytest.raises(BudgetError):
-        build_layer(layer, params_main, grid, node_budget=100_000)
+    with pytest.raises(BudgetError, match="pairs > budget"):
+        PatchModel(params_main).layer_energy_direct(LayerSpec(3))
 
 
 def test_layer_unit_scale_energy_slope(model_main):
@@ -269,6 +245,19 @@ def _reference_lower(model, layer, a):
     spec = PatchSpec(tuple(centers[0]), layer.n, model.params)
     coeff = layer.placement_scale ** (2 - model.params.sp) * model.cluster_lower_constant(spec)
     return coeff * float(np.sum(chords**model.params.p))
+
+
+@pytest.mark.parametrize("pair", [(0.4, 2.5), (0.4, 1.5), (0.5, 2.0), (0.7, 2.8)],
+                         ids=lambda pair: f"s{pair[0]}-p{pair[1]}")
+def test_plateau_kernel_is_the_frame_class_entry(pair):
+    # the plateau balls are the frame classes of profile +1 and -1, so the
+    # kernel mass between them is twice that entry of the frame class matrix
+    model = PatchModel(FractionalParams(*pair), workers=2)
+    profile, kern = model._frame_classes()
+    plus, minus = np.flatnonzero(profile == 1.0), np.flatnonzero(profile == -1.0)
+    assert plus.size == minus.size == 1
+    expected = 2.0 * kern[plus[0], minus[0]]
+    assert model.plateau_kernel == pytest.approx(expected, rel=1e-12, abs=0)
 
 
 @pytest.mark.parametrize("pair", THRESHOLD_PAIRS)

@@ -123,6 +123,8 @@ def test_cli_invalid_config_exit_code(tmp_path):
     (None, ["threshold", "--p", "2.5,inf,2.0"]),
     (None, ["geometry", "--n-min", "5", "--n-max", "2", "--samples", "1000"]),
     (None, ["geometry", "--n-min", "3", "--n-max", "3"]),
+    (None, ["geometry", "--lemma", "geom2", "--ell", "1"]),
+    (None, ["geometry", "--ell", "0"]),
 ], ids=["config-layer-s", "config-patch-n-values", "config-seed", "config-seminorm-map",
         "flag-threshold-s", "flag-patch-n-values", "flag-seminorm-map", "flag-threshold-unpaired",
         "flag-patch-shifts-0", "flag-patch-shifts-minus-1", "flag-threshold-n-max-1",
@@ -130,7 +132,8 @@ def test_cli_invalid_config_exit_code(tmp_path):
         "config-seminorm-spacing-beyond-float",
         "flag-seminorm-spacing-nan", "flag-averaging-spacing-nan", "flag-layer-p-nan",
         "flag-seminorm-p-inf", "flag-averaging-alpha-inf", "flag-threshold-p-inf",
-        "flag-geometry-empty-range", "flag-geometry-one-scale"])
+        "flag-geometry-empty-range", "flag-geometry-one-scale", "flag-geometry-ell-1",
+        "flag-geometry-ell-0"])
 def test_malformed_input_exits_two(tmp_path, capsys, config, argv):
     if config is not None:
         path = tmp_path / "cfg.json"
@@ -147,8 +150,9 @@ def test_malformed_input_exits_two(tmp_path, capsys, config, argv):
 
 @pytest.mark.parametrize("argv", [
     ["layer", "--n", "9"],
+    ["layer", "--n", "3"],
     ["patch", "--n-values", "5", "--shifts", "1"],
-], ids=["layer-n-9", "patch-n-5"])
+], ids=["layer-n-9", "layer-n-3", "patch-n-5"])
 def test_oversized_cloud_exits_two(tmp_path, capsys, argv):
     assert main(argv + ["--out", str(tmp_path / "out")]) == 2
     assert "budget" in capsys.readouterr().err

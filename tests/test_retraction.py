@@ -8,15 +8,14 @@ from splab.retraction import (
     AlmostModel,
     AlmostRetractionSpec,
     almost_projection_scan,
-    build_almost_counterexample,
     build_almost_retraction,
-    cluster_profile_1d,
     degree_of,
     lipschitz_rate_check,
     wrap_angle,
     xi_grid,
 )
 from splab._pairsum import pair_kernel_sum
+from splab.patches import clustered_profile, collar_factor
 
 
 def make_retr(eps, cap=np.pi):
@@ -89,8 +88,6 @@ def test_idempotent_off_cap_preimage():
 def test_spec_validation():
     with pytest.raises(ConfigurationError):
         AlmostRetractionSpec(epsilon=1.0)
-    with pytest.raises(ConfigurationError):
-        AlmostRetractionSpec(epsilon=0.1, iota=1.5)
 
 
 def test_ctrex_formulas():
@@ -122,21 +119,6 @@ def test_support_scales_summable():
     assert sum(radii) < 2 * radii[0]
 
 
-def test_built_map_on_circle_with_expected_plateaus():
-    params = FractionalParams(s=0.6, p=1.5)
-    spec = AlmostCtrexSpec(params=params)
-    eps = 0.5
-    u = build_almost_counterexample(spec, eps)
-    norms = np.linalg.norm(u.values, axis=1)
-    assert np.max(np.abs(norms - 1.0)) <= 1e-12
-    lam = spec.support_scale(eps)
-    assert u.support.hi[0] == pytest.approx(lam)
-    # the first slot's center angle appears among the sampled values
-    angles = np.arctan2(u.values[:, 1], u.values[:, 0])
-    first_center = wrap_angle(np.asarray([spec.center_angles(eps)[1]]))[0]
-    assert np.min(np.abs(wrap_angle(angles - first_center))) <= 1e-9
-
-
 def test_slot_dual_route():
     # composite slot quadrature against a flat 1D pair sum in frame coords;
     # small s keeps the near-diagonal quadrature deficit negligible on both routes
@@ -151,9 +133,8 @@ def test_slot_dual_route():
     n = int(round(4.0 / h))
     tau = -2.0 + (np.arange(n) + 0.5) * (4.0 / n)
     half = spec.pair_half_separation(eps)
-    from splab.retraction import collar_factor_1d
-
-    theta = spec.base_angle + collar_factor_1d(tau) * delta + half * cluster_profile_1d(tau, k)
+    theta = (spec.base_angle + collar_factor(tau[:, None]) * delta
+             + half * clustered_profile(tau[:, None], k))
     vals = np.column_stack([np.cos(theta), np.sin(theta)])
     flat_energy_frame = 2.0 * (4.0 / n) ** 2 * pair_kernel_sum(
         tau[:, None], vals, params.p, 1 + params.sp, block=2048

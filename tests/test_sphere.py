@@ -8,10 +8,7 @@ from splab.errors import DegenerateShiftError, SingularHitError
 from splab.grid import make_grid, sample_map
 from splab.sphere import (
     ShiftPoint,
-    jacobian_blowup_check,
-    nearest_point_extension,
     project,
-    projection_jacobian,
     restricted_diffeo_check,
     shifted_projection,
     shifted_unit_values,
@@ -120,61 +117,6 @@ def test_shifted_identity_divergence_at_large_sp():
     assert abs(ok[2] / ok[1] - 1.0) < 0.12  # stabilizes
 
 
-def test_jacobian_ratio_is_one():
-    assert jacobian_blowup_check([[2.0, 0.0]]) == pytest.approx(1.0, abs=1e-12)
-    assert jacobian_blowup_check([[0.01, 0.0]]) == pytest.approx(1.0, abs=1e-12)
-    assert jacobian_blowup_check([[2.0, 0.0], [0.3, 0.4], [-5.0, 1.0]]) == pytest.approx(1.0, abs=1e-12)
-
-
-def test_jacobian_scale_invariant():
-    pts = np.array([[0.2, 0.7], [3.0, -1.0]])
-    r1 = jacobian_blowup_check(pts)
-    r2 = jacobian_blowup_check(64.0 * pts)
-    assert r1 == pytest.approx(r2, rel=1e-12)
-
-
-def test_jacobian_zero_sample_rejected():
-    with pytest.raises(SingularHitError):
-        jacobian_blowup_check([[0.0, 0.0]])
-
-
-def test_jacobian_matches_finite_differences():
-    x = np.array([0.7, -0.4])
-    jac = projection_jacobian(x)
-    h = 1e-6
-    fd = np.zeros((2, 2))
-    for j in range(2):
-        dx = np.zeros(2)
-        dx[j] = h
-        fd[:, j] = (project(x + dx) - project(x - dx)) / (2 * h)
-    assert np.allclose(jac, fd, atol=1e-8)
-
-
-def test_nearest_point_extension_on_sphere():
-    x = np.array([0.6, 0.8])
-    assert np.allclose(nearest_point_extension(x, 0.3), x, atol=1e-15)
-
-
-def test_nearest_point_extension_origin():
-    assert np.allclose(nearest_point_extension(np.array([0.0, 0.0]), 0.3), [0.0, 0.0])
-
-
-def test_nearest_point_extension_inside_tube():
-    iota = 0.3
-    x = np.array([1.0 + iota / 2, 0.0])
-    assert np.allclose(nearest_point_extension(x, iota), [1.0, 0.0], atol=1e-15)
-
-
-def test_nearest_point_extension_bounded_and_continuous():
-    iota = 0.25
-    radii = np.linspace(0.0, 2.0, 401)
-    pts = np.column_stack([radii, np.zeros_like(radii)])
-    out = nearest_point_extension(pts, iota)
-    norms = np.linalg.norm(out, axis=1)
-    assert np.all(norms <= 1.0 + iota + 1e-12)
-    assert np.max(np.abs(np.diff(norms))) < 0.02  # no jumps along the ray
-
-
 def test_diffeo_identity_shift():
     rep = restricted_diffeo_check(ShiftPoint((0.0, 0.0)))
     assert rep.injective
@@ -195,11 +137,6 @@ def test_diffeo_large_shift_reported_only():
     rep = restricted_diffeo_check(ShiftPoint((0.0, 0.99)))
     assert rep.min_jacobian > 0
     assert rep.min_jacobian == pytest.approx(1.0 / 1.99, rel=1e-2)
-
-
-def test_small_shift_flag():
-    assert ShiftPoint((0.3, 0.4)).small_shift
-    assert not ShiftPoint((0.5, 0.4)).small_shift
 
 
 def test_chain_rule_pointwise_bound():
