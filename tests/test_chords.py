@@ -9,7 +9,9 @@ from splab.chords import (
     chords_vectorized,
     estimate_constant,
 )
+from splab.energy import FractionalParams
 from splab.errors import ConfigurationError, SingularHitError
+from splab.patches import PatchModel
 
 
 def test_chord_unit_scale_perpendicular():
@@ -61,6 +63,48 @@ def test_closed_form_matches_direct_bulk(rng):
         dm = c - disp * e1 - a
         dv = dp / np.linalg.norm(dp, axis=1)[:, None] - dm / np.linalg.norm(dm, axis=1)[:, None]
         assert np.max(np.abs(cf - np.linalg.norm(dv, axis=1))) <= 1e-12
+
+
+def _selected(case: ChordCase, p: float) -> bool:
+    """Whether the layer accounting counts the patch at c for the shift a."""
+    model = PatchModel(FractionalParams(s=0.4, p=p))
+    return bool(model._contributes(np.subtract(case.a, case.c), 2.0**-case.n))
+
+
+def test_geom1_gate_and_center_value():
+    # a shift on the center projects the displaced values to antipodes, and
+    # the near-field cube selects the patch; a shift outside the cube with
+    # p > ell (cube alone) does not
+    case = ChordCase(c=(0.3, -0.2), n=3, a=(0.3, -0.2))
+    res = chord_exact(case)
+    assert res.closed_form == pytest.approx(2.0, rel=1e-12)
+    assert res.direct == pytest.approx(2.0, rel=1e-12)
+    assert _selected(case, p=2.5)
+    assert not _selected(ChordCase(c=(0.0, 0.0), n=2, a=(0.5, 0.5)), p=2.5)
+
+
+def test_geom2_gate_and_ratio():
+    # perpendicular far-field shift: in the transverse cone, outside the cube
+    case = ChordCase(c=(0.0, 0.0), n=2, a=(0.0, 1.0))
+    assert case.cos_phi == pytest.approx(0.0)
+    assert _selected(case, p=1.5)
+    assert not _selected(case, p=2.5)
+    chord = chord_exact(case).closed_form
+    assert chord == pytest.approx(2.0 / np.sqrt(5.0), rel=1e-12)
+    # the geom2 quantity chord |a - c| / 2^(1-n) that estimate_constant minimizes
+    ratio = chord * case.center_distance / case.displacement
+    assert ratio == pytest.approx(4.0 / np.sqrt(5.0), rel=1e-12)
+
+
+def test_geom2_cone_gate():
+    aligned = ChordCase(c=(0.0, 0.0), n=2, a=(0.5, 0.0))  # |cos| = 1
+    assert abs(aligned.cos_phi) == 1.0
+    assert not _selected(aligned, p=1.5)
+    # just inside and just outside |cos| = 1/8 at distance 1/2
+    for cos, inside in ((0.99 * COS_CONE_BOUND, True), (1.01 * COS_CONE_BOUND, False)):
+        a = (0.5 * cos, 0.5 * np.sqrt(1.0 - cos**2))
+        case = ChordCase(c=(0.0, 0.0), n=2, a=a)
+        assert _selected(case, p=1.5) is inside
 
 
 def test_geom1_cube_corner_applicable():

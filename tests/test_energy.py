@@ -102,7 +102,8 @@ def test_scaling_under_resampling():
     assert resampled / base == pytest.approx(lam ** (1 - params.sp), rel=0.02)
 
 
-def test_s_equal_one_rejected_by_pair_sum():
+def test_s_equal_one_routed_to_dirichlet():
+    # s = 1 is the first-order (Dirichlet) energy, which the pair sum refuses
     u = smooth_bump_1d(0.1)
     with pytest.raises(WrongSchemeError, match="0 < s < 1"):
         gagliardo_energy(u, FractionalParams(s=1.0, p=2.0))

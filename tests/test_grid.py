@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from splab.errors import ConfigurationError, ConsistencyError, EvaluationError
-from splab.grid import Placement, SampledMap, make_grid, rescale_map, sample_map
+from splab.grid import Box, Placement, SampledMap, make_grid, rescale_map, sample_map
 from splab.patches import radial_cutoff
 
 
@@ -126,9 +126,56 @@ def test_rescale_inverse_property(scale_pow, translate):
     assert back.grid.spacing == pytest.approx(u.grid.spacing, rel=1e-15)
 
 
-def test_sampled_map_outside_support_must_equal_constant():
+def test_glue_background_mismatch_rejected():
+    # a map whose values outside its support differ from its constant is refused
     g = make_grid(1, [-1.0, 1.0], 0.25)
     u = sample_map(g, lambda x: np.clip(1 - np.abs(x), 0.0, None), (-0.5, 0.5), (0.0,))
     assert np.all(u.values[np.abs(u.grid.nodes()[:, 0]) > 0.5] == 0.0)
     with pytest.raises(ConsistencyError):
         SampledMap(g, u.values, 1, u.support, (1.0,))
+
+
+def test_glue_localized_energies_almost_add():
+    # union map of two disjoint bumps: localized energies sum to the total
+    # minus the explicitly recomputed cross-pair term
+    from splab.energy import FractionalParams, Region, gagliardo_energy
+
+    def bump(x, center, height):
+        return height * np.clip(1 - np.abs(x - center), 0.0, None) ** 2
+
+    ambient = make_grid(1, [-4.0, 4.0], 0.125)
+    glued = sample_map(ambient, lambda x: bump(x, -2.0, 1.0) + bump(x, 2.0, -2.0),
+                       ambient.box, (0.0,))
+    params = FractionalParams(s=0.4, p=2.0)
+    left = Region.from_box(Box((-4.0,), (0.0,)))
+    right = Region.from_box(Box((0.125,), (4.0,)))
+    parts = [gagliardo_energy(glued, params, region) for region in (left, right)]
+    total = gagliardo_energy(glued, params).value
+    part_sum = sum(p.value for p in parts)
+    assert part_sum <= total + 1e-12
+    pts = np.asarray(glued.grid.nodes()).ravel()
+    vals = glued.values.ravel()
+    lm = left.mask(glued.grid)
+    rm = right.mask(glued.grid)
+    d = np.abs(pts[lm][:, None] - pts[rm][None, :])
+    dv = np.abs(vals[lm][:, None] - vals[rm][None, :])
+    cross = 2.0 * glued.grid.spacing**2 * float(np.sum(dv**params.p / d ** (1 + params.sp)))
+    assert total == pytest.approx(part_sum + cross, rel=1e-10)
+
+
+def test_glue_dyadic_layer_piece_count():
+    # a layer places one piece on each dyadic cube of [-1, 1]^2: the placed
+    # frame boxes are those cubes, so they tile the square without overlap
+    from splab.patches import PATCH_MARGIN, LayerSpec
+
+    for n, count in ((1, 4), (2, 16)):
+        layer = LayerSpec(n)
+        placements = layer.placements()
+        assert layer.count == len(placements) == count
+        r = layer.cube_inradius
+        lo = np.array([np.asarray(pl.translate) - pl.scale * PATCH_MARGIN for pl in placements])
+        assert all(pl.scale * PATCH_MARGIN == pytest.approx(r, rel=1e-15) for pl in placements)
+        idx = np.round((lo + 1.0) / (2 * r))
+        assert np.allclose(lo, -1.0 + 2 * r * idx, rtol=0, atol=1e-15)
+        assert len({tuple(i) for i in idx.astype(int)}) == count
+        assert idx.min() == 0 and idx.max() == 2**n - 1

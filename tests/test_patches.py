@@ -6,7 +6,7 @@ from patch_reference import build_patch, projected_point_by_point
 from splab._pairsum import cell_lattice_kernel, pair_kernel_sum
 from splab.chords import chords_vectorized
 from splab.energy import FractionalParams, Region, gagliardo_energy
-from splab.errors import BudgetError
+from splab.errors import BudgetError, ResolutionError
 from splab.grid import Box, make_grid, sample_map
 from splab.patches import (
     FRAME_HALFWIDTH,
@@ -53,6 +53,13 @@ def test_basic_patch_plateau_values(params_main):
     assert np.allclose(far, [0.2, -0.1])
 
 
+def test_basic_patch_resolution_gate(params_main):
+    # the flat reference refuses a grid with fewer than 4 nodes across the bump's annulus
+    spec = PatchSpec((0.0, 0.0), 1, params_main)
+    with pytest.raises(ResolutionError):
+        build_patch(spec, frame_grid(1 / 4))
+
+
 def test_basic_patch_amplitude_scaling(params_main):
     # on a fixed grid the energy scales exactly with the amplitude power
     g = frame_grid(1 / 8)
@@ -65,6 +72,12 @@ def test_basic_patch_amplitude_scaling(params_main):
     p = params_main.p
     assert energies[2] / energies[1] == pytest.approx(2.0**-p, rel=1e-12)
     assert energies[3] / energies[2] == pytest.approx(2.0**-p, rel=1e-12)
+
+
+def test_clustered_patch_requires_resolution(params_main):
+    spec = PatchSpec((0.0, 0.0), 2, params_main)  # k = 6, feature 1/96
+    with pytest.raises(ResolutionError):
+        build_patch(spec, frame_grid(1 / 64))
 
 
 def test_clustered_over_single_energy_scales_like_cluster_power():
