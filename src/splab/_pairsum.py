@@ -6,17 +6,20 @@ Computes sums of the form
 
 over a weighted point cloud, excluding the diagonal.  The upper triangle
 of the pair matrix is cut into tiles: row slab [a, a + TILE_ROWS) meets
-the columns from a onward in chunks of ``block``.  Per-tile partial sums
-are combined by a pairwise tree reduction in fixed tile order, so the
-result is bit-stable for any worker count.  Tiles whose two value blocks
-hold one and the same constant, and tiles whose pairs all share one
-nonnegative group, are skipped exactly (their contribution is zero).
+the columns from a onward in chunks of ``block``.  One walk (`_walk`)
+serves every engine: it lists the tiles of one row slab at a time, drops
+the tiles whose pairs all share one nonnegative group (their kernel is
+zero), runs a task on each remaining tile on up to ``workers`` threads
+and yields the results in tile order.  Partial sums are combined by a
+pairwise tree reduction in that order, so the result is bit-stable for
+any worker count.
 
 A tile's kernel w_i w_j |x_i - x_j|^-q, with the diagonal, same-group
 and coincident pairs zeroed, depends on the geometry only.
-``pair_kernel_sum`` takes a stack of value sets and runs one tile loop:
-each kernel tile is computed once, applied to every value set for which
-it is live while it is in cache, and discarded.
+``pair_kernel_sum`` takes a stack of value sets: each kernel tile is
+computed once, applied to every value set for which it is live while it
+is in cache, and discarded.  A tile is dead for a value set whose two
+value blocks hold one and the same constant (every numerator is zero).
 
 When the values are a function of a class label with few classes,
 ``class_kernel`` sums the kernel tiles once into a (C, C) matrix per pair
@@ -35,6 +38,7 @@ from __future__ import annotations
 
 import itertools
 import math
+import os
 import threading
 from concurrent.futures import ThreadPoolExecutor
 
@@ -44,7 +48,7 @@ from numpy.typing import NDArray
 TILE_ROWS = 128
 DEFAULT_BLOCK = 512
 LATTICE_CHUNK = 32  # displacements per block of cell_lattice_kernel
-CLASS_CHUNK = 1024  # tiles per thread pool of class_kernel (their partials are held at once)
+TILE_CHUNK = 1024  # tiles per thread pool of the walk (their results are held at once)
 
 
 def tree_reduce(values, empty=0.0):
@@ -73,11 +77,6 @@ def _slab_tiles(a0: int, n: int, block: int) -> list[tuple[int, int, int, int]]:
     return [(a0, min(a0 + TILE_ROWS, n), b0, min(b0 + block, n)) for b0 in range(a0, n, block)]
 
 
-def _tiles(n: int, block: int) -> list[tuple[int, int, int, int]]:
-    """Every upper-triangle tile, row slab by row slab."""
-    return [tile for a0 in range(0, n, TILE_ROWS) for tile in _slab_tiles(a0, n, block)]
-
-
 def _as_values(values: NDArray) -> NDArray:
     vals = np.ascontiguousarray(values, dtype=float)
     return vals[:, None] if vals.ndim == 1 else vals
@@ -94,33 +93,17 @@ def _run_ends(keys: NDArray) -> NDArray:
     return np.append(breaks, n)[np.searchsorted(breaks, np.arange(n), side="right")]
 
 
-def _within_runs(keys: NDArray, tiles: list, run_end: NDArray | None = None) -> NDArray:
-    """Per tile: do its row block and its column block lie in runs of one and the same key row?
-
-    ``run_end`` is `_run_ends(keys)`, computed here when not given.
-    """
-    run_end = _run_ends(keys) if run_end is None else run_end
-    a0, a1, b0, b1 = np.asarray(tiles, dtype=np.int64).reshape(-1, 4).T
-    return (run_end[a0] >= a1) & (run_end[b0] >= b1) & np.all(keys[a0] == keys[b0], axis=1)
-
-
 def _one_group_tiles(groups: NDArray | None, tiles: list, run_end: NDArray | None = None) -> NDArray:
-    """Tiles whose rows and columns all carry one nonnegative group id (kernel all zero)."""
+    """Tiles whose rows and columns all carry one nonnegative group id (kernel all zero).
+
+    ``run_end`` is `_run_ends` of the groups, computed here when not given.
+    """
     if groups is None:
         return np.zeros(len(tiles), dtype=bool)
-    first_rows = np.asarray(tiles, dtype=np.int64).reshape(-1, 4)[:, 0]
-    return _within_runs(groups[:, None], tiles, run_end) & (groups[first_rows] >= 0)
-
-
-def _live_tiles(stack: NDArray, tiles: list, groups: NDArray | None) -> NDArray:
-    """(S, T) mask of the tiles that can contribute for each value set of the stack.
-
-    A tile is dead when its two value blocks hold one identical constant
-    (every numerator is zero) or when one group holds all its pairs.
-    """
-    grouped = _one_group_tiles(groups, tiles)
-    dead = np.array([_within_runs(vals, tiles) | grouped for vals in stack], dtype=bool)
-    return ~dead.reshape(len(stack), len(tiles))
+    run_end = _run_ends(groups[:, None]) if run_end is None else run_end
+    a0, a1, b0, b1 = np.asarray(tiles, dtype=np.int64).reshape(-1, 4).T
+    same = (run_end[a0] >= a1) & (run_end[b0] >= b1) & (groups[a0] == groups[b0])
+    return same & (groups[a0] >= 0)
 
 
 class _Scratch:
@@ -136,13 +119,17 @@ class _Scratch:
         return f0, f1, f2, self._mask[:k].reshape(rows, cols)
 
 
-def _map_tiles(fn, tiles: list, block: int, workers: int) -> list[float]:
-    """[fn(tile, scratch) for tile in tiles], run by up to ``workers`` threads."""
+def _map_tiles(fn, tiles: list, block: int, workers: int) -> list:
+    """[fn(tile, scratch) for tile in tiles], run by up to ``workers`` threads.
+
+    At most ``os.cpu_count()`` threads start, whatever ``workers`` asks for.
+    """
     size = TILE_ROWS * block
-    if workers <= 1 or len(tiles) <= 1:
+    threads = min(workers, len(tiles), os.cpu_count() or 1)
+    if threads <= 1:
         scratch = _Scratch(size)
         return [fn(t, scratch) for t in tiles]
-    out = [0.0] * len(tiles)
+    out = [None] * len(tiles)
     order = iter(range(len(tiles)))
     lock = threading.Lock()
 
@@ -155,10 +142,28 @@ def _map_tiles(fn, tiles: list, block: int, workers: int) -> list[float]:
                 return
             out[i] = fn(tiles[i], scratch)
 
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        for f in [pool.submit(drain) for _ in range(min(workers, len(tiles)))]:
+    with ThreadPoolExecutor(max_workers=threads) as pool:
+        for f in [pool.submit(drain) for _ in range(threads)]:
             f.result()
     return out
+
+
+def _walk(geo: _Geometry, task, block: int, workers: int):
+    """Yield task(tile, scratch) for each tile not inside one nonnegative group, in tile order.
+
+    The tiles are listed one row slab at a time and mapped ``TILE_CHUNK``
+    per thread pool, so the tile list is never held whole.
+    """
+    run_end = None if geo.g is None else _run_ends(geo.g[:, None])
+
+    def tiles():
+        for a0 in range(0, geo.n, TILE_ROWS):
+            slab = _slab_tiles(a0, geo.n, block)
+            yield from itertools.compress(slab, ~_one_group_tiles(geo.g, slab, run_end))
+
+    walk = tiles()
+    while chunk := list(itertools.islice(walk, TILE_CHUNK)):
+        yield from _map_tiles(task, chunk, block, workers)
 
 
 class _Geometry:
@@ -266,19 +271,23 @@ def pair_kernel_sum(
     single = np.ndim(values) < 3
     stack = _as_values(values)[None] if single else np.ascontiguousarray(values, dtype=float)
     cuts = [_drop_index(d) for d in _drop_sets(stack.shape[0], [drop] if single else drop)]
-    tiles = _tiles(geo.n, block)
-    live = _live_tiles(stack, tiles, geo.g)
-    partials = np.zeros(live.shape)
+    ends = np.array([_run_ends(vals) for vals in stack]).reshape(stack.shape[:2])
 
-    def run(i, scratch):
-        a0, a1, b0, b1 = tile = tiles[i]
+    def run(tile, scratch):
+        a0, a1, b0, b1 = tile
+        live = np.flatnonzero((ends[:, a0] < a1) | (ends[:, b0] < b1)
+                              | np.any(stack[:, a0] != stack[:, b0], axis=1))
+        if not live.size:
+            return live, []
         kern, buf, tmp, mask = scratch.views(a1 - a0, b1 - b0)
         geo.kernel_tile(tile, kern, tmp, mask)
-        for k in np.flatnonzero(live[:, i]):
-            partials[k, i] = _numerator_sum(stack[k], p, tile, kern, buf, tmp, cuts[k])
+        return live, [_numerator_sum(stack[k], p, tile, kern, buf, tmp, cuts[k]) for k in live]
 
-    _map_tiles(run, np.flatnonzero(live.any(axis=0)), block, workers)
-    sums = [tree_reduce(partials[k, live[k]].tolist()) for k in range(stack.shape[0])]
+    partials = [[] for _ in stack]
+    for live, sums in _walk(geo, run, block, workers):
+        for k, part in zip(live, sums):
+            partials[k].append(part)
+    sums = [tree_reduce(part) for part in partials]
     return sums[0] if single else np.array(sums)
 
 
@@ -304,15 +313,12 @@ def class_kernel(
     The points are first put in (group, label) order, which leaves the
     pair set unchanged, keeps each group in one run and lays the labels in
     runs, so the rows and the columns of a tile meet only a few classes.
-    The tiles and the one-group tile skip are those of `pair_kernel_sum`;
-    the live tiles are found row slab by row slab, so the tile list is
-    never held whole.  Each live tile's kernel is summed over its blocks of
-    one row run and one column run (`_run_sums`), so what a tile does
-    while holding the GIL is a few small calls, not a pass over its pairs.
-    The partials are binned into (C, C) and combined by a pairwise tree in
-    tile order, so the result is bit-identical for any worker count.  One
-    thread pool serves ``CLASS_CHUNK`` tiles, whose few-entry partials it
-    holds at once.
+    The tiles come from the walk of `pair_kernel_sum`.  Each tile's kernel
+    is summed over its blocks of one row run and one column run
+    (`_run_sums`), so what a tile does while holding the GIL is a few small
+    calls, not a pass over its pairs.  The partials are binned into (C, C)
+    and combined by a pairwise tree in tile order, so the result is
+    bit-identical for any worker count.
     """
     lab = np.ascontiguousarray(labels, dtype=np.int64).ravel()
     count = int(lab.max()) + 1 if lab.size else 0
@@ -322,12 +328,6 @@ def class_kernel(
                     None if groups is None else np.asarray(groups)[order])
     lab = lab[order]
     run_starts = np.flatnonzero(lab[1:] != lab[:-1]) + 1
-    run_end = None if geo.g is None else _run_ends(geo.g[:, None])
-
-    def live_tiles():
-        for a0 in range(0, geo.n, TILE_ROWS):
-            slab = _slab_tiles(a0, geo.n, block)
-            yield from itertools.compress(slab, ~_one_group_tiles(geo.g, slab, run_end))
 
     def partial(tile, scratch):
         a0, a1, b0, b1 = tile
@@ -336,13 +336,9 @@ def class_kernel(
         sums = _run_sums(geo.kernel_tile(tile, kern, tmp, mask), rows - a0, cols - b0)
         return lab[rows], lab[cols], sums
 
-    def parts():
-        tiles = live_tiles()
-        while chunk := list(itertools.islice(tiles, CLASS_CHUNK)):
-            for rows, cols, sums in _map_tiles(partial, chunk, block, workers):
-                yield class_bins(rows, cols, sums, count)
-
-    return symmetric(tree_reduce(parts(), np.zeros((count, count))))
+    parts = (class_bins(rows, cols, sums, count)
+             for rows, cols, sums in _walk(geo, partial, block, workers))
+    return symmetric(tree_reduce(parts, np.zeros((count, count))))
 
 
 def _runs(run_starts: NDArray, i0: int, i1: int) -> NDArray:

@@ -18,13 +18,6 @@ from .errors import ConfigurationError, ConsistencyError, EvaluationError
 _SNAP_REL_TOL = 1e-9
 
 
-def _as_tuple(x, dim: int) -> tuple[float, ...]:
-    arr = np.atleast_1d(np.asarray(x, dtype=float))
-    if arr.shape != (dim,):
-        raise ConfigurationError(f"expected {dim} coordinates, got shape {arr.shape}")
-    return tuple(float(v) for v in arr)
-
-
 @dataclass(frozen=True)
 class Box:
     """Axis-aligned box given by its two corners (lo <= hi per axis)."""

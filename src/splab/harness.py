@@ -23,9 +23,9 @@ from .patches import LayerSpec, PatchModel, PatchSpec
 from .report import ExperimentReport
 from .retraction import (
     AlmostCtrexSpec,
+    AlmostRetraction,
     AlmostRetractionSpec,
     almost_projection_scan,
-    build_almost_retraction,
     degree_of,
     lipschitz_rate_check,
 )
@@ -438,7 +438,8 @@ def _run_geometry(opts: GeometryOptions, cfg: RunConfig) -> ExperimentReport:
     est = estimate_constant(opts.lemma, range(opts.n_min, opts.n_max + 1), opts.samples,
                             cfg.seed, ell=opts.ell)
     report = ExperimentReport(name=f"geometry-{opts.lemma}",
-                              params={"lemma": opts.lemma, "samples": opts.samples,
+                              params={"lemma": opts.lemma, "ell": opts.ell, "n_min": opts.n_min,
+                                      "n_max": opts.n_max, "samples": opts.samples,
                                       "seed": cfg.seed})
     for n, v in est.per_n.items():
         report.add_row(n, upper=v, lower=v)
@@ -535,7 +536,7 @@ def _run_almost(opts: AlmostOptions, cfg: RunConfig) -> ExperimentReport:
     products = []
     for m in range(2, 8):
         eps = 2.0**-m
-        retr = build_almost_retraction(AlmostRetractionSpec(epsilon=eps))
+        retr = AlmostRetraction(AlmostRetractionSpec(epsilon=eps))
         deg = degree_of(retr)
         rate = lipschitz_rate_check(retr, eps)
         products.append((rate.max_slope_eps, rate.halfcap_min_slope_eps))

@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 from numpy.typing import NDArray
@@ -196,8 +197,8 @@ class LayerSpec:
     def placements(self) -> list[Placement]:
         return [Placement(tuple(t), self.placement_scale) for t in self.centers()]
 
-    def patch_specs(self, params: FractionalParams, k: int = 0) -> list[PatchSpec]:
-        return [PatchSpec(tuple(c), self.n, params, k=k) for c in self.centers()]
+    def patch_specs(self, params: FractionalParams) -> list[PatchSpec]:
+        return [PatchSpec(tuple(c), self.n, params) for c in self.centers()]
 
 
 def _stencil_offsets(layer: LayerSpec) -> NDArray:
@@ -273,47 +274,33 @@ class PatchModel:
         self._frame_pts, self.h0 = _midpoint_lattice(FRAME_HALFWIDTH, FRAME_SPACING)
         self._frame_g = two_bump_profile(self._frame_pts)
         self._kernel_exp = 2 + params.sp
-        self._profile_energy = None
-        self._plateau_kernel = None
-        self._collar_unit = None
-        self._patch_margin_factor = None
-        self._layer_margin_factor = None
         self._memo: dict = {}
         self._class_memo: dict = {}
 
     # -- frame-level constants ------------------------------------------------
 
-    @property
+    @cached_property
     def profile_energy(self) -> float:
         """Energy of the scalar two-bump profile over the frame box."""
-        if self._profile_energy is None:
-            self._profile_energy = frame_energy(self._frame_pts, self._frame_g[:, None],
-                                                self.params.p, self._kernel_exp, self.h0,
-                                                self.workers)
-        return self._profile_energy
+        return frame_energy(self._frame_pts, self._frame_g[:, None], self.params.p,
+                            self._kernel_exp, self.h0, self.workers)
 
-    @property
+    @cached_property
     def plateau_kernel(self) -> float:
         """Kernel mass between the two plateau balls of the frame."""
-        if self._plateau_kernel is None:
-            e1 = np.array([1.0, 0.0])
-            pos = self._frame_pts[np.linalg.norm(self._frame_pts - e1, axis=1) <= PLATEAU_RADIUS]
-            neg = self._frame_pts[np.linalg.norm(self._frame_pts + e1, axis=1) <= PLATEAU_RADIUS]
-            d = pos[:, None, :] - neg[None, :, :]
-            dr2 = np.einsum("ijk,ijk->ij", d, d)
-            self._plateau_kernel = float(
-                2.0 * self.h0**4 * np.sum(dr2 ** (-0.5 * self._kernel_exp))
-            )
-        return self._plateau_kernel
+        e1 = np.array([1.0, 0.0])
+        pos = self._frame_pts[np.linalg.norm(self._frame_pts - e1, axis=1) <= PLATEAU_RADIUS]
+        neg = self._frame_pts[np.linalg.norm(self._frame_pts + e1, axis=1) <= PLATEAU_RADIUS]
+        d = pos[:, None, :] - neg[None, :, :]
+        dr2 = np.einsum("ijk,ijk->ij", d, d)
+        return float(2.0 * self.h0**4 * np.sum(dr2 ** (-0.5 * self._kernel_exp)))
 
-    @property
+    @cached_property
     def collar_unit_energy(self) -> float:
         """Energy of the unit-amplitude collar profile over the patch frame."""
-        if self._collar_unit is None:
-            pts, h = _midpoint_lattice(PATCH_MARGIN, COARSE_SPACING)
-            self._collar_unit = frame_energy(pts, collar_factor(pts)[:, None], self.params.p,
-                                             self._kernel_exp, h, self.workers)
-        return self._collar_unit
+        pts, h = _midpoint_lattice(PATCH_MARGIN, COARSE_SPACING)
+        return frame_energy(pts, collar_factor(pts)[:, None], self.params.p,
+                            self._kernel_exp, h, self.workers)
 
     def cluster_energy(self, spec: PatchSpec) -> float:
         """Exact-scaling cluster total: k^ell mu^(ell-sp) A^p * profile energy."""
@@ -473,19 +460,17 @@ class PatchModel:
 
     # -- margins (measured cross-term factors) ---------------------------------
 
-    @property
+    @cached_property
     def patch_margin_factor(self) -> float:
         """Measured ratio direct/(cluster + collar) at n in {1, 2}, with headroom."""
-        if self._patch_margin_factor is None:
-            ratios = []
-            for n in (1, 2):
-                for c in ((0.0, 0.0), (0.5, 0.5)):
-                    spec = PatchSpec(c, n, self.params)
-                    direct = self.patch_energy_direct(spec)
-                    base = self.cluster_energy(spec) + np.linalg.norm(c) ** self.params.p * self.collar_unit_energy
-                    ratios.append(direct / base if base > 0 else 1.0)
-            self._patch_margin_factor = max(ratios) * 1.15
-        return self._patch_margin_factor
+        ratios = []
+        for n in (1, 2):
+            for c in ((0.0, 0.0), (0.5, 0.5)):
+                spec = PatchSpec(c, n, self.params)
+                direct = self.patch_energy_direct(spec)
+                base = self.cluster_energy(spec) + np.linalg.norm(c) ** self.params.p * self.collar_unit_energy
+                ratios.append(direct / base if base > 0 else 1.0)
+        return max(ratios) * 1.15
 
     def patch_energy_compositional(self, spec: PatchSpec) -> float:
         c_norm = float(np.linalg.norm(spec.c))
@@ -544,19 +529,17 @@ class PatchModel:
             total += sigma ** (2 - self.params.sp) * float(energy)
         return total
 
-    @property
+    @cached_property
     def layer_margin_factor(self) -> float:
         """Measured glue factor at n = 1: layer direct / sum of patch energies."""
-        if self._layer_margin_factor is None:
-            layer = LayerSpec(1)
-            sigma = layer.placement_scale
-            direct = self.layer_energy_direct(layer)
-            total = sum(
-                sigma ** (2 - self.params.sp) * self.patch_energy_direct(s)
-                for s in layer.patch_specs(self.params)
-            )
-            self._layer_margin_factor = max(direct / total, 1.0) * 1.15
-        return self._layer_margin_factor
+        layer = LayerSpec(1)
+        sigma = layer.placement_scale
+        direct = self.layer_energy_direct(layer)
+        total = sum(
+            sigma ** (2 - self.params.sp) * self.patch_energy_direct(s)
+            for s in layer.patch_specs(self.params)
+        )
+        return max(direct / total, 1.0) * 1.15
 
     def layer_upper_compositional(self, layer: LayerSpec) -> float:
         """Sum of the patches' compositional bounds, times the glue margin.

@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 from numpy.typing import NDArray
@@ -98,15 +99,10 @@ class AlmostRetraction:
         return self.spec.cap_center + out
 
 
-def build_almost_retraction(spec: AlmostRetractionSpec) -> AlmostRetraction:
-    return AlmostRetraction(spec)
-
-
 @dataclass(frozen=True)
 class RateReport:
     max_slope_eps: float
     halfcap_min_slope_eps: float
-    step: float
 
 
 def lipschitz_rate_check(retr: AlmostRetraction, epsilon: float) -> RateReport:
@@ -129,7 +125,7 @@ def lipschitz_rate_check(retr: AlmostRetraction, epsilon: float) -> RateReport:
         raise AssertionFailure(f"cap slope {max_prod} exceeds 2*pi / eps rate")
     if min_prod < 1.0:
         raise AssertionFailure(f"half-cap slope {min_prod} below the 1/eps rate")
-    return RateReport(max_slope_eps=max_prod, halfcap_min_slope_eps=min_prod, step=step)
+    return RateReport(max_slope_eps=max_prod, halfcap_min_slope_eps=min_prod)
 
 
 def degree_of(retr: AlmostRetraction, samples: int = 20000) -> float:
@@ -211,29 +207,22 @@ class AlmostModel:
         self.workers = workers
         self._frame_tau, self.h0 = cell_midpoints(FRAME_HALFWIDTH, SLOT_FRAME_SPACING)
         self._kernel_exp = 1 + self.params.sp
-        self._plateau_kernel = None
-        self._collar_unit = None
-        self._glue_margin = None
 
-    @property
+    @cached_property
     def plateau_kernel(self) -> float:
         """Kernel mass between the two plateau intervals of a single copy."""
-        if self._plateau_kernel is None:
-            tau = self._frame_tau
-            neg = tau[np.abs(tau + 1.0) <= 0.5]
-            pos = tau[np.abs(tau - 1.0) <= 0.5]
-            d = np.abs(pos[:, None] - neg[None, :])
-            self._plateau_kernel = float(2.0 * self.h0**2 * np.sum(d**-self._kernel_exp))
-        return self._plateau_kernel
+        tau = self._frame_tau
+        neg = tau[np.abs(tau + 1.0) <= 0.5]
+        pos = tau[np.abs(tau - 1.0) <= 0.5]
+        d = np.abs(pos[:, None] - neg[None, :])
+        return float(2.0 * self.h0**2 * np.sum(d**-self._kernel_exp))
 
-    @property
+    @cached_property
     def collar_unit_energy(self) -> float:
         """Frame energy of the unit-amplitude scalar collar profile."""
-        if self._collar_unit is None:
-            pts = self._frame_tau[:, None]
-            self._collar_unit = frame_energy(pts, collar_factor(pts)[:, None], self.params.p,
-                                             self._kernel_exp, self.h0, self.workers)
-        return self._collar_unit
+        pts = self._frame_tau[:, None]
+        return frame_energy(pts, collar_factor(pts)[:, None], self.params.p,
+                            self._kernel_exp, self.h0, self.workers)
 
     # geometry helpers ---------------------------------------------------------
 
@@ -346,7 +335,7 @@ class AlmostModel:
     def scan_row(self, n: int, shifts: NDArray) -> dict:
         """One scan row: support radius, energy bound, projected inf-energy."""
         eps = 2.0**-n
-        retr = build_almost_retraction(AlmostRetractionSpec(epsilon=eps, cap_center=np.pi))
+        retr = AlmostRetraction(AlmostRetractionSpec(epsilon=eps, cap_center=np.pi))
         if self.spec.regime_ok:
             self.coverage_check(eps, retr, shifts)
         lam = self.spec.support_scale(eps)

@@ -20,10 +20,9 @@ DEGENERATE_HIT_FRACTION = 0.01
 
 @dataclass(frozen=True)
 class ShiftPoint:
-    """A shift a applied before projecting, with its recorded radius bound."""
+    """A shift a applied before projecting."""
 
     a: tuple[float, ...]
-    radius_bound: float = 1.0
 
     def __post_init__(self):
         object.__setattr__(self, "a", tuple(float(x) for x in self.a))
@@ -107,7 +106,6 @@ def shifted_projection(u: SampledMap, shift: ShiftPoint) -> tuple[SampledMap, li
 class DiffeoReport:
     injective: bool
     min_jacobian: float
-    angular_step: float
 
 
 def restricted_diffeo_check(shift: ShiftPoint, resolution: float = 1e-3) -> DiffeoReport:
@@ -136,4 +134,4 @@ def restricted_diffeo_check(shift: ShiftPoint, resolution: float = 1e-3) -> Diff
     increments = np.mod(increments, 2 * np.pi)
     # strict monotonicity plus total winding 2*pi (degree one) on the samples
     injective = bool(np.all(increments > 0) and abs(increments.sum() - 2 * np.pi) < 1e-9)
-    return DiffeoReport(injective=injective, min_jacobian=float(np.min(jac)), angular_step=resolution)
+    return DiffeoReport(injective=injective, min_jacobian=float(np.min(jac)))

@@ -24,9 +24,9 @@ from splab.harness import (
 from splab.patches import PatchModel, PatchSpec
 from splab.retraction import (
     AlmostCtrexSpec,
+    AlmostRetraction,
     AlmostRetractionSpec,
     almost_projection_scan,
-    build_almost_retraction,
     degree_of,
     lipschitz_rate_check,
 )
@@ -238,7 +238,7 @@ def test_criterion_08_almost_retraction():
     maxes, mins = [], []
     for m in range(2, 8):
         eps = 2.0**-m
-        retr = build_almost_retraction(AlmostRetractionSpec(epsilon=eps))
+        retr = AlmostRetraction(AlmostRetractionSpec(epsilon=eps))
         degree_ok &= abs(degree_of(retr)) <= 1e-9
         rep = lipschitz_rate_check(retr, eps)
         maxes.append(rep.max_slope_eps)

@@ -1,17 +1,21 @@
+import os
 import sys
 import tracemalloc
+from concurrent.futures import Future
 
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from splab import _pairsum
 from splab import energy as energy_module
 from splab._pairsum import (
     DEFAULT_BLOCK,
+    TILE_CHUNK,
     TILE_ROWS,
     _one_group_tiles,
-    _tiles,
+    _slab_tiles,
     class_kernel,
     class_pair_sum,
     pair_kernel_sum,
@@ -424,6 +428,69 @@ def test_stacked_pair_kernel_sum_rejects_mismatched_drops():
         pair_kernel_sum(points, np.zeros((3, 10, 1)), 2.0, 2.0, drop=[[1], [2]])
 
 
+def test_walk_maps_tiles_a_chunk_at_a_time(monkeypatch):
+    # block 1 over 600 points: 1,720 tiles, more than one chunk; set 1 is constant (all dead)
+    rng = np.random.default_rng(12)
+    points, weights = rng.random((600, 2)), rng.random(600) + 0.1
+    values = np.stack([rng.normal(size=(600, 2)), np.full((600, 2), 0.3),
+                       np.r_[np.zeros((300, 2)), rng.random((300, 2))]])
+    drops = [np.array([5, 599]), np.array([], dtype=int), np.array([0, 130, 131])]
+    assert len(all_tiles(600, 1)) == 1720 > TILE_CHUNK
+    mapped = []
+    real_map = _pairsum._map_tiles
+
+    def spy(fn, tiles, block, workers):
+        mapped.append(len(tiles))
+        return real_map(fn, tiles, block, workers)
+
+    monkeypatch.setattr(_pairsum, "_map_tiles", spy)
+    per_set = [pair_kernel_sum(points, vals, 2.5, 2.6, weights=weights, block=1, drop=drop)
+               for vals, drop in zip(values, drops)]
+    for workers in (1, 2, 3):
+        stacked = pair_kernel_sum(points, values, 2.5, 2.6, weights=weights, block=1,
+                                  workers=workers, drop=drops)
+        assert stacked.tolist() == per_set
+    assert max(mapped) <= TILE_CHUNK
+    assert per_set[1] == 0.0
+    for vals, drop, got in zip(values, drops, per_set):
+        expected = naive_pair_sum(points, vals, 2.5, 2.6, weights, None, drop)
+        assert got == pytest.approx(expected, rel=1e-12, abs=1e-300)
+
+
+def test_worker_count_capped_at_cpu_count(monkeypatch):
+    # a huge worker count starts no more threads than there are CPUs, with the same sum
+    sizes = []
+
+    class InlinePool:
+        """A ThreadPoolExecutor stand-in that records its size and runs each task at once."""
+
+        def __init__(self, max_workers):
+            sizes.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def submit(self, fn):
+            future = Future()
+            future.set_result(fn())
+            return future
+
+    rng = np.random.default_rng(4)
+    points, values = rng.random((700, 2)), rng.normal(size=(700, 1))
+    expected = pair_kernel_sum(points, values, 2.5, 2.6, block=16)
+    monkeypatch.setattr(_pairsum, "ThreadPoolExecutor", InlinePool)
+    got = pair_kernel_sum(points, values, 2.5, 2.6, block=16, workers=100_000)
+    assert got == expected
+    assert max(sizes, default=1) <= os.cpu_count()
+
+
+def all_tiles(n, block):
+    return [tile for a0 in range(0, n, TILE_ROWS) for tile in _slab_tiles(a0, n, block)]
+
+
 @ENGINE_SETTINGS
 @given(st.integers(min_value=0, max_value=2**32 - 1), st.sampled_from([4, 16, DEFAULT_BLOCK]))
 def test_one_group_tiles_skipped_exactly(seed, block):
@@ -434,7 +501,7 @@ def test_one_group_tiles_skipped_exactly(seed, block):
     groups = np.repeat(np.array([0, -1, 1, 0]), np.diff(np.r_[0, cuts, n]))
     points, values = rng.random((n, 2)), rng.normal(size=(n, 2))
     weights = rng.random(n) + 0.1
-    tiles = _tiles(n, block)
+    tiles = all_tiles(n, block)
     skipped = _one_group_tiles(groups, tiles)
     for i in np.flatnonzero(skipped):  # a skipped tile holds no cross-group pair
         a0, a1, b0, b1 = tiles[i]
@@ -449,7 +516,7 @@ def test_one_group_tiles_skipped_exactly(seed, block):
 def test_one_group_tiles_are_found():
     # 600 points in one group: the tiles inside it are skipped, the one meeting -1 is not
     groups = np.r_[np.zeros(600, dtype=np.int64), -np.ones(40, dtype=np.int64)]
-    tiles = _tiles(640, 128)
+    tiles = all_tiles(640, 128)
     skipped = _one_group_tiles(groups, tiles)
     assert [tiles[i] for i in np.flatnonzero(skipped)] == [
         t for t in tiles if t[1] <= 600 and t[3] <= 600
@@ -531,8 +598,6 @@ def test_class_kernel_ignores_point_order(cloud, seed):
 
 def test_class_kernel_keeps_groups_in_runs(monkeypatch):
     # labels shared across groups 0 and -1: sorting by label alone would interleave the groups
-    from splab import _pairsum
-
     rng = np.random.default_rng(8)
     groups = np.r_[np.zeros(600, dtype=np.int64), -np.ones(40, dtype=np.int64)]
     labels = rng.integers(0, 4, size=640)

@@ -241,6 +241,16 @@ def test_cli_geometry_run_and_outputs(tmp_path):
     assert (tmp_path / "geometry-geom1.svg").exists()
 
 
+def test_cli_geometry_report_records_its_inputs(tmp_path):
+    rc = main(["geometry", "--ell", "3", "--samples", "1000", "--n-min", "1", "--n-max", "2",
+               "--formats", "json", "--out", str(tmp_path)])
+    assert rc == 0
+    text = (tmp_path / "geometry-geom1.json").read_text()
+    assert '"ell": 3' in text
+    params = json.loads(text)["params"]
+    assert (params["n_min"], params["n_max"]) == (1, 2)
+
+
 def test_cli_seminorm_svg_naming(tmp_path):
     rc = main([
         "seminorm", "--map", "indicator1d", "--s", "0.25", "--p", "2.0",

@@ -6,9 +6,9 @@ from splab.errors import ConfigurationError
 from splab.retraction import (
     AlmostCtrexSpec,
     AlmostModel,
+    AlmostRetraction,
     AlmostRetractionSpec,
     almost_projection_scan,
-    build_almost_retraction,
     degree_of,
     lipschitz_rate_check,
     wrap_angle,
@@ -19,7 +19,7 @@ from splab.patches import clustered_profile, collar_factor
 
 
 def make_retr(eps, cap=np.pi):
-    return build_almost_retraction(AlmostRetractionSpec(epsilon=eps, cap_center=cap))
+    return AlmostRetraction(AlmostRetractionSpec(epsilon=eps, cap_center=cap))
 
 
 def test_point_far_from_cap_fixed():
