@@ -18,6 +18,7 @@ from .errors import ConfigurationError, SamplingError, SingularHitError
 from .sphere import project
 
 COS_CONE_BOUND = 0.125  # |cos(angle to e1)| <= 1/8 gates the far-field bound
+MIN_SAMPLES = 1000  # per scale index of an `estimate_constant` run
 
 
 def _e1(ell: int) -> NDArray:
@@ -65,19 +66,6 @@ class ChordCase:
     @property
     def x2(self) -> float:
         return float(np.linalg.norm(self.c_minus - np.asarray(self.a)))
-
-    @property
-    def cos_phi(self) -> float:
-        """Cosine of the angle between a - c and e1 (0 when a == c)."""
-        d = np.asarray(self.a) - np.asarray(self.c)
-        r = np.linalg.norm(d)
-        if r == 0.0:
-            return 0.0
-        return float(d[0] / r)
-
-    @property
-    def center_distance(self) -> float:
-        return float(np.linalg.norm(np.asarray(self.a) - np.asarray(self.c)))
 
 
 @dataclass(frozen=True)
@@ -157,6 +145,11 @@ def _sample_unit_ball(rng: np.random.Generator, count: int, ell: int) -> NDArray
     return pts * radii[:, None]
 
 
+def check_sample_count(samples: int) -> None:
+    if samples < MIN_SAMPLES:
+        raise ConfigurationError(f"need at least {MIN_SAMPLES} samples, got {samples}")
+
+
 def estimate_constant(
     lemma: str,
     n_range,
@@ -172,8 +165,7 @@ def estimate_constant(
     minimum of chord (geom1) or chord * |a-c| / 2^(1-n) (geom2), with the
     arg-min case, plus the per-n minima for stability checks.
     """
-    if samples < 1000:
-        raise ConfigurationError(f"need at least 1000 samples, got {samples}")
+    check_sample_count(samples)
     if lemma not in ("geom1", "geom2"):
         raise ConfigurationError(f"unknown lemma {lemma!r}")
     rng = np.random.default_rng(seed)

@@ -15,7 +15,7 @@ from pathlib import Path
 from typing import get_args, get_origin, get_type_hints
 
 from .errors import ConfigurationError
-from .harness import EXPERIMENTS
+from .harness import EXPERIMENTS, named
 
 # keys every experiment accepts besides the fields of its options class
 _COMMON_KEYS = {"name": str, "description": str}
@@ -70,7 +70,7 @@ class ExperimentConfig:
         return self.options.get("name", self.kind)
 
     def spec(self, pointer: str = ""):
-        """The typed options of this experiment, checked against its kind's schema."""
+        """The typed options of this experiment, checked against its kind's schema and values."""
         if self.kind not in EXPERIMENTS:
             raise ConfigurationError(f"unknown experiment kind {self.kind!r} at {pointer}/kind")
         cls = EXPERIMENTS[self.kind][0]
@@ -111,7 +111,7 @@ def validate_config(data: dict) -> RunConfig:
             raise ConfigurationError(f"expected an object at {ptr}")
         exp = ExperimentConfig(kind=entry.get("kind"),
                                options={k: v for k, v in entry.items() if k != "kind"})
-        exp.spec(ptr)
+        named(exp.name, lambda: exp.spec(ptr))
         experiments.append(exp)
     cfg = RunConfig(experiments=tuple(experiments), **top)
     if cfg.worker_count < 1:

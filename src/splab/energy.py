@@ -58,13 +58,12 @@ class Region:
         return Region(kind="all")
 
     @staticmethod
-    def from_box(box: Box, excluded=()) -> "Region":
-        return Region(kind="box", box=box, excluded=tuple(excluded))
+    def from_box(box: Box) -> "Region":
+        return Region(kind="box", box=box)
 
     @staticmethod
-    def from_ball(center, radius: float, excluded=()) -> "Region":
-        return Region(kind="ball", center=tuple(float(c) for c in center),
-                      radius=float(radius), excluded=tuple(excluded))
+    def from_ball(center, radius: float) -> "Region":
+        return Region(kind="ball", center=tuple(float(c) for c in center), radius=float(radius))
 
     def mask(self, grid: Grid) -> NDArray:
         pts = grid.nodes()
@@ -100,10 +99,15 @@ class EnergyValue:
             raise NumericalError(f"energy value must be finite and >= 0, got {self.value}")
 
 
-def _pair_setup(grid: Grid, params: FractionalParams, region: Region | None):
-    """(node indices of the region, kernel exponent m + sp) of a pair-sum energy."""
+def check_pair_sum(params: FractionalParams) -> None:
+    """WrongSchemeError unless the pair-sum quadrature applies: 0 < s < 1."""
     if params.s >= 1:
         raise WrongSchemeError(f"the pair-sum quadrature needs 0 < s < 1, got s = {params.s}")
+
+
+def _pair_setup(grid: Grid, params: FractionalParams, region: Region | None):
+    """(node indices of the region, kernel exponent m + sp) of a pair-sum energy."""
+    check_pair_sum(params)
     mask = (region or Region.whole()).mask(grid)
     if not mask.any():
         raise ConfigurationError("empty region")

@@ -8,6 +8,7 @@ fastest), matching ``np.meshgrid(..., indexing="ij")`` raveled.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Callable, Sequence
 
 import numpy as np
@@ -83,7 +84,6 @@ class Grid:
     box: Box
     spacing: float
     shape: tuple[int, ...] = field(init=False)
-    _nodes_cache: list = field(default_factory=list, repr=False, compare=False)
 
     def __post_init__(self):
         if self.dim < 1:
@@ -109,14 +109,16 @@ class Grid:
         n = self.shape[axis]
         return self.box.lo[axis] + self.spacing * np.arange(n)
 
+    @cached_property
+    def _node_array(self) -> NDArray:
+        mesh = np.meshgrid(*(self.axis_coords(i) for i in range(self.dim)), indexing="ij")
+        pts = np.column_stack([m.ravel() for m in mesh])
+        pts.setflags(write=False)
+        return pts
+
     def nodes(self) -> NDArray:
         """All node coordinates as an (N, dim) array, C order. Cached."""
-        if not self._nodes_cache:
-            mesh = np.meshgrid(*(self.axis_coords(i) for i in range(self.dim)), indexing="ij")
-            pts = np.column_stack([m.ravel() for m in mesh])
-            pts.setflags(write=False)
-            self._nodes_cache.append(pts)
-        return self._nodes_cache[0]
+        return self._node_array
 
     def transformed(self, translate: Sequence[float], scale: float) -> "Grid":
         return Grid(self.dim, self.box.transformed(translate, scale), self.spacing * scale)

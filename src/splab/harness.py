@@ -9,17 +9,17 @@ process exit status.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import asdict, dataclass, field, replace
 from typing import TYPE_CHECKING
 
 import numpy as np
 from numpy.typing import NDArray
 
-from .chords import estimate_constant
-from .energy import EnergyPlan, FractionalParams, Region, gagliardo_energy
+from .chords import check_sample_count, estimate_constant
+from .energy import EnergyPlan, FractionalParams, Region, check_pair_sum, gagliardo_energy
 from .errors import ConfigurationError, DegenerateShiftError, SplabError
-from .grid import Box, make_grid, sample_map
-from .patches import LayerSpec, PatchModel, PatchSpec
+from .grid import Box, Grid, SampledMap, make_grid, sample_map
+from .patches import ELL, LayerSpec, PatchModel, PatchSpec
 from .report import ExperimentReport
 from .retraction import (
     AlmostCtrexSpec,
@@ -48,20 +48,16 @@ _CALIBRATION_CACHE: dict = {}
 # ---------------------------------------------------------------------------
 
 
-def indicator_map_1d(spacing: float):
-    grid = make_grid(1, [-2.0, 3.0], spacing)
+def _indicator_1d(grid: Grid) -> SampledMap:
     f = lambda x: ((x[:, 0] > 0) & (x[:, 0] < 1)).astype(float)
     return sample_map(grid, f, Box((-0.5,), (1.5,)), [0.0])
 
 
-def identity_map_2d(spacing: float, halfwidth: float = 1.0):
-    grid = make_grid(2, Box.cube(halfwidth, dim=2), spacing)
+def _identity_2d(grid: Grid) -> SampledMap:
     return sample_map(grid, lambda x: x, grid.box, (0.0, 0.0))
 
 
-def bump_map_1d(spacing: float):
-    grid = make_grid(1, [-1.5, 1.5], spacing)
-
+def _bump_1d(grid: Grid) -> SampledMap:
     def f(x):
         t = np.clip(1.0 - x[:, 0] ** 2, 0.0, None)
         return np.where(t > 0, np.exp(-1.0 / np.where(t > 0, t, 1.0)), 0.0)
@@ -69,7 +65,22 @@ def bump_map_1d(spacing: float):
     return sample_map(grid, f, Box((-1.0,), (1.0,)), [0.0])
 
 
-TEST_MAPS = {"indicator1d": indicator_map_1d, "identity2d": identity_map_2d, "bump1d": bump_map_1d}
+# name -> (the box its grid covers, the map sampled on such a grid)
+TEST_MAPS = {
+    "indicator1d": (Box((-2.0,), (3.0,)), _indicator_1d),
+    "identity2d": (Box.cube(1.0, dim=2), _identity_2d),
+    "bump1d": (Box((-1.5,), (1.5,)), _bump_1d),
+}
+
+
+def map_grid(name: str, spacing: float) -> Grid:
+    """The grid of test map `name`; a ConfigurationError unless `spacing` divides its box."""
+    box = TEST_MAPS[name][0]
+    return make_grid(box.dim, box, spacing)
+
+
+def identity_map_2d(spacing: float) -> SampledMap:
+    return _identity_2d(map_grid("identity2d", spacing))
 
 
 # ---------------------------------------------------------------------------
@@ -86,10 +97,12 @@ class AveragingConfig:
     spacing: float = 0.04
 
     def __post_init__(self):
+        check_pair_sum(self.params)
         if self.n_mc < 100:
             raise ConfigurationError(f"need at least 100 Monte Carlo shifts, got {self.n_mc}")
         if self.alpha <= 0:
             raise ConfigurationError("shift ball radius must be positive")
+        map_grid("identity2d", self.spacing)
 
 
 def _uniform_ball_2d(rng: np.random.Generator, count: int, radius: float) -> NDArray:
@@ -235,43 +248,41 @@ def threshold_verdict(ns, ratios) -> tuple[str, float, float]:
     return "bounded", log2_slope, lin_slope
 
 
-def threshold_scan(
-    s_values,
-    p_values,
-    n_range,
-    ell: int = 2,
-    workers: int = 1,
-    cross_validate: bool = True,
-) -> ExperimentReport:
-    """Layer ratio growth across parameter pairs; verdict per pair.
-
-    Every pair must satisfy sp < ell, and the p grid must straddle ell.
-    Ratios come from compositional accounting; at n <= 2 the bounds are
-    cross-validated against the composite direct quadrature.
-    """
-    s_values = list(s_values)
-    p_values = list(p_values)
+def threshold_params(s_values, p_values) -> list[FractionalParams]:
+    """The (s, p) pairs of a threshold scan, checked: sp < ell, p values straddling ell."""
     if len(s_values) != len(p_values):
         raise ConfigurationError(
             f"s and p values pair up: got {len(s_values)} s and {len(p_values)} p values"
         )
-    pairs = list(zip(s_values, p_values))
-    for s, p in pairs:
-        if s * p >= ell:
-            raise ConfigurationError(f"pair (s={s}, p={p}) violates sp < ell")
-    if not (min(p_values) < ell <= max(p_values)):
+    pairs = [FractionalParams(s=s, p=p) for s, p in zip(s_values, p_values)]
+    for params in pairs:
+        if params.sp >= ELL:
+            raise ConfigurationError(f"pair (s={params.s}, p={params.p}) violates sp < ell")
+    if not (min(p_values) < ELL <= max(p_values)):
         raise ConfigurationError("p values must straddle ell")
+    return pairs
+
+
+def threshold_scan(s_values, p_values, n_range, workers: int = 1,
+                   cross_validate: bool = True) -> ExperimentReport:
+    """Layer ratio growth across the `threshold_params` pairs; verdict per pair.
+
+    Ratios come from compositional accounting; at n <= 2 the bounds are
+    cross-validated against the composite direct quadrature.
+    """
+    s_values, p_values = list(s_values), list(p_values)
+    pairs = threshold_params(s_values, p_values)
     report = ExperimentReport(
         name="threshold",
-        params={"s_values": s_values, "p_values": p_values, "ell": ell,
+        params={"s_values": s_values, "p_values": p_values, "ell": ELL,
                 "n_range": [int(n) for n in n_range]},
     )
-    for s, p in pairs:
-        params = FractionalParams(s=s, p=p, ell=ell)
+    for params in pairs:
+        s, p = params.s, params.p
         model = PatchModel(params, workers=workers)
         ns, ratios = [], []
         for n in n_range:
-            layer = LayerSpec(n, ell)
+            layer = LayerSpec(n)
             lower, upper, ratio, argmin = model.layer_ratio(layer)
             ns.append(n)
             ratios.append(ratio)
@@ -302,9 +313,9 @@ def threshold_scan(
         report.constants[f"slope_s{s}_p{p}"] = log2_slope
         report.constants[f"linear_slope_s{s}_p{p}"] = lin_slope
         report.constants[f"verdict_s{s}_p{p}"] = verdict
-        if p == ell:
+        if p == ELL:
             j_max = 2 ** (max(n_range) - 1)
-            report.constants[f"distance_sum_s{s}_p{p}"] = cone_distance_sum(j_max, ell, p)
+            report.constants[f"distance_sum_s{s}_p{p}"] = cone_distance_sum(j_max, ELL, p)
     report.validate()
     return report
 
@@ -314,9 +325,11 @@ def threshold_scan(
 # ---------------------------------------------------------------------------
 #
 # The fields of each options class, with their types and defaults, are the
-# only declaration of a kind's keys: the `spl` subcommand flags and the
-# strict config schema are both generated from them.  Field metadata may
-# name the CLI flag ("flag") and the allowed values ("choices").
+# only declaration of a kind's keys: the `spl` flags, the config schema and
+# the report's params come from them.  Field metadata may name the CLI flag
+# ("flag") and the allowed values ("choices").  Construction checks the
+# values and puts the objects the runner reads in `vars(self)`, beside the
+# frozen fields.  A runner that draws from the run seed records it.
 
 
 @dataclass(frozen=True)
@@ -328,15 +341,17 @@ class SeminormOptions:
     p: float = 2.0
     spacing: float = 1e-3
 
+    def __post_init__(self):
+        vars(self).update(params=FractionalParams(s=self.s, p=self.p),
+                          grid=map_grid(self.map, self.spacing))
+        check_pair_sum(self.params)
+
 
 def _run_seminorm(opts: SeminormOptions, cfg: RunConfig) -> ExperimentReport:
-    params = FractionalParams(s=opts.s, p=opts.p)
-    energy = gagliardo_energy(TEST_MAPS[opts.map](opts.spacing), params, workers=cfg.worker_count)
+    u = TEST_MAPS[opts.map][1](opts.grid)
+    energy = gagliardo_energy(u, opts.params, workers=cfg.worker_count)
     value = energy.value
-    report = ExperimentReport(name="seminorm",
-                              params={"map": opts.map, "s": opts.s, "p": opts.p,
-                                      "spacing": opts.spacing},
-                              scheme=energy.scheme)
+    report = ExperimentReport(name="seminorm", scheme=energy.scheme)
     report.add_row(opts.spacing, upper=value, lower=value)
     if opts.map == "indicator1d" and opts.s == 0.25 and opts.p == 2.0:
         rel = abs(value - INDICATOR_TRUNCATED) / INDICATOR_TRUNCATED
@@ -359,35 +374,32 @@ class PatchOptions:
     def __post_init__(self):
         if self.shift_count < 1:
             raise ConfigurationError(f"need at least 1 shift, got {self.shift_count}")
+        params = FractionalParams(s=self.s, p=self.p)
+        vars(self).update(params=params,
+                          specs={n: PatchSpec((0.3, 0.2), n, params) for n in self.n_values})
 
 
 def _run_patch(opts: PatchOptions, cfg: RunConfig) -> ExperimentReport:
-    params = FractionalParams(s=opts.s, p=opts.p)
-    model = PatchModel(params, workers=cfg.worker_count)
-    report = ExperimentReport(name="patch",
-                              params={"s": opts.s, "p": opts.p, "n_values": list(opts.n_values)})
+    model = PatchModel(opts.params, workers=cfg.worker_count)
+    report = ExperimentReport(name="patch", params={"seed": cfg.seed})
     energies = {}
     for n in opts.n_values:
-        spec = PatchSpec((0.3, 0.2), n, params)
-        energies[n] = model.patch_energy_direct(spec)
-        report.add_row(n, upper=energies[n], lower=model.cluster_energy(spec))
+        energies[n] = model.patch_energy_direct(opts.specs[n])
+        report.add_row(n, upper=energies[n], lower=model.cluster_energy(opts.specs[n]))
     spread = max(energies.values()) / min(energies.values())
     report.constants["energy_spread"] = spread
     report.check("patch energies uniform within factor 2", spread <= 2.0,
                  f"max/min = {spread:.4g}")
     rng = np.random.default_rng(cfg.seed)
     shifts = _uniform_ball_2d(rng, opts.shift_count, 1.0)
-    for n in (1, 2):
-        if n not in opts.n_values:
-            continue
-        spec = PatchSpec((0.3, 0.2), n, params)
+    for spec in [opts.specs[n] for n in (1, 2) if n in opts.specs]:
         worst = np.inf
         for a, direct in zip(shifts, model.patch_projected_direct(spec, shifts)):
             lower = model.patch_projected_lower(spec, a)
             if lower > 0:
                 worst = min(worst, float(direct) / lower)
-        report.constants[f"min_direct_over_lower_n{n}"] = worst
-        report.check(f"projected lower bound holds at n={n} (0.1 margin)", worst >= 0.1,
+        report.constants[f"min_direct_over_lower_n{spec.n}"] = worst
+        report.check(f"projected lower bound holds at n={spec.n} (0.1 margin)", worst >= 0.1,
                      f"min direct/lower = {worst:.4g} over {opts.shift_count} shifts")
     return report
 
@@ -400,15 +412,15 @@ class LayerOptions:
     p: float = 2.5
     n: int = 1
 
+    def __post_init__(self):
+        vars(self).update(params=FractionalParams(s=self.s, p=self.p), layer=LayerSpec(self.n))
+
 
 def _run_layer(opts: LayerOptions, cfg: RunConfig) -> ExperimentReport:
-    model = PatchModel(FractionalParams(s=opts.s, p=opts.p), workers=cfg.worker_count)
-    layer = LayerSpec(opts.n)
-    direct = model.layer_energy_direct(layer)
-    upper = model.layer_upper_compositional(layer)
-    report = ExperimentReport(name="layer",
-                              params={"s": opts.s, "p": opts.p, "n": opts.n,
-                                      "patches": layer.count})
+    model = PatchModel(opts.params, workers=cfg.worker_count)
+    direct = model.layer_energy_direct(opts.layer)
+    upper = model.layer_upper_compositional(opts.layer)
+    report = ExperimentReport(name="layer", params={"patches": opts.layer.count})
     report.add_row(opts.n, upper=upper, lower=direct)
     report.check("compositional upper bounds direct", direct <= upper,
                  f"direct={direct:.6g} upper={upper:.6g}")
@@ -432,15 +444,13 @@ class GeometryOptions:
             raise ConfigurationError(
                 f"comparing scales needs n_max > n_min, got n_min={self.n_min} n_max={self.n_max}"
             )
+        check_sample_count(self.samples)
 
 
 def _run_geometry(opts: GeometryOptions, cfg: RunConfig) -> ExperimentReport:
     est = estimate_constant(opts.lemma, range(opts.n_min, opts.n_max + 1), opts.samples,
                             cfg.seed, ell=opts.ell)
-    report = ExperimentReport(name=f"geometry-{opts.lemma}",
-                              params={"lemma": opts.lemma, "ell": opts.ell, "n_min": opts.n_min,
-                                      "n_max": opts.n_max, "samples": opts.samples,
-                                      "seed": cfg.seed})
+    report = ExperimentReport(name=f"geometry-{opts.lemma}", params={"seed": cfg.seed})
     for n, v in est.per_n.items():
         report.add_row(n, upper=v, lower=v)
     spread = max(est.per_n.values()) / min(est.per_n.values()) - 1.0
@@ -463,16 +473,16 @@ class AveragingOptions:
     spacing: float = 0.04
     refine: bool = True
 
+    def __post_init__(self):
+        params = FractionalParams(s=self.s, p=self.p)
+        vars(self).update(averaging=AveragingConfig(params, alpha=self.alpha, n_mc=self.n_mc,
+                                                    spacing=self.spacing))
+
 
 def _run_averaging(opts: AveragingOptions, cfg: RunConfig) -> ExperimentReport:
-    params = FractionalParams(s=opts.s, p=opts.p)
-    acfg = AveragingConfig(params=params, alpha=opts.alpha, n_mc=opts.n_mc, seed=cfg.seed,
-                           spacing=opts.spacing)
+    acfg = replace(opts.averaging, seed=cfg.seed)
     out = averaging_check(acfg, workers=cfg.worker_count)
-    report = ExperimentReport(name="averaging",
-                              params={"s": opts.s, "p": opts.p, "spacing": opts.spacing,
-                                      "n_mc": opts.n_mc},
-                              scheme=out.pop("scheme"))
+    report = ExperimentReport(name="averaging", params={"seed": cfg.seed}, scheme=out.pop("scheme"))
     report.add_row(opts.spacing, upper=out["base_energy"], lower=out["mean_projected_energy"])
     report.constants.update({k: v for k, v in out.items() if np.isscalar(v)})
     report.check("kernel self-test within 2%", out["selftest_rel_err"] <= 0.02,
@@ -487,7 +497,7 @@ def _run_averaging(opts: AveragingOptions, cfg: RunConfig) -> ExperimentReport:
                        lower=out2["mean_projected_energy"])
         drift = abs(out2["bound_ratio"] / out["bound_ratio"] - 1.0)
         report.constants["ratio_drift_under_halving"] = drift
-        if opts.p < params.ell:
+        if opts.p < ELL:
             report.check("bound ratio stable under h-halving (p < ell)", drift <= 0.25,
                          f"drift {drift:.4g}")
     return report
@@ -504,6 +514,7 @@ class ThresholdOptions:
     def __post_init__(self):
         if self.n_max < 2:
             raise ConfigurationError(f"a slope needs n_max >= 2, got {self.n_max}")
+        threshold_params(self.s_values, self.p_values)
 
 
 def _run_threshold(opts: ThresholdOptions, cfg: RunConfig) -> ExperimentReport:
@@ -526,19 +537,18 @@ class AlmostOptions:
             raise ConfigurationError(
                 f"an exponent fit needs n_max > n_min, got n_min={self.n_min} n_max={self.n_max}"
             )
+        vars(self).update(ctrex=AlmostCtrexSpec(FractionalParams(s=self.s, p=self.p), self.alpha))
 
 
 def _run_almost(opts: AlmostOptions, cfg: RunConfig) -> ExperimentReport:
-    params = FractionalParams(s=opts.s, p=opts.p)
-    spec = AlmostCtrexSpec(params=params, alpha=opts.alpha)
-    report = ExperimentReport(name="almost",
-                              params={"s": opts.s, "p": opts.p, "alpha": spec.alpha})
+    spec = opts.ctrex
+    report = ExperimentReport(name="almost", params={"alpha": spec.alpha})
     products = []
     for m in range(2, 8):
         eps = 2.0**-m
         retr = AlmostRetraction(AlmostRetractionSpec(epsilon=eps))
         deg = degree_of(retr)
-        rate = lipschitz_rate_check(retr, eps)
+        rate = lipschitz_rate_check(retr)
         products.append((rate.max_slope_eps, rate.halfcap_min_slope_eps))
         report.check(f"degree zero at eps=2^-{m}", abs(deg) <= 1e-9, f"degree {deg:.2e}")
     for idx, label in ((0, "max slope"), (1, "half-cap slope")):
@@ -581,29 +591,32 @@ EXPERIMENTS = {
 }
 
 
-def _named(exp, step):
-    """step(), with a ConfigurationError prefixed by the experiment's name."""
+def named(name: str, step):
+    """step(), with a SplabError prefixed by the experiment's name; its class stays."""
     try:
         return step()
-    except ConfigurationError as exc:
-        raise ConfigurationError(f"experiment {exp.name!r}: {exc}") from exc
+    except SplabError as exc:
+        exc.args = (f"experiment {name!r}: {exc}",)
+        raise
 
 
 def run_suite(cfg: RunConfig) -> list[ExperimentReport]:
     """Execute the configured experiments in declared order.
 
-    Every experiment's options are checked before the first one runs.  When
-    an experiment fails, the error raised carries the reports completed
-    before it as ``completed``.
+    Every experiment's options are checked before the first one runs.  A
+    report's params hold its options beside the keys its runner sets.
+    When an experiment fails, the error raised carries the reports
+    completed before it as ``completed``; every error names its experiment.
     """
-    specs = [_named(exp, exp.spec) for exp in cfg.experiments]
+    specs = [named(exp.name, exp.spec) for exp in cfg.experiments]
     reports = []
     for exp, spec in zip(cfg.experiments, specs):
         try:
-            report = _named(exp, lambda: EXPERIMENTS[exp.kind][1](spec, cfg))
+            report = named(exp.name, lambda: EXPERIMENTS[exp.kind][1](spec, cfg))
         except SplabError as exc:
             exc.completed = reports
             raise
+        report.params = {**asdict(spec), **report.params}
         report.name = exp.options.get("name", report.name)
         reports.append(report)
     return reports

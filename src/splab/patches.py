@@ -36,6 +36,7 @@ from .errors import BudgetError, ConfigurationError
 from .grid import Placement
 from .sphere import SINGULAR_EXCLUSION_RADIUS
 
+ELL = 2  # every patch takes values in R^2, and every layer covers [-1, 1]^2
 # Frame geometry shared by every patch (frame coordinates).
 FRAME_HALFWIDTH = 2.0      # two-bump frame box
 PLATEAU_RADIUS = 0.5       # each bump is 1 on this ball
@@ -82,7 +83,6 @@ class PatchSpec:
     n: int
     params: FractionalParams
     k: int = 0  # 0 means the default ceil(2^((n-1)/s))
-    axis: int = 0
 
     def __post_init__(self):
         object.__setattr__(self, "c", tuple(float(v) for v in self.c))
@@ -147,9 +147,9 @@ def collar_factor(points: NDArray) -> NDArray:
 
 
 def _values_from(collar: NDArray, profile: NDArray, spec: PatchSpec) -> NDArray:
-    """Patch values collar * c + amplitude * profile * e_axis, one row per entry."""
+    """Patch values collar * c + amplitude * profile * e1, one row per entry."""
     vals = np.outer(collar, np.asarray(spec.c))
-    vals[:, spec.axis] += spec.amplitude * profile
+    vals[:, 0] += spec.amplitude * profile
     return vals
 
 
@@ -160,7 +160,7 @@ def patch_values(points: NDArray, spec: PatchSpec) -> NDArray:
 
 
 def basic_values(points: NDArray, spec: PatchSpec) -> NDArray:
-    """Unclustered frame map: c + amplitude * profile(x) along the axis."""
+    """Unclustered frame map: c + amplitude * profile(x) e1."""
     pts = np.atleast_2d(points)
     return _values_from(np.ones(pts.shape[0]), two_bump_profile(pts), spec)
 
@@ -170,7 +170,6 @@ class LayerSpec:
     """One dyadic layer: 2^(n*ell) patches, one per dyadic cube of [-1, 1]^ell."""
 
     n: int
-    ell: int = 2
 
     def __post_init__(self):
         if self.n < 1:
@@ -178,7 +177,7 @@ class LayerSpec:
 
     @property
     def count(self) -> int:
-        return 2 ** (self.n * self.ell)
+        return 2 ** (self.n * ELL)
 
     @property
     def cube_inradius(self) -> float:
@@ -186,7 +185,7 @@ class LayerSpec:
 
     def centers(self) -> NDArray:
         coords = -1.0 + self.cube_inradius * (2 * np.arange(2**self.n) + 1)
-        mesh = np.meshgrid(*([coords] * self.ell), indexing="ij")
+        mesh = np.meshgrid(*([coords] * ELL), indexing="ij")
         return np.column_stack([m.ravel() for m in mesh])
 
     @property
@@ -267,8 +266,8 @@ class PatchModel:
     """
 
     def __init__(self, params: FractionalParams, workers: int = 1):
-        if params.ell != 2:
-            raise ConfigurationError("patch models are specialized to ell = 2")
+        if params.ell != ELL:
+            raise ConfigurationError(f"patch models are specialized to ell = {ELL}")
         self.params = params
         self.workers = workers
         self._frame_pts, self.h0 = _midpoint_lattice(FRAME_HALFWIDTH, FRAME_SPACING)
@@ -361,7 +360,7 @@ class PatchModel:
 
         Returns the collar factor and the cluster profile of each class and
         the symmetric `class_kernel` matrix of all pairs that do not lie in
-        one cell.  A patch value is collar(x) c + A g(x) e_axis, so points
+        one cell.  A patch value is collar(x) c + A g(x) e1, so points
         with equal (collar, g) carry equal values for every spec of this k.
         A cell point takes the class of its offset: the block lies inside
         the plateau, where `collar_factor` is exactly 1, so every cell holds
@@ -547,7 +546,7 @@ class PatchModel:
         Every patch of a layer shares n, hence the cluster term, so the sum
         closes to margin * sigma^(2-sp) * (count * cluster + collar * sum |c|^p).
         """
-        spec = PatchSpec((0.0,) * layer.ell, layer.n, self.params)
+        spec = PatchSpec((0.0,) * ELL, layer.n, self.params)
         norms_p = float(np.sum(np.linalg.norm(layer.centers(), axis=1) ** self.params.p))
         base = layer.count * self.cluster_energy(spec) + self.collar_unit_energy * norms_p
         margin = self.layer_margin_factor * self.patch_margin_factor
@@ -571,7 +570,7 @@ class PatchModel:
         return np.nonzero(self._contributes(a - layer.centers(), layer.cube_inradius))[0]
 
     def _layer_lower_coeff(self, layer: LayerSpec) -> float:
-        spec = PatchSpec((0.0,) * layer.ell, layer.n, self.params)
+        spec = PatchSpec((0.0,) * ELL, layer.n, self.params)
         return layer.placement_scale ** (2 - self.params.sp) * self.cluster_lower_constant(spec)
 
     def layer_lower_compositional(self, layer: LayerSpec, a) -> float:

@@ -108,12 +108,7 @@ def to_json(report: ExperimentReport) -> str:
     return json.dumps(payload, sort_keys=True, indent=2) + "\n"
 
 
-def _svg_polyline(points, width, height) -> str:
-    coords = " ".join(f"{x:.2f},{y:.2f}" for x, y in points)
-    return f'<polyline fill="none" stroke="black" stroke-width="1.5" points="{coords}"/>'
-
-
-def to_svg(report: ExperimentReport, x_label: str = "n", y_label: str = "log2 ratio") -> str:
+def to_svg(report: ExperimentReport) -> str:
     """Line plot of log2-ratio against the row index variable."""
     width, height, margin = 480, 320, 48
     pts = [
@@ -129,11 +124,11 @@ def to_svg(report: ExperimentReport, x_label: str = "n", y_label: str = "log2 ra
     )
     body.append(f'<line x1="{margin}" y1="{margin}" x2="{margin}" y2="{height - margin}" stroke="black"/>')
     body.append(
-        f'<text x="{width // 2}" y="{height - 12}" font-size="12" text-anchor="middle">{x_label}</text>'
+        f'<text x="{width // 2}" y="{height - 12}" font-size="12" text-anchor="middle">n</text>'
     )
     body.append(
         f'<text x="14" y="{height // 2}" font-size="12" text-anchor="middle" '
-        f'transform="rotate(-90 14 {height // 2})">{y_label}</text>'
+        f'transform="rotate(-90 14 {height // 2})">log2 ratio</text>'
     )
     body.append(
         f'<text x="{width // 2}" y="24" font-size="13" text-anchor="middle">{report.name}</text>'
@@ -152,7 +147,8 @@ def to_svg(report: ExperimentReport, x_label: str = "n", y_label: str = "log2 ra
         scaled = [
             (margin + (x - x0) * sx, height - margin - (y - y0) * sy) for x, y in pts
         ]
-        body.append(_svg_polyline(scaled, width, height))
+        coords = " ".join(f"{x:.2f},{y:.2f}" for x, y in scaled)
+        body.append(f'<polyline fill="none" stroke="black" stroke-width="1.5" points="{coords}"/>')
         for (px, py), (x, y) in zip(scaled, pts):
             body.append(f'<circle cx="{px:.2f}" cy="{py:.2f}" r="2.5" fill="black"/>')
         body.append(

@@ -38,6 +38,8 @@ from .patches import (
 BLEND_FRACTION = 0.05  # C^1 blend zone at each end of the cap, as a cap fraction
 SLOT_FRAME_SPACING = 1 / 64  # frame lattice of one 1D copy
 GLUE_MARGIN = 1.25  # headroom of the glue's upper accounting over its slot sums
+NET_DENSITY = 0.1  # pair separation = NET_DENSITY * eps; net spacing twice that
+XI_RADIUS = 0.3  # radius of the disk the scan's shifts fill
 
 
 def wrap_angle(theta: NDArray) -> NDArray:
@@ -105,12 +107,13 @@ class RateReport:
     halfcap_min_slope_eps: float
 
 
-def lipschitz_rate_check(retr: AlmostRetraction, epsilon: float) -> RateReport:
+def lipschitz_rate_check(retr: AlmostRetraction) -> RateReport:
     """Finite-difference slope survey at angular step eps/100.
 
     Asserts max_slope * eps <= 2*pi and half-cap min_slope * eps >= 1;
     both products are eps-independent up to the additive -eps term.
     """
+    epsilon = retr.spec.epsilon
     step = epsilon / 100
     theta = np.arange(0.0, 2 * np.pi, step)
     beta = retr.angle_map(theta)
@@ -128,9 +131,9 @@ def lipschitz_rate_check(retr: AlmostRetraction, epsilon: float) -> RateReport:
     return RateReport(max_slope_eps=max_prod, halfcap_min_slope_eps=min_prod)
 
 
-def degree_of(retr: AlmostRetraction, samples: int = 20000) -> float:
+def degree_of(retr: AlmostRetraction) -> float:
     """Winding number from summed wrapped angle increments."""
-    theta = np.linspace(0.0, 2 * np.pi, samples, endpoint=False)
+    theta = np.linspace(0.0, 2 * np.pi, 20000, endpoint=False)
     beta = retr.angle_map(theta)
     inc = wrap_angle(np.diff(beta, append=beta[:1]))
     return float(inc.sum() / (2 * np.pi))
@@ -147,8 +150,6 @@ class AlmostCtrexSpec:
 
     params: FractionalParams
     alpha: float = 0.0     # 0 -> default (1 + min(p, 3)) / 2
-    c_small: float = 0.1   # pair separation = c_small * eps; net spacing twice that
-    base_angle: float = 0.0
 
     def __post_init__(self):
         p = self.params.p
@@ -156,8 +157,6 @@ class AlmostCtrexSpec:
             object.__setattr__(self, "alpha", (1.0 + min(p, 3.0)) / 2.0)
         if self.regime_ok and not 1.0 < self.alpha < p:
             raise ConfigurationError(f"alpha must lie in (1, p), got {self.alpha}")
-        if not 0 < self.c_small <= 0.25:
-            raise ConfigurationError("density constant must lie in (0, 0.25]")
 
     @property
     def regime_ok(self) -> bool:
@@ -165,8 +164,8 @@ class AlmostCtrexSpec:
         return self.params.sp < 1.0 < self.params.p
 
     def center_count(self, eps: float) -> int:
-        """Net density: every arc of radius c_small*eps contains a center."""
-        return int(math.ceil(np.pi / (self.c_small * eps)))
+        """Net density: every arc of radius NET_DENSITY*eps contains a center."""
+        return int(math.ceil(np.pi / (NET_DENSITY * eps)))
 
     def cluster_count(self, eps: float) -> int:
         """k = ceil(eps^(-1/s)), so k^(sp) matches eps^(-p)."""
@@ -174,10 +173,10 @@ class AlmostCtrexSpec:
 
     def center_angles(self, eps: float) -> NDArray:
         m = self.center_count(eps)
-        return self.base_angle + 2 * np.pi * np.arange(m) / m
+        return 2 * np.pi * np.arange(m) / m
 
     def pair_half_separation(self, eps: float) -> float:
-        return self.c_small * eps / 2.0
+        return NET_DENSITY * eps / 2.0
 
     def support_scale(self, eps: float) -> float:
         """Anisotropic rescaling factor lambda = eps^(alpha/(1-sp))."""
@@ -190,12 +189,12 @@ class AlmostCtrexSpec:
 # ---------------------------------------------------------------------------
 
 
-def xi_grid(iota: float = 0.3, side: int = 21) -> NDArray:
-    """Uniform side x side grid on the square, filtered to the disk B_iota."""
-    coords = np.linspace(-iota, iota, side)
+def xi_grid() -> NDArray:
+    """Uniform 21 x 21 grid on the square, filtered to the disk B_XI_RADIUS."""
+    coords = np.linspace(-XI_RADIUS, XI_RADIUS, 21)
     xx, yy = np.meshgrid(coords, coords, indexing="ij")
     pts = np.column_stack([xx.ravel(), yy.ravel()])
-    return pts[np.einsum("ij,ij->i", pts, pts) <= iota**2 + 1e-15]
+    return pts[np.einsum("ij,ij->i", pts, pts) <= XI_RADIUS**2 + 1e-15]
 
 
 class AlmostModel:
@@ -274,8 +273,7 @@ class AlmostModel:
         groups = np.concatenate([groups, np.full(bg.shape[0], -1, dtype=np.int64)])
         half = self.spec.pair_half_separation(eps)
         column = pts[:, None]
-        theta = (self.spec.base_angle + collar_factor(column) * delta
-                 + half * clustered_profile(column, k))
+        theta = collar_factor(column) * delta + half * clustered_profile(column, k)
         return pts, theta, w, groups
 
     def slot_energy_direct(self, eps: float, delta: float) -> float:
@@ -289,7 +287,7 @@ class AlmostModel:
 
     def glue_energy_upper(self, eps: float) -> float:
         """Upper accounting of the unscaled glue: slot sums with a glue margin."""
-        deltas = wrap_angle(self.spec.center_angles(eps) - self.spec.base_angle)
+        deltas = wrap_angle(self.spec.center_angles(eps))
         total = 0.0
         cluster = self.slot_cluster_energy(eps)
         for d in deltas:
@@ -349,26 +347,20 @@ class AlmostModel:
             "energy_upper": scale_pow * self.glue_energy_upper(eps),
             "projected_inf": scale_pow * float(lowers[best]),
             "argmin_xi": tuple(float(v) for v in shifts[best]),
-            "argmin_interior": bool(np.linalg.norm(shifts[best]) < 0.3 - 1e-9),
+            "argmin_interior": bool(np.linalg.norm(shifts[best]) < XI_RADIUS - 1e-9),
             "center_count": self.spec.center_count(eps),
             "cluster_count": self.spec.cluster_count(eps),
         }
 
 
-def almost_projection_scan(
-    spec: AlmostCtrexSpec,
-    n_range=range(2, 7),
-    shifts: NDArray | None = None,
-    workers: int = 1,
-) -> dict:
+def almost_projection_scan(spec: AlmostCtrexSpec, n_range=range(2, 7), workers: int = 1) -> dict:
     """Scan the dyadic eps sequence; fit the three power laws.
 
     Returns rows per eps plus measured exponents (in eps): support,
     energy, and projected inf-energy, with their targets alpha/(1-sp),
     alpha-1, and alpha-p.
     """
-    if shifts is None:
-        shifts = xi_grid()
+    shifts = xi_grid()
     model = AlmostModel(spec, workers=workers)
     rows = [model.scan_row(n, shifts) for n in n_range]
     ns = np.array([r["n"] for r in rows], dtype=float)

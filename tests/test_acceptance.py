@@ -240,7 +240,7 @@ def test_criterion_08_almost_retraction():
         eps = 2.0**-m
         retr = AlmostRetraction(AlmostRetractionSpec(epsilon=eps))
         degree_ok &= abs(degree_of(retr)) <= 1e-9
-        rep = lipschitz_rate_check(retr, eps)
+        rep = lipschitz_rate_check(retr)
         maxes.append(rep.max_slope_eps)
         mins.append(rep.halfcap_min_slope_eps)
     rate_ok = (max(maxes) / min(maxes) - 1 <= 0.10) and (max(mins) / min(mins) - 1 <= 0.10)

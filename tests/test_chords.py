@@ -86,19 +86,21 @@ def test_geom1_gate_and_center_value():
 def test_geom2_gate_and_ratio():
     # perpendicular far-field shift: in the transverse cone, outside the cube
     case = ChordCase(c=(0.0, 0.0), n=2, a=(0.0, 1.0))
-    assert case.cos_phi == pytest.approx(0.0)
+    d = np.subtract(case.a, case.c)
+    assert d[0] / np.linalg.norm(d) == pytest.approx(0.0)
     assert _selected(case, p=1.5)
     assert not _selected(case, p=2.5)
     chord = chord_exact(case).closed_form
     assert chord == pytest.approx(2.0 / np.sqrt(5.0), rel=1e-12)
     # the geom2 quantity chord |a - c| / 2^(1-n) that estimate_constant minimizes
-    ratio = chord * case.center_distance / case.displacement
+    ratio = chord * np.linalg.norm(d) / case.displacement
     assert ratio == pytest.approx(4.0 / np.sqrt(5.0), rel=1e-12)
 
 
 def test_geom2_cone_gate():
     aligned = ChordCase(c=(0.0, 0.0), n=2, a=(0.5, 0.0))  # |cos| = 1
-    assert abs(aligned.cos_phi) == 1.0
+    d = np.subtract(aligned.a, aligned.c)
+    assert abs(d[0] / np.linalg.norm(d)) == 1.0
     assert not _selected(aligned, p=1.5)
     # just inside and just outside |cos| = 1/8 at distance 1/2
     for cos, inside in ((0.99 * COS_CONE_BOUND, True), (1.01 * COS_CONE_BOUND, False)):
@@ -141,7 +143,9 @@ def test_constant_estimates_stable(lemma, floor):
     if lemma == "geom1":
         assert np.all(np.abs(np.subtract(case.a, case.c)) <= 2.0**-case.n + 1e-15)
     else:
-        assert abs(case.cos_phi) <= COS_CONE_BOUND and case.center_distance >= 2.0**-case.n
+        d = np.subtract(case.a, case.c)
+        dist = np.linalg.norm(d)
+        assert abs(d[0] / dist) <= COS_CONE_BOUND and dist >= 2.0**-case.n
 
 
 def test_chord_monotone_when_receding_on_diagonal():

@@ -29,7 +29,7 @@ from splab.energy import (
 )
 from splab.errors import ConfigurationError, GeometryError, NumericalError, WrongSchemeError
 from splab.grid import Box, Placement, make_grid, rescale_map, sample_map
-from splab.harness import TEST_MAPS
+from splab.harness import TEST_MAPS, map_grid
 
 INDICATOR_TRUNCATED = 10.914604076867487  # closed-form double integral on [-2, 3]
 
@@ -203,6 +203,10 @@ def test_energy_plan_matches_gagliardo_energy():
     assert single.energy(u, drop=[70]).value == plan.energy(u, drop=[70]).value
 
 
+def sampled(name, h):
+    return TEST_MAPS[name][1](map_grid(name, h))
+
+
 def _unit_shifted(u, a):
     d = u.values - np.asarray(a)
     return u.with_values(d / np.linalg.norm(d, axis=1)[:, None])
@@ -211,12 +215,12 @@ def _unit_shifted(u, a):
 BALL = Region.from_ball((0.0, 0.0), 1.0)
 FFT_CASES = {
     # map, region, dropped nodes
-    "identity2d-ball": (lambda: TEST_MAPS["identity2d"](0.1), BALL, [0, 60, 61, 200]),
-    "shifted-identity2d-box": (lambda: _unit_shifted(TEST_MAPS["identity2d"](0.05), (0.31, -0.27)),
+    "identity2d-ball": (lambda: sampled("identity2d", 0.1), BALL, [0, 60, 61, 200]),
+    "shifted-identity2d-box": (lambda: _unit_shifted(sampled("identity2d", 0.05), (0.31, -0.27)),
                                Region.from_box(Box((-0.8, -0.5), (0.9, 1.0))), [1000, 1001]),
-    "indicator1d-box": (lambda: TEST_MAPS["indicator1d"](0.01),
+    "indicator1d-box": (lambda: sampled("indicator1d", 0.01),
                         Region.from_box(Box((-1.2,), (1.3,))), [5, 200]),
-    "bump1d-box": (lambda: TEST_MAPS["bump1d"](0.01), Region.from_box(Box((-1.2,), (1.3,))), [40]),
+    "bump1d-box": (lambda: sampled("bump1d", 0.01), Region.from_box(Box((-1.2,), (1.3,))), [40]),
 }
 
 
@@ -240,7 +244,7 @@ def test_energy_plan_fft_route_matches_pair_sum(case, monkeypatch):
 
 
 def test_energy_plan_fft_route_constant_and_worker_count():
-    u = TEST_MAPS["identity2d"](0.1)
+    u = sampled("identity2d", 0.1)
     params = FractionalParams(s=0.3, p=2.0)
     one = EnergyPlan(u.grid, params, BALL, workers=1)
     three = EnergyPlan(u.grid, params, BALL, workers=3)
@@ -252,7 +256,7 @@ def test_energy_plan_fft_route_constant_and_worker_count():
 
 
 def test_energy_plan_stack_matches_single_calls():
-    u = TEST_MAPS["identity2d"](0.1)
+    u = sampled("identity2d", 0.1)
     params = FractionalParams(s=0.4, p=1.5)
     maps = [_unit_shifted(u, a) for a in ((0.1, 0.2), (-0.5, 0.3), (0.05, -0.66))]
     drops = [[], [10, 11], [300]]
@@ -270,7 +274,7 @@ def test_energy_plan_stack_matches_single_calls():
 
 def test_energy_plan_keeps_no_kernel():
     # the h = 0.04 ball has 1,957 nodes: a stored kernel would take 15.6 MB
-    grid = TEST_MAPS["identity2d"](0.04).grid
+    grid = map_grid("identity2d", 0.04)
     params = FractionalParams(s=0.4, p=1.5)
     tracemalloc.start()
     try:

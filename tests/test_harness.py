@@ -138,7 +138,7 @@ def test_run_suite_checks_every_spec_before_running(monkeypatch):
     monkeypatch.setitem(harness.EXPERIMENTS, "geometry",
                         (harness.GeometryOptions, lambda opts, cfg: ran.append(opts)))
     cfg = RunConfig(experiments=(
-        ExperimentConfig("geometry", {"samples": 200}),
+        ExperimentConfig("geometry", {"samples": 1000}),
         ExperimentConfig("threshold", {"n_max": 1}),
     ))
     with pytest.raises(ConfigurationError, match="experiment 'threshold'"):

@@ -1,3 +1,4 @@
+import dataclasses
 import functools
 import json
 import subprocess
@@ -10,7 +11,7 @@ import pytest
 from splab import cli, harness
 from splab.cli import main
 from splab.config import validate_config
-from splab.errors import ConfigurationError, OutputError
+from splab.errors import AssertionFailure, ConfigurationError, OutputError, SplabError
 from splab.harness import EXPERIMENTS
 from splab.report import CSV_COLUMNS, ExperimentReport, _fmt, emit_report, to_csv, to_json, to_svg
 
@@ -160,11 +161,12 @@ def test_oversized_cloud_exits_two(tmp_path, capsys, argv):
 
 
 def test_suite_failure_keeps_completed_reports(tmp_path, capsys):
-    # the first experiment's report is written and printed, then the second one's error
+    # the first experiment's report is written and printed, then the second one's error:
+    # the n = 3 layer cloud exceeds the pair budget once its pairs are counted
     path = tmp_path / "cfg.json"
     path.write_text(json.dumps({"experiments": [
         {"kind": "seminorm", "spacing": 0.01},
-        {"kind": "seminorm", "spacing": 3.0, "name": "coarse"},
+        {"kind": "layer", "n": 3, "name": "coarse"},
     ]}))
     assert main(["suite", "--config", str(path), "--out", str(tmp_path / "out")]) == 2
     out = capsys.readouterr()
@@ -172,6 +174,102 @@ def test_suite_failure_keeps_completed_reports(tmp_path, capsys):
     assert "error: experiment 'coarse'" in out.err
     assert sorted(p.name for p in (tmp_path / "out").iterdir()) == [
         "seminorm-0.25-2.0.svg", "seminorm.csv", "seminorm.json"]
+
+
+# one bad value per entry; each is rejected when the options are constructed
+BAD_OPTIONS = {
+    "seminorm-s-1.5": {"kind": "seminorm", "s": 1.5},
+    "seminorm-s-1.0": {"kind": "seminorm", "s": 1.0},
+    "seminorm-spacing-3.0": {"kind": "seminorm", "spacing": 3.0},
+    "averaging-n_mc-5": {"kind": "averaging", "n_mc": 5},
+    "averaging-alpha-minus-1": {"kind": "averaging", "alpha": -1.0},
+    "averaging-spacing-0.3": {"kind": "averaging", "spacing": 0.3},
+    "threshold-unpaired": {"kind": "threshold", "s_values": [0.4], "p_values": [2.5, 1.5]},
+    "threshold-sp-2": {"kind": "threshold", "s_values": [0.9, 0.4], "p_values": [2.5, 1.5]},
+    "threshold-no-straddle": {"kind": "threshold", "s_values": [0.4, 0.4], "p_values": [2.5, 2.2]},
+    "patch-n_values-0": {"kind": "patch", "n_values": [0, 1]},
+    "patch-p-0.5": {"kind": "patch", "p": 0.5},
+    "layer-n-0": {"kind": "layer", "n": 0},
+    "almost-alpha-5": {"kind": "almost", "alpha": 5.0},
+    "almost-p-0.5": {"kind": "almost", "p": 0.5},
+    "geometry-samples-10": {"kind": "geometry", "samples": 10},
+}
+
+
+@pytest.mark.parametrize("entry", BAD_OPTIONS.values(), ids=list(BAD_OPTIONS))
+def test_validate_config_rejects_bad_option_values(entry):
+    with pytest.raises(SplabError) as exc:
+        validate_config({"experiments": [dict(entry, name="bad")]})
+    assert exc.value.exit_code == 2
+    assert str(exc.value).startswith("experiment 'bad': ")
+
+
+@pytest.mark.parametrize("entry", BAD_OPTIONS.values(), ids=list(BAD_OPTIONS))
+def test_suite_checks_every_experiment_before_the_first_runs(tmp_path, capsys, entry):
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps({"experiments": [
+        {"kind": "geometry", "samples": 1000, "n_min": 1, "n_max": 2},
+        dict(entry, name="bad"),
+    ]}))
+    assert main(["suite", "--config", str(path), "--out", str(tmp_path / "out")]) == 2
+    out = capsys.readouterr()
+    assert "[PASS]" not in out.out
+    assert "error: experiment 'bad': " in out.err
+    assert not (tmp_path / "out").exists()
+
+
+def test_wrong_scheme_error_names_its_experiment(tmp_path, capsys):
+    # a WrongSchemeError of the pair-sum quadrature, raised when the options are checked
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps({"experiments": [
+        {"kind": "geometry", "samples": 1000, "n_min": 1, "n_max": 2},
+        {"kind": "seminorm", "s": 1.0, "name": "flat"},
+    ]}))
+    assert main(["suite", "--config", str(path), "--out", str(tmp_path / "out")]) == 2
+    assert "error: experiment 'flat': the pair-sum quadrature needs 0 < s < 1" in capsys.readouterr().err
+
+
+def test_error_keeps_its_exit_code_when_named(tmp_path, monkeypatch, capsys):
+    def fail(opts, cfg):
+        raise AssertionFailure("rate out of range")
+
+    monkeypatch.setitem(EXPERIMENTS, "layer", (EXPERIMENTS["layer"][0], fail))
+    assert main(["layer", "--name", "rates", "--out", str(tmp_path / "out")]) == 1
+    assert "error: experiment 'rates': rate out of range" in capsys.readouterr().err
+
+
+# small options of every kind, each field set; patch, geometry and averaging draw from the seed
+PARAMS_CASES = {
+    "seminorm": ({"map": "bump1d", "s": 0.3, "p": 2.0, "spacing": 0.01}, False),
+    "patch": ({"s": 0.4, "p": 2.5, "n_values": [1], "shift_count": 2}, True),
+    "layer": ({"s": 0.4, "p": 2.5, "n": 1}, False),
+    "geometry": ({"lemma": "geom2", "ell": 2, "samples": 1000, "n_min": 1, "n_max": 2}, True),
+    "averaging": ({"s": 0.4, "p": 1.5, "alpha": 0.5, "n_mc": 100, "spacing": 0.1,
+                   "refine": False}, True),
+    "threshold": ({"s_values": [0.4, 0.5], "p_values": [2.5, 1.5], "n_max": 2}, False),
+    "almost": ({"s": 0.6, "p": 1.5, "alpha": 1.2, "n_min": 2, "n_max": 3}, False),
+}
+
+
+def test_params_cases_cover_every_field():
+    assert list(PARAMS_CASES) == list(EXPERIMENTS)
+    for kind, (options, _) in PARAMS_CASES.items():
+        assert sorted(options) == sorted(f.name for f in dataclasses.fields(EXPERIMENTS[kind][0]))
+
+
+@pytest.mark.parametrize("kind", list(PARAMS_CASES))
+def test_report_params_hold_every_option(tmp_path, monkeypatch, kind):
+    # the threshold report's params do not depend on the n <= 2 cross-check
+    monkeypatch.setattr(harness, "threshold_scan",
+                        functools.partial(harness.threshold_scan, cross_validate=False))
+    options, seeded = PARAMS_CASES[kind]
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps({"seed": 3, "experiments": [dict(options, kind=kind, name="run")]}))
+    assert main(["suite", "--config", str(path), "--out", str(tmp_path), "--formats", "json"]) == 0
+    params = json.loads((tmp_path / "run.json").read_text())["params"]
+    for key, value in options.items():
+        assert params[key] == value, key
+    assert params.get("seed") == (3 if seeded else None)
 
 
 @pytest.mark.parametrize("kind", list(EXPERIMENTS))

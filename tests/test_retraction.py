@@ -4,6 +4,7 @@ import pytest
 from splab.energy import FractionalParams
 from splab.errors import ConfigurationError
 from splab.retraction import (
+    NET_DENSITY,
     AlmostCtrexSpec,
     AlmostModel,
     AlmostRetraction,
@@ -53,7 +54,7 @@ def test_halfcap_pair_image_separation():
 def test_rate_products_in_window():
     eps = 0.1
     r = make_retr(eps)
-    rep = lipschitz_rate_check(r, eps)
+    rep = lipschitz_rate_check(r)
     assert np.pi <= rep.max_slope_eps <= 2 * np.pi
     assert rep.halfcap_min_slope_eps >= 1.0
 
@@ -62,7 +63,7 @@ def test_rate_duality_across_dyadic_sweep():
     maxes, mins = [], []
     for m in range(2, 8):
         eps = 2.0**-m
-        rep = lipschitz_rate_check(make_retr(eps), eps)
+        rep = lipschitz_rate_check(make_retr(eps))
         maxes.append(rep.max_slope_eps)
         mins.append(rep.halfcap_min_slope_eps)
     assert max(maxes) / min(maxes) - 1 <= 0.10
@@ -97,11 +98,11 @@ def test_ctrex_formulas():
     assert spec.regime_ok
     # cluster count at eps = 1/4: ceil(4^(1/0.4)) = ceil(4^2.5) = 32
     assert spec.cluster_count(0.25) == 32
-    # the net density guarantees one center per arc of radius c_small*eps
+    # the net density guarantees one center per arc of radius NET_DENSITY*eps
     m = spec.center_count(0.25)
     assert m == int(np.ceil(np.pi / (0.1 * 0.25)))
     spacing = 2 * np.pi / m
-    assert spacing <= 2 * spec.c_small * 0.25
+    assert spacing <= 2 * NET_DENSITY * 0.25
 
 
 def test_ctrex_regime_gate_at_p_one():
@@ -133,8 +134,7 @@ def test_slot_dual_route():
     n = int(round(4.0 / h))
     tau = -2.0 + (np.arange(n) + 0.5) * (4.0 / n)
     half = spec.pair_half_separation(eps)
-    theta = (spec.base_angle + collar_factor(tau[:, None]) * delta
-             + half * clustered_profile(tau[:, None], k))
+    theta = collar_factor(tau[:, None]) * delta + half * clustered_profile(tau[:, None], k)
     vals = np.column_stack([np.cos(theta), np.sin(theta)])
     flat_energy_frame = 2.0 * (4.0 / n) ** 2 * pair_kernel_sum(
         tau[:, None], vals, params.p, 1 + params.sp, block=2048
