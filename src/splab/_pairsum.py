@@ -383,6 +383,13 @@ def class_pair_sum(kernel: NDArray, values: NDArray, p: float, drop=()) -> float
     return math.fsum(terms)
 
 
+def half_lattice(k: int, m: int) -> NDArray:
+    """Index differences D in [1-k, k-1]^m whose first nonzero entry is positive, lexicographic."""
+    span = np.arange(1 - k, k)
+    disp = np.stack(np.meshgrid(*([span] * m), indexing="ij"), axis=-1).reshape(-1, m)
+    return disp[disp.shape[0] // 2 + 1:]  # lexicographic order: the D after D = 0 are D > 0
+
+
 def cell_lattice_kernel(offsets: NDArray, q: float, weight: float, width: float, k: int) -> NDArray:
     """(P, P) kernel of the pairs that join two different cells of a k^m cell lattice.
 
@@ -404,9 +411,7 @@ def cell_lattice_kernel(offsets: NDArray, q: float, weight: float, width: float,
     offs = np.ascontiguousarray(offsets, dtype=float)
     size, m = offs.shape
     rel = offs[:, None, :] - offs[None, :, :]
-    span = np.arange(1 - k, k)
-    disp = np.stack(np.meshgrid(*([span] * m), indexing="ij"), axis=-1).reshape(-1, m)
-    disp = disp[disp.shape[0] // 2 + 1:]  # lexicographic order: the D after D = 0 are D > 0
+    disp = half_lattice(k, m)
     count = np.prod(k - np.abs(disp), axis=1).astype(float)
 
     def chunks():

@@ -27,6 +27,7 @@ from ._pairsum import (
     class_bins,
     class_kernel,
     class_pair_sum,
+    half_lattice,
     pair_kernel_sum,
     symmetric,
 )
@@ -105,8 +106,14 @@ class PatchSpec:
 
 
 def default_cluster_count(n: int, s: float) -> int:
-    """Smallest k with k^(sp) >= 2^((n-1)p): k = ceil(2^((n-1)/s))."""
-    return int(math.ceil(2.0 ** ((n - 1) / s)))
+    """Smallest k with k^(sp) >= 2^((n-1)p): k = ceil(2^((n-1)/s)).
+
+    BudgetError when 2^((n-1)/s) overflows a float.
+    """
+    try:
+        return int(math.ceil(2.0 ** ((n - 1) / s)))
+    except OverflowError:
+        raise BudgetError(f"cluster count 2^((n-1)/s) overflows at n = {n}, s = {s}") from None
 
 
 def cluster_cell_centers(k: int, ell: int = 2) -> NDArray:
@@ -273,6 +280,7 @@ class PatchModel:
         self._frame_pts, self.h0 = _midpoint_lattice(FRAME_HALFWIDTH, FRAME_SPACING)
         self._frame_g = two_bump_profile(self._frame_pts)
         self._kernel_exp = 2 + params.sp
+        self.layer_scheme = f"offset class kernels kernel_exp={self._kernel_exp!r}"
         self._memo: dict = {}
         self._class_memo: dict = {}
 
@@ -355,45 +363,71 @@ class PatchModel:
             w = w * placement.scale**2
         return pts, vals, w, groups
 
-    def _classes(self, k: int) -> tuple[NDArray, NDArray, NDArray]:
-        """Value classes of the patch cloud of cluster count k and their class matrix.
+    def _class_cloud(self, k: int) -> tuple[NDArray, NDArray, NDArray, NDArray, NDArray]:
+        """(collar, g) of each value class, and the points, labels, weights and groups of the patch cloud.
 
-        Returns the collar factor and the cluster profile of each class and
-        the symmetric `class_kernel` matrix of all pairs that do not lie in
-        one cell.  A patch value is collar(x) c + A g(x) e1, so points
-        with equal (collar, g) carry equal values for every spec of this k.
-        A cell point takes the class of its offset: the block lies inside
-        the plateau, where `collar_factor` is exactly 1, so every cell holds
-        the frame profile at its offsets scaled by 1/mu.  The cloud sum
-        puts every cell point in one group, so the engine evaluates only
-        the pairs that touch the background; the pairs that join two cells
-        come from `cell_lattice_kernel` scattered onto the cells' classes.
-        Built once per k.
+        The cell points of cluster count k come first, all in group 0, then
+        the background in group -1.  A patch value is collar(x) c + A g(x) e1,
+        so points with equal (collar, g) carry equal values for every spec of
+        this k.  A cell point takes the class of its offset: the block lies
+        inside the plateau, where `collar_factor` is exactly 1, so every cell
+        holds the frame profile at its offsets scaled by 1/mu.
+        """
+        self._check_cloud_size(k)
+        centers, offs, cell_w = self._cell_lattice(k)
+        bg, bg_w = self._background()
+        sizes = [centers.shape[0] * offs.shape[0], bg.shape[0]]
+        # (collar, g) of the cell template's offsets, then of the background points
+        keys = np.concatenate([
+            np.column_stack([np.ones(offs.shape[0]), two_bump_profile(offs / cluster_scale(k))]),
+            np.column_stack([collar_factor(bg), clustered_profile(bg, k)]),
+        ])
+        classes, labels = np.unique(keys, axis=0, return_inverse=True)
+        cell_labels, bg_labels = np.split(labels.ravel(), [offs.shape[0]])
+        return (
+            classes,
+            np.concatenate([(centers[:, None, :] + offs).reshape(-1, 2), bg]),
+            np.concatenate([np.tile(cell_labels, centers.shape[0]), bg_labels]),
+            np.repeat([cell_w, bg_w], sizes),
+            np.repeat([0, -1], sizes),
+        )
+
+    def _classes(self, k: int) -> tuple[NDArray, NDArray, NDArray]:
+        """Collar factor and cluster profile of each class of `_class_cloud`, and their class matrix.
+
+        The symmetric matrix holds all pairs that do not lie in one cell:
+        `class_kernel` evaluates the pairs that touch the background, and
+        `cell_lattice_kernel`, scattered onto the cells' classes, the pairs
+        that join two cells.  Built once per k.
         """
         if k not in self._class_memo:
-            self._check_cloud_size(k)
-            centers, offs, cell_w = self._cell_lattice(k)
-            bg, bg_w = self._background()
-            sizes = [centers.shape[0] * offs.shape[0], bg.shape[0]]
-            # (collar, g) of the cell template's offsets, then of the background points
-            keys = np.concatenate([
-                np.column_stack([np.ones(offs.shape[0]), two_bump_profile(offs / cluster_scale(k))]),
-                np.column_stack([collar_factor(bg), clustered_profile(bg, k)]),
-            ])
-            classes, labels = np.unique(keys, axis=0, return_inverse=True)
-            cell_labels, bg_labels = np.split(labels.ravel(), [offs.shape[0]])
-            kern = class_kernel(
-                np.concatenate([(centers[:, None, :] + offs).reshape(-1, 2), bg]),
-                np.concatenate([np.tile(cell_labels, centers.shape[0]), bg_labels]),
-                self._kernel_exp,
-                weights=np.repeat([cell_w, bg_w], sizes),
-                groups=np.repeat([0, -1], sizes),
-                workers=self.workers,
-            )
+            classes, pts, labels, weights, groups = self._class_cloud(k)
+            kern = class_kernel(pts, labels, self._kernel_exp, weights=weights, groups=groups,
+                                workers=self.workers)
+            _, offs, cell_w = self._cell_lattice(k)
+            cell_labels = labels[:offs.shape[0]]
             lattice = cell_lattice_kernel(offs, self._kernel_exp, cell_w, 2 * BLOCK_HALFWIDTH / k, k)
             kern += symmetric(class_bins(cell_labels, cell_labels, lattice, classes.shape[0]))
             self._class_memo[k] = classes[:, 0], classes[:, 1], kern
         return self._class_memo[k]
+
+    def _offset_kernels(self, k: int, offsets: NDArray) -> list[NDArray]:
+        """(2C, 2C) `class_kernel` of the patch cloud P of cluster count k and its translate.
+
+        One matrix per row D of ``offsets``: P in group 0 with its labels,
+        P + 2 PATCH_MARGIN D (D patch frames away) in group 1 with its labels
+        moved up by C, so only the pairs between the two copies are live.
+        For the class values V of the patch at P and W of the patch at the
+        translate, `class_pair_sum` of the matrix and [V; W] is the pair sum
+        between the two patches in frame units.
+        """
+        classes, pts, labels, weights, _ = self._class_cloud(k)
+        labels = np.concatenate([labels, labels + classes.shape[0]])
+        weights = np.concatenate([weights, weights])
+        groups = np.repeat([0, 1], pts.shape[0])
+        return [class_kernel(np.concatenate([pts, pts + 2 * PATCH_MARGIN * d]), labels,
+                             self._kernel_exp, weights=weights, groups=groups, workers=self.workers)
+                for d in offsets]
 
     def _frame_classes(self) -> tuple[NDArray, NDArray]:
         """Profile value of each class of the frame lattice and their `class_kernel` matrix."""
@@ -493,22 +527,53 @@ class PatchModel:
         return tuple(np.concatenate(arrays) for arrays in zip(*parts))
 
     def layer_energy_direct(self, layer: LayerSpec) -> float:
-        """Composite quadrature of the glued layer (all cross pairs included)."""
+        """Composite quadrature of the glued layer (all cross pairs included).
+
+        Every patch is the cloud of `_class_cloud` placed by x -> sigma x + t,
+        so a pair of placed points carries sigma^(2-sp) times its frame
+        kernel, and the pairs of the glued cloud split four ways: within one
+        patch (the class matrix of `_classes`), between the patches I and
+        I + D for each half-offset D of the N x N patch grid (one
+        `_offset_kernels` matrix per D, whatever the patch pair), between the
+        patches and the outer background (`cloud_energy` of `layer_cloud`
+        with the outer background first and every patch point in one group,
+        so the walk skips the tiles inside the patches), and within one cell
+        (`cluster_energy`).
+        """
         key = ("layer", layer, self.params)
         if key not in self._memo:
+            p, sp = self.params.p, self.params.sp
             sigma = layer.placement_scale
-            cloud = self.layer_cloud(layer)
-            size = cloud[0].shape[0]
+            points, values, weights, _ = self.layer_cloud(layer)
+            size = points.shape[0]
             pairs = size * (size - 1) // 2
             if pairs > LAYER_PAIR_BUDGET:
                 raise BudgetError(
                     f"layer cloud of {size} points has {pairs} pairs > budget "
                     f"{LAYER_PAIR_BUDGET}; use compositional accounting instead"
                 )
-            cross = cloud_energy(*cloud, self.params, m=2, workers=self.workers)
+            specs = layer.patch_specs(self.params)
+            collar, profile, kern = self._classes(specs[0].k)
+            vals = [_values_from(collar, profile, spec) for spec in specs]
+            terms = [class_pair_sum(kern, v, p) for v in vals]
+            side = 2**layer.n
+            index = np.arange(layer.count).reshape(side, side)  # patch (i, j) of `centers`
+            offsets = half_lattice(side, ELL)
+            for (di, dj), block in zip(offsets, self._offset_kernels(specs[0].k, offsets)):
+                firsts = index[max(0, -di):side - max(0, di), max(0, -dj):side - max(0, dj)]
+                for i in firsts.ravel():
+                    pair = np.concatenate([vals[i], vals[i + di * side + dj]])
+                    terms.append(class_pair_sum(block, pair, p))
+            # outer background first: the row slabs of the patches then meet only
+            # patch columns, all in group 0, and the walk skips them whole
+            outer = np.max(np.abs(points), axis=1) > 1.0
+            order = np.argsort(~outer, kind="stable")
+            cross = cloud_energy(points[order], values[order], weights[order],
+                                 np.where(outer, -1, 0)[order], self.params, m=2, workers=self.workers)
+            cross += 2.0 * sigma ** (2 - sp) * math.fsum(terms)
             fine = 0.0
-            for spec in layer.patch_specs(self.params):
-                fine += sigma ** (2 - self.params.sp) * self.cluster_energy(spec)
+            for spec in specs:
+                fine += sigma ** (2 - sp) * self.cluster_energy(spec)
             self._memo[key] = cross + fine
         return self._memo[key]
 

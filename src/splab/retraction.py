@@ -40,6 +40,7 @@ SLOT_FRAME_SPACING = 1 / 64  # frame lattice of one 1D copy
 GLUE_MARGIN = 1.25  # headroom of the glue's upper accounting over its slot sums
 NET_DENSITY = 0.1  # pair separation = NET_DENSITY * eps; net spacing twice that
 XI_RADIUS = 0.3  # radius of the disk the scan's shifts fill
+CAP_CENTER = np.pi  # angle of the cap every almost retraction sweeps
 
 
 def wrap_angle(theta: NDArray) -> NDArray:
@@ -51,7 +52,6 @@ def wrap_angle(theta: NDArray) -> NDArray:
 @dataclass(frozen=True)
 class AlmostRetractionSpec:
     epsilon: float
-    cap_center: float = np.pi
 
     def __post_init__(self):
         if not 0 < self.epsilon < np.pi / 4:
@@ -93,12 +93,12 @@ class AlmostRetraction:
     def angle_map(self, theta: NDArray) -> NDArray:
         """Image angle of each input angle."""
         theta = np.asarray(theta, dtype=float)
-        phi = wrap_angle(theta - self.spec.cap_center)
+        phi = wrap_angle(theta - CAP_CENTER)
         inside = np.abs(phi) < self.spec.epsilon
         out = phi.copy()
         if np.any(inside):
             out[inside] = self._cap_displacement(phi[inside])
-        return self.spec.cap_center + out
+        return CAP_CENTER + out
 
 
 @dataclass(frozen=True)
@@ -121,7 +121,7 @@ def lipschitz_rate_check(retr: AlmostRetraction) -> RateReport:
     # closing increment wraps through the identity region; drop it
     slopes = np.abs(dbeta[:-1]) / step
     max_prod = float(np.max(slopes) * epsilon)
-    phi_mid = wrap_angle(theta[:-1] + step / 2 - retr.spec.cap_center)
+    phi_mid = wrap_angle(theta[:-1] + step / 2 - CAP_CENTER)
     halfcap = np.abs(phi_mid) <= epsilon / 2
     min_prod = float(np.min(slopes[halfcap]) * epsilon)
     if max_prod > 2 * np.pi:
@@ -318,10 +318,10 @@ class AlmostModel:
         imgdist = 2.0 * np.abs(np.sin(wrap_angle(hi - lo) / 2))
         return self.cluster_lower_coeff(eps) * float(np.sum(imgdist**self.params.p))
 
-    def coverage_check(self, eps: float, retr: AlmostRetraction, shifts: NDArray) -> None:
+    def coverage_check(self, eps: float, shifts: NDArray) -> None:
         """Every shift must leave one full pair inside the amplified half-cap."""
         for xi in shifts:
-            phi = np.abs(wrap_angle(self._pair_angles(eps, xi) - retr.spec.cap_center))
+            phi = np.abs(wrap_angle(self._pair_angles(eps, xi) - CAP_CENTER))
             m = phi.shape[0] // 2
             both = (phi[:m] <= eps / 2) & (phi[m:] <= eps / 2)
             if not both.any():
@@ -333,9 +333,9 @@ class AlmostModel:
     def scan_row(self, n: int, shifts: NDArray) -> dict:
         """One scan row: support radius, energy bound, projected inf-energy."""
         eps = 2.0**-n
-        retr = AlmostRetraction(AlmostRetractionSpec(epsilon=eps, cap_center=np.pi))
+        retr = AlmostRetraction(AlmostRetractionSpec(epsilon=eps))
         if self.spec.regime_ok:
-            self.coverage_check(eps, retr, shifts)
+            self.coverage_check(eps, shifts)
         lam = self.spec.support_scale(eps)
         scale_pow = lam ** (1 - self.params.sp)
         lowers = np.array([self.projected_lower(eps, retr, xi) for xi in shifts])

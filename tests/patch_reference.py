@@ -8,6 +8,9 @@ its `gagliardo_energy` is the flat quadrature that
 without value classes: every frame point and every cloud point is
 projected on its own, singular hits are dropped point by point, and the
 pairs of different cells are summed point by point in the grouped cloud.
+
+`layer_energy_whole_cloud` evaluates `PatchModel.layer_energy_direct` as
+one pair sum over the whole glued layer cloud, without value classes.
 """
 
 import math
@@ -15,6 +18,7 @@ import math
 import numpy as np
 
 from splab._pairsum import pair_kernel_sum
+from splab.energy import cloud_energy
 from splab.errors import GeometryError, ResolutionError
 from splab.grid import Box, Grid, SampledMap, sample_map
 from splab.patches import (
@@ -77,3 +81,13 @@ def projected_point_by_point(model, spec, shifts):
                                  groups=groups, workers=2)
     fine = spec.k**spec.ell * cluster_scale(spec.k) ** (spec.ell - sp) * (2.0 * frame)
     return fine + 2.0 * cloud
+
+
+def layer_energy_whole_cloud(model, layer):
+    """Cross pairs of the glued layer cloud by one `cloud_energy`, plus the cells' fine term."""
+    sigma, sp = layer.placement_scale, model.params.sp
+    cross = cloud_energy(*model.layer_cloud(layer), model.params, m=2, workers=2)
+    fine = 0.0
+    for spec in layer.patch_specs(model.params):
+        fine += sigma ** (2 - sp) * model.cluster_energy(spec)
+    return cross + fine

@@ -2,8 +2,8 @@ import numpy as np
 import pytest
 
 from splab import _pairsum
-from patch_reference import build_patch, projected_point_by_point
-from splab._pairsum import cell_lattice_kernel, pair_kernel_sum
+from patch_reference import build_patch, layer_energy_whole_cloud, projected_point_by_point
+from splab._pairsum import cell_lattice_kernel, class_pair_sum, pair_kernel_sum
 from splab.chords import chords_vectorized
 from splab.energy import FractionalParams, Region, gagliardo_energy
 from splab.errors import BudgetError, ResolutionError
@@ -19,6 +19,7 @@ from splab.patches import (
     cluster_cell_centers,
     cluster_scale,
     _project_values,
+    _values_from,
     default_cluster_count,
     patch_values,
 )
@@ -271,6 +272,40 @@ def test_plateau_kernel_is_the_frame_class_entry(pair):
     assert plus.size == minus.size == 1
     expected = 2.0 * kern[plus[0], minus[0]]
     assert model.plateau_kernel == pytest.approx(expected, rel=1e-12, abs=0)
+
+
+@pytest.mark.parametrize("pair", THRESHOLD_PAIRS)
+def test_layer_energy_matches_whole_cloud(threshold_models, pair):
+    model = threshold_models[pair]
+    layer = LayerSpec(1)
+    expected = layer_energy_whole_cloud(model, layer)
+    assert model.layer_energy_direct(layer) == pytest.approx(expected, rel=1e-12, abs=0)
+
+
+@pytest.mark.parametrize("first, second", [(0, 1), (0, 4), (2, 7), (6, 9), (0, 15)],
+                         ids=["D01", "D10", "D11", "D1-1", "D33"])
+def test_layer_offset_block_matches_placed_pair_sum(model_main, params_main, first, second):
+    # patch (i, j) of the 4 x 4 grid has index 4 i + j; the block of D is
+    # the pair sum between patch I and patch I + D in frame units
+    layer = LayerSpec(2)
+    specs, placements = layer.patch_specs(params_main), layer.placements()
+    offset = np.divmod(second, 4)[0] - np.divmod(first, 4)[0], second % 4 - first % 4
+    block = model_main._offset_kernels(specs[0].k, np.array([offset]))[0]
+    collar, profile, _ = model_main._classes(specs[0].k)
+    values = np.concatenate([_values_from(collar, profile, specs[i]) for i in (first, second)])
+    got = layer.placement_scale ** (2 - params_main.sp) * class_pair_sum(block, values, params_main.p)
+    clouds = [model_main._patch_cloud(specs[i], placement=placements[i]) for i in (first, second)]
+    pts, vals, w = (np.concatenate([c[k] for c in clouds]) for k in range(3))
+    groups = np.repeat([0, 1], [c[0].shape[0] for c in clouds])
+    expected = pair_kernel_sum(pts, vals, params_main.p, 2 + params_main.sp, weights=w,
+                               groups=groups, workers=2)
+    assert got == pytest.approx(expected, rel=1e-12, abs=0)
+
+
+def test_layer_energy_same_for_any_worker_count(model_main, params_main):
+    one = PatchModel(params_main, workers=1)
+    for n in (1, 2):
+        assert one.layer_energy_direct(LayerSpec(n)) == model_main.layer_energy_direct(LayerSpec(n))
 
 
 @pytest.mark.parametrize("pair", THRESHOLD_PAIRS)

@@ -160,6 +160,17 @@ def test_oversized_cloud_exits_two(tmp_path, capsys, argv):
     assert not (tmp_path / "out").exists()
 
 
+@pytest.mark.parametrize("argv", [
+    ["patch", "--n-values", "1000"],
+    ["layer", "--n", "1000"],
+], ids=["patch-n-1000", "layer-n-1000"])
+def test_huge_scale_index_exits_two(tmp_path, capsys, argv):
+    # 2^((n-1)/s) overflows a float: a budget error, not a traceback
+    assert main(argv + ["--out", str(tmp_path / "out")]) == 2
+    assert f"error: experiment '{argv[0]}': cluster count" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
 def test_suite_failure_keeps_completed_reports(tmp_path, capsys):
     # the first experiment's report is written and printed, then the second one's error:
     # the n = 3 layer cloud exceeds the pair budget once its pairs are counted
@@ -326,6 +337,10 @@ def test_cli_reports_name_their_scheme(tmp_path):
     assert rc == 0
     report = json.loads((tmp_path / "p2" / "averaging.json").read_text())
     assert report["scheme"] == "fft-convolution kernel_exp=2.8"
+    rc = main(["layer", "--n", "1", "--out", str(tmp_path), "--formats", "json"])
+    assert rc == 0
+    assert json.loads((tmp_path / "layer.json").read_text())["scheme"] == (
+        "offset class kernels kernel_exp=3.0")
 
 
 def test_cli_geometry_run_and_outputs(tmp_path):

@@ -4,6 +4,7 @@ import pytest
 from splab.energy import FractionalParams
 from splab.errors import ConfigurationError
 from splab.retraction import (
+    CAP_CENTER,
     NET_DENSITY,
     AlmostCtrexSpec,
     AlmostModel,
@@ -19,8 +20,8 @@ from splab._pairsum import pair_kernel_sum
 from splab.patches import clustered_profile, collar_factor
 
 
-def make_retr(eps, cap=np.pi):
-    return AlmostRetraction(AlmostRetractionSpec(epsilon=eps, cap_center=cap))
+def make_retr(eps):
+    return AlmostRetraction(AlmostRetractionSpec(epsilon=eps))
 
 
 def test_point_far_from_cap_fixed():
@@ -80,7 +81,7 @@ def test_idempotent_off_cap_preimage():
     r = make_retr(eps)
     theta = np.linspace(0, 2 * np.pi, 500, endpoint=False)
     once = r.angle_map(theta)
-    image_off_cap = np.abs(wrap_angle(once - r.spec.cap_center)) > eps
+    image_off_cap = np.abs(wrap_angle(once - CAP_CENTER)) > eps
     twice = r.angle_map(once)
     diff = wrap_angle(twice - once)
     assert np.allclose(diff[image_off_cap], 0.0, atol=1e-12)
@@ -149,9 +150,7 @@ def test_coverage_holds_on_shift_grid():
     model = AlmostModel(spec)
     shifts = xi_grid()
     for n in (2, 4):
-        eps = 2.0**-n
-        retr = make_retr(eps)
-        model.coverage_check(eps, retr, shifts)  # raises on failure
+        model.coverage_check(2.0**-n, shifts)  # raises on failure
 
 
 def test_scan_exponents():
