@@ -266,7 +266,9 @@ def cloud_energy(
 
     Group ids >= 0 mark congruent fine blocks whose internal pairs are
     accounted for exactly elsewhere; pairs within one such group are
-    excluded from the cross sum.
+    excluded from the cross sum.  No production path calls it: it is the
+    whole-cloud reference of `tests/patch_reference.py` and a target of
+    the perfbench tracer.
     """
     q = m + params.sp
     return 2.0 * pair_kernel_sum(points, values, params.p, q, weights=weights, groups=groups,

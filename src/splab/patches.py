@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from decimal import Decimal
 from functools import cached_property
 
 import numpy as np
@@ -32,7 +33,7 @@ from ._pairsum import (
     symmetric,
 )
 from .chords import COS_CONE_BOUND, chords_vectorized
-from .energy import FractionalParams, cloud_energy
+from .energy import FractionalParams
 from .errors import BudgetError, ConfigurationError
 from .grid import Placement
 from .sphere import SINGULAR_EXCLUSION_RADIUS
@@ -53,7 +54,7 @@ COARSE_SPACING = 1 / 16
 CELL_SUBDIVISION = 5
 
 DEFAULT_NODE_BUDGET = 4_000_000
-LAYER_PAIR_BUDGET = 2_000_000_000  # point pairs of one glued layer cloud
+LAYER_PAIR_BUDGET = 2_000_000_000  # point pairs the class-kernel blocks of one layer evaluate
 
 
 def smoothstep5(t: NDArray) -> NDArray:
@@ -207,6 +208,11 @@ class LayerSpec:
         return [PatchSpec(tuple(c), self.n, params) for c in self.centers()]
 
 
+def _count(n: int) -> str:
+    """An integer to 3 significant digits (its float overflows past 1e308)."""
+    return format(Decimal(n), ".3g")
+
+
 def _stencil_offsets(layer: LayerSpec) -> NDArray:
     """The 5-point shift stencil of one cube: its center and the four half-way points."""
     d = layer.cube_inradius / 2
@@ -234,6 +240,13 @@ def _midpoint_lattice(halfwidth: float, spacing: float) -> tuple[NDArray, float]
     coords, h = cell_midpoints(halfwidth, spacing)
     xx, yy = np.meshgrid(coords, coords, indexing="ij")
     return np.column_stack([xx.ravel(), yy.ravel()]), h
+
+
+def outer_background(layer: LayerSpec) -> tuple[NDArray, float]:
+    """Points and weight of the layer's lattice outside [-1, 1]^2 (half a patch frame wide, value 0)."""
+    sigma = layer.placement_scale
+    bg, bg_h = _midpoint_lattice(1.0 + PATCH_MARGIN * sigma, sigma * COARSE_SPACING * 4)
+    return bg[np.max(np.abs(bg), axis=1) > 1.0], bg_h**2
 
 
 def frame_energy(points: NDArray, values: NDArray, p: float, q: float, spacing: float,
@@ -337,31 +350,18 @@ class PatchModel:
         bg, bg_h = _midpoint_lattice(PATCH_MARGIN, COARSE_SPACING)
         return bg[np.max(np.abs(bg), axis=1) > BLOCK_HALFWIDTH], bg_h**2
 
-    def _check_cloud_size(self, k: int, patches: int = 1) -> None:
-        """BudgetError unless ``patches`` clouds of cluster count k fit the node budget."""
-        width = 2 * BLOCK_HALFWIDTH / k
-        per_cell = cell_midpoints(width / 2, width / CELL_SUBDIVISION)[0].size ** 2
-        size = patches * (k**2 * per_cell + self._background()[0].shape[0])
+    def _cloud_size(self, k: int) -> int:
+        """Point count of the patch cloud of cluster count k: its cells' points and its background."""
+        return k**2 * CELL_SUBDIVISION**2 + self._background()[0].shape[0]
+
+    def _check_cloud_size(self, k: int) -> None:
+        """BudgetError unless the patch cloud of cluster count k fits the node budget."""
+        size = self._cloud_size(k)
         if size > DEFAULT_NODE_BUDGET:
             raise BudgetError(
-                f"patch cloud of {size} points > budget {DEFAULT_NODE_BUDGET} "
-                f"(cluster count {k}); use compositional accounting instead"
+                f"patch cloud of {_count(size)} points > budget {_count(DEFAULT_NODE_BUDGET)} "
+                f"(cluster count {_count(k)}); use compositional accounting instead"
             )
-
-    def _patch_cloud(self, spec: PatchSpec, group_base: int = 0, placement: Placement | None = None):
-        """Coarse cloud for one patch: cell reps (grouped) + background."""
-        centers, offs, cell_w = self._cell_lattice(spec.k)
-        cell_pts = (centers[:, None, :] + offs[None, :, :]).reshape(-1, 2)
-        cell_groups = np.repeat(np.arange(len(centers)) + group_base, offs.shape[0])
-        bg, bg_w = self._background()
-        pts = np.concatenate([cell_pts, bg])
-        w = np.concatenate([np.full(cell_pts.shape[0], cell_w), np.full(bg.shape[0], bg_w)])
-        groups = np.concatenate([cell_groups, np.full(bg.shape[0], -1, dtype=np.int64)])
-        vals = patch_values(pts, spec)
-        if placement is not None:
-            pts = pts * placement.scale + np.asarray(placement.translate)
-            w = w * placement.scale**2
-        return pts, vals, w, groups
 
     def _class_cloud(self, k: int) -> tuple[NDArray, NDArray, NDArray, NDArray, NDArray]:
         """(collar, g) of each value class, and the points, labels, weights and groups of the patch cloud.
@@ -411,23 +411,22 @@ class PatchModel:
             self._class_memo[k] = classes[:, 0], classes[:, 1], kern
         return self._class_memo[k]
 
-    def _offset_kernels(self, k: int, offsets: NDArray) -> list[NDArray]:
-        """(2C, 2C) `class_kernel` of the patch cloud P of cluster count k and its translate.
+    def _cross_kernel(self, cloud: tuple, points: NDArray, labels: NDArray, weights) -> NDArray:
+        """`class_kernel` of the pairs between a patch cloud P and another labelled cloud Q.
 
-        One matrix per row D of ``offsets``: P in group 0 with its labels,
-        P + 2 PATCH_MARGIN D (D patch frames away) in group 1 with its labels
-        moved up by C, so only the pairs between the two copies are live.
-        For the class values V of the patch at P and W of the patch at the
-        translate, `class_pair_sum` of the matrix and [V; W] is the pair sum
-        between the two patches in frame units.
+        ``cloud`` is `_class_cloud` of P, with C classes; Q is ``points`` in
+        P's frame units with ``labels`` from 0 and ``weights`` (per point or
+        one).  P is group 1 with its labels, Q group 0 with its labels moved
+        up by C: only the pairs between P and Q are live, and Q comes first,
+        so the walk skips P's row slabs whole.  For class values V of P and W
+        of Q, `class_pair_sum` of the matrix and [V; W] is their pair sum in
+        frame units.
         """
-        classes, pts, labels, weights, _ = self._class_cloud(k)
-        labels = np.concatenate([labels, labels + classes.shape[0]])
-        weights = np.concatenate([weights, weights])
-        groups = np.repeat([0, 1], pts.shape[0])
-        return [class_kernel(np.concatenate([pts, pts + 2 * PATCH_MARGIN * d]), labels,
-                             self._kernel_exp, weights=weights, groups=groups, workers=self.workers)
-                for d in offsets]
+        classes, pts, cloud_labels, cloud_weights, _ = cloud
+        weights = np.concatenate([np.broadcast_to(weights, labels.shape), cloud_weights])
+        groups = np.repeat([0, 1], [labels.shape[0], pts.shape[0]])
+        return class_kernel(np.concatenate([points, pts]), np.concatenate([labels + classes.shape[0], cloud_labels]),
+                            self._kernel_exp, weights=weights, groups=groups, workers=self.workers)
 
     def _frame_classes(self) -> tuple[NDArray, NDArray]:
         """Profile value of each class of the frame lattice and their `class_kernel` matrix."""
@@ -512,65 +511,62 @@ class PatchModel:
 
     # -- layers -----------------------------------------------------------------
 
-    def layer_cloud(self, layer: LayerSpec) -> tuple[NDArray, NDArray, NDArray, NDArray]:
-        """(points, values, weights, groups) of the glued layer: its patch clouds and background."""
-        self._check_cloud_size(default_cluster_count(layer.n, self.params.s), layer.count)
-        sigma = layer.placement_scale
-        specs = layer.patch_specs(self.params)
-        parts = [self._patch_cloud(spec, group_base=i * spec.k**2, placement=pl)
-                 for i, (spec, pl) in enumerate(zip(specs, layer.placements()))]
-        bg, bg_h = _midpoint_lattice(1.0 + PATCH_MARGIN * sigma, sigma * COARSE_SPACING * 4)
-        outside = np.max(np.abs(bg), axis=1) > 1.0  # patch frames tile the unit cube
-        bg = bg[outside]
-        parts.append((bg, np.zeros((bg.shape[0], 2)), np.full(bg.shape[0], bg_h**2),
-                      np.full(bg.shape[0], -1, dtype=np.int64)))
-        return tuple(np.concatenate(arrays) for arrays in zip(*parts))
+    def _layer_pairs(self, layer: LayerSpec) -> int:
+        """Pairs the blocks of `layer_energy_direct` evaluate, by arithmetic from k and n.
+
+        Each of the ((2N-1)^2 - 1)/2 half-offsets joins two patch clouds of
+        |P| points, and each of the N^2 patches meets the outer background:
+        (N + 1)^2 - N^2 patch frames of ``steps``^2 points.
+        """
+        size = self._cloud_size(default_cluster_count(layer.n, self.params.s))
+        side, steps = 2**layer.n, round(PATCH_MARGIN / (2 * COARSE_SPACING))
+        return ((2 * side - 1) ** 2 - 1) // 2 * size**2 + layer.count * size * steps**2 * (2 * side + 1)
 
     def layer_energy_direct(self, layer: LayerSpec) -> float:
         """Composite quadrature of the glued layer (all cross pairs included).
 
-        Every patch is the cloud of `_class_cloud` placed by x -> sigma x + t,
+        Every patch is the cloud P of `_class_cloud` placed by x -> sigma x + t,
         so a pair of placed points carries sigma^(2-sp) times its frame
-        kernel, and the pairs of the glued cloud split four ways: within one
+        kernel, and the pairs of the glued layer split four ways: within one
         patch (the class matrix of `_classes`), between the patches I and
         I + D for each half-offset D of the N x N patch grid (one
-        `_offset_kernels` matrix per D, whatever the patch pair), between the
-        patches and the outer background (`cloud_energy` of `layer_cloud`
-        with the outer background first and every patch point in one group,
-        so the walk skips the tiles inside the patches), and within one cell
-        (`cluster_energy`).
+        `_cross_kernel` of P and P + D per D, whatever the patch pair),
+        between patch I and the outer background (one `_cross_kernel` of P
+        and the outer points moved into I's frame, one class of value 0), and
+        within one cell (`cluster_energy`).  The pair budget runs first.
         """
         key = ("layer", layer, self.params)
         if key not in self._memo:
-            p, sp = self.params.p, self.params.sp
-            sigma = layer.placement_scale
-            points, values, weights, _ = self.layer_cloud(layer)
-            size = points.shape[0]
-            pairs = size * (size - 1) // 2
+            pairs = self._layer_pairs(layer)
             if pairs > LAYER_PAIR_BUDGET:
                 raise BudgetError(
-                    f"layer cloud of {size} points has {pairs} pairs > budget "
-                    f"{LAYER_PAIR_BUDGET}; use compositional accounting instead"
+                    f"layer blocks at n = {layer.n} evaluate {_count(pairs)} pairs > budget "
+                    f"{_count(LAYER_PAIR_BUDGET)}; use compositional accounting instead"
                 )
+            p, sp = self.params.p, self.params.sp
+            sigma = layer.placement_scale
             specs = layer.patch_specs(self.params)
             collar, profile, kern = self._classes(specs[0].k)
             vals = [_values_from(collar, profile, spec) for spec in specs]
             terms = [class_pair_sum(kern, v, p) for v in vals]
+            cloud = self._class_cloud(specs[0].k)
+            pts, labels, weights = cloud[1:4]
             side = 2**layer.n
             index = np.arange(layer.count).reshape(side, side)  # patch (i, j) of `centers`
-            offsets = half_lattice(side, ELL)
-            for (di, dj), block in zip(offsets, self._offset_kernels(specs[0].k, offsets)):
+            for d in half_lattice(side, ELL):
+                block = self._cross_kernel(cloud, pts + 2 * PATCH_MARGIN * d, labels, weights)
+                di, dj = d
                 firsts = index[max(0, -di):side - max(0, di), max(0, -dj):side - max(0, dj)]
                 for i in firsts.ravel():
                     pair = np.concatenate([vals[i], vals[i + di * side + dj]])
                     terms.append(class_pair_sum(block, pair, p))
-            # outer background first: the row slabs of the patches then meet only
-            # patch columns, all in group 0, and the walk skips them whole
-            outer = np.max(np.abs(points), axis=1) > 1.0
-            order = np.argsort(~outer, kind="stable")
-            cross = cloud_energy(points[order], values[order], weights[order],
-                                 np.where(outer, -1, 0)[order], self.params, m=2, workers=self.workers)
-            cross += 2.0 * sigma ** (2 - sp) * math.fsum(terms)
+            outer, outer_w = outer_background(layer)
+            outer_labels = np.zeros(outer.shape[0], dtype=np.int64)
+            for v, pl in zip(vals, layer.placements()):
+                block = self._cross_kernel(cloud, (outer - pl.translate) / pl.scale, outer_labels,
+                                           outer_w / pl.scale**2)
+                terms.append(class_pair_sum(block, np.concatenate([v, np.zeros((1, ELL))]), p))
+            cross = 2.0 * sigma ** (2 - sp) * math.fsum(terms)
             fine = 0.0
             for spec in specs:
                 fine += sigma ** (2 - sp) * self.cluster_energy(spec)

@@ -9,8 +9,11 @@ without value classes: every frame point and every cloud point is
 projected on its own, singular hits are dropped point by point, and the
 pairs of different cells are summed point by point in the grouped cloud.
 
-`layer_energy_whole_cloud` evaluates `PatchModel.layer_energy_direct` as
-one pair sum over the whole glued layer cloud, without value classes.
+`patch_cloud` is the coarse cloud of one patch point by point (one group
+per cluster cell), and `layer_cloud` glues one per dyadic cube with the
+outer background.  `layer_energy_whole_cloud` evaluates
+`PatchModel.layer_energy_direct` as one pair sum over that whole glued
+cloud, without value classes.
 """
 
 import math
@@ -30,6 +33,7 @@ from splab.patches import (
     _project_values,
     basic_values,
     cluster_scale,
+    outer_background,
     patch_values,
 )
 
@@ -76,17 +80,44 @@ def projected_point_by_point(model, spec, shifts):
     frame_pts = model._frame_pts
     frame = _projected_pair_sums(frame_pts, basic_values(frame_pts, spec), shifts, p, q,
                                  weights=model.h0**2, workers=2)
-    pts, _, w, groups = model._patch_cloud(spec)
+    pts, _, w, groups = patch_cloud(model, spec)
     cloud = _projected_pair_sums(pts, patch_values(pts, spec), shifts, p, q, weights=w,
                                  groups=groups, workers=2)
     fine = spec.k**spec.ell * cluster_scale(spec.k) ** (spec.ell - sp) * (2.0 * frame)
     return fine + 2.0 * cloud
 
 
+def patch_cloud(model, spec, group_base=0, placement=None):
+    """(points, values, weights, groups) of one patch: cell points, one group per cell, then background."""
+    centers, offs, cell_w = model._cell_lattice(spec.k)
+    cell_pts = (centers[:, None, :] + offs[None, :, :]).reshape(-1, 2)
+    cell_groups = np.repeat(np.arange(len(centers)) + group_base, offs.shape[0])
+    bg, bg_w = model._background()
+    pts = np.concatenate([cell_pts, bg])
+    w = np.concatenate([np.full(cell_pts.shape[0], cell_w), np.full(bg.shape[0], bg_w)])
+    groups = np.concatenate([cell_groups, np.full(bg.shape[0], -1, dtype=np.int64)])
+    vals = patch_values(pts, spec)
+    if placement is not None:
+        pts = pts * placement.scale + np.asarray(placement.translate)
+        w = w * placement.scale**2
+    return pts, vals, w, groups
+
+
+def layer_cloud(model, layer):
+    """(points, values, weights, groups) of the glued layer: its patch clouds and the outer background."""
+    specs = layer.patch_specs(model.params)
+    parts = [patch_cloud(model, spec, group_base=i * spec.k**2, placement=pl)
+             for i, (spec, pl) in enumerate(zip(specs, layer.placements()))]
+    outer, outer_w = outer_background(layer)
+    parts.append((outer, np.zeros((outer.shape[0], 2)), np.full(outer.shape[0], outer_w),
+                  np.full(outer.shape[0], -1, dtype=np.int64)))
+    return tuple(np.concatenate(arrays) for arrays in zip(*parts))
+
+
 def layer_energy_whole_cloud(model, layer):
     """Cross pairs of the glued layer cloud by one `cloud_energy`, plus the cells' fine term."""
     sigma, sp = layer.placement_scale, model.params.sp
-    cross = cloud_energy(*model.layer_cloud(layer), model.params, m=2, workers=2)
+    cross = cloud_energy(*layer_cloud(model, layer), model.params, m=2, workers=2)
     fine = 0.0
     for spec in layer.patch_specs(model.params):
         fine += sigma ** (2 - sp) * model.cluster_energy(spec)

@@ -2,8 +2,9 @@ import numpy as np
 import pytest
 
 from splab import _pairsum
-from patch_reference import build_patch, layer_energy_whole_cloud, projected_point_by_point
-from splab._pairsum import cell_lattice_kernel, class_pair_sum, pair_kernel_sum
+from patch_reference import build_patch, layer_energy_whole_cloud, patch_cloud, projected_point_by_point
+from splab import patches
+from splab._pairsum import cell_lattice_kernel, class_pair_sum, half_lattice, pair_kernel_sum
 from splab.chords import chords_vectorized
 from splab.energy import FractionalParams, Region, gagliardo_energy
 from splab.errors import BudgetError, ResolutionError
@@ -21,6 +22,7 @@ from splab.patches import (
     _project_values,
     _values_from,
     default_cluster_count,
+    outer_background,
     patch_values,
 )
 
@@ -191,6 +193,33 @@ def test_layer_counts_and_budget(params_main):
         PatchModel(params_main).layer_energy_direct(LayerSpec(3))
 
 
+class _Built(Exception):
+    pass
+
+
+def _refuse(*args, **kwargs):
+    raise _Built
+
+
+def test_layer_budget_runs_before_any_build(monkeypatch, params_main):
+    # the pair count is arithmetic on k and n: it matches the blocks' clouds, and
+    # it rejects s = 0.4 at n = 3 (8.5e10 pairs) and admits s = 0.95 (7.6e8) before
+    # a patch cloud or a class kernel is built
+    model = PatchModel(params_main)
+    for n in (1, 2, 3):
+        layer = LayerSpec(n)
+        size = model._class_cloud(default_cluster_count(n, params_main.s))[1].shape[0]
+        outer = outer_background(layer)[0].shape[0]
+        offsets = half_lattice(2**n, 2).shape[0]
+        assert model._layer_pairs(layer) == offsets * size**2 + layer.count * size * outer
+    monkeypatch.setattr(PatchModel, "_class_cloud", _refuse)
+    monkeypatch.setattr(patches, "class_kernel", _refuse)
+    with pytest.raises(BudgetError, match="pairs > budget"):
+        model.layer_energy_direct(LayerSpec(3))
+    with pytest.raises(_Built):
+        PatchModel(FractionalParams(s=0.95, p=1.5)).layer_energy_direct(LayerSpec(3))
+
+
 def test_layer_unit_scale_energy_slope(model_main):
     # the energy of the glued layer grows like the patch count: slope of
     # log2 energy within ell +/- 0.5 once the domain rescaling is divided out
@@ -290,15 +319,37 @@ def test_layer_offset_block_matches_placed_pair_sum(model_main, params_main, fir
     layer = LayerSpec(2)
     specs, placements = layer.patch_specs(params_main), layer.placements()
     offset = np.divmod(second, 4)[0] - np.divmod(first, 4)[0], second % 4 - first % 4
-    block = model_main._offset_kernels(specs[0].k, np.array([offset]))[0]
+    cloud = model_main._class_cloud(specs[0].k)
+    block = model_main._cross_kernel(cloud, cloud[1] + 2 * PATCH_MARGIN * np.array(offset), *cloud[2:4])
     collar, profile, _ = model_main._classes(specs[0].k)
     values = np.concatenate([_values_from(collar, profile, specs[i]) for i in (first, second)])
     got = layer.placement_scale ** (2 - params_main.sp) * class_pair_sum(block, values, params_main.p)
-    clouds = [model_main._patch_cloud(specs[i], placement=placements[i]) for i in (first, second)]
+    clouds = [patch_cloud(model_main, specs[i], placement=placements[i]) for i in (first, second)]
     pts, vals, w = (np.concatenate([c[k] for c in clouds]) for k in range(3))
     groups = np.repeat([0, 1], [c[0].shape[0] for c in clouds])
     expected = pair_kernel_sum(pts, vals, params_main.p, 2 + params_main.sp, weights=w,
                                groups=groups, workers=2)
+    assert got == pytest.approx(expected, rel=1e-12, abs=0)
+
+
+@pytest.mark.parametrize("index", [0, 5], ids=["corner", "inner"])
+def test_layer_outer_block_matches_placed_pair_sum(model_main, params_main, index):
+    # the outer block of patch I is its pair sum with the outer background
+    # (value 0) in I's frame units; patch 0 is a corner of the 4 x 4 grid, 5 inside it
+    layer = LayerSpec(2)
+    spec, placement = layer.patch_specs(params_main)[index], layer.placements()[index]
+    outer, outer_w = outer_background(layer)
+    cloud = model_main._class_cloud(spec.k)
+    block = model_main._cross_kernel(cloud, (outer - placement.translate) / placement.scale,
+                                     np.zeros(outer.shape[0], dtype=np.int64), outer_w / placement.scale**2)
+    collar, profile, _ = model_main._classes(spec.k)
+    values = np.concatenate([_values_from(collar, profile, spec), np.zeros((1, 2))])
+    got = layer.placement_scale ** (2 - params_main.sp) * class_pair_sum(block, values, params_main.p)
+    pts, vals, w, _ = patch_cloud(model_main, spec, placement=placement)
+    expected = pair_kernel_sum(np.concatenate([pts, outer]), np.concatenate([vals, np.zeros_like(outer)]),
+                               params_main.p, 2 + params_main.sp,
+                               weights=np.concatenate([w, np.full(outer.shape[0], outer_w)]),
+                               groups=np.repeat([0, 1], [pts.shape[0], outer.shape[0]]), workers=2)
     assert got == pytest.approx(expected, rel=1e-12, abs=0)
 
 
@@ -349,8 +400,8 @@ def test_cell_lattice_energy_matches_grouped_pair_sum(model_main, params_main, n
     # reference: the grouped cloud sum with one group per cell, all pairs of
     # distinct cells evaluated point by point (one stacked call for the three c)
     specs = [PatchSpec(c, n, params_main) for c in LATTICE_CENTERS]
-    pts, _, w, groups = model_main._patch_cloud(specs[0])
-    values = np.stack([model_main._patch_cloud(spec)[1] for spec in specs])
+    pts, _, w, groups = patch_cloud(model_main, specs[0])
+    values = np.stack([patch_cloud(model_main, spec)[1] for spec in specs])
     grouped = pair_kernel_sum(pts, values, params_main.p, 2 + params_main.sp, weights=w,
                               groups=groups, workers=2)
     for spec, pair_sum in zip(specs, grouped):
@@ -362,7 +413,7 @@ def test_cell_lattice_energy_matches_grouped_pair_sum(model_main, params_main, n
 def test_patch_cloud_cells_share_one_template(model_main, params_main, n):
     for c in LATTICE_CENTERS:
         spec = PatchSpec(c, n, params_main)
-        pts, vals, w, groups = model_main._patch_cloud(spec)
+        pts, vals, w, groups = patch_cloud(model_main, spec)
         centers, offs, cell_w = model_main._cell_lattice(spec.k)
         cells = centers.shape[0] * offs.shape[0]
         assert np.array_equal(groups[:cells], np.repeat(np.arange(centers.shape[0]), offs.shape[0]))
@@ -414,7 +465,7 @@ def test_projected_classes_match_point_by_point(model_main, params_main):
         np.testing.assert_allclose(model_main.patch_projected_direct(spec, shifts),
                                    projected_point_by_point(model_main, spec, shifts),
                                    rtol=1e-12, atol=0)
-    pts = model_main._patch_cloud(spec)[0]
+    pts = patch_cloud(model_main, spec)[0]
     assert _project_values(patch_values(pts, spec), shifts[-1])[1].any()  # the drop rule runs
 
 
