@@ -1,9 +1,8 @@
 import numpy as np
 import pytest
 
-from splab import _pairsum
+from splab import _pairsum, patches
 from patch_reference import build_patch, layer_energy_whole_cloud, patch_cloud, projected_point_by_point
-from splab import patches
 from splab._pairsum import cell_lattice_kernel, class_pair_sum, half_lattice, pair_kernel_sum
 from splab.chords import chords_vectorized
 from splab.energy import FractionalParams, Region, gagliardo_energy
