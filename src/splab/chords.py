@@ -2,9 +2,9 @@
 
 The two displaced values are c +/- 2^(1-n) e1.  The closed-form chord
 comes from the law of cosines applied twice in the plane spanned by
-(a - c, e1); the direct vector computation is always carried along as a
-cross-check.  The two chord lower bounds are verified empirically: their
-constants are estimated by deterministic sampling, not assumed.
+(a - c, e1); the tests check it against the direct vector computation.
+The two chord lower bounds are verified empirically: their constants are
+estimated by deterministic sampling, not assumed.
 """
 
 from __future__ import annotations
@@ -14,17 +14,10 @@ from dataclasses import dataclass
 import numpy as np
 from numpy.typing import NDArray
 
-from .errors import ConfigurationError, SamplingError, SingularHitError
-from .sphere import project
+from .errors import ConfigurationError, SamplingError
 
 COS_CONE_BOUND = 0.125  # |cos(angle to e1)| <= 1/8 gates the far-field bound
 MIN_SAMPLES = 1000  # per scale index of an `estimate_constant` run
-
-
-def _e1(ell: int) -> NDArray:
-    v = np.zeros(ell)
-    v[0] = 1.0
-    return v
 
 
 @dataclass(frozen=True)
@@ -35,55 +28,12 @@ class ChordCase:
     n: int
     a: tuple[float, ...]
 
-    def __post_init__(self):
-        object.__setattr__(self, "c", tuple(float(v) for v in self.c))
-        object.__setattr__(self, "a", tuple(float(v) for v in self.a))
-        if len(self.c) != len(self.a):
-            raise ConfigurationError("c and a must share a dimension")
-        if len(self.c) < 2:
-            raise ConfigurationError("chord geometry needs dimension >= 2")
 
-    @property
-    def ell(self) -> int:
-        return len(self.c)
+def chords_vectorized(c: NDArray, n: int, a: NDArray) -> NDArray:
+    """Closed-form chords for arrays of centers/shifts (shape (N, ell)).
 
-    @property
-    def displacement(self) -> float:
-        return 2.0 ** (1 - self.n)
-
-    @property
-    def c_plus(self) -> NDArray:
-        return np.asarray(self.c) + self.displacement * _e1(self.ell)
-
-    @property
-    def c_minus(self) -> NDArray:
-        return np.asarray(self.c) - self.displacement * _e1(self.ell)
-
-    @property
-    def x1(self) -> float:
-        return float(np.linalg.norm(self.c_plus - np.asarray(self.a)))
-
-    @property
-    def x2(self) -> float:
-        return float(np.linalg.norm(self.c_minus - np.asarray(self.a)))
-
-
-@dataclass(frozen=True)
-class ChordResult:
-    closed_form: float
-    direct: float
-    discrepancy: float
-
-
-def chord_direct(case: ChordCase) -> float:
-    a = np.asarray(case.a)
-    return float(np.linalg.norm(project(case.c_plus - a) - project(case.c_minus - a)))
-
-
-def _chords_closed_form(c: NDArray, n: int, a: NDArray) -> NDArray:
-    """Stable evaluation of chord^2 = (sep^2 - (x1-x2)^2)/(x1 x2).
-
-    The identity is factored as (sep - d)(sep + d)/(x1 x2) with
+    A stable evaluation of chord^2 = (sep^2 - (x1-x2)^2)/(x1 x2): the
+    identity is factored as (sep - d)(sep + d)/(x1 x2) with
     d = x1 - x2 rewritten through x1^2 - x2^2 = 2 sep (c - a).e1, and the
     cancelling factor expanded once more; evaluated in extended precision
     so the closed form agrees with the direct vector computation to 1e-12
@@ -92,7 +42,6 @@ def _chords_closed_form(c: NDArray, n: int, a: NDArray) -> NDArray:
     cl = np.asarray(c, dtype=np.longdouble)
     al = np.asarray(a, dtype=np.longdouble)
     disp = np.longdouble(2.0) ** (1 - n)
-    sep = 2 * disp
     e1 = np.zeros(cl.shape[1], dtype=np.longdouble)
     e1[0] = 1
     dp = cl + disp * e1 - al
@@ -106,28 +55,6 @@ def _chords_closed_form(c: NDArray, n: int, a: NDArray) -> NDArray:
     plus = 2 * disp * (xsum + 2 * t)
     val2 = minus * plus / (xsum * xsum * x1 * x2)
     return np.sqrt(np.clip(val2, 0, None)).astype(float)
-
-
-def chord_exact(case: ChordCase) -> ChordResult:
-    """Chord via the law-of-cosines identity, cross-checked against vectors.
-
-    chord^2 = (|c+ - c-|^2 - (x1 - x2)^2) / (x1 x2), where the displaced
-    values are 2^(2-n) apart.  Both routes are returned with their
-    discrepancy; they agree to 1e-12 on nonsingular cases.
-    """
-    x1, x2 = case.x1, case.x2
-    if x1 <= 1e-300 or x2 <= 1e-300:
-        raise SingularHitError("shift coincides with a displaced value")
-    closed = float(
-        _chords_closed_form(np.asarray([case.c]), case.n, np.asarray([case.a]))[0]
-    )
-    direct = chord_direct(case)
-    return ChordResult(closed_form=closed, direct=direct, discrepancy=abs(closed - direct))
-
-
-def chords_vectorized(c: NDArray, n: int, a: NDArray) -> NDArray:
-    """Closed-form chords for arrays of centers/shifts (shape (N, ell))."""
-    return _chords_closed_form(np.asarray(c, dtype=float), n, np.asarray(a, dtype=float))
 
 
 @dataclass(frozen=True)
@@ -205,7 +132,8 @@ def estimate_constant(
         per_n[n] = float(vals[idx])
         if vals[idx] < best:
             best = float(vals[idx])
-            best_case = ChordCase(tuple(centers[idx]), n, tuple(shifts[idx]))
+            best_case = ChordCase(tuple(map(float, centers[idx])), n,
+                                  tuple(map(float, shifts[idx])))
     if best_case is None:
         raise SamplingError("no applicable sample drawn")
     return ConstantEstimate(lemma=lemma, minimum=best, argmin=best_case, per_n=per_n)

@@ -1,4 +1,4 @@
-"""Run configuration: JSON schema, validation, and round-trip serialization.
+"""Run configuration: JSON schema and validation.
 
 The schema is strict: unknown keys and wrongly typed values are rejected
 with a JSON-pointer path; a free-form "description" string is allowed in
@@ -85,20 +85,6 @@ class RunConfig:
     worker_count: int = 1
     description: str = ""
 
-    def to_dict(self) -> dict:
-        out = {
-            "experiments": [dict(e.options, kind=e.kind) for e in self.experiments],
-            "output_dir": self.output_dir,
-            "seed": self.seed,
-            "worker_count": self.worker_count,
-        }
-        if self.description:
-            out["description"] = self.description
-        return out
-
-    def to_json(self) -> str:
-        return json.dumps(self.to_dict(), sort_keys=True, indent=2) + "\n"
-
 
 def validate_config(data: dict) -> RunConfig:
     if not isinstance(data, dict):
@@ -128,8 +114,3 @@ def load_config(path) -> RunConfig:
     except json.JSONDecodeError as exc:
         raise ConfigurationError(f"invalid JSON in {p}: {exc}") from exc
     return validate_config(data)
-
-
-def roundtrip(cfg: RunConfig) -> RunConfig:
-    """Config -> JSON -> config; the result compares equal to the input."""
-    return validate_config(json.loads(cfg.to_json()))

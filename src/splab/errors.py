@@ -29,12 +29,6 @@ class EvaluationError(SplabError):
     exit_code = 2
 
 
-class ResolutionError(SplabError):
-    """Grid too coarse to resolve the finest feature of a construction."""
-
-    exit_code = 2
-
-
 class BudgetError(SplabError):
     """Node budget exceeded; use compositional accounting instead."""
 

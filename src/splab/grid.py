@@ -136,10 +136,6 @@ class Placement:
             raise ConfigurationError(f"placement scale must be positive, got {self.scale}")
         object.__setattr__(self, "translate", tuple(float(t) for t in self.translate))
 
-    @staticmethod
-    def identity(dim: int) -> "Placement":
-        return Placement(translate=(0.0,) * dim, scale=1.0)
-
 
 @dataclass(frozen=True)
 class SampledMap:
@@ -175,9 +171,6 @@ class SampledMap:
             const = np.asarray(self.constant)
             if not np.array_equal(vals[outside], np.broadcast_to(const, (int(outside.sum()), self.nu))):
                 raise ConsistencyError("values outside the support differ from the declared constant")
-
-    def with_values(self, values: NDArray) -> "SampledMap":
-        return SampledMap(self.grid, values, self.nu, self.support, self.constant)
 
 
 def make_grid(dim: int, box, spacing: float) -> Grid:

@@ -249,15 +249,17 @@ def threshold_verdict(ns, ratios) -> tuple[str, float, float]:
 
 
 def threshold_params(s_values, p_values) -> list[FractionalParams]:
-    """The (s, p) pairs of a threshold scan, checked: sp < ell, p values straddling ell."""
+    """The (s, p) pairs of a threshold scan, checked: distinct, sp < ell, p values straddling ell."""
     if len(s_values) != len(p_values):
         raise ConfigurationError(
             f"s and p values pair up: got {len(s_values)} s and {len(p_values)} p values"
         )
     pairs = [FractionalParams(s=s, p=p) for s, p in zip(s_values, p_values)]
-    for params in pairs:
+    for i, params in enumerate(pairs):
         if params.sp >= ELL:
             raise ConfigurationError(f"pair (s={params.s}, p={params.p}) violates sp < ell")
+        if params in pairs[:i]:
+            raise ConfigurationError(f"pair (s={params.s}, p={params.p}) is given twice")
     if not (min(p_values) < ELL <= max(p_values)):
         raise ConfigurationError("p values must straddle ell")
     return pairs

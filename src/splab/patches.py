@@ -36,7 +36,7 @@ from .chords import COS_CONE_BOUND, chords_vectorized
 from .energy import FractionalParams
 from .errors import BudgetError, ConfigurationError
 from .grid import Placement
-from .sphere import SINGULAR_EXCLUSION_RADIUS
+from .sphere import unit_values
 
 ELL = 2  # every patch takes values in R^2, and every layer covers [-1, 1]^2
 # Frame geometry shared by every patch (frame coordinates).
@@ -117,14 +117,6 @@ def default_cluster_count(n: int, s: float) -> int:
         raise BudgetError(f"cluster count 2^((n-1)/s) overflows at n = {n}, s = {s}") from None
 
 
-def cluster_cell_centers(k: int, ell: int = 2) -> NDArray:
-    """Centers of the k^ell cells tiling the central block."""
-    width = 2 * BLOCK_HALFWIDTH / k
-    coords = -BLOCK_HALFWIDTH + width * (np.arange(k) + 0.5)
-    mesh = np.meshgrid(*([coords] * ell), indexing="ij")
-    return np.column_stack([m.ravel() for m in mesh])
-
-
 def cluster_scale(k: int) -> float:
     """Frame-to-cell scale: the frame box maps onto one cell box."""
     return (BLOCK_HALFWIDTH / k) / FRAME_HALFWIDTH
@@ -161,18 +153,6 @@ def _values_from(collar: NDArray, profile: NDArray, spec: PatchSpec) -> NDArray:
     return vals
 
 
-def patch_values(points: NDArray, spec: PatchSpec) -> NDArray:
-    """Full compactly supported patch: cluster + constant plateau + collar."""
-    pts = np.atleast_2d(points)
-    return _values_from(collar_factor(pts), clustered_profile(pts, spec.k), spec)
-
-
-def basic_values(points: NDArray, spec: PatchSpec) -> NDArray:
-    """Unclustered frame map: c + amplitude * profile(x) e1."""
-    pts = np.atleast_2d(points)
-    return _values_from(np.ones(pts.shape[0]), two_bump_profile(pts), spec)
-
-
 @dataclass(frozen=True)
 class LayerSpec:
     """One dyadic layer: 2^(n*ell) patches, one per dyadic cube of [-1, 1]^ell."""
@@ -192,9 +172,7 @@ class LayerSpec:
         return 2.0**-self.n
 
     def centers(self) -> NDArray:
-        coords = -1.0 + self.cube_inradius * (2 * np.arange(2**self.n) + 1)
-        mesh = np.meshgrid(*([coords] * ELL), indexing="ij")
-        return np.column_stack([m.ravel() for m in mesh])
+        return _midpoint_lattice(1.0, 2 * self.cube_inradius)[0]
 
     @property
     def placement_scale(self) -> float:
@@ -256,23 +234,13 @@ def frame_energy(points: NDArray, values: NDArray, p: float, q: float, spacing: 
     return 2.0 * spacing ** (2 * points.shape[1]) * s
 
 
-def _project_values(values: NDArray, a: NDArray) -> tuple[NDArray, NDArray]:
-    """Normalize values - a; returns (projected, hit mask)."""
-    d = values - a
-    r = np.linalg.norm(d, axis=1)
-    hits = r <= SINGULAR_EXCLUSION_RADIUS
-    safe = np.where(hits, 1.0, r)
-    out = d / safe[:, None]
-    out[hits] = 0.0
-    return out, hits
-
-
 def _projected_sum(kernel: NDArray, values: NDArray, a: NDArray, p: float) -> float:
     """`class_pair_sum` of the class values projected by shift a, singular hits dropped.
 
     A hit depends only on the value, so it drops a whole class.
     """
-    projected, hits = _project_values(values, a)
+    projected = np.empty_like(values)
+    hits = unit_values(values, a, projected)
     return class_pair_sum(kernel, projected, p, drop=np.flatnonzero(hits))
 
 
@@ -343,7 +311,7 @@ class PatchModel:
         """Cell centers, the midpoint offsets every cell shares, and their weight."""
         width = 2 * BLOCK_HALFWIDTH / k
         offs, cell_h = _midpoint_lattice(width / 2, width / CELL_SUBDIVISION)
-        return cluster_cell_centers(k), offs, cell_h**2
+        return _midpoint_lattice(BLOCK_HALFWIDTH, width)[0], offs, cell_h**2
 
     def _background(self) -> tuple[NDArray, float]:
         """Background points of one patch frame (outside the cluster block) and their weight."""
@@ -503,11 +471,6 @@ class PatchModel:
                 base = self.cluster_energy(spec) + np.linalg.norm(c) ** self.params.p * self.collar_unit_energy
                 ratios.append(direct / base if base > 0 else 1.0)
         return max(ratios) * 1.15
-
-    def patch_energy_compositional(self, spec: PatchSpec) -> float:
-        c_norm = float(np.linalg.norm(spec.c))
-        base = self.cluster_energy(spec) + c_norm**self.params.p * self.collar_unit_energy
-        return self.patch_margin_factor * base
 
     # -- layers -----------------------------------------------------------------
 

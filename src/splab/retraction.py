@@ -21,19 +21,9 @@ from functools import cached_property
 import numpy as np
 from numpy.typing import NDArray
 
-from ._pairsum import pair_kernel_sum
 from .energy import FractionalParams
 from .errors import AssertionFailure, ConfigurationError, SamplingError
-from .patches import (
-    BLOCK_HALFWIDTH,
-    CELL_SUBDIVISION,
-    FRAME_HALFWIDTH,
-    cell_midpoints,
-    clustered_profile,
-    collar_factor,
-    frame_energy,
-    two_bump_profile,
-)
+from .patches import FRAME_HALFWIDTH, cell_midpoints, collar_factor, frame_energy, two_bump_profile
 
 BLEND_FRACTION = 0.05  # C^1 blend zone at each end of the cap, as a cap fraction
 SLOT_FRAME_SPACING = 1 / 64  # frame lattice of one 1D copy
@@ -153,6 +143,10 @@ class AlmostCtrexSpec:
 
     def __post_init__(self):
         p = self.params.p
+        if self.params.sp >= 1.0:
+            raise ConfigurationError(
+                f"the support rescaling eps^(alpha/(1-sp)) needs sp < 1, got sp = {self.params.sp:.4g}"
+            )
         if self.alpha == 0.0:
             object.__setattr__(self, "alpha", (1.0 + min(p, 3.0)) / 2.0)
         if self.regime_ok and not 1.0 < self.alpha < p:
@@ -180,8 +174,7 @@ class AlmostCtrexSpec:
 
     def support_scale(self, eps: float) -> float:
         """Anisotropic rescaling factor lambda = eps^(alpha/(1-sp))."""
-        sp = self.params.sp
-        return eps ** (self.alpha / (1.0 - sp)) if sp < 1 else eps
+        return eps ** (self.alpha / (1.0 - self.params.sp))
 
 
 # ---------------------------------------------------------------------------
@@ -256,34 +249,6 @@ class AlmostModel:
         """Angle-Lipschitz upper bound on one slot's collar energy."""
         q = self.slot_width(eps) / (2 * FRAME_HALFWIDTH)
         return q ** (1 - self.params.sp) * abs(delta) ** self.params.p * self.collar_unit_energy
-
-    def _slot_cloud(self, eps: float, delta: float):
-        """Coarse midpoint cloud of one slot in frame coordinates."""
-        k = self.spec.cluster_count(eps)
-        width = 2 * BLOCK_HALFWIDTH / k
-        cells, cell_h = cell_midpoints(width / 2, width / CELL_SUBDIVISION)
-        centers = -BLOCK_HALFWIDTH + width * (np.arange(k) + 0.5)
-        cell_pts = (centers[:, None] + cells[None, :]).ravel()
-        groups = np.repeat(np.arange(k), cells.shape[0])
-        cell_w = np.full(cell_pts.shape[0], cell_h)
-        bg, bg_h = cell_midpoints(FRAME_HALFWIDTH, self.h0)
-        bg = bg[np.abs(bg) > BLOCK_HALFWIDTH]
-        pts = np.concatenate([cell_pts, bg])
-        w = np.concatenate([cell_w, np.full(bg.shape[0], bg_h)])
-        groups = np.concatenate([groups, np.full(bg.shape[0], -1, dtype=np.int64)])
-        half = self.spec.pair_half_separation(eps)
-        column = pts[:, None]
-        theta = collar_factor(column) * delta + half * clustered_profile(column, k)
-        return pts, theta, w, groups
-
-    def slot_energy_direct(self, eps: float, delta: float) -> float:
-        """Composite quadrature of one slot's energy (frame coordinates)."""
-        q = self.slot_width(eps) / (2 * FRAME_HALFWIDTH)
-        pts, theta, w, groups = self._slot_cloud(eps, delta)
-        vals = np.column_stack([np.cos(theta), np.sin(theta)])
-        cross = 2.0 * pair_kernel_sum(pts[:, None], vals, self.params.p, self._kernel_exp,
-                                      weights=w, groups=groups, workers=self.workers)
-        return q ** (1 - self.params.sp) * cross + self.slot_cluster_energy(eps)
 
     def glue_energy_upper(self, eps: float) -> float:
         """Upper accounting of the unscaled glue: slot sums with a glue margin."""
@@ -376,7 +341,7 @@ def almost_projection_scan(spec: AlmostCtrexSpec, n_range=range(2, 7), workers: 
         "regime_ok": spec.regime_ok,
         "alpha": spec.alpha,
         "support_exponent": eps_exponent("support_radius"),
-        "support_target": spec.alpha / (1 - sp) if sp < 1 else float("nan"),
+        "support_target": spec.alpha / (1 - sp),
         "energy_exponent": eps_exponent("energy_upper"),
         "energy_target": spec.alpha - 1.0,
         "projected_exponent": eps_exponent("projected_inf"),

@@ -38,21 +38,18 @@ class SingularHit:
     distance: float
 
 
-def project(x) -> NDArray:
-    """Normalize points onto the unit sphere: x / |x|.
+def unit_values(values: NDArray, a, out: NDArray) -> NDArray:
+    """Fill ``out`` with the rows (v - a)/|v - a| of ``values``; return the singular-hit mask.
 
-    Raises on any point within the exclusion radius of the origin.
-    Positive homogeneous of degree zero: project(lam*x) == project(x).
+    A row within the exclusion radius of a is a singular hit and gets the
+    placeholder value e_1.  Positive homogeneous of degree zero in v - a.
     """
-    pts = np.atleast_2d(np.asarray(x, dtype=float))
-    r = np.linalg.norm(pts, axis=1)
-    bad = r <= SINGULAR_EXCLUSION_RADIUS
-    if bad.any():
-        i = int(np.argmax(bad))
-        raise SingularHitError(f"point {pts[i]} lies within {SINGULAR_EXCLUSION_RADIUS} of the singular set",
-                               point=pts[i])
-    out = pts / r[:, None]
-    return out[0] if np.asarray(x).ndim == 1 else out
+    np.subtract(values, a, out=out)
+    r = np.linalg.norm(out, axis=1)
+    hits = r <= SINGULAR_EXCLUSION_RADIUS
+    out /= np.where(hits, 1.0, r)[:, None]
+    out[hits] = np.eye(out.shape[1])[0]
+    return hits
 
 
 def shifted_unit_values(u: SampledMap, a, out: NDArray) -> tuple[NDArray, NDArray]:
@@ -66,21 +63,16 @@ def shifted_unit_values(u: SampledMap, a, out: NDArray) -> tuple[NDArray, NDArra
     a = np.asarray(a, dtype=float)
     if u.nu != a.shape[0]:
         raise SingularHitError(f"shift dimension {a.shape[0]} != map dimension {u.nu}")
-    np.subtract(u.values, a, out=out)
-    r = np.linalg.norm(out, axis=1)
-    hit_mask = r <= SINGULAR_EXCLUSION_RADIUS
-    nodes = np.flatnonzero(hit_mask)
+    nodes = np.flatnonzero(unit_values(u.values, a, out))
     shift = tuple(a.tolist())
     if nodes.size > DEGENERATE_HIT_FRACTION * u.grid.node_count:
         raise DegenerateShiftError(
             f"shift {shift} hits the singular set at {nodes.size} of {u.grid.node_count} nodes"
         )
-    out /= np.where(hit_mask, 1.0, r)[:, None]
-    out[hit_mask] = np.eye(u.nu)[0]
     rc = float(np.linalg.norm(np.asarray(u.constant) - a))
     if rc <= SINGULAR_EXCLUSION_RADIUS and not u.support.contains_box(u.grid.box):
         raise DegenerateShiftError(f"shift {shift} coincides with the outer constant of u")
-    return nodes, r[nodes]
+    return nodes, np.linalg.norm(u.values[nodes] - a, axis=1)
 
 
 def shifted_projection(u: SampledMap, shift: ShiftPoint) -> tuple[SampledMap, list[SingularHit]]:

@@ -1,8 +1,10 @@
 """Flat-grid and point-by-point references for the patch energies.
 
-`build_patch` samples the compactly supported patch on a uniform grid, so
-its `gagliardo_energy` is the flat quadrature that
-`PatchModel.patch_energy_direct` is checked against.
+`patch_values` and `basic_values` evaluate the clustered patch and the
+unclustered frame map point by point.  `build_patch` samples the
+compactly supported patch on a uniform grid, so its `gagliardo_energy` is
+the flat quadrature that `PatchModel.patch_energy_direct` is checked
+against.
 
 `projected_point_by_point` evaluates `PatchModel.patch_projected_direct`
 without value classes: every frame point and every cloud point is
@@ -22,7 +24,7 @@ import numpy as np
 
 from splab._pairsum import pair_kernel_sum
 from splab.energy import cloud_energy
-from splab.errors import GeometryError, ResolutionError
+from splab.errors import GeometryError, SplabError
 from splab.grid import Box, Grid, SampledMap, sample_map
 from splab.patches import (
     BLOCK_HALFWIDTH,
@@ -30,12 +32,32 @@ from splab.patches import (
     PLATEAU_RADIUS,
     SUPPORT_HALFWIDTH,
     PatchSpec,
-    _project_values,
-    basic_values,
+    _values_from,
     cluster_scale,
+    clustered_profile,
+    collar_factor,
     outer_background,
-    patch_values,
+    two_bump_profile,
 )
+from splab.sphere import unit_values
+
+
+class ResolutionError(SplabError):
+    """Grid too coarse to resolve the finest feature of a construction."""
+
+    exit_code = 2
+
+
+def patch_values(points, spec: PatchSpec):
+    """Full compactly supported patch: cluster + constant plateau + collar."""
+    pts = np.atleast_2d(points)
+    return _values_from(collar_factor(pts), clustered_profile(pts, spec.k), spec)
+
+
+def basic_values(points, spec: PatchSpec):
+    """Unclustered frame map: c + amplitude * profile(x) e1."""
+    pts = np.atleast_2d(points)
+    return _values_from(np.ones(pts.shape[0]), two_bump_profile(pts), spec)
 
 
 def _check_cluster_geometry(k: int, ell: int) -> None:
@@ -69,8 +91,7 @@ def _projected_pair_sums(points, values, shifts, p, q, **kwargs):
     stack = np.empty((len(shifts),) + values.shape)
     hits = []
     for i, a in enumerate(shifts):
-        stack[i], hit = _project_values(values, a)
-        hits.append(np.flatnonzero(hit))
+        hits.append(np.flatnonzero(unit_values(values, a, stack[i])))
     return pair_kernel_sum(points, stack, p, q, drop=hits, **kwargs)
 
 

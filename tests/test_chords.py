@@ -1,49 +1,52 @@
 import numpy as np
 import pytest
 
-from splab.chords import (
-    COS_CONE_BOUND,
-    ChordCase,
-    chord_direct,
-    chord_exact,
-    chords_vectorized,
-    estimate_constant,
-)
+from splab.chords import COS_CONE_BOUND, chords_vectorized, estimate_constant
 from splab.energy import FractionalParams
-from splab.errors import ConfigurationError, SingularHitError
+from splab.errors import ConfigurationError
 from splab.patches import PatchModel
 
 
+def direct_chords(c, n, a):
+    """|P(c+ - a) - P(c- - a)| from the unit vectors themselves, for (N, ell) centers and shifts."""
+    e1 = np.zeros(np.shape(c)[1])
+    e1[0] = 1.0
+    disp = 2.0 ** (1 - n)
+    dp = c + disp * e1 - a
+    dm = c - disp * e1 - a
+    dv = dp / np.linalg.norm(dp, axis=1)[:, None] - dm / np.linalg.norm(dm, axis=1)[:, None]
+    return np.linalg.norm(dv, axis=1)
+
+
+def chords(c, n, a):
+    """(closed form, direct) chord of one case."""
+    c, a = np.asarray([c], dtype=float), np.asarray([a], dtype=float)
+    return float(chords_vectorized(c, n, a)[0]), float(direct_chords(c, n, a)[0])
+
+
 def test_chord_unit_scale_perpendicular():
-    case = ChordCase(c=(0.0, 0.0), n=1, a=(0.0, 1.0))
-    res = chord_exact(case)
-    assert case.x1 == pytest.approx(np.sqrt(2.0))
-    assert case.x2 == pytest.approx(np.sqrt(2.0))
-    assert res.closed_form == pytest.approx(np.sqrt(2.0), rel=1e-14)
-    assert res.discrepancy <= 1e-12
+    c, a = (0.0, 0.0), (0.0, 1.0)
+    # the displaced values (+-1, 0) lie sqrt(2) from the shift
+    for sign in (1.0, -1.0):
+        assert np.linalg.norm(np.array([sign, 0.0]) - a) == pytest.approx(np.sqrt(2.0))
+    closed, direct = chords(c, 1, a)
+    assert closed == pytest.approx(np.sqrt(2.0), rel=1e-14)
+    assert abs(closed - direct) <= 1e-12
 
 
 def test_chord_center_antipodal():
-    case = ChordCase(c=(0.3, -0.2), n=4, a=(0.3, -0.2))
-    res = chord_exact(case)
-    assert res.closed_form == pytest.approx(2.0, rel=1e-14)
+    closed, _ = chords((0.3, -0.2), 4, (0.3, -0.2))
+    assert closed == pytest.approx(2.0, rel=1e-14)
 
 
 def test_chord_quarter_scale_perpendicular():
     # both routes give 2/sqrt(5): the displaced values are (+-1/2, 0), the
     # shift is (0, 1)
-    case = ChordCase(c=(0.0, 0.0), n=2, a=(0.0, 1.0))
-    res = chord_exact(case)
+    closed, direct = chords((0.0, 0.0), 2, (0.0, 1.0))
     expected = 2.0 / np.sqrt(5.0)
-    assert res.direct == pytest.approx(expected, rel=1e-15)
-    assert res.closed_form == pytest.approx(expected, rel=1e-13)
-    assert res.discrepancy <= 1e-12
-
-
-def test_chord_singular_case_rejected():
-    disp = 2.0 ** (1 - 3)
-    with pytest.raises(SingularHitError):
-        chord_exact(ChordCase(c=(0.0, 0.0), n=3, a=(disp, 0.0)))
+    assert direct == pytest.approx(expected, rel=1e-15)
+    assert closed == pytest.approx(expected, rel=1e-13)
+    assert abs(closed - direct) <= 1e-12
 
 
 def test_closed_form_matches_direct_bulk(rng):
@@ -51,69 +54,57 @@ def test_closed_form_matches_direct_bulk(rng):
     c = rng.uniform(-0.7, 0.7, (n_cases, 2))
     a = rng.uniform(-1.0, 1.0, (n_cases, 2))
     for n in (1, 4):
-        cf = chords_vectorized(c, n, a)
-        direct = np.array([
-            chord_direct(ChordCase(tuple(ci), n, tuple(ai)))
-            for ci, ai in zip(c[:200], a[:200])
-        ])
-        assert np.max(np.abs(cf[:200] - direct)) <= 1e-12
-        e1 = np.array([1.0, 0.0])
-        disp = 2.0 ** (1 - n)
-        dp = c + disp * e1 - a
-        dm = c - disp * e1 - a
-        dv = dp / np.linalg.norm(dp, axis=1)[:, None] - dm / np.linalg.norm(dm, axis=1)[:, None]
-        assert np.max(np.abs(cf - np.linalg.norm(dv, axis=1))) <= 1e-12
+        assert np.max(np.abs(chords_vectorized(c, n, a) - direct_chords(c, n, a))) <= 1e-12
 
 
-def _selected(case: ChordCase, p: float) -> bool:
+def _selected(c, n, a, p: float) -> bool:
     """Whether the layer accounting counts the patch at c for the shift a."""
     model = PatchModel(FractionalParams(s=0.4, p=p))
-    return bool(model._contributes(np.subtract(case.a, case.c), 2.0**-case.n))
+    return bool(model._contributes(np.subtract(a, c), 2.0**-n))
 
 
 def test_geom1_gate_and_center_value():
     # a shift on the center projects the displaced values to antipodes, and
     # the near-field cube selects the patch; a shift outside the cube with
     # p > ell (cube alone) does not
-    case = ChordCase(c=(0.3, -0.2), n=3, a=(0.3, -0.2))
-    res = chord_exact(case)
-    assert res.closed_form == pytest.approx(2.0, rel=1e-12)
-    assert res.direct == pytest.approx(2.0, rel=1e-12)
-    assert _selected(case, p=2.5)
-    assert not _selected(ChordCase(c=(0.0, 0.0), n=2, a=(0.5, 0.5)), p=2.5)
+    c = (0.3, -0.2)
+    closed, direct = chords(c, 3, c)
+    assert closed == pytest.approx(2.0, rel=1e-12)
+    assert direct == pytest.approx(2.0, rel=1e-12)
+    assert _selected(c, 3, c, p=2.5)
+    assert not _selected((0.0, 0.0), 2, (0.5, 0.5), p=2.5)
 
 
 def test_geom2_gate_and_ratio():
     # perpendicular far-field shift: in the transverse cone, outside the cube
-    case = ChordCase(c=(0.0, 0.0), n=2, a=(0.0, 1.0))
-    d = np.subtract(case.a, case.c)
+    c, n, a = (0.0, 0.0), 2, (0.0, 1.0)
+    d = np.subtract(a, c)
     assert d[0] / np.linalg.norm(d) == pytest.approx(0.0)
-    assert _selected(case, p=1.5)
-    assert not _selected(case, p=2.5)
-    chord = chord_exact(case).closed_form
+    assert _selected(c, n, a, p=1.5)
+    assert not _selected(c, n, a, p=2.5)
+    chord, _ = chords(c, n, a)
     assert chord == pytest.approx(2.0 / np.sqrt(5.0), rel=1e-12)
     # the geom2 quantity chord |a - c| / 2^(1-n) that estimate_constant minimizes
-    ratio = chord * np.linalg.norm(d) / case.displacement
+    ratio = chord * np.linalg.norm(d) / 2.0 ** (1 - n)
     assert ratio == pytest.approx(4.0 / np.sqrt(5.0), rel=1e-12)
 
 
 def test_geom2_cone_gate():
-    aligned = ChordCase(c=(0.0, 0.0), n=2, a=(0.5, 0.0))  # |cos| = 1
-    d = np.subtract(aligned.a, aligned.c)
+    c, a = (0.0, 0.0), (0.5, 0.0)  # |cos| = 1
+    d = np.subtract(a, c)
     assert abs(d[0] / np.linalg.norm(d)) == 1.0
-    assert not _selected(aligned, p=1.5)
+    assert not _selected(c, 2, a, p=1.5)
     # just inside and just outside |cos| = 1/8 at distance 1/2
     for cos, inside in ((0.99 * COS_CONE_BOUND, True), (1.01 * COS_CONE_BOUND, False)):
         a = (0.5 * cos, 0.5 * np.sqrt(1.0 - cos**2))
-        case = ChordCase(c=(0.0, 0.0), n=2, a=a)
-        assert _selected(case, p=1.5) is inside
+        assert _selected(c, 2, a, p=1.5) is inside
 
 
 def test_geom1_cube_corner_applicable():
     # the corner of the near-field cube, where geom1 applies: the chord stays above 1
     n = 3
     corner = (2.0**-n, 2.0**-n)
-    assert chord_exact(ChordCase(c=(0.0, 0.0), n=n, a=corner)).closed_form > 1.0
+    assert chords((0.0, 0.0), n, corner)[0] > 1.0
 
 
 def test_estimate_needs_enough_samples():
@@ -152,10 +143,7 @@ def test_chord_monotone_when_receding_on_diagonal():
     # with c, n fixed and the shift receding along the cube diagonal beyond
     # the near-field cube, the chord decreases
     n = 2
-    c = np.zeros(2)
     ts = np.linspace(1.1, 6.0, 25) * 2.0**-n
-    chords = [
-        chord_exact(ChordCase(tuple(c), n, (t / np.sqrt(2), t / np.sqrt(2)))).closed_form
-        for t in ts
-    ]
-    assert all(a > b for a, b in zip(chords, chords[1:]))
+    shifts = np.column_stack([ts, ts]) / np.sqrt(2)
+    values = chords_vectorized(np.zeros_like(shifts), n, shifts)
+    assert all(a > b for a, b in zip(values, values[1:]))

@@ -2,6 +2,7 @@ import os
 import sys
 import tracemalloc
 from concurrent.futures import Future
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -209,7 +210,7 @@ def sampled(name, h):
 
 def _unit_shifted(u, a):
     d = u.values - np.asarray(a)
-    return u.with_values(d / np.linalg.norm(d, axis=1)[:, None])
+    return replace(u, values=d / np.linalg.norm(d, axis=1)[:, None])
 
 
 BALL = Region.from_ball((0.0, 0.0), 1.0)
@@ -248,7 +249,7 @@ def test_energy_plan_fft_route_constant_and_worker_count():
     params = FractionalParams(s=0.3, p=2.0)
     one = EnergyPlan(u.grid, params, BALL, workers=1)
     three = EnergyPlan(u.grid, params, BALL, workers=3)
-    constant = u.with_values(np.broadcast_to((0.1, -0.7), u.values.shape))
+    constant = replace(u, values=np.broadcast_to((0.1, -0.7), u.values.shape))
     assert one.energy(constant).value == 0.0
     assert one.energy(constant, drop=[7]).value == 0.0
     shifted = _unit_shifted(u, (0.2, 0.45))

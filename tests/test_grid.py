@@ -89,7 +89,7 @@ def test_sample_nonfinite_named():
 def test_rescale_identity_placement():
     g = make_grid(1, [0.0, 1.0], 0.25)
     u = sample_map(g, lambda x: np.sin(x), g.box, (0.0,))
-    v = rescale_map(u, Placement.identity(1))
+    v = rescale_map(u, Placement((0.0,), 1.0))
     assert v.grid == u.grid
     assert np.array_equal(v.values, u.values)
 

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from splab import harness
-from splab.config import ExperimentConfig, RunConfig, load_config, roundtrip, validate_config
+from splab.config import ExperimentConfig, RunConfig, load_config, validate_config
 from splab.energy import EnergyPlan, FractionalParams, Region, gagliardo_energy
 from splab.errors import ConfigurationError
 from splab.harness import (
@@ -153,19 +153,6 @@ def test_run_suite_single_geometry():
     reports = run_suite(cfg)
     assert len(reports) == 1
     assert reports[0].all_passed
-
-
-def test_config_roundtrip_identity():
-    cfg = RunConfig(
-        experiments=(
-            ExperimentConfig("seminorm", {"s": 0.25, "p": 2.0, "spacing": 0.01, "map": "indicator1d"}),
-            ExperimentConfig("geometry", {"lemma": "geom2", "samples": 5000}),
-        ),
-        output_dir="out",
-        seed=3,
-        worker_count=2,
-    )
-    assert roundtrip(cfg) == cfg
 
 
 def test_config_unknown_key_rejected():

@@ -2,11 +2,19 @@ import numpy as np
 import pytest
 
 from splab import _pairsum, patches
-from patch_reference import build_patch, layer_energy_whole_cloud, patch_cloud, projected_point_by_point
+from patch_reference import (
+    ResolutionError,
+    basic_values,
+    build_patch,
+    layer_energy_whole_cloud,
+    patch_cloud,
+    patch_values,
+    projected_point_by_point,
+)
 from splab._pairsum import cell_lattice_kernel, class_pair_sum, half_lattice, pair_kernel_sum
 from splab.chords import chords_vectorized
 from splab.energy import FractionalParams, Region, gagliardo_energy
-from splab.errors import BudgetError, ResolutionError
+from splab.errors import BudgetError
 from splab.grid import Box, make_grid, sample_map
 from splab.patches import (
     FRAME_HALFWIDTH,
@@ -15,15 +23,12 @@ from splab.patches import (
     PatchSpec,
     SUPPORT_HALFWIDTH,
     PATCH_MARGIN,
-    basic_values,
-    cluster_cell_centers,
     cluster_scale,
-    _project_values,
     _values_from,
     default_cluster_count,
     outer_background,
-    patch_values,
 )
+from splab.sphere import unit_values
 
 
 def frame_grid(h):
@@ -37,9 +42,9 @@ def test_default_cluster_counts():
     assert default_cluster_count(3, 0.4) == 32
 
 
-def test_cluster_cells_fit_disjointly():
+def test_cluster_cells_fit_disjointly(model_main):
     k = 4
-    centers = cluster_cell_centers(k)
+    centers = model_main._cell_lattice(k)[0]
     assert centers.shape == (16, 2)
     # cells of half-width 1/(4k) tile the central block inside the host ball
     assert np.max(np.abs(centers)) + 1 / (4 * k) <= 0.25 + 1e-12
@@ -124,7 +129,7 @@ def test_patch_values_in_prescribed_segments(params_main):
     assert np.all(ok)
 
 
-def test_localized_cluster_cells_symmetric(params_main):
+def test_localized_cluster_cells_symmetric(model_main, params_main):
     # the four cells of a k = 2 cluster are exact translates carrying the
     # same values, so their localized energies coincide and their sum
     # stays below the total
@@ -133,7 +138,7 @@ def test_localized_cluster_cells_symmetric(params_main):
     u = build_patch(spec, g)
     r_cell = 1 / (4 * spec.k)
     cells = [Region.from_box(Box.cube(r_cell - 1e-9, center=c, dim=2))
-             for c in cluster_cell_centers(spec.k)]
+             for c in model_main._cell_lattice(spec.k)[0]]
     vals = [gagliardo_energy(u, params_main, cell).value for cell in cells]
     assert max(vals) / min(vals) - 1.0 <= 1e-9
     block = gagliardo_energy(u, params_main,
@@ -381,7 +386,9 @@ def test_layer_upper_closed_form_matches_patch_sum(threshold_models, pair):
     for n in (1, 2, 3, 4):
         layer = LayerSpec(n)
         weight = layer.placement_scale ** (2 - model.params.sp)
-        per_patch = sum(weight * model.patch_energy_compositional(spec)
+        per_patch = sum(weight * model.patch_margin_factor
+                        * (model.cluster_energy(spec)
+                           + np.linalg.norm(spec.c) ** model.params.p * model.collar_unit_energy)
                         for spec in layer.patch_specs(model.params))
         expected = model.layer_margin_factor * per_patch
         assert model.layer_upper_compositional(layer) == pytest.approx(expected, rel=1e-12, abs=0)
@@ -464,8 +471,8 @@ def test_projected_classes_match_point_by_point(model_main, params_main):
         np.testing.assert_allclose(model_main.patch_projected_direct(spec, shifts),
                                    projected_point_by_point(model_main, spec, shifts),
                                    rtol=1e-12, atol=0)
-    pts = patch_cloud(model_main, spec)[0]
-    assert _project_values(patch_values(pts, spec), shifts[-1])[1].any()  # the drop rule runs
+    vals = patch_values(patch_cloud(model_main, spec)[0], spec)
+    assert unit_values(vals, shifts[-1], np.empty_like(vals)).any()  # the drop rule runs
 
 
 def test_patch_cloud_budget(model_main, params_main):

@@ -202,11 +202,14 @@ BAD_OPTIONS = {
     "threshold-unpaired": {"kind": "threshold", "s_values": [0.4], "p_values": [2.5, 1.5]},
     "threshold-sp-2": {"kind": "threshold", "s_values": [0.9, 0.4], "p_values": [2.5, 1.5]},
     "threshold-no-straddle": {"kind": "threshold", "s_values": [0.4, 0.4], "p_values": [2.5, 2.2]},
+    "threshold-repeated-pair": {"kind": "threshold", "s_values": [0.4, 0.4, 0.4],
+                                "p_values": [2.5, 2.5, 1.5]},
     "patch-n_values-0": {"kind": "patch", "n_values": [0, 1]},
     "patch-p-0.5": {"kind": "patch", "p": 0.5},
     "layer-n-0": {"kind": "layer", "n": 0},
     "almost-alpha-5": {"kind": "almost", "alpha": 5.0},
     "almost-p-0.5": {"kind": "almost", "p": 0.5},
+    "almost-sp-1.35": {"kind": "almost", "s": 0.9, "p": 1.5},
     "geometry-samples-10": {"kind": "geometry", "samples": 10},
 }
 

@@ -16,8 +16,6 @@ from splab.retraction import (
     wrap_angle,
     xi_grid,
 )
-from splab._pairsum import pair_kernel_sum
-from splab.patches import clustered_profile, collar_factor
 
 
 def make_retr(eps):
@@ -119,29 +117,6 @@ def test_support_scales_summable():
     radii = [spec.support_scale(2.0**-n) for n in range(2, 7)]
     assert radii[0] == pytest.approx(2.0**-25.0)
     assert sum(radii) < 2 * radii[0]
-
-
-def test_slot_dual_route():
-    # composite slot quadrature against a flat 1D pair sum in frame coords;
-    # small s keeps the near-diagonal quadrature deficit negligible on both routes
-    params = FractionalParams(s=0.3, p=1.5)
-    spec = AlmostCtrexSpec(params=params)
-    model = AlmostModel(spec)
-    eps = 0.5
-    delta = 1.2
-    k = spec.cluster_count(eps)
-    q = model.slot_width(eps) / 4.0
-    h = 1.0 / (256 * k)  # four nodes across the finest transition
-    n = int(round(4.0 / h))
-    tau = -2.0 + (np.arange(n) + 0.5) * (4.0 / n)
-    half = spec.pair_half_separation(eps)
-    theta = collar_factor(tau[:, None]) * delta + half * clustered_profile(tau[:, None], k)
-    vals = np.column_stack([np.cos(theta), np.sin(theta)])
-    flat_energy_frame = 2.0 * (4.0 / n) ** 2 * pair_kernel_sum(
-        tau[:, None], vals, params.p, 1 + params.sp, block=2048
-    )
-    composite_frame = model.slot_energy_direct(eps, delta) / q ** (1 - params.sp)
-    assert composite_frame == pytest.approx(flat_energy_frame, rel=0.10)
 
 
 def test_coverage_holds_on_shift_grid():

@@ -4,32 +4,42 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from splab.energy import FractionalParams, Region, gagliardo_energy
-from splab.errors import DegenerateShiftError, SingularHitError
+from splab.errors import DegenerateShiftError
 from splab.grid import make_grid, sample_map
 from splab.sphere import (
     ShiftPoint,
-    project,
     restricted_diffeo_check,
     shifted_projection,
     shifted_unit_values,
+    unit_values,
 )
 
 
+def project(x):
+    """`unit_values` of the single point x against the shift 0: (x/|x|, singular hit)."""
+    pts = np.atleast_2d(np.asarray(x, dtype=float))
+    out = np.empty_like(pts)
+    hits = unit_values(pts, np.zeros(pts.shape[1]), out)
+    return out[0], bool(hits[0])
+
+
 def test_project_fixed_point():
-    assert np.allclose(project(np.array([1.0, 0.0])), [1.0, 0.0])
+    assert np.allclose(project([1.0, 0.0])[0], [1.0, 0.0])
 
 
 def test_project_ray_collapse():
-    assert np.allclose(project(np.array([0.0, -3.0])), [0.0, -1.0])
+    assert np.allclose(project([0.0, -3.0])[0], [0.0, -1.0])
 
 
 def test_project_three_four_five():
-    assert np.allclose(project(np.array([3.0, 4.0])), [0.6, 0.8], atol=1e-15)
+    assert np.allclose(project([3.0, 4.0])[0], [0.6, 0.8], atol=1e-15)
 
 
 def test_project_singular_rejected():
-    with pytest.raises(SingularHitError):
-        project(np.array([0.0, 0.0]))
+    # the origin is a singular hit: flagged, and given the placeholder e_1
+    value, hit = project([0.0, 0.0])
+    assert hit
+    assert value.tolist() == [1.0, 0.0]
 
 
 @settings(max_examples=200, deadline=None)
@@ -38,7 +48,9 @@ def test_project_unit_norm(x, y):
     v = np.array([x, y])
     if np.linalg.norm(v) <= 1e-10:
         return
-    assert abs(np.linalg.norm(project(v)) - 1.0) <= 1e-15
+    value, hit = project(v)
+    assert not hit
+    assert abs(np.linalg.norm(value) - 1.0) <= 1e-15
 
 
 @pytest.mark.parametrize("k", [-4, -1, 1, 5])
@@ -46,7 +58,7 @@ def test_project_scale_invariant_bitwise(k):
     # exact powers of two scale floats without rounding
     x = np.array([0.3, -1.7])
     lam = 2.0**k
-    assert np.array_equal(project(x), project(lam * x))
+    assert np.array_equal(project(x)[0], project(lam * x)[0])
 
 
 def test_shifted_projection_constant_map():
