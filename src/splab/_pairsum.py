@@ -49,6 +49,7 @@ TILE_ROWS = 128
 DEFAULT_BLOCK = 512
 LATTICE_CHUNK = 32  # displacements per block of cell_lattice_kernel
 TILE_CHUNK = 1024  # tiles per thread pool of the walk (their results are held at once)
+CLASS_TERMS = 2**16  # terms per term array of a stacked class_pair_sum
 
 
 def tree_reduce(values, empty=0.0):
@@ -367,20 +368,30 @@ def symmetric(ordered: NDArray) -> NDArray:
     return out
 
 
-def class_pair_sum(kernel: NDArray, values: NDArray, p: float, drop=()) -> float:
+def class_pair_sum(kernel: NDArray, values: NDArray, p: float, drop=()) -> float | NDArray:
     """sum_{c < c'} K[c, c'] |V_c - V_c'|^p, the pairs touching a ``drop`` class left out.
 
-    ``values`` holds one value (or value vector) per class.  The terms are
-    summed by one `math.fsum`, so a value set's sum is the same whatever
-    else is computed with it.
+    ``values`` holds one value (or value vector) per class, giving a float,
+    or is an (S, C, nu) stack of value sets, giving their (S,) sums;
+    ``drop`` is a (C,) or (S, C) boolean class mask.  Each value set's terms
+    are summed by one `math.fsum`, so its sum is the same bit for bit
+    whatever else is computed with it.
     """
-    vals = _as_values(values)
+    single = np.ndim(values) < 3
+    stack = _as_values(values)[None] if single else np.asarray(values, dtype=float)
+    hit = np.asarray(drop, dtype=bool).reshape(-1, kernel.shape[0]) if len(drop) else None
     rows, cols = np.triu_indices(kernel.shape[0], 1)
-    diff = vals[rows] - vals[cols]
-    terms = kernel[rows, cols] * np.einsum("ij,ij->i", diff, diff) ** (0.5 * p)
-    if len(drop):
-        terms[np.isin(rows, drop) | np.isin(cols, drop)] = 0.0
-    return math.fsum(terms)
+    step = max(1, CLASS_TERMS // max(rows.size, 1))
+    sums = []
+    for s0 in range(0, stack.shape[0], step):
+        part = stack[s0:s0 + step]
+        diff = (part[:, rows] - part[:, cols]).reshape(-1, stack.shape[2])
+        norms = np.einsum("ij,ij->i", diff, diff).reshape(part.shape[0], -1)
+        terms = kernel[rows, cols] * norms ** (0.5 * p)
+        if hit is not None:
+            terms[hit[s0:s0 + step, rows] | hit[s0:s0 + step, cols]] = 0.0
+        sums.extend(math.fsum(t) for t in terms)
+    return sums[0] if single else np.array(sums)
 
 
 def half_lattice(k: int, m: int) -> NDArray:

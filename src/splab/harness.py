@@ -19,7 +19,7 @@ from .chords import check_sample_count, estimate_constant
 from .energy import EnergyPlan, FractionalParams, Region, check_pair_sum, gagliardo_energy
 from .errors import ConfigurationError, DegenerateShiftError, SplabError
 from .grid import Box, Grid, SampledMap, make_grid, sample_map
-from .patches import ELL, LayerSpec, PatchModel, PatchSpec
+from .patches import ELL, LayerSpec, PatchModel, PatchSpec, check_layer_table
 from .report import ExperimentReport
 from .retraction import (
     AlmostCtrexSpec,
@@ -395,11 +395,9 @@ def _run_patch(opts: PatchOptions, cfg: RunConfig) -> ExperimentReport:
     rng = np.random.default_rng(cfg.seed)
     shifts = _uniform_ball_2d(rng, opts.shift_count, 1.0)
     for spec in [opts.specs[n] for n in (1, 2) if n in opts.specs]:
-        worst = np.inf
-        for a, direct in zip(shifts, model.patch_projected_direct(spec, shifts)):
-            lower = model.patch_projected_lower(spec, a)
-            if lower > 0:
-                worst = min(worst, float(direct) / lower)
+        lower = model.patch_projected_lower(spec, shifts)
+        ratios = model.patch_projected_direct(spec, shifts)[lower > 0] / lower[lower > 0]
+        worst = float(ratios.min(initial=np.inf))
         report.constants[f"min_direct_over_lower_n{spec.n}"] = worst
         report.check(f"projected lower bound holds at n={spec.n} (0.1 margin)", worst >= 0.1,
                      f"min direct/lower = {worst:.4g} over {opts.shift_count} shifts")
@@ -517,6 +515,7 @@ class ThresholdOptions:
     def __post_init__(self):
         if self.n_max < 2:
             raise ConfigurationError(f"a slope needs n_max >= 2, got {self.n_max}")
+        check_layer_table(self.n_max)
         threshold_params(self.s_values, self.p_values)
 
 
@@ -536,9 +535,10 @@ class AlmostOptions:
     n_max: int = 6
 
     def __post_init__(self):
-        if self.n_max <= self.n_min:
+        if not 1 <= self.n_min < self.n_max:
             raise ConfigurationError(
-                f"an exponent fit needs n_max > n_min, got n_min={self.n_min} n_max={self.n_max}"
+                "an exponent fit over eps = 2^-n below pi/4 needs 1 <= n_min < n_max, "
+                f"got n_min={self.n_min} n_max={self.n_max}"
             )
         vars(self).update(ctrex=AlmostCtrexSpec(FractionalParams(s=self.s, p=self.p), self.alpha))
 

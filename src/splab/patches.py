@@ -55,6 +55,7 @@ CELL_SUBDIVISION = 5
 
 DEFAULT_NODE_BUDGET = 4_000_000
 LAYER_PAIR_BUDGET = 2_000_000_000  # point pairs the class-kernel blocks of one layer evaluate
+LAYER_TABLE_BUDGET = 100_000_000  # difference-lattice entries of one layer_lowers table
 
 
 def smoothstep5(t: NDArray) -> NDArray:
@@ -146,10 +147,10 @@ def collar_factor(points: NDArray) -> NDArray:
     return 1.0 - smoothstep5(t)
 
 
-def _values_from(collar: NDArray, profile: NDArray, spec: PatchSpec) -> NDArray:
-    """Patch values collar * c + amplitude * profile * e1, one row per entry."""
-    vals = np.outer(collar, np.asarray(spec.c))
-    vals[:, 0] += spec.amplitude * profile
+def _values_from(collar: NDArray, profile: NDArray, centers, amplitude: float) -> NDArray:
+    """Patch values collar * c + amplitude * profile * e1: (C, ell) for one c, (S, C, ell) for S centers."""
+    vals = collar[:, None] * np.asarray(centers, dtype=float)[..., None, :]
+    vals[..., 0] += amplitude * profile
     return vals
 
 
@@ -189,6 +190,16 @@ class LayerSpec:
 def _count(n: int) -> str:
     """An integer to 3 significant digits (its float overflows past 1e308)."""
     return format(Decimal(n), ".3g")
+
+
+def check_layer_table(n: int) -> None:
+    """BudgetError unless the 5 (2^(n+1) - 1)^2 entries of the `layer_lowers` table fit (n <= 11)."""
+    entries = 5 * (2 ** (n + 1) - 1) ** 2
+    if entries > LAYER_TABLE_BUDGET:
+        raise BudgetError(
+            f"lower-bound table at n = {n} holds {_count(entries)} entries > budget "
+            f"{_count(LAYER_TABLE_BUDGET)}"
+        )
 
 
 def _stencil_offsets(layer: LayerSpec) -> NDArray:
@@ -232,16 +243,6 @@ def frame_energy(points: NDArray, values: NDArray, p: float, q: float, spacing: 
     """Energy of values on a midpoint lattice of spacing h in R^m: 2 h^(2m) times the pair sum."""
     s = pair_kernel_sum(points, values, p, q, workers=workers)
     return 2.0 * spacing ** (2 * points.shape[1]) * s
-
-
-def _projected_sum(kernel: NDArray, values: NDArray, a: NDArray, p: float) -> float:
-    """`class_pair_sum` of the class values projected by shift a, singular hits dropped.
-
-    A hit depends only on the value, so it drops a whole class.
-    """
-    projected = np.empty_like(values)
-    hits = unit_values(values, a, projected)
-    return class_pair_sum(kernel, projected, p, drop=np.flatnonzero(hits))
 
 
 class PatchModel:
@@ -415,30 +416,29 @@ class PatchModel:
         key = ("patch", spec)
         if key not in self._memo:
             collar, profile, kern = self._classes(spec.k)
-            vals = _values_from(collar, profile, spec)
+            vals = _values_from(collar, profile, spec.c, spec.amplitude)
             cross = 2.0 * class_pair_sum(kern, vals, self.params.p)
             self._memo[key] = cross + self.cluster_energy(spec)
         return self._memo[key]
 
-    def _projected_energies(self, specs: list[PatchSpec], shifts: NDArray) -> NDArray:
-        """`patch_projected_direct` of spec i at shift i.
+    def _projected_energies(self, spec: PatchSpec, centers: NDArray, shifts: NDArray) -> NDArray:
+        """`patch_projected_direct` of the patch of spec's n and k at centers[i], at shift i.
 
-        The frame and the patch cloud of each k have one class matrix, so
-        every (spec, shift) projects only the class values; a singular hit
-        drops its class.  Each value set is summed on its own, so a stack
-        equals the per-shift calls bit for bit.
+        The frame and the patch cloud of k have one class matrix each, so
+        every (center, shift) projects only the class values, all as one
+        stack per matrix; a singular hit drops its class.  `class_pair_sum`
+        sums each set on its own, so a stack equals the per-shift calls.
         """
-        p, sp = self.params.p, self.params.sp
         frame_profile, frame_kern = self._frame_classes()
-        frame_collar = np.ones(frame_profile.shape[0])
-        out = np.empty(len(specs))
-        for i, (spec, a) in enumerate(zip(specs, shifts)):
-            collar, profile, kern = self._classes(spec.k)
-            frame = _projected_sum(frame_kern, _values_from(frame_collar, frame_profile, spec), a, p)
-            cloud = _projected_sum(kern, _values_from(collar, profile, spec), a, p)
-            fine = spec.k**spec.ell * cluster_scale(spec.k) ** (spec.ell - sp) * (2.0 * frame)
-            out[i] = fine + 2.0 * cloud
-        return out
+        frame_classes = np.ones(frame_profile.shape[0]), frame_profile, frame_kern
+        sums = []
+        for collar, profile, kern in (frame_classes, self._classes(spec.k)):
+            vals = _values_from(collar, profile, centers, spec.amplitude)
+            hits = unit_values(vals, shifts[:, None, :], vals)
+            sums.append(class_pair_sum(kern, vals, self.params.p, drop=hits))
+        frame, cloud = sums
+        fine = spec.k**spec.ell * cluster_scale(spec.k) ** (spec.ell - self.params.sp) * (2.0 * frame)
+        return fine + 2.0 * cloud
 
     def patch_projected_direct(self, spec: PatchSpec, a) -> float | NDArray:
         """Composite quadrature of the projected patch energy, within-patch pairs only.
@@ -449,14 +449,16 @@ class PatchModel:
         """
         a = np.asarray(a, dtype=float)
         shifts = np.atleast_2d(a)
-        energies = self._projected_energies([spec] * shifts.shape[0], shifts)
+        energies = self._projected_energies(spec, np.broadcast_to(spec.c, shifts.shape), shifts)
         return float(energies[0]) if a.ndim == 1 else energies
 
-    def patch_projected_lower(self, spec: PatchSpec, a) -> float:
-        """Closed-form plateau-block lower bound: CL(n) * chord^p."""
-        a = np.atleast_2d(np.asarray(a, dtype=float))
-        chord = chords_vectorized(np.asarray([spec.c]), spec.n, a)[0]
-        return self.cluster_lower_constant(spec) * chord**self.params.p
+    def patch_projected_lower(self, spec: PatchSpec, a) -> float | NDArray:
+        """Closed-form plateau-block lower bound CL(n) * chord^p, of shapes as `patch_projected_direct`."""
+        a = np.asarray(a, dtype=float)
+        shifts = np.atleast_2d(a)
+        chords = chords_vectorized(np.broadcast_to(spec.c, shifts.shape), spec.n, shifts)
+        lower = self.cluster_lower_constant(spec) * chords**self.params.p
+        return float(lower[0]) if a.ndim == 1 else lower
 
     # -- margins (measured cross-term factors) ---------------------------------
 
@@ -496,7 +498,8 @@ class PatchModel:
         `_cross_kernel` of P and P + D per D, whatever the patch pair),
         between patch I and the outer background (one `_cross_kernel` of P
         and the outer points moved into I's frame, one class of value 0), and
-        within one cell (`cluster_energy`).  The pair budget runs first.
+        within one cell (`cluster_energy`).  One stacked `class_pair_sum` sums
+        all patches, and one per D all its patch pairs.  The pair budget runs first.
         """
         key = ("layer", layer, self.params)
         if key not in self._memo:
@@ -508,32 +511,30 @@ class PatchModel:
                 )
             p, sp = self.params.p, self.params.sp
             sigma = layer.placement_scale
-            specs = layer.patch_specs(self.params)
-            collar, profile, kern = self._classes(specs[0].k)
-            vals = [_values_from(collar, profile, spec) for spec in specs]
-            terms = [class_pair_sum(kern, v, p) for v in vals]
-            cloud = self._class_cloud(specs[0].k)
+            spec = PatchSpec((0.0,) * ELL, layer.n, self.params)
+            collar, profile, kern = self._classes(spec.k)
+            vals = _values_from(collar, profile, layer.centers(), spec.amplitude)
+            terms = [class_pair_sum(kern, vals, p)]
+            cloud = self._class_cloud(spec.k)
             pts, labels, weights = cloud[1:4]
             side = 2**layer.n
             index = np.arange(layer.count).reshape(side, side)  # patch (i, j) of `centers`
             for d in half_lattice(side, ELL):
                 block = self._cross_kernel(cloud, pts + 2 * PATCH_MARGIN * d, labels, weights)
                 di, dj = d
-                firsts = index[max(0, -di):side - max(0, di), max(0, -dj):side - max(0, dj)]
-                for i in firsts.ravel():
-                    pair = np.concatenate([vals[i], vals[i + di * side + dj]])
-                    terms.append(class_pair_sum(block, pair, p))
+                firsts = index[max(0, -di):side - max(0, di), max(0, -dj):side - max(0, dj)].ravel()
+                joined = np.concatenate([vals[firsts], vals[firsts + di * side + dj]], axis=1)
+                terms.append(class_pair_sum(block, joined, p))
             outer, outer_w = outer_background(layer)
             outer_labels = np.zeros(outer.shape[0], dtype=np.int64)
             for v, pl in zip(vals, layer.placements()):
                 block = self._cross_kernel(cloud, (outer - pl.translate) / pl.scale, outer_labels,
                                            outer_w / pl.scale**2)
-                terms.append(class_pair_sum(block, np.concatenate([v, np.zeros((1, ELL))]), p))
-            cross = 2.0 * sigma ** (2 - sp) * math.fsum(terms)
-            fine = 0.0
-            for spec in specs:
-                fine += sigma ** (2 - sp) * self.cluster_energy(spec)
-            self._memo[key] = cross + fine
+                terms.append([class_pair_sum(block, np.concatenate([v, np.zeros((1, ELL))]), p)])
+            cross = 2.0 * sigma ** (2 - sp) * math.fsum(np.concatenate(terms))
+            # every patch has the same cells; added one patch at a time
+            fine = np.cumsum(np.full(layer.count, sigma ** (2 - sp) * self.cluster_energy(spec)))[-1]
+            self._memo[key] = float(cross + fine)
         return self._memo[key]
 
     def layer_projected_direct(self, layer: LayerSpec, a) -> float:
@@ -543,14 +544,10 @@ class PatchModel:
         energies come from one stacked `_projected_energies` call; the sum
         runs in patch order.
         """
-        sigma = layer.placement_scale
-        specs = layer.patch_specs(self.params)
-        shifts = np.broadcast_to(np.asarray(a, dtype=float), (len(specs), 2))
-        energies = self._projected_energies(specs, shifts)
-        total = 0.0
-        for energy in energies:
-            total += sigma ** (2 - self.params.sp) * float(energy)
-        return total
+        centers = layer.centers()
+        shifts = np.broadcast_to(np.asarray(a, dtype=float), centers.shape)
+        energies = self._projected_energies(PatchSpec((0.0,) * ELL, layer.n, self.params), centers, shifts)
+        return float(np.cumsum(layer.placement_scale ** (2 - self.params.sp) * energies)[-1])
 
     @cached_property
     def layer_margin_factor(self) -> float:
@@ -577,21 +574,17 @@ class PatchModel:
         return margin * layer.placement_scale ** (2 - self.params.sp) * base
 
     def _contributes(self, d: NDArray, r: float) -> NDArray:
-        """`contributing_patches` as a mask of offsets d = shift - center (last axis)."""
+        """Whether a patch contributes to a shift, by the offsets d = shift - center (last axis).
+
+        Always the patch of the dyadic cube containing the shift (r = 2^-n);
+        for p <= ell also every patch in the transverse cone (|cos angle to
+        e1| <= 1/8) at center distance >= r.
+        """
         sel = np.max(np.abs(d), axis=-1) <= r + 1e-12
         if self.params.p <= self.params.ell:
             dist = np.linalg.norm(d, axis=-1)
             sel |= (np.abs(d[..., 0]) <= COS_CONE_BOUND * dist) & (dist >= r)
         return sel
-
-    def contributing_patches(self, layer: LayerSpec, a: NDArray) -> NDArray:
-        """Select contributing patch indices for one shift.
-
-        Always the patch of the dyadic cube containing the shift; for
-        p <= ell also every patch in the transverse cone (|cos angle to
-        e1| <= 1/8) at center distance >= 2^-n.
-        """
-        return np.nonzero(self._contributes(a - layer.centers(), layer.cube_inradius))[0]
 
     def _layer_lower_coeff(self, layer: LayerSpec) -> float:
         spec = PatchSpec((0.0,) * ELL, layer.n, self.params)
@@ -601,9 +594,7 @@ class PatchModel:
         """Sum of plateau-block lower bounds over contributing patches."""
         a = np.asarray(a, dtype=float)
         centers = layer.centers()
-        idx = self.contributing_patches(layer, a)
-        if idx.size == 0:
-            return 0.0
+        idx = np.flatnonzero(self._contributes(a - centers, layer.cube_inradius))
         chords = chords_vectorized(centers[idx], layer.n, np.broadcast_to(a, (idx.size, 2)))
         return self._layer_lower_coeff(layer) * float(np.sum(chords**self.params.p))
 
@@ -620,8 +611,9 @@ class PatchModel:
         the N x N window at J of the difference lattice 2r k + o,
         k in [1-N, N-1]^2.  One table of sel * chord^p per offset and its
         summed-area table give every window sum from four lookups: O(4^n)
-        chords instead of 5 * 16^n pair tests.
+        chords instead of 5 * 16^n pair tests.  `check_layer_table` runs first.
         """
+        check_layer_table(layer.n)
         size = 2**layer.n
         r = layer.cube_inradius
         k = 2 * r * np.arange(1 - size, size)
@@ -644,7 +636,8 @@ class PatchModel:
         The lower value is the per-shift reference sum at the table's argmin,
         so it equals `layer_lower_compositional` there bit for bit.
         """
+        best = int(np.argmin(self.layer_lowers(layer)))  # first: the table budget precedes any array
+        best_shift = self.shift_grid(layer)[best]
         upper = self.layer_upper_compositional(layer)
-        best_shift = self.shift_grid(layer)[int(np.argmin(self.layer_lowers(layer)))]
         lower = self.layer_lower_compositional(layer, best_shift)
         return lower, upper, lower / upper, best_shift

@@ -31,6 +31,7 @@ GLUE_MARGIN = 1.25  # headroom of the glue's upper accounting over its slot sums
 NET_DENSITY = 0.1  # pair separation = NET_DENSITY * eps; net spacing twice that
 XI_RADIUS = 0.3  # radius of the disk the scan's shifts fill
 CAP_CENTER = np.pi  # angle of the cap every almost retraction sweeps
+SCAN_CHUNK_ELEMENTS = 2**15  # angles per chunk of a scan row's shifts (bounds its arrays)
 
 
 def wrap_angle(theta: NDArray) -> NDArray:
@@ -261,49 +262,41 @@ class AlmostModel:
 
     # projected quantities -------------------------------------------------------
 
-    def _pair_angles(self, eps: float, xi: NDArray) -> NDArray:
-        """Angles of every slot's two plateau values after the shift by xi.
+    def scan_row(self, n: int, shifts: NDArray) -> dict:
+        """One scan row: support radius, energy bound, projected inf-energy.
 
-        The lower values of all slots come first, then the upper values.
+        Each chunk of shifts is one (chunk, 2M) array of about
+        ``SCAN_CHUNK_ELEMENTS`` angles of the M slots' lower plateau values,
+        then their upper ones, after each shift.  The coverage check (one full
+        pair in the half-cap, in the blow-up regime) and the lower bounds
+        read the same arrays.
         """
+        eps = 2.0**-n
+        retr = AlmostRetraction(AlmostRetractionSpec(epsilon=eps))
         centers = self.spec.center_angles(eps)
         half = self.spec.pair_half_separation(eps)
         angles = np.concatenate([centers - half, centers + half])
-        z = np.column_stack([np.cos(angles), np.sin(angles)]) - xi
-        return np.arctan2(z[:, 1], z[:, 0])
-
-    def _pair_images(self, eps: float, retr: AlmostRetraction, xi: NDArray) -> NDArray:
-        """Image angles of every slot's two plateau values under the full chain."""
-        mapped = retr.angle_map(self._pair_angles(eps, xi))
-        m = mapped.shape[0] // 2
-        return mapped[:m], mapped[m:]
-
-    def projected_lower(self, eps: float, retr: AlmostRetraction, xi: NDArray) -> float:
-        lo, hi = self._pair_images(eps, retr, xi)
-        imgdist = 2.0 * np.abs(np.sin(wrap_angle(hi - lo) / 2))
-        return self.cluster_lower_coeff(eps) * float(np.sum(imgdist**self.params.p))
-
-    def coverage_check(self, eps: float, shifts: NDArray) -> None:
-        """Every shift must leave one full pair inside the amplified half-cap."""
-        for xi in shifts:
-            phi = np.abs(wrap_angle(self._pair_angles(eps, xi) - CAP_CENTER))
-            m = phi.shape[0] // 2
-            both = (phi[:m] <= eps / 2) & (phi[m:] <= eps / 2)
-            if not both.any():
-                raise SamplingError(
-                    f"no pair lands in the half-cap for shift {xi} at eps={eps}; "
-                    "increase the net density"
-                )
-
-    def scan_row(self, n: int, shifts: NDArray) -> dict:
-        """One scan row: support radius, energy bound, projected inf-energy."""
-        eps = 2.0**-n
-        retr = AlmostRetraction(AlmostRetractionSpec(epsilon=eps))
-        if self.spec.regime_ok:
-            self.coverage_check(eps, shifts)
+        points = np.column_stack([np.cos(angles), np.sin(angles)])
+        m = centers.shape[0]
+        step = max(1, SCAN_CHUNK_ELEMENTS // angles.shape[0])
+        lowers = []
+        for c0 in range(0, shifts.shape[0], step):
+            z = points - shifts[c0:c0 + step, None, :]
+            theta = np.arctan2(z[..., 1], z[..., 0])
+            if self.spec.regime_ok:
+                near = np.abs(wrap_angle(theta - CAP_CENTER)) <= eps / 2
+                covered = np.any(near[:, :m] & near[:, m:], axis=1)
+                if not covered.all():
+                    raise SamplingError(
+                        f"no pair lands in the half-cap for shift {shifts[c0 + int(np.argmin(covered))]} "
+                        f"at eps={eps}; increase the net density"
+                    )
+            mapped = retr.angle_map(theta)
+            imgdist = 2.0 * np.abs(np.sin(wrap_angle(mapped[:, m:] - mapped[:, :m]) / 2))
+            lowers.append(self.cluster_lower_coeff(eps) * np.sum(imgdist**self.params.p, axis=1))
+        lowers = np.concatenate(lowers)
         lam = self.spec.support_scale(eps)
         scale_pow = lam ** (1 - self.params.sp)
-        lowers = np.array([self.projected_lower(eps, retr, xi) for xi in shifts])
         best = int(np.argmin(lowers))
         return {
             "n": n,

@@ -39,16 +39,17 @@ class SingularHit:
 
 
 def unit_values(values: NDArray, a, out: NDArray) -> NDArray:
-    """Fill ``out`` with the rows (v - a)/|v - a| of ``values``; return the singular-hit mask.
+    """Fill ``out`` with (v - a)/|v - a| along the last axis; return the singular-hit mask.
 
-    A row within the exclusion radius of a is a singular hit and gets the
+    ``values`` and ``a`` broadcast to ``out``, so stacks project at once.  A
+    vector within the exclusion radius of a is a singular hit and gets the
     placeholder value e_1.  Positive homogeneous of degree zero in v - a.
     """
     np.subtract(values, a, out=out)
-    r = np.linalg.norm(out, axis=1)
+    r = np.linalg.norm(out, axis=-1)
     hits = r <= SINGULAR_EXCLUSION_RADIUS
-    out /= np.where(hits, 1.0, r)[:, None]
-    out[hits] = np.eye(out.shape[1])[0]
+    out /= np.where(hits, 1.0, r)[..., None]
+    out[hits] = np.eye(out.shape[-1])[0]
     return hits
 
 

@@ -51,13 +51,13 @@ class ResolutionError(SplabError):
 def patch_values(points, spec: PatchSpec):
     """Full compactly supported patch: cluster + constant plateau + collar."""
     pts = np.atleast_2d(points)
-    return _values_from(collar_factor(pts), clustered_profile(pts, spec.k), spec)
+    return _values_from(collar_factor(pts), clustered_profile(pts, spec.k), spec.c, spec.amplitude)
 
 
 def basic_values(points, spec: PatchSpec):
     """Unclustered frame map: c + amplitude * profile(x) e1."""
     pts = np.atleast_2d(points)
-    return _values_from(np.ones(pts.shape[0]), two_bump_profile(pts), spec)
+    return _values_from(np.ones(pts.shape[0]), two_bump_profile(pts), spec.c, spec.amplitude)
 
 
 def _check_cluster_geometry(k: int, ell: int) -> None:

@@ -581,10 +581,28 @@ def test_class_pair_sum_matches_pair_kernel_sum(cloud, drop):
     class_values = np.random.default_rng(count).normal(size=(count, 2))
     drop = [c for c in drop if c < count]
     kern = class_kernel(points, labels, q, weights=weights, groups=groups, block=100, workers=2)
-    got = class_pair_sum(kern, class_values, p, drop=drop)
+    got = class_pair_sum(kern, class_values, p, drop=np.isin(np.arange(count), drop))
     expected = pair_kernel_sum(points, class_values[labels], p, q, weights=weights, groups=groups,
                                drop=np.flatnonzero(np.isin(labels, drop)), workers=2)
     assert got == pytest.approx(expected, rel=1e-12, abs=1e-300)
+
+
+@pytest.mark.parametrize("terms", [1, 50, _pairsum.CLASS_TERMS])
+def test_stacked_class_pair_sum_equals_single_sets(monkeypatch, terms):
+    # each value set of a stack, with its own drop mask, sums as the call on it
+    # alone, bit for bit; the small term budgets cut the stack into chunks
+    monkeypatch.setattr(_pairsum, "CLASS_TERMS", terms)
+    rng = np.random.default_rng(5)
+    for count, sets, nu, p in ((1, 3, 2, 2.5), (6, 9, 2, 1.5), (17, 40, 2, 2.8), (5, 4, 1, 2.0)):
+        kern = rng.random((count, count))
+        kern += kern.T
+        values = rng.normal(size=(sets, count, nu))
+        drop = rng.random((sets, count)) < 0.3
+        got = class_pair_sum(kern, values, p, drop=drop)
+        assert got.shape == (sets,)
+        assert got.tolist() == [class_pair_sum(kern, v, p, drop=d) for v, d in zip(values, drop)]
+        assert class_pair_sum(kern, values, p).tolist() == [class_pair_sum(kern, v, p) for v in values]
+    assert class_pair_sum(kern, np.zeros((0, count, nu)), p).shape == (0,)
 
 
 @ENGINE_SETTINGS

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -25,6 +27,7 @@ from splab.patches import (
     PATCH_MARGIN,
     cluster_scale,
     _values_from,
+    check_layer_table,
     default_cluster_count,
     outer_background,
 )
@@ -326,7 +329,8 @@ def test_layer_offset_block_matches_placed_pair_sum(model_main, params_main, fir
     cloud = model_main._class_cloud(specs[0].k)
     block = model_main._cross_kernel(cloud, cloud[1] + 2 * PATCH_MARGIN * np.array(offset), *cloud[2:4])
     collar, profile, _ = model_main._classes(specs[0].k)
-    values = np.concatenate([_values_from(collar, profile, specs[i]) for i in (first, second)])
+    values = np.concatenate([_values_from(collar, profile, specs[i].c, specs[i].amplitude)
+                             for i in (first, second)])
     got = layer.placement_scale ** (2 - params_main.sp) * class_pair_sum(block, values, params_main.p)
     clouds = [patch_cloud(model_main, specs[i], placement=placements[i]) for i in (first, second)]
     pts, vals, w = (np.concatenate([c[k] for c in clouds]) for k in range(3))
@@ -347,7 +351,7 @@ def test_layer_outer_block_matches_placed_pair_sum(model_main, params_main, inde
     block = model_main._cross_kernel(cloud, (outer - placement.translate) / placement.scale,
                                      np.zeros(outer.shape[0], dtype=np.int64), outer_w / placement.scale**2)
     collar, profile, _ = model_main._classes(spec.k)
-    values = np.concatenate([_values_from(collar, profile, spec), np.zeros((1, 2))])
+    values = np.concatenate([_values_from(collar, profile, spec.c, spec.amplitude), np.zeros((1, 2))])
     got = layer.placement_scale ** (2 - params_main.sp) * class_pair_sum(block, values, params_main.p)
     pts, vals, w, _ = patch_cloud(model_main, spec, placement=placement)
     expected = pair_kernel_sum(np.concatenate([pts, outer]), np.concatenate([vals, np.zeros_like(outer)]),
@@ -378,6 +382,21 @@ def test_layer_lowers_match_per_shift_reference(threshold_models, pair):
         assert any(np.array_equal(argmin, a) for a in shifts)
         assert lower == model.layer_lower_compositional(layer, argmin)
         assert np.all(ref >= lower * (1 - 1e-12))
+
+
+def test_layer_table_budget(model_main):
+    # n = 11 fits the lower-bound table budget and n = 12 does not; the check
+    # is arithmetic and runs before the table or the shift grid is built
+    check_layer_table(11)
+    tracemalloc.start()
+    try:
+        for scan in (model_main.layer_lowers, model_main.layer_ratio):
+            with pytest.raises(BudgetError, match="lower-bound table at n = 12"):
+                scan(LayerSpec(12))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1e6
 
 
 @pytest.mark.parametrize("pair", THRESHOLD_PAIRS)
@@ -460,6 +479,17 @@ def test_stacked_projected_equals_per_shift(model_main, params_main):
         per_shift = [model_main.patch_projected_direct(spec, a) for a in shifts]
         assert model_main.patch_projected_direct(spec, shifts).tolist() == per_shift
     assert model_main.patch_projected_direct(spec, np.zeros((0, 2))).shape == (0,)
+
+
+def test_stacked_projected_lower_equals_per_shift(model_main, params_main):
+    rng = np.random.default_rng(17)
+    shifts = np.vstack([rng.random((5, 2)) - 0.5, [[0.3, 0.2]]])  # the last one at the patch center
+    for n in (1, 2):
+        spec = PatchSpec((0.3, 0.2), n, params_main)
+        per_shift = [model_main.patch_projected_lower(spec, a) for a in shifts]
+        assert all(type(v) is float for v in per_shift)
+        assert model_main.patch_projected_lower(spec, shifts).tolist() == per_shift
+    assert model_main.patch_projected_lower(spec, np.zeros((0, 2))).shape == (0,)
 
 
 def test_projected_classes_match_point_by_point(model_main, params_main):

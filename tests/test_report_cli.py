@@ -210,6 +210,8 @@ BAD_OPTIONS = {
     "almost-alpha-5": {"kind": "almost", "alpha": 5.0},
     "almost-p-0.5": {"kind": "almost", "p": 0.5},
     "almost-sp-1.35": {"kind": "almost", "s": 0.9, "p": 1.5},
+    "almost-n-min-0": {"kind": "almost", "n_min": 0, "n_max": 3},
+    "threshold-n-max-12": {"kind": "threshold", "n_max": 12},
     "geometry-samples-10": {"kind": "geometry", "samples": 10},
 }
 

@@ -2,10 +2,11 @@ import numpy as np
 import pytest
 
 from splab.energy import FractionalParams
-from splab.errors import ConfigurationError
+from splab.errors import ConfigurationError, SamplingError
 from splab.retraction import (
     CAP_CENTER,
     NET_DENSITY,
+    XI_RADIUS,
     AlmostCtrexSpec,
     AlmostModel,
     AlmostRetraction,
@@ -125,7 +126,70 @@ def test_coverage_holds_on_shift_grid():
     model = AlmostModel(spec)
     shifts = xi_grid()
     for n in (2, 4):
-        model.coverage_check(2.0**-n, shifts)  # raises on failure
+        model.scan_row(n, shifts)  # raises SamplingError on failure
+
+
+def scan_row_per_shift(model, n, shifts):
+    """`AlmostModel.scan_row` one shift at a time: the coverage check of every shift, then each lower bound."""
+    eps = 2.0**-n
+    retr = make_retr(eps)
+    centers = model.spec.center_angles(eps)
+    half = model.spec.pair_half_separation(eps)
+    m = centers.shape[0]
+
+    def pair_angles(xi):
+        angles = np.concatenate([centers - half, centers + half])
+        z = np.column_stack([np.cos(angles), np.sin(angles)]) - xi
+        return np.arctan2(z[:, 1], z[:, 0])
+
+    if model.spec.regime_ok:
+        for xi in shifts:
+            phi = np.abs(wrap_angle(pair_angles(xi) - CAP_CENTER))
+            if not ((phi[:m] <= eps / 2) & (phi[m:] <= eps / 2)).any():
+                raise SamplingError(
+                    f"no pair lands in the half-cap for shift {xi} at eps={eps}; increase the net density"
+                )
+    lowers = []
+    for xi in shifts:
+        mapped = retr.angle_map(pair_angles(xi))
+        imgdist = 2.0 * np.abs(np.sin(wrap_angle(mapped[m:] - mapped[:m]) / 2))
+        lowers.append(model.cluster_lower_coeff(eps) * float(np.sum(imgdist**model.params.p)))
+    lam = model.spec.support_scale(eps)
+    scale_pow = lam ** (1 - model.params.sp)
+    best = int(np.argmin(lowers))
+    return {
+        "n": n,
+        "eps": eps,
+        "support_radius": lam,
+        "energy_upper": scale_pow * model.glue_energy_upper(eps),
+        "projected_inf": scale_pow * lowers[best],
+        "argmin_xi": tuple(float(v) for v in shifts[best]),
+        "argmin_interior": bool(np.linalg.norm(shifts[best]) < XI_RADIUS - 1e-9),
+        "center_count": model.spec.center_count(eps),
+        "cluster_count": model.spec.cluster_count(eps),
+    }
+
+
+@pytest.mark.parametrize("s, p", [(0.6, 1.5), (0.3, 2.5), (0.4, 1.5), (0.5, 1.0)])
+def test_scan_row_matches_per_shift_reference(s, p):
+    # n = 2 runs the 317 shifts in chunks of 130, n = 7 in chunks of 4
+    model = AlmostModel(AlmostCtrexSpec(FractionalParams(s=s, p=p)))
+    shifts = xi_grid()
+    for n in (2, 4, 7):
+        assert model.scan_row(n, shifts) == scan_row_per_shift(model, n, shifts)
+
+
+def test_scan_row_coverage_error_matches_per_shift_reference():
+    # near |xi| = 1 the shifted pairs spread wider than the half-cap; the bad
+    # shift sits in the tenth chunk of 32 shifts
+    model = AlmostModel(AlmostCtrexSpec(FractionalParams(s=0.6, p=1.5)))
+    shifts = np.vstack([xi_grid(), [[-0.95, 0.0]], xi_grid()[:3]])
+    with pytest.raises(SamplingError) as expected:
+        scan_row_per_shift(model, 4, shifts)
+    with pytest.raises(SamplingError) as got:
+        model.scan_row(4, shifts)
+    assert str(got.value) == str(expected.value)
+    assert "shift [-0.95  0.  ]" in str(got.value)
 
 
 def test_scan_exponents():
