@@ -83,8 +83,14 @@ def _as_values(values: NDArray) -> NDArray:
     return vals[:, None] if vals.ndim == 1 else vals
 
 
-def _drop_index(drop) -> NDArray | None:
-    return np.unique(np.asarray(drop, dtype=np.int64)) if len(drop) else None
+def _drop_masks(drop, sets: int, n: int) -> NDArray | None:
+    """The (sets, n) mask of ``drop``: () for none (gives None), (n,) for one set or (sets, n)."""
+    if not len(drop):
+        return None
+    mask = np.asarray(drop, dtype=bool)
+    if mask.shape not in ((n,), (sets, n)) or mask.size != sets * n:
+        raise ValueError(f"{sets} value sets of {n} points but drop sets of shape {mask.shape}")
+    return mask.reshape(sets, n)
 
 
 def _run_ends(keys: NDArray) -> NDArray:
@@ -212,7 +218,7 @@ class _Geometry:
 
 def _numerator_sum(vals: NDArray, p: float, tile, kern: NDArray, buf: NDArray, tmp: NDArray,
                    drop: NDArray | None = None) -> float:
-    """Sum over the tile of |v_i - v_j|^p times the kernel tile, in place in ``buf``."""
+    """Sum over the tile of |v_i - v_j|^p times the kernel tile, pairs of ``drop`` points zeroed."""
     a0, a1, b0, b1 = tile
     np.subtract.outer(vals[a0:a1, 0], vals[b0:b1, 0], out=buf)
     buf *= buf
@@ -223,18 +229,10 @@ def _numerator_sum(vals: NDArray, p: float, tile, kern: NDArray, buf: NDArray, t
     if p != 2.0:
         np.power(buf, 0.5 * p, out=buf)
     buf *= kern
-    if drop is not None and drop.size:
-        buf[drop[(drop >= a0) & (drop < a1)] - a0, :] = 0.0
-        buf[:, drop[(drop >= b0) & (drop < b1)] - b0] = 0.0
+    if drop is not None:
+        buf[drop[a0:a1], :] = 0.0
+        buf[:, drop[b0:b1]] = 0.0
     return float(buf.sum())
-
-
-def _drop_sets(count: int, drops) -> list:
-    """One drop set per value set: ``drops`` itself, or ``count`` empty sets if it is empty."""
-    drops = list(drops) or [()] * count
-    if len(drops) != count:
-        raise ValueError(f"{count} value sets but {len(drops)} drop sets")
-    return drops
 
 
 def pair_kernel_sum(
@@ -260,8 +258,8 @@ def pair_kernel_sum(
     groups : optional (N,) int ids; pairs sharing a nonnegative id are skipped
     block : columns per tile; part of the reduction order
     workers : thread count; results are identical for any value
-    drop : point indices whose pairs are left out; for a stack, one index
-        set per value set (or empty for none)
+    drop : boolean mask of the points whose pairs are left out: (N,) for
+        one value set, (S, N) for a stack, or empty for none
 
     One value set gives a float.  A stack gives the (S,) array of its sums:
     each kernel tile is computed once and applied to every set for which
@@ -271,7 +269,8 @@ def pair_kernel_sum(
     geo = _Geometry(points, q, weights, groups)
     single = np.ndim(values) < 3
     stack = _as_values(values)[None] if single else np.ascontiguousarray(values, dtype=float)
-    cuts = [_drop_index(d) for d in _drop_sets(stack.shape[0], [drop] if single else drop)]
+    hits = _drop_masks(drop, *stack.shape[:2])
+    cuts = [None] * stack.shape[0] if hits is None else [h if h.any() else None for h in hits]
     ends = np.array([_run_ends(vals) for vals in stack]).reshape(stack.shape[:2])
 
     def run(tile, scratch):
@@ -379,7 +378,7 @@ def class_pair_sum(kernel: NDArray, values: NDArray, p: float, drop=()) -> float
     """
     single = np.ndim(values) < 3
     stack = _as_values(values)[None] if single else np.asarray(values, dtype=float)
-    hit = np.asarray(drop, dtype=bool).reshape(-1, kernel.shape[0]) if len(drop) else None
+    hit = _drop_masks(drop, stack.shape[0], kernel.shape[0])
     rows, cols = np.triu_indices(kernel.shape[0], 1)
     step = max(1, CLASS_TERMS // max(rows.size, 1))
     sums = []

@@ -9,13 +9,17 @@ or a slope, so the choice is immaterial.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from decimal import Decimal
 
 import numpy as np
 from numpy.typing import NDArray
 
-from ._pairsum import _drop_sets, pair_kernel_sum
-from .errors import ConfigurationError, GeometryError, NumericalError, WrongSchemeError
+from ._pairsum import _drop_masks, pair_kernel_sum
+from .errors import BudgetError, ConfigurationError, GeometryError, NumericalError, WrongSchemeError
 from .grid import Box, Grid, SampledMap
+
+DEFAULT_NODE_BUDGET = 4_000_000  # points of one cloud or nodes of one FFT-route grid
+PAIR_BUDGET = 2_000_000_000  # point pairs of one direct quadrature
 
 
 @dataclass(frozen=True)
@@ -105,6 +109,32 @@ def check_pair_sum(params: FractionalParams) -> None:
         raise WrongSchemeError(f"the pair-sum quadrature needs 0 < s < 1, got s = {params.s}")
 
 
+def _count(n: int) -> str:
+    """An integer to 3 significant digits (its float overflows past 1e308)."""
+    return format(Decimal(n), ".3g")
+
+
+def _convolves(params: FractionalParams) -> bool:
+    """Whether an `EnergyPlan` takes the FFT route: at p = 2 alone."""
+    return params.p == 2.0
+
+
+def check_grid_budget(grid: Grid, params: FractionalParams, planned: bool = False) -> None:
+    """BudgetError unless a direct quadrature on ``grid`` fits, counted before any array exists.
+
+    An `EnergyPlan` (``planned``) at p = 2 convolves fields of N nodes:
+    N <= DEFAULT_NODE_BUDGET.  Every other route sums N(N - 1)/2 pairs: at
+    most PAIR_BUDGET.
+    """
+    n = grid.node_count
+    if planned and _convolves(params):
+        if n > DEFAULT_NODE_BUDGET:
+            raise BudgetError(f"grid of {_count(n)} nodes > budget {_count(DEFAULT_NODE_BUDGET)}")
+    elif n * (n - 1) // 2 > PAIR_BUDGET:
+        raise BudgetError(f"grid of {_count(n)} nodes sums {_count(n * (n - 1) // 2)} pairs > "
+                          f"budget {_count(PAIR_BUDGET)}")
+
+
 def _pair_setup(grid: Grid, params: FractionalParams, region: Region | None):
     """(node indices of the region, kernel exponent m + sp) of a pair-sum energy."""
     check_pair_sum(params)
@@ -173,14 +203,13 @@ class _ConvolutionSum:
         conv = np.fft.irfftn(spec, s=self.pad, axes=self.axes)
         return conv[(...,) + tuple(slice(0, n) for n in self.shape)].reshape(f.shape)
 
-    def sums(self, stack: NDArray, drops: list) -> NDArray:
-        """Pair sums of an (S, node_count, nu) stack, each without its ``drops`` nodes."""
+    def sums(self, stack: NDArray, hits: NDArray | None) -> NDArray:
+        """Pair sums of an (S, node_count, nu) stack; set i leaves out the nodes hits[i] marks."""
         out = np.empty(stack.shape[0])
-        for i, (vals, drop) in enumerate(zip(stack, drops)):
+        for i, vals in enumerate(stack):
             mask, k_mask = self.mask, self.k_mask
-            if len(drop):
-                mask = mask.copy()
-                mask[np.asarray(drop, dtype=np.int64)] = False
+            if hits is not None and hits[i].any():
+                mask = self.mask & ~hits[i]
                 k_mask = self._convolve(mask.astype(float))
             nodes = np.flatnonzero(mask)
             v = vals[nodes] - vals[nodes[0]]  # exactly zero for a constant set
@@ -208,7 +237,7 @@ class EnergyPlan:
         self.params = params
         self.workers = workers
         self._nodes, q = _pair_setup(grid, params, region)
-        if params.p == 2.0:
+        if _convolves(params):
             self.route = f"fft-convolution kernel_exp={q!r}"
             mask = np.zeros(grid.node_count, dtype=bool)
             mask[self._nodes] = True
@@ -218,38 +247,37 @@ class EnergyPlan:
             self._fft = None
             self._points = grid.nodes()[self._nodes]
             self._q = q
-            self._position = np.full(grid.node_count, -1, dtype=np.int64)
-            self._position[self._nodes] = np.arange(self._nodes.size)
 
     def energies(self, values: NDArray, drops=()) -> list[EnergyValue]:
         """Energies of an (S, node_count, nu) stack of node values on the plan's grid.
 
-        ``drops`` holds one set of grid nodes per value set (or is empty for
-        none); value set k's energy equals ``gagliardo_energy`` over the
-        region without the nodes in ``drops[k]``, up to rounding.
+        ``drops`` is an (S, node_count) boolean mask of grid nodes (or empty
+        for none); value set k's energy equals ``gagliardo_energy`` over the
+        region without the nodes that ``drops[k]`` marks, up to rounding.
         """
         stack = np.asarray(values, dtype=float)
         if stack.ndim != 3 or stack.shape[1] != self.grid.node_count:
             raise GeometryError(f"expected (S, {self.grid.node_count}, nu) values, "
                                 f"got shape {stack.shape}")
-        drops = _drop_sets(stack.shape[0], drops)
+        hits = _drop_masks(drops, stack.shape[0], self.grid.node_count)
         if self._fft is not None:
-            sums = self._fft.sums(stack, drops)
+            sums = self._fft.sums(stack, hits)
         else:
-            pos = [self._position[np.asarray(d, dtype=np.int64)] for d in drops]
             sums = pair_kernel_sum(self._points, stack[:, self._nodes], self.params.p, self._q,
-                                   workers=self.workers, drop=[c[c >= 0] for c in pos])
+                                   workers=self.workers,
+                                   drop=() if hits is None else hits[:, self._nodes])
         return [_pair_energy(float(s), self.grid, self.route) for s in sums]
 
     def energy(self, u: SampledMap, drop=()) -> EnergyValue:
-        """Energy of ``u`` over the region without the grid nodes in ``drop``.
+        """Energy of ``u`` over the region without the nodes that the mask ``drop`` marks.
 
-        Equals ``gagliardo_energy(u, params, region.without(drop))`` up to
-        rounding.
+        ``drop`` is a (node_count,) boolean mask (or empty for none).  Equals
+        ``gagliardo_energy(u, params, region.without(np.flatnonzero(drop)))``
+        up to rounding.
         """
         if u.grid != self.grid:
             raise GeometryError("map grid differs from the plan's grid")
-        return self.energies(u.values[None], [drop])[0]
+        return self.energies(u.values[None], drop)[0]
 
 
 def cloud_energy(

@@ -30,7 +30,7 @@ class EvaluationError(SplabError):
 
 
 class BudgetError(SplabError):
-    """Node budget exceeded; use compositional accounting instead."""
+    """A node, pair or table budget exceeded; counted before the work starts."""
 
     exit_code = 2
 

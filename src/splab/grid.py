@@ -7,6 +7,7 @@ fastest), matching ``np.meshgrid(..., indexing="ij")`` raveled.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from functools import cached_property
 from typing import Callable, Sequence
@@ -93,6 +94,8 @@ class Grid:
         shape = []
         for side in self.box.sides:
             ratio = side / self.spacing
+            if not math.isfinite(ratio):
+                raise ConfigurationError(f"box side {side} over spacing {self.spacing} overflows")
             snapped = round(ratio)
             if snapped < 1 or abs(ratio - snapped) > _SNAP_REL_TOL * max(1.0, abs(ratio)):
                 raise ConfigurationError(
@@ -103,7 +106,7 @@ class Grid:
 
     @property
     def node_count(self) -> int:
-        return int(np.prod(self.shape))
+        return math.prod(self.shape)  # exact: np.prod wraps past 2^63
 
     def axis_coords(self, axis: int) -> NDArray:
         n = self.shape[axis]

@@ -16,7 +16,14 @@ import numpy as np
 from numpy.typing import NDArray
 
 from .chords import check_sample_count, estimate_constant
-from .energy import EnergyPlan, FractionalParams, Region, check_pair_sum, gagliardo_energy
+from .energy import (
+    EnergyPlan,
+    FractionalParams,
+    Region,
+    check_grid_budget,
+    check_pair_sum,
+    gagliardo_energy,
+)
 from .errors import ConfigurationError, DegenerateShiftError, SplabError
 from .grid import Box, Grid, SampledMap, make_grid, sample_map
 from .patches import ELL, LayerSpec, PatchModel, PatchSpec, check_layer_table
@@ -102,7 +109,7 @@ class AveragingConfig:
             raise ConfigurationError(f"need at least 100 Monte Carlo shifts, got {self.n_mc}")
         if self.alpha <= 0:
             raise ConfigurationError("shift ball radius must be positive")
-        map_grid("identity2d", self.spacing)
+        check_grid_budget(map_grid("identity2d", self.spacing), self.params, planned=True)
 
 
 def _uniform_ball_2d(rng: np.random.Generator, count: int, radius: float) -> NDArray:
@@ -178,19 +185,17 @@ def _averaging_core(cfg: AveragingConfig, workers: int = 1) -> dict:
     base = plan.energy(u).value
     rng = np.random.default_rng(cfg.seed)
     shifts = _uniform_ball_2d(rng, cfg.n_mc, cfg.alpha)
-    stack = np.empty((min(SHIFT_CHUNK, cfg.n_mc),) + u.values.shape)
+    buffer = np.empty((min(SHIFT_CHUNK, cfg.n_mc),) + u.values.shape)
     energies = []
     degenerate = 0
     for c0 in range(0, cfg.n_mc, SHIFT_CHUNK):
-        drops = []
-        for a in shifts[c0:c0 + SHIFT_CHUNK]:
-            try:
-                hits, _ = shifted_unit_values(u, a, stack[len(drops)])
-            except DegenerateShiftError:
-                degenerate += 1
-                continue
-            drops.append(hits)
-        energies.extend(e.value for e in plan.energies(stack[:len(drops)], drops))
+        chunk = shifts[c0:c0 + SHIFT_CHUNK]
+        stack = buffer[:len(chunk)]
+        hits, bad = shifted_unit_values(u, chunk, stack)
+        degenerate += int(bad.sum())
+        if bad.any():  # only a chunk with a degenerate shift copies its stack
+            stack, hits = stack[~bad], hits[~bad]
+        energies.extend(e.value for e in plan.energies(stack, hits))
     if degenerate > 0.1 * cfg.n_mc:
         raise DegenerateShiftError(
             f"{degenerate} of {cfg.n_mc} shifts collapsed onto the singular set"
@@ -291,19 +296,16 @@ def threshold_scan(s_values, p_values, n_range, workers: int = 1,
             verdict = ""
             if cross_validate and n <= 2:
                 direct = model.layer_energy_direct(layer)
-                comp_upper = model.layer_upper_compositional(layer)
-                ok_upper = direct <= comp_upper <= 3.0 * direct
                 report.check(
                     f"s={s} p={p} n={n} upper bound brackets direct (factor 3)",
-                    ok_upper,
-                    f"direct={direct:.6g} compositional={comp_upper:.6g}",
+                    direct <= upper <= 3.0 * direct,
+                    f"direct={direct:.6g} compositional={upper:.6g}",
                 )
                 direct_proj = model.layer_projected_direct(layer, argmin)
-                comp_lower = model.layer_lower_compositional(layer, argmin)
                 report.check(
                     f"s={s} p={p} n={n} lower bound below direct projected (tol 0.5)",
-                    comp_lower <= 1.5 * direct_proj,
-                    f"lower={comp_lower:.6g} direct projected={direct_proj:.6g}",
+                    lower <= 1.5 * direct_proj,
+                    f"lower={lower:.6g} direct projected={direct_proj:.6g}",
                 )
             report.add_row(n, upper=upper, lower=lower, verdict=verdict,
                            s=s, p=p, argmin_shift=list(map(float, argmin)))
@@ -347,6 +349,7 @@ class SeminormOptions:
         vars(self).update(params=FractionalParams(s=self.s, p=self.p),
                           grid=map_grid(self.map, self.spacing))
         check_pair_sum(self.params)
+        check_grid_budget(self.grid, self.params)
 
 
 def _run_seminorm(opts: SeminormOptions, cfg: RunConfig) -> ExperimentReport:
@@ -476,8 +479,11 @@ class AveragingOptions:
 
     def __post_init__(self):
         params = FractionalParams(s=self.s, p=self.p)
-        vars(self).update(averaging=AveragingConfig(params, alpha=self.alpha, n_mc=self.n_mc,
-                                                    spacing=self.spacing))
+        averaging = AveragingConfig(params, alpha=self.alpha, n_mc=self.n_mc, spacing=self.spacing)
+        fine = None
+        if self.refine:  # half the spacing, half the shifts (at least 100)
+            fine = replace(averaging, n_mc=max(100, self.n_mc // 2), spacing=self.spacing / 2)
+        vars(self).update(averaging=averaging, fine=fine)
 
 
 def _run_averaging(opts: AveragingOptions, cfg: RunConfig) -> ExperimentReport:
@@ -492,9 +498,8 @@ def _run_averaging(opts: AveragingOptions, cfg: RunConfig) -> ExperimentReport:
         report.check("bound ratio below calibrated constant", out["bound_ok"],
                      f"ratio {out['bound_ratio']:.4g} vs C_avg {out['calibrated_bound']:.4g}")
     if opts.refine:
-        fine = replace(acfg, n_mc=max(100, acfg.n_mc // 2), spacing=opts.spacing / 2)
-        out2 = averaging_check(fine, workers=cfg.worker_count)
-        report.add_row(fine.spacing, upper=out2["base_energy"],
+        out2 = _averaging_core(replace(opts.fine, seed=cfg.seed), workers=cfg.worker_count)
+        report.add_row(opts.fine.spacing, upper=out2["base_energy"],
                        lower=out2["mean_projected_energy"])
         drift = abs(out2["bound_ratio"] / out["bound_ratio"] - 1.0)
         report.constants["ratio_drift_under_halving"] = drift

@@ -17,7 +17,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from decimal import Decimal
 from functools import cached_property
 
 import numpy as np
@@ -33,7 +32,7 @@ from ._pairsum import (
     symmetric,
 )
 from .chords import COS_CONE_BOUND, chords_vectorized
-from .energy import FractionalParams
+from .energy import DEFAULT_NODE_BUDGET, PAIR_BUDGET, FractionalParams, _count
 from .errors import BudgetError, ConfigurationError
 from .grid import Placement
 from .sphere import unit_values
@@ -53,8 +52,6 @@ FRAME_SPACING = 1 / 8
 COARSE_SPACING = 1 / 16
 CELL_SUBDIVISION = 5
 
-DEFAULT_NODE_BUDGET = 4_000_000
-LAYER_PAIR_BUDGET = 2_000_000_000  # point pairs the class-kernel blocks of one layer evaluate
 LAYER_TABLE_BUDGET = 100_000_000  # difference-lattice entries of one layer_lowers table
 
 
@@ -185,11 +182,6 @@ class LayerSpec:
 
     def patch_specs(self, params: FractionalParams) -> list[PatchSpec]:
         return [PatchSpec(tuple(c), self.n, params) for c in self.centers()]
-
-
-def _count(n: int) -> str:
-    """An integer to 3 significant digits (its float overflows past 1e308)."""
-    return format(Decimal(n), ".3g")
 
 
 def check_layer_table(n: int) -> None:
@@ -504,10 +496,10 @@ class PatchModel:
         key = ("layer", layer, self.params)
         if key not in self._memo:
             pairs = self._layer_pairs(layer)
-            if pairs > LAYER_PAIR_BUDGET:
+            if pairs > PAIR_BUDGET:
                 raise BudgetError(
                     f"layer blocks at n = {layer.n} evaluate {_count(pairs)} pairs > budget "
-                    f"{_count(LAYER_PAIR_BUDGET)}; use compositional accounting instead"
+                    f"{_count(PAIR_BUDGET)}; use compositional accounting instead"
                 )
             p, sp = self.params.p, self.params.sp
             sigma = layer.placement_scale
@@ -637,7 +629,8 @@ class PatchModel:
         so it equals `layer_lower_compositional` there bit for bit.
         """
         best = int(np.argmin(self.layer_lowers(layer)))  # first: the table budget precedes any array
-        best_shift = self.shift_grid(layer)[best]
+        # the row `best` of `shift_grid`, by the same float addition
+        best_shift = layer.centers()[best // 5] + _stencil_offsets(layer)[best % 5]
         upper = self.layer_upper_compositional(layer)
         lower = self.layer_lower_compositional(layer, best_shift)
         return lower, upper, lower / upper, best_shift

@@ -53,45 +53,48 @@ def unit_values(values: NDArray, a, out: NDArray) -> NDArray:
     return hits
 
 
-def shifted_unit_values(u: SampledMap, a, out: NDArray) -> tuple[NDArray, NDArray]:
-    """Fill ``out`` with the node values (u(x) - a)/|u(x) - a|; return the singular hits.
+def shifted_unit_values(u: SampledMap, shifts, out: NDArray) -> tuple[NDArray, NDArray]:
+    """Fill the (S, N, nu) ``out`` with the node values (u(x) - a)/|u(x) - a|, one a per shift.
 
-    Returns the hit nodes and their distances |u(x) - a|.  Hit nodes get
-    the placeholder value e_1.  Fails if more than 1% of the nodes are
-    hits (the shift sits on a plateau of u), or if a is the outer
-    constant of a map that has an outside.
+    ``shifts`` is (S, nu); one `unit_values` call projects them all.
+    Returns the (S, N) singular-hit mask (hit nodes get the placeholder
+    value e_1) and the (S,) degenerate flags: a shift is degenerate if more
+    than 1% of the nodes are hits (it sits on a plateau of u), or if it is
+    the outer constant of a map that has an outside.
     """
-    a = np.asarray(a, dtype=float)
-    if u.nu != a.shape[0]:
-        raise SingularHitError(f"shift dimension {a.shape[0]} != map dimension {u.nu}")
-    nodes = np.flatnonzero(unit_values(u.values, a, out))
-    shift = tuple(a.tolist())
-    if nodes.size > DEGENERATE_HIT_FRACTION * u.grid.node_count:
-        raise DegenerateShiftError(
-            f"shift {shift} hits the singular set at {nodes.size} of {u.grid.node_count} nodes"
-        )
-    rc = float(np.linalg.norm(np.asarray(u.constant) - a))
-    if rc <= SINGULAR_EXCLUSION_RADIUS and not u.support.contains_box(u.grid.box):
-        raise DegenerateShiftError(f"shift {shift} coincides with the outer constant of u")
-    return nodes, np.linalg.norm(u.values[nodes] - a, axis=1)
+    shifts = np.asarray(shifts, dtype=float)
+    if u.nu != shifts.shape[-1]:
+        raise SingularHitError(f"shift dimension {shifts.shape[-1]} != map dimension {u.nu}")
+    hits = unit_values(u.values, shifts[:, None, :], out)
+    plateau = hits.sum(axis=1) > DEGENERATE_HIT_FRACTION * u.grid.node_count
+    rc = np.linalg.norm(np.asarray(u.constant) - shifts, axis=1)
+    outside = not u.support.contains_box(u.grid.box)
+    return hits, plateau | ((rc <= SINGULAR_EXCLUSION_RADIUS) & outside)
 
 
 def shifted_projection(u: SampledMap, shift: ShiftPoint) -> tuple[SampledMap, list[SingularHit]]:
     """Nodewise x -> (u(x) - a)/|u(x) - a|, excluding singular hits.
 
     Hit nodes keep a placeholder unit value and are reported; callers must
-    drop them from energy regions.  If more than 1% of nodes are hits the
-    shift sits on a plateau of u and the call fails.  The averaging fills
-    its value stacks through ``shifted_unit_values`` instead; this
-    map-level form is kept because the perfbench tracer counts its calls
-    and hits.
+    drop them from energy regions.  A degenerate shift (see
+    ``shifted_unit_values``) fails.  The averaging projects its shift
+    stacks through ``shifted_unit_values`` instead; this map-level form is
+    kept because the perfbench tracer counts its calls and hits.
     """
-    out = np.empty_like(u.values, dtype=float)
-    nodes, dist = shifted_unit_values(u, shift.a, out)
+    out = np.empty((1,) + u.values.shape)
+    hits, degenerate = shifted_unit_values(u, [shift.a], out)
+    nodes = np.flatnonzero(hits[0])
+    if nodes.size > DEGENERATE_HIT_FRACTION * u.grid.node_count:
+        raise DegenerateShiftError(
+            f"shift {shift.a} hits the singular set at {nodes.size} of {u.grid.node_count} nodes"
+        )
+    if degenerate[0]:
+        raise DegenerateShiftError(f"shift {shift.a} coincides with the outer constant of u")
+    dist = np.linalg.norm(u.values[nodes] - shift.a, axis=1)
     const = np.asarray(u.constant) - np.asarray(shift.a)
     rc = float(np.linalg.norm(const))
     proj_const = tuple(np.eye(u.nu)[0]) if rc <= SINGULAR_EXCLUSION_RADIUS else tuple(const / rc)
-    projected = SampledMap(u.grid, out, u.nu, u.grid.box, proj_const)
+    projected = SampledMap(u.grid, out[0], u.nu, u.grid.box, proj_const)
     return projected, [SingularHit(int(i), float(d)) for i, d in zip(nodes, dist)]
 
 

@@ -1,3 +1,6 @@
+import importlib.util
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -18,3 +21,13 @@ def model_main(params_main) -> PatchModel:
 @pytest.fixture(scope="session")
 def rng() -> np.random.Generator:
     return np.random.default_rng(20240)
+
+
+@pytest.fixture(scope="session")
+def compare_reports():
+    """The module of scripts/compare_reports.py."""
+    path = Path(__file__).resolve().parent.parent / "scripts" / "compare_reports.py"
+    spec = importlib.util.spec_from_file_location("compare_reports", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module

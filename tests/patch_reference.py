@@ -89,9 +89,7 @@ def build_patch(spec: PatchSpec, grid: Grid) -> SampledMap:
 def _projected_pair_sums(points, values, shifts, p, q, **kwargs):
     """Stacked `pair_kernel_sum` of the values projected by each shift, hits dropped."""
     stack = np.empty((len(shifts),) + values.shape)
-    hits = []
-    for i, a in enumerate(shifts):
-        hits.append(np.flatnonzero(unit_values(values, a, stack[i])))
+    hits = np.array([unit_values(values, a, stack[i]) for i, a in enumerate(shifts)])
     return pair_kernel_sum(points, stack, p, q, drop=hits, **kwargs)
 
 

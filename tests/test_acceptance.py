@@ -285,7 +285,7 @@ def test_criterion_09_diffeo_check():
     )
 
 
-def test_criterion_10_determinism(tmp_path):
+def test_criterion_10_determinism(tmp_path, compare_reports):
     t0 = time.time()
     cfg = {
         "seed": 5,
@@ -310,22 +310,13 @@ def test_criterion_10_determinism(tmp_path):
         rc = cli_main(["suite", "--config", str(cfg_path), "--out", str(out), "--workers", "2"])
         assert rc == 0
         outs.append(out)
-    identical = True
-    compared = 0
-    for f1 in sorted(outs[0].iterdir()):
-        f2 = outs[1] / f1.name
-        t1 = f1.read_text()
-        t2 = f2.read_text()
-        if f1.suffix == ".json":
-            strip = lambda t: "\n".join(l for l in t.splitlines() if '"timestamp"' not in l)
-            identical &= strip(t1) == strip(t2)
-        else:
-            identical &= t1 == t2
-        compared += 1
+    differ = compare_reports.differing_files(*outs)
+    compared = len(list(outs[0].iterdir()))
     _emit(
         "criterion 10 (determinism)",
-        identical and compared >= 18,
-        f"{compared} report files byte-identical across two runs (timestamp excluded)",
+        not differ and compared >= 18,
+        f"{compared} report files byte-identical across two runs (timestamp excluded); "
+        f"differing: {differ}",
         time.time() - t0,
         600.0,
     )

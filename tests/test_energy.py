@@ -190,6 +190,11 @@ def test_scaling_property_random_powers(scale_pow):
     assert scaled / base == pytest.approx(lam ** (1 - params.sp), rel=1e-12)
 
 
+def node_mask(count, nodes):
+    """The (count,) boolean mask of the given node indices."""
+    return np.isin(np.arange(count), nodes)
+
+
 def test_energy_plan_matches_gagliardo_energy():
     u = smooth_bump_1d(0.02)
     params = FractionalParams(s=0.35, p=1.5)
@@ -197,11 +202,13 @@ def test_energy_plan_matches_gagliardo_energy():
     plan = EnergyPlan(u.grid, params, region, workers=2)
     direct = gagliardo_energy(u, params, region)
     assert plan.energy(u).value == pytest.approx(direct.value, rel=1e-12)
-    assert plan.energy(u, drop=[3, 70, 71]).value == pytest.approx(
+    n = u.grid.node_count
+    assert plan.energy(u, drop=node_mask(n, [3, 70, 71])).value == pytest.approx(
         gagliardo_energy(u, params, region.without([3, 70, 71])).value, rel=1e-12)
     assert plan.energy(u).scheme.startswith("pair-sum plan kernel_exp=")
     single = EnergyPlan(u.grid, params, region, workers=1)
-    assert single.energy(u, drop=[70]).value == plan.energy(u, drop=[70]).value
+    assert single.energy(u, drop=node_mask(n, [70])).value == \
+        plan.energy(u, drop=node_mask(n, [70])).value
 
 
 def sampled(name, h):
@@ -238,10 +245,11 @@ def test_energy_plan_fft_route_matches_pair_sum(case, monkeypatch):
     monkeypatch.setattr(energy_module, "pair_kernel_sum", no_tiles)
     plan = EnergyPlan(u.grid, params, region)
     assert plan.route.startswith("fft-convolution ")
-    for cut, value in zip(([], drop), expected):
-        assert plan.energy(u, drop=cut).value == pytest.approx(value, rel=1e-12)
-    stacked = plan.energies(np.stack([u.values, u.values]), [drop, []])
-    assert [e.value for e in stacked] == [plan.energy(u, drop=drop).value, plan.energy(u).value]
+    masks = [node_mask(u.grid.node_count, cut) for cut in ([], drop)]
+    for mask, value in zip(masks, expected):
+        assert plan.energy(u, drop=mask).value == pytest.approx(value, rel=1e-12)
+    stacked = plan.energies(np.stack([u.values, u.values]), np.stack(masks[::-1]))
+    assert [e.value for e in stacked] == [plan.energy(u, drop=masks[1]).value, plan.energy(u).value]
 
 
 def test_energy_plan_fft_route_constant_and_worker_count():
@@ -251,16 +259,18 @@ def test_energy_plan_fft_route_constant_and_worker_count():
     three = EnergyPlan(u.grid, params, BALL, workers=3)
     constant = replace(u, values=np.broadcast_to((0.1, -0.7), u.values.shape))
     assert one.energy(constant).value == 0.0
-    assert one.energy(constant, drop=[7]).value == 0.0
+    n = u.grid.node_count
+    assert one.energy(constant, drop=node_mask(n, [7])).value == 0.0
     shifted = _unit_shifted(u, (0.2, 0.45))
-    assert one.energy(shifted, drop=[3]).value == three.energy(shifted, drop=[3]).value
+    assert one.energy(shifted, drop=node_mask(n, [3])).value == \
+        three.energy(shifted, drop=node_mask(n, [3])).value
 
 
 def test_energy_plan_stack_matches_single_calls():
     u = sampled("identity2d", 0.1)
     params = FractionalParams(s=0.4, p=1.5)
     maps = [_unit_shifted(u, a) for a in ((0.1, 0.2), (-0.5, 0.3), (0.05, -0.66))]
-    drops = [[], [10, 11], [300]]
+    drops = np.stack([node_mask(u.grid.node_count, d) for d in ([], [10, 11], [300])])
     single = [EnergyPlan(u.grid, params, BALL).energy(m, drop=d).value
               for m, d in zip(maps, drops)]
     for workers in (1, 2, 3):
@@ -300,10 +310,10 @@ def test_energy_plan_rejects_other_grid():
 
 
 def naive_pair_sum(points, values, p, q, weights, groups, drop=()):
+    """The pair sum by a loop over the points; ``drop`` is a boolean mask (or empty)."""
     n = points.shape[0]
     w = np.broadcast_to(np.asarray(weights, dtype=float), (n,))
-    live = np.ones(n, dtype=bool)
-    live[list(drop)] = False
+    live = ~np.asarray(drop, dtype=bool) if len(drop) else np.ones(n, dtype=bool)
     total = 0.0
     for i in range(n):
         j = np.arange(i + 1, n)
@@ -383,7 +393,7 @@ def test_pair_kernel_sum_many_threads_lose_no_tile():
 
 @st.composite
 def stacks(draw):
-    """A cloud with 1-4 value sets of one shape and one drop set each.
+    """A cloud with 1-4 value sets of one shape and one drop mask each.
 
     Besides the drawn values, a set may be one constant everywhere (every
     tile dead for it) or the drawn values with one block replaced by a
@@ -403,7 +413,7 @@ def stacks(draw):
             sets.append(patched)
         else:
             sets.append(rng.normal(size=values.shape))
-    drops = [rng.integers(0, n, size=draw(st.integers(0, 4))) for _ in sets]
+    drops = np.stack([node_mask(n, rng.integers(0, n, size=draw(st.integers(0, 4)))) for _ in sets])
     return points, np.stack(sets), weights, groups, p, q, drops
 
 
@@ -412,7 +422,7 @@ def stacks(draw):
 @example((np.random.default_rng(1).random((300, 2)),
           np.stack([np.random.default_rng(2).random((300, 1)), np.full((300, 1), 0.5),
                     np.r_[np.zeros((200, 1)), np.random.default_rng(3).random((100, 1))]]),
-          1.0, None, 2.5, 2.6, [np.array([3, 250]), np.array([], dtype=int), np.array([7])]), 8)
+          1.0, None, 2.5, 2.6, np.stack([node_mask(300, d) for d in ([3, 250], [], [7])])), 8)
 def test_stacked_pair_kernel_sum_equals_per_set_calls(stack, block):
     points, values, weights, groups, p, q, drops = stack
     per_set = [pair_kernel_sum(points, vals, p, q, weights=weights, groups=groups, block=block,
@@ -430,7 +440,7 @@ def test_stacked_pair_kernel_sum_equals_per_set_calls(stack, block):
 def test_stacked_pair_kernel_sum_rejects_mismatched_drops():
     points = np.random.default_rng(0).random((10, 2))
     with pytest.raises(ValueError, match="drop sets"):
-        pair_kernel_sum(points, np.zeros((3, 10, 1)), 2.0, 2.0, drop=[[1], [2]])
+        pair_kernel_sum(points, np.zeros((3, 10, 1)), 2.0, 2.0, drop=np.zeros((2, 10), dtype=bool))
 
 
 def test_walk_maps_tiles_a_chunk_at_a_time(monkeypatch):
@@ -439,7 +449,7 @@ def test_walk_maps_tiles_a_chunk_at_a_time(monkeypatch):
     points, weights = rng.random((600, 2)), rng.random(600) + 0.1
     values = np.stack([rng.normal(size=(600, 2)), np.full((600, 2), 0.3),
                        np.r_[np.zeros((300, 2)), rng.random((300, 2))]])
-    drops = [np.array([5, 599]), np.array([], dtype=int), np.array([0, 130, 131])]
+    drops = np.stack([node_mask(600, d) for d in ([5, 599], [], [0, 130, 131])])
     assert len(all_tiles(600, 1)) == 1720 > TILE_CHUNK
     mapped = []
     real_map = _pairsum._map_tiles
@@ -583,7 +593,7 @@ def test_class_pair_sum_matches_pair_kernel_sum(cloud, drop):
     kern = class_kernel(points, labels, q, weights=weights, groups=groups, block=100, workers=2)
     got = class_pair_sum(kern, class_values, p, drop=np.isin(np.arange(count), drop))
     expected = pair_kernel_sum(points, class_values[labels], p, q, weights=weights, groups=groups,
-                               drop=np.flatnonzero(np.isin(labels, drop)), workers=2)
+                               drop=np.isin(labels, drop), workers=2)
     assert got == pytest.approx(expected, rel=1e-12, abs=1e-300)
 
 

@@ -1,7 +1,9 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
-from splab import harness
+from splab import harness, sphere
 from splab.config import ExperimentConfig, RunConfig, load_config, validate_config
 from splab.energy import EnergyPlan, FractionalParams, Region, gagliardo_energy
 from splab.errors import ConfigurationError
@@ -16,7 +18,7 @@ from splab.harness import (
     threshold_scan,
     threshold_verdict,
 )
-from splab.sphere import ShiftPoint, shifted_projection
+from splab.sphere import ShiftPoint, shifted_projection, unit_values
 
 H16 = 3.3807289932289937
 
@@ -87,10 +89,54 @@ def test_averaging_plan_drops_singular_hit():
     proj, hits = shifted_projection(u, ShiftPoint(tuple(u.values[node])))
     assert [h.node for h in hits] == [node]
     plan = EnergyPlan(u.grid, params, region, workers=2)
-    planned = plan.energy(proj, drop=[h.node for h in hits]).value
+    drop = np.isin(np.arange(u.grid.node_count), [h.node for h in hits])
+    planned = plan.energy(proj, drop=drop).value
     direct = gagliardo_energy(proj, params, region.without([node])).value
     assert planned == pytest.approx(direct, rel=1e-12)
     assert planned != pytest.approx(plan.energy(proj).value, rel=1e-6)
+
+
+def averaging_reference(cfg):
+    """(energies, degenerate count) of `_averaging_core`, one shift at a time."""
+    u = identity_map_2d(cfg.spacing)
+    plan = EnergyPlan(u.grid, cfg.params, Region.from_ball((0.0, 0.0), 1.0))
+    shifts = harness._uniform_ball_2d(np.random.default_rng(cfg.seed), cfg.n_mc, cfg.alpha)
+    energies, degenerate = [], 0
+    for a in shifts:
+        out = np.empty_like(u.values)
+        hits = unit_values(u.values, a, out)
+        if hits.sum() > sphere.DEGENERATE_HIT_FRACTION * u.grid.node_count:
+            degenerate += 1
+        else:
+            energies.append(plan.energy(replace(u, values=out), drop=hits).value)
+    return energies, degenerate
+
+
+@pytest.mark.parametrize("fraction", [sphere.DEGENERATE_HIT_FRACTION, 0.0],
+                         ids=["hits-dropped", "hits-degenerate"])
+@pytest.mark.parametrize("p", [1.5, 2.0])
+def test_averaging_core_equals_per_shift_loop(monkeypatch, p, fraction):
+    # shifts 3, 40 and 70 sit on node values: each hits one node, and with a
+    # hit fraction of 0 each is degenerate; shift 70 lies in the second chunk
+    cfg = AveragingConfig(params=FractionalParams(s=0.4, p=p), spacing=0.1, n_mc=100, seed=8)
+    values = identity_map_2d(cfg.spacing).values
+    real_ball = harness._uniform_ball_2d
+
+    def ball_with_node_values(rng, count, radius):
+        shifts = real_ball(rng, count, radius)
+        shifts[[3, 40, 70]] = values[[200, 221, 250]]
+        return shifts
+
+    monkeypatch.setattr(harness, "_uniform_ball_2d", ball_with_node_values)
+    monkeypatch.setattr(sphere, "DEGENERATE_HIT_FRACTION", fraction)
+    energies, degenerate = averaging_reference(cfg)
+    assert degenerate == (3 if fraction == 0.0 else 0) and len(energies) == 100 - degenerate
+    out = harness._averaging_core(cfg, workers=2)
+    assert out["degenerate_shifts"] == degenerate
+    assert out["mean_projected_energy"] == float(np.mean(energies))
+    edges = np.geomspace(max(out["mean_projected_energy"] * 1e-3, 1e-12),
+                         out["mean_projected_energy"] * 1e3, 13)
+    assert out["tail_histogram"] == np.histogram(energies, bins=edges)[0].tolist()
 
 
 def test_cone_distance_sum_harmonic():

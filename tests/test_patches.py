@@ -384,6 +384,27 @@ def test_layer_lowers_match_per_shift_reference(threshold_models, pair):
         assert np.all(ref >= lower * (1 - 1e-12))
 
 
+def test_layer_ratio_builds_no_shift_grid(threshold_models, monkeypatch):
+    # the argmin shift is one center plus one stencil offset: the row of
+    # `shift_grid` that the table's argmin names, with the same four values
+    expected = {}
+    for pair, model in threshold_models.items():
+        for n in range(1, 6):
+            layer = LayerSpec(n)
+            argmin = model.shift_grid(layer)[int(np.argmin(model.layer_lowers(layer)))]
+            upper = model.layer_upper_compositional(layer)
+            lower = model.layer_lower_compositional(layer, argmin)
+            expected[pair, n] = (lower, upper, lower / upper, argmin.tolist())
+
+    def no_grid(self, layer):
+        raise AssertionError("layer_ratio builds the whole shift grid")
+
+    monkeypatch.setattr(PatchModel, "shift_grid", no_grid)
+    for (pair, n), values in expected.items():
+        lower, upper, ratio, argmin = threshold_models[pair].layer_ratio(LayerSpec(n))
+        assert (lower, upper, ratio, argmin.tolist()) == values
+
+
 def test_layer_table_budget(model_main):
     # n = 11 fits the lower-bound table budget and n = 12 does not; the check
     # is arithmetic and runs before the table or the shift grid is built

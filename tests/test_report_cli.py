@@ -2,6 +2,7 @@ import dataclasses
 import functools
 import json
 import subprocess
+import time
 import sys
 from pathlib import Path
 
@@ -11,7 +12,8 @@ import pytest
 from splab import cli, harness
 from splab.cli import main
 from splab.config import validate_config
-from splab.errors import AssertionFailure, ConfigurationError, OutputError, SplabError
+from splab.energy import FractionalParams, check_grid_budget
+from splab.errors import AssertionFailure, BudgetError, ConfigurationError, OutputError, SplabError
 from splab.harness import EXPERIMENTS
 from splab.report import CSV_COLUMNS, ExperimentReport, _fmt, emit_report, to_csv, to_json, to_svg
 
@@ -118,6 +120,8 @@ def test_cli_invalid_config_exit_code(tmp_path):
     ({"experiments": [{"kind": "seminorm", "spacing": 10**400}]}, None),
     (None, ["seminorm", "--spacing", "nan"]),
     (None, ["averaging", "--spacing", "nan", "--no-refine"]),
+    (None, ["seminorm", "--spacing", "1e-320"]),
+    (None, ["averaging", "--spacing", "5e-324"]),
     (None, ["layer", "--n", "1", "--p", "nan"]),
     (None, ["seminorm", "--p", "inf"]),
     (None, ["averaging", "--alpha", "inf"]),
@@ -131,7 +135,8 @@ def test_cli_invalid_config_exit_code(tmp_path):
         "flag-patch-shifts-0", "flag-patch-shifts-minus-1", "flag-threshold-n-max-1",
         "flag-almost-n-max-1", "flag-almost-one-scale", "config-seminorm-spacing-nan",
         "config-seminorm-spacing-beyond-float",
-        "flag-seminorm-spacing-nan", "flag-averaging-spacing-nan", "flag-layer-p-nan",
+        "flag-seminorm-spacing-nan", "flag-averaging-spacing-nan",
+        "flag-seminorm-spacing-subnormal", "flag-averaging-spacing-subnormal", "flag-layer-p-nan",
         "flag-seminorm-p-inf", "flag-averaging-alpha-inf", "flag-threshold-p-inf",
         "flag-geometry-empty-range", "flag-geometry-one-scale", "flag-geometry-ell-1",
         "flag-geometry-ell-0"])
@@ -213,7 +218,54 @@ BAD_OPTIONS = {
     "almost-n-min-0": {"kind": "almost", "n_min": 0, "n_max": 3},
     "threshold-n-max-12": {"kind": "threshold", "n_max": 12},
     "geometry-samples-10": {"kind": "geometry", "samples": 10},
+    "seminorm-spacing-1e-6": {"kind": "seminorm", "spacing": 1e-6},
+    "averaging-spacing-1e-9": {"kind": "averaging", "spacing": 1e-9},
+    "averaging-p-2-spacing-1e-9": {"kind": "averaging", "p": 2.0, "spacing": 1e-9},
+    "averaging-spacing-0.01-refined": {"kind": "averaging", "spacing": 0.01},
 }
+
+# a direct quadrature whose grid exceeds its budget, each rejected before any array is built
+OVERSIZED_GRIDS = {
+    "seminorm-1e-6": ["seminorm", "--spacing", "1e-6"],
+    "seminorm-1e-12": ["seminorm", "--spacing", "1e-12"],
+    "seminorm-1e-300": ["seminorm", "--spacing", "1e-300"],
+    "averaging-p-1.5-1e-9": ["averaging", "--p", "1.5", "--spacing", "1e-9"],
+    "averaging-p-2-1e-9": ["averaging", "--p", "2", "--spacing", "1e-9"],
+    "averaging-p-2-1e-10": ["averaging", "--p", "2", "--spacing", "1e-10"],  # 4e20 nodes
+}
+
+
+@pytest.mark.parametrize("argv", OVERSIZED_GRIDS.values(), ids=list(OVERSIZED_GRIDS))
+def test_oversized_grid_exits_two(tmp_path, capsys, argv):
+    t0 = time.perf_counter()
+    assert main(argv + ["--out", str(tmp_path / "out")]) == 2
+    assert time.perf_counter() - t0 < 5.0
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: experiment '{argv[0]}': grid of ") and "> budget" in err
+    assert len(err) < 200  # counts to 3 significant digits
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("entry", [
+    {"kind": "seminorm", "spacing": 1e-3},  # 5,001 nodes
+    {"kind": "averaging", "spacing": 0.02},  # 10,201 nodes; 40,401 refined (8.2e8 pairs)
+    {"kind": "averaging", "spacing": 0.01, "refine": False},  # 40,401 nodes
+    {"kind": "averaging", "p": 2.0, "spacing": 0.004},  # FFT route: 1,002,001 nodes refined
+], ids=["seminorm-1e-3", "averaging-0.02", "averaging-0.01-unrefined", "averaging-p-2-0.004"])
+def test_grid_budget_admits(entry):
+    validate_config({"experiments": [entry]})
+
+
+def test_grid_budget_counts_pairs_and_fft_nodes():
+    grid = harness.map_grid("identity2d", 0.005)  # 160,801 nodes, 1.29e10 pairs
+    with pytest.raises(BudgetError, match=r"grid of 1\.61e\+5 nodes sums 1\.29e\+10 pairs"):
+        check_grid_budget(grid, FractionalParams(s=0.4, p=1.5), planned=True)
+    check_grid_budget(grid, FractionalParams(s=0.4, p=2.0), planned=True)
+    with pytest.raises(BudgetError, match="pairs"):  # unplanned at p = 2: the pair route
+        check_grid_budget(grid, FractionalParams(s=0.4, p=2.0))
+    big = harness.map_grid("identity2d", 0.0008)  # 2,501^2 = 6,255,001 nodes
+    with pytest.raises(BudgetError, match=r"grid of 6\.26e\+6 nodes > budget 4\.00e\+6"):
+        check_grid_budget(big, FractionalParams(s=0.4, p=2.0), planned=True)
 
 
 @pytest.mark.parametrize("entry", BAD_OPTIONS.values(), ids=list(BAD_OPTIONS))
@@ -438,3 +490,23 @@ def test_cli_csv_has_no_numpy_reprs(tmp_path, monkeypatch, argv):
     assert csvs
     for path in csvs:
         assert "np.float64(" not in path.read_text(), path.name
+
+
+def test_compare_reports_names_every_difference(tmp_path, capsys, compare_reports):
+    a, b = tmp_path / "a", tmp_path / "b"
+    for d, stamp in ((a, "1"), (b, "2")):
+        d.mkdir()
+        (d / "r.json").write_text('{\n  "timestamp": "%s",\n  "value": 1.5\n}\n' % stamp)
+        (d / "r.csv").write_text("n,upper\n1,2.5\n")
+    assert compare_reports.differing_files(a, b) == []
+    assert compare_reports.main([str(a), str(b)]) == 0
+    (b / "r.csv").write_text("n,upper\n1,2.6\n")
+    (b / "extra.svg").write_text("<svg/>")
+    (a / "r.json").write_text('{\n  "timestamp": "1",\n  "value": 1.25\n}\n')
+    for d, stamp in ((a, "1"), (b, "2")):  # outside JSON a timestamp line counts
+        (d / "r.svg").write_text('<svg>\n"timestamp": "%s"\n</svg>\n' % stamp)
+    differ = ["extra.svg", "r.csv", "r.json", "r.svg"]
+    assert compare_reports.differing_files(a, b) == differ
+    capsys.readouterr()
+    assert compare_reports.main([str(a), str(b)]) == 1
+    assert capsys.readouterr().out.split() == differ

@@ -5,8 +5,10 @@ from hypothesis import strategies as st
 
 from splab.energy import FractionalParams, Region, gagliardo_energy
 from splab.errors import DegenerateShiftError
-from splab.grid import make_grid, sample_map
+from splab.grid import Box, make_grid, sample_map
 from splab.sphere import (
+    DEGENERATE_HIT_FRACTION,
+    SINGULAR_EXCLUSION_RADIUS,
     ShiftPoint,
     restricted_diffeo_check,
     shifted_projection,
@@ -96,16 +98,61 @@ def test_shifted_unit_values_fills_buffer_and_reports_hits():
     g = make_grid(2, [[-1.0, -1.0], [1.0, 1.0]], 0.1)  # 441 nodes: one hit is under 1%
     u = sample_map(g, lambda x: x, g.box, (0.0, 0.0))
     a = u.values[7].copy()
-    out = np.full_like(u.values, np.nan)
-    nodes, dist = shifted_unit_values(u, a, out)
-    assert nodes.tolist() == [7] and dist.tolist() == [0.0]
-    assert out[7].tolist() == [1.0, 0.0]
+    out = np.full((1,) + u.values.shape, np.nan)
+    hits, degenerate = shifted_unit_values(u, [a], out)
+    nodes = np.flatnonzero(hits[0])
+    assert nodes.tolist() == [7] and not degenerate[0]
+    assert np.linalg.norm(u.values[nodes] - a, axis=1).tolist() == [0.0]
+    assert out[0, 7].tolist() == [1.0, 0.0]
     keep = np.arange(g.node_count) != 7
     diff = u.values[keep] - a
-    assert np.allclose(out[keep], diff / np.linalg.norm(diff, axis=1)[:, None], rtol=0, atol=1e-15)
+    expected = diff / np.linalg.norm(diff, axis=1)[:, None]
+    assert np.allclose(out[0, keep], expected, rtol=0, atol=1e-15)
     flat = sample_map(g, lambda x: np.zeros((x.shape[0], 2)), g.box, (0.0, 0.0))
+    assert shifted_unit_values(flat, [(0.0, 0.0)], out)[1].tolist() == [True]
     with pytest.raises(DegenerateShiftError):
-        shifted_unit_values(flat, (0.0, 0.0), out)
+        shifted_projection(flat, ShiftPoint((0.0, 0.0)))
+
+
+def shifted_unit_values_reference(u, a):
+    """One shift at a time: (projected values, hit mask, degenerate flag)."""
+    out = np.empty_like(u.values)
+    hits = unit_values(u.values, np.asarray(a, dtype=float), out)
+    on_constant = np.linalg.norm(np.asarray(u.constant) - a) <= SINGULAR_EXCLUSION_RADIUS
+    outside = not u.support.contains_box(u.grid.box)
+    return out, hits, bool(hits.sum() > DEGENERATE_HIT_FRACTION * u.grid.node_count
+                           or (on_constant and outside))
+
+
+def test_stacked_shifted_unit_values_equal_per_shift():
+    # a curve on 201 nodes: a plateau at (0.5, 0.5) on x < 0.2 (20 nodes), the
+    # outer constant (3, 3) at the one node x = 2 outside the support
+    g = make_grid(1, [0.0, 2.0], 0.01)
+
+    def f(x):
+        curve = np.column_stack([np.cos(x[:, 0]), np.sin(x[:, 0])])
+        return np.where(x[:, :1] < 0.2, 0.5, curve)
+
+    u = sample_map(g, f, Box((0.0,), (1.995,)), (3.0, 3.0))
+    rng = np.random.default_rng(4)
+    shifts = np.vstack([rng.normal(size=(3, 2)), u.values[100], [0.5, 0.5], [3.0, 3.0],
+                        u.values[150], rng.normal(size=(2, 2))])
+    out = np.full((len(shifts),) + u.values.shape, np.nan)
+    hits, degenerate = shifted_unit_values(u, shifts, out)
+    expected = [shifted_unit_values_reference(u, a) for a in shifts]
+    assert np.array_equal(out, np.stack([e[0] for e in expected]))
+    assert np.array_equal(hits, np.stack([e[1] for e in expected]))
+    assert degenerate.tolist() == [e[2] for e in expected]
+    # the node values hit once; the plateau and the outer constant are degenerate
+    assert hits.sum(axis=1).tolist() == [0, 0, 0, 1, 20, 1, 1, 0, 0]
+    assert degenerate.tolist() == [False] * 4 + [True, True] + [False] * 3
+    with pytest.raises(DegenerateShiftError, match="hits the singular set at 20 of 201 nodes"):
+        shifted_projection(u, ShiftPoint((0.5, 0.5)))
+    with pytest.raises(DegenerateShiftError, match="coincides with the outer constant"):
+        shifted_projection(u, ShiftPoint((3.0, 3.0)))
+    proj, singular = shifted_projection(u, ShiftPoint(tuple(u.values[150])))
+    assert [(h.node, h.distance) for h in singular] == [(150, 0.0)]
+    assert np.array_equal(proj.values, out[6])
 
 
 def test_shifted_identity_divergence_at_large_sp():
