@@ -93,7 +93,7 @@ class Grid:
             raise ConfigurationError(f"spacing must be positive, got {self.spacing}")
         shape = []
         for side in self.box.sides:
-            ratio = side / self.spacing
+            ratio = float(side) / self.spacing  # a float: inf, not a warning, on overflow
             if not math.isfinite(ratio):
                 raise ConfigurationError(f"box side {side} over spacing {self.spacing} overflows")
             snapped = round(ratio)
