@@ -46,6 +46,7 @@ INDICATOR_TRUNCATED = 10.914604076867487  # closed form on [-2, 3]
 SELFTEST_SAMPLES = 100_000
 SELFTEST_INNER_RADIUS = 0.5
 SHIFT_CHUNK = 64  # shifts per stacked EnergyPlan call; each call computes its kernel once
+SHIFT_CHUNK_ELEMENTS = 2**21  # values of one shift stack (16 MB); bounds its projection temporaries
 
 _CALIBRATION_CACHE: dict = {}
 
@@ -185,11 +186,12 @@ def _averaging_core(cfg: AveragingConfig, workers: int = 1) -> dict:
     base = plan.energy(u).value
     rng = np.random.default_rng(cfg.seed)
     shifts = _uniform_ball_2d(rng, cfg.n_mc, cfg.alpha)
-    buffer = np.empty((min(SHIFT_CHUNK, cfg.n_mc),) + u.values.shape)
+    size = max(1, min(SHIFT_CHUNK, SHIFT_CHUNK_ELEMENTS // u.values.size, cfg.n_mc))
+    buffer = np.empty((size,) + u.values.shape)
     energies = []
     degenerate = 0
-    for c0 in range(0, cfg.n_mc, SHIFT_CHUNK):
-        chunk = shifts[c0:c0 + SHIFT_CHUNK]
+    for c0 in range(0, cfg.n_mc, size):
+        chunk = shifts[c0:c0 + size]
         stack = buffer[:len(chunk)]
         hits, bad = shifted_unit_values(u, chunk, stack)
         degenerate += int(bad.sum())

@@ -77,22 +77,21 @@ def shifted_projection(u: SampledMap, shift: ShiftPoint) -> tuple[SampledMap, li
 
     Hit nodes keep a placeholder unit value and are reported; callers must
     drop them from energy regions.  A degenerate shift (see
-    ``shifted_unit_values``) fails.  The averaging projects its shift
-    stacks through ``shifted_unit_values`` instead; this map-level form is
-    kept because the perfbench tracer counts its calls and hits.
+    ``shifted_unit_values``) fails, naming the outer constant if it is one,
+    else its hit count.  The averaging projects its shift stacks through
+    ``shifted_unit_values`` instead; this map-level form is kept because
+    the perfbench tracer counts its calls and hits.
     """
     out = np.empty((1,) + u.values.shape)
     hits, degenerate = shifted_unit_values(u, [shift.a], out)
     nodes = np.flatnonzero(hits[0])
-    if nodes.size > DEGENERATE_HIT_FRACTION * u.grid.node_count:
-        raise DegenerateShiftError(
-            f"shift {shift.a} hits the singular set at {nodes.size} of {u.grid.node_count} nodes"
-        )
-    if degenerate[0]:
-        raise DegenerateShiftError(f"shift {shift.a} coincides with the outer constant of u")
-    dist = np.linalg.norm(u.values[nodes] - shift.a, axis=1)
     const = np.asarray(u.constant) - np.asarray(shift.a)
     rc = float(np.linalg.norm(const))
+    if degenerate[0]:
+        why = ("coincides with the outer constant of u" if rc <= SINGULAR_EXCLUSION_RADIUS
+               else f"hits the singular set at {nodes.size} of {u.grid.node_count} nodes")
+        raise DegenerateShiftError(f"shift {shift.a} {why}")
+    dist = np.linalg.norm(u.values[nodes] - shift.a, axis=1)
     proj_const = tuple(np.eye(u.nu)[0]) if rc <= SINGULAR_EXCLUSION_RADIUS else tuple(const / rc)
     projected = SampledMap(u.grid, out[0], u.nu, u.grid.box, proj_const)
     return projected, [SingularHit(int(i), float(d)) for i, d in zip(nodes, dist)]

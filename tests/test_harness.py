@@ -18,7 +18,7 @@ from splab.harness import (
     threshold_scan,
     threshold_verdict,
 )
-from splab.sphere import ShiftPoint, shifted_projection, unit_values
+from splab.sphere import ShiftPoint, shifted_projection, shifted_unit_values, unit_values
 
 H16 = 3.3807289932289937
 
@@ -137,6 +137,26 @@ def test_averaging_core_equals_per_shift_loop(monkeypatch, p, fraction):
     edges = np.geomspace(max(out["mean_projected_energy"] * 1e-3, 1e-12),
                          out["mean_projected_energy"] * 1e3, 13)
     assert out["tail_histogram"] == np.histogram(energies, bins=edges)[0].tolist()
+
+
+@pytest.mark.parametrize("p", [1.5, 2.0])
+def test_averaging_core_caps_its_shift_stack(monkeypatch, p):
+    # an element budget of 30 shifts: 100 shifts project in chunks of 30, 30, 30, 10
+    cfg = AveragingConfig(params=FractionalParams(s=0.4, p=p), spacing=0.1, n_mc=100, seed=5)
+    budget = 30 * identity_map_2d(cfg.spacing).values.size + 1
+    shapes = []
+
+    def recording(u, shifts, out):
+        shapes.append(out.shape[0])
+        return shifted_unit_values(u, shifts, out)
+
+    monkeypatch.setattr(harness, "SHIFT_CHUNK_ELEMENTS", budget)
+    monkeypatch.setattr(harness, "shifted_unit_values", recording)
+    energies, degenerate = averaging_reference(cfg)
+    out = harness._averaging_core(cfg)
+    assert shapes == [30, 30, 30, 10]
+    assert out["degenerate_shifts"] == degenerate == 0
+    assert out["mean_projected_energy"] == float(np.mean(energies))
 
 
 def test_cone_distance_sum_harmonic():
