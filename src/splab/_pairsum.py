@@ -26,7 +26,11 @@ When the values are a function of a class label with few classes,
 of classes, and ``class_pair_sum`` gives the pair sum of any such value
 set from C^2 / 2 numerators.  ``cell_lattice_kernel`` gives the kernel
 between the points of a lattice of congruent cells by their index
-difference.
+difference.  When two labelled point sets lie on one lattice,
+``LatticeCounts`` counts their label pairs at each index difference
+once, by an FFT correlation rounded to integers, and gives their class
+matrix at any integer translation from one kernel value per difference
+(``lattice_index`` recovers the indices from coordinates).
 
 An optional integer group id per point supports composite quadratures:
 pairs within the same nonnegative group are excluded (they are accounted
@@ -50,6 +54,7 @@ DEFAULT_BLOCK = 512
 LATTICE_CHUNK = 32  # displacements per block of cell_lattice_kernel
 TILE_CHUNK = 1024  # tiles per thread pool of the walk (their results are held at once)
 CLASS_TERMS = 2**16  # terms per term array of a stacked class_pair_sum
+LATTICE_TOLERANCE = 1e-9  # steps a point of `lattice_index` may lie off its lattice node
 
 
 def tree_reduce(values, empty=0.0):
@@ -71,11 +76,15 @@ def tree_reduce(values, empty=0.0):
     return total
 
 
-def _slab_tiles(a0: int, n: int, block: int) -> list[tuple[int, int, int, int]]:
-    """(row start, row stop, column start, column stop) of the tiles of row slab a0."""
+def _slab_tiles(a0: int, n: int, block: int, a1: int | None = None) -> list[tuple[int, int, int, int]]:
+    """(row start, row stop, column start, column stop) of the tiles of row slab [a0, a1).
+
+    The slab stops ``TILE_ROWS`` rows on unless ``a1`` is given.
+    """
     if block < 1:
         raise ValueError(f"block must be >= 1, got {block}")
-    return [(a0, min(a0 + TILE_ROWS, n), b0, min(b0 + block, n)) for b0 in range(a0, n, block)]
+    a1 = min(a0 + TILE_ROWS, n) if a1 is None else a1
+    return [(a0, a1, b0, min(b0 + block, n)) for b0 in range(a0, n, block)]
 
 
 def _as_values(values: NDArray) -> NDArray:
@@ -155,17 +164,19 @@ def _map_tiles(fn, tiles: list, block: int, workers: int) -> list:
     return out
 
 
-def _walk(geo: _Geometry, task, block: int, workers: int):
+def _walk(geo: _Geometry, task, block: int, workers: int, starts=None):
     """Yield task(tile, scratch) for each tile not inside one nonnegative group, in tile order.
 
+    The row slabs start at ``starts`` (default: every ``TILE_ROWS`` rows).
     The tiles are listed one row slab at a time and mapped ``TILE_CHUNK``
     per thread pool, so the tile list is never held whole.
     """
     run_end = None if geo.g is None else _run_ends(geo.g[:, None])
+    starts = list(range(0, geo.n, TILE_ROWS) if starts is None else starts)
 
     def tiles():
-        for a0 in range(0, geo.n, TILE_ROWS):
-            slab = _slab_tiles(a0, geo.n, block)
+        for a0, a1 in zip(starts, starts[1:] + [geo.n]):
+            slab = _slab_tiles(a0, geo.n, block, a1)
             yield from itertools.compress(slab, ~_one_group_tiles(geo.g, slab, run_end))
 
     walk = tiles()
@@ -310,10 +321,14 @@ def class_kernel(
 
         pair_kernel_sum = sum_{c < c'} K[c, c'] |V_c - V_c'|^p   (`class_pair_sum`).
 
-    The points are first put in (group, label) order, which leaves the
-    pair set unchanged, keeps each group in one run and lays the labels in
-    runs, so the rows and the columns of a tile meet only a few classes.
-    The tiles come from the walk of `pair_kernel_sum`.  Each tile's kernel
+    The points are first put in (group, label) order, the groups from the
+    smallest, which leaves the pair set unchanged, keeps each group in one
+    run and lays the labels in runs, so the rows and the columns of a tile
+    meet only a few classes.  The tiles come from the walk of
+    `pair_kernel_sum`, with row slabs that stop at each group's end: the
+    rows of a small group meet the large group in slabs of their own, and
+    the slabs of the largest group, the last, meet only itself (skipped
+    when it is a nonnegative group).  Each tile's kernel
     is summed over its blocks of one row run and one column run
     (`_run_sums`), so what a tile does while holding the GIL is a few small
     calls, not a pass over its pairs.  The partials are binned into (C, C)
@@ -322,12 +337,21 @@ def class_kernel(
     """
     lab = np.ascontiguousarray(labels, dtype=np.int64).ravel()
     count = int(lab.max()) + 1 if lab.size else 0
-    order = np.argsort(lab, kind="stable") if groups is None else np.lexsort((lab, groups))
+    if groups is None:
+        order, sizes = np.argsort(lab, kind="stable"), np.array([lab.size])
+    else:
+        ids, inverse, sizes = np.unique(groups, return_inverse=True, return_counts=True)
+        by_size = np.lexsort((ids, sizes))
+        order = np.lexsort((lab, np.argsort(by_size)[inverse.ravel()]))
+        sizes = sizes[by_size]
     w = weights if np.isscalar(weights) else np.asarray(weights, dtype=float)[order]
     geo = _Geometry(np.asarray(points, dtype=float)[order], q, w,
                     None if groups is None else np.asarray(groups)[order])
     lab = lab[order]
     run_starts = np.flatnonzero(lab[1:] != lab[:-1]) + 1
+    # row slabs of at most TILE_ROWS rows that stop at each group's end
+    ends = np.cumsum(sizes)
+    starts = [a for g0, g1 in zip(ends - sizes, ends) for a in range(g0, g1, TILE_ROWS)]
 
     def partial(tile, scratch):
         a0, a1, b0, b1 = tile
@@ -337,7 +361,7 @@ def class_kernel(
         return lab[rows], lab[cols], sums
 
     parts = (class_bins(rows, cols, sums, count)
-             for rows, cols, sums in _walk(geo, partial, block, workers))
+             for rows, cols, sums in _walk(geo, partial, block, workers, starts))
     return symmetric(tree_reduce(parts, np.zeros((count, count))))
 
 
@@ -432,3 +456,117 @@ def cell_lattice_kernel(offsets: NDArray, q: float, weight: float, width: float,
             yield count[c0:c1] @ kern.reshape(kern.shape[0], -1)
 
     return weight * weight * tree_reduce(chunks(), np.zeros(size * size)).reshape(size, size)
+
+
+def _fft_size(n: int) -> int:
+    """The smallest 2^i 3^j 5^k >= n: a length the FFT transforms without a prime-length pass."""
+    while True:
+        rest = n
+        for f in (2, 3, 5):
+            while rest % f == 0:
+                rest //= f
+        if rest == 1:
+            return n
+        n += 1
+
+
+def lattice_index(points: NDArray, spacing: float) -> tuple[NDArray, NDArray]:
+    """Integer indices and the common sub-step offset of points on one lattice.
+
+    Point i lies at spacing (index[i] + offset), with the offset (in steps,
+    one per axis) read from the first point.  ValueError when a point lies
+    more than ``LATTICE_TOLERANCE`` steps off that lattice.
+    """
+    steps = np.asarray(points, dtype=float) / spacing
+    offset = steps[0] - np.rint(steps[0])
+    index = np.rint(steps - offset)
+    off = np.max(np.abs(steps - offset - index), initial=0.0)
+    if off > LATTICE_TOLERANCE:
+        raise ValueError(f"points lie {off:.3g} steps off the lattice of spacing {spacing!r}")
+    return index.astype(np.int64), offset
+
+
+class LatticeCounts:
+    """Label pairs between two labelled index sets of one lattice, counted by index difference.
+
+    C[E, a, b] is the number of pairs (i of A with label a, j of B with
+    label b) whose indices differ by j - i = E.  The counts come from one
+    FFT correlation of the sets' one-hot label grids, rounded to integers;
+    ValueError if any lies more than 0.25 from an integer.  They are held
+    as float32, exact below 2^24.  From them, `kernels` gives the class
+    matrix of the pairs of A and B moved apart by any integer translation
+    T, from one kernel value per E instead of one per pair.
+    """
+
+    def __init__(self, a: NDArray, labels_a: NDArray, b: NDArray, labels_b: NDArray):
+        a, b = (np.asarray(x, dtype=np.int64) for x in (a, b))
+        labels_a, labels_b = (np.asarray(x).ravel() for x in (labels_a, labels_b))
+        if min(a.shape[0], b.shape[0]) >= 2**24:
+            raise ValueError("lattice pair counts are exact for sets of fewer than 2^24 points")
+        lo_a, lo_b = a.min(axis=0), b.min(axis=0)
+        size_b = b.max(axis=0) - lo_b + 1
+        pad = tuple(_fft_size(n) for n in a.max(axis=0) - lo_a + size_b)
+        self.rows, self.cols = np.unique(labels_a), np.unique(labels_b)
+        self.shape = (int(self.rows[-1]) + 1, int(self.cols[-1]) + 1)
+
+        def spectrum(index, labels, label):
+            """rfftn of the one-hot grid of one label of a set."""
+            grid = np.zeros(pad)
+            np.add.at(grid, tuple(index[labels == label].T), 1.0)
+            return np.fft.rfftn(grid)
+
+        spec_b = np.stack([spectrum(b - lo_b, labels_b, label) for label in self.cols])
+        self.counts = np.empty((math.prod(pad), self.rows.size, self.cols.size), dtype=np.float32)
+        off = 0.0
+        for row, label in enumerate(self.rows):  # one label of A at a time bounds the work arrays
+            # corr[b, E] = sum_x G_a(x) G_b(x + E), E taken modulo pad
+            corr = np.fft.irfftn(np.conj(spectrum(a - lo_a, labels_a, label)) * spec_b, s=pad,
+                                 axes=tuple(range(1, len(pad) + 1)))
+            counts = np.rint(corr)
+            off = max(off, float(np.max(np.abs(corr - counts))))
+            self.counts[:, row] = counts.reshape(self.cols.size, -1).T
+        if off > 0.25:
+            raise ValueError(f"lattice pair counts lie {off:.3g} from an integer")
+        self.counts = self.counts.reshape(math.prod(pad), -1)
+        disp = np.stack(np.meshgrid(*map(np.arange, pad), indexing="ij"), axis=-1).reshape(-1, len(pad))
+        self.disp = np.where(disp >= size_b, disp - pad, disp) + (lo_b - lo_a)
+
+    def _sums(self, disp: NDArray, counts: NDArray, q: float, spacing: float, offset) -> NDArray:
+        """sum_E C[E] |spacing E + offset|^-q over the rows given, coincident pairs left out.
+
+        Pairs closer than twice ``LATTICE_TOLERANCE`` steps count as coincident.
+        """
+        sep = spacing * disp + offset
+        r2 = np.einsum("ei,ei->e", sep, sep)
+        kern = np.zeros_like(r2)
+        np.power(r2, -0.5 * q, out=kern, where=r2 > (2 * LATTICE_TOLERANCE * spacing) ** 2)
+        # einsum casts the float32 counts in buffered chunks, never the whole table at once
+        return np.einsum("e,ek->k", kern, counts).reshape(self.rows.size, self.cols.size)
+
+    def kernels(self, q: float, spacing: float, shifts, offset=0.0, weight: float = 1.0) -> NDArray:
+        """(T, Ca, Cb) class matrices weight sum_E C[E] |spacing (E + T) + offset|^-q.
+
+        Entry [t, a, b] is the kernel over the pairs of A and of B moved by
+        shifts[t], as `class_kernel` sums it: ``weight`` is w_A w_B, labels
+        run over [0, max + 1) of each set, coincident pairs are left out.
+        """
+        shifts = np.asarray(shifts, dtype=np.int64).reshape(-1, self.disp.shape[1])
+        out = np.zeros((shifts.shape[0],) + self.shape)
+        for t, shift in enumerate(shifts):
+            out[t][np.ix_(self.rows, self.cols)] = weight * self._sums(
+                self.disp + shift, self.counts, q, spacing, offset)
+        return out
+
+    def within(self, q: float, spacing: float, weight: float = 1.0) -> NDArray:
+        """(C, C) class matrix of the unordered pairs of distinct points, for A = B.
+
+        Pairs at E and at -E are the same pairs, so the sum runs over the
+        E whose first nonzero entry is positive and is made symmetric with
+        its diagonal kept once, as in `class_kernel`.
+        """
+        first = self.disp[np.arange(self.disp.shape[0]), np.argmax(self.disp != 0, axis=1)]
+        half = first > 0
+        out = np.zeros(self.shape)
+        out[np.ix_(self.rows, self.cols)] = weight * self._sums(
+            self.disp[half], self.counts[half], q, spacing, 0.0)
+        return symmetric(out)

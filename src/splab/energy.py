@@ -8,6 +8,7 @@ or a slope, so the choice is immaterial.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 from decimal import Decimal
 
@@ -109,9 +110,17 @@ def check_pair_sum(params: FractionalParams) -> None:
         raise WrongSchemeError(f"the pair-sum quadrature needs 0 < s < 1, got s = {params.s}")
 
 
-def _count(n: int) -> str:
-    """An integer to 3 significant digits (its float overflows past 1e308)."""
-    return format(Decimal(n), ".3g")
+def _count(n: int, digits: int = 3) -> str:
+    """An integer to ``digits`` significant digits (its float overflows past 1e308)."""
+    return format(Decimal(n), f".{digits}g")
+
+
+def _over(count: int, budget: int) -> tuple[str, str]:
+    """A count and its budget, to 3 significant digits or to the first precision that tells them apart."""
+    digits = 3
+    while _count(count, digits) == _count(budget, digits) and digits < len(str(max(count, budget))):
+        digits += 1
+    return _count(count, digits), _count(budget, digits)
 
 
 def _convolves(params: FractionalParams) -> bool:
@@ -129,10 +138,11 @@ def check_grid_budget(grid: Grid, params: FractionalParams, planned: bool = Fals
     n = grid.node_count
     if planned and _convolves(params):
         if n > DEFAULT_NODE_BUDGET:
-            raise BudgetError(f"grid of {_count(n)} nodes > budget {_count(DEFAULT_NODE_BUDGET)}")
+            shown, budget = _over(n, DEFAULT_NODE_BUDGET)
+            raise BudgetError(f"grid of {shown} nodes > budget {budget}")
     elif n * (n - 1) // 2 > PAIR_BUDGET:
-        raise BudgetError(f"grid of {_count(n)} nodes sums {_count(n * (n - 1) // 2)} pairs > "
-                          f"budget {_count(PAIR_BUDGET)}")
+        shown, budget = _over(n * (n - 1) // 2, PAIR_BUDGET)
+        raise BudgetError(f"grid of {_count(n)} nodes sums {shown} pairs > budget {budget}")
 
 
 def _pair_setup(grid: Grid, params: FractionalParams, region: Region | None):
@@ -188,11 +198,15 @@ class _ConvolutionSum:
         self.shape = grid.shape
         self.pad = tuple(2 * n for n in self.shape)
         self.axes = tuple(range(-grid.dim, 0))
-        offsets = np.meshgrid(*(np.fft.fftfreq(n, 1.0 / n) for n in self.pad), indexing="ij")
-        r2 = grid.spacing**2 * sum(d * d for d in offsets)
-        kern = np.zeros(self.pad)
-        np.power(r2, -0.5 * q, out=kern, where=r2 > 0)
-        self.kernel_hat = np.fft.rfftn(kern)
+        # |d|^2 summed axis by axis from the 1D squares, then h^2 |d|^2 raised to -q/2 in place
+        # (0 stays 0 at d = 0): one padded array and the transform are all the set-up holds
+        squares = [d * d for d in (np.fft.fftfreq(n, 1.0 / n) for n in self.pad)]
+        r2 = functools.reduce(np.add.outer, squares)
+        r2 *= grid.spacing**2
+        np.power(r2, -0.5 * q, out=r2, where=r2 > 0)
+        self.kernel_hat = np.empty(self.pad[:-1] + (self.pad[-1] // 2 + 1,), dtype=complex)
+        np.fft.rfftn(r2, out=self.kernel_hat)
+        del r2
         self.mask = mask
         self.k_mask = self._convolve(mask.astype(float))
 
@@ -200,7 +214,9 @@ class _ConvolutionSum:
         """K * f on the grid for (..., node_count) arrays f."""
         spec = np.fft.rfftn(f.reshape(f.shape[:-1] + self.shape), s=self.pad, axes=self.axes)
         spec *= self.kernel_hat
-        conv = np.fft.irfftn(spec, s=self.pad, axes=self.axes)
+        for axis in self.axes[:-1]:  # the passes of irfftn, the complex ones in place
+            spec = np.fft.ifft(spec, axis=axis, out=spec)
+        conv = np.fft.irfft(spec, n=self.pad[-1], axis=-1)
         return conv[(...,) + tuple(slice(0, n) for n in self.shape)].reshape(f.shape)
 
     def sums(self, stack: NDArray, hits: NDArray | None) -> NDArray:

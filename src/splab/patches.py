@@ -23,16 +23,18 @@ import numpy as np
 from numpy.typing import NDArray
 
 from ._pairsum import (
+    LatticeCounts,
     cell_lattice_kernel,
     class_bins,
     class_kernel,
     class_pair_sum,
     half_lattice,
+    lattice_index,
     pair_kernel_sum,
     symmetric,
 )
 from .chords import COS_CONE_BOUND, chords_vectorized
-from .energy import DEFAULT_NODE_BUDGET, PAIR_BUDGET, FractionalParams, _count
+from .energy import DEFAULT_NODE_BUDGET, PAIR_BUDGET, FractionalParams, _count, _over
 from .errors import BudgetError, ConfigurationError
 from .grid import Placement
 from .sphere import unit_values
@@ -188,10 +190,8 @@ def check_layer_table(n: int) -> None:
     """BudgetError unless the 5 (2^(n+1) - 1)^2 entries of the `layer_lowers` table fit (n <= 11)."""
     entries = 5 * (2 ** (n + 1) - 1) ** 2
     if entries > LAYER_TABLE_BUDGET:
-        raise BudgetError(
-            f"lower-bound table at n = {n} holds {_count(entries)} entries > budget "
-            f"{_count(LAYER_TABLE_BUDGET)}"
-        )
+        shown, budget = _over(entries, LAYER_TABLE_BUDGET)
+        raise BudgetError(f"lower-bound table at n = {n} holds {shown} entries > budget {budget}")
 
 
 def _stencil_offsets(layer: LayerSpec) -> NDArray:
@@ -257,6 +257,7 @@ class PatchModel:
         self.layer_scheme = f"offset class kernels kernel_exp={self._kernel_exp!r}"
         self._memo: dict = {}
         self._class_memo: dict = {}
+        self._counts: tuple = (None, None)  # the last `LatticeCounts` and its key
 
     # -- frame-level constants ------------------------------------------------
 
@@ -319,20 +320,21 @@ class PatchModel:
         """BudgetError unless the patch cloud of cluster count k fits the node budget."""
         size = self._cloud_size(k)
         if size > DEFAULT_NODE_BUDGET:
-            raise BudgetError(
-                f"patch cloud of {_count(size)} points > budget {_count(DEFAULT_NODE_BUDGET)} "
-                f"(cluster count {_count(k)}); use compositional accounting instead"
-            )
+            shown, budget = _over(size, DEFAULT_NODE_BUDGET)
+            raise BudgetError(f"patch cloud of {shown} points > budget {budget} (cluster count "
+                              f"{_count(k)}); use compositional accounting instead")
 
     def _class_cloud(self, k: int) -> tuple[NDArray, NDArray, NDArray, NDArray, NDArray]:
         """(collar, g) of each value class, and the points, labels, weights and groups of the patch cloud.
 
         The cell points of cluster count k come first, all in group 0, then
-        the background in group -1.  A patch value is collar(x) c + A g(x) e1,
-        so points with equal (collar, g) carry equal values for every spec of
-        this k.  A cell point takes the class of its offset: the block lies
-        inside the plateau, where `collar_factor` is exactly 1, so every cell
-        holds the frame profile at its offsets scaled by 1/mu.
+        the background in group 1, so `class_kernel` of the cloud evaluates
+        the pairs between a cell and the background alone.  A patch value is
+        collar(x) c + A g(x) e1, so points with equal (collar, g) carry equal
+        values for every spec of this k.  A cell point takes the class of its
+        offset: the block lies inside the plateau, where `collar_factor` is
+        exactly 1, so every cell holds the frame profile at its offsets
+        scaled by 1/mu.
         """
         self._check_cloud_size(k)
         centers, offs, cell_w = self._cell_lattice(k)
@@ -350,21 +352,26 @@ class PatchModel:
             np.concatenate([(centers[:, None, :] + offs).reshape(-1, 2), bg]),
             np.concatenate([np.tile(cell_labels, centers.shape[0]), bg_labels]),
             np.repeat([cell_w, bg_w], sizes),
-            np.repeat([0, -1], sizes),
+            np.repeat([0, 1], sizes),
         )
 
     def _classes(self, k: int) -> tuple[NDArray, NDArray, NDArray]:
         """Collar factor and cluster profile of each class of `_class_cloud`, and their class matrix.
 
         The symmetric matrix holds all pairs that do not lie in one cell:
-        `class_kernel` evaluates the pairs that touch the background, and
+        `class_kernel` evaluates the pairs between a cell and the background,
+        `_background_kernel` the pairs within the background, and
         `cell_lattice_kernel`, scattered onto the cells' classes, the pairs
         that join two cells.  Built once per k.
         """
         if k not in self._class_memo:
-            classes, pts, labels, weights, groups = self._class_cloud(k)
+            cloud = self._class_cloud(k)
+            classes, pts, labels, weights, groups = cloud
             kern = class_kernel(pts, labels, self._kernel_exp, weights=weights, groups=groups,
                                 workers=self.workers)
+            bg = groups == 1
+            within = self._background_kernel(cloud, pts[bg], labels[bg], weights[bg], within=True)
+            kern[:within.shape[0], :within.shape[0]] += within
             _, offs, cell_w = self._cell_lattice(k)
             cell_labels = labels[:offs.shape[0]]
             lattice = cell_lattice_kernel(offs, self._kernel_exp, cell_w, 2 * BLOCK_HALFWIDTH / k, k)
@@ -373,21 +380,71 @@ class PatchModel:
         return self._class_memo[k]
 
     def _cross_kernel(self, cloud: tuple, points: NDArray, labels: NDArray, weights) -> NDArray:
-        """`class_kernel` of the pairs between a patch cloud P and another labelled cloud Q.
+        """Class matrix of the pairs between a patch cloud P and another labelled cloud Q.
 
         ``cloud`` is `_class_cloud` of P, with C classes; Q is ``points`` in
         P's frame units with ``labels`` from 0 and ``weights`` (per point or
-        one).  P is group 1 with its labels, Q group 0 with its labels moved
-        up by C: only the pairs between P and Q are live, and Q comes first,
-        so the walk skips P's row slabs whole.  For class values V of P and W
-        of Q, `class_pair_sum` of the matrix and [V; W] is their pair sum in
-        frame units.
+        one).  Q is either P moved by a lattice vector, its cells first as in
+        P, or background points alone.  P's labels keep their numbers and Q's
+        move up by C, so for class values V of P and W of Q, `class_pair_sum`
+        of the matrix and [V; W] is their pair sum in frame units.  The pairs
+        that touch a cell point come from `class_kernel` (P's cells with all
+        of Q, P's background with Q's cells), the pairs of the two
+        backgrounds from `_background_kernel`.
         """
-        classes, pts, cloud_labels, cloud_weights, _ = cloud
-        weights = np.concatenate([np.broadcast_to(weights, labels.shape), cloud_weights])
-        groups = np.repeat([0, 1], [labels.shape[0], pts.shape[0]])
-        return class_kernel(np.concatenate([points, pts]), np.concatenate([labels + classes.shape[0], cloud_labels]),
-                            self._kernel_exp, weights=weights, groups=groups, workers=self.workers)
+        classes, pts, cloud_labels, cloud_weights, groups = cloud
+        count = classes.shape[0]
+        weights = np.broadcast_to(weights, labels.shape)
+        cells = groups == 0
+        q_cells = cells if points.shape[0] == pts.shape[0] else np.zeros(labels.shape, dtype=bool)
+        size = count + int(labels.max()) + 1
+        kern = np.zeros((size, size))
+        for p_part, q_part in ((cells, np.ones_like(q_cells)), (~cells, q_cells)):
+            sizes = [np.count_nonzero(q_part), np.count_nonzero(p_part)]
+            if sizes[0]:
+                part = class_kernel(np.concatenate([points[q_part], pts[p_part]]),
+                                    np.concatenate([labels[q_part] + count, cloud_labels[p_part]]),
+                                    self._kernel_exp,
+                                    weights=np.concatenate([weights[q_part], cloud_weights[p_part]]),
+                                    groups=np.repeat([0, 1], sizes),
+                                    workers=self.workers)
+                kern[:part.shape[0], :part.shape[0]] += part
+        bg = self._background_kernel(cloud, points[~q_cells], labels[~q_cells], weights[~q_cells])
+        kern[:bg.shape[0], count:count + bg.shape[1]] += bg
+        kern[count:count + bg.shape[1], :bg.shape[0]] += bg.T
+        return kern
+
+    def _background_kernel(self, cloud: tuple, points: NDArray, labels: NDArray, weights: NDArray,
+                           within: bool = False) -> NDArray:
+        """(C_P, C_Q) kernel of the pairs between the background of a patch cloud P and background points Q.
+
+        Q (frame units, one weight) lies on P's background lattice of spacing
+        ``COARSE_SPACING``, or on it moved by a fixed sub-step: the outer
+        background sits on the half-step lattice.  Both index sets come from
+        `lattice_index`, which rounds within a tolerance, and the pairs from
+        their `LatticeCounts` at the translation between them.  The counts
+        depend on the two sets up to a common translation, and the last ones
+        are kept with the sets moved to the origin as their key: the offset
+        blocks of one k reuse the counts of `_classes(k)`, and the outer
+        blocks of one layer share one table.
+        ``within``: Q is P's own background, each pair of distinct points once.
+        """
+        _, pts, cloud_labels, cloud_weights, groups = cloud
+        bg = groups == 1
+        (a, a_off), (b, b_off) = (lattice_index(x, COARSE_SPACING) for x in (pts[bg], points))
+        la, lb = cloud_labels[bg], labels
+        if np.unique(weights).size != 1:
+            raise ValueError("background points of more than one weight")
+        key = tuple(x.tobytes() for x in (a - a.min(axis=0), la, b - b.min(axis=0), lb))
+        if self._counts[0] != key:
+            self._counts = None, None  # the old table goes before the new one is built
+            self._counts = key, LatticeCounts(a - a.min(axis=0), la, b - b.min(axis=0), lb)
+        counts = self._counts[1]
+        weight = cloud_weights[bg][0] * weights[0]
+        if within:
+            return counts.within(self._kernel_exp, COARSE_SPACING, weight)
+        return counts.kernels(self._kernel_exp, COARSE_SPACING, [b.min(axis=0) - a.min(axis=0)],
+                              COARSE_SPACING * (b_off - a_off), weight)[0]
 
     def _frame_classes(self) -> tuple[NDArray, NDArray]:
         """Profile value of each class of the frame lattice and their `class_kernel` matrix."""
@@ -469,15 +526,19 @@ class PatchModel:
     # -- layers -----------------------------------------------------------------
 
     def _layer_pairs(self, layer: LayerSpec) -> int:
-        """Pairs the blocks of `layer_energy_direct` evaluate, by arithmetic from k and n.
+        """Pairs the `class_kernel` calls of `layer_energy_direct` evaluate, by arithmetic from k and n.
 
-        Each of the ((2N-1)^2 - 1)/2 half-offsets joins two patch clouds of
-        |P| points, and each of the N^2 patches meets the outer background:
-        (N + 1)^2 - N^2 patch frames of ``steps``^2 points.
+        Only the pairs that touch a cell point go through `class_kernel`.
+        Each of the ((2N-1)^2 - 1)/2 half-offsets joins the cells of one patch
+        cloud with the other cloud, and its background with the other's
+        cells; each of the N^2 patches joins its cells with the outer
+        background: (N + 1)^2 - N^2 patch frames of ``steps``^2 points.
         """
-        size = self._cloud_size(default_cluster_count(layer.n, self.params.s))
+        cells = default_cluster_count(layer.n, self.params.s) ** 2 * CELL_SUBDIVISION**2
+        bg = self._background()[0].shape[0]
         side, steps = 2**layer.n, round(PATCH_MARGIN / (2 * COARSE_SPACING))
-        return ((2 * side - 1) ** 2 - 1) // 2 * size**2 + layer.count * size * steps**2 * (2 * side + 1)
+        offsets = ((2 * side - 1) ** 2 - 1) // 2
+        return offsets * cells * (cells + 2 * bg) + layer.count * cells * steps**2 * (2 * side + 1)
 
     def layer_energy_direct(self, layer: LayerSpec) -> float:
         """Composite quadrature of the glued layer (all cross pairs included).
@@ -490,17 +551,18 @@ class PatchModel:
         `_cross_kernel` of P and P + D per D, whatever the patch pair),
         between patch I and the outer background (one `_cross_kernel` of P
         and the outer points moved into I's frame, one class of value 0), and
-        within one cell (`cluster_energy`).  One stacked `class_pair_sum` sums
-        all patches, and one per D all its patch pairs.  The pair budget runs first.
+        within one cell (`cluster_energy`).  The background pairs of every
+        block come from lattice counts, the rest from `class_kernel`.  One
+        stacked `class_pair_sum` sums all patches, and one per D all its
+        patch pairs.  The pair budget runs first.
         """
         key = ("layer", layer, self.params)
         if key not in self._memo:
             pairs = self._layer_pairs(layer)
             if pairs > PAIR_BUDGET:
-                raise BudgetError(
-                    f"layer blocks at n = {layer.n} evaluate {_count(pairs)} pairs > budget "
-                    f"{_count(PAIR_BUDGET)}; use compositional accounting instead"
-                )
+                shown, budget = _over(pairs, PAIR_BUDGET)
+                raise BudgetError(f"layer blocks at n = {layer.n} evaluate {shown} pairs > budget "
+                                  f"{budget}; use compositional accounting instead")
             p, sp = self.params.p, self.params.sp
             sigma = layer.placement_scale
             spec = PatchSpec((0.0,) * ELL, layer.n, self.params)

@@ -83,8 +83,10 @@ class AlmostRetraction:
 
     def angle_map(self, theta: NDArray) -> NDArray:
         """Image angle of each input angle."""
-        theta = np.asarray(theta, dtype=float)
-        phi = wrap_angle(theta - CAP_CENTER)
+        return self.cap_map(wrap_angle(np.asarray(theta, dtype=float) - CAP_CENTER))
+
+    def cap_map(self, phi: NDArray) -> NDArray:
+        """Image angle of each cap-relative angle phi = wrap_angle(theta - CAP_CENTER)."""
         inside = np.abs(phi) < self.spec.epsilon
         out = phi.copy()
         if np.any(inside):
@@ -269,7 +271,7 @@ class AlmostModel:
         ``SCAN_CHUNK_ELEMENTS`` angles of the M slots' lower plateau values,
         then their upper ones, after each shift.  The coverage check (one full
         pair in the half-cap, in the blow-up regime) and the lower bounds
-        read the same arrays.
+        read the same cap-relative angles, wrapped once.
         """
         eps = 2.0**-n
         retr = AlmostRetraction(AlmostRetractionSpec(epsilon=eps))
@@ -282,16 +284,16 @@ class AlmostModel:
         lowers = []
         for c0 in range(0, shifts.shape[0], step):
             z = points - shifts[c0:c0 + step, None, :]
-            theta = np.arctan2(z[..., 1], z[..., 0])
+            phi = wrap_angle(np.arctan2(z[..., 1], z[..., 0]) - CAP_CENTER)  # cap-relative angles
             if self.spec.regime_ok:
-                near = np.abs(wrap_angle(theta - CAP_CENTER)) <= eps / 2
+                near = np.abs(phi) <= eps / 2
                 covered = np.any(near[:, :m] & near[:, m:], axis=1)
                 if not covered.all():
                     raise SamplingError(
                         f"no pair lands in the half-cap for shift {shifts[c0 + int(np.argmin(covered))]} "
                         f"at eps={eps}; increase the net density"
                     )
-            mapped = retr.angle_map(theta)
+            mapped = retr.cap_map(phi)
             imgdist = 2.0 * np.abs(np.sin(wrap_angle(mapped[:, m:] - mapped[:, :m]) / 2))
             lowers.append(self.cluster_lower_coeff(eps) * np.sum(imgdist**self.params.p, axis=1))
         lowers = np.concatenate(lowers)

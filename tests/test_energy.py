@@ -297,6 +297,33 @@ def test_energy_plan_keeps_no_kernel():
     assert held < 1e6
 
 
+@pytest.mark.parametrize("dim, h", [(1, 0.01), (2, 0.05), (3, 0.25)])
+def test_convolution_kernel_unchanged(dim, h):
+    # the kernel transform equals the one built from meshgrid offsets, bit for bit
+    grid = make_grid(dim, Box.cube(1.0, dim=dim), h)
+    conv = energy_module._ConvolutionSum(grid, np.ones(grid.node_count, dtype=bool), 2.7)
+    offsets = np.meshgrid(*(np.fft.fftfreq(n, 1.0 / n) for n in conv.pad), indexing="ij")
+    r2 = grid.spacing**2 * sum(d * d for d in offsets)
+    kern = np.zeros(conv.pad)
+    np.power(r2, -0.5 * 2.7, out=kern, where=r2 > 0)
+    assert np.array_equal(conv.kernel_hat, np.fft.rfftn(kern))
+
+
+def test_convolution_setup_peak_memory():
+    # the set-up holds about one padded grid and the kernel transform at a time: its peak
+    # is under 4 padded real arrays (8.3 when it held the meshgrid offsets and the kernel)
+    grid = make_grid(2, Box.cube(1.0, dim=2), 0.005)  # 401^2 nodes, padded to 802^2
+    padded = 8 * 4 * grid.node_count
+    mask = np.ones(grid.node_count, dtype=bool)
+    tracemalloc.start()
+    try:
+        energy_module._ConvolutionSum(grid, mask, 2.8)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 4 * padded
+
+
 def test_energy_plan_rejects_other_grid():
     params = FractionalParams(s=0.35, p=1.5)
     plan = EnergyPlan(smooth_bump_1d(0.05).grid, params)
@@ -648,3 +675,100 @@ def test_class_kernel_keeps_groups_in_runs(monkeypatch):
     assert len(live) == 5
     expected = naive_class_kernel(points, labels, 2.6, 1.0, groups, 4)
     np.testing.assert_allclose(kern, expected, rtol=1e-12, atol=0)
+
+
+def test_class_kernel_slabs_stop_at_group_ends(monkeypatch):
+    # 25 points of group 0 against 1,000 of group 1: the row slabs stop at the end of
+    # group 0, so the live tiles hold its 25 rows alone, not TILE_ROWS rows
+    rng = np.random.default_rng(9)
+    groups = np.repeat([0, 1], [25, 1000])
+    labels = rng.integers(0, 3, size=1025)
+    points = rng.random((1025, 2))
+    live = []
+    real_map = _pairsum._map_tiles
+
+    def spy(fn, tiles, block, workers):
+        live.extend(tiles)
+        return real_map(fn, tiles, block, workers)
+
+    monkeypatch.setattr(_pairsum, "_map_tiles", spy)
+    kern = class_kernel(points, labels, 2.6, groups=groups, block=DEFAULT_BLOCK, workers=2)
+    assert live == [(0, 25, b0, min(b0 + DEFAULT_BLOCK, 1025)) for b0 in range(0, 1025, DEFAULT_BLOCK)]
+    expected = naive_class_kernel(points, labels, 2.6, 1.0, groups, 3)
+    np.testing.assert_allclose(kern, expected, rtol=1e-12, atol=0)
+
+
+# ---------------------------------------------------------------------------
+# Lattice displacement counts against class_kernel
+# ---------------------------------------------------------------------------
+
+
+@st.composite
+def lattice_pairs(draw):
+    """Two labelled random subsets of a 7 x 7 lattice: B the same as A, or its own set
+    moved by an integer translation, or also by half a step on each axis."""
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    kind = draw(st.sampled_from(["same", "moved", "half-step"]))
+    nodes = np.stack(np.meshgrid(np.arange(7), np.arange(7), indexing="ij"), axis=-1).reshape(-1, 2)
+
+    def subset(labels):
+        index = nodes[rng.choice(nodes.shape[0], size=draw(st.integers(1, 30)), replace=False)]
+        return index, rng.integers(0, labels, size=index.shape[0])
+
+    a, la = subset(draw(st.integers(1, 4)))
+    b, lb = (a, la) if kind == "same" else subset(draw(st.integers(1, 3)))
+    shift = np.zeros(2, dtype=np.int64) if kind == "same" else rng.integers(-9, 10, size=2)
+    offset = np.full(2, 0.5) if kind == "half-step" else np.zeros(2)
+    return kind, a, la, b, lb, shift, offset, draw(st.floats(2.1, 3.9))
+
+
+@ENGINE_SETTINGS
+@given(lattice_pairs())
+def test_lattice_counts_match_class_kernel(case):
+    kind, a, la, b, lb, shift, offset, q = case
+    h, wa, wb = 0.3, 0.7, 1.9
+    pts_a, pts_b = h * a + 0.1, h * (b + shift + offset) + 0.1
+    # the indices and the sub-step offset come back from the coordinates
+    (ia, off_a), (ib, off_b) = _pairsum.lattice_index(pts_a, h), _pairsum.lattice_index(pts_b, h)
+    counts = _pairsum.LatticeCounts(ia, la, ib, lb)
+    if kind == "same":
+        got = counts.within(q, h, wa * wa)
+        expected = class_kernel(pts_a, la, q, weights=wa)
+    else:
+        got = counts.kernels(q, h, [np.zeros(2, dtype=np.int64)], h * (off_b - off_a), wa * wb)[0]
+        ca = int(la.max()) + 1
+        whole = class_kernel(np.concatenate([pts_a, pts_b]), np.concatenate([la, lb + ca]), q,
+                             weights=np.repeat([wa, wb], [a.shape[0], b.shape[0]]),
+                             groups=np.repeat([0, 1], [a.shape[0], b.shape[0]]))
+        expected = whole[:ca, ca:]
+    assert got.shape == expected.shape
+    assert np.max(np.abs(got - expected), initial=0.0) <= 1e-13 * np.max(np.abs(expected), initial=0.0)
+
+
+def test_lattice_counts_translate():
+    # counts of A and B give the pairs of A and B moved by T, for any T
+    rng = np.random.default_rng(3)
+    a, b = rng.integers(0, 5, size=(12, 2)), rng.integers(0, 5, size=(9, 2))  # repeats count twice
+    la, lb = rng.integers(0, 3, size=12), rng.integers(0, 2, size=9)
+    counts = _pairsum.LatticeCounts(a, la, b, lb)
+    shifts = np.array([[7, 0], [-6, 3], [0, 11]])
+    got = counts.kernels(2.5, 0.5, shifts, 0.25)
+    for t, shift in enumerate(shifts):
+        moved = _pairsum.LatticeCounts(a, la, b + shift, lb).kernels(2.5, 0.5, [[0, 0]], 0.25)[0]
+        np.testing.assert_allclose(got[t], moved, rtol=1e-13, atol=0)
+
+
+def test_lattice_guards():
+    pts = 0.25 * np.array([[0.5, 1.5], [2.5, 0.5], [3.5, 4.5]])
+    index, offset = _pairsum.lattice_index(pts, 0.25)
+    assert np.array_equal(index * 0.25 + 0.25 * offset, pts)
+    # a point off the lattice of the others trips the guard
+    with pytest.raises(ValueError, match="off the lattice"):
+        _pairsum.lattice_index(pts + [[0.0, 0.0], [1e-6, 0.0], [0.0, 0.0]], 0.25)
+    # counts that the correlation does not return as integers trip the count guard
+    real = np.fft.irfftn
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(np.fft, "irfftn", lambda *args, **kwargs: real(*args, **kwargs) + 0.3)
+        with pytest.raises(ValueError, match="from an integer"):
+            _pairsum.LatticeCounts(index, [0, 1, 1], index, [0, 0, 0])
+

@@ -13,7 +13,7 @@ from patch_reference import (
     patch_values,
     projected_point_by_point,
 )
-from splab._pairsum import cell_lattice_kernel, class_pair_sum, half_lattice, pair_kernel_sum
+from splab._pairsum import cell_lattice_kernel, class_kernel, class_pair_sum, half_lattice, pair_kernel_sum
 from splab.chords import chords_vectorized
 from splab.energy import FractionalParams, Region, gagliardo_energy
 from splab.errors import BudgetError
@@ -209,22 +209,52 @@ def _refuse(*args, **kwargs):
 
 
 def test_layer_budget_runs_before_any_build(monkeypatch, params_main):
-    # the pair count is arithmetic on k and n: it matches the blocks' clouds, and
-    # it rejects s = 0.4 at n = 3 (8.5e10 pairs) and admits s = 0.95 (7.6e8) before
-    # a patch cloud or a class kernel is built
+    # the pair count is arithmetic on k and n: it matches the pairs of the blocks'
+    # clouds that touch a cell point, and it rejects s = 0.4 at n = 3 (8.5e10 pairs)
+    # and admits s = 0.95 (3.3e8) before a patch cloud or a class kernel is built
     model = PatchModel(params_main)
     for n in (1, 2, 3):
         layer = LayerSpec(n)
-        size = model._class_cloud(default_cluster_count(n, params_main.s))[1].shape[0]
+        groups = model._class_cloud(default_cluster_count(n, params_main.s))[4]
+        cells, bg = np.count_nonzero(groups == 0), np.count_nonzero(groups == 1)
         outer = outer_background(layer)[0].shape[0]
         offsets = half_lattice(2**n, 2).shape[0]
-        assert model._layer_pairs(layer) == offsets * size**2 + layer.count * size * outer
+        assert model._layer_pairs(layer) == offsets * cells * (cells + 2 * bg) + layer.count * cells * outer
     monkeypatch.setattr(PatchModel, "_class_cloud", _refuse)
     monkeypatch.setattr(patches, "class_kernel", _refuse)
     with pytest.raises(BudgetError, match="pairs > budget"):
         model.layer_energy_direct(LayerSpec(3))
     with pytest.raises(_Built):
         PatchModel(FractionalParams(s=0.95, p=1.5)).layer_energy_direct(LayerSpec(3))
+
+
+@pytest.mark.parametrize("s", [0.4, 0.5, 0.6])
+def test_layer_budget_rejects_n3(monkeypatch, s):
+    # n = 3 exceeds the pair budget at these s also when only the pairs that touch a cell count
+    monkeypatch.setattr(PatchModel, "_class_cloud", _refuse)
+    with pytest.raises(BudgetError, match="pairs > budget"):
+        PatchModel(FractionalParams(s=s, p=2.5)).layer_energy_direct(LayerSpec(3))
+
+
+@pytest.mark.parametrize("n", [1, 2])
+def test_layer_class_kernel_pairs_touch_a_cell(monkeypatch, params_main, n):
+    # every class_kernel call of the layer blocks joins a set of cell points with
+    # another set, and the calls evaluate exactly the pairs that _layer_pairs counts
+    model = PatchModel(params_main, workers=2)
+    k = default_cluster_count(n, params_main.s)
+    cell_w = model._cell_lattice(k)[2]
+    model._classes(k)
+    seen = []
+
+    def spy(points, labels, q, weights=1.0, groups=None, **kwargs):
+        sides = [np.asarray(weights)[np.asarray(groups) == g] for g in (0, 1)]
+        assert any(np.all(side == cell_w) for side in sides)
+        seen.append(sides[0].size * sides[1].size)
+        return class_kernel(points, labels, q, weights=weights, groups=groups, **kwargs)
+
+    monkeypatch.setattr(patches, "class_kernel", spy)
+    model.layer_energy_direct(LayerSpec(n))
+    assert sum(seen) == model._layer_pairs(LayerSpec(n))
 
 
 def test_layer_unit_scale_energy_slope(model_main):
@@ -359,6 +389,19 @@ def test_layer_outer_block_matches_placed_pair_sum(model_main, params_main, inde
                                weights=np.concatenate([w, np.full(outer.shape[0], outer_w)]),
                                groups=np.repeat([0, 1], [pts.shape[0], outer.shape[0]]), workers=2)
     assert got == pytest.approx(expected, rel=1e-12, abs=0)
+
+
+def test_cross_kernel_rejects_off_lattice_background(model_main, params_main):
+    # outer background points moved off their lattice cannot take the lattice-count route
+    layer = LayerSpec(1)
+    cloud = model_main._class_cloud(1)
+    outer, outer_w = outer_background(layer)
+    placement = layer.placements()[0]
+    frame = (outer - placement.translate) / placement.scale
+    frame[3] += 1e-3
+    with pytest.raises(ValueError, match="off the lattice"):
+        model_main._cross_kernel(cloud, frame, np.zeros(frame.shape[0], dtype=np.int64),
+                                 outer_w / placement.scale**2)
 
 
 def test_layer_energy_same_for_any_worker_count(model_main, params_main):

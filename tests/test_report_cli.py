@@ -12,7 +12,7 @@ import pytest
 from splab import cli, harness
 from splab.cli import main
 from splab.config import validate_config
-from splab.energy import FractionalParams, check_grid_budget
+from splab.energy import FractionalParams, _over, check_grid_budget
 from splab.errors import AssertionFailure, BudgetError, ConfigurationError, OutputError, SplabError
 from splab.harness import EXPERIMENTS
 from splab.report import CSV_COLUMNS, ExperimentReport, _fmt, emit_report, to_csv, to_json, to_svg
@@ -266,6 +266,15 @@ def test_grid_budget_counts_pairs_and_fft_nodes():
     big = harness.map_grid("identity2d", 0.0008)  # 2,501^2 = 6,255,001 nodes
     with pytest.raises(BudgetError, match=r"grid of 6\.26e\+6 nodes > budget 4\.00e\+6"):
         check_grid_budget(big, FractionalParams(s=0.4, p=2.0), planned=True)
+
+
+def test_budget_counts_read_apart(tmp_path, capsys):
+    # the refined grid of 4,004,001 nodes read "4.00e+6 > budget 4.00e+6" at 3 digits
+    assert main(["averaging", "--p", "2", "--spacing", "0.002", "--out", str(tmp_path / "out")]) == 2
+    assert "grid of 4.004e+6 nodes > budget 4.000e+6" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+    assert _over(6_255_001, 4_000_000) == ("6.26e+6", "4.00e+6")
+    assert _over(2_000_000_001, 2_000_000_000) == ("2000000001", "2000000000")
 
 
 @pytest.mark.parametrize("entry", BAD_OPTIONS.values(), ids=list(BAD_OPTIONS))
