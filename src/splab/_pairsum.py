@@ -26,11 +26,14 @@ When the values are a function of a class label with few classes,
 of classes, and ``class_pair_sum`` gives the pair sum of any such value
 set from C^2 / 2 numerators.  ``cell_lattice_kernel`` gives the kernel
 between the points of a lattice of congruent cells by their index
-difference.  When two labelled point sets lie on one lattice,
+difference, or between the lattice and its copy moved by an integer
+translation.  When two labelled point sets lie on one lattice,
 ``LatticeCounts`` counts their label pairs at each index difference
 once, by an FFT correlation rounded to integers, and gives their class
 matrix at any integer translation from one kernel value per difference
-(``lattice_index`` recovers the indices from coordinates).
+(``lattice_index`` recovers the indices from coordinates); for points
+that are lattice nodes plus one of a few offsets, one batched pass gives
+the matrix of every offset.
 
 An optional integer group id per point supports composite quadratures:
 pairs within the same nonnegative group are excluded (they are accounted
@@ -55,6 +58,7 @@ LATTICE_CHUNK = 32  # displacements per block of cell_lattice_kernel
 TILE_CHUNK = 1024  # tiles per thread pool of the walk (their results are held at once)
 CLASS_TERMS = 2**16  # terms per term array of a stacked class_pair_sum
 LATTICE_TOLERANCE = 1e-9  # steps a point of `lattice_index` may lie off its lattice node
+LATTICE_ROWS = 4096  # count-table rows per block of `LatticeCounts` sums
 
 
 def tree_reduce(values, empty=0.0):
@@ -417,14 +421,20 @@ def class_pair_sum(kernel: NDArray, values: NDArray, p: float, drop=()) -> float
     return sums[0] if single else np.array(sums)
 
 
+def difference_lattice(k: int, m: int) -> NDArray:
+    """Index differences D in [1-k, k-1]^m, lexicographic."""
+    span = np.arange(1 - k, k)
+    return np.stack(np.meshgrid(*([span] * m), indexing="ij"), axis=-1).reshape(-1, m)
+
+
 def half_lattice(k: int, m: int) -> NDArray:
     """Index differences D in [1-k, k-1]^m whose first nonzero entry is positive, lexicographic."""
-    span = np.arange(1 - k, k)
-    disp = np.stack(np.meshgrid(*([span] * m), indexing="ij"), axis=-1).reshape(-1, m)
+    disp = difference_lattice(k, m)
     return disp[disp.shape[0] // 2 + 1:]  # lexicographic order: the D after D = 0 are D > 0
 
 
-def cell_lattice_kernel(offsets: NDArray, q: float, weight: float, width: float, k: int) -> NDArray:
+def cell_lattice_kernel(offsets: NDArray, q: float, weight: float, width: float, k: int,
+                        shift=None) -> NDArray:
     """(P, P) kernel of the pairs that join two different cells of a k^m cell lattice.
 
     Every cell holds the same P local ``offsets`` with the same point
@@ -438,15 +448,25 @@ def cell_lattice_kernel(offsets: NDArray, q: float, weight: float, width: float,
 
     over the half lattice of D whose first nonzero entry is positive:
     (2k - 1)^m / 2 kernel blocks of P^2 values instead of (P k^m)^2 / 2
-    pairs.  The displacements are streamed ``LATTICE_CHUNK`` at a time.
-    Offsets must lie strictly inside the cell, so no two points of
+    pairs.  With an integer ``shift`` T (in cell widths) the kernel joins
+    the lattice with its copy moved by T instead: K[a, b] is the kernel of
+    the pairs of offset a of a cell and offset b of a moved cell,
+
+        K[a, b] = w^2 sum_D prod_i (k - |D_i|) |width (D - T) + o_a - o_b|^-q
+
+    over the full difference lattice, (2k - 1)^m blocks instead of
+    (P k^m)^2 pairs; the copy must not overlap the lattice (|T_i| >= k on
+    some axis).  The displacements are streamed ``LATTICE_CHUNK`` at a
+    time.  Offsets must lie strictly inside the cell, so no two points of
     different cells coincide.
     """
     offs = np.ascontiguousarray(offsets, dtype=float)
     size, m = offs.shape
     rel = offs[:, None, :] - offs[None, :, :]
-    disp = half_lattice(k, m)
+    disp = half_lattice(k, m) if shift is None else difference_lattice(k, m)
     count = np.prod(k - np.abs(disp), axis=1).astype(float)
+    if shift is not None:
+        disp = disp - np.asarray(shift, dtype=np.int64)
 
     def chunks():
         for c0 in range(0, disp.shape[0], LATTICE_CHUNK):
@@ -486,16 +506,23 @@ def lattice_index(points: NDArray, spacing: float) -> tuple[NDArray, NDArray]:
     return index.astype(np.int64), offset
 
 
+def _lattice_pad(a: NDArray, b: NDArray) -> tuple[int, ...]:
+    """FFT lengths per axis that hold every index difference of the sets a and b without a wrap."""
+    return tuple(_fft_size(int(n)) for n in np.ptp(a, axis=0) + np.ptp(b, axis=0) + 1)
+
+
 class LatticeCounts:
     """Label pairs between two labelled index sets of one lattice, counted by index difference.
 
     C[E, a, b] is the number of pairs (i of A with label a, j of B with
-    label b) whose indices differ by j - i = E.  The counts come from one
-    FFT correlation of the sets' one-hot label grids, rounded to integers;
-    ValueError if any lies more than 0.25 from an integer.  They are held
-    as float32, exact below 2^24.  From them, `kernels` gives the class
-    matrix of the pairs of A and B moved apart by any integer translation
-    T, from one kernel value per E instead of one per pair.
+    label b) whose indices differ by j - i = E.  The counts come from an
+    FFT correlation of the sets' one-hot label grids, one label pair at a
+    time, rounded to integers; ValueError if any lies more than 0.25 from
+    an integer.  They are held as float32, exact below 2^24.  From them,
+    `kernels` gives the class matrix of the pairs of A and B moved apart by
+    any integer translation T, from one kernel value per E instead of one
+    per pair.  `entries` gives the table's length from the two index sets
+    alone, before anything is built.
     """
 
     def __init__(self, a: NDArray, labels_a: NDArray, b: NDArray, labels_b: NDArray):
@@ -505,43 +532,71 @@ class LatticeCounts:
             raise ValueError("lattice pair counts are exact for sets of fewer than 2^24 points")
         lo_a, lo_b = a.min(axis=0), b.min(axis=0)
         size_b = b.max(axis=0) - lo_b + 1
-        pad = tuple(_fft_size(n) for n in a.max(axis=0) - lo_a + size_b)
+        pad = _lattice_pad(a, b)
         self.rows, self.cols = np.unique(labels_a), np.unique(labels_b)
         self.shape = (int(self.rows[-1]) + 1, int(self.cols[-1]) + 1)
 
-        def spectrum(index, labels, label):
-            """rfftn of the one-hot grid of one label of a set."""
-            grid = np.zeros(pad)
-            np.add.at(grid, tuple(index[labels == label].T), 1.0)
-            return np.fft.rfftn(grid)
+        def spectra(index, labels, label_set, conj):
+            """rfftn of the one-hot grid of each label of a set (conjugated for A), one at a time."""
+            for label in label_set:
+                grid = np.zeros(pad)
+                np.add.at(grid, tuple(index[labels == label].T), 1.0)
+                spec = np.fft.rfftn(grid)
+                yield np.conj(spec, out=spec) if conj else spec
 
-        spec_b = np.stack([spectrum(b - lo_b, labels_b, label) for label in self.cols])
         self.counts = np.empty((math.prod(pad), self.rows.size, self.cols.size), dtype=np.float32)
         off = 0.0
-        for row, label in enumerate(self.rows):  # one label of A at a time bounds the work arrays
-            # corr[b, E] = sum_x G_a(x) G_b(x + E), E taken modulo pad
-            corr = np.fft.irfftn(np.conj(spectrum(a - lo_a, labels_a, label)) * spec_b, s=pad,
-                                 axes=tuple(range(1, len(pad) + 1)))
-            counts = np.rint(corr)
-            off = max(off, float(np.max(np.abs(corr - counts))))
-            self.counts[:, row] = counts.reshape(self.cols.size, -1).T
+        # the spectra of the set of fewer labels are held, the other set's come one at a time,
+        # and each label pair is correlated on its own: a few pad-sized work arrays beside them
+        sides = (a - lo_a, labels_a, self.rows, True), (b - lo_b, labels_b, self.cols, False)
+        hold_a = self.rows.size <= self.cols.size
+        held = list(spectra(*sides[not hold_a]))
+        for j, spec in enumerate(spectra(*sides[hold_a])):
+            for i, other in enumerate(held):
+                # corr[E] = sum_x G_a(x) G_b(x + E), E taken modulo pad
+                corr = np.fft.irfftn(other * spec, s=pad, axes=tuple(range(len(pad))))
+                counts = np.rint(corr)
+                self.counts[:, i if hold_a else j, j if hold_a else i] = counts.ravel()
+                corr -= counts
+                off = max(off, float(np.max(np.abs(corr, out=corr))))
         if off > 0.25:
             raise ValueError(f"lattice pair counts lie {off:.3g} from an integer")
         self.counts = self.counts.reshape(math.prod(pad), -1)
-        disp = np.stack(np.meshgrid(*map(np.arange, pad), indexing="ij"), axis=-1).reshape(-1, len(pad))
-        self.disp = np.where(disp >= size_b, disp - pad, disp) + (lo_b - lo_a)
+        # the index difference of each table row, per axis: the wrapped ones are negative
+        axes = [np.where(e >= size, e - n, e) + lo for e, n, size, lo in
+                zip(map(np.arange, pad), pad, size_b, lo_b - lo_a)]
+        self.disp = np.stack(np.meshgrid(*axes, indexing="ij", copy=False), axis=-1).reshape(-1, len(pad))
 
-    def _sums(self, disp: NDArray, counts: NDArray, q: float, spacing: float, offset) -> NDArray:
-        """sum_E C[E] |spacing E + offset|^-q over the rows given, coincident pairs left out.
+    @staticmethod
+    def entries(a: NDArray, b: NDArray) -> int:
+        """Length of the count table of the index sets a and b (its padded index differences)."""
+        return math.prod(_lattice_pad(np.asarray(a), np.asarray(b)))
 
-        Pairs closer than twice ``LATTICE_TOLERANCE`` steps count as coincident.
+    def _sums(self, rows, q: float, spacing: float, offsets: NDArray, shift=0) -> NDArray:
+        """(O, Ca, Cb): sum_E C[E] |spacing (E + shift) + o|^-q over table ``rows``, per row o of ``offsets``.
+
+        The rows are streamed ``LATTICE_ROWS`` at a time, every offset at
+        once, and their partials combined by `tree_reduce`.  Pairs closer
+        than twice ``LATTICE_TOLERANCE`` steps count as coincident and are
+        left out.
         """
-        sep = spacing * disp + offset
-        r2 = np.einsum("ei,ei->e", sep, sep)
-        kern = np.zeros_like(r2)
-        np.power(r2, -0.5 * q, out=kern, where=r2 > (2 * LATTICE_TOLERANCE * spacing) ** 2)
-        # einsum casts the float32 counts in buffered chunks, never the whole table at once
-        return np.einsum("e,ek->k", kern, counts).reshape(self.rows.size, self.cols.size)
+        disp, counts = self.disp[rows], self.counts[rows]
+
+        def chunks():
+            for e0 in range(0, disp.shape[0], LATTICE_ROWS):
+                sep = spacing * (disp[e0:e0 + LATTICE_ROWS] + shift)
+                r2 = np.add.outer(offsets[:, 0], sep[:, 0])
+                r2 *= r2
+                for i in range(1, sep.shape[1]):
+                    part = np.add.outer(offsets[:, i], sep[:, i])
+                    part *= part
+                    r2 += part
+                kern = np.zeros_like(r2)
+                np.power(r2, -0.5 * q, out=kern, where=r2 > (2 * LATTICE_TOLERANCE * spacing) ** 2)
+                yield kern @ counts[e0:e0 + LATTICE_ROWS].astype(float)
+
+        sums = tree_reduce(chunks(), np.zeros((offsets.shape[0], counts.shape[1])))
+        return sums.reshape(offsets.shape[0], self.rows.size, self.cols.size)
 
     def kernels(self, q: float, spacing: float, shifts, offset=0.0, weight: float = 1.0) -> NDArray:
         """(T, Ca, Cb) class matrices weight sum_E C[E] |spacing (E + T) + offset|^-q.
@@ -549,13 +604,20 @@ class LatticeCounts:
         Entry [t, a, b] is the kernel over the pairs of A and of B moved by
         shifts[t], as `class_kernel` sums it: ``weight`` is w_A w_B, labels
         run over [0, max + 1) of each set, coincident pairs are left out.
+        ``offset`` is one offset (a scalar or one per axis), or an (O, m)
+        stack of offsets, giving the (T, O, Ca, Cb) matrices of each; a
+        stack takes one pass over the table per shift.
         """
-        shifts = np.asarray(shifts, dtype=np.int64).reshape(-1, self.disp.shape[1])
-        out = np.zeros((shifts.shape[0],) + self.shape)
+        m = self.disp.shape[1]
+        shifts = np.asarray(shifts, dtype=np.int64).reshape(-1, m)
+        offsets = np.asarray(offset, dtype=float)
+        stack = offsets.ndim == 2
+        offsets = np.broadcast_to(offsets, offsets.shape[:-1] + (m,)).reshape(-1, m)
+        out = np.zeros((shifts.shape[0], offsets.shape[0]) + self.shape)
         for t, shift in enumerate(shifts):
-            out[t][np.ix_(self.rows, self.cols)] = weight * self._sums(
-                self.disp + shift, self.counts, q, spacing, offset)
-        return out
+            out[t][:, self.rows[:, None], self.cols] = weight * self._sums(
+                slice(None), q, spacing, offsets, shift)
+        return out if stack else out[:, 0]
 
     def within(self, q: float, spacing: float, weight: float = 1.0) -> NDArray:
         """(C, C) class matrix of the unordered pairs of distinct points, for A = B.
@@ -568,5 +630,5 @@ class LatticeCounts:
         half = first > 0
         out = np.zeros(self.shape)
         out[np.ix_(self.rows, self.cols)] = weight * self._sums(
-            self.disp[half], self.counts[half], q, spacing, 0.0)
+            half, q, spacing, np.zeros((1, self.disp.shape[1])))[0]
         return symmetric(out)

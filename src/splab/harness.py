@@ -393,6 +393,7 @@ def _run_patch(opts: PatchOptions, cfg: RunConfig) -> ExperimentReport:
     for n in opts.n_values:
         energies[n] = model.patch_energy_direct(opts.specs[n])
         report.add_row(n, upper=energies[n], lower=model.cluster_energy(opts.specs[n]))
+    report.scheme = model.class_scheme(spec.k for spec in opts.specs.values())  # once the clouds fit
     spread = max(energies.values()) / min(energies.values())
     report.constants["energy_spread"] = spread
     report.check("patch energies uniform within factor 2", spread <= 2.0,

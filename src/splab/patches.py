@@ -55,6 +55,7 @@ COARSE_SPACING = 1 / 16
 CELL_SUBDIVISION = 5
 
 LAYER_TABLE_BUDGET = 100_000_000  # difference-lattice entries of one layer_lowers table
+CELL_TABLE_BUDGET = 2**19  # entries of one cell-center count table (15 MB of counts at 7 labels)
 
 
 def smoothstep5(t: NDArray) -> NDArray:
@@ -230,6 +231,11 @@ def outer_background(layer: LayerSpec) -> tuple[NDArray, float]:
     return bg[np.max(np.abs(bg), axis=1) > 1.0], bg_h**2
 
 
+def _cluster_count(groups: NDArray) -> int:
+    """Cluster count k of a patch cloud from its groups: k^2 cells of CELL_SUBDIVISION^2 points in group 0."""
+    return math.isqrt(np.count_nonzero(groups == 0) // CELL_SUBDIVISION**2)
+
+
 def frame_energy(points: NDArray, values: NDArray, p: float, q: float, spacing: float,
                  workers: int = 1) -> float:
     """Energy of values on a midpoint lattice of spacing h in R^m: 2 h^(2m) times the pair sum."""
@@ -257,7 +263,7 @@ class PatchModel:
         self.layer_scheme = f"offset class kernels kernel_exp={self._kernel_exp!r}"
         self._memo: dict = {}
         self._class_memo: dict = {}
-        self._counts: tuple = (None, None)  # the last `LatticeCounts` and its key
+        self._tables: dict = {}  # slot -> (key, the last `LatticeCounts` of that slot)
 
     # -- frame-level constants ------------------------------------------------
 
@@ -328,8 +334,7 @@ class PatchModel:
         """(collar, g) of each value class, and the points, labels, weights and groups of the patch cloud.
 
         The cell points of cluster count k come first, all in group 0, then
-        the background in group 1, so `class_kernel` of the cloud evaluates
-        the pairs between a cell and the background alone.  A patch value is
+        the background in group 1.  A patch value is
         collar(x) c + A g(x) e1, so points with equal (collar, g) carry equal
         values for every spec of this k.  A cell point takes the class of its
         offset: the block lies inside the plateau, where `collar_factor` is
@@ -359,7 +364,7 @@ class PatchModel:
         """Collar factor and cluster profile of each class of `_class_cloud`, and their class matrix.
 
         The symmetric matrix holds all pairs that do not lie in one cell:
-        `class_kernel` evaluates the pairs between a cell and the background,
+        `_cell_kernels` the pairs between a cell and the background,
         `_background_kernel` the pairs within the background, and
         `cell_lattice_kernel`, scattered onto the cells' classes, the pairs
         that join two cells.  Built once per k.
@@ -367,15 +372,18 @@ class PatchModel:
         if k not in self._class_memo:
             cloud = self._class_cloud(k)
             classes, pts, labels, weights, groups = cloud
-            kern = class_kernel(pts, labels, self._kernel_exp, weights=weights, groups=groups,
-                                workers=self.workers)
+            count = classes.shape[0]
             bg = groups == 1
+            ordered = np.zeros((count, count))
+            cells_bg = self._cell_kernels(cloud, pts[bg], labels[bg], weights[bg][0], [(0.0, 0.0)])[0]
+            ordered[:, :cells_bg.shape[1]] = cells_bg
+            kern = symmetric(ordered)
             within = self._background_kernel(cloud, pts[bg], labels[bg], weights[bg], within=True)
             kern[:within.shape[0], :within.shape[0]] += within
             _, offs, cell_w = self._cell_lattice(k)
             cell_labels = labels[:offs.shape[0]]
             lattice = cell_lattice_kernel(offs, self._kernel_exp, cell_w, 2 * BLOCK_HALFWIDTH / k, k)
-            kern += symmetric(class_bins(cell_labels, cell_labels, lattice, classes.shape[0]))
+            kern += symmetric(class_bins(cell_labels, cell_labels, lattice, count))
             self._class_memo[k] = classes[:, 0], classes[:, 1], kern
         return self._class_memo[k]
 
@@ -384,13 +392,15 @@ class PatchModel:
 
         ``cloud`` is `_class_cloud` of P, with C classes; Q is ``points`` in
         P's frame units with ``labels`` from 0 and ``weights`` (per point or
-        one).  Q is either P moved by a lattice vector, its cells first as in
-        P, or background points alone.  P's labels keep their numbers and Q's
-        move up by C, so for class values V of P and W of Q, `class_pair_sum`
-        of the matrix and [V; W] is their pair sum in frame units.  The pairs
-        that touch a cell point come from `class_kernel` (P's cells with all
-        of Q, P's background with Q's cells), the pairs of the two
-        backgrounds from `_background_kernel`.
+        one).  Q is either P moved by a lattice vector T, its cells first as
+        in P, or background points of one weight alone.  P's labels keep
+        their numbers and Q's move up by C, so for class values V of P and W
+        of Q, `class_pair_sum` of the matrix and [V; W] is their pair sum in
+        frame units.  The pairs are split by what they touch: P's cells with
+        Q's background, and P's background with Q's cells (the pairs of P's
+        cells with P's background moved by -T), come from `_cell_kernels`;
+        the pairs of the two cell lattices from `cell_lattice_kernel` moved
+        by T; the pairs of the two backgrounds from `_background_kernel`.
         """
         classes, pts, cloud_labels, cloud_weights, groups = cloud
         count = classes.shape[0]
@@ -398,21 +408,109 @@ class PatchModel:
         cells = groups == 0
         q_cells = cells if points.shape[0] == pts.shape[0] else np.zeros(labels.shape, dtype=bool)
         size = count + int(labels.max()) + 1
-        kern = np.zeros((size, size))
-        for p_part, q_part in ((cells, np.ones_like(q_cells)), (~cells, q_cells)):
-            sizes = [np.count_nonzero(q_part), np.count_nonzero(p_part)]
-            if sizes[0]:
-                part = class_kernel(np.concatenate([points[q_part], pts[p_part]]),
-                                    np.concatenate([labels[q_part] + count, cloud_labels[p_part]]),
-                                    self._kernel_exp,
-                                    weights=np.concatenate([weights[q_part], cloud_weights[p_part]]),
-                                    groups=np.repeat([0, 1], sizes),
-                                    workers=self.workers)
-                kern[:part.shape[0], :part.shape[0]] += part
+        ordered = np.zeros((size, size))  # rows P's classes, columns Q's
+        if q_cells.any():
+            k = _cluster_count(groups)
+            _, offs, cell_w = self._cell_lattice(k)
+            width = 2 * BLOCK_HALFWIDTH / k
+            move = points[0] - pts[0]
+            lattice = cell_lattice_kernel(offs, self._kernel_exp, cell_w, width, k,
+                                          shift=np.rint(move / width).astype(np.int64))
+            cell_labels = cloud_labels[:offs.shape[0]]
+            ordered += class_bins(cell_labels, cell_labels + count, lattice, size)
+            bg = ~cells
+            forth, back = self._cell_kernels(cloud, pts[bg], cloud_labels[bg], cloud_weights[bg][0],
+                                             [move, -move])
+            ordered[:count, count:count + forth.shape[1]] += forth
+            ordered[:back.shape[1], count:2 * count] += back.T
+        else:
+            cells_q = self._cell_kernels(cloud, points, labels, weights[0], [(0.0, 0.0)])[0]
+            ordered[:count, count:count + cells_q.shape[1]] += cells_q
         bg = self._background_kernel(cloud, points[~q_cells], labels[~q_cells], weights[~q_cells])
-        kern[:bg.shape[0], count:count + bg.shape[1]] += bg
-        kern[count:count + bg.shape[1], :bg.shape[0]] += bg.T
-        return kern
+        ordered[:bg.shape[0], count:count + bg.shape[1]] += bg
+        return symmetric(ordered)
+
+    def _cell_kernels(self, cloud: tuple, points: NDArray, labels: NDArray, weight: float,
+                      moves) -> NDArray:
+        """(S, C_P, C_Q) kernels of a patch cloud P's cells with background points Q moved by moves[s].
+
+        ``cloud`` is `_class_cloud` of P, with C_P classes; Q is ``points``
+        (frame units, one ``weight``, C_Q labels from 0), each move a frame
+        vector that keeps Q on its lattice.  Two routes give the same sums,
+        and the one of fewer evaluations runs, decided before any array is
+        built (`_lattice_route`): `class_kernel` of P's cells and Q (one per
+        move), or the count table of the cell centers against Q on their
+        common lattice, evaluated at each of the P template offsets o_a.  A
+        cell point is a center plus o_a, so its pairs with Q are the table's
+        at the sub-step offset ``g (b_off - a_off) - o_a``; each offset's
+        row goes to its class.  The last table is kept, as in
+        `_background_kernel`, so `_classes(k)` and the offset blocks of one
+        k share one.
+        """
+        classes, pts, cloud_labels, cloud_weights, groups = cloud
+        count = classes.shape[0]
+        cells = groups == 0
+        k = _cluster_count(groups)
+        route = self._lattice_route(k, points)
+        if route is None:
+            out = []
+            for move in moves:
+                kern = class_kernel(np.concatenate([pts[cells], points + move]),
+                                    np.concatenate([cloud_labels[cells], labels + count]),
+                                    self._kernel_exp,
+                                    weights=np.concatenate([cloud_weights[cells],
+                                                            np.full(points.shape[0], weight)]),
+                                    groups=np.repeat([0, 1], [np.count_nonzero(cells), points.shape[0]]),
+                                    workers=self.workers)
+                out.append(kern[:count, count:])
+            return np.stack(out)
+        spacing, (a, a_off), (b, b_off) = route
+        _, offs, cell_w = self._cell_lattice(k)
+        table = self._table("cells", a - a.min(axis=0), np.zeros(a.shape[0], dtype=np.int64),
+                            b - b.min(axis=0), labels)
+        shifts = (b.min(axis=0) - a.min(axis=0)) + np.rint(np.asarray(moves) / spacing).astype(np.int64)
+        rows = table.kernels(self._kernel_exp, spacing, shifts, spacing * (b_off - a_off) - offs,
+                             cell_w * weight)[:, :, 0]
+        return np.eye(count)[cloud_labels[:offs.shape[0]]].T @ rows
+
+    def _lattice_route(self, k: int, points: NDArray):
+        """Lattice data of the cell centers of k and ``points`` if their count table is the route, else None.
+
+        The centers and the points lie on one lattice of spacing
+        g = 1/lcm(2k, 1/``COARSE_SPACING``).  The table route evaluates the
+        kernel at each of its `LatticeCounts.entries` for each of the P
+        template offsets; `class_kernel` at each of the (P k^2) |Q| pairs.
+        The route of fewer evaluations wins, unless the table would exceed
+        ``CELL_TABLE_BUDGET`` entries: its memory grows with the entries,
+        `class_kernel`'s does not.  Gives (g, centers' indices and sub-step
+        offset, points' indices and sub-step offset), or None for
+        `class_kernel`.
+        """
+        centers, offs, _ = self._cell_lattice(k)
+        spacing = 1 / math.lcm(2 * k, round(1 / COARSE_SPACING))
+        (a, a_off), (b, b_off) = (lattice_index(x, spacing) for x in (centers, points))
+        entries, pairs = LatticeCounts.entries(a, b), offs.shape[0] * centers.shape[0] * points.shape[0]
+        if entries > CELL_TABLE_BUDGET or entries * offs.shape[0] >= pairs:
+            return None
+        return spacing, (a, a_off), (b, b_off)
+
+    def class_scheme(self, ks) -> str:
+        """Names the route of the cell-background pairs of the class matrix of each k of ``ks``."""
+        bg, ks = self._background()[0], set(ks)
+        lattice = sorted(k for k in ks if self._lattice_route(k, bg) is not None)
+        rest = sorted(ks - set(lattice))
+        routes = [f"{name} k={','.join(map(str, group))}"
+                  for name, group in (("cell-background lattice", lattice), ("class_kernel", rest)) if group]
+        return f"class matrices kernel_exp={self._kernel_exp!r}: " + "; ".join(routes)
+
+    def _table(self, slot: str, a: NDArray, labels_a: NDArray, b: NDArray,
+               labels_b: NDArray) -> LatticeCounts:
+        """`LatticeCounts` of the index sets, kept in ``slot`` until other sets ask for it."""
+        key = tuple(x.tobytes() for x in (a, labels_a, b, labels_b))
+        if self._tables.get(slot, (None,))[0] != key:
+            self._tables[slot] = None, None  # the old table goes before the new one is built
+            self._tables[slot] = key, LatticeCounts(a, labels_a, b, labels_b)
+        return self._tables[slot][1]
 
     def _background_kernel(self, cloud: tuple, points: NDArray, labels: NDArray, weights: NDArray,
                            within: bool = False) -> NDArray:
@@ -424,22 +522,17 @@ class PatchModel:
         `lattice_index`, which rounds within a tolerance, and the pairs from
         their `LatticeCounts` at the translation between them.  The counts
         depend on the two sets up to a common translation, and the last ones
-        are kept with the sets moved to the origin as their key: the offset
-        blocks of one k reuse the counts of `_classes(k)`, and the outer
-        blocks of one layer share one table.
+        are kept (`_table`) with the sets moved to the origin as their key:
+        the offset blocks of one k reuse the counts of `_classes(k)`, and the
+        outer blocks of one layer share one table.
         ``within``: Q is P's own background, each pair of distinct points once.
         """
         _, pts, cloud_labels, cloud_weights, groups = cloud
         bg = groups == 1
         (a, a_off), (b, b_off) = (lattice_index(x, COARSE_SPACING) for x in (pts[bg], points))
-        la, lb = cloud_labels[bg], labels
         if np.unique(weights).size != 1:
             raise ValueError("background points of more than one weight")
-        key = tuple(x.tobytes() for x in (a - a.min(axis=0), la, b - b.min(axis=0), lb))
-        if self._counts[0] != key:
-            self._counts = None, None  # the old table goes before the new one is built
-            self._counts = key, LatticeCounts(a - a.min(axis=0), la, b - b.min(axis=0), lb)
-        counts = self._counts[1]
+        counts = self._table("background", a - a.min(axis=0), cloud_labels[bg], b - b.min(axis=0), labels)
         weight = cloud_weights[bg][0] * weights[0]
         if within:
             return counts.within(self._kernel_exp, COARSE_SPACING, weight)
@@ -526,9 +619,11 @@ class PatchModel:
     # -- layers -----------------------------------------------------------------
 
     def _layer_pairs(self, layer: LayerSpec) -> int:
-        """Pairs the `class_kernel` calls of `layer_energy_direct` evaluate, by arithmetic from k and n.
+        """Pairs of the blocks of `layer_energy_direct` that touch a cell, by arithmetic from k and n.
 
-        Only the pairs that touch a cell point go through `class_kernel`.
+        They are counted whichever route sums them (`class_kernel`, a
+        cell-center count table or the moved cell lattice); the background
+        pairs come from lattice counts and are not counted.
         Each of the ((2N-1)^2 - 1)/2 half-offsets joins the cells of one patch
         cloud with the other cloud, and its background with the other's
         cells; each of the N^2 patches joins its cells with the outer
@@ -551,8 +646,9 @@ class PatchModel:
         `_cross_kernel` of P and P + D per D, whatever the patch pair),
         between patch I and the outer background (one `_cross_kernel` of P
         and the outer points moved into I's frame, one class of value 0), and
-        within one cell (`cluster_energy`).  The background pairs of every
-        block come from lattice counts, the rest from `class_kernel`.  One
+        within one cell (`cluster_energy`).  The pairs of every block come
+        from lattice sums, save the cell-background pairs where
+        `class_kernel` is the cheaper route (`_cell_kernels`).  One
         stacked `class_pair_sum` sums all patches, and one per D all its
         patch pairs.  The pair budget runs first.
         """

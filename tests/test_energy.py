@@ -772,3 +772,40 @@ def test_lattice_guards():
         with pytest.raises(ValueError, match="from an integer"):
             _pairsum.LatticeCounts(index, [0, 1, 1], index, [0, 0, 0])
 
+
+
+def test_lattice_counts_offset_stack():
+    # an (O, m) stack of offsets gives the matrices of each offset, as one call per offset does
+    rng = np.random.default_rng(8)
+    a, b = rng.integers(0, 6, size=(15, 2)), rng.integers(0, 6, size=(11, 2))
+    la, lb = rng.integers(0, 2, size=15), rng.integers(0, 3, size=11)
+    counts = _pairsum.LatticeCounts(a, la, b, lb)
+    offsets = rng.random((5, 2)) - 0.5
+    shifts = np.array([[0, 0], [9, -4]])
+    got = counts.kernels(2.7, 0.4, shifts, offsets, 1.3)
+    assert got.shape == (2, 5, 2, 3)
+    for o, offset in enumerate(offsets):
+        np.testing.assert_allclose(got[:, o], counts.kernels(2.7, 0.4, shifts, offset, 1.3),
+                                   rtol=1e-14, atol=0)
+    assert counts.disp.shape[0] == _pairsum.LatticeCounts.entries(a, b)
+
+
+def test_lattice_counts_build_peak_memory():
+    # one label pair at a time: beyond the table, the build holds the spectra of the set of
+    # fewer labels and a few padded real arrays (6.9 and 13.1 here, 33 and 41 when every
+    # spectrum of B was stacked beside the work arrays of each label of A)
+    rng = np.random.default_rng(5)
+    a = np.stack(np.meshgrid(np.arange(40), np.arange(40), indexing="ij"), -1).reshape(-1, 2)
+    b = a[rng.random(a.shape[0]) < 0.5]
+    for la, lb in ((np.zeros(a.shape[0], dtype=np.int64), rng.integers(0, 7, b.shape[0])),
+                   (rng.integers(0, 7, a.shape[0]), rng.integers(0, 7, b.shape[0]))):
+        padded = 8 * _pairsum.LatticeCounts.entries(a, b)
+        _pairsum.LatticeCounts(a, la, b, lb)  # first build: the FFT's caches fill
+        tracemalloc.start()
+        try:
+            counts = _pairsum.LatticeCounts(a, la, b, lb)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        held = min(counts.rows.size, counts.cols.size)
+        assert peak - counts.counts.nbytes - counts.disp.nbytes < (held + 7) * padded

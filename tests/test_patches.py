@@ -1,3 +1,4 @@
+import math
 import tracemalloc
 
 import numpy as np
@@ -13,7 +14,16 @@ from patch_reference import (
     patch_values,
     projected_point_by_point,
 )
-from splab._pairsum import cell_lattice_kernel, class_kernel, class_pair_sum, half_lattice, pair_kernel_sum
+from splab._pairsum import (
+    LatticeCounts,
+    cell_lattice_kernel,
+    class_kernel,
+    class_pair_sum,
+    difference_lattice,
+    half_lattice,
+    lattice_index,
+    pair_kernel_sum,
+)
 from splab.chords import chords_vectorized
 from splab.energy import FractionalParams, Region, gagliardo_energy
 from splab.errors import BudgetError
@@ -238,23 +248,39 @@ def test_layer_budget_rejects_n3(monkeypatch, s):
 
 @pytest.mark.parametrize("n", [1, 2])
 def test_layer_class_kernel_pairs_touch_a_cell(monkeypatch, params_main, n):
-    # every class_kernel call of the layer blocks joins a set of cell points with
-    # another set, and the calls evaluate exactly the pairs that _layer_pairs counts
+    # every sum of the layer blocks that touches a cell stands for as many pairs as it
+    # covers: a class_kernel call (one side all cell points) its two groups' product, a
+    # cell-center count table its total count times its offsets, per shift, and the moved
+    # cell lattice its multiplicities times 25^2; together they are what _layer_pairs counts
     model = PatchModel(params_main, workers=2)
     k = default_cluster_count(n, params_main.s)
     cell_w = model._cell_lattice(k)[2]
     model._classes(k)
-    seen = []
+    seen = {"class_kernel": 0, "table": 0, "cell lattice": 0}
+    kernels = LatticeCounts.kernels
 
     def spy(points, labels, q, weights=1.0, groups=None, **kwargs):
         sides = [np.asarray(weights)[np.asarray(groups) == g] for g in (0, 1)]
         assert any(np.all(side == cell_w) for side in sides)
-        seen.append(sides[0].size * sides[1].size)
+        seen["class_kernel"] += sides[0].size * sides[1].size
         return class_kernel(points, labels, q, weights=weights, groups=groups, **kwargs)
 
+    def spy_table(self, q, spacing, shifts, offset=0.0, weight=1.0):
+        if self.shape[0] == 1:  # the cell centers carry one label, the backgrounds seven
+            seen["table"] += int(self.counts.sum()) * len(offset) * len(shifts)
+        return kernels(self, q, spacing, shifts, offset, weight)
+
+    def spy_lattice(offsets, q, weight, width, k, shift=None):
+        multiplicity = np.prod(k - np.abs(difference_lattice(k, 2)), axis=1).sum()
+        seen["cell lattice"] += int(multiplicity) * len(offsets) ** 2
+        return cell_lattice_kernel(offsets, q, weight, width, k, shift=shift)
+
     monkeypatch.setattr(patches, "class_kernel", spy)
+    monkeypatch.setattr(LatticeCounts, "kernels", spy_table)
+    monkeypatch.setattr(patches, "cell_lattice_kernel", spy_lattice)
     model.layer_energy_direct(LayerSpec(n))
-    assert sum(seen) == model._layer_pairs(LayerSpec(n))
+    assert seen["cell lattice"] > 0 and (seen["table"] > 0) == (n == 2)
+    assert sum(seen.values()) == model._layer_pairs(LayerSpec(n))
 
 
 def test_layer_unit_scale_energy_slope(model_main):
@@ -533,6 +559,76 @@ def test_cell_lattice_sum_matches_point_pairs(monkeypatch):
     got = float(np.sum(kern * np.linalg.norm(vals[:, None] - vals[None, :], axis=-1) ** 1.5))
     assert got == pytest.approx(expected, rel=1e-13)
     assert not cell_lattice_kernel(offs, 2.6, 0.01, width, 1).any()
+
+
+@pytest.mark.parametrize("k", [1, 2, 3])
+def test_moved_cell_lattice_kernel_matches_point_pairs(k):
+    # the kernel between a k x k lattice of 4-point cells and its copy moved by T cell
+    # widths (T = 5k D for the patch offsets D = (1, 0) and (-1, 1), and a near copy),
+    # against every pair of a point and a moved point
+    rng = np.random.default_rng(k)
+    width, weight = 0.2, 0.01
+    offs = (rng.random((4, 2)) - 0.5) * 0.9 * width
+    here = width * np.stack(np.meshgrid(np.arange(k), np.arange(k), indexing="ij"), -1).reshape(-1, 1, 2) + offs
+    for shift in ([5 * k, 0], [-5 * k, 5 * k], [k, -1]):
+        sep = here[:, None, :, None, :] - (here + width * np.array(shift))[None, :, None, :, :]
+        expected = weight**2 * np.sum(np.sum(sep**2, axis=-1) ** -1.3, axis=(0, 1))
+        got = cell_lattice_kernel(offs, 2.6, weight, width, k, shift=shift)
+        np.testing.assert_allclose(got, expected, rtol=1e-13, atol=0)
+
+
+def _lattice_always(model, k, points):
+    """`PatchModel._lattice_route` without its rule: the count-table route at every k."""
+    spacing = 1 / math.lcm(2 * k, 16)
+    return spacing, lattice_index(model._cell_lattice(k)[0], spacing), lattice_index(points, spacing)
+
+
+@pytest.mark.parametrize("k", [1, 2, 3, 4, 5, 6, 7, 8, 16, 32])
+def test_cell_background_kernels_match_class_kernel(monkeypatch, params_main, k):
+    # P's cells with its background at rest and moved by T = 2.5 D (D = (1, 0) and (-1, -2)),
+    # and with outer background points on the half-step lattice: the route the rule
+    # picks and the count-table route against class_kernel of the two sides in two groups
+    model = PatchModel(params_main, workers=2)
+    cloud = model._class_cloud(k)
+    classes, pts, labels, weights, groups = cloud
+    count = classes.shape[0]
+    cells, bg = groups == 0, groups == 1
+    layer = LayerSpec(1)
+    placement = layer.placements()[0]
+    outer, outer_w = outer_background(layer)
+    moves = np.array([[0.0, 0.0], [2.5, 0.0], [-2.5, -5.0]])
+    cases = [(pts[bg], labels[bg], weights[bg][0], moves),
+             ((outer - placement.translate) / placement.scale, np.zeros(outer.shape[0], dtype=np.int64),
+              outer_w / placement.scale**2, moves[:1])]
+    for points, q_labels, weight, shifts in cases:
+        expected = np.stack([
+            class_kernel(np.concatenate([pts[cells], points + move]),
+                         np.concatenate([labels[cells], q_labels + count]), model._kernel_exp,
+                         weights=np.concatenate([weights[cells], np.full(points.shape[0], weight)]),
+                         groups=np.repeat([0, 1], [np.count_nonzero(cells), points.shape[0]]),
+                         workers=2)[:count, count:]
+            for move in shifts])
+        for route in (PatchModel._lattice_route, _lattice_always):
+            monkeypatch.setattr(PatchModel, "_lattice_route", route)
+            got = model._cell_kernels(cloud, points, q_labels, weight, shifts)
+            assert got.shape == expected.shape
+            assert np.max(np.abs(got - expected)) <= 1e-13 * np.max(np.abs(expected))
+
+
+def test_cell_background_route_rule(params_main):
+    # the route of fewer kernel evaluations: 25 per padded table entry against one per pair,
+    # unless the table exceeds its budget: at n = 4 (k = 182) the table would take fewer
+    # evaluations but hold 18.7M entries (523 MB of counts)
+    model = PatchModel(params_main)
+    bg = model._background()[0]
+    lattice = [k for k in (1, 3, 4, 5, 6, 32, 182) if model._lattice_route(k, bg) is not None]
+    assert lattice == [4, 6, 32]
+    spacing = 1 / math.lcm(2 * 182, 16)
+    entries = LatticeCounts.entries(lattice_index(model._cell_lattice(182)[0], spacing)[0],
+                                    lattice_index(bg, spacing)[0])
+    assert patches.CELL_TABLE_BUDGET < entries < 182**2 * bg.shape[0]
+    assert model.class_scheme([32, 1, 6, 6]) == (
+        "class matrices kernel_exp=3.0: cell-background lattice k=6,32; class_kernel k=1")
 
 
 def test_stacked_projected_equals_per_shift(model_main, params_main):

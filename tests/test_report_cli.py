@@ -411,6 +411,10 @@ def test_cli_reports_name_their_scheme(tmp_path):
     assert rc == 0
     assert json.loads((tmp_path / "layer.json").read_text())["scheme"] == (
         "offset class kernels kernel_exp=3.0")
+    rc = main(["patch", "--n-values", "1,2", "--shifts", "2", "--out", str(tmp_path), "--formats", "json"])
+    assert rc == 0
+    assert json.loads((tmp_path / "patch.json").read_text())["scheme"] == (
+        "class matrices kernel_exp=3.0: cell-background lattice k=6; class_kernel k=1")
 
 
 def test_cli_geometry_run_and_outputs(tmp_path):
