@@ -1,44 +1,28 @@
-"""Tiled pairwise kernel summation with deterministic reduction.
+"""One pair-sum walk and one lattice-count engine, both with deterministic reduction.
 
-Computes sums of the form
+The walk computes sums of the form
 
     S = sum_{i < j} w_i w_j |v_i - v_j|^p / |x_i - x_j|^q
 
-over a weighted point cloud, excluding the diagonal.  The upper triangle
-of the pair matrix is cut into tiles: row slab [a, a + TILE_ROWS) meets
-the columns from a onward in chunks of ``block``.  One walk (`_walk`)
-serves every engine: it lists the tiles of one row slab at a time, drops
-the tiles whose pairs all share one nonnegative group (their kernel is
-zero), runs a task on each remaining tile on up to ``workers`` threads
-and yields the results in tile order.  Partial sums are combined by a
-pairwise tree reduction in that order, so the result is bit-stable for
-any worker count.
+over a weighted point cloud, the diagonal excluded, and pairs within one
+nonnegative group id too (group -1 means none).  The upper triangle of
+the pair matrix is cut into tiles (row slab [a, a + TILE_ROWS) against
+the columns from a onward in chunks of ``block``); `_walk` lists them a
+row slab at a time, drops the tiles inside one group, runs a task on each
+other tile on up to ``workers`` threads and yields the results in tile
+order, which a pairwise tree combines, so the result is bit-stable for
+any worker count.  ``pair_kernel_sum`` applies each kernel tile to a
+whole stack of value sets (skipping the sets whose two value blocks hold
+one constant); ``class_kernel`` sums the tiles into a (C, C) matrix per
+pair of value classes, from which ``class_pair_sum`` gives the pair sum
+of any class-valued set.
 
-A tile's kernel w_i w_j |x_i - x_j|^-q, with the diagonal, same-group
-and coincident pairs zeroed, depends on the geometry only.
-``pair_kernel_sum`` takes a stack of value sets: each kernel tile is
-computed once, applied to every value set for which it is live while it
-is in cache, and discarded.  A tile is dead for a value set whose two
-value blocks hold one and the same constant (every numerator is zero).
-
-When the values are a function of a class label with few classes,
-``class_kernel`` sums the kernel tiles once into a (C, C) matrix per pair
-of classes, and ``class_pair_sum`` gives the pair sum of any such value
-set from C^2 / 2 numerators.  ``cell_lattice_kernel`` gives the kernel
-between the points of a lattice of congruent cells by their index
-difference, or between the lattice and its copy moved by an integer
-translation.  When two labelled point sets lie on one lattice,
-``LatticeCounts`` counts their label pairs at each index difference
-once, by an FFT correlation rounded to integers, and gives their class
-matrix at any integer translation from one kernel value per difference
-(``lattice_index`` recovers the indices from coordinates); for points
-that are lattice nodes plus one of a few offsets, one batched pass gives
-the matrix of every offset.
-
-An optional integer group id per point supports composite quadratures:
-pairs within the same nonnegative group are excluded (they are accounted
-for separately, e.g. by an exact rescaling identity).  Group id -1 means
-"no group"; such self-pairs are kept.
+The engine, ``LatticeCounts``, counts the label pairs of two labelled
+sets on one lattice (``lattice_index`` reads the indices from
+coordinates) at each index difference once, by an FFT correlation
+rounded to integers, and gives their class matrix at any integer
+translation, and for points that are nodes plus one of a few offsets,
+from one kernel value per difference and offset.
 """
 
 from __future__ import annotations
@@ -54,7 +38,6 @@ from numpy.typing import NDArray
 
 TILE_ROWS = 128
 DEFAULT_BLOCK = 512
-LATTICE_CHUNK = 32  # displacements per block of cell_lattice_kernel
 TILE_CHUNK = 1024  # tiles per thread pool of the walk (their results are held at once)
 CLASS_TERMS = 2**16  # terms per term array of a stacked class_pair_sum
 LATTICE_TOLERANCE = 1e-9  # steps a point of `lattice_index` may lie off its lattice node
@@ -421,61 +404,11 @@ def class_pair_sum(kernel: NDArray, values: NDArray, p: float, drop=()) -> float
     return sums[0] if single else np.array(sums)
 
 
-def difference_lattice(k: int, m: int) -> NDArray:
-    """Index differences D in [1-k, k-1]^m, lexicographic."""
-    span = np.arange(1 - k, k)
-    return np.stack(np.meshgrid(*([span] * m), indexing="ij"), axis=-1).reshape(-1, m)
-
-
 def half_lattice(k: int, m: int) -> NDArray:
     """Index differences D in [1-k, k-1]^m whose first nonzero entry is positive, lexicographic."""
-    disp = difference_lattice(k, m)
+    span = np.arange(1 - k, k)
+    disp = np.stack(np.meshgrid(*([span] * m), indexing="ij"), axis=-1).reshape(-1, m)
     return disp[disp.shape[0] // 2 + 1:]  # lexicographic order: the D after D = 0 are D > 0
-
-
-def cell_lattice_kernel(offsets: NDArray, q: float, weight: float, width: float, k: int,
-                        shift=None) -> NDArray:
-    """(P, P) kernel of the pairs that join two different cells of a k^m cell lattice.
-
-    Every cell holds the same P local ``offsets`` with the same point
-    ``weight``; the cell of lattice index J sits at ``width * J``.  Exactly
-    prod_i (k - |D_i|) ordered cell pairs have the index difference D, and
-    D and -D contribute alike, so for values v_a that every cell shares at
-    offset a the pair sum over all pairs of distinct cells is
-    sum_{a, b} K[a, b] |v_a - v_b|^p with
-
-        K[a, b] = w^2 sum_{D > 0} prod_i (k - |D_i|) |width D + o_a - o_b|^-q
-
-    over the half lattice of D whose first nonzero entry is positive:
-    (2k - 1)^m / 2 kernel blocks of P^2 values instead of (P k^m)^2 / 2
-    pairs.  With an integer ``shift`` T (in cell widths) the kernel joins
-    the lattice with its copy moved by T instead: K[a, b] is the kernel of
-    the pairs of offset a of a cell and offset b of a moved cell,
-
-        K[a, b] = w^2 sum_D prod_i (k - |D_i|) |width (D - T) + o_a - o_b|^-q
-
-    over the full difference lattice, (2k - 1)^m blocks instead of
-    (P k^m)^2 pairs; the copy must not overlap the lattice (|T_i| >= k on
-    some axis).  The displacements are streamed ``LATTICE_CHUNK`` at a
-    time.  Offsets must lie strictly inside the cell, so no two points of
-    different cells coincide.
-    """
-    offs = np.ascontiguousarray(offsets, dtype=float)
-    size, m = offs.shape
-    rel = offs[:, None, :] - offs[None, :, :]
-    disp = half_lattice(k, m) if shift is None else difference_lattice(k, m)
-    count = np.prod(k - np.abs(disp), axis=1).astype(float)
-    if shift is not None:
-        disp = disp - np.asarray(shift, dtype=np.int64)
-
-    def chunks():
-        for c0 in range(0, disp.shape[0], LATTICE_CHUNK):
-            c1 = c0 + LATTICE_CHUNK
-            sep = width * disp[c0:c1, None, None, :] + rel
-            kern = np.einsum("dabi,dabi->dab", sep, sep) ** (-0.5 * q)
-            yield count[c0:c1] @ kern.reshape(kern.shape[0], -1)
-
-    return weight * weight * tree_reduce(chunks(), np.zeros(size * size)).reshape(size, size)
 
 
 def _fft_size(n: int) -> int:
@@ -619,6 +552,10 @@ class LatticeCounts:
                 slice(None), q, spacing, offsets, shift)
         return out if stack else out[:, 0]
 
+    def _half(self) -> NDArray:
+        """Mask of the table rows whose index difference E has a positive first nonzero entry."""
+        return self.disp[np.arange(self.disp.shape[0]), np.argmax(self.disp != 0, axis=1)] > 0
+
     def within(self, q: float, spacing: float, weight: float = 1.0) -> NDArray:
         """(C, C) class matrix of the unordered pairs of distinct points, for A = B.
 
@@ -626,9 +563,31 @@ class LatticeCounts:
         E whose first nonzero entry is positive and is made symmetric with
         its diagonal kept once, as in `class_kernel`.
         """
-        first = self.disp[np.arange(self.disp.shape[0]), np.argmax(self.disp != 0, axis=1)]
-        half = first > 0
         out = np.zeros(self.shape)
         out[np.ix_(self.rows, self.cols)] = weight * self._sums(
-            half, q, spacing, np.zeros((1, self.disp.shape[1])))[0]
+            self._half(), q, spacing, np.zeros((1, self.disp.shape[1])))[0]
         return symmetric(out)
+
+    def template_kernels(self, q: float, spacing: float, offsets: NDArray, step: float,
+                         shift=None, weight: float = 1.0) -> NDArray:
+        """(P, P, Ca, Cb) kernels of the points that are nodes plus one of P template ``offsets``.
+
+        The offsets lie on a lattice of spacing ``step`` (else ValueError),
+        so the table is evaluated once per distinct difference o_a - o_b (81
+        for a 5 x 5 template) and scattered back to (a, b).  Without
+        ``shift``, for a set with itself: sum_{E > 0} C[E] |spacing E + o_a -
+        o_b|^-q over the half table, each unordered node pair once, as in
+        `within`.  With an integer ``shift`` T: offset a of A against offset
+        b of B moved by T, as `kernels` at T with offset o_b - o_a.
+        """
+        offs = np.asarray(offsets, dtype=float)
+        index = lattice_index(offs, step)[0]
+        diffs, inverse = np.unique((index[:, None] - index[None]).reshape(-1, offs.shape[1]),
+                                   axis=0, return_inverse=True)
+        if shift is None:
+            sums = self._sums(self._half(), q, spacing, step * diffs)
+        else:
+            sums = self._sums(slice(None), q, spacing, -step * diffs, shift)
+        out = np.zeros((diffs.shape[0],) + self.shape)
+        out[:, self.rows[:, None], self.cols] = weight * sums
+        return out[inverse.ravel()].reshape((offs.shape[0],) * 2 + self.shape)

@@ -427,7 +427,7 @@ def _run_layer(opts: LayerOptions, cfg: RunConfig) -> ExperimentReport:
     direct = model.layer_energy_direct(opts.layer)
     upper = model.layer_upper_compositional(opts.layer)
     report = ExperimentReport(name="layer", params={"patches": opts.layer.count},
-                              scheme=model.layer_scheme)
+                              scheme=model.layer_scheme(opts.layer))
     report.add_row(opts.n, upper=upper, lower=direct)
     report.check("compositional upper bounds direct", direct <= upper,
                  f"direct={direct:.6g} upper={upper:.6g}")

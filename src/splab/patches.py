@@ -24,7 +24,6 @@ from numpy.typing import NDArray
 
 from ._pairsum import (
     LatticeCounts,
-    cell_lattice_kernel,
     class_bins,
     class_kernel,
     class_pair_sum,
@@ -260,7 +259,6 @@ class PatchModel:
         self._frame_pts, self.h0 = _midpoint_lattice(FRAME_HALFWIDTH, FRAME_SPACING)
         self._frame_g = two_bump_profile(self._frame_pts)
         self._kernel_exp = 2 + params.sp
-        self.layer_scheme = f"offset class kernels kernel_exp={self._kernel_exp!r}"
         self._memo: dict = {}
         self._class_memo: dict = {}
         self._tables: dict = {}  # slot -> (key, the last `LatticeCounts` of that slot)
@@ -269,9 +267,9 @@ class PatchModel:
 
     @cached_property
     def profile_energy(self) -> float:
-        """Energy of the scalar two-bump profile over the frame box."""
-        return frame_energy(self._frame_pts, self._frame_g[:, None], self.params.p,
-                            self._kernel_exp, self.h0, self.workers)
+        """Energy of the scalar two-bump profile over the frame box, from the frame's class matrix."""
+        profile, kern = self._frame_classes()
+        return 2.0 * class_pair_sum(kern, profile, self.params.p)
 
     @cached_property
     def plateau_kernel(self) -> float:
@@ -366,8 +364,9 @@ class PatchModel:
         The symmetric matrix holds all pairs that do not lie in one cell:
         `_cell_kernels` the pairs between a cell and the background,
         `_background_kernel` the pairs within the background, and
-        `cell_lattice_kernel`, scattered onto the cells' classes, the pairs
-        that join two cells.  Built once per k.
+        `_cell_pairs`, the cell-center table of k with itself at the template
+        differences, scattered onto the cells' classes, the pairs that join
+        two cells.  Built once per k.
         """
         if k not in self._class_memo:
             cloud = self._class_cloud(k)
@@ -380,10 +379,8 @@ class PatchModel:
             kern = symmetric(ordered)
             within = self._background_kernel(cloud, pts[bg], labels[bg], weights[bg], within=True)
             kern[:within.shape[0], :within.shape[0]] += within
-            _, offs, cell_w = self._cell_lattice(k)
-            cell_labels = labels[:offs.shape[0]]
-            lattice = cell_lattice_kernel(offs, self._kernel_exp, cell_w, 2 * BLOCK_HALFWIDTH / k, k)
-            kern += symmetric(class_bins(cell_labels, cell_labels, lattice, count))
+            cell_labels = labels[:CELL_SUBDIVISION**2]
+            kern += symmetric(class_bins(cell_labels, cell_labels, self._cell_pairs(k), count))
             self._class_memo[k] = classes[:, 0], classes[:, 1], kern
         return self._class_memo[k]
 
@@ -399,8 +396,9 @@ class PatchModel:
         frame units.  The pairs are split by what they touch: P's cells with
         Q's background, and P's background with Q's cells (the pairs of P's
         cells with P's background moved by -T), come from `_cell_kernels`;
-        the pairs of the two cell lattices from `cell_lattice_kernel` moved
-        by T; the pairs of the two backgrounds from `_background_kernel`.
+        the pairs of the two cell lattices from the cell-center table of
+        `_classes(k)` at the translation T (`_cell_pairs`); the pairs of the
+        two backgrounds from `_background_kernel`.
         """
         classes, pts, cloud_labels, cloud_weights, groups = cloud
         count = classes.shape[0]
@@ -411,13 +409,9 @@ class PatchModel:
         ordered = np.zeros((size, size))  # rows P's classes, columns Q's
         if q_cells.any():
             k = _cluster_count(groups)
-            _, offs, cell_w = self._cell_lattice(k)
-            width = 2 * BLOCK_HALFWIDTH / k
             move = points[0] - pts[0]
-            lattice = cell_lattice_kernel(offs, self._kernel_exp, cell_w, width, k,
-                                          shift=np.rint(move / width).astype(np.int64))
-            cell_labels = cloud_labels[:offs.shape[0]]
-            ordered += class_bins(cell_labels, cell_labels + count, lattice, size)
+            cell_labels = cloud_labels[:CELL_SUBDIVISION**2]
+            ordered += class_bins(cell_labels, cell_labels + count, self._cell_pairs(k, move), size)
             bg = ~cells
             forth, back = self._cell_kernels(cloud, pts[bg], cloud_labels[bg], cloud_weights[bg][0],
                                              [move, -move])
@@ -429,6 +423,23 @@ class PatchModel:
         bg = self._background_kernel(cloud, points[~q_cells], labels[~q_cells], weights[~q_cells])
         ordered[:bg.shape[0], count:count + bg.shape[1]] += bg
         return symmetric(ordered)
+
+    def _cell_pairs(self, k: int, move=None) -> NDArray:
+        """(P, P) kernel by template offsets of the pairs of two cells of k, or of k and k moved by ``move``.
+
+        ``move`` is a frame vector of whole cell widths.  The kernel comes from
+        the count table of the k x k cell centers with themselves (its own
+        `_table` slot, shared by `_classes(k)` and the offset blocks of k) at
+        the template differences (`LatticeCounts.template_kernels`).
+        """
+        centers, offs, cell_w = self._cell_lattice(k)
+        width = 2 * BLOCK_HALFWIDTH / k
+        index = lattice_index(centers, width)[0]
+        one = np.zeros(index.shape[0], dtype=np.int64)
+        table = self._table("centers", index, one, index, one)
+        shift = None if move is None else np.rint(np.asarray(move) / width).astype(np.int64)
+        return table.template_kernels(self._kernel_exp, width, offs, width / CELL_SUBDIVISION,
+                                      shift, cell_w * cell_w)[:, :, 0, 0]
 
     def _cell_kernels(self, cloud: tuple, points: NDArray, labels: NDArray, weight: float,
                       moves) -> NDArray:
@@ -494,14 +505,23 @@ class PatchModel:
             return None
         return spacing, (a, a_off), (b, b_off)
 
+    def _routes(self, ks, points=None, prefix: str = "") -> str:
+        """Names the route `_lattice_route` picks for the cells of each k of ``ks`` and ``points``."""
+        points, ks = self._background()[0] if points is None else points, set(ks)
+        lattice = sorted(k for k in ks if self._lattice_route(k, points) is not None)
+        groups = (("cell-background lattice", lattice), ("class_kernel", sorted(ks - set(lattice))))
+        return "; ".join(f"{prefix}{name} k={','.join(map(str, g))}" for name, g in groups if g)
+
     def class_scheme(self, ks) -> str:
         """Names the route of the cell-background pairs of the class matrix of each k of ``ks``."""
-        bg, ks = self._background()[0], set(ks)
-        lattice = sorted(k for k in ks if self._lattice_route(k, bg) is not None)
-        rest = sorted(ks - set(lattice))
-        routes = [f"{name} k={','.join(map(str, group))}"
-                  for name, group in (("cell-background lattice", lattice), ("class_kernel", rest)) if group]
-        return f"class matrices kernel_exp={self._kernel_exp!r}: " + "; ".join(routes)
+        return f"class matrices kernel_exp={self._kernel_exp!r}: {self._routes(ks)}"
+
+    def layer_scheme(self, layer: LayerSpec) -> str:
+        """Names the routes of the cells of `layer_energy_direct` with cells, background and outer points."""
+        ks, placement = [default_cluster_count(layer.n, self.params.s)], layer.placements()[0]
+        outer = (outer_background(layer)[0] - placement.translate) / placement.scale
+        return (f"offset class kernels kernel_exp={self._kernel_exp!r}: cell lattice counts; "
+                f"{self._routes(ks)}; {self._routes(ks, outer, 'outer ')}")
 
     def _table(self, slot: str, a: NDArray, labels_a: NDArray, b: NDArray,
                labels_b: NDArray) -> LatticeCounts:
@@ -621,9 +641,9 @@ class PatchModel:
     def _layer_pairs(self, layer: LayerSpec) -> int:
         """Pairs of the blocks of `layer_energy_direct` that touch a cell, by arithmetic from k and n.
 
-        They are counted whichever route sums them (`class_kernel`, a
-        cell-center count table or the moved cell lattice); the background
-        pairs come from lattice counts and are not counted.
+        They are counted whichever route sums them (`class_kernel` or a
+        count table of the cell centers); the background pairs come from
+        lattice counts and are not counted.
         Each of the ((2N-1)^2 - 1)/2 half-offsets joins the cells of one patch
         cloud with the other cloud, and its background with the other's
         cells; each of the N^2 patches joins its cells with the outer

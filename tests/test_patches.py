@@ -16,10 +16,8 @@ from patch_reference import (
 )
 from splab._pairsum import (
     LatticeCounts,
-    cell_lattice_kernel,
     class_kernel,
     class_pair_sum,
-    difference_lattice,
     half_lattice,
     lattice_index,
     pair_kernel_sum,
@@ -32,6 +30,7 @@ from splab.patches import (
     FRAME_HALFWIDTH,
     LayerSpec,
     PatchModel,
+    _midpoint_lattice,
     PatchSpec,
     SUPPORT_HALFWIDTH,
     PATCH_MARGIN,
@@ -39,6 +38,7 @@ from splab.patches import (
     _values_from,
     check_layer_table,
     default_cluster_count,
+    frame_energy,
     outer_background,
 )
 from splab.sphere import unit_values
@@ -250,14 +250,15 @@ def test_layer_budget_rejects_n3(monkeypatch, s):
 def test_layer_class_kernel_pairs_touch_a_cell(monkeypatch, params_main, n):
     # every sum of the layer blocks that touches a cell stands for as many pairs as it
     # covers: a class_kernel call (one side all cell points) its two groups' product, a
-    # cell-center count table its total count times its offsets, per shift, and the moved
-    # cell lattice its multiplicities times 25^2; together they are what _layer_pairs counts
+    # cell-center count table with a background its total count times its offsets, per
+    # shift, and the center table with itself its summed count times 25^2 template pairs;
+    # together they are what _layer_pairs counts
     model = PatchModel(params_main, workers=2)
     k = default_cluster_count(n, params_main.s)
     cell_w = model._cell_lattice(k)[2]
     model._classes(k)
     seen = {"class_kernel": 0, "table": 0, "cell lattice": 0}
-    kernels = LatticeCounts.kernels
+    kernels, template_kernels = LatticeCounts.kernels, LatticeCounts.template_kernels
 
     def spy(points, labels, q, weights=1.0, groups=None, **kwargs):
         sides = [np.asarray(weights)[np.asarray(groups) == g] for g in (0, 1)]
@@ -270,14 +271,14 @@ def test_layer_class_kernel_pairs_touch_a_cell(monkeypatch, params_main, n):
             seen["table"] += int(self.counts.sum()) * len(offset) * len(shifts)
         return kernels(self, q, spacing, shifts, offset, weight)
 
-    def spy_lattice(offsets, q, weight, width, k, shift=None):
-        multiplicity = np.prod(k - np.abs(difference_lattice(k, 2)), axis=1).sum()
-        seen["cell lattice"] += int(multiplicity) * len(offsets) ** 2
-        return cell_lattice_kernel(offsets, q, weight, width, k, shift=shift)
+    def spy_lattice(self, q, spacing, offsets, step, shift=None, weight=1.0):
+        rows = self._half() if shift is None else slice(None)
+        seen["cell lattice"] += int(self.counts[rows].sum()) * len(offsets) ** 2
+        return template_kernels(self, q, spacing, offsets, step, shift, weight)
 
     monkeypatch.setattr(patches, "class_kernel", spy)
     monkeypatch.setattr(LatticeCounts, "kernels", spy_table)
-    monkeypatch.setattr(patches, "cell_lattice_kernel", spy_lattice)
+    monkeypatch.setattr(LatticeCounts, "template_kernels", spy_lattice)
     model.layer_energy_direct(LayerSpec(n))
     assert seen["cell lattice"] > 0 and (seen["table"] > 0) == (n == 2)
     assert sum(seen.values()) == model._layer_pairs(LayerSpec(n))
@@ -364,6 +365,16 @@ def test_plateau_kernel_is_the_frame_class_entry(pair):
     assert plus.size == minus.size == 1
     expected = 2.0 * kern[plus[0], minus[0]]
     assert model.plateau_kernel == pytest.approx(expected, rel=1e-12, abs=0)
+
+
+@pytest.mark.parametrize("pair", [(0.4, 2.5), (0.7, 2.8), (0.4, 1.5), (0.6, 1.5)],
+                         ids=lambda pair: f"s{pair[0]}-p{pair[1]}")
+def test_profile_energy_matches_frame_pair_sum(pair):
+    # the profile energy from the frame class matrix against the point-by-point pair sum
+    model = PatchModel(FractionalParams(*pair), workers=2)
+    expected = frame_energy(model._frame_pts, model._frame_g[:, None], model.params.p,
+                            model._kernel_exp, model.h0, workers=2)
+    assert model.profile_energy == pytest.approx(expected, rel=1e-13, abs=0)
 
 
 @pytest.mark.parametrize("pair", THRESHOLD_PAIRS)
@@ -542,39 +553,52 @@ def test_patch_cloud_cells_share_one_template(model_main, params_main, n):
                                    rtol=0, atol=1e-14)
 
 
+def _center_table(k):
+    """`LatticeCounts` of the k x k cell indices with themselves, one label per side."""
+    index = np.stack(np.meshgrid(np.arange(k), np.arange(k), indexing="ij"), -1).reshape(-1, 2)
+    one = np.zeros(k * k, dtype=np.int64)
+    return LatticeCounts(index, one, index, one)
+
+
 def test_cell_lattice_sum_matches_point_pairs(monkeypatch):
-    # the pair sum from the cell-lattice kernel: a 3 x 3 lattice of 4-point cells
-    # against the grouped engine, point by point; its 12 displacements stream in
-    # three chunks
-    monkeypatch.setattr(_pairsum, "LATTICE_CHUNK", 5)
+    # the pair sum from the center table at the template differences: a 3 x 3 lattice
+    # of cells holding a 5 x 5 or a 4 x 4 midpoint template against the grouped engine,
+    # point by point; the 25 table rows stream in five blocks; an off-lattice template
+    # raises
+    monkeypatch.setattr(_pairsum, "LATTICE_ROWS", 5)
     rng = np.random.default_rng(4)
     k, width = 3, 0.2
-    offs = (rng.random((4, 2)) - 0.5) * 0.9 * width
-    vals = rng.normal(size=(4, 2))
     cells = width * np.stack(np.meshgrid(np.arange(k), np.arange(k), indexing="ij"), -1).reshape(-1, 2)
-    pts = (cells[:, None, :] + offs).reshape(-1, 2)
-    groups = np.repeat(np.arange(k * k), 4)
-    expected = pair_kernel_sum(pts, np.tile(vals, (k * k, 1)), 1.5, 2.6, weights=0.01, groups=groups)
-    kern = cell_lattice_kernel(offs, 2.6, 0.01, width, k)
-    got = float(np.sum(kern * np.linalg.norm(vals[:, None] - vals[None, :], axis=-1) ** 1.5))
-    assert got == pytest.approx(expected, rel=1e-13)
-    assert not cell_lattice_kernel(offs, 2.6, 0.01, width, 1).any()
+    for side in (5, 4):
+        offs = _midpoint_lattice(width / 2, width / side)[0]
+        vals = rng.normal(size=(side * side, 2))
+        pts = (cells[:, None, :] + offs).reshape(-1, 2)
+        groups = np.repeat(np.arange(k * k), side * side)
+        expected = pair_kernel_sum(pts, np.tile(vals, (k * k, 1)), 1.5, 2.6, weights=0.01, groups=groups)
+        kern = _center_table(k).template_kernels(2.6, width, offs, width / side, weight=0.01**2)[:, :, 0, 0]
+        got = float(np.sum(kern * np.linalg.norm(vals[:, None] - vals[None, :], axis=-1) ** 1.5))
+        assert got == pytest.approx(expected, rel=1e-13)
+        assert not _center_table(1).template_kernels(2.6, width, offs, width / side).any()
+    with pytest.raises(ValueError, match="off the lattice"):
+        _center_table(k).template_kernels(2.6, width, (rng.random((4, 2)) - 0.5) * 0.9 * width, width / 5)
 
 
 @pytest.mark.parametrize("k", [1, 2, 3])
 def test_moved_cell_lattice_kernel_matches_point_pairs(k):
-    # the kernel between a k x k lattice of 4-point cells and its copy moved by T cell
-    # widths (T = 5k D for the patch offsets D = (1, 0) and (-1, 1), and a near copy),
-    # against every pair of a point and a moved point
-    rng = np.random.default_rng(k)
+    # the kernel between a k x k lattice of cells (a 5 x 5 or a 4 x 4 midpoint template)
+    # and its copy moved by T cell widths (T = 5k D for the patch offsets D = (1, 0) and
+    # (-1, 1), and a near copy), from the center table, against every pair of a point
+    # and a moved point
     width, weight = 0.2, 0.01
-    offs = (rng.random((4, 2)) - 0.5) * 0.9 * width
-    here = width * np.stack(np.meshgrid(np.arange(k), np.arange(k), indexing="ij"), -1).reshape(-1, 1, 2) + offs
-    for shift in ([5 * k, 0], [-5 * k, 5 * k], [k, -1]):
-        sep = here[:, None, :, None, :] - (here + width * np.array(shift))[None, :, None, :, :]
-        expected = weight**2 * np.sum(np.sum(sep**2, axis=-1) ** -1.3, axis=(0, 1))
-        got = cell_lattice_kernel(offs, 2.6, weight, width, k, shift=shift)
-        np.testing.assert_allclose(got, expected, rtol=1e-13, atol=0)
+    grid = width * np.stack(np.meshgrid(np.arange(k), np.arange(k), indexing="ij"), -1).reshape(-1, 1, 2)
+    for side in (5, 4):
+        offs = _midpoint_lattice(width / 2, width / side)[0]
+        here = grid + offs
+        for shift in ([5 * k, 0], [-5 * k, 5 * k], [k, -1]):
+            sep = here[:, None, :, None, :] - (here + width * np.array(shift))[None, :, None, :, :]
+            expected = weight**2 * np.sum(np.sum(sep**2, axis=-1) ** -1.3, axis=(0, 1))
+            got = _center_table(k).template_kernels(2.6, width, offs, width / side, shift, weight**2)
+            np.testing.assert_allclose(got[:, :, 0, 0], expected, rtol=1e-13, atol=0)
 
 
 def _lattice_always(model, k, points):

@@ -410,7 +410,7 @@ def test_cli_reports_name_their_scheme(tmp_path):
     rc = main(["layer", "--n", "1", "--out", str(tmp_path), "--formats", "json"])
     assert rc == 0
     assert json.loads((tmp_path / "layer.json").read_text())["scheme"] == (
-        "offset class kernels kernel_exp=3.0")
+        "offset class kernels kernel_exp=3.0: cell lattice counts; class_kernel k=1; outer class_kernel k=1")
     rc = main(["patch", "--n-values", "1,2", "--shifts", "2", "--out", str(tmp_path), "--formats", "json"])
     assert rc == 0
     assert json.loads((tmp_path / "patch.json").read_text())["scheme"] == (
