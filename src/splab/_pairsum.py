@@ -4,18 +4,16 @@ The walk computes sums of the form
 
     S = sum_{i < j} w_i w_j |v_i - v_j|^p / |x_i - x_j|^q
 
-over a weighted point cloud, the diagonal excluded, and pairs within one
-nonnegative group id too (group -1 means none).  The upper triangle of
-the pair matrix is cut into tiles (row slab [a, a + TILE_ROWS) against
-the columns from a onward in chunks of ``block``); `_walk` lists them a
-row slab at a time, drops the tiles inside one group, runs a task on each
-other tile on up to ``workers`` threads and yields the results in tile
-order, which a pairwise tree combines, so the result is bit-stable for
-any worker count.  ``pair_kernel_sum`` applies each kernel tile to a
-whole stack of value sets (skipping the sets whose two value blocks hold
-one constant); ``class_kernel`` sums the tiles into a (C, C) matrix per
-pair of value classes, from which ``class_pair_sum`` gives the pair sum
-of any class-valued set.
+over a weighted point cloud, the diagonal excluded.  `_tiles` cuts the
+pairs into tiles (row slab [a, a + TILE_ROWS) against columns in chunks
+of ``block``): the upper triangle of the pair matrix, or the rectangle
+between the two sides of a split.  `_walk` runs a task on every tile on
+up to ``workers`` threads and yields the results in tile order, which a
+pairwise tree combines, so the result is bit-stable for any worker count.
+``pair_kernel_sum`` applies each kernel tile to a whole stack of value
+sets; ``class_kernel`` sums the tiles into a (C, C) matrix per pair of
+value classes, from which ``class_pair_sum`` gives the pair sum of any
+class-valued set.
 
 The engine, ``LatticeCounts``, counts the label pairs of two labelled
 sets on one lattice (``lattice_index`` reads the indices from
@@ -63,15 +61,20 @@ def tree_reduce(values, empty=0.0):
     return total
 
 
-def _slab_tiles(a0: int, n: int, block: int, a1: int | None = None) -> list[tuple[int, int, int, int]]:
-    """(row start, row stop, column start, column stop) of the tiles of row slab [a0, a1).
+def _tiles(n: int, block: int, split: int | None = None):
+    """(row start, row stop, column start, column stop) of the tiles of the walk, in walk order.
 
-    The slab stops ``TILE_ROWS`` rows on unless ``a1`` is given.
+    Without ``split``: the upper triangle of the n x n pair matrix, each
+    row slab of ``TILE_ROWS`` rows against the columns from its first row
+    on.  With it: the rows [0, split) against the columns [split, n).
+    Either way the columns of a slab come in chunks of ``block``.
     """
     if block < 1:
         raise ValueError(f"block must be >= 1, got {block}")
-    a1 = min(a0 + TILE_ROWS, n) if a1 is None else a1
-    return [(a0, a1, b0, min(b0 + block, n)) for b0 in range(a0, n, block)]
+    rows = n if split is None else split
+    for a0 in range(0, rows, TILE_ROWS):
+        for b0 in range(a0 if split is None else split, n, block):
+            yield a0, min(a0 + TILE_ROWS, rows), b0, min(b0 + block, n)
 
 
 def _as_values(values: NDArray) -> NDArray:
@@ -87,26 +90,6 @@ def _drop_masks(drop, sets: int, n: int) -> NDArray | None:
     if mask.shape not in ((n,), (sets, n)) or mask.size != sets * n:
         raise ValueError(f"{sets} value sets of {n} points but drop sets of shape {mask.shape}")
     return mask.reshape(sets, n)
-
-
-def _run_ends(keys: NDArray) -> NDArray:
-    """Per index: one past the end of the run of equal key rows that holds it."""
-    n = keys.shape[0]
-    breaks = np.flatnonzero(np.any(keys[1:] != keys[:-1], axis=1)) + 1
-    return np.append(breaks, n)[np.searchsorted(breaks, np.arange(n), side="right")]
-
-
-def _one_group_tiles(groups: NDArray | None, tiles: list, run_end: NDArray | None = None) -> NDArray:
-    """Tiles whose rows and columns all carry one nonnegative group id (kernel all zero).
-
-    ``run_end`` is `_run_ends` of the groups, computed here when not given.
-    """
-    if groups is None:
-        return np.zeros(len(tiles), dtype=bool)
-    run_end = _run_ends(groups[:, None]) if run_end is None else run_end
-    a0, a1, b0, b1 = np.asarray(tiles, dtype=np.int64).reshape(-1, 4).T
-    same = (run_end[a0] >= a1) & (run_end[b0] >= b1) & (groups[a0] == groups[b0])
-    return same & (groups[a0] >= 0)
 
 
 class _Scratch:
@@ -151,23 +134,14 @@ def _map_tiles(fn, tiles: list, block: int, workers: int) -> list:
     return out
 
 
-def _walk(geo: _Geometry, task, block: int, workers: int, starts=None):
-    """Yield task(tile, scratch) for each tile not inside one nonnegative group, in tile order.
+def _walk(n: int, task, block: int, workers: int, split: int | None = None):
+    """Yield task(tile, scratch) for each tile of `_tiles`, in order.
 
-    The row slabs start at ``starts`` (default: every ``TILE_ROWS`` rows).
-    The tiles are listed one row slab at a time and mapped ``TILE_CHUNK``
-    per thread pool, so the tile list is never held whole.
+    The tiles are mapped ``TILE_CHUNK`` per thread pool, so the tile list
+    is never held whole.
     """
-    run_end = None if geo.g is None else _run_ends(geo.g[:, None])
-    starts = list(range(0, geo.n, TILE_ROWS) if starts is None else starts)
-
-    def tiles():
-        for a0, a1 in zip(starts, starts[1:] + [geo.n]):
-            slab = _slab_tiles(a0, geo.n, block, a1)
-            yield from itertools.compress(slab, ~_one_group_tiles(geo.g, slab, run_end))
-
-    walk = tiles()
-    while chunk := list(itertools.islice(walk, TILE_CHUNK)):
+    tiles = _tiles(n, block, split)
+    while chunk := list(itertools.islice(tiles, TILE_CHUNK)):
         yield from _map_tiles(task, chunk, block, workers)
 
 
@@ -253,40 +227,33 @@ def pair_kernel_sum(
     p : numerator exponent applied to |v_i - v_j|
     q : kernel exponent applied to |x_i - x_j|
     weights : scalar or (N,) quadrature weights
-    groups : optional (N,) int ids; pairs sharing a nonnegative id are skipped
+    groups : optional (N,) int ids; the kernel of pairs sharing a nonnegative
+        id is zeroed (the reference's patch mask)
     block : columns per tile; part of the reduction order
     workers : thread count; results are identical for any value
     drop : boolean mask of the points whose pairs are left out: (N,) for
         one value set, (S, N) for a stack, or empty for none
 
     One value set gives a float.  A stack gives the (S,) array of its sums:
-    each kernel tile is computed once and applied to every set for which
-    the tile is live, and each set is reduced by its own tree over its own
-    live tiles, so every sum equals the call on that set alone bit for bit.
+    each kernel tile is computed once and applied to every set, and the
+    (S,) partials of the tiles are combined by one tree, element by
+    element, so every sum equals the call on that set alone bit for bit.
     """
     geo = _Geometry(points, q, weights, groups)
     single = np.ndim(values) < 3
     stack = _as_values(values)[None] if single else np.ascontiguousarray(values, dtype=float)
     hits = _drop_masks(drop, *stack.shape[:2])
     cuts = [None] * stack.shape[0] if hits is None else [h if h.any() else None for h in hits]
-    ends = np.array([_run_ends(vals) for vals in stack]).reshape(stack.shape[:2])
 
     def run(tile, scratch):
         a0, a1, b0, b1 = tile
-        live = np.flatnonzero((ends[:, a0] < a1) | (ends[:, b0] < b1)
-                              | np.any(stack[:, a0] != stack[:, b0], axis=1))
-        if not live.size:
-            return live, []
         kern, buf, tmp, mask = scratch.views(a1 - a0, b1 - b0)
         geo.kernel_tile(tile, kern, tmp, mask)
-        return live, [_numerator_sum(stack[k], p, tile, kern, buf, tmp, cuts[k]) for k in live]
+        return np.array([_numerator_sum(vals, p, tile, kern, buf, tmp, cut)
+                         for vals, cut in zip(stack, cuts)])
 
-    partials = [[] for _ in stack]
-    for live, sums in _walk(geo, run, block, workers):
-        for k, part in zip(live, sums):
-            partials[k].append(part)
-    sums = [tree_reduce(part) for part in partials]
-    return sums[0] if single else np.array(sums)
+    sums = tree_reduce(_walk(geo.n, run, block, workers), np.zeros(stack.shape[0]))
+    return float(sums[0]) if single else sums
 
 
 def class_kernel(
@@ -294,51 +261,46 @@ def class_kernel(
     labels: NDArray,
     q: float,
     weights: NDArray | float = 1.0,
-    groups: NDArray | None = None,
+    split: int | None = None,
     block: int = DEFAULT_BLOCK,
     workers: int = 1,
 ) -> NDArray:
-    """(C, C) kernel of the live pairs between the value classes of a cloud.
+    """(C, C) kernel of the pairs between the value classes of a cloud.
 
     ``labels`` puts point i in class labels[i] of [0, C).  Entry [c, c']
     is sum w_i w_j |x_i - x_j|^-q over the unordered pairs with one point
-    in class c and the other in c' (for c = c', both in c), with the same
-    pairs left out as in `pair_kernel_sum`; the matrix is symmetric.  For
-    any values that are a function of the class, V_c at class c,
+    in class c and the other in c' (for c = c', both in c), coincident
+    points left out; the matrix is symmetric.  With ``split``, only the pairs
+    of a point of [0, split) and a point of [split, N) count.  For any
+    values that are a function of the class, V_c at class c,
 
         pair_kernel_sum = sum_{c < c'} K[c, c'] |V_c - V_c'|^p   (`class_pair_sum`).
 
-    The points are first put in (group, label) order, the groups from the
-    smallest, which leaves the pair set unchanged, keeps each group in one
-    run and lays the labels in runs, so the rows and the columns of a tile
-    meet only a few classes.  The tiles come from the walk of
-    `pair_kernel_sum`, with row slabs that stop at each group's end: the
-    rows of a small group meet the large group in slabs of their own, and
-    the slabs of the largest group, the last, meet only itself (skipped
-    when it is a nonnegative group).  Each tile's kernel
-    is summed over its blocks of one row run and one column run
-    (`_run_sums`), so what a tile does while holding the GIL is a few small
-    calls, not a pass over its pairs.  The partials are binned into (C, C)
-    and combined by a pairwise tree in tile order, so the result is
+    The points are first put in label order, each side of a split on its
+    own with the smaller side first, which leaves the pair set unchanged
+    and lays the labels in runs, so the rows and the columns of a tile
+    meet only a few classes.  The tiles come from `_tiles`: the upper
+    triangle, or the smaller side's rows against the other side's
+    columns, so a few points of one side still fill few-row tiles.  Each
+    tile's kernel is summed over its blocks of one row run and one column
+    run (`_run_sums`), so what a tile does while holding the GIL is a few
+    small calls, not a pass over its pairs.  The partials are binned into
+    (C, C) and combined by a pairwise tree in tile order, so the result is
     bit-identical for any worker count.
     """
     lab = np.ascontiguousarray(labels, dtype=np.int64).ravel()
     count = int(lab.max()) + 1 if lab.size else 0
-    if groups is None:
-        order, sizes = np.argsort(lab, kind="stable"), np.array([lab.size])
+    if split is None:
+        order = np.argsort(lab, kind="stable")
     else:
-        ids, inverse, sizes = np.unique(groups, return_inverse=True, return_counts=True)
-        by_size = np.lexsort((ids, sizes))
-        order = np.lexsort((lab, np.argsort(by_size)[inverse.ravel()]))
-        sizes = sizes[by_size]
+        sides = np.argsort(lab[:split], kind="stable"), split + np.argsort(lab[split:], kind="stable")
+        if sides[1].size < sides[0].size:
+            sides = sides[::-1]
+        order, split = np.concatenate(sides), sides[0].size
     w = weights if np.isscalar(weights) else np.asarray(weights, dtype=float)[order]
-    geo = _Geometry(np.asarray(points, dtype=float)[order], q, w,
-                    None if groups is None else np.asarray(groups)[order])
+    geo = _Geometry(np.asarray(points, dtype=float)[order], q, w, None)
     lab = lab[order]
     run_starts = np.flatnonzero(lab[1:] != lab[:-1]) + 1
-    # row slabs of at most TILE_ROWS rows that stop at each group's end
-    ends = np.cumsum(sizes)
-    starts = [a for g0, g1 in zip(ends - sizes, ends) for a in range(g0, g1, TILE_ROWS)]
 
     def partial(tile, scratch):
         a0, a1, b0, b1 = tile
@@ -348,7 +310,7 @@ def class_kernel(
         return lab[rows], lab[cols], sums
 
     parts = (class_bins(rows, cols, sums, count)
-             for rows, cols, sums in _walk(geo, partial, block, workers, starts))
+             for rows, cols, sums in _walk(geo.n, partial, block, workers, split))
     return symmetric(tree_reduce(parts, np.zeros((count, count))))
 
 
@@ -556,18 +518,6 @@ class LatticeCounts:
         """Mask of the table rows whose index difference E has a positive first nonzero entry."""
         return self.disp[np.arange(self.disp.shape[0]), np.argmax(self.disp != 0, axis=1)] > 0
 
-    def within(self, q: float, spacing: float, weight: float = 1.0) -> NDArray:
-        """(C, C) class matrix of the unordered pairs of distinct points, for A = B.
-
-        Pairs at E and at -E are the same pairs, so the sum runs over the
-        E whose first nonzero entry is positive and is made symmetric with
-        its diagonal kept once, as in `class_kernel`.
-        """
-        out = np.zeros(self.shape)
-        out[np.ix_(self.rows, self.cols)] = weight * self._sums(
-            self._half(), q, spacing, np.zeros((1, self.disp.shape[1])))[0]
-        return symmetric(out)
-
     def template_kernels(self, q: float, spacing: float, offsets: NDArray, step: float,
                          shift=None, weight: float = 1.0) -> NDArray:
         """(P, P, Ca, Cb) kernels of the points that are nodes plus one of P template ``offsets``.
@@ -576,9 +526,11 @@ class LatticeCounts:
         so the table is evaluated once per distinct difference o_a - o_b (81
         for a 5 x 5 template) and scattered back to (a, b).  Without
         ``shift``, for a set with itself: sum_{E > 0} C[E] |spacing E + o_a -
-        o_b|^-q over the half table, each unordered node pair once, as in
-        `within`.  With an integer ``shift`` T: offset a of A against offset
-        b of B moved by T, as `kernels` at T with offset o_b - o_a.
+        o_b|^-q over the half table, each unordered node pair once; with one
+        zero offset, `symmetric` of its (Ca, Cb) block is the class matrix
+        of the set's own pairs.  With an integer ``shift`` T: offset a of A
+        against offset b of B moved by T, as `kernels` at T with offset
+        o_b - o_a.
         """
         offs = np.asarray(offsets, dtype=float)
         index = lattice_index(offs, step)[0]

@@ -134,6 +134,8 @@ def main(argv=None) -> int:
         env_workers = os.environ.get("SPL_WORKERS")
         if env_workers is not None:
             cfg = replace(cfg, worker_count=_worker_count(env_workers, "SPL_WORKERS"))
+        if cfg.seed < 0:
+            raise ConfigurationError(f"seed must be >= 0, got {cfg.seed}")
         formats = tuple(tok for tok in args.formats.split(",") if tok)
         unknown = [f for f in formats if f not in FORMATS]
         if unknown:

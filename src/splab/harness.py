@@ -277,7 +277,8 @@ def threshold_scan(s_values, p_values, n_range, workers: int = 1,
     """Layer ratio growth across the `threshold_params` pairs; verdict per pair.
 
     Ratios come from compositional accounting; at n <= 2 the bounds are
-    cross-validated against the composite direct quadrature.
+    cross-validated against the composite direct quadrature.  The scheme
+    names the shift table and the routes of each cross-check.
     """
     s_values, p_values = list(s_values), list(p_values)
     pairs = threshold_params(s_values, p_values)
@@ -286,6 +287,7 @@ def threshold_scan(s_values, p_values, n_range, workers: int = 1,
         params={"s_values": s_values, "p_values": p_values, "ell": ELL,
                 "n_range": [int(n) for n in n_range]},
     )
+    schemes = [f"layer_lowers over 5*4^n shifts n={','.join(map(str, report.params['n_range']))}"]
     for params in pairs:
         s, p = params.s, params.p
         model = PatchModel(params, workers=workers)
@@ -298,6 +300,7 @@ def threshold_scan(s_values, p_values, n_range, workers: int = 1,
             verdict = ""
             if cross_validate and n <= 2:
                 direct = model.layer_energy_direct(layer)
+                schemes.append(f"direct cross-check s={s} p={p} n={n} ({model.layer_scheme(layer)})")
                 report.check(
                     f"s={s} p={p} n={n} upper bound brackets direct (factor 3)",
                     direct <= upper <= 3.0 * direct,
@@ -322,6 +325,7 @@ def threshold_scan(s_values, p_values, n_range, workers: int = 1,
         if p == ELL:
             j_max = 2 ** (max(n_range) - 1)
             report.constants[f"distance_sum_s{s}_p{p}"] = cone_distance_sum(j_max, ELL, p)
+    report.scheme = "; ".join(schemes)
     report.validate()
     return report
 
@@ -457,7 +461,9 @@ class GeometryOptions:
 def _run_geometry(opts: GeometryOptions, cfg: RunConfig) -> ExperimentReport:
     est = estimate_constant(opts.lemma, range(opts.n_min, opts.n_max + 1), opts.samples,
                             cfg.seed, ell=opts.ell)
-    report = ExperimentReport(name=f"geometry-{opts.lemma}", params={"seed": cfg.seed})
+    report = ExperimentReport(name=f"geometry-{opts.lemma}", params={"seed": cfg.seed},
+                              scheme=f"Monte Carlo minima of the {opts.lemma} quantity, "
+                                     f"{opts.samples} samples per n")
     for n, v in est.per_n.items():
         report.add_row(n, upper=v, lower=v)
     spread = max(est.per_n.values()) / min(est.per_n.values()) - 1.0
@@ -569,6 +575,7 @@ def _run_almost(opts: AlmostOptions, cfg: RunConfig) -> ExperimentReport:
         report.check(f"{label} * eps stable within 10%", spread <= 0.10, f"spread {spread:.4g}")
     scan = almost_projection_scan(spec, n_range=range(opts.n_min, opts.n_max + 1),
                                   workers=cfg.worker_count)
+    report.scheme = scan["scheme"]
     for row in scan["rows"]:
         report.add_row(row["n"], upper=row["energy_upper"], lower=row["projected_inf"],
                        eps=row["eps"], support_radius=row["support_radius"],

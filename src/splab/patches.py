@@ -471,8 +471,7 @@ class PatchModel:
                                     self._kernel_exp,
                                     weights=np.concatenate([cloud_weights[cells],
                                                             np.full(points.shape[0], weight)]),
-                                    groups=np.repeat([0, 1], [np.count_nonzero(cells), points.shape[0]]),
-                                    workers=self.workers)
+                                    split=np.count_nonzero(cells), workers=self.workers)
                 out.append(kern[:count, count:])
             return np.stack(out)
         spacing, (a, a_off), (b, b_off) = route
@@ -554,8 +553,10 @@ class PatchModel:
             raise ValueError("background points of more than one weight")
         counts = self._table("background", a - a.min(axis=0), cloud_labels[bg], b - b.min(axis=0), labels)
         weight = cloud_weights[bg][0] * weights[0]
-        if within:
-            return counts.within(self._kernel_exp, COARSE_SPACING, weight)
+        if within:  # the half table at one zero offset
+            zero = np.zeros((1, pts.shape[1]))
+            return symmetric(counts.template_kernels(self._kernel_exp, COARSE_SPACING, zero, 1.0,
+                                                     weight=weight)[0, 0])
         return counts.kernels(self._kernel_exp, COARSE_SPACING, [b.min(axis=0) - a.min(axis=0)],
                               COARSE_SPACING * (b_off - a_off), weight)[0]
 

@@ -318,7 +318,7 @@ def almost_projection_scan(spec: AlmostCtrexSpec, n_range=range(2, 7), workers: 
 
     Returns rows per eps plus measured exponents (in eps): support,
     energy, and projected inf-energy, with their targets alpha/(1-sp),
-    alpha-1, and alpha-p.
+    alpha-1, and alpha-p, and the scheme that ran.
     """
     shifts = xi_grid()
     model = AlmostModel(spec, workers=workers)
@@ -332,6 +332,7 @@ def almost_projection_scan(spec: AlmostCtrexSpec, n_range=range(2, 7), workers: 
 
     sp = spec.params.sp
     out = {
+        "scheme": f"slot accounting over {shifts.shape[0]} xi_grid shifts",
         "rows": rows,
         "regime_ok": spec.regime_ok,
         "alpha": spec.alpha,

@@ -15,11 +15,11 @@ from splab._pairsum import (
     DEFAULT_BLOCK,
     TILE_CHUNK,
     TILE_ROWS,
-    _one_group_tiles,
-    _slab_tiles,
+    _tiles,
     class_kernel,
     class_pair_sum,
     pair_kernel_sum,
+    symmetric,
 )
 from splab.energy import (
     EnergyPlan,
@@ -414,7 +414,7 @@ def test_pair_kernel_sum_many_threads_lose_no_tile():
 
 
 # ---------------------------------------------------------------------------
-# Stacked value sets and the one-group tile skip
+# Stacked value sets and the tile walk
 # ---------------------------------------------------------------------------
 
 
@@ -423,8 +423,8 @@ def stacks(draw):
     """A cloud with 1-4 value sets of one shape and one drop mask each.
 
     Besides the drawn values, a set may be one constant everywhere (every
-    tile dead for it) or the drawn values with one block replaced by a
-    constant, so a tile can be dead for one set and live for another.
+    tile sums to 0 for it) or the drawn values with one block replaced by a
+    constant, so a tile can sum to 0 for one set and not for another.
     """
     points, values, weights, groups, p, q = draw(clouds())
     n = points.shape[0]
@@ -471,13 +471,13 @@ def test_stacked_pair_kernel_sum_rejects_mismatched_drops():
 
 
 def test_walk_maps_tiles_a_chunk_at_a_time(monkeypatch):
-    # block 1 over 600 points: 1,720 tiles, more than one chunk; set 1 is constant (all dead)
+    # block 1 over 600 points: 1,720 tiles, more than one chunk; set 1 is constant (sum 0)
     rng = np.random.default_rng(12)
     points, weights = rng.random((600, 2)), rng.random(600) + 0.1
     values = np.stack([rng.normal(size=(600, 2)), np.full((600, 2), 0.3),
                        np.r_[np.zeros((300, 2)), rng.random((300, 2))]])
     drops = np.stack([node_mask(600, d) for d in ([5, 599], [], [0, 130, 131])])
-    assert len(all_tiles(600, 1)) == 1720 > TILE_CHUNK
+    assert len(list(_tiles(600, 1))) == 1720 > TILE_CHUNK
     mapped = []
     real_map = _pairsum._map_tiles
 
@@ -529,41 +529,22 @@ def test_worker_count_capped_at_cpu_count(monkeypatch):
     assert max(sizes, default=1) <= os.cpu_count()
 
 
-def all_tiles(n, block):
-    return [tile for a0 in range(0, n, TILE_ROWS) for tile in _slab_tiles(a0, n, block)]
-
-
 @ENGINE_SETTINGS
 @given(st.integers(min_value=0, max_value=2**32 - 1), st.sampled_from([4, 16, DEFAULT_BLOCK]))
 def test_one_group_tiles_skipped_exactly(seed, block):
-    # long group runs fill whole tiles (one run at -1 stays live); the sum is the naive one
+    # long group runs fill whole tiles, which the group mask zeroes (one run at -1 stays
+    # live); the sum is the naive one at any worker count
     rng = np.random.default_rng(seed)
     n = int(rng.integers(TILE_ROWS, 3 * TILE_ROWS + 40))
     cuts = np.sort(rng.integers(0, n + 1, size=3))
     groups = np.repeat(np.array([0, -1, 1, 0]), np.diff(np.r_[0, cuts, n]))
     points, values = rng.random((n, 2)), rng.normal(size=(n, 2))
     weights = rng.random(n) + 0.1
-    tiles = all_tiles(n, block)
-    skipped = _one_group_tiles(groups, tiles)
-    for i in np.flatnonzero(skipped):  # a skipped tile holds no cross-group pair
-        a0, a1, b0, b1 = tiles[i]
-        assert set(groups[a0:a1]) == set(groups[b0:b1]) == {groups[a0]} and groups[a0] >= 0
     expected = naive_pair_sum(points, values, 2.5, 2.6, weights, groups)
     got = [pair_kernel_sum(points, values, 2.5, 2.6, weights=weights, groups=groups,
                            block=block, workers=w) for w in (1, 2)]
     assert got[0] == got[1]
     assert got[0] == pytest.approx(expected, rel=1e-12)
-
-
-def test_one_group_tiles_are_found():
-    # 600 points in one group: the tiles inside it are skipped, the one meeting -1 is not
-    groups = np.r_[np.zeros(600, dtype=np.int64), -np.ones(40, dtype=np.int64)]
-    tiles = all_tiles(640, 128)
-    skipped = _one_group_tiles(groups, tiles)
-    assert [tiles[i] for i in np.flatnonzero(skipped)] == [
-        t for t in tiles if t[1] <= 600 and t[3] <= 600
-    ]
-    assert skipped.sum() == 10
 
 
 # ---------------------------------------------------------------------------
@@ -585,25 +566,35 @@ def naive_class_kernel(points, labels, q, weights, groups, count):
     return ordered + ordered.T - np.diag(ordered.diagonal())
 
 
+def split_groups(n, split):
+    """The groups that leave out the pairs within one side of ``split``: [0]*split + [1]*(n - split)."""
+    return None if split is None else np.repeat([0, 1], [split, n - split])
+
+
 @st.composite
 def labelled_clouds(draw):
-    """A cloud of `clouds` with 1-6 value classes, the last one held by point 0."""
-    points, _, weights, groups, p, q = draw(clouds())
+    """A cloud of `clouds` with 1-6 value classes, the last one held by point 0, and a split:
+    none, 0, N, or a point on either side of N/2."""
+    points, _, weights, _, p, q = draw(clouds())
+    n = points.shape[0]
     rng = np.random.default_rng(draw(st.integers(min_value=0, max_value=2**32 - 1)))
     count = draw(st.integers(1, 6))
-    labels = rng.integers(0, count, size=points.shape[0])
+    labels = rng.integers(0, count, size=n)
     labels[0] = count - 1
-    return points, labels, count, weights, groups, p, q
+    split = draw(st.one_of(st.none(), st.sampled_from([0, n]), st.integers(0, n // 2),
+                           st.integers(n // 2, n)))
+    return points, labels, count, weights, split, p, q
 
 
 @ENGINE_SETTINGS
 @given(labelled_clouds(), st.sampled_from([3, 100, TILE_ROWS, DEFAULT_BLOCK]))
-@example((np.random.default_rng(6).random((300, 2)), np.arange(300) % 4, 4, 1.0,
-          np.full(300, -1), 2.5, 2.6), 8)  # tiles inside one run of group -1 stay live
+@example((np.random.default_rng(6).random((300, 2)), np.arange(300) % 4, 4, 1.0, 200, 2.5, 2.6), 8)
+@example((np.random.default_rng(7).random((300, 2)), np.arange(300) % 3, 3, 0.5, 0, 2.5, 2.6), 8)
+@example((np.random.default_rng(7).random((300, 2)), np.arange(300) % 3, 3, 0.5, 300, 2.5, 2.6), 8)
 def test_class_kernel_matches_naive(cloud, block):
-    points, labels, count, weights, groups, _, q = cloud
-    expected = naive_class_kernel(points, labels, q, weights, groups, count)
-    got = [class_kernel(points, labels, q, weights=weights, groups=groups, block=block, workers=w)
+    points, labels, count, weights, split, _, q = cloud
+    expected = naive_class_kernel(points, labels, q, weights, split_groups(points.shape[0], split), count)
+    got = [class_kernel(points, labels, q, weights=weights, split=split, block=block, workers=w)
            for w in (1, 2, 3)]
     assert got[0].tobytes() == got[1].tobytes() == got[2].tobytes()
     assert np.array_equal(got[0], got[0].T)
@@ -614,13 +605,14 @@ def test_class_kernel_matches_naive(cloud, block):
 @given(labelled_clouds(), st.lists(st.integers(0, 5), max_size=2))
 def test_class_pair_sum_matches_pair_kernel_sum(cloud, drop):
     # values that are a function of the class; a dropped class drops all its points
-    points, labels, count, weights, groups, p, q = cloud
+    points, labels, count, weights, split, p, q = cloud
     class_values = np.random.default_rng(count).normal(size=(count, 2))
     drop = [c for c in drop if c < count]
-    kern = class_kernel(points, labels, q, weights=weights, groups=groups, block=100, workers=2)
+    kern = class_kernel(points, labels, q, weights=weights, split=split, block=100, workers=2)
     got = class_pair_sum(kern, class_values, p, drop=np.isin(np.arange(count), drop))
-    expected = pair_kernel_sum(points, class_values[labels], p, q, weights=weights, groups=groups,
-                               drop=np.isin(labels, drop), workers=2)
+    expected = pair_kernel_sum(points, class_values[labels], p, q, weights=weights,
+                               groups=split_groups(points.shape[0], split), drop=np.isin(labels, drop),
+                               workers=2)
     assert got == pytest.approx(expected, rel=1e-12, abs=1e-300)
 
 
@@ -645,57 +637,41 @@ def test_stacked_class_pair_sum_equals_single_sets(monkeypatch, terms):
 @ENGINE_SETTINGS
 @given(labelled_clouds(), st.integers(0, 2**32 - 1))
 def test_class_kernel_ignores_point_order(cloud, seed):
-    # class_kernel sorts the points by (group, label); any input order gives the same matrix
-    points, labels, _, weights, groups, _, q = cloud
-    perm = np.random.default_rng(seed).permutation(points.shape[0])
+    # class_kernel sorts each side of the split by label; any order within the sides
+    # gives the same matrix
+    points, labels, _, weights, split, _, q = cloud
+    n = points.shape[0]
+    rng = np.random.default_rng(seed)
+    cut = n if split is None else split
+    perm = np.concatenate([rng.permutation(cut), cut + rng.permutation(n - cut)])
     weights_perm = np.asarray(weights)[perm] if np.ndim(weights) else weights
-    groups_perm = None if groups is None else groups[perm]
-    expected = class_kernel(points, labels, q, weights=weights, groups=groups, block=100)
-    got = class_kernel(points[perm], labels[perm], q, weights=weights_perm, groups=groups_perm,
+    expected = class_kernel(points, labels, q, weights=weights, split=split, block=100)
+    got = class_kernel(points[perm], labels[perm], q, weights=weights_perm, split=split,
                        block=100, workers=2)
     np.testing.assert_allclose(got, expected, rtol=1e-12, atol=0)
 
 
-def test_class_kernel_keeps_groups_in_runs(monkeypatch):
-    # labels shared across groups 0 and -1: sorting by label alone would interleave the groups
-    rng = np.random.default_rng(8)
-    groups = np.r_[np.zeros(600, dtype=np.int64), -np.ones(40, dtype=np.int64)]
-    labels = rng.integers(0, 4, size=640)
-    points = rng.random((640, 2))
-    live = []
-    real_map = _pairsum._map_tiles
-
-    def spy(fn, tiles, block, workers):
-        live.extend(tiles)
-        return real_map(fn, tiles, block, workers)
-
-    monkeypatch.setattr(_pairsum, "_map_tiles", spy)
-    kern = class_kernel(points, labels, 2.6, groups=groups, block=128)
-    # the 40 points of group -1 come first: only the first row slab's 5 tiles are live
-    assert len(live) == 5
-    expected = naive_class_kernel(points, labels, 2.6, 1.0, groups, 4)
-    np.testing.assert_allclose(kern, expected, rtol=1e-12, atol=0)
-
-
 def test_class_kernel_slabs_stop_at_group_ends(monkeypatch):
-    # 25 points of group 0 against 1,000 of group 1: the row slabs stop at the end of
-    # group 0, so the live tiles hold its 25 rows alone, not TILE_ROWS rows
+    # 25 points against 1,000 on the other side of the split, first or last: the smaller
+    # side is the rows, so the tiles hold its 25 rows alone, not TILE_ROWS rows, against
+    # the other side's columns
     rng = np.random.default_rng(9)
-    groups = np.repeat([0, 1], [25, 1000])
     labels = rng.integers(0, 3, size=1025)
     points = rng.random((1025, 2))
-    live = []
+    tiles = []
     real_map = _pairsum._map_tiles
 
-    def spy(fn, tiles, block, workers):
-        live.extend(tiles)
-        return real_map(fn, tiles, block, workers)
+    def spy(fn, chunk, block, workers):
+        tiles.extend(chunk)
+        return real_map(fn, chunk, block, workers)
 
     monkeypatch.setattr(_pairsum, "_map_tiles", spy)
-    kern = class_kernel(points, labels, 2.6, groups=groups, block=DEFAULT_BLOCK, workers=2)
-    assert live == [(0, 25, b0, min(b0 + DEFAULT_BLOCK, 1025)) for b0 in range(0, 1025, DEFAULT_BLOCK)]
-    expected = naive_class_kernel(points, labels, 2.6, 1.0, groups, 3)
-    np.testing.assert_allclose(kern, expected, rtol=1e-12, atol=0)
+    for split in (25, 1000):
+        tiles.clear()
+        kern = class_kernel(points, labels, 2.6, split=split, block=DEFAULT_BLOCK, workers=2)
+        assert tiles == [(0, 25, b0, min(b0 + DEFAULT_BLOCK, 1025)) for b0 in range(25, 1025, DEFAULT_BLOCK)]
+        expected = naive_class_kernel(points, labels, 2.6, 1.0, split_groups(1025, split), 3)
+        np.testing.assert_allclose(kern, expected, rtol=1e-12, atol=0)
 
 
 # ---------------------------------------------------------------------------
@@ -731,15 +707,14 @@ def test_lattice_counts_match_class_kernel(case):
     # the indices and the sub-step offset come back from the coordinates
     (ia, off_a), (ib, off_b) = _pairsum.lattice_index(pts_a, h), _pairsum.lattice_index(pts_b, h)
     counts = _pairsum.LatticeCounts(ia, la, ib, lb)
-    if kind == "same":
-        got = counts.within(q, h, wa * wa)
+    if kind == "same":  # the half table at one zero offset, as `_background_kernel(within=True)`
+        got = symmetric(counts.template_kernels(q, h, np.zeros((1, 2)), 1.0, weight=wa * wa)[0, 0])
         expected = class_kernel(pts_a, la, q, weights=wa)
     else:
         got = counts.kernels(q, h, [np.zeros(2, dtype=np.int64)], h * (off_b - off_a), wa * wb)[0]
         ca = int(la.max()) + 1
         whole = class_kernel(np.concatenate([pts_a, pts_b]), np.concatenate([la, lb + ca]), q,
-                             weights=np.repeat([wa, wb], [a.shape[0], b.shape[0]]),
-                             groups=np.repeat([0, 1], [a.shape[0], b.shape[0]]))
+                             weights=np.repeat([wa, wb], [a.shape[0], b.shape[0]]), split=a.shape[0])
         expected = whole[:ca, ca:]
     assert got.shape == expected.shape
     assert np.max(np.abs(got - expected), initial=0.0) <= 1e-13 * np.max(np.abs(expected), initial=0.0)

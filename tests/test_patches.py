@@ -249,7 +249,7 @@ def test_layer_budget_rejects_n3(monkeypatch, s):
 @pytest.mark.parametrize("n", [1, 2])
 def test_layer_class_kernel_pairs_touch_a_cell(monkeypatch, params_main, n):
     # every sum of the layer blocks that touches a cell stands for as many pairs as it
-    # covers: a class_kernel call (one side all cell points) its two groups' product, a
+    # covers: a class_kernel call (one side all cell points) its two sides' product, a
     # cell-center count table with a background its total count times its offsets, per
     # shift, and the center table with itself its summed count times 25^2 template pairs;
     # together they are what _layer_pairs counts
@@ -260,11 +260,12 @@ def test_layer_class_kernel_pairs_touch_a_cell(monkeypatch, params_main, n):
     seen = {"class_kernel": 0, "table": 0, "cell lattice": 0}
     kernels, template_kernels = LatticeCounts.kernels, LatticeCounts.template_kernels
 
-    def spy(points, labels, q, weights=1.0, groups=None, **kwargs):
-        sides = [np.asarray(weights)[np.asarray(groups) == g] for g in (0, 1)]
-        assert any(np.all(side == cell_w) for side in sides)
-        seen["class_kernel"] += sides[0].size * sides[1].size
-        return class_kernel(points, labels, q, weights=weights, groups=groups, **kwargs)
+    def spy(points, labels, q, weights=1.0, split=None, **kwargs):
+        if split is not None:  # the frame class matrix, without a split, touches no cell
+            sides = np.split(np.asarray(weights), [split])
+            assert any(np.all(side == cell_w) for side in sides)
+            seen["class_kernel"] += sides[0].size * sides[1].size
+        return class_kernel(points, labels, q, weights=weights, split=split, **kwargs)
 
     def spy_table(self, q, spacing, shifts, offset=0.0, weight=1.0):
         if self.shape[0] == 1:  # the cell centers carry one label, the backgrounds seven
@@ -611,7 +612,7 @@ def _lattice_always(model, k, points):
 def test_cell_background_kernels_match_class_kernel(monkeypatch, params_main, k):
     # P's cells with its background at rest and moved by T = 2.5 D (D = (1, 0) and (-1, -2)),
     # and with outer background points on the half-step lattice: the route the rule
-    # picks and the count-table route against class_kernel of the two sides in two groups
+    # picks and the count-table route against class_kernel of the two sides of a split
     model = PatchModel(params_main, workers=2)
     cloud = model._class_cloud(k)
     classes, pts, labels, weights, groups = cloud
@@ -629,8 +630,7 @@ def test_cell_background_kernels_match_class_kernel(monkeypatch, params_main, k)
             class_kernel(np.concatenate([pts[cells], points + move]),
                          np.concatenate([labels[cells], q_labels + count]), model._kernel_exp,
                          weights=np.concatenate([weights[cells], np.full(points.shape[0], weight)]),
-                         groups=np.repeat([0, 1], [np.count_nonzero(cells), points.shape[0]]),
-                         workers=2)[:count, count:]
+                         split=np.count_nonzero(cells), workers=2)[:count, count:]
             for move in shifts])
         for route in (PatchModel._lattice_route, _lattice_always):
             monkeypatch.setattr(PatchModel, "_lattice_route", route)

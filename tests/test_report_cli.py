@@ -130,6 +130,8 @@ def test_cli_invalid_config_exit_code(tmp_path):
     (None, ["geometry", "--n-min", "3", "--n-max", "3"]),
     (None, ["geometry", "--lemma", "geom2", "--ell", "1"]),
     (None, ["geometry", "--ell", "0"]),
+    ({"seed": -1, "experiments": [{"kind": "geometry", "samples": 1000, "n_max": 2}]}, None),
+    (None, ["patch", "--n-values", "1", "--seed", "-1"]),
 ], ids=["config-layer-s", "config-patch-n-values", "config-seed", "config-seminorm-map",
         "flag-threshold-s", "flag-patch-n-values", "flag-seminorm-map", "flag-threshold-unpaired",
         "flag-patch-shifts-0", "flag-patch-shifts-minus-1", "flag-threshold-n-max-1",
@@ -139,7 +141,7 @@ def test_cli_invalid_config_exit_code(tmp_path):
         "flag-seminorm-spacing-subnormal", "flag-averaging-spacing-subnormal", "flag-layer-p-nan",
         "flag-seminorm-p-inf", "flag-averaging-alpha-inf", "flag-threshold-p-inf",
         "flag-geometry-empty-range", "flag-geometry-one-scale", "flag-geometry-ell-1",
-        "flag-geometry-ell-0"])
+        "flag-geometry-ell-0", "config-seed-negative", "flag-patch-seed-negative"])
 def test_malformed_input_exits_two(tmp_path, capsys, config, argv):
     if config is not None:
         path = tmp_path / "cfg.json"
@@ -415,6 +417,24 @@ def test_cli_reports_name_their_scheme(tmp_path):
     assert rc == 0
     assert json.loads((tmp_path / "patch.json").read_text())["scheme"] == (
         "class matrices kernel_exp=3.0: cell-background lattice k=6; class_kernel k=1")
+    rc = main(["threshold", "--s", "0.4,0.4", "--p", "2.5,1.5", "--n-max", "2", "--out", str(tmp_path),
+               "--formats", "json"])
+    assert rc == 0
+    routes = {1: "class_kernel k=1; outer class_kernel k=1",
+              2: "cell-background lattice k=6; outer class_kernel k=6"}
+    assert json.loads((tmp_path / "threshold.json").read_text())["scheme"] == "; ".join(
+        ["layer_lowers over 5*4^n shifts n=1,2"]
+        + [f"direct cross-check s=0.4 p={p} n={n} (offset class kernels kernel_exp={q}: "
+           f"cell lattice counts; {routes[n]})" for p, q in ((2.5, 3.0), (1.5, 2.6)) for n in (1, 2)])
+    rc = main(["geometry", "--lemma", "geom2", "--samples", "1000", "--n-max", "2", "--out", str(tmp_path),
+               "--formats", "json"])
+    assert rc == 0
+    assert json.loads((tmp_path / "geometry-geom2.json").read_text())["scheme"] == (
+        "Monte Carlo minima of the geom2 quantity, 1000 samples per n")
+    rc = main(["almost", "--n-max", "3", "--out", str(tmp_path), "--formats", "json"])
+    assert rc == 0
+    assert json.loads((tmp_path / "almost.json").read_text())["scheme"] == (
+        "slot accounting over 317 xi_grid shifts")
 
 
 def test_cli_geometry_run_and_outputs(tmp_path):
