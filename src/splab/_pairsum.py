@@ -13,7 +13,8 @@ pairwise tree combines, so the result is bit-stable for any worker count.
 ``pair_kernel_sum`` applies each kernel tile to a whole stack of value
 sets; ``class_kernel`` sums the tiles into a (C, C) matrix per pair of
 value classes, from which ``class_pair_sum`` gives the pair sum of any
-class-valued set.
+class-valued set.  Squared distances come from `_squared_distances` (a value
+stack is read in place), the numerator's power from square roots (`_half_power`).
 
 The engine, ``LatticeCounts``, counts the label pairs of two labelled
 sets on one lattice (``lattice_index`` reads the indices from
@@ -145,6 +146,33 @@ def _walk(n: int, task, block: int, workers: int, split: int | None = None):
         yield from _map_tiles(task, chunk, block, workers)
 
 
+def _squared_distances(rows: NDArray, cols: NDArray, out: NDArray, tmp: NDArray) -> NDArray:
+    """Fill ``out`` with |r_i - c_j|^2 of the (R, k) ``rows`` and (C, k) ``cols``, as `np.subtract.outer`."""
+    for k in range(rows.shape[1]):
+        part = tmp if k else out
+        np.copyto(part, rows[:, k, None])  # a plain subtract then beats subtract.outer's loop
+        np.square(np.subtract(part, np.ascontiguousarray(cols[:, k]), out=part), out=part)
+        if k:
+            out += part
+    return out
+
+
+def _half_power(x: NDArray, p: float, tmp: NDArray) -> NDArray:
+    """x^(p/2) in place: for 2p = n in 1..7, x^(n/4) as the product of x, sqrt(x) and sqrt(sqrt(x))
+    picked by bits 4, 2 and 1 of n (at most two roots and two products); else by `np.power`."""
+    if not ((2.0 * p).is_integer() and 0.0 < p < 4.0):
+        return np.power(x, 0.5 * p, out=x)
+    n = int(2 * p)
+    while n < 4:  # x^(n/4) = sqrt(x)^(2n/4), the root taken in place; n = 4 (p = 2) is x itself
+        np.sqrt(x, out=x)
+        n *= 2
+    if n & 2:  # x sqrt(x), leaving sqrt(x) in tmp
+        x *= np.sqrt(x, out=tmp)
+    if n & 1:  # times sqrt(sqrt(x))
+        x *= np.sqrt(tmp if n & 2 else np.sqrt(x, out=tmp), out=tmp)
+    return x
+
+
 class _Geometry:
     """Points, weights and groups of one cloud; fills kernel tiles."""
 
@@ -161,14 +189,7 @@ class _Geometry:
     def kernel_tile(self, tile, out: NDArray, tmp: NDArray, mask: NDArray) -> NDArray:
         """Fill ``out`` with the tile's w_i w_j |x_i - x_j|^-q, excluded pairs zeroed."""
         a0, a1, b0, b1 = tile
-        pts = self.pts
-        np.subtract.outer(pts[a0:a1, 0], pts[b0:b1, 0], out=out)
-        out *= out
-        for k in range(1, pts.shape[1]):
-            np.subtract.outer(pts[a0:a1, k], pts[b0:b1, k], out=tmp)
-            tmp *= tmp
-            out += tmp
-        np.less_equal(out, 0.0, out=mask)
+        np.less_equal(_squared_distances(self.pts[a0:a1], self.pts[b0:b1], out, tmp), 0.0, out=mask)
         coincident = bool(mask.any())
         if coincident:
             np.copyto(out, 1.0, where=mask)
@@ -192,14 +213,7 @@ def _numerator_sum(vals: NDArray, p: float, tile, kern: NDArray, buf: NDArray, t
                    drop: NDArray | None = None) -> float:
     """Sum over the tile of |v_i - v_j|^p times the kernel tile, pairs of ``drop`` points zeroed."""
     a0, a1, b0, b1 = tile
-    np.subtract.outer(vals[a0:a1, 0], vals[b0:b1, 0], out=buf)
-    buf *= buf
-    for k in range(1, vals.shape[1]):
-        np.subtract.outer(vals[a0:a1, k], vals[b0:b1, k], out=tmp)
-        tmp *= tmp
-        buf += tmp
-    if p != 2.0:
-        np.power(buf, 0.5 * p, out=buf)
+    _half_power(_squared_distances(vals[a0:a1], vals[b0:b1], buf, tmp), p, tmp)
     buf *= kern
     if drop is not None:
         buf[drop[a0:a1], :] = 0.0
@@ -479,13 +493,9 @@ class LatticeCounts:
 
         def chunks():
             for e0 in range(0, disp.shape[0], LATTICE_ROWS):
-                sep = spacing * (disp[e0:e0 + LATTICE_ROWS] + shift)
-                r2 = np.add.outer(offsets[:, 0], sep[:, 0])
-                r2 *= r2
-                for i in range(1, sep.shape[1]):
-                    part = np.add.outer(offsets[:, i], sep[:, i])
-                    part *= part
-                    r2 += part
+                sep = -spacing * (disp[e0:e0 + LATTICE_ROWS] + shift)  # |o + s| = |o - (-s)|
+                shape = (offsets.shape[0], sep.shape[0])
+                r2 = _squared_distances(offsets, sep, np.empty(shape), np.empty(shape))
                 kern = np.zeros_like(r2)
                 np.power(r2, -0.5 * q, out=kern, where=r2 > (2 * LATTICE_TOLERANCE * spacing) ** 2)
                 yield kern @ counts[e0:e0 + LATTICE_ROWS].astype(float)

@@ -1,0 +1,93 @@
+"""Frozen copies of the pair-sum passes as they stood before the shared squared-distance pass.
+
+Each component's differences came from ``np.subtract.outer`` (``np.add.outer``
+of the offsets and the separations in `LatticeCounts`), squared by ``x *= x``,
+and the numerator took ``np.power(d2, p / 2)`` at every p but 2.  The tests
+patch these in for the current passes and compare the results bit for bit
+(the kernel and lattice sums) or to the last bits (the numerator at p with
+2p an integer).
+"""
+
+import numpy as np
+
+from splab._pairsum import LATTICE_ROWS, LATTICE_TOLERANCE, tree_reduce
+
+
+def squared_distances(rows, cols):
+    """(R, C) |r_i - c_j|^2 of the (R, k) ``rows`` and (C, k) ``cols``, by subtract.outer."""
+    out = np.subtract.outer(rows[:, 0], cols[:, 0])
+    out *= out
+    for k in range(1, rows.shape[1]):
+        tmp = np.subtract.outer(rows[:, k], cols[:, k])
+        tmp *= tmp
+        out += tmp
+    return out
+
+
+def kernel_tile(self, tile, out, tmp, mask):
+    """`_Geometry.kernel_tile` as it was."""
+    a0, a1, b0, b1 = tile
+    pts = self.pts
+    np.subtract.outer(pts[a0:a1, 0], pts[b0:b1, 0], out=out)
+    out *= out
+    for k in range(1, pts.shape[1]):
+        np.subtract.outer(pts[a0:a1, k], pts[b0:b1, k], out=tmp)
+        tmp *= tmp
+        out += tmp
+    np.less_equal(out, 0.0, out=mask)
+    coincident = bool(mask.any())
+    if coincident:
+        np.copyto(out, 1.0, where=mask)
+    np.power(out, -0.5 * self.q, out=out)
+    if coincident:
+        np.copyto(out, 0.0, where=mask)
+    if self.w is not None:
+        out *= self.w[a0:a1, None]
+        out *= self.w[b0:b1]
+    if self.g is not None:
+        gx = self.g[a0:a1]
+        np.equal.outer(gx, self.g[b0:b1], out=mask)
+        mask &= (gx >= 0)[:, None]
+        np.copyto(out, 0.0, where=mask)
+    if b0 < a1:
+        out[np.tril_indices(a1 - a0, a0 - b0, b1 - b0)] = 0.0
+    return out
+
+
+def numerator_sum(vals, p, tile, kern, buf, tmp, drop=None):
+    """`_numerator_sum` as it was."""
+    a0, a1, b0, b1 = tile
+    np.subtract.outer(vals[a0:a1, 0], vals[b0:b1, 0], out=buf)
+    buf *= buf
+    for k in range(1, vals.shape[1]):
+        np.subtract.outer(vals[a0:a1, k], vals[b0:b1, k], out=tmp)
+        tmp *= tmp
+        buf += tmp
+    if p != 2.0:
+        np.power(buf, 0.5 * p, out=buf)
+    buf *= kern
+    if drop is not None:
+        buf[drop[a0:a1], :] = 0.0
+        buf[:, drop[b0:b1]] = 0.0
+    return float(buf.sum())
+
+
+def lattice_sums(self, rows, q, spacing, offsets, shift=0):
+    """`LatticeCounts._sums` as it was."""
+    disp, counts = self.disp[rows], self.counts[rows]
+
+    def chunks():
+        for e0 in range(0, disp.shape[0], LATTICE_ROWS):
+            sep = spacing * (disp[e0:e0 + LATTICE_ROWS] + shift)
+            r2 = np.add.outer(offsets[:, 0], sep[:, 0])
+            r2 *= r2
+            for i in range(1, sep.shape[1]):
+                part = np.add.outer(offsets[:, i], sep[:, i])
+                part *= part
+                r2 += part
+            kern = np.zeros_like(r2)
+            np.power(r2, -0.5 * q, out=kern, where=r2 > (2 * LATTICE_TOLERANCE * spacing) ** 2)
+            yield kern @ counts[e0:e0 + LATTICE_ROWS].astype(float)
+
+    sums = tree_reduce(chunks(), np.zeros((offsets.shape[0], counts.shape[1])))
+    return sums.reshape(offsets.shape[0], self.rows.size, self.cols.size)

@@ -32,6 +32,8 @@ from splab.errors import ConfigurationError, GeometryError, NumericalError, Wron
 from splab.grid import Box, Placement, make_grid, rescale_map, sample_map
 from splab.harness import TEST_MAPS, map_grid
 
+import pairsum_reference
+
 INDICATOR_TRUNCATED = 10.914604076867487  # closed-form double integral on [-2, 3]
 
 
@@ -784,3 +786,142 @@ def test_lattice_counts_build_peak_memory():
             tracemalloc.stop()
         held = min(counts.rows.size, counts.cols.size)
         assert peak - counts.counts.nbytes - counts.disp.nbytes < (held + 7) * padded
+
+
+# ---------------------------------------------------------------------------
+# The squared-distance pass and the numerator power against frozen forms
+# ---------------------------------------------------------------------------
+
+
+@pytest.mark.parametrize("k", [1, 2, 3])
+@pytest.mark.parametrize("block", [8, DEFAULT_BLOCK])
+def test_squared_distances_match_subtract_outer(k, block):
+    # every tile of the walk, diagonal and off-diagonal, with and without a split, over
+    # points and over the strided columns of one set of a value stack: bit for bit
+    rng = np.random.default_rng(k)
+    coords = rng.normal(size=(300, k))
+    coords[7] = coords[250]  # a coincident pair
+    stack = rng.normal(size=(3, 300, k))
+    out, tmp = np.empty((2, TILE_ROWS * block))
+    for split in (None, 140):
+        for a0, a1, b0, b1 in _tiles(300, block, split):
+            view = out[:(a1 - a0) * (b1 - b0)].reshape(a1 - a0, b1 - b0)
+            work = tmp[:view.size].reshape(view.shape)
+            for c in (coords, stack[1]):
+                got = _pairsum._squared_distances(c[a0:a1], c[b0:b1], view, work)
+                assert got is view
+                assert np.array_equal(got, pairsum_reference.squared_distances(c[a0:a1], c[b0:b1]))
+
+
+@ENGINE_SETTINGS
+@given(labelled_clouds(), st.sampled_from([3, 100, DEFAULT_BLOCK]))
+def test_class_kernel_equals_frozen_kernel_tile(cloud, block):
+    points, labels, _, weights, split, _, q = cloud
+    got = class_kernel(points, labels, q, weights=weights, split=split, block=block, workers=2)
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(_pairsum._Geometry, "kernel_tile", pairsum_reference.kernel_tile)
+        frozen = class_kernel(points, labels, q, weights=weights, split=split, block=block, workers=2)
+    assert got.tobytes() == frozen.tobytes()
+
+
+@ENGINE_SETTINGS
+@given(lattice_pairs())
+def test_lattice_cross_check_equals_frozen_forms(case):
+    # the LatticeCounts sums and the class_kernel they are checked against, both bit for
+    # bit as with the frozen difference passes
+    kind, a, la, b, lb, shift, offset, q = case
+    h = 0.3
+    counts = _pairsum.LatticeCounts(a, la, b, lb)
+    pts = h * np.concatenate([a, b + shift + offset])
+    labels = np.concatenate([la, lb + int(la.max()) + 1])
+    offs = 0.25 * np.array([[0, 0], [1, 0], [0, 2]])
+
+    def results():
+        return [counts.kernels(q, h, [shift], h * offset, 1.3),
+                counts.template_kernels(q, h, offs, 0.25),
+                counts.template_kernels(q, h, offs, 0.25, shift=shift),
+                class_kernel(pts, labels, q, weights=0.7, split=a.shape[0])]
+
+    got = results()
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(_pairsum.LatticeCounts, "_sums", pairsum_reference.lattice_sums)
+        patch.setattr(_pairsum._Geometry, "kernel_tile", pairsum_reference.kernel_tile)
+        frozen = results()
+    assert all(x.tobytes() == y.tobytes() for x, y in zip(got, frozen))
+
+
+def ladder_inputs():
+    x = np.random.default_rng(23).uniform(0.0, 1e3, 20_000)
+    return np.r_[x, 0.0, 5e-324, 1e-300, 1e300]
+
+
+@pytest.mark.parametrize("p", [0.5, 1.0, 1.5, 2.5, 3.0, 3.5])
+def test_half_power_ladder_within_four_ulp(p):
+    x = ladder_inputs()
+    with np.errstate(over="ignore", invalid="ignore"):  # 1e300 overflows to inf either way
+        expected = np.power(x, 0.5 * p)
+        got = _pairsum._half_power(x.copy(), p, np.empty_like(x))
+        same = got == expected  # the zeros and the infinities among them
+        assert np.all(same | (np.abs(got - expected) <= 4 * np.spacing(expected)))
+
+
+@pytest.mark.parametrize("p", [1.6, 2.8, 4.0, 4.5, 0.0])
+def test_half_power_other_p_is_np_power(p):
+    x = ladder_inputs()
+    with np.errstate(over="ignore"):
+        got = _pairsum._half_power(x.copy(), p, np.empty_like(x))
+        assert got.tobytes() == np.power(x, 0.5 * p).tobytes()
+
+
+def test_half_power_p2_takes_no_power(monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("p = 2 took a power")
+
+    monkeypatch.setattr(np, "power", refuse)
+    monkeypatch.setattr(np, "sqrt", refuse)
+    x = ladder_inputs()
+    before = x.copy()
+    assert _pairsum._half_power(x, 2.0, np.empty_like(x)) is x
+    assert x.tobytes() == before.tobytes()
+
+
+@ENGINE_SETTINGS
+@given(stacks(), st.sampled_from([8, DEFAULT_BLOCK]))
+def test_numerator_matches_frozen_form(stack, block):
+    # bit for bit at p = 2 and any p with 2p not an integer; to the last bits where the
+    # power is taken by square roots
+    points, values, weights, groups, drawn_p, q, drops = stack
+    for p in (drawn_p, 2.8):
+        got = pair_kernel_sum(points, values, p, q, weights=weights, groups=groups, block=block,
+                              workers=2, drop=drops)
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(_pairsum, "_numerator_sum", pairsum_reference.numerator_sum)
+            frozen = pair_kernel_sum(points, values, p, q, weights=weights, groups=groups,
+                                     block=block, workers=2, drop=drops)
+        if p in (2.0, 2.8):
+            assert got.tobytes() == frozen.tobytes()
+        else:
+            np.testing.assert_allclose(got, frozen, rtol=1e-14, atol=1e-300)
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+def test_stacked_pair_kernel_sum_copies_no_stack(workers):
+    # the 64-set averaging stack on the 1,957-node ball: beyond each thread's tile scratch
+    # the call allocates 0.23 MB at workers=1 (the index arrays of the diagonal tiles); a
+    # transposed or contiguous copy of the stack would add its 2.0 MB
+    grid = map_grid("identity2d", 0.04)
+    points = grid.nodes()[BALL.mask(grid)]
+    shifts = np.random.default_rng(4).uniform(-0.5, 0.5, size=(64, 1, 2))
+    stack = points[None] - shifts
+    stack /= np.linalg.norm(stack, axis=2, keepdims=True)
+    assert stack.shape == (64, 1957, 2)
+    pair_kernel_sum(points, stack[:1], 1.5, 2.6, workers=workers)  # the thread pool warmed up
+    threads = min(workers, os.cpu_count() or 1)
+    scratch = threads * (3 * 8 + 1) * TILE_ROWS * DEFAULT_BLOCK
+    tracemalloc.start()
+    try:
+        pair_kernel_sum(points, stack, 1.5, 2.6, workers=workers)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < scratch + 0.5e6
