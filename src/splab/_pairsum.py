@@ -10,11 +10,17 @@ of ``block``): the upper triangle of the pair matrix, or the rectangle
 between the two sides of a split.  `_walk` runs a task on every tile on
 up to ``workers`` threads and yields the results in tile order, which a
 pairwise tree combines, so the result is bit-stable for any worker count.
+The tiles of a walk run on one thread pool kept for the life of the
+process, or inline when a chunk is too small to repay the hand-off.
 ``pair_kernel_sum`` applies each kernel tile to a whole stack of value
 sets; ``class_kernel`` sums the tiles into a (C, C) matrix per pair of
 value classes, from which ``class_pair_sum`` gives the pair sum of any
 class-valued set.  Squared distances come from `_squared_distances` (a value
 stack is read in place), the numerator's power from square roots (`_half_power`).
+A set of unit 2-vectors can instead be given by half angles
+(`to_half_angles`, in place): for v = (cos t, sin t) and h = +-(cos t/2,
+sin t/2), |v_i - v_j| = 2 |h_i x h_j|, so its numerator is one cross
+product and |.|^p with at most one square root (`_abs_power`).
 
 The engine, ``LatticeCounts``, counts the label pairs of two labelled
 sets on one lattice (``lattice_index`` reads the indices from
@@ -37,7 +43,13 @@ from numpy.typing import NDArray
 
 TILE_ROWS = 128
 DEFAULT_BLOCK = 512
-TILE_CHUNK = 1024  # tiles per thread pool of the walk (their results are held at once)
+TILE_CHUNK = 1024  # tiles per hand-off to the thread pool (their results are held at once)
+# pair-set evaluations below which a chunk of tiles runs on the calling thread: two threads
+# repay the hand-off from about 5e4 pairs for one value set and 1e5 for class_kernel tiles
+INLINE_WORK = 2**17
+_LOWER = np.tri(TILE_ROWS, dtype=bool)  # [i, j]: j <= i, the pairs on and below a tile's diagonal
+CIRCLE_TOLERANCE = 8 * np.finfo(float).eps  # largest | |v|^2 - 1 | of a value taken as on the circle
+CIRCLE_SPAN = 2.0**-4  # least chord from a set's first value to another for `to_half_angles` to turn it
 CLASS_TERMS = 2**16  # terms per term array of a stacked class_pair_sum
 LATTICE_TOLERANCE = 1e-9  # steps a point of `lattice_index` may lie off its lattice node
 LATTICE_ROWS = 4096  # count-table rows per block of `LatticeCounts` sums
@@ -106,10 +118,29 @@ class _Scratch:
         return f0, f1, f2, self._mask[:k].reshape(rows, cols)
 
 
+_POOL: tuple[int, ThreadPoolExecutor] | None = None  # (process id, the walk's thread pool)
+_POOL_LOCK = threading.Lock()
+
+
+def _pool() -> ThreadPoolExecutor:
+    """The walk's thread pool of ``os.cpu_count()`` threads, started on first use and kept.
+
+    A forked child starts its own, since the parent's threads are not in it.
+    """
+    global _POOL
+    with _POOL_LOCK:
+        if _POOL is None or _POOL[0] != os.getpid():
+            _POOL = os.getpid(), ThreadPoolExecutor(max_workers=os.cpu_count() or 1,
+                                                    thread_name_prefix="splab-tiles")
+        return _POOL[1]
+
+
 def _map_tiles(fn, tiles: list, block: int, workers: int) -> list:
     """[fn(tile, scratch) for tile in tiles], run by up to ``workers`` threads.
 
-    At most ``os.cpu_count()`` threads start, whatever ``workers`` asks for.
+    The threads are those of the kept `_pool`, so at most ``os.cpu_count()``
+    run, whatever ``workers`` asks for; each holds its own tile scratch for
+    the call.
     """
     size = TILE_ROWS * block
     threads = min(workers, len(tiles), os.cpu_count() or 1)
@@ -129,21 +160,23 @@ def _map_tiles(fn, tiles: list, block: int, workers: int) -> list:
                 return
             out[i] = fn(tiles[i], scratch)
 
-    with ThreadPoolExecutor(max_workers=threads) as pool:
-        for f in [pool.submit(drain) for _ in range(threads)]:
-            f.result()
+    pool = _pool()
+    for f in [pool.submit(drain) for _ in range(threads)]:
+        f.result()
     return out
 
 
-def _walk(n: int, task, block: int, workers: int, split: int | None = None):
+def _walk(n: int, task, block: int, workers: int, split: int | None = None, sets: int = 1):
     """Yield task(tile, scratch) for each tile of `_tiles`, in order.
 
-    The tiles are mapped ``TILE_CHUNK`` per thread pool, so the tile list
-    is never held whole.
+    The tiles are mapped ``TILE_CHUNK`` at a time, so the tile list is
+    never held whole; a chunk of fewer than ``INLINE_WORK`` pair-set
+    evaluations (its pairs times ``sets``) runs on the calling thread.
     """
     tiles = _tiles(n, block, split)
     while chunk := list(itertools.islice(tiles, TILE_CHUNK)):
-        yield from _map_tiles(task, chunk, block, workers)
+        work = sets * sum((a1 - a0) * (b1 - b0) for a0, a1, b0, b1 in chunk)
+        yield from _map_tiles(task, chunk, block, workers if work >= INLINE_WORK else 1)
 
 
 def _squared_distances(rows: NDArray, cols: NDArray, out: NDArray, tmp: NDArray) -> NDArray:
@@ -204,21 +237,90 @@ class _Geometry:
             np.equal.outer(gx, self.g[b0:b1], out=mask)
             mask &= (gx >= 0)[:, None]
             np.copyto(out, 0.0, where=mask)
-        if b0 < a1:  # the tile reaches the diagonal: keep column > row only
-            out[np.tril_indices(a1 - a0, a0 - b0, b1 - b0)] = 0.0
+        if b0 < a1:  # the tile reaches the diagonal: zero its pairs of column <= row
+            e, k = b0 - a0, min(b1, a1) - b0
+            np.copyto(out[:, :k], 0.0, where=_LOWER[:a1 - a0, e:e + k])
         return out
 
 
+def _cross_products(rows: NDArray, cols: NDArray, out: NDArray, tmp: NDArray) -> NDArray:
+    """Fill ``out`` with r_i x c_j = r_i0 c_j1 - r_i1 c_j0 of the (R, 2) ``rows`` and (C, 2) ``cols``."""
+    np.copyto(out, rows[:, 0, None])  # written across the tile, as in `_squared_distances`
+    out *= np.ascontiguousarray(cols[:, 1])
+    np.copyto(tmp, rows[:, 1, None])
+    tmp *= np.ascontiguousarray(cols[:, 0])
+    return np.subtract(out, tmp, out=out)
+
+
+def _abs_power(t: NDArray, p: float, tmp: NDArray) -> NDArray:
+    """|t|^p in place: for 2p = n in 2..7, a product of |t| and at most one sqrt|t| (n odd);
+    else by `np.power`."""
+    np.abs(t, out=t)
+    if not ((2.0 * p).is_integer() and 1.0 <= p < 4.0):
+        return np.power(t, p, out=t)
+    n = int(2 * p)
+    if n & 1:  # sqrt|t| |t|^((n - 3)/2), built in tmp
+        factor = np.sqrt(t, out=tmp)
+        for _ in range((n - 3) // 2):
+            factor *= t
+    elif n == 2:
+        return t
+    else:  # |t| for n = 4, |t|^2 for n = 6
+        factor = t if n == 4 else np.multiply(t, t, out=tmp)
+    t *= factor
+    return t
+
+
 def _numerator_sum(vals: NDArray, p: float, tile, kern: NDArray, buf: NDArray, tmp: NDArray,
-                   drop: NDArray | None = None) -> float:
-    """Sum over the tile of |v_i - v_j|^p times the kernel tile, pairs of ``drop`` points zeroed."""
+                   drop: NDArray | None = None, half: bool = False) -> float:
+    """Sum over the tile of |v_i - v_j|^p times the kernel tile, pairs of ``drop`` points zeroed.
+
+    For half-angle vectors (``half``, see `to_half_angles`) the numerator
+    is |h_i x h_j|^p, which is |v_i - v_j|^p / 2^p.
+    """
     a0, a1, b0, b1 = tile
-    _half_power(_squared_distances(vals[a0:a1], vals[b0:b1], buf, tmp), p, tmp)
+    if half:
+        _abs_power(_cross_products(vals[a0:a1], vals[b0:b1], buf, tmp), p, tmp)
+    else:
+        _half_power(_squared_distances(vals[a0:a1], vals[b0:b1], buf, tmp), p, tmp)
     buf *= kern
     if drop is not None:
         buf[drop[a0:a1], :] = 0.0
         buf[:, drop[b0:b1]] = 0.0
     return float(buf.sum())
+
+
+def to_half_angles(stack: NDArray, drop: NDArray | None = None) -> NDArray:
+    """Turn the circle-valued sets of an (S, N, nu) stack into half-angle vectors, in place.
+
+    A set is circle-valued when nu = 2 and | |v|^2 - 1 | <= ``CIRCLE_TOLERANCE``
+    at every node that its row of the (S, N) ``drop`` mask leaves in.  Each
+    value (c, s) = (cos t, sin t) of such a set becomes h = +-(cos t/2, sin t/2),
+    normalized from (1 + c, s) for c >= 0 and from (s, 1 - c) for c < 0 (both
+    parallel to h, and neither cancels), so no trigonometric function is
+    taken.  The cross product h_i x h_j then errs by about 1e-15 in absolute
+    terms, where the squared distance of v_i and v_j errs in relative terms,
+    so a set whose kept values all lie within a chord ``CIRCLE_SPAN`` of its
+    first kept value (|v - v_0|^2 = 2 - 2 v.v_0 on the circle) stays as it
+    is.  Returns the (S,) mask of the sets turned, the ``halves`` of
+    `pair_kernel_sum`.  Works one set at a time: no stack-sized temporary.
+    """
+    turned = np.zeros(stack.shape[0], dtype=bool)
+    if stack.shape[2] != 2:
+        return turned
+    for k, vals in enumerate(stack):
+        kept = vals if drop is None or not drop[k].any() else vals[~drop[k]]
+        if not kept.size or np.any(np.abs(np.einsum("ij,ij->i", kept, kept) - 1.0) > CIRCLE_TOLERANCE) \
+                or np.min(kept @ kept[0]) > 1.0 - 0.5 * CIRCLE_SPAN**2:
+            continue
+        c, s = vals[:, 0], vals[:, 1]
+        back = c < 0
+        x, y = np.where(back, s, 1.0 + c), np.where(back, 1.0 - c, s)
+        norm = np.hypot(x, y)
+        np.divide(x, norm, out=c)
+        np.divide(y, norm, out=s)
+        turned[k] = True
+    return turned
 
 
 def pair_kernel_sum(
@@ -231,6 +333,7 @@ def pair_kernel_sum(
     block: int = DEFAULT_BLOCK,
     workers: int = 1,
     drop=(),
+    halves=(),
 ) -> float | NDArray:
     """Off-diagonal weighted kernel sum over unordered pairs (counted once).
 
@@ -247,26 +350,35 @@ def pair_kernel_sum(
     workers : thread count; results are identical for any value
     drop : boolean mask of the points whose pairs are left out: (N,) for
         one value set, (S, N) for a stack, or empty for none
+    halves : boolean mask of the value sets given as half-angle vectors
+        (`to_half_angles`): one bool for one value set, (S,) for a stack,
+        or empty for none
 
     One value set gives a float.  A stack gives the (S,) array of its sums:
     each kernel tile is computed once and applied to every set, and the
     (S,) partials of the tiles are combined by one tree, element by
     element, so every sum equals the call on that set alone bit for bit.
+    A half-angle set takes its numerator 2^p |h_i x h_j|^p from one cross
+    product per pair (the 2^p applied to its sum), in the same tile walk.
     """
     geo = _Geometry(points, q, weights, groups)
     single = np.ndim(values) < 3
     stack = _as_values(values)[None] if single else np.ascontiguousarray(values, dtype=float)
     hits = _drop_masks(drop, *stack.shape[:2])
     cuts = [None] * stack.shape[0] if hits is None else [h if h.any() else None for h in hits]
+    half = np.zeros(stack.shape[0], dtype=bool) if np.size(halves) == 0 else \
+        np.broadcast_to(np.asarray(halves, dtype=bool), stack.shape[:1])
 
     def run(tile, scratch):
         a0, a1, b0, b1 = tile
         kern, buf, tmp, mask = scratch.views(a1 - a0, b1 - b0)
         geo.kernel_tile(tile, kern, tmp, mask)
-        return np.array([_numerator_sum(vals, p, tile, kern, buf, tmp, cut)
-                         for vals, cut in zip(stack, cuts)])
+        return np.array([_numerator_sum(vals, p, tile, kern, buf, tmp, cut, h)
+                         for vals, cut, h in zip(stack, cuts, half)])
 
-    sums = tree_reduce(_walk(geo.n, run, block, workers), np.zeros(stack.shape[0]))
+    sums = tree_reduce(_walk(geo.n, run, block, workers, sets=stack.shape[0]),
+                       np.zeros(stack.shape[0]))
+    sums[half] *= 2.0 ** p
     return float(sums[0]) if single else sums
 
 

@@ -15,7 +15,7 @@ from decimal import Decimal
 import numpy as np
 from numpy.typing import NDArray
 
-from ._pairsum import _drop_masks, pair_kernel_sum
+from ._pairsum import _drop_masks, pair_kernel_sum, to_half_angles
 from .errors import BudgetError, ConfigurationError, GeometryError, NumericalError, WrongSchemeError
 from .grid import Box, Grid, SampledMap
 
@@ -243,8 +243,13 @@ class EnergyPlan:
     evaluated exactly by zero-padded FFT (``_ConvolutionSum``).  Otherwise
     ``energies`` hands its whole value stack to one `pair_kernel_sum` call
     over the region's nodes, which computes each kernel tile once for the
-    stack and keeps none.  Results equal ``gagliardo_energy`` to rounding
-    and are bit-identical for any worker count.
+    stack and keeps none.  Each set of unit 2-vectors (a projection onto
+    the circle, singular hits aside) goes in as half angles
+    (`to_half_angles`, on the gathered copy), so its numerator is one
+    cross product per pair; every other set takes the generic one.  A
+    set's sum is the same alone or stacked.  Results equal
+    ``gagliardo_energy`` to rounding and are bit-identical for any worker
+    count.
     """
 
     def __init__(self, grid: Grid, params: FractionalParams, region: Region | None = None,
@@ -279,9 +284,14 @@ class EnergyPlan:
         if self._fft is not None:
             sums = self._fft.sums(stack, hits)
         else:
-            sums = pair_kernel_sum(self._points, stack[:, self._nodes], self.params.p, self._q,
-                                   workers=self.workers,
-                                   drop=() if hits is None else hits[:, self._nodes])
+            # one contiguous gathered copy (stack[:, nodes] comes out strided, and the pair
+            # sum would copy it again), whose circle-valued sets turn into half angles in place
+            region = np.take(stack, self._nodes, axis=1)
+            drop = None if hits is None else np.take(hits, self._nodes, axis=1)
+            halves = to_half_angles(region, drop)
+            sums = pair_kernel_sum(self._points, region, self.params.p, self._q,
+                                   workers=self.workers, drop=() if drop is None else drop,
+                                   halves=halves)
         return [_pair_energy(float(s), self.grid, self.route) for s in sums]
 
     def energy(self, u: SampledMap, drop=()) -> EnergyValue:

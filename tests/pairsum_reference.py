@@ -54,8 +54,9 @@ def kernel_tile(self, tile, out, tmp, mask):
     return out
 
 
-def numerator_sum(vals, p, tile, kern, buf, tmp, drop=None):
-    """`_numerator_sum` as it was."""
+def numerator_sum(vals, p, tile, kern, buf, tmp, drop=None, half=False):
+    """`_numerator_sum` as it was, for value sets (not half-angle sets)."""
+    assert not half
     a0, a1, b0, b1 = tile
     np.subtract.outer(vals[a0:a1, 0], vals[b0:b1, 0], out=buf)
     buf *= buf

@@ -1,7 +1,7 @@
 import os
 import sys
+import threading
 import tracemalloc
-from concurrent.futures import Future
 from dataclasses import replace
 
 import numpy as np
@@ -31,6 +31,7 @@ from splab.energy import (
 from splab.errors import ConfigurationError, GeometryError, NumericalError, WrongSchemeError
 from splab.grid import Box, Placement, make_grid, rescale_map, sample_map
 from splab.harness import TEST_MAPS, map_grid
+from splab.sphere import shifted_unit_values
 
 import pairsum_reference
 
@@ -397,8 +398,10 @@ def test_pair_kernel_sum_matches_naive(cloud, block):
     assert sums[0] == pytest.approx(expected, rel=1e-12, abs=1e-300)
 
 
-def test_pair_kernel_sum_many_threads_lose_no_tile():
+def test_pair_kernel_sum_many_threads_lose_no_tile(monkeypatch):
     # more threads than cores and a short switch interval: a lost tile changes the sum
+    # (every chunk goes to the pool, however small)
+    monkeypatch.setattr(_pairsum, "INLINE_WORK", 0)
     rng = np.random.default_rng(5)
     points, values = rng.random((400, 2)), rng.random((400, 2))
     labels = rng.integers(0, 5, size=400)
@@ -501,34 +504,43 @@ def test_walk_maps_tiles_a_chunk_at_a_time(monkeypatch):
         assert got == pytest.approx(expected, rel=1e-12, abs=1e-300)
 
 
+def tile_threads():
+    return [t for t in threading.enumerate() if t.name.startswith("splab-tiles")]
+
+
 def test_worker_count_capped_at_cpu_count(monkeypatch):
-    # a huge worker count starts no more threads than there are CPUs, with the same sum
-    sizes = []
-
-    class InlinePool:
-        """A ThreadPoolExecutor stand-in that records its size and runs each task at once."""
-
-        def __init__(self, max_workers):
-            sizes.append(max_workers)
-
-        def __enter__(self):
-            return self
-
-        def __exit__(self, *exc):
-            return False
-
-        def submit(self, fn):
-            future = Future()
-            future.set_result(fn())
-            return future
-
+    # a huge worker count runs on the one kept pool, which never holds more threads than
+    # there are CPUs, with the same sum
     rng = np.random.default_rng(4)
     points, values = rng.random((700, 2)), rng.normal(size=(700, 1))
     expected = pair_kernel_sum(points, values, 2.5, 2.6, block=16)
-    monkeypatch.setattr(_pairsum, "ThreadPoolExecutor", InlinePool)
-    got = pair_kernel_sum(points, values, 2.5, 2.6, block=16, workers=100_000)
-    assert got == expected
-    assert max(sizes, default=1) <= os.cpu_count()
+    monkeypatch.setattr(_pairsum, "INLINE_WORK", 0)
+    pool = _pairsum._pool()
+    for _ in range(2):
+        assert pair_kernel_sum(points, values, 2.5, 2.6, block=16, workers=100_000) == expected
+        assert _pairsum._pool() is pool
+        assert len(tile_threads()) <= os.cpu_count()
+    if os.cpu_count() > 1:
+        assert tile_threads()
+
+
+def test_small_chunks_run_inline(monkeypatch):
+    # a chunk of fewer than INLINE_WORK pair-set evaluations never reaches the pool, at any
+    # worker count; one at the floor does
+    def no_pool():
+        raise AssertionError("a small chunk reached the thread pool")
+
+    rng = np.random.default_rng(6)
+    points, values = rng.random((300, 2)), rng.normal(size=(3, 300, 2))
+    pairs = sum((a1 - a0) * (b1 - b0) for a0, a1, b0, b1 in _tiles(300, DEFAULT_BLOCK))
+    expected = pair_kernel_sum(points, values, 1.5, 2.6)
+    monkeypatch.setattr(_pairsum, "INLINE_WORK", 3 * pairs + 1)
+    monkeypatch.setattr(_pairsum, "_pool", no_pool)
+    assert pair_kernel_sum(points, values, 1.5, 2.6, workers=2).tolist() == expected.tolist()
+    monkeypatch.setattr(_pairsum, "INLINE_WORK", 3 * pairs)
+    if os.cpu_count() > 1:
+        with pytest.raises(AssertionError, match="small chunk"):
+            pair_kernel_sum(points, values, 1.5, 2.6, workers=2)
 
 
 @ENGINE_SETTINGS
@@ -907,8 +919,9 @@ def test_numerator_matches_frozen_form(stack, block):
 @pytest.mark.parametrize("workers", [1, 2])
 def test_stacked_pair_kernel_sum_copies_no_stack(workers):
     # the 64-set averaging stack on the 1,957-node ball: beyond each thread's tile scratch
-    # the call allocates 0.23 MB at workers=1 (the index arrays of the diagonal tiles); a
-    # transposed or contiguous copy of the stack would add its 2.0 MB
+    # the call allocates 0.10 MB at workers=1 and 0.18 MB at workers=2 (0.23 MB at
+    # workers=1 when the diagonal tiles built np.tril_indices arrays); a transposed or
+    # contiguous copy of the stack would add its 2.0 MB
     grid = map_grid("identity2d", 0.04)
     points = grid.nodes()[BALL.mask(grid)]
     shifts = np.random.default_rng(4).uniform(-0.5, 0.5, size=(64, 1, 2))
@@ -924,4 +937,173 @@ def test_stacked_pair_kernel_sum_copies_no_stack(workers):
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    assert peak < scratch + 0.5e6
+    assert peak < scratch + 0.3e6
+
+
+# ---------------------------------------------------------------------------
+# Circle-valued sets by half angles
+# ---------------------------------------------------------------------------
+
+CIRCLE_P = [1.0, 1.5, 2.0, 2.5, 2.8, 3.3]
+
+
+def unit_circle(angles):
+    return np.stack([np.cos(angles), np.sin(angles)], axis=-1)
+
+
+@st.composite
+def circle_stacks(draw):
+    """A cloud with 1-4 sets of unit 2-vectors and one singular-hit mask each.
+
+    A set's angles straddle theta = +-pi or theta = -pi/2 (where the two
+    bisector forms of `to_half_angles` meet, with opposite signs) over arcs
+    from 1e-8 to 1 wide, or are uniform with some near-coincident pairs.
+    Dropped nodes carry the placeholder e_1, as `sphere.unit_values` leaves
+    them.
+    """
+    n = draw(st.integers(min_value=2, max_value=500))
+    rng = np.random.default_rng(draw(st.integers(min_value=0, max_value=2**32 - 1)))
+    m = draw(st.integers(1, 2))
+    points = rng.random((n, m))
+    sets = []
+    for kind in draw(st.lists(st.sampled_from(["pi", "half-pi", "near"]), min_size=1, max_size=4)):
+        if kind == "near":
+            angles = rng.uniform(-np.pi, np.pi, n)
+            i, j = rng.integers(n, size=(2, max(1, n // 10)))
+            angles[i] = angles[j] + rng.choice([-1, 1], size=i.size) * 10.0 ** rng.uniform(-12, -6, i.size)
+        else:
+            center = np.pi if kind == "pi" else -0.5 * np.pi
+            angles = center + rng.normal(scale=10.0 ** rng.uniform(-8, 0), size=n)
+        sets.append(unit_circle(np.angle(np.exp(1j * angles))))  # wrapped to (-pi, pi]
+    values = np.stack(sets)
+    drops = np.stack([node_mask(n, rng.integers(0, n, size=draw(st.integers(0, 3)))) for _ in sets])
+    values[drops] = (1.0, 0.0)
+    weights = rng.random(n) + 0.1 if draw(st.booleans()) else 1.0
+    p = draw(st.sampled_from(CIRCLE_P))
+    q = draw(st.sampled_from([1.3, 2.0, 2.6, 3.0]))
+    return points, values, weights, p, q, drops
+
+
+@ENGINE_SETTINGS
+@given(circle_stacks(), st.sampled_from([8, DEFAULT_BLOCK]))
+def test_circle_route_matches_generic_route_and_naive(stack, block):
+    points, values, weights, p, q, drops = stack
+    halves = values.copy()
+    turned = _pairsum.to_half_angles(halves, drops)
+    spans = [np.linalg.norm(v[~d] - v[~d][0], axis=1).max() if (~d).any() else 0.0
+             for v, d in zip(values, drops)]
+    assert turned.tolist() == [span >= _pairsum.CIRCLE_SPAN for span in spans]
+    assert halves[~turned].tobytes() == values[~turned].tobytes()
+    generic = pair_kernel_sum(points, values, p, q, weights=weights, block=block, drop=drops)
+    per_set = [pair_kernel_sum(points, h, p, q, weights=weights, block=block, drop=d, halves=half)
+               for h, d, half in zip(halves, drops, turned)]
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(_pairsum, "INLINE_WORK", 0)  # every chunk on the pool at workers > 1
+        for workers in (1, 2, 3):
+            stacked = pair_kernel_sum(points, halves, p, q, weights=weights, block=block,
+                                      workers=workers, drop=drops, halves=turned)
+            assert stacked.tolist() == per_set
+    np.testing.assert_allclose(per_set, generic, rtol=1e-13, atol=1e-300)
+    for vals, drop, got in zip(values, drops, per_set):
+        expected = naive_pair_sum(points, vals, p, q, weights, None, drop)
+        assert got == pytest.approx(expected, rel=1e-13, abs=1e-300)
+
+
+@pytest.mark.parametrize("p", CIRCLE_P)
+def test_abs_power_matches_np_power(p):
+    # |t|^p by at most one square root, to the last bits of np.power
+    x = np.r_[-ladder_inputs(), ladder_inputs()]
+    with np.errstate(over="ignore", invalid="ignore"):
+        expected = np.power(np.abs(x), p)
+        got = _pairsum._abs_power(x.copy(), p, np.empty_like(x))
+        same = got == expected  # the zeros and the infinities among them
+        assert np.all(same | (np.abs(got - expected) <= 4 * np.spacing(expected)))
+
+
+def test_half_angles_of_the_circle():
+    # h = +-(cos t/2, sin t/2) to the last bits, around the whole circle and at its joins
+    angles = np.r_[np.linspace(-np.pi, np.pi, 1001), 0.5 * np.pi, -0.5 * np.pi, np.pi,
+                   np.nextafter(-np.pi, 0.0), 1e-300, -1e-300]
+    h = unit_circle(angles)[None].copy()
+    assert _pairsum.to_half_angles(h).tolist() == [True]
+    half = unit_circle(0.5 * angles)
+    cross = half[:, 0] * h[0, :, 1] - half[:, 1] * h[0, :, 0]  # 0 where h = +-half
+    assert np.max(np.abs(cross)) < 4e-16
+    assert np.max(np.abs(np.einsum("ij,ij->i", h[0], h[0]) - 1.0)) < 4e-16
+
+
+def test_half_angles_leave_other_sets():
+    rng = np.random.default_rng(8)
+    units = unit_circle(rng.uniform(-np.pi, np.pi, (3, 50)))
+    units[1, 7] *= 1.0 + 1e-9  # one node off the circle
+    units[2, 9] = (3.0, 4.0)  # off the circle at a dropped node only
+    drop = node_mask(50, [9])[None].repeat(3, axis=0)
+    before = units.copy()
+    assert _pairsum.to_half_angles(units, drop).tolist() == [True, False, True]
+    assert units[1].tobytes() == before[1].tobytes()
+    spheres = unit_circle(rng.uniform(-np.pi, np.pi, (2, 50)))[..., [0, 1, 1]] / [1, np.sqrt(2), np.sqrt(2)]
+    assert not _pairsum.to_half_angles(spheres.copy()).any()
+
+
+def spy_halves(monkeypatch):
+    """Record the ``halves`` of every `pair_kernel_sum` call of an `EnergyPlan`."""
+    seen = []
+
+    def spy(*args, halves=(), **kwargs):
+        seen.append(np.asarray(halves).tolist())
+        return pair_kernel_sum(*args, halves=halves, **kwargs)
+
+    monkeypatch.setattr(energy_module, "pair_kernel_sum", spy)
+    return seen
+
+
+def test_energy_plan_routes_each_set_on_its_own(monkeypatch):
+    u = sampled("identity2d", 0.1)
+    params = FractionalParams(s=0.4, p=2.5)
+    n = u.grid.node_count
+    maps = [_unit_shifted(u, a) for a in ((0.1, 0.2), (-0.5, 0.3), (0.05, -0.66))]
+    maps[1] = replace(maps[1], values=maps[1].values * (1.0 + 1e-9))  # 1e-9 off the circle
+    drops = np.stack([node_mask(n, d) for d in ([], [10, 11], [300])])
+    stack = np.stack([m.values for m in maps])
+    seen = spy_halves(monkeypatch)
+    single = [EnergyPlan(u.grid, params, BALL).energy(m, drop=d).value for m, d in zip(maps, drops)]
+    assert seen == [[True], [False], [True]]
+    for workers in (1, 2, 3):
+        plan = EnergyPlan(u.grid, params, BALL, workers=workers)
+        assert [e.value for e in plan.energies(stack, drops)] == single
+        assert seen[-1] == [True, False, True]
+    assert stack.tobytes() == np.stack([m.values for m in maps]).tobytes()  # the input is kept
+    for m, d, got in zip(maps, drops, single):
+        direct = gagliardo_energy(m, params, BALL.without(np.flatnonzero(d)))
+        assert got == pytest.approx(direct.value, rel=1e-13)
+    rng = np.random.default_rng(9)
+    spheres = rng.normal(size=(2, n, 3))
+    spheres /= np.linalg.norm(spheres, axis=2, keepdims=True)
+    assert len(EnergyPlan(u.grid, params, BALL).energies(spheres)) == 2
+    assert seen[-1] == [False, False]
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+def test_energy_plan_circle_stack_copies_one_region_stack(workers, monkeypatch):
+    # the plan gathers the 64-set stack over the 1,957-node ball (2.0 MB) and turns it into
+    # half angles in place: beyond that copy and each thread's tile scratch it allocates
+    # 0.5 MB at most, so a second stack-sized copy (2.0 MB) fails
+    u = sampled("identity2d", 0.04)
+    params = FractionalParams(s=0.4, p=1.5)
+    plan = EnergyPlan(u.grid, params, BALL, workers=workers)
+    shifts = np.random.default_rng(4).uniform(-0.5, 0.5, size=(64, 2))
+    stack = np.empty((64,) + u.values.shape)
+    hits, _ = shifted_unit_values(u, shifts, stack)
+    seen = spy_halves(monkeypatch)
+    plan.energies(stack[:1], hits[:1])  # the thread pool warmed up
+    region = 64 * 1957 * 2 * 8
+    threads = min(workers, os.cpu_count() or 1)
+    scratch = threads * (3 * 8 + 1) * TILE_ROWS * DEFAULT_BLOCK
+    tracemalloc.start()
+    try:
+        plan.energies(stack, hits)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert seen[-1] == [True] * 64
+    assert peak <= region + scratch + 0.5e6
