@@ -16,18 +16,18 @@ process, or inline when a chunk is too small to repay the hand-off.
 sets; ``class_kernel`` sums the tiles into a (C, C) matrix per pair of
 value classes, from which ``class_pair_sum`` gives the pair sum of any
 class-valued set.  Squared distances come from `_squared_distances` (a value
-stack is read in place), the numerator's power from square roots (`_half_power`).
-A set of unit 2-vectors can instead be given by half angles
-(`to_half_angles`, in place): for v = (cos t, sin t) and h = +-(cos t/2,
-sin t/2), |v_i - v_j| = 2 |h_i x h_j|, so its numerator is one cross
-product and |.|^p with at most one square root (`_abs_power`).
+stack is read in place), the numerator's power from square roots
+(`_root_power`).  A set of unit 2-vectors can instead be given by half
+angles (`to_half_angles`, in place): for v = (cos t, sin t) and
+h = +-(cos t/2, sin t/2), |v_i - v_j| = 2 |h_i x h_j|, so its numerator is
+one cross product and its |.|^p the same root power.
 
 The engine, ``LatticeCounts``, counts the label pairs of two labelled
 sets on one lattice (``lattice_index`` reads the indices from
 coordinates) at each index difference once, by an FFT correlation
-rounded to integers, and gives their class matrix at any integer
-translation, and for points that are nodes plus one of a few offsets,
-from one kernel value per difference and offset.
+rounded to integers; its one method, ``kernels``, gives their class
+matrices at a few offsets, over the whole table at an integer
+translation or over half of it for a set with itself.
 """
 
 from __future__ import annotations
@@ -190,19 +190,31 @@ def _squared_distances(rows: NDArray, cols: NDArray, out: NDArray, tmp: NDArray)
     return out
 
 
-def _half_power(x: NDArray, p: float, tmp: NDArray) -> NDArray:
-    """x^(p/2) in place: for 2p = n in 1..7, x^(n/4) as the product of x, sqrt(x) and sqrt(sqrt(x))
-    picked by bits 4, 2 and 1 of n (at most two roots and two products); else by `np.power`."""
-    if not ((2.0 * p).is_integer() and 0.0 < p < 4.0):
-        return np.power(x, 0.5 * p, out=x)
-    n = int(2 * p)
-    while n < 4:  # x^(n/4) = sqrt(x)^(2n/4), the root taken in place; n = 4 (p = 2) is x itself
+def _root_power(x: NDArray, e: float, tmp: NDArray) -> NDArray:
+    """x^e in place for x >= 0: for 4e = n in 1..7 or even n in 8..14, by at most two square roots
+    and three products (x^(n/4) = sqrt(x)^(2n/4) while n < 4, then x times x^(n/4 - 1) built in
+    tmp from sqrt(x), sqrt(sqrt(x)) and x); else by `np.power`."""
+    n = 4.0 * e
+    if not (n.is_integer() and 1 <= n < 16 and (n < 8 or n % 2 == 0)):
+        return np.power(x, e, out=x)
+    n = int(n)
+    while n < 4:  # the root taken in place
         np.sqrt(x, out=x)
         n *= 2
-    if n & 2:  # x sqrt(x), leaving sqrt(x) in tmp
+    if n == 7:  # x sqrt(x), leaving sqrt(x) in tmp, times sqrt(sqrt(x))
         x *= np.sqrt(x, out=tmp)
-    if n & 1:  # times sqrt(sqrt(x))
-        x *= np.sqrt(tmp if n & 2 else np.sqrt(x, out=tmp), out=tmp)
+        return np.multiply(x, np.sqrt(tmp, out=tmp), out=x)
+    if n % 4:  # sqrt(x) (sqrt(sqrt(x)) for n = 5) times n // 4 - 1 factors of x
+        factor = np.sqrt(x, out=tmp)
+        if n == 5:
+            np.sqrt(factor, out=factor)
+        for _ in range(n // 4 - 1):
+            factor *= x
+    elif n == 4:
+        return x
+    else:  # x for n = 8, x^2 for n = 12
+        factor = x if n == 8 else np.multiply(x, x, out=tmp)
+    x *= factor
     return x
 
 
@@ -252,25 +264,6 @@ def _cross_products(rows: NDArray, cols: NDArray, out: NDArray, tmp: NDArray) ->
     return np.subtract(out, tmp, out=out)
 
 
-def _abs_power(t: NDArray, p: float, tmp: NDArray) -> NDArray:
-    """|t|^p in place: for 2p = n in 2..7, a product of |t| and at most one sqrt|t| (n odd);
-    else by `np.power`."""
-    np.abs(t, out=t)
-    if not ((2.0 * p).is_integer() and 1.0 <= p < 4.0):
-        return np.power(t, p, out=t)
-    n = int(2 * p)
-    if n & 1:  # sqrt|t| |t|^((n - 3)/2), built in tmp
-        factor = np.sqrt(t, out=tmp)
-        for _ in range((n - 3) // 2):
-            factor *= t
-    elif n == 2:
-        return t
-    else:  # |t| for n = 4, |t|^2 for n = 6
-        factor = t if n == 4 else np.multiply(t, t, out=tmp)
-    t *= factor
-    return t
-
-
 def _numerator_sum(vals: NDArray, p: float, tile, kern: NDArray, buf: NDArray, tmp: NDArray,
                    drop: NDArray | None = None, half: bool = False) -> float:
     """Sum over the tile of |v_i - v_j|^p times the kernel tile, pairs of ``drop`` points zeroed.
@@ -280,9 +273,9 @@ def _numerator_sum(vals: NDArray, p: float, tile, kern: NDArray, buf: NDArray, t
     """
     a0, a1, b0, b1 = tile
     if half:
-        _abs_power(_cross_products(vals[a0:a1], vals[b0:b1], buf, tmp), p, tmp)
+        _root_power(np.abs(_cross_products(vals[a0:a1], vals[b0:b1], buf, tmp), out=buf), p, tmp)
     else:
-        _half_power(_squared_distances(vals[a0:a1], vals[b0:b1], buf, tmp), p, tmp)
+        _root_power(_squared_distances(vals[a0:a1], vals[b0:b1], buf, tmp), 0.5 * p, tmp)
     buf *= kern
     if drop is not None:
         buf[drop[a0:a1], :] = 0.0
@@ -541,9 +534,9 @@ class LatticeCounts:
     time, rounded to integers; ValueError if any lies more than 0.25 from
     an integer.  They are held as float32, exact below 2^24.  From them,
     `kernels` gives the class matrix of the pairs of A and B moved apart by
-    any integer translation T, from one kernel value per E instead of one
-    per pair.  `entries` gives the table's length from the two index sets
-    alone, before anything is built.
+    any integer translation T and offset, from one kernel value per E
+    instead of one per pair.  `entries` gives the table's length from the
+    two index sets alone, before anything is built.
     """
 
     def __init__(self, a: NDArray, labels_a: NDArray, b: NDArray, labels_b: NDArray):
@@ -615,53 +608,22 @@ class LatticeCounts:
         sums = tree_reduce(chunks(), np.zeros((offsets.shape[0], counts.shape[1])))
         return sums.reshape(offsets.shape[0], self.rows.size, self.cols.size)
 
-    def kernels(self, q: float, spacing: float, shifts, offset=0.0, weight: float = 1.0) -> NDArray:
-        """(T, Ca, Cb) class matrices weight sum_E C[E] |spacing (E + T) + offset|^-q.
+    def kernels(self, q: float, spacing: float, offsets, shift=None, weight: float = 1.0) -> NDArray:
+        """(O, Ca, Cb) class matrices weight sum_E C[E] |spacing (E + T) + o|^-q, one per row o of ``offsets``.
 
-        Entry [t, a, b] is the kernel over the pairs of A and of B moved by
-        shifts[t], as `class_kernel` sums it: ``weight`` is w_A w_B, labels
-        run over [0, max + 1) of each set, coincident pairs are left out.
-        ``offset`` is one offset (a scalar or one per axis), or an (O, m)
-        stack of offsets, giving the (T, O, Ca, Cb) matrices of each; a
-        stack takes one pass over the table per shift.
+        With an integer ``shift`` T (one per axis), over the whole table:
+        entry [o, a, b] is the kernel over the pairs of A and of B moved by
+        T and o, as `class_kernel` sums it (``weight`` is w_A w_B, labels run
+        over [0, max + 1) of each set, coincident pairs are left out).
+        Without it, T = 0 over the half table E > 0 (first nonzero entry
+        positive): for a set with itself, each unordered node pair once.
         """
-        m = self.disp.shape[1]
-        shifts = np.asarray(shifts, dtype=np.int64).reshape(-1, m)
-        offsets = np.asarray(offset, dtype=float)
-        stack = offsets.ndim == 2
-        offsets = np.broadcast_to(offsets, offsets.shape[:-1] + (m,)).reshape(-1, m)
-        out = np.zeros((shifts.shape[0], offsets.shape[0]) + self.shape)
-        for t, shift in enumerate(shifts):
-            out[t][:, self.rows[:, None], self.cols] = weight * self._sums(
-                slice(None), q, spacing, offsets, shift)
-        return out if stack else out[:, 0]
-
-    def _half(self) -> NDArray:
-        """Mask of the table rows whose index difference E has a positive first nonzero entry."""
-        return self.disp[np.arange(self.disp.shape[0]), np.argmax(self.disp != 0, axis=1)] > 0
-
-    def template_kernels(self, q: float, spacing: float, offsets: NDArray, step: float,
-                         shift=None, weight: float = 1.0) -> NDArray:
-        """(P, P, Ca, Cb) kernels of the points that are nodes plus one of P template ``offsets``.
-
-        The offsets lie on a lattice of spacing ``step`` (else ValueError),
-        so the table is evaluated once per distinct difference o_a - o_b (81
-        for a 5 x 5 template) and scattered back to (a, b).  Without
-        ``shift``, for a set with itself: sum_{E > 0} C[E] |spacing E + o_a -
-        o_b|^-q over the half table, each unordered node pair once; with one
-        zero offset, `symmetric` of its (Ca, Cb) block is the class matrix
-        of the set's own pairs.  With an integer ``shift`` T: offset a of A
-        against offset b of B moved by T, as `kernels` at T with offset
-        o_b - o_a.
-        """
-        offs = np.asarray(offsets, dtype=float)
-        index = lattice_index(offs, step)[0]
-        diffs, inverse = np.unique((index[:, None] - index[None]).reshape(-1, offs.shape[1]),
-                                   axis=0, return_inverse=True)
+        disp = self.disp
         if shift is None:
-            sums = self._sums(self._half(), q, spacing, step * diffs)
+            rows, shift = disp[np.arange(disp.shape[0]), np.argmax(disp != 0, axis=1)] > 0, 0
         else:
-            sums = self._sums(slice(None), q, spacing, -step * diffs, shift)
-        out = np.zeros((diffs.shape[0],) + self.shape)
-        out[:, self.rows[:, None], self.cols] = weight * sums
-        return out[inverse.ravel()].reshape((offs.shape[0],) * 2 + self.shape)
+            rows, shift = slice(None), np.asarray(shift, dtype=np.int64)
+        offsets = np.asarray(offsets, dtype=float)
+        out = np.zeros(offsets.shape[:1] + self.shape)
+        out[:, self.rows[:, None], self.cols] = weight * self._sums(rows, q, spacing, offsets, shift)
+        return out

@@ -18,6 +18,7 @@ from .errors import ConfigurationError, SamplingError
 
 COS_CONE_BOUND = 0.125  # |cos(angle to e1)| <= 1/8 gates the far-field bound
 MIN_SAMPLES = 1000  # per scale index of an `estimate_constant` run
+MAX_SCALE = 32  # largest scale index n: float64 resolves the shift 2^-n sigma on centers of size ~1
 
 
 @dataclass(frozen=True)

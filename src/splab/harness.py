@@ -15,7 +15,7 @@ from typing import TYPE_CHECKING
 import numpy as np
 from numpy.typing import NDArray
 
-from .chords import check_sample_count, estimate_constant
+from .chords import MAX_SCALE, check_sample_count, estimate_constant
 from .energy import (
     EnergyPlan,
     FractionalParams,
@@ -451,10 +451,9 @@ class GeometryOptions:
     def __post_init__(self):
         if self.ell < 2:
             raise ConfigurationError(f"chord geometry needs ell >= 2, got ell={self.ell}")
-        if self.n_max <= self.n_min:
-            raise ConfigurationError(
-                f"comparing scales needs n_max > n_min, got n_min={self.n_min} n_max={self.n_max}"
-            )
+        if not 1 <= self.n_min < self.n_max <= MAX_SCALE:
+            raise ConfigurationError(f"comparing scales needs 1 <= n_min < n_max <= {MAX_SCALE}, "
+                                     f"got n_min={self.n_min} n_max={self.n_max}")
         check_sample_count(self.samples)
 
 

@@ -429,17 +429,25 @@ class PatchModel:
 
         ``move`` is a frame vector of whole cell widths.  The kernel comes from
         the count table of the k x k cell centers with themselves (its own
-        `_table` slot, shared by `_classes(k)` and the offset blocks of k) at
-        the template differences (`LatticeCounts.template_kernels`).
+        `_table` slot, shared by `_classes(k)` and the offset blocks of k):
+        offset a against offset b at o_a - o_b over the half table, or at
+        o_b - o_a over the whole table at the translation, evaluated once
+        per distinct difference (81 of the 625 pairs of a 5 x 5 template)
+        and scattered back to (a, b).
         """
         centers, offs, cell_w = self._cell_lattice(k)
         width = 2 * BLOCK_HALFWIDTH / k
-        index = lattice_index(centers, width)[0]
-        one = np.zeros(index.shape[0], dtype=np.int64)
-        table = self._table("centers", index, one, index, one)
+        step = width / CELL_SUBDIVISION
+        index = lattice_index(offs, step)[0]
+        diffs, inverse = np.unique((index[:, None] - index[None]).reshape(-1, offs.shape[1]),
+                                   axis=0, return_inverse=True)
+        cells = lattice_index(centers, width)[0]
+        one = np.zeros(cells.shape[0], dtype=np.int64)
+        table = self._table("centers", cells, one, cells, one)[0]
         shift = None if move is None else np.rint(np.asarray(move) / width).astype(np.int64)
-        return table.template_kernels(self._kernel_exp, width, offs, width / CELL_SUBDIVISION,
-                                      shift, cell_w * cell_w)[:, :, 0, 0]
+        kern = table.kernels(self._kernel_exp, width, (step if move is None else -step) * diffs, shift,
+                             cell_w * cell_w)
+        return kern[inverse.ravel(), 0, 0].reshape(offs.shape[0], offs.shape[0])
 
     def _cell_kernels(self, cloud: tuple, points: NDArray, labels: NDArray, weight: float,
                       moves) -> NDArray:
@@ -476,11 +484,10 @@ class PatchModel:
             return np.stack(out)
         spacing, (a, a_off), (b, b_off) = route
         _, offs, cell_w = self._cell_lattice(k)
-        table = self._table("cells", a - a.min(axis=0), np.zeros(a.shape[0], dtype=np.int64),
-                            b - b.min(axis=0), labels)
-        shifts = (b.min(axis=0) - a.min(axis=0)) + np.rint(np.asarray(moves) / spacing).astype(np.int64)
-        rows = table.kernels(self._kernel_exp, spacing, shifts, spacing * (b_off - a_off) - offs,
-                             cell_w * weight)[:, :, 0]
+        table, shift = self._table("cells", a, np.zeros(a.shape[0], dtype=np.int64), b, labels)
+        rows = np.stack([table.kernels(self._kernel_exp, spacing, spacing * (b_off - a_off) - offs,
+                                       shift + move, cell_w * weight)[:, 0]
+                         for move in np.rint(np.asarray(moves) / spacing).astype(np.int64)])
         return np.eye(count)[cloud_labels[:offs.shape[0]]].T @ rows
 
     def _lattice_route(self, k: int, points: NDArray):
@@ -523,13 +530,18 @@ class PatchModel:
                 f"{self._routes(ks)}; {self._routes(ks, outer, 'outer ')}")
 
     def _table(self, slot: str, a: NDArray, labels_a: NDArray, b: NDArray,
-               labels_b: NDArray) -> LatticeCounts:
-        """`LatticeCounts` of the index sets, kept in ``slot`` until other sets ask for it."""
+               labels_b: NDArray) -> tuple[LatticeCounts, NDArray]:
+        """`LatticeCounts` of the index sets moved to the origin, and the translation min b - min a.
+
+        The table, keyed by the moved sets, is kept in ``slot`` until other sets ask for it.
+        """
+        lo_a, lo_b = a.min(axis=0), b.min(axis=0)
+        a, b = a - lo_a, b - lo_b
         key = tuple(x.tobytes() for x in (a, labels_a, b, labels_b))
         if self._tables.get(slot, (None,))[0] != key:
             self._tables[slot] = None, None  # the old table goes before the new one is built
             self._tables[slot] = key, LatticeCounts(a, labels_a, b, labels_b)
-        return self._tables[slot][1]
+        return self._tables[slot][1], lo_b - lo_a
 
     def _background_kernel(self, cloud: tuple, points: NDArray, labels: NDArray, weights: NDArray,
                            within: bool = False) -> NDArray:
@@ -539,11 +551,10 @@ class PatchModel:
         ``COARSE_SPACING``, or on it moved by a fixed sub-step: the outer
         background sits on the half-step lattice.  Both index sets come from
         `lattice_index`, which rounds within a tolerance, and the pairs from
-        their `LatticeCounts` at the translation between them.  The counts
-        depend on the two sets up to a common translation, and the last ones
-        are kept (`_table`) with the sets moved to the origin as their key:
-        the offset blocks of one k reuse the counts of `_classes(k)`, and the
-        outer blocks of one layer share one table.
+        their `LatticeCounts` at the translation between them.  The last
+        counts are kept (`_table`): the offset blocks of one k reuse the
+        counts of `_classes(k)`, and the outer blocks of one layer share one
+        table.
         ``within``: Q is P's own background, each pair of distinct points once.
         """
         _, pts, cloud_labels, cloud_weights, groups = cloud
@@ -551,14 +562,13 @@ class PatchModel:
         (a, a_off), (b, b_off) = (lattice_index(x, COARSE_SPACING) for x in (pts[bg], points))
         if np.unique(weights).size != 1:
             raise ValueError("background points of more than one weight")
-        counts = self._table("background", a - a.min(axis=0), cloud_labels[bg], b - b.min(axis=0), labels)
+        counts, shift = self._table("background", a, cloud_labels[bg], b, labels)
         weight = cloud_weights[bg][0] * weights[0]
         if within:  # the half table at one zero offset
             zero = np.zeros((1, pts.shape[1]))
-            return symmetric(counts.template_kernels(self._kernel_exp, COARSE_SPACING, zero, 1.0,
-                                                     weight=weight)[0, 0])
-        return counts.kernels(self._kernel_exp, COARSE_SPACING, [b.min(axis=0) - a.min(axis=0)],
-                              COARSE_SPACING * (b_off - a_off), weight)[0]
+            return symmetric(counts.kernels(self._kernel_exp, COARSE_SPACING, zero, weight=weight)[0])
+        return counts.kernels(self._kernel_exp, COARSE_SPACING, [COARSE_SPACING * (b_off - a_off)],
+                              shift, weight)[0]
 
     def _frame_classes(self) -> tuple[NDArray, NDArray]:
         """Profile value of each class of the frame lattice and their `class_kernel` matrix."""

@@ -1,16 +1,21 @@
-"""Frozen copies of the pair-sum passes as they stood before the shared squared-distance pass.
+"""Frozen copies of pair-sum passes as they stood before they were replaced.
 
-Each component's differences came from ``np.subtract.outer`` (``np.add.outer``
-of the offsets and the separations in `LatticeCounts`), squared by ``x *= x``,
-and the numerator took ``np.power(d2, p / 2)`` at every p but 2.  The tests
-patch these in for the current passes and compare the results bit for bit
-(the kernel and lattice sums) or to the last bits (the numerator at p with
-2p an integer).
+Before the shared squared-distance pass, each component's differences came
+from ``np.subtract.outer`` (``np.add.outer`` of the offsets and the
+separations in `LatticeCounts`), squared by ``x *= x``, and the numerator
+took ``np.power(d2, p / 2)`` at every p but 2.  The tests patch these in for
+the current passes and compare the results bit for bit (the kernel and
+lattice sums) or to the last bits (the numerator at p with 2p an integer).
+
+Before the one root power and the one `LatticeCounts.kernels`, the two
+numerators had a power helper each (`half_power`, `abs_power`), and the
+kernels of the cell template offsets came from `template_kernels`; the
+tests compare the current forms with these bit for bit.
 """
 
 import numpy as np
 
-from splab._pairsum import LATTICE_ROWS, LATTICE_TOLERANCE, tree_reduce
+from splab._pairsum import LATTICE_ROWS, LATTICE_TOLERANCE, lattice_index, tree_reduce
 
 
 def squared_distances(rows, cols):
@@ -92,3 +97,55 @@ def lattice_sums(self, rows, q, spacing, offsets, shift=0):
 
     sums = tree_reduce(chunks(), np.zeros((offsets.shape[0], counts.shape[1])))
     return sums.reshape(offsets.shape[0], self.rows.size, self.cols.size)
+
+
+def half_power(x, p, tmp):
+    """`_half_power` as it was: x^(p/2) in place."""
+    if not ((2.0 * p).is_integer() and 0.0 < p < 4.0):
+        return np.power(x, 0.5 * p, out=x)
+    n = int(2 * p)
+    while n < 4:
+        np.sqrt(x, out=x)
+        n *= 2
+    if n & 2:
+        x *= np.sqrt(x, out=tmp)
+    if n & 1:
+        x *= np.sqrt(tmp if n & 2 else np.sqrt(x, out=tmp), out=tmp)
+    return x
+
+
+def abs_power(t, p, tmp):
+    """`_abs_power` as it was: |t|^p in place."""
+    np.abs(t, out=t)
+    if not ((2.0 * p).is_integer() and 1.0 <= p < 4.0):
+        return np.power(t, p, out=t)
+    n = int(2 * p)
+    if n & 1:
+        factor = np.sqrt(t, out=tmp)
+        for _ in range((n - 3) // 2):
+            factor *= t
+    elif n == 2:
+        return t
+    else:
+        factor = t if n == 4 else np.multiply(t, t, out=tmp)
+    t *= factor
+    return t
+
+
+def template_kernels(table, q, spacing, offsets, step, shift=None, weight=1.0):
+    """`LatticeCounts.template_kernels` of ``table`` as it was: (P, P, Ca, Cb) kernels of the
+    points that are nodes plus one of P template ``offsets``, over the half table without
+    ``shift``, else over the whole table at the translation ``shift``."""
+    offs = np.asarray(offsets, dtype=float)
+    index = lattice_index(offs, step)[0]
+    diffs, inverse = np.unique((index[:, None] - index[None]).reshape(-1, offs.shape[1]),
+                               axis=0, return_inverse=True)
+    if shift is None:
+        disp = table.disp
+        half = disp[np.arange(disp.shape[0]), np.argmax(disp != 0, axis=1)] > 0
+        sums = table._sums(half, q, spacing, step * diffs)
+    else:
+        sums = table._sums(slice(None), q, spacing, -step * diffs, shift)
+    out = np.zeros((diffs.shape[0],) + table.shape)
+    out[:, table.rows[:, None], table.cols] = weight * sums
+    return out[inverse.ravel()].reshape((offs.shape[0],) * 2 + table.shape)

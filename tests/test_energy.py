@@ -1,3 +1,4 @@
+import contextlib
 import os
 import sys
 import threading
@@ -386,14 +387,23 @@ def clouds(draw):
 ENGINE_SETTINGS = settings(max_examples=25, deadline=None, derandomize=True)
 
 
+@contextlib.contextmanager
+def pooled():
+    """Every chunk of tiles to the thread pool at workers > 1 (`INLINE_WORK` 0), however small."""
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(_pairsum, "INLINE_WORK", 0)
+        yield
+
+
 @ENGINE_SETTINGS
 @given(clouds(), st.sampled_from([3, 100, TILE_ROWS, DEFAULT_BLOCK]))
 @example((np.zeros((1, 1)), np.zeros((1, 1)), 1.0, None, 2.0, 2.0), DEFAULT_BLOCK)
 def test_pair_kernel_sum_matches_naive(cloud, block):
     points, values, weights, groups, p, q = cloud
     expected = naive_pair_sum(points, values, p, q, weights, groups)
-    sums = [pair_kernel_sum(points, values, p, q, weights=weights, groups=groups,
-                            block=block, workers=w) for w in (1, 2, 3)]
+    with pooled():
+        sums = [pair_kernel_sum(points, values, p, q, weights=weights, groups=groups,
+                                block=block, workers=w) for w in (1, 2, 3)]
     assert sums[0] == sums[1] == sums[2]
     assert sums[0] == pytest.approx(expected, rel=1e-12, abs=1e-300)
 
@@ -459,11 +469,12 @@ def test_stacked_pair_kernel_sum_equals_per_set_calls(stack, block):
     points, values, weights, groups, p, q, drops = stack
     per_set = [pair_kernel_sum(points, vals, p, q, weights=weights, groups=groups, block=block,
                                drop=drop) for vals, drop in zip(values, drops)]
-    for workers in (1, 2, 3):
-        stacked = pair_kernel_sum(points, values, p, q, weights=weights, groups=groups,
-                                  block=block, workers=workers, drop=drops)
-        assert stacked.shape == (values.shape[0],)
-        assert stacked.tolist() == per_set
+    with pooled():
+        for workers in (1, 2, 3):
+            stacked = pair_kernel_sum(points, values, p, q, weights=weights, groups=groups,
+                                      block=block, workers=workers, drop=drops)
+            assert stacked.shape == (values.shape[0],)
+            assert stacked.tolist() == per_set
     for vals, drop, got in zip(values, drops, per_set):
         expected = naive_pair_sum(points, vals, p, q, weights, groups, drop)
         assert got == pytest.approx(expected, rel=1e-12, abs=1e-300)
@@ -555,8 +566,9 @@ def test_one_group_tiles_skipped_exactly(seed, block):
     points, values = rng.random((n, 2)), rng.normal(size=(n, 2))
     weights = rng.random(n) + 0.1
     expected = naive_pair_sum(points, values, 2.5, 2.6, weights, groups)
-    got = [pair_kernel_sum(points, values, 2.5, 2.6, weights=weights, groups=groups,
-                           block=block, workers=w) for w in (1, 2)]
+    with pooled():
+        got = [pair_kernel_sum(points, values, 2.5, 2.6, weights=weights, groups=groups,
+                               block=block, workers=w) for w in (1, 2)]
     assert got[0] == got[1]
     assert got[0] == pytest.approx(expected, rel=1e-12)
 
@@ -608,8 +620,9 @@ def labelled_clouds(draw):
 def test_class_kernel_matches_naive(cloud, block):
     points, labels, count, weights, split, _, q = cloud
     expected = naive_class_kernel(points, labels, q, weights, split_groups(points.shape[0], split), count)
-    got = [class_kernel(points, labels, q, weights=weights, split=split, block=block, workers=w)
-           for w in (1, 2, 3)]
+    with pooled():
+        got = [class_kernel(points, labels, q, weights=weights, split=split, block=block, workers=w)
+               for w in (1, 2, 3)]
     assert got[0].tobytes() == got[1].tobytes() == got[2].tobytes()
     assert np.array_equal(got[0], got[0].T)
     np.testing.assert_allclose(got[0], expected, rtol=1e-12, atol=0)
@@ -722,10 +735,10 @@ def test_lattice_counts_match_class_kernel(case):
     (ia, off_a), (ib, off_b) = _pairsum.lattice_index(pts_a, h), _pairsum.lattice_index(pts_b, h)
     counts = _pairsum.LatticeCounts(ia, la, ib, lb)
     if kind == "same":  # the half table at one zero offset, as `_background_kernel(within=True)`
-        got = symmetric(counts.template_kernels(q, h, np.zeros((1, 2)), 1.0, weight=wa * wa)[0, 0])
+        got = symmetric(counts.kernels(q, h, np.zeros((1, 2)), weight=wa * wa)[0])
         expected = class_kernel(pts_a, la, q, weights=wa)
     else:
-        got = counts.kernels(q, h, [np.zeros(2, dtype=np.int64)], h * (off_b - off_a), wa * wb)[0]
+        got = counts.kernels(q, h, [h * (off_b - off_a)], np.zeros(2, dtype=np.int64), wa * wb)[0]
         ca = int(la.max()) + 1
         whole = class_kernel(np.concatenate([pts_a, pts_b]), np.concatenate([la, lb + ca]), q,
                              weights=np.repeat([wa, wb], [a.shape[0], b.shape[0]]), split=a.shape[0])
@@ -740,11 +753,11 @@ def test_lattice_counts_translate():
     a, b = rng.integers(0, 5, size=(12, 2)), rng.integers(0, 5, size=(9, 2))  # repeats count twice
     la, lb = rng.integers(0, 3, size=12), rng.integers(0, 2, size=9)
     counts = _pairsum.LatticeCounts(a, la, b, lb)
-    shifts = np.array([[7, 0], [-6, 3], [0, 11]])
-    got = counts.kernels(2.5, 0.5, shifts, 0.25)
-    for t, shift in enumerate(shifts):
-        moved = _pairsum.LatticeCounts(a, la, b + shift, lb).kernels(2.5, 0.5, [[0, 0]], 0.25)[0]
-        np.testing.assert_allclose(got[t], moved, rtol=1e-13, atol=0)
+    offset = np.full((1, 2), 0.25)
+    for shift in np.array([[7, 0], [-6, 3], [0, 11]]):
+        got = counts.kernels(2.5, 0.5, offset, shift)
+        moved = _pairsum.LatticeCounts(a, la, b + shift, lb).kernels(2.5, 0.5, offset, [0, 0])
+        np.testing.assert_allclose(got, moved, rtol=1e-13, atol=0)
 
 
 def test_lattice_guards():
@@ -764,18 +777,19 @@ def test_lattice_guards():
 
 
 def test_lattice_counts_offset_stack():
-    # an (O, m) stack of offsets gives the matrices of each offset, as one call per offset does
+    # an (O, m) stack of offsets gives the matrices of each offset, as one call per offset
+    # does, over the whole table at a shift and over the half table without one
     rng = np.random.default_rng(8)
     a, b = rng.integers(0, 6, size=(15, 2)), rng.integers(0, 6, size=(11, 2))
     la, lb = rng.integers(0, 2, size=15), rng.integers(0, 3, size=11)
     counts = _pairsum.LatticeCounts(a, la, b, lb)
     offsets = rng.random((5, 2)) - 0.5
-    shifts = np.array([[0, 0], [9, -4]])
-    got = counts.kernels(2.7, 0.4, shifts, offsets, 1.3)
-    assert got.shape == (2, 5, 2, 3)
-    for o, offset in enumerate(offsets):
-        np.testing.assert_allclose(got[:, o], counts.kernels(2.7, 0.4, shifts, offset, 1.3),
-                                   rtol=1e-14, atol=0)
+    for shift in ([0, 0], [9, -4], None):
+        got = counts.kernels(2.7, 0.4, offsets, shift, 1.3)
+        assert got.shape == (5, 2, 3)
+        for o, offset in enumerate(offsets):
+            np.testing.assert_allclose(got[o], counts.kernels(2.7, 0.4, offset[None], shift, 1.3)[0],
+                                       rtol=1e-14, atol=0)
     assert counts.disp.shape[0] == _pairsum.LatticeCounts.entries(a, b)
 
 
@@ -849,9 +863,9 @@ def test_lattice_cross_check_equals_frozen_forms(case):
     offs = 0.25 * np.array([[0, 0], [1, 0], [0, 2]])
 
     def results():
-        return [counts.kernels(q, h, [shift], h * offset, 1.3),
-                counts.template_kernels(q, h, offs, 0.25),
-                counts.template_kernels(q, h, offs, 0.25, shift=shift),
+        return [counts.kernels(q, h, [h * offset], shift, 1.3),
+                counts.kernels(q, h, offs),
+                counts.kernels(q, h, -offs, shift),
                 class_kernel(pts, labels, q, weights=0.7, split=a.shape[0])]
 
     got = results()
@@ -869,10 +883,11 @@ def ladder_inputs():
 
 @pytest.mark.parametrize("p", [0.5, 1.0, 1.5, 2.5, 3.0, 3.5])
 def test_half_power_ladder_within_four_ulp(p):
+    # x^(p/2) of a squared distance
     x = ladder_inputs()
     with np.errstate(over="ignore", invalid="ignore"):  # 1e300 overflows to inf either way
         expected = np.power(x, 0.5 * p)
-        got = _pairsum._half_power(x.copy(), p, np.empty_like(x))
+        got = _pairsum._root_power(x.copy(), 0.5 * p, np.empty_like(x))
         same = got == expected  # the zeros and the infinities among them
         assert np.all(same | (np.abs(got - expected) <= 4 * np.spacing(expected)))
 
@@ -881,7 +896,7 @@ def test_half_power_ladder_within_four_ulp(p):
 def test_half_power_other_p_is_np_power(p):
     x = ladder_inputs()
     with np.errstate(over="ignore"):
-        got = _pairsum._half_power(x.copy(), p, np.empty_like(x))
+        got = _pairsum._root_power(x.copy(), 0.5 * p, np.empty_like(x))
         assert got.tobytes() == np.power(x, 0.5 * p).tobytes()
 
 
@@ -893,8 +908,78 @@ def test_half_power_p2_takes_no_power(monkeypatch):
     monkeypatch.setattr(np, "sqrt", refuse)
     x = ladder_inputs()
     before = x.copy()
-    assert _pairsum._half_power(x, 2.0, np.empty_like(x)) is x
+    assert _pairsum._root_power(x, 1.0, np.empty_like(x)) is x
     assert x.tobytes() == before.tobytes()
+
+
+@pytest.mark.parametrize("e", [0.25, 0.5, 0.75, 1.25, 1.5, 1.75, 2.0, 2.5, 3.0, 3.5])
+def test_root_power_ladder_within_four_ulp(e):
+    # every exponent the roots serve: 4e in 1..7 and 2e in 4..7
+    x = ladder_inputs()
+    with np.errstate(over="ignore", invalid="ignore"):  # 1e300 overflows to inf either way
+        expected = np.power(x, e)
+        got = _pairsum._root_power(x.copy(), e, np.empty_like(x))
+        same = got == expected  # the zeros and the infinities among them
+        assert np.all(same | (np.abs(got - expected) <= 4 * np.spacing(expected)))
+
+
+@pytest.mark.parametrize("e", [0.8, 1.4, 2.25, 2.75, 3.75, 4.0])
+def test_root_power_other_e_is_np_power(e):
+    # 4e = 9, 11 and 15 keep np.power, as 4e = 16 and past it do
+    x = ladder_inputs()
+    with np.errstate(over="ignore"):
+        got = _pairsum._root_power(x.copy(), e, np.empty_like(x))
+        assert got.tobytes() == np.power(x, e).tobytes()
+
+
+class UfuncLog(np.ndarray):
+    """An array that logs each ufunc call on it as (name, positions of its inputs and of its
+    outputs among the logged arrays)."""
+
+    def __array_ufunc__(self, ufunc, method, *inputs, out=(), **kwargs):
+        ids = [id(a) for a in self.arrays]
+        self.log.append((ufunc.__name__, [ids.index(id(x)) if id(x) in ids else None for x in inputs],
+                         [ids.index(id(x)) for x in out]))
+        plain = [x.view(np.ndarray) if isinstance(x, UfuncLog) else x for x in inputs]
+        if out:
+            kwargs["out"] = tuple(x.view(np.ndarray) for x in out)
+        result = getattr(ufunc, method)(*plain, **kwargs)
+        return out[0] if out else result
+
+
+def ufunc_sequence(helper, x, exponent):
+    """The result of ``helper(x, exponent, tmp)`` and the ufunc calls it made on x and tmp."""
+    arrays = [x.copy().view(UfuncLog), np.empty_like(x).view(UfuncLog)]
+    log = []
+    for a in arrays:
+        a.log, a.arrays = log, arrays
+    got = helper(arrays[0], exponent, arrays[1])
+    return got.view(np.ndarray).copy(), log
+
+
+@pytest.mark.parametrize("p", [0.5, 1.0, 1.5, 2.0, 2.5, 3.0, 3.5, 1.6, 2.8, 4.0, 4.5])
+def test_root_power_equals_frozen_half_power(p):
+    # x^(p/2) of a squared distance: the same value bit for bit and, where the old helper
+    # took roots, the same ufunc calls in the same order on the same buffers
+    x = ladder_inputs()
+    with np.errstate(over="ignore"):
+        got, calls = ufunc_sequence(_pairsum._root_power, x, 0.5 * p)
+        frozen, frozen_calls = ufunc_sequence(pairsum_reference.half_power, x, p)
+    assert got.tobytes() == frozen.tobytes()
+    if (2 * p).is_integer() and p < 4:
+        assert calls == frozen_calls
+
+
+@pytest.mark.parametrize("p", [1.0, 1.5, 2.0, 2.5, 3.0, 3.5, 1.6, 2.8, 2.25, 2.75, 4.0])
+def test_root_power_equals_frozen_abs_power(p):
+    # |t|^p of a cross product, the absolute value taken first: as above
+    t = np.r_[-ladder_inputs(), ladder_inputs()]
+    with np.errstate(over="ignore"):
+        got, calls = ufunc_sequence(_pairsum._root_power, np.abs(t), p)
+        frozen, frozen_calls = ufunc_sequence(pairsum_reference.abs_power, t, p)
+    assert got.tobytes() == frozen.tobytes()
+    if (2 * p).is_integer() and p < 4:
+        assert [("absolute", [0], [0])] + calls == frozen_calls
 
 
 @ENGINE_SETTINGS
@@ -997,8 +1082,7 @@ def test_circle_route_matches_generic_route_and_naive(stack, block):
     generic = pair_kernel_sum(points, values, p, q, weights=weights, block=block, drop=drops)
     per_set = [pair_kernel_sum(points, h, p, q, weights=weights, block=block, drop=d, halves=half)
                for h, d, half in zip(halves, drops, turned)]
-    with pytest.MonkeyPatch.context() as patch:
-        patch.setattr(_pairsum, "INLINE_WORK", 0)  # every chunk on the pool at workers > 1
+    with pooled():
         for workers in (1, 2, 3):
             stacked = pair_kernel_sum(points, halves, p, q, weights=weights, block=block,
                                       workers=workers, drop=drops, halves=turned)
@@ -1015,7 +1099,7 @@ def test_abs_power_matches_np_power(p):
     x = np.r_[-ladder_inputs(), ladder_inputs()]
     with np.errstate(over="ignore", invalid="ignore"):
         expected = np.power(np.abs(x), p)
-        got = _pairsum._abs_power(x.copy(), p, np.empty_like(x))
+        got = _pairsum._root_power(np.abs(x), p, np.empty_like(x))
         same = got == expected  # the zeros and the infinities among them
         assert np.all(same | (np.abs(got - expected) <= 4 * np.spacing(expected)))
 

@@ -43,6 +43,8 @@ from splab.patches import (
 )
 from splab.sphere import unit_values
 
+import pairsum_reference
+
 
 def frame_grid(h):
     return make_grid(2, Box.cube(2.5, dim=2), h)
@@ -258,7 +260,7 @@ def test_layer_class_kernel_pairs_touch_a_cell(monkeypatch, params_main, n):
     cell_w = model._cell_lattice(k)[2]
     model._classes(k)
     seen = {"class_kernel": 0, "table": 0, "cell lattice": 0}
-    kernels, template_kernels = LatticeCounts.kernels, LatticeCounts.template_kernels
+    kernels = LatticeCounts.kernels
 
     def spy(points, labels, q, weights=1.0, split=None, **kwargs):
         if split is not None:  # the frame class matrix, without a split, touches no cell
@@ -267,19 +269,17 @@ def test_layer_class_kernel_pairs_touch_a_cell(monkeypatch, params_main, n):
             seen["class_kernel"] += sides[0].size * sides[1].size
         return class_kernel(points, labels, q, weights=weights, split=split, **kwargs)
 
-    def spy_table(self, q, spacing, shifts, offset=0.0, weight=1.0):
-        if self.shape[0] == 1:  # the cell centers carry one label, the backgrounds seven
-            seen["table"] += int(self.counts.sum()) * len(offset) * len(shifts)
-        return kernels(self, q, spacing, shifts, offset, weight)
-
-    def spy_lattice(self, q, spacing, offsets, step, shift=None, weight=1.0):
-        rows = self._half() if shift is None else slice(None)
-        seen["cell lattice"] += int(self.counts[rows].sum()) * len(offsets) ** 2
-        return template_kernels(self, q, spacing, offsets, step, shift, weight)
+    def spy_table(self, q, spacing, offsets, shift=None, weight=1.0):
+        if self is model._tables.get("centers", (None, None))[1]:  # 25^2 template pairs per count
+            half = self.disp[np.arange(self.disp.shape[0]), np.argmax(self.disp != 0, axis=1)] > 0
+            rows = half if shift is None else slice(None)
+            seen["cell lattice"] += int(self.counts[rows].sum()) * patches.CELL_SUBDIVISION**4
+        elif self.shape[0] == 1:  # the cell centers carry one label, the backgrounds seven
+            seen["table"] += int(self.counts.sum()) * len(offsets)
+        return kernels(self, q, spacing, offsets, shift, weight)
 
     monkeypatch.setattr(patches, "class_kernel", spy)
     monkeypatch.setattr(LatticeCounts, "kernels", spy_table)
-    monkeypatch.setattr(LatticeCounts, "template_kernels", spy_lattice)
     model.layer_energy_direct(LayerSpec(n))
     assert seen["cell lattice"] > 0 and (seen["table"] > 0) == (n == 2)
     assert sum(seen.values()) == model._layer_pairs(LayerSpec(n))
@@ -554,52 +554,68 @@ def test_patch_cloud_cells_share_one_template(model_main, params_main, n):
                                    rtol=0, atol=1e-14)
 
 
-def _center_table(k):
-    """`LatticeCounts` of the k x k cell indices with themselves, one label per side."""
-    index = np.stack(np.meshgrid(np.arange(k), np.arange(k), indexing="ij"), -1).reshape(-1, 2)
-    one = np.zeros(k * k, dtype=np.int64)
-    return LatticeCounts(index, one, index, one)
-
-
-def test_cell_lattice_sum_matches_point_pairs(monkeypatch):
-    # the pair sum from the center table at the template differences: a 3 x 3 lattice
-    # of cells holding a 5 x 5 or a 4 x 4 midpoint template against the grouped engine,
-    # point by point; the 25 table rows stream in five blocks; an off-lattice template
-    # raises
+def test_cell_lattice_sum_matches_point_pairs(monkeypatch, params_main):
+    # the pair sum from the center table at the template differences: the 3 x 3 cells of
+    # k = 3 holding a 5 x 5 or a 4 x 4 midpoint template against the grouped engine, point
+    # by point; the 25 table rows stream in five blocks; one cell has no such pairs; an
+    # off-lattice template raises
     monkeypatch.setattr(_pairsum, "LATTICE_ROWS", 5)
     rng = np.random.default_rng(4)
-    k, width = 3, 0.2
-    cells = width * np.stack(np.meshgrid(np.arange(k), np.arange(k), indexing="ij"), -1).reshape(-1, 2)
+    k = 3
     for side in (5, 4):
-        offs = _midpoint_lattice(width / 2, width / side)[0]
+        monkeypatch.setattr(patches, "CELL_SUBDIVISION", side)
+        model = PatchModel(params_main)
+        centers, offs, cell_w = model._cell_lattice(k)
         vals = rng.normal(size=(side * side, 2))
-        pts = (cells[:, None, :] + offs).reshape(-1, 2)
+        pts = (centers[:, None, :] + offs).reshape(-1, 2)
         groups = np.repeat(np.arange(k * k), side * side)
-        expected = pair_kernel_sum(pts, np.tile(vals, (k * k, 1)), 1.5, 2.6, weights=0.01, groups=groups)
-        kern = _center_table(k).template_kernels(2.6, width, offs, width / side, weight=0.01**2)[:, :, 0, 0]
+        expected = pair_kernel_sum(pts, np.tile(vals, (k * k, 1)), 1.5, model._kernel_exp,
+                                   weights=cell_w, groups=groups)
+        kern = model._cell_pairs(k)
         got = float(np.sum(kern * np.linalg.norm(vals[:, None] - vals[None, :], axis=-1) ** 1.5))
         assert got == pytest.approx(expected, rel=1e-13)
-        assert not _center_table(1).template_kernels(2.6, width, offs, width / side).any()
+        assert not model._cell_pairs(1).any()
+    off_lattice = (rng.random((4, 2)) - 0.5) * 0.9 * 2 * patches.BLOCK_HALFWIDTH / k
+    monkeypatch.setattr(model, "_cell_lattice", lambda k: (centers, off_lattice, cell_w))
     with pytest.raises(ValueError, match="off the lattice"):
-        _center_table(k).template_kernels(2.6, width, (rng.random((4, 2)) - 0.5) * 0.9 * width, width / 5)
+        model._cell_pairs(k)
 
 
 @pytest.mark.parametrize("k", [1, 2, 3])
-def test_moved_cell_lattice_kernel_matches_point_pairs(k):
-    # the kernel between a k x k lattice of cells (a 5 x 5 or a 4 x 4 midpoint template)
-    # and its copy moved by T cell widths (T = 5k D for the patch offsets D = (1, 0) and
-    # (-1, 1), and a near copy), from the center table, against every pair of a point
-    # and a moved point
-    width, weight = 0.2, 0.01
-    grid = width * np.stack(np.meshgrid(np.arange(k), np.arange(k), indexing="ij"), -1).reshape(-1, 1, 2)
+def test_moved_cell_lattice_kernel_matches_point_pairs(monkeypatch, params_main, k):
+    # the kernel between the k x k cells (a 5 x 5 or a 4 x 4 midpoint template) and their
+    # copy moved by T cell widths (T = 5k D for the patch offsets D = (1, 0) and (-1, 1),
+    # and a near copy), from the center table, against every pair of a point and a moved point
+    width = 2 * patches.BLOCK_HALFWIDTH / k
     for side in (5, 4):
-        offs = _midpoint_lattice(width / 2, width / side)[0]
-        here = grid + offs
+        monkeypatch.setattr(patches, "CELL_SUBDIVISION", side)
+        model = PatchModel(params_main)
+        centers, offs, cell_w = model._cell_lattice(k)
+        here = centers[:, None, :] + offs
         for shift in ([5 * k, 0], [-5 * k, 5 * k], [k, -1]):
-            sep = here[:, None, :, None, :] - (here + width * np.array(shift))[None, :, None, :, :]
-            expected = weight**2 * np.sum(np.sum(sep**2, axis=-1) ** -1.3, axis=(0, 1))
-            got = _center_table(k).template_kernels(2.6, width, offs, width / side, shift, weight**2)
-            np.testing.assert_allclose(got[:, :, 0, 0], expected, rtol=1e-13, atol=0)
+            move = width * np.array(shift)
+            sep = here[:, None, :, None, :] - (here + move)[None, :, None, :, :]
+            expected = cell_w**2 * np.sum(np.sum(sep**2, axis=-1) ** (-0.5 * model._kernel_exp),
+                                          axis=(0, 1))
+            np.testing.assert_allclose(model._cell_pairs(k, move), expected, rtol=1e-13, atol=0)
+
+
+@pytest.mark.parametrize("k", [1, 2, 3, 32])
+def test_cell_pairs_equal_frozen_template_kernels(params_main, k):
+    # the template differences folded in `_cell_pairs` give the kernels of the table method
+    # they replaced, at rest and moved, bit for bit
+    model = PatchModel(params_main)
+    centers, offs, cell_w = model._cell_lattice(k)
+    width = 2 * patches.BLOCK_HALFWIDTH / k
+    index = lattice_index(centers, width)[0]
+    one = np.zeros(index.shape[0], dtype=np.int64)
+    table = LatticeCounts(index, one, index, one)
+    for shift in (None, [5 * k, 0], [-5 * k, 5 * k], [k, -1]):
+        frozen = pairsum_reference.template_kernels(table, model._kernel_exp, width, offs,
+                                                    width / patches.CELL_SUBDIVISION,
+                                                    shift, cell_w * cell_w)[:, :, 0, 0]
+        move = None if shift is None else width * np.array(shift)
+        assert model._cell_pairs(k, move).tobytes() == frozen.tobytes()
 
 
 def _lattice_always(model, k, points):

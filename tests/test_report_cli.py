@@ -130,6 +130,10 @@ def test_cli_invalid_config_exit_code(tmp_path):
     (None, ["geometry", "--n-min", "3", "--n-max", "3"]),
     (None, ["geometry", "--lemma", "geom2", "--ell", "1"]),
     (None, ["geometry", "--ell", "0"]),
+    (None, ["geometry", "--n-min", "0"]),
+    (None, ["geometry", "--lemma", "geom2", "--n-min", "-2", "--n-max", "1"]),
+    (None, ["geometry", "--n-min", "-2000"]),
+    (None, ["geometry", "--n-max", "33"]),
     ({"seed": -1, "experiments": [{"kind": "geometry", "samples": 1000, "n_max": 2}]}, None),
     (None, ["patch", "--n-values", "1", "--seed", "-1"]),
 ], ids=["config-layer-s", "config-patch-n-values", "config-seed", "config-seminorm-map",
@@ -141,7 +145,8 @@ def test_cli_invalid_config_exit_code(tmp_path):
         "flag-seminorm-spacing-subnormal", "flag-averaging-spacing-subnormal", "flag-layer-p-nan",
         "flag-seminorm-p-inf", "flag-averaging-alpha-inf", "flag-threshold-p-inf",
         "flag-geometry-empty-range", "flag-geometry-one-scale", "flag-geometry-ell-1",
-        "flag-geometry-ell-0", "config-seed-negative", "flag-patch-seed-negative"])
+        "flag-geometry-ell-0", "flag-geometry-n-min-0", "flag-geometry-n-min-negative",
+        "flag-geometry-n-min-huge", "flag-geometry-n-max-past-float", "config-seed-negative", "flag-patch-seed-negative"])
 def test_malformed_input_exits_two(tmp_path, capsys, config, argv):
     if config is not None:
         path = tmp_path / "cfg.json"
