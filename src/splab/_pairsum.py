@@ -20,7 +20,8 @@ stack is read in place), the numerator's power from square roots
 (`_root_power`).  A set of unit 2-vectors can instead be given by half
 angles (`to_half_angles`, in place): for v = (cos t, sin t) and
 h = +-(cos t/2, sin t/2), |v_i - v_j| = 2 |h_i x h_j|, so its numerator is
-one cross product and its |.|^p the same root power.
+one cross product, a tile's cross products one (R, 2) @ (2, C) matrix
+product (`_cross_products`), and its |.|^p the same root power.
 
 The engine, ``LatticeCounts``, counts the label pairs of two labelled
 sets on one lattice (``lattice_index`` reads the indices from
@@ -50,6 +51,8 @@ INLINE_WORK = 2**17
 _LOWER = np.tri(TILE_ROWS, dtype=bool)  # [i, j]: j <= i, the pairs on and below a tile's diagonal
 CIRCLE_TOLERANCE = 8 * np.finfo(float).eps  # largest | |v|^2 - 1 | of a value taken as on the circle
 CIRCLE_SPAN = 2.0**-4  # least chord from a set's first value to another for `to_half_angles` to turn it
+CIRCLE_GROUP = 2**15  # set nodes per group of sets that `to_half_angles` checks and turns at once
+_TURN = np.array([[1.0], [-1.0]])  # (c_1, c_0) to (c_1, -c_0) in `_cross_products`
 CLASS_TERMS = 2**16  # terms per term array of a stacked class_pair_sum
 LATTICE_TOLERANCE = 1e-9  # steps a point of `lattice_index` may lie off its lattice node
 LATTICE_ROWS = 4096  # count-table rows per block of `LatticeCounts` sums
@@ -255,13 +258,14 @@ class _Geometry:
         return out
 
 
-def _cross_products(rows: NDArray, cols: NDArray, out: NDArray, tmp: NDArray) -> NDArray:
-    """Fill ``out`` with r_i x c_j = r_i0 c_j1 - r_i1 c_j0 of the (R, 2) ``rows`` and (C, 2) ``cols``."""
-    np.copyto(out, rows[:, 0, None])  # written across the tile, as in `_squared_distances`
-    out *= np.ascontiguousarray(cols[:, 1])
-    np.copyto(tmp, rows[:, 1, None])
-    tmp *= np.ascontiguousarray(cols[:, 0])
-    return np.subtract(out, tmp, out=out)
+def _cross_products(rows: NDArray, cols: NDArray, out: NDArray) -> NDArray:
+    """Fill ``out`` with r_i x c_j = r_i0 c_j1 - r_i1 c_j0 of the (R, 2) ``rows`` and (C, 2) ``cols``.
+
+    One (R, 2) @ (2, C) product with the columns turned to (c_j1, -c_j0),
+    a (2, C) array made for the call: each entry is one two-term sum in
+    the BLAS kernel (one fused multiply-add where the CPU has it).
+    """
+    return np.matmul(rows, cols[:, ::-1].T * _TURN, out=out)
 
 
 def _numerator_sum(vals: NDArray, p: float, tile, kern: NDArray, buf: NDArray, tmp: NDArray,
@@ -273,7 +277,7 @@ def _numerator_sum(vals: NDArray, p: float, tile, kern: NDArray, buf: NDArray, t
     """
     a0, a1, b0, b1 = tile
     if half:
-        _root_power(np.abs(_cross_products(vals[a0:a1], vals[b0:b1], buf, tmp), out=buf), p, tmp)
+        _root_power(np.abs(_cross_products(vals[a0:a1], vals[b0:b1], buf), out=buf), p, tmp)
     else:
         _root_power(_squared_distances(vals[a0:a1], vals[b0:b1], buf, tmp), 0.5 * p, tmp)
     buf *= kern
@@ -296,23 +300,29 @@ def to_half_angles(stack: NDArray, drop: NDArray | None = None) -> NDArray:
     so a set whose kept values all lie within a chord ``CIRCLE_SPAN`` of its
     first kept value (|v - v_0|^2 = 2 - 2 v.v_0 on the circle) stays as it
     is.  Returns the (S,) mask of the sets turned, the ``halves`` of
-    `pair_kernel_sum`.  Works one set at a time: no stack-sized temporary.
+    `pair_kernel_sum`.  Works on groups of sets of at most ``CIRCLE_GROUP``
+    nodes in all (one set if a set is larger), each temporary (G, N): no
+    stack-sized one.
     """
     turned = np.zeros(stack.shape[0], dtype=bool)
-    if stack.shape[2] != 2:
+    if stack.shape[2] != 2 or stack.shape[1] == 0:
         return turned
-    for k, vals in enumerate(stack):
-        kept = vals if drop is None or not drop[k].any() else vals[~drop[k]]
-        if not kept.size or np.any(np.abs(np.einsum("ij,ij->i", kept, kept) - 1.0) > CIRCLE_TOLERANCE) \
-                or np.min(kept @ kept[0]) > 1.0 - 0.5 * CIRCLE_SPAN**2:
+    step = max(1, CIRCLE_GROUP // stack.shape[1])
+    for g0 in range(0, stack.shape[0], step):
+        group, turn = stack[g0:g0 + step], turned[g0:g0 + step]
+        kept = np.ones(group.shape[:2], dtype=bool) if drop is None else ~drop[g0:g0 + step]
+        off = np.abs(np.einsum("sij,sij->si", group, group) - 1.0) > CIRCLE_TOLERANCE
+        first = group[np.arange(group.shape[0]), np.argmax(kept, axis=1), :, None]  # (G, 2, 1)
+        least = np.min(np.matmul(group, first)[..., 0], axis=1, where=kept, initial=np.inf)  # v.v_0
+        turn[:] = kept.any(axis=1) & ~(off & kept).any(axis=1) & ~(least > 1.0 - 0.5 * CIRCLE_SPAN**2)
+        if not turn.any():
             continue
-        c, s = vals[:, 0], vals[:, 1]
+        c, s = group[..., 0], group[..., 1]
         back = c < 0
         x, y = np.where(back, s, 1.0 + c), np.where(back, 1.0 - c, s)
         norm = np.hypot(x, y)
-        np.divide(x, norm, out=c)
-        np.divide(y, norm, out=s)
-        turned[k] = True
+        np.divide(x, norm, out=c, where=turn[:, None])
+        np.divide(y, norm, out=s, where=turn[:, None])
     return turned
 
 

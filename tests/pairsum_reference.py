@@ -11,11 +11,23 @@ Before the one root power and the one `LatticeCounts.kernels`, the two
 numerators had a power helper each (`half_power`, `abs_power`), and the
 kernels of the cell template offsets came from `template_kernels`; the
 tests compare the current forms with these bit for bit.
+
+Before the circle route's cross products came from one matrix product per
+tile, `cross_products` made them in five passes over the tile, and
+`to_half_angles` checked and turned one set at a time; the tests compare
+the current forms with these to 2^-52 and bit for bit.
 """
 
 import numpy as np
 
-from splab._pairsum import LATTICE_ROWS, LATTICE_TOLERANCE, lattice_index, tree_reduce
+from splab._pairsum import (
+    CIRCLE_SPAN,
+    CIRCLE_TOLERANCE,
+    LATTICE_ROWS,
+    LATTICE_TOLERANCE,
+    lattice_index,
+    tree_reduce,
+)
 
 
 def squared_distances(rows, cols):
@@ -149,3 +161,32 @@ def template_kernels(table, q, spacing, offsets, step, shift=None, weight=1.0):
     out = np.zeros((diffs.shape[0],) + table.shape)
     out[:, table.rows[:, None], table.cols] = weight * sums
     return out[inverse.ravel()].reshape((offs.shape[0],) * 2 + table.shape)
+
+
+def cross_products(rows, cols, out, tmp):
+    """`_cross_products` as it was: five passes over the tile, no matrix product."""
+    np.copyto(out, rows[:, 0, None])
+    out *= np.ascontiguousarray(cols[:, 1])
+    np.copyto(tmp, rows[:, 1, None])
+    tmp *= np.ascontiguousarray(cols[:, 0])
+    return np.subtract(out, tmp, out=out)
+
+
+def to_half_angles(stack, drop=None):
+    """`to_half_angles` as it was: one set at a time."""
+    turned = np.zeros(stack.shape[0], dtype=bool)
+    if stack.shape[2] != 2:
+        return turned
+    for k, vals in enumerate(stack):
+        kept = vals if drop is None or not drop[k].any() else vals[~drop[k]]
+        if not kept.size or np.any(np.abs(np.einsum("ij,ij->i", kept, kept) - 1.0) > CIRCLE_TOLERANCE) \
+                or np.min(kept @ kept[0]) > 1.0 - 0.5 * CIRCLE_SPAN**2:
+            continue
+        c, s = vals[:, 0], vals[:, 1]
+        back = c < 0
+        x, y = np.where(back, s, 1.0 + c), np.where(back, 1.0 - c, s)
+        norm = np.hypot(x, y)
+        np.divide(x, norm, out=c)
+        np.divide(y, norm, out=s)
+        turned[k] = True
+    return turned

@@ -7,8 +7,10 @@ the lines appear in live and saved output alike.
 
 import json
 import time
+from pathlib import Path
 
 import numpy as np
+import pytest
 
 from splab.chords import chords_vectorized, estimate_constant
 from splab.cli import main as cli_main
@@ -285,31 +287,45 @@ def test_criterion_09_diffeo_check():
     )
 
 
-def test_criterion_10_determinism(tmp_path, compare_reports):
+DETERMINISM_SUITE = {
+    "seed": 5,
+    "experiments": [
+        {"kind": "seminorm", "name": "ind", "map": "indicator1d",
+         "s": 0.25, "p": 2.0, "spacing": 0.02},
+        {"kind": "geometry", "name": "geo", "samples": 5000, "n_min": 1, "n_max": 4},
+        {"kind": "patch", "name": "pat", "s": 0.4, "p": 2.5,
+         "n_values": [1], "shift_count": 5},
+        {"kind": "averaging", "name": "avg", "s": 0.4, "p": 1.5,
+         "spacing": 0.1, "n_mc": 100, "refine": False},
+        {"kind": "threshold", "name": "thr", "s_values": [0.95, 0.95],
+         "p_values": [1.5, 2.1], "n_max": 2},
+        {"kind": "almost", "name": "alm", "s": 0.6, "p": 1.5, "n_min": 2, "n_max": 4},
+    ],
+}
+# every report of run 1 of DETERMINISM_SUITE, timestamps left out (`report_numbers` of
+# scripts/compare_reports.py, written with json.dumps(indent=1, sort_keys=True))
+REPORT_NUMBERS = Path(__file__).resolve().parent / "report_numbers.json"
+REPORT_RTOL = 1e-12
+
+
+@pytest.fixture(scope="module")
+def determinism_runs(tmp_path_factory):
+    """The output directories of two runs of DETERMINISM_SUITE and the seconds they took."""
     t0 = time.time()
-    cfg = {
-        "seed": 5,
-        "experiments": [
-            {"kind": "seminorm", "name": "ind", "map": "indicator1d",
-             "s": 0.25, "p": 2.0, "spacing": 0.02},
-            {"kind": "geometry", "name": "geo", "samples": 5000, "n_min": 1, "n_max": 4},
-            {"kind": "patch", "name": "pat", "s": 0.4, "p": 2.5,
-             "n_values": [1], "shift_count": 5},
-            {"kind": "averaging", "name": "avg", "s": 0.4, "p": 1.5,
-             "spacing": 0.1, "n_mc": 100, "refine": False},
-            {"kind": "threshold", "name": "thr", "s_values": [0.95, 0.95],
-             "p_values": [1.5, 2.1], "n_max": 2},
-            {"kind": "almost", "name": "alm", "s": 0.6, "p": 1.5, "n_min": 2, "n_max": 4},
-        ],
-    }
-    cfg_path = tmp_path / "suite.json"
-    cfg_path.write_text(json.dumps(cfg))
+    tmp = tmp_path_factory.mktemp("determinism")
+    cfg_path = tmp / "suite.json"
+    cfg_path.write_text(json.dumps(DETERMINISM_SUITE))
     outs = []
     for run in (1, 2):
-        out = tmp_path / f"run{run}"
+        out = tmp / f"run{run}"
         rc = cli_main(["suite", "--config", str(cfg_path), "--out", str(out), "--workers", "2"])
         assert rc == 0
         outs.append(out)
+    return outs, time.time() - t0
+
+
+def test_criterion_10_determinism(determinism_runs, compare_reports):
+    outs, elapsed = determinism_runs
     differ = compare_reports.differing_files(*outs)
     compared = len(list(outs[0].iterdir()))
     _emit(
@@ -317,6 +333,16 @@ def test_criterion_10_determinism(tmp_path, compare_reports):
         not differ and compared >= 18,
         f"{compared} report files byte-identical across two runs (timestamp excluded); "
         f"differing: {differ}",
-        time.time() - t0,
+        elapsed,
         600.0,
     )
+
+
+def test_reports_match_recorded_numbers(determinism_runs, compare_reports):
+    # strings, verdicts and keys exactly, numbers to REPORT_RTOL relative
+    changes = compare_reports.largest_changes(compare_reports.report_numbers(REPORT_NUMBERS),
+                                              compare_reports.report_numbers(determinism_runs[0][0]))
+    for name, (change, where) in changes.items():
+        print(f"[report numbers] {name}: largest relative change {change:.3g} {where}")
+    assert len(changes) == 6
+    assert max(change for change, _ in changes.values()) <= REPORT_RTOL

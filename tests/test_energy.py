@@ -1,5 +1,6 @@
 import contextlib
 import os
+import subprocess
 import sys
 import threading
 import tracemalloc
@@ -1091,6 +1092,120 @@ def test_circle_route_matches_generic_route_and_naive(stack, block):
     for vals, drop, got in zip(values, drops, per_set):
         expected = naive_pair_sum(points, vals, p, q, weights, None, drop)
         assert got == pytest.approx(expected, rel=1e-13, abs=1e-300)
+
+
+@st.composite
+def half_vector_tiles(draw):
+    """(R, 2) rows and (C, 2) columns of unit vectors for one tile: uniform, or each column
+    within 1e-16 to 1e-4 of a row's vector, of its opposite or of a right angle to it."""
+    rng = np.random.default_rng(draw(st.integers(min_value=0, max_value=2**32 - 1)))
+    r, c = draw(st.integers(1, TILE_ROWS)), draw(st.integers(1, 2 * DEFAULT_BLOCK))
+    rows = rng.uniform(-np.pi, np.pi, r)
+    kind = draw(st.sampled_from(["uniform", "parallel", "antiparallel", "perpendicular"]))
+    if kind == "uniform":
+        cols = rng.uniform(-np.pi, np.pi, c)
+    else:
+        turn = {"parallel": 0.0, "antiparallel": np.pi, "perpendicular": 0.5 * np.pi}[kind]
+        cols = rows[rng.integers(r, size=c)] + turn + rng.choice([-1, 1], c) * 10.0 ** rng.uniform(-16, -4, c)
+    return unit_circle(rows), unit_circle(cols)
+
+
+@ENGINE_SETTINGS
+@given(half_vector_tiles())
+def test_cross_products_match_two_product_form(tile):
+    # one matrix product per tile against r_i0 c_j1 - r_i1 c_j0 by two products and a
+    # difference, in the frozen five-pass form: within 2^-52 in absolute terms
+    rows, cols = tile
+    shape = rows.shape[0], cols.shape[0]
+    got = _pairsum._cross_products(rows, cols, np.empty(shape))
+    frozen = pairsum_reference.cross_products(rows, cols, np.empty(shape), np.empty(shape))
+    explicit = rows[:, 0, None] * cols[:, 1] - rows[:, 1, None] * cols[:, 0]
+    assert frozen.tobytes() == explicit.tobytes()
+    assert np.max(np.abs(got - explicit)) <= 2.0**-52
+
+
+@ENGINE_SETTINGS
+@given(circle_stacks(), st.sampled_from([1, 2, None]))
+def test_half_angles_match_frozen_per_set_form(stack, group_sets):
+    # the mask and the turned values bit for bit, whether a group holds one set, two or all
+    _, values, _, _, _, drops = stack
+    got, frozen = values.copy(), values.copy()
+    with pytest.MonkeyPatch.context() as patch:
+        if group_sets:
+            patch.setattr(_pairsum, "CIRCLE_GROUP", group_sets * values.shape[1])
+        turned = _pairsum.to_half_angles(got, drops)
+    assert turned.tolist() == pairsum_reference.to_half_angles(frozen, drops).tolist()
+    assert got.tobytes() == frozen.tobytes()
+
+
+def averaging_stack(sets, seed, spacing=0.04):
+    """Projected identity maps on the ball under ``sets`` random shifts: the region's nodes,
+    the (sets, N, 2) values and the (sets, N) singular-hit mask, as the averaging gathers them."""
+    u = sampled("identity2d", spacing)
+    mask = BALL.mask(u.grid)
+    shifts = np.random.default_rng(seed).uniform(-0.5, 0.5, size=(sets, 2))
+    stack = np.empty((sets,) + u.values.shape)
+    hits, _ = shifted_unit_values(u, shifts, stack)
+    drop = np.zeros((sets, int(mask.sum())), dtype=bool) if hits is None else hits[:, mask]
+    drop[0, 5] = drop[-1, [0, 99]] = True  # dropped nodes, as singular hits are
+    return u.grid.nodes()[mask], stack[:, mask], drop
+
+
+def test_half_angles_of_averaging_stacks_match_frozen_per_set_form():
+    for seed in (4, 5):
+        _, values, hits = averaging_stack(40, seed)
+        got, frozen = values.copy(), values.copy()
+        turned = _pairsum.to_half_angles(got, hits)
+        assert turned.all()
+        assert pairsum_reference.to_half_angles(frozen, hits).all()
+        assert got.tobytes() == frozen.tobytes()
+
+
+# column blocks whose (128, 2) @ (2, block) tile products OpenBLAS 0.3.31 with 2 threads ran
+# on one thread (512, 2048) and on two (4096): CPU over wall time 1.0 at 2048 and 1.98 at
+# 4096 on a 2-core x86-64 machine
+BLAS_BLOCKS = [DEFAULT_BLOCK, 2048, 4096]
+
+
+@pytest.mark.parametrize("block", BLAS_BLOCKS)
+def test_half_angle_sums_bit_identical_for_any_worker_count(block):
+    points, values, hits = averaging_stack(2, 7, spacing=0.025)
+    assert points.shape[0] > TILE_ROWS + block
+    turned = _pairsum.to_half_angles(values, hits)
+    assert turned.all()
+    with pooled():
+        sums = [pair_kernel_sum(points, values, 1.5, 2.6, block=block, workers=workers,
+                                drop=hits, halves=turned) for workers in (1, 2, 3)]
+    assert sums[0].tobytes() == sums[1].tobytes() == sums[2].tobytes()
+
+
+BLAS_THREADS_SCRIPT = """
+import sys
+import numpy as np
+from splab._pairsum import pair_kernel_sum
+data = np.load(sys.argv[1])
+for block in map(int, sys.argv[2:]):
+    print(pair_kernel_sum(data["points"], data["values"], 2.5, 2.6, block=block, workers=2,
+                          drop=data["hits"], halves=data["turned"]).tobytes().hex())
+"""
+
+
+def test_half_angle_sums_bit_identical_for_any_blas_thread_count(tmp_path):
+    points, values, hits = averaging_stack(2, 8, spacing=0.025)
+    turned = _pairsum.to_half_angles(values, hits)
+    assert turned.all()
+    np.savez(tmp_path / "stack.npz", points=points, values=values, hits=hits, turned=turned)
+    src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    outputs = []
+    for threads in ("1", "2"):
+        env["OPENBLAS_NUM_THREADS"] = threads
+        proc = subprocess.run([sys.executable, "-c", BLAS_THREADS_SCRIPT, str(tmp_path / "stack.npz"),
+                               *map(str, BLAS_BLOCKS)], env=env, capture_output=True, text=True)
+        assert proc.returncode == 0, proc.stderr
+        outputs.append(proc.stdout.split())
+    assert outputs[0] == outputs[1]
+    assert len(outputs[0]) == len(BLAS_BLOCKS)
 
 
 @pytest.mark.parametrize("p", CIRCLE_P)
