@@ -13,13 +13,19 @@ With ``--numbers`` it reads the JSON reports of A and B (each a report
 directory or a snapshot file of `report_numbers`) and prints, per report,
 the largest relative change of a number and where it is.  A string,
 verdict, key or list length that differs, or a report that only one side
-holds, counts as an infinite change.  It exits 0 either way.
+holds, counts as an infinite change.  It exits 1 when a change exceeds
+``REPORT_RTOL``, else 0.  ``scripts/acceptance_numbers.json`` is such a
+snapshot of ``spl suite --config scripts/acceptance.json``:
+
+    python scripts/compare_reports.py --numbers scripts/acceptance_numbers.json reports
 """
 
 import json
 import math
 import sys
 from pathlib import Path
+
+REPORT_RTOL = 1e-12  # largest relative change of a report number that `--numbers` accepts
 
 
 def _content(path: Path) -> bytes:
@@ -90,7 +96,7 @@ def main(argv: list[str]) -> int:
         changes = largest_changes(*map(report_numbers, argv[1:]))
         for name, (change, where) in changes.items():
             print(f"{name}\t{change:.3g}\t{where}")
-        return 0
+        return 1 if max((change for change, _ in changes.values()), default=0.0) > REPORT_RTOL else 0
     differ = differing_files(*argv)
     for name in differ:
         print(name)

@@ -469,24 +469,31 @@ def symmetric(ordered: NDArray) -> NDArray:
     return out
 
 
-def class_pair_sum(kernel: NDArray, values: NDArray, p: float, drop=()) -> float | NDArray:
+def class_pair_sum(kernel: NDArray, values: NDArray, p: float, drop=(), others=None) -> float | NDArray:
     """sum_{c < c'} K[c, c'] |V_c - V_c'|^p, the pairs touching a ``drop`` class left out.
 
     ``values`` holds one value (or value vector) per class, giving a float,
     or is an (S, C, nu) stack of value sets, giving their (S,) sums;
-    ``drop`` is a (C,) or (S, C) boolean class mask.  Each value set's terms
-    are summed by one `math.fsum`, so its sum is the same bit for bit
-    whatever else is computed with it.
+    ``drop`` is a (C,) or (S, C) boolean class mask.  With ``others`` W,
+    shaped as ``values``, the (Ca, Cb) kernel joins two class sets and the
+    sum is sum_{a, b} K[a, b] |V_a - W_b|^p (no drop).  Each value set's
+    terms are summed by one `math.fsum`, so its sum is the same bit for bit
+    whatever else is computed with it, and equals that of the symmetric
+    matrix [[0, K], [K^T, 0]] on [V; W].
     """
+    if others is not None and len(drop):
+        raise ValueError("drop classes of a sum between two value sets")
     single = np.ndim(values) < 3
-    stack = _as_values(values)[None] if single else np.asarray(values, dtype=float)
+    stack, right = (_as_values(v)[None] if single else np.asarray(v, dtype=float)
+                    for v in (values, values if others is None else others))
     hit = _drop_masks(drop, stack.shape[0], kernel.shape[0])
-    rows, cols = np.triu_indices(kernel.shape[0], 1)
+    rows, cols = (np.triu_indices(kernel.shape[0], 1) if others is None
+                  else np.indices(kernel.shape).reshape(2, -1))
     step = max(1, CLASS_TERMS // max(rows.size, 1))
     sums = []
     for s0 in range(0, stack.shape[0], step):
         part = stack[s0:s0 + step]
-        diff = (part[:, rows] - part[:, cols]).reshape(-1, stack.shape[2])
+        diff = (part[:, rows] - right[s0:s0 + step, cols]).reshape(-1, stack.shape[2])
         norms = np.einsum("ij,ij->i", diff, diff).reshape(part.shape[0], -1)
         terms = kernel[rows, cols] * norms ** (0.5 * p)
         if hit is not None:

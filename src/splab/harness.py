@@ -33,6 +33,7 @@ from .retraction import (
     AlmostRetraction,
     AlmostRetractionSpec,
     almost_projection_scan,
+    check_scan_budget,
     degree_of,
     lipschitz_rate_check,
 )
@@ -554,6 +555,7 @@ class AlmostOptions:
                 f"got n_min={self.n_min} n_max={self.n_max}"
             )
         vars(self).update(ctrex=AlmostCtrexSpec(FractionalParams(s=self.s, p=self.p), self.alpha))
+        check_scan_budget(self.ctrex, range(self.n_min, self.n_max + 1))
 
 
 def _run_almost(opts: AlmostOptions, cfg: RunConfig) -> ExperimentReport:

@@ -122,23 +122,6 @@ def cluster_scale(k: int) -> float:
     return (BLOCK_HALFWIDTH / k) / FRAME_HALFWIDTH
 
 
-def clustered_profile(points: NDArray, k: int) -> NDArray:
-    """Scalar cluster profile: scaled two-bump copies on the k^ell cells."""
-    pts = np.atleast_2d(points)
-    out = np.zeros(pts.shape[0])
-    width = 2 * BLOCK_HALFWIDTH / k
-    inside = np.all(np.abs(pts) < BLOCK_HALFWIDTH, axis=1)
-    if not inside.any():
-        return out
-    local = pts[inside]
-    idx = np.floor((local + BLOCK_HALFWIDTH) / width).astype(int)
-    np.clip(idx, 0, k - 1, out=idx)
-    centers = -BLOCK_HALFWIDTH + width * (idx + 0.5)
-    xi = (local - centers) / cluster_scale(k)
-    out[inside] = two_bump_profile(xi)
-    return out
-
-
 def collar_factor(points: NDArray) -> NDArray:
     """Radial (sup-norm) fade from 1 at the plateau stop to 0 at the support edge."""
     rinf = np.max(np.abs(np.atleast_2d(points)), axis=1)
@@ -228,11 +211,6 @@ def outer_background(layer: LayerSpec) -> tuple[NDArray, float]:
     sigma = layer.placement_scale
     bg, bg_h = _midpoint_lattice(1.0 + PATCH_MARGIN * sigma, sigma * COARSE_SPACING * 4)
     return bg[np.max(np.abs(bg), axis=1) > 1.0], bg_h**2
-
-
-def _cluster_count(groups: NDArray) -> int:
-    """Cluster count k of a patch cloud from its groups: k^2 cells of CELL_SUBDIVISION^2 points in group 0."""
-    return math.isqrt(np.count_nonzero(groups == 0) // CELL_SUBDIVISION**2)
 
 
 def frame_energy(points: NDArray, values: NDArray, p: float, q: float, spacing: float,
@@ -328,41 +306,33 @@ class PatchModel:
             raise BudgetError(f"patch cloud of {shown} points > budget {budget} (cluster count "
                               f"{_count(k)}); use compositional accounting instead")
 
-    def _class_cloud(self, k: int) -> tuple[NDArray, NDArray, NDArray, NDArray, NDArray]:
-        """(collar, g) of each value class, and the points, labels, weights and groups of the patch cloud.
+    def _class_cloud(self, k: int) -> tuple[NDArray, NDArray, NDArray]:
+        """(collar, g) of each class of the patch cloud of k, and the classes of its template and background.
 
-        The cell points of cluster count k come first, all in group 0, then
-        the background in group 1.  A patch value is
-        collar(x) c + A g(x) e1, so points with equal (collar, g) carry equal
-        values for every spec of this k.  A cell point takes the class of its
-        offset: the block lies inside the plateau, where `collar_factor` is
-        exactly 1, so every cell holds the frame profile at its offsets
-        scaled by 1/mu.
+        The cloud is the k x k cells of `_cell_lattice(k)`, each its center
+        plus the shared template offsets, and the points of `_background()`.
+        A patch value is collar(x) c + A g(x) e1, so points with equal
+        (collar, g) carry equal values for every spec of this k.  A cell
+        point takes the class of its offset: the block lies inside the
+        plateau, where `collar_factor` is exactly 1, so every cell holds the
+        frame profile at its offsets scaled by 1/mu; the background lies
+        outside the block, where the cluster profile is 0.
         """
         self._check_cloud_size(k)
-        centers, offs, cell_w = self._cell_lattice(k)
-        bg, bg_w = self._background()
-        sizes = [centers.shape[0] * offs.shape[0], bg.shape[0]]
-        # (collar, g) of the cell template's offsets, then of the background points
+        offs = self._cell_lattice(k)[1]
+        bg = self._background()[0]
         keys = np.concatenate([
             np.column_stack([np.ones(offs.shape[0]), two_bump_profile(offs / cluster_scale(k))]),
-            np.column_stack([collar_factor(bg), clustered_profile(bg, k)]),
+            np.column_stack([collar_factor(bg), np.zeros(bg.shape[0])]),
         ])
         classes, labels = np.unique(keys, axis=0, return_inverse=True)
-        cell_labels, bg_labels = np.split(labels.ravel(), [offs.shape[0]])
-        return (
-            classes,
-            np.concatenate([(centers[:, None, :] + offs).reshape(-1, 2), bg]),
-            np.concatenate([np.tile(cell_labels, centers.shape[0]), bg_labels]),
-            np.repeat([cell_w, bg_w], sizes),
-            np.repeat([0, 1], sizes),
-        )
+        return (classes, *np.split(labels.ravel(), [offs.shape[0]]))
 
     def _classes(self, k: int) -> tuple[NDArray, NDArray, NDArray]:
         """Collar factor and cluster profile of each class of `_class_cloud`, and their class matrix.
 
         The symmetric matrix holds all pairs that do not lie in one cell:
-        `_cell_kernels` the pairs between a cell and the background,
+        `_cell_kernel` the pairs between a cell and the background,
         `_background_kernel` the pairs within the background, and
         `_cell_pairs`, the cell-center table of k with itself at the template
         differences, scattered onto the cells' classes, the pairs that join
@@ -370,59 +340,55 @@ class PatchModel:
         """
         if k not in self._class_memo:
             cloud = self._class_cloud(k)
-            classes, pts, labels, weights, groups = cloud
+            classes, cells, bg_labels = cloud
             count = classes.shape[0]
-            bg = groups == 1
+            bg, bg_w = self._background()
             ordered = np.zeros((count, count))
-            cells_bg = self._cell_kernels(cloud, pts[bg], labels[bg], weights[bg][0], [(0.0, 0.0)])[0]
+            cells_bg = self._cell_kernel(k, cloud, bg, bg_labels, bg_w, np.zeros(ELL))
             ordered[:, :cells_bg.shape[1]] = cells_bg
             kern = symmetric(ordered)
-            within = self._background_kernel(cloud, pts[bg], labels[bg], weights[bg], within=True)
+            within = self._background_kernel(cloud, bg, bg_labels, bg_w, within=True)
             kern[:within.shape[0], :within.shape[0]] += within
-            cell_labels = labels[:CELL_SUBDIVISION**2]
-            kern += symmetric(class_bins(cell_labels, cell_labels, self._cell_pairs(k), count))
+            kern += symmetric(class_bins(cells, cells, self._cell_pairs(k), count))
             self._class_memo[k] = classes[:, 0], classes[:, 1], kern
         return self._class_memo[k]
 
-    def _cross_kernel(self, cloud: tuple, points: NDArray, labels: NDArray, weights) -> NDArray:
-        """Class matrix of the pairs between a patch cloud P and another labelled cloud Q.
+    def _offset_kernel(self, k: int, cloud: tuple, move: NDArray) -> NDArray:
+        """(C, C) kernel of the pairs between the patch cloud P of k and P moved by ``move``.
 
-        ``cloud`` is `_class_cloud` of P, with C classes; Q is ``points`` in
-        P's frame units with ``labels`` from 0 and ``weights`` (per point or
-        one).  Q is either P moved by a lattice vector T, its cells first as
-        in P, or background points of one weight alone.  P's labels keep
-        their numbers and Q's move up by C, so for class values V of P and W
-        of Q, `class_pair_sum` of the matrix and [V; W] is their pair sum in
-        frame units.  The pairs are split by what they touch: P's cells with
-        Q's background, and P's background with Q's cells (the pairs of P's
-        cells with P's background moved by -T), come from `_cell_kernels`;
-        the pairs of the two cell lattices from the cell-center table of
-        `_classes(k)` at the translation T (`_cell_pairs`); the pairs of the
+        ``cloud`` is `_class_cloud(k)`, with C classes; rows are P's classes,
+        columns those of the moved copy Q, and ``move`` is a frame vector of
+        whole patch frames.  The pairs are split by what they touch: those of
+        the two cell lattices come from the cell-center table of
+        `_classes(k)` at the move (`_cell_pairs`); P's cells with Q's
+        background, and P's background with Q's cells (P's cells with P's
+        background moved by -``move``), from `_cell_kernel`; the pairs of the
         two backgrounds from `_background_kernel`.
         """
-        classes, pts, cloud_labels, cloud_weights, groups = cloud
-        count = classes.shape[0]
-        weights = np.broadcast_to(weights, labels.shape)
-        cells = groups == 0
-        q_cells = cells if points.shape[0] == pts.shape[0] else np.zeros(labels.shape, dtype=bool)
-        size = count + int(labels.max()) + 1
-        ordered = np.zeros((size, size))  # rows P's classes, columns Q's
-        if q_cells.any():
-            k = _cluster_count(groups)
-            move = points[0] - pts[0]
-            cell_labels = cloud_labels[:CELL_SUBDIVISION**2]
-            ordered += class_bins(cell_labels, cell_labels + count, self._cell_pairs(k, move), size)
-            bg = ~cells
-            forth, back = self._cell_kernels(cloud, pts[bg], cloud_labels[bg], cloud_weights[bg][0],
-                                             [move, -move])
-            ordered[:count, count:count + forth.shape[1]] += forth
-            ordered[:back.shape[1], count:2 * count] += back.T
-        else:
-            cells_q = self._cell_kernels(cloud, points, labels, weights[0], [(0.0, 0.0)])[0]
-            ordered[:count, count:count + cells_q.shape[1]] += cells_q
-        bg = self._background_kernel(cloud, points[~q_cells], labels[~q_cells], weights[~q_cells])
-        ordered[:bg.shape[0], count:count + bg.shape[1]] += bg
-        return symmetric(ordered)
+        cells, bg_labels = cloud[1:]
+        bg, bg_w = self._background()
+        kern = class_bins(cells, cells, self._cell_pairs(k, move), cloud[0].shape[0])
+        forth = self._cell_kernel(k, cloud, bg, bg_labels, bg_w, move)
+        back = self._cell_kernel(k, cloud, bg, bg_labels, bg_w, -move)
+        kern[:, :forth.shape[1]] += forth
+        kern[:back.shape[1]] += back.T
+        both = self._background_kernel(cloud, bg + move, bg_labels, bg_w)
+        kern[:both.shape[0], :both.shape[1]] += both
+        return kern
+
+    def _outer_kernel(self, k: int, cloud: tuple, points: NDArray, weight: float) -> NDArray:
+        """(C, 1) kernel of the pairs between the patch cloud P of k and ``points`` of one class.
+
+        ``cloud`` is `_class_cloud(k)`; the points (frame units, one
+        ``weight``) lie on P's background lattice moved by a fixed sub-step.
+        P's cells with them come from `_cell_kernel`, P's background with them
+        from `_background_kernel`.
+        """
+        one = np.zeros(points.shape[0], dtype=np.int64)
+        kern = self._cell_kernel(k, cloud, points, one, weight, np.zeros(ELL))
+        both = self._background_kernel(cloud, points, one, weight)
+        kern[:both.shape[0]] += both
+        return kern
 
     def _cell_pairs(self, k: int, move=None) -> NDArray:
         """(P, P) kernel by template offsets of the pairs of two cells of k, or of k and k moved by ``move``.
@@ -449,46 +415,40 @@ class PatchModel:
                              cell_w * cell_w)
         return kern[inverse.ravel(), 0, 0].reshape(offs.shape[0], offs.shape[0])
 
-    def _cell_kernels(self, cloud: tuple, points: NDArray, labels: NDArray, weight: float,
-                      moves) -> NDArray:
-        """(S, C_P, C_Q) kernels of a patch cloud P's cells with background points Q moved by moves[s].
+    def _cell_kernel(self, k: int, cloud: tuple, points: NDArray, labels: NDArray, weight: float,
+                     move: NDArray) -> NDArray:
+        """(C_P, C_Q) kernel of the cells of the patch cloud P of k with background points Q moved by ``move``.
 
-        ``cloud`` is `_class_cloud` of P, with C_P classes; Q is ``points``
-        (frame units, one ``weight``, C_Q labels from 0), each move a frame
-        vector that keeps Q on its lattice.  Two routes give the same sums,
-        and the one of fewer evaluations runs, decided before any array is
-        built (`_lattice_route`): `class_kernel` of P's cells and Q (one per
-        move), or the count table of the cell centers against Q on their
-        common lattice, evaluated at each of the P template offsets o_a.  A
-        cell point is a center plus o_a, so its pairs with Q are the table's
-        at the sub-step offset ``g (b_off - a_off) - o_a``; each offset's
-        row goes to its class.  The last table is kept, as in
-        `_background_kernel`, so `_classes(k)` and the offset blocks of one
-        k share one.
+        ``cloud`` is `_class_cloud(k)`, with C_P classes; Q is ``points``
+        (frame units, one ``weight``, C_Q labels from 0), and ``move`` a
+        frame vector that keeps Q on its lattice.  Two routes give the same
+        sums, and the one of fewer evaluations runs, decided before any array
+        is built (`_lattice_route`): `class_kernel` of P's cells and Q, or
+        the count table of the cell centers against Q on their common
+        lattice, evaluated at each of the P template offsets o_a.  A cell
+        point is a center plus o_a, so its pairs with Q are the table's at
+        the sub-step offset ``g (b_off - a_off) - o_a``; each offset's row
+        goes to its class.  The last table is kept, as in
+        `_background_kernel`, so `_classes(k)` and the offset blocks of one k
+        share one.
         """
-        classes, pts, cloud_labels, cloud_weights, groups = cloud
-        count = classes.shape[0]
-        cells = groups == 0
-        k = _cluster_count(groups)
+        count, cells = cloud[0].shape[0], cloud[1]
+        centers, offs, cell_w = self._cell_lattice(k)
         route = self._lattice_route(k, points)
         if route is None:
-            out = []
-            for move in moves:
-                kern = class_kernel(np.concatenate([pts[cells], points + move]),
-                                    np.concatenate([cloud_labels[cells], labels + count]),
-                                    self._kernel_exp,
-                                    weights=np.concatenate([cloud_weights[cells],
-                                                            np.full(points.shape[0], weight)]),
-                                    split=np.count_nonzero(cells), workers=self.workers)
-                out.append(kern[:count, count:])
-            return np.stack(out)
+            cell_points = (centers[:, None, :] + offs).reshape(-1, ELL)
+            size = cell_points.shape[0]
+            kern = class_kernel(np.concatenate([cell_points, points + move]),
+                                np.concatenate([np.tile(cells, centers.shape[0]), labels + count]),
+                                self._kernel_exp, weights=np.repeat([cell_w, weight], [size, points.shape[0]]),
+                                split=size, workers=self.workers)
+            return kern[:count, count:]
         spacing, (a, a_off), (b, b_off) = route
-        _, offs, cell_w = self._cell_lattice(k)
         table, shift = self._table("cells", a, np.zeros(a.shape[0], dtype=np.int64), b, labels)
-        rows = np.stack([table.kernels(self._kernel_exp, spacing, spacing * (b_off - a_off) - offs,
-                                       shift + move, cell_w * weight)[:, 0]
-                         for move in np.rint(np.asarray(moves) / spacing).astype(np.int64)])
-        return np.eye(count)[cloud_labels[:offs.shape[0]]].T @ rows
+        step = np.rint(np.asarray(move) / spacing).astype(np.int64)
+        rows = table.kernels(self._kernel_exp, spacing, spacing * (b_off - a_off) - offs, shift + step,
+                             cell_w * weight)[:, 0]
+        return np.eye(count)[cells].T @ rows
 
     def _lattice_route(self, k: int, points: NDArray):
         """Lattice data of the cell centers of k and ``points`` if their count table is the route, else None.
@@ -543,29 +503,26 @@ class PatchModel:
             self._tables[slot] = key, LatticeCounts(a, labels_a, b, labels_b)
         return self._tables[slot][1], lo_b - lo_a
 
-    def _background_kernel(self, cloud: tuple, points: NDArray, labels: NDArray, weights: NDArray,
+    def _background_kernel(self, cloud: tuple, points: NDArray, labels: NDArray, weight: float,
                            within: bool = False) -> NDArray:
         """(C_P, C_Q) kernel of the pairs between the background of a patch cloud P and background points Q.
 
-        Q (frame units, one weight) lies on P's background lattice of spacing
-        ``COARSE_SPACING``, or on it moved by a fixed sub-step: the outer
-        background sits on the half-step lattice.  Both index sets come from
-        `lattice_index`, which rounds within a tolerance, and the pairs from
-        their `LatticeCounts` at the translation between them.  The last
-        counts are kept (`_table`): the offset blocks of one k reuse the
-        counts of `_classes(k)`, and the outer blocks of one layer share one
-        table.
+        ``cloud`` is `_class_cloud` of P.  Q (frame units, one ``weight``)
+        lies on P's background lattice of spacing ``COARSE_SPACING``, or on
+        it moved by a fixed sub-step: the outer background sits on the
+        half-step lattice.  Both index sets come from `lattice_index`, which
+        rounds within a tolerance, and the pairs from their `LatticeCounts`
+        at the translation between them.  The last counts are kept
+        (`_table`): the offset blocks of one k reuse the counts of
+        `_classes(k)`, and the outer blocks of one layer share one table.
         ``within``: Q is P's own background, each pair of distinct points once.
         """
-        _, pts, cloud_labels, cloud_weights, groups = cloud
-        bg = groups == 1
-        (a, a_off), (b, b_off) = (lattice_index(x, COARSE_SPACING) for x in (pts[bg], points))
-        if np.unique(weights).size != 1:
-            raise ValueError("background points of more than one weight")
-        counts, shift = self._table("background", a, cloud_labels[bg], b, labels)
-        weight = cloud_weights[bg][0] * weights[0]
+        bg, bg_w = self._background()
+        (a, a_off), (b, b_off) = (lattice_index(x, COARSE_SPACING) for x in (bg, points))
+        counts, shift = self._table("background", a, cloud[2], b, labels)
+        weight = bg_w * weight
         if within:  # the half table at one zero offset
-            zero = np.zeros((1, pts.shape[1]))
+            zero = np.zeros((1, ELL))
             return symmetric(counts.kernels(self._kernel_exp, COARSE_SPACING, zero, weight=weight)[0])
         return counts.kernels(self._kernel_exp, COARSE_SPACING, [COARSE_SPACING * (b_off - a_off)],
                               shift, weight)[0]
@@ -674,14 +631,15 @@ class PatchModel:
         kernel, and the pairs of the glued layer split four ways: within one
         patch (the class matrix of `_classes`), between the patches I and
         I + D for each half-offset D of the N x N patch grid (one
-        `_cross_kernel` of P and P + D per D, whatever the patch pair),
-        between patch I and the outer background (one `_cross_kernel` of P
+        `_offset_kernel` of P and P + D per D, whatever the patch pair),
+        between patch I and the outer background (one `_outer_kernel` of P
         and the outer points moved into I's frame, one class of value 0), and
         within one cell (`cluster_energy`).  The pairs of every block come
         from lattice sums, save the cell-background pairs where
-        `class_kernel` is the cheaper route (`_cell_kernels`).  One
+        `class_kernel` is the cheaper route (`_cell_kernel`).  One
         stacked `class_pair_sum` sums all patches, and one per D all its
-        patch pairs.  The pair budget runs first.
+        patch pairs, the values of I against those of I + D (``others``).
+        The pair budget runs first.
         """
         key = ("layer", layer, self.params)
         if key not in self._memo:
@@ -697,21 +655,18 @@ class PatchModel:
             vals = _values_from(collar, profile, layer.centers(), spec.amplitude)
             terms = [class_pair_sum(kern, vals, p)]
             cloud = self._class_cloud(spec.k)
-            pts, labels, weights = cloud[1:4]
             side = 2**layer.n
             index = np.arange(layer.count).reshape(side, side)  # patch (i, j) of `centers`
             for d in half_lattice(side, ELL):
-                block = self._cross_kernel(cloud, pts + 2 * PATCH_MARGIN * d, labels, weights)
+                block = self._offset_kernel(spec.k, cloud, 2 * PATCH_MARGIN * d)
                 di, dj = d
                 firsts = index[max(0, -di):side - max(0, di), max(0, -dj):side - max(0, dj)].ravel()
-                joined = np.concatenate([vals[firsts], vals[firsts + di * side + dj]], axis=1)
-                terms.append(class_pair_sum(block, joined, p))
+                terms.append(class_pair_sum(block, vals[firsts], p, others=vals[firsts + di * side + dj]))
             outer, outer_w = outer_background(layer)
-            outer_labels = np.zeros(outer.shape[0], dtype=np.int64)
+            zero = np.zeros((1, ELL))
             for v, pl in zip(vals, layer.placements()):
-                block = self._cross_kernel(cloud, (outer - pl.translate) / pl.scale, outer_labels,
-                                           outer_w / pl.scale**2)
-                terms.append([class_pair_sum(block, np.concatenate([v, np.zeros((1, ELL))]), p)])
+                block = self._outer_kernel(spec.k, cloud, (outer - pl.translate) / pl.scale, outer_w / pl.scale**2)
+                terms.append([class_pair_sum(block, v, p, others=zero)])
             cross = 2.0 * sigma ** (2 - sp) * math.fsum(np.concatenate(terms))
             # every patch has the same cells; added one patch at a time
             fine = np.cumsum(np.full(layer.count, sigma ** (2 - sp) * self.cluster_energy(spec)))[-1]

@@ -21,8 +21,8 @@ from functools import cached_property
 import numpy as np
 from numpy.typing import NDArray
 
-from .energy import FractionalParams
-from .errors import AssertionFailure, ConfigurationError, SamplingError
+from .energy import PAIR_BUDGET, FractionalParams, _over
+from .errors import AssertionFailure, BudgetError, ConfigurationError, SamplingError
 from .patches import FRAME_HALFWIDTH, cell_midpoints, collar_factor, frame_energy, two_bump_profile
 
 BLEND_FRACTION = 0.05  # C^1 blend zone at each end of the cap, as a cap fraction
@@ -193,6 +193,21 @@ def xi_grid() -> NDArray:
     return pts[np.einsum("ij,ij->i", pts, pts) <= XI_RADIUS**2 + 1e-15]
 
 
+def check_scan_budget(spec: AlmostCtrexSpec, n_range) -> None:
+    """BudgetError unless the angles `scan_row` evaluates over ``n_range`` fit ``PAIR_BUDGET`` (n <= 15 from 2).
+
+    Row n evaluates 2 center_count(2^-n) angles per `xi_grid` shift.  The
+    rows grow with n, so the count stops at the first row past the budget.
+    An eps = 2^-n outside (0, pi/4) raises as `AlmostRetractionSpec` does.
+    """
+    shifts, angles = xi_grid().shape[0], 0
+    for n in n_range:
+        angles += 2 * shifts * spec.center_count(AlmostRetractionSpec(epsilon=2.0**-n).epsilon)
+        if angles > PAIR_BUDGET:
+            shown, budget = _over(angles, PAIR_BUDGET)
+            raise BudgetError(f"almost scan up to n = {n} evaluates {shown} angles > budget {budget}")
+
+
 class AlmostModel:
     """Composite energies and closed-form accounting for the 1D construction."""
 
@@ -318,8 +333,9 @@ def almost_projection_scan(spec: AlmostCtrexSpec, n_range=range(2, 7), workers: 
 
     Returns rows per eps plus measured exponents (in eps): support,
     energy, and projected inf-energy, with their targets alpha/(1-sp),
-    alpha-1, and alpha-p, and the scheme that ran.
+    alpha-1, and alpha-p, and the scheme that ran.  `check_scan_budget` runs first.
     """
+    check_scan_budget(spec, n_range)
     shifts = xi_grid()
     model = AlmostModel(spec, workers=workers)
     rows = [model.scan_row(n, shifts) for n in n_range]

@@ -21,6 +21,7 @@ cloud, without value classes.
 import math
 
 import numpy as np
+from numpy.typing import NDArray
 
 from splab._pairsum import pair_kernel_sum
 from splab.energy import cloud_energy
@@ -34,7 +35,6 @@ from splab.patches import (
     PatchSpec,
     _values_from,
     cluster_scale,
-    clustered_profile,
     collar_factor,
     outer_background,
     two_bump_profile,
@@ -46,6 +46,23 @@ class ResolutionError(SplabError):
     """Grid too coarse to resolve the finest feature of a construction."""
 
     exit_code = 2
+
+
+def clustered_profile(points: NDArray, k: int) -> NDArray:
+    """Scalar cluster profile: scaled two-bump copies on the k^ell cells, 0 outside the block."""
+    pts = np.atleast_2d(points)
+    out = np.zeros(pts.shape[0])
+    width = 2 * BLOCK_HALFWIDTH / k
+    inside = np.all(np.abs(pts) < BLOCK_HALFWIDTH, axis=1)
+    if not inside.any():
+        return out
+    local = pts[inside]
+    idx = np.floor((local + BLOCK_HALFWIDTH) / width).astype(int)
+    np.clip(idx, 0, k - 1, out=idx)
+    centers = -BLOCK_HALFWIDTH + width * (idx + 0.5)
+    xi = (local - centers) / cluster_scale(k)
+    out[inside] = two_bump_profile(xi)
+    return out
 
 
 def patch_values(points, spec: PatchSpec):

@@ -305,7 +305,6 @@ DETERMINISM_SUITE = {
 # every report of run 1 of DETERMINISM_SUITE, timestamps left out (`report_numbers` of
 # scripts/compare_reports.py, written with json.dumps(indent=1, sort_keys=True))
 REPORT_NUMBERS = Path(__file__).resolve().parent / "report_numbers.json"
-REPORT_RTOL = 1e-12
 
 
 @pytest.fixture(scope="module")
@@ -339,10 +338,11 @@ def test_criterion_10_determinism(determinism_runs, compare_reports):
 
 
 def test_reports_match_recorded_numbers(determinism_runs, compare_reports):
-    # strings, verdicts and keys exactly, numbers to REPORT_RTOL relative
+    # strings, verdicts and keys exactly, numbers to the REPORT_RTOL relative change that
+    # `compare_reports.py --numbers` gates on
     changes = compare_reports.largest_changes(compare_reports.report_numbers(REPORT_NUMBERS),
                                               compare_reports.report_numbers(determinism_runs[0][0]))
     for name, (change, where) in changes.items():
         print(f"[report numbers] {name}: largest relative change {change:.3g} {where}")
     assert len(changes) == 6
-    assert max(change for change, _ in changes.values()) <= REPORT_RTOL
+    assert max(change for change, _ in changes.values()) <= compare_reports.REPORT_RTOL

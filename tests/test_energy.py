@@ -663,6 +663,27 @@ def test_stacked_class_pair_sum_equals_single_sets(monkeypatch, terms):
 
 
 @ENGINE_SETTINGS
+@given(st.integers(1, 7), st.integers(1, 7), st.integers(0, 5), st.integers(1, 3),
+       st.sampled_from([1.0, 1.5, 2.0, 2.5, 2.8]), st.integers(0, 2**32 - 1))
+def test_two_set_class_pair_sum_equals_padded_matrix(rows, cols, sets, nu, p, seed):
+    # the (Ca, Cb) kernel on V against W sums bit for bit as the symmetric matrix
+    # [[0, K], [K^T, 0]] on [V; W]: one fsum per set, and the same nonzero terms
+    rng = np.random.default_rng(seed)
+    kern = rng.random((rows, cols)) * (rng.random((rows, cols)) < 0.8)
+    padded = np.zeros((rows + cols, rows + cols))
+    padded[:rows, rows:] = kern
+    padded[rows:, :rows] = kern.T
+    values, others = rng.normal(size=(sets, rows, nu)), rng.normal(size=(sets, cols, nu))
+    got = class_pair_sum(kern, values, p, others=others)
+    assert got.shape == (sets,)
+    assert got.tobytes() == class_pair_sum(padded, np.concatenate([values, others], axis=1), p).tobytes()
+    for v, w, g in zip(values, others, got):
+        assert class_pair_sum(kern, v, p, others=w) == g
+    with pytest.raises(ValueError, match="drop"):
+        class_pair_sum(kern, values, p, drop=np.zeros(rows, dtype=bool), others=others)
+
+
+@ENGINE_SETTINGS
 @given(labelled_clouds(), st.integers(0, 2**32 - 1))
 def test_class_kernel_ignores_point_order(cloud, seed):
     # class_kernel sorts each side of the split by label; any order within the sides

@@ -227,8 +227,9 @@ def test_layer_budget_runs_before_any_build(monkeypatch, params_main):
     model = PatchModel(params_main)
     for n in (1, 2, 3):
         layer = LayerSpec(n)
-        groups = model._class_cloud(default_cluster_count(n, params_main.s))[4]
-        cells, bg = np.count_nonzero(groups == 0), np.count_nonzero(groups == 1)
+        k = default_cluster_count(n, params_main.s)
+        _, template, background = model._class_cloud(k)
+        cells, bg = model._cell_lattice(k)[0].shape[0] * template.size, background.size
         outer = outer_background(layer)[0].shape[0]
         offsets = half_lattice(2**n, 2).shape[0]
         assert model._layer_pairs(layer) == offsets * cells * (cells + 2 * bg) + layer.count * cells * outer
@@ -395,11 +396,11 @@ def test_layer_offset_block_matches_placed_pair_sum(model_main, params_main, fir
     specs, placements = layer.patch_specs(params_main), layer.placements()
     offset = np.divmod(second, 4)[0] - np.divmod(first, 4)[0], second % 4 - first % 4
     cloud = model_main._class_cloud(specs[0].k)
-    block = model_main._cross_kernel(cloud, cloud[1] + 2 * PATCH_MARGIN * np.array(offset), *cloud[2:4])
+    block = model_main._offset_kernel(specs[0].k, cloud, 2 * PATCH_MARGIN * np.array(offset))
     collar, profile, _ = model_main._classes(specs[0].k)
-    values = np.concatenate([_values_from(collar, profile, specs[i].c, specs[i].amplitude)
-                             for i in (first, second)])
-    got = layer.placement_scale ** (2 - params_main.sp) * class_pair_sum(block, values, params_main.p)
+    values, others = (_values_from(collar, profile, specs[i].c, specs[i].amplitude) for i in (first, second))
+    got = layer.placement_scale ** (2 - params_main.sp) * class_pair_sum(block, values, params_main.p,
+                                                                         others=others)
     clouds = [patch_cloud(model_main, specs[i], placement=placements[i]) for i in (first, second)]
     pts, vals, w = (np.concatenate([c[k] for c in clouds]) for k in range(3))
     groups = np.repeat([0, 1], [c[0].shape[0] for c in clouds])
@@ -415,12 +416,13 @@ def test_layer_outer_block_matches_placed_pair_sum(model_main, params_main, inde
     layer = LayerSpec(2)
     spec, placement = layer.patch_specs(params_main)[index], layer.placements()[index]
     outer, outer_w = outer_background(layer)
-    cloud = model_main._class_cloud(spec.k)
-    block = model_main._cross_kernel(cloud, (outer - placement.translate) / placement.scale,
-                                     np.zeros(outer.shape[0], dtype=np.int64), outer_w / placement.scale**2)
+    block = model_main._outer_kernel(spec.k, model_main._class_cloud(spec.k),
+                                     (outer - placement.translate) / placement.scale,
+                                     outer_w / placement.scale**2)
     collar, profile, _ = model_main._classes(spec.k)
-    values = np.concatenate([_values_from(collar, profile, spec.c, spec.amplitude), np.zeros((1, 2))])
-    got = layer.placement_scale ** (2 - params_main.sp) * class_pair_sum(block, values, params_main.p)
+    values = _values_from(collar, profile, spec.c, spec.amplitude)
+    got = layer.placement_scale ** (2 - params_main.sp) * class_pair_sum(block, values, params_main.p,
+                                                                         others=np.zeros((1, 2)))
     pts, vals, w, _ = patch_cloud(model_main, spec, placement=placement)
     expected = pair_kernel_sum(np.concatenate([pts, outer]), np.concatenate([vals, np.zeros_like(outer)]),
                                params_main.p, 2 + params_main.sp,
@@ -438,8 +440,7 @@ def test_cross_kernel_rejects_off_lattice_background(model_main, params_main):
     frame = (outer - placement.translate) / placement.scale
     frame[3] += 1e-3
     with pytest.raises(ValueError, match="off the lattice"):
-        model_main._cross_kernel(cloud, frame, np.zeros(frame.shape[0], dtype=np.int64),
-                                 outer_w / placement.scale**2)
+        model_main._outer_kernel(1, cloud, frame, outer_w / placement.scale**2)
 
 
 def test_layer_energy_same_for_any_worker_count(model_main, params_main):
@@ -631,26 +632,30 @@ def test_cell_background_kernels_match_class_kernel(monkeypatch, params_main, k)
     # picks and the count-table route against class_kernel of the two sides of a split
     model = PatchModel(params_main, workers=2)
     cloud = model._class_cloud(k)
-    classes, pts, labels, weights, groups = cloud
+    classes, template, bg_labels = cloud
     count = classes.shape[0]
-    cells, bg = groups == 0, groups == 1
+    centers, offs, cell_w = model._cell_lattice(k)
+    cells = (centers[:, None, :] + offs).reshape(-1, 2)
+    labels = np.tile(template, centers.shape[0])
+    bg, bg_w = model._background()
     layer = LayerSpec(1)
     placement = layer.placements()[0]
     outer, outer_w = outer_background(layer)
     moves = np.array([[0.0, 0.0], [2.5, 0.0], [-2.5, -5.0]])
-    cases = [(pts[bg], labels[bg], weights[bg][0], moves),
+    cases = [(bg, bg_labels, bg_w, moves),
              ((outer - placement.translate) / placement.scale, np.zeros(outer.shape[0], dtype=np.int64),
               outer_w / placement.scale**2, moves[:1])]
     for points, q_labels, weight, shifts in cases:
         expected = np.stack([
-            class_kernel(np.concatenate([pts[cells], points + move]),
-                         np.concatenate([labels[cells], q_labels + count]), model._kernel_exp,
-                         weights=np.concatenate([weights[cells], np.full(points.shape[0], weight)]),
-                         split=np.count_nonzero(cells), workers=2)[:count, count:]
+            class_kernel(np.concatenate([cells, points + move]),
+                         np.concatenate([labels, q_labels + count]), model._kernel_exp,
+                         weights=np.concatenate([np.full(cells.shape[0], cell_w),
+                                                 np.full(points.shape[0], weight)]),
+                         split=cells.shape[0], workers=2)[:count, count:]
             for move in shifts])
         for route in (PatchModel._lattice_route, _lattice_always):
             monkeypatch.setattr(PatchModel, "_lattice_route", route)
-            got = model._cell_kernels(cloud, points, q_labels, weight, shifts)
+            got = np.stack([model._cell_kernel(k, cloud, points, q_labels, weight, move) for move in shifts])
             assert got.shape == expected.shape
             assert np.max(np.abs(got - expected)) <= 1e-13 * np.max(np.abs(expected))
 

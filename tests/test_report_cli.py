@@ -16,6 +16,7 @@ from splab.energy import FractionalParams, _over, check_grid_budget
 from splab.errors import AssertionFailure, BudgetError, ConfigurationError, OutputError, SplabError
 from splab.harness import EXPERIMENTS
 from splab.report import CSV_COLUMNS, ExperimentReport, _fmt, emit_report, to_csv, to_json, to_svg
+from splab.retraction import AlmostModel, almost_projection_scan
 
 
 def small_report():
@@ -185,6 +186,24 @@ def test_huge_scale_index_exits_two(tmp_path, capsys, argv):
     assert main(argv + ["--out", str(tmp_path / "out")]) == 2
     assert f"error: experiment '{argv[0]}': cluster count" in capsys.readouterr().err
     assert not (tmp_path / "out").exists()
+
+
+class _ScanRow(Exception):
+    pass
+
+
+def test_almost_scan_budget_exits_two(tmp_path, capsys, monkeypatch):
+    # rows n = 2..16 evaluate 317 shifts x 2 center_count(2^-n) = 2.61e9 angles: exit 2 before
+    # any row is built; n = 2..15 (1.31e9) passes the check and reaches the rows
+    def refuse(self, n, shifts):
+        raise _ScanRow(n)
+
+    monkeypatch.setattr(AlmostModel, "scan_row", refuse)
+    assert main(["almost", "--n-max", "16", "--out", str(tmp_path / "out")]) == 2
+    assert "almost scan up to n = 16 evaluates 2.61e+9 angles > budget 2.00e+9" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+    with pytest.raises(_ScanRow):
+        almost_projection_scan(harness.AlmostOptions(n_max=15).ctrex, range(2, 16))
 
 
 def test_suite_failure_keeps_completed_reports(tmp_path, capsys):
@@ -548,3 +567,24 @@ def test_compare_reports_names_every_difference(tmp_path, capsys, compare_report
     capsys.readouterr()
     assert compare_reports.main([str(a), str(b)]) == 1
     assert capsys.readouterr().out.split() == differ
+
+
+def test_compare_numbers_gates_on_report_rtol(tmp_path, capsys, compare_reports):
+    # --numbers exits 1 once a report's largest relative change exceeds REPORT_RTOL; a snapshot
+    # file of `report_numbers` stands for its directory
+    a, b = tmp_path / "a", tmp_path / "b"
+    for d in (a, b):
+        d.mkdir()
+        (d / "r.json").write_text('{"timestamp": "1", "value": 1.5}')
+    snapshot = tmp_path / "numbers.json"
+    snapshot.write_text(json.dumps(compare_reports.report_numbers(a)))
+    rtol = compare_reports.REPORT_RTOL
+    for value, code in ((1.5, 0), (1.5 * (1 + rtol / 2), 0), (1.5 * (1 + 2 * rtol), 1)):
+        (b / "r.json").write_text('{"timestamp": "2", "value": %r}' % value)
+        assert compare_reports.main(["--numbers", str(snapshot), str(b)]) == code
+    (b / "r.json").write_text('{"timestamp": "2", "value": "1.5"}')
+    assert compare_reports.main(["--numbers", str(a), str(b)]) == 1
+    assert capsys.readouterr().out.splitlines()[-1] == "r.json\tinf\tvalue"
+    acceptance = compare_reports.report_numbers(Path(__file__).resolve().parent.parent / "scripts"
+                                                / "acceptance_numbers.json")
+    assert len(acceptance) == 8
