@@ -17,14 +17,16 @@ from numpy.typing import NDArray
 
 from .chords import MAX_SCALE, check_sample_count, estimate_constant
 from .energy import (
+    DEFAULT_NODE_BUDGET,
     EnergyPlan,
     FractionalParams,
     Region,
+    _over,
     check_grid_budget,
     check_pair_sum,
     gagliardo_energy,
 )
-from .errors import ConfigurationError, DegenerateShiftError, SplabError
+from .errors import BudgetError, ConfigurationError, DegenerateShiftError, NumericalError, SplabError
 from .grid import Box, Grid, SampledMap, make_grid, sample_map
 from .patches import ELL, LayerSpec, PatchModel, PatchSpec, check_layer_table
 from .report import ExperimentReport
@@ -205,7 +207,9 @@ def _averaging_core(cfg: AveragingConfig, workers: int = 1) -> dict:
         )
     energies = np.asarray(energies)
     mean = float(np.mean(energies))
-    edges = np.geomspace(max(mean * 1e-3, 1e-12), mean * 1e3, 13)
+    if mean * 1e-3 == 0:  # every shift projected the disk onto one value, or the histogram range underflows
+        raise NumericalError(f"mean projected energy {mean:.3g} at alpha={cfg.alpha:g} leaves no histogram range")
+    edges = np.geomspace(mean * 1e-3, mean * 1e3, 13)
     hist, _ = np.histogram(energies, bins=edges)
     out = {
         "mean_projected_energy": mean,
@@ -456,6 +460,10 @@ class GeometryOptions:
             raise ConfigurationError(f"comparing scales needs 1 <= n_min < n_max <= {MAX_SCALE}, "
                                      f"got n_min={self.n_min} n_max={self.n_max}")
         check_sample_count(self.samples)
+        draws = self.samples * self.ell  # coordinates of one (samples, ell) array, drawn for each n
+        if draws > DEFAULT_NODE_BUDGET:
+            shown, budget = _over(draws, DEFAULT_NODE_BUDGET)
+            raise BudgetError(f"geometry samples x ell = {shown} > budget {budget}")
 
 
 def _run_geometry(opts: GeometryOptions, cfg: RunConfig) -> ExperimentReport:

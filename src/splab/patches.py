@@ -251,13 +251,10 @@ class PatchModel:
 
     @cached_property
     def plateau_kernel(self) -> float:
-        """Kernel mass between the two plateau balls of the frame."""
-        e1 = np.array([1.0, 0.0])
-        pos = self._frame_pts[np.linalg.norm(self._frame_pts - e1, axis=1) <= PLATEAU_RADIUS]
-        neg = self._frame_pts[np.linalg.norm(self._frame_pts + e1, axis=1) <= PLATEAU_RADIUS]
-        d = pos[:, None, :] - neg[None, :, :]
-        dr2 = np.einsum("ijk,ijk->ij", d, d)
-        return float(2.0 * self.h0**4 * np.sum(dr2 ** (-0.5 * self._kernel_exp)))
+        """Kernel mass between the two plateau balls of the frame: the frame classes of profile +1 and -1."""
+        profile, kern = self._frame_classes()
+        plus, minus = (np.flatnonzero(profile == v)[0] for v in (1.0, -1.0))
+        return float(2.0 * kern[plus, minus])
 
     @cached_property
     def collar_unit_energy(self) -> float:
@@ -316,90 +313,73 @@ class PatchModel:
         point takes the class of its offset: the block lies inside the
         plateau, where `collar_factor` is exactly 1, so every cell holds the
         frame profile at its offsets scaled by 1/mu; the background lies
-        outside the block, where the cluster profile is 0.
+        outside the block, where the cluster profile is 0.  Built once per k.
         """
-        self._check_cloud_size(k)
-        offs = self._cell_lattice(k)[1]
-        bg = self._background()[0]
-        keys = np.concatenate([
-            np.column_stack([np.ones(offs.shape[0]), two_bump_profile(offs / cluster_scale(k))]),
-            np.column_stack([collar_factor(bg), np.zeros(bg.shape[0])]),
-        ])
-        classes, labels = np.unique(keys, axis=0, return_inverse=True)
-        return (classes, *np.split(labels.ravel(), [offs.shape[0]]))
+        key = ("cloud", k)
+        if key not in self._class_memo:
+            self._check_cloud_size(k)
+            offs = self._cell_lattice(k)[1]
+            bg = self._background()[0]
+            keys = np.concatenate([
+                np.column_stack([np.ones(offs.shape[0]), two_bump_profile(offs / cluster_scale(k))]),
+                np.column_stack([collar_factor(bg), np.zeros(bg.shape[0])]),
+            ])
+            classes, labels = np.unique(keys, axis=0, return_inverse=True)
+            self._class_memo[key] = (classes, *np.split(labels.ravel(), [offs.shape[0]]))
+        return self._class_memo[key]
 
     def _classes(self, k: int) -> tuple[NDArray, NDArray, NDArray]:
-        """Collar factor and cluster profile of each class of `_class_cloud`, and their class matrix.
-
-        The symmetric matrix holds all pairs that do not lie in one cell:
-        `_cell_kernel` the pairs between a cell and the background,
-        `_background_kernel` the pairs within the background, and
-        `_cell_pairs`, the cell-center table of k with itself at the template
-        differences, scattered onto the cells' classes, the pairs that join
-        two cells.  Built once per k.
-        """
+        """Collar and profile of each class of `_class_cloud(k)`, and `_block(k)`; built once per k."""
         if k not in self._class_memo:
-            cloud = self._class_cloud(k)
-            classes, cells, bg_labels = cloud
-            count = classes.shape[0]
-            bg, bg_w = self._background()
-            ordered = np.zeros((count, count))
-            cells_bg = self._cell_kernel(k, cloud, bg, bg_labels, bg_w, np.zeros(ELL))
-            ordered[:, :cells_bg.shape[1]] = cells_bg
-            kern = symmetric(ordered)
-            within = self._background_kernel(cloud, bg, bg_labels, bg_w, within=True)
-            kern[:within.shape[0], :within.shape[0]] += within
-            kern += symmetric(class_bins(cells, cells, self._cell_pairs(k), count))
-            self._class_memo[k] = classes[:, 0], classes[:, 1], kern
+            classes = self._class_cloud(k)[0]
+            self._class_memo[k] = classes[:, 0], classes[:, 1], self._block(k)
         return self._class_memo[k]
 
-    def _offset_kernel(self, k: int, cloud: tuple, move: NDArray) -> NDArray:
-        """(C, C) kernel of the pairs between the patch cloud P of k and P moved by ``move``.
+    def _block(self, k: int, move: NDArray | None = None, outer: tuple | None = None) -> NDArray:
+        """(C, C_Q) kernel of the pairs between the patch cloud P of k and a cloud Q, no pair within one cell.
 
-        ``cloud`` is `_class_cloud(k)`, with C classes; rows are P's classes,
-        columns those of the moved copy Q, and ``move`` is a frame vector of
-        whole patch frames.  The pairs are split by what they touch: those of
-        the two cell lattices come from the cell-center table of
-        `_classes(k)` at the move (`_cell_pairs`); P's cells with Q's
-        background, and P's background with Q's cells (P's cells with P's
-        background moved by -``move``), from `_cell_kernel`; the pairs of the
-        two backgrounds from `_background_kernel`.
+        P is `_class_cloud(k)`, with C classes, one row each.  Q is one of:
+        P itself (no ``move`` and no ``outer``), each pair counted once in
+        one symmetric (C, C) matrix; P moved by ``move``, a frame vector of
+        whole patch frames, one column per class of the copy; or
+        ``outer`` = (points, weight), background points of one class (frame
+        units, on P's background lattice moved by a fixed sub-step), one
+        column.  Four parts are added in this order: P's cells with Q's
+        cells (`_cell_pairs`), P's cells with Q's background and P's
+        background with Q's cells (P's cells with P's background moved by
+        -``move``), both by `_cell_kernel`, and the two backgrounds, from
+        their count table, which the blocks of one k share.
         """
-        cells, bg_labels = cloud[1:]
+        classes, cells, bg_labels = self._class_cloud(k)
+        count = classes.shape[0]
         bg, bg_w = self._background()
-        kern = class_bins(cells, cells, self._cell_pairs(k, move), cloud[0].shape[0])
-        forth = self._cell_kernel(k, cloud, bg, bg_labels, bg_w, move)
-        back = self._cell_kernel(k, cloud, bg, bg_labels, bg_w, -move)
+        at = np.zeros(ELL) if move is None else move
+        if outer is None:
+            points, labels, weight = bg, bg_labels, bg_w
+            kern = class_bins(cells, cells, self._cell_pairs(k, move), count)
+        else:
+            (points, weight), labels = outer, np.zeros(outer[0].shape[0], dtype=np.int64)
+            kern = np.zeros((count, 1))
+        forth = self._cell_kernel(k, points, labels, weight, at)
         kern[:, :forth.shape[1]] += forth
-        kern[:back.shape[1]] += back.T
-        both = self._background_kernel(cloud, bg + move, bg_labels, bg_w)
+        if move is not None:
+            back = self._cell_kernel(k, bg, bg_labels, bg_w, -move)
+            kern[:back.shape[1]] += back.T
+        half = move is None and outer is None
+        both = self._lattice_kernels("background", COARSE_SPACING, bg, bg_labels, points, labels,
+                                     np.zeros((1, ELL)), None if half else at, bg_w * weight)[0]
         kern[:both.shape[0], :both.shape[1]] += both
-        return kern
-
-    def _outer_kernel(self, k: int, cloud: tuple, points: NDArray, weight: float) -> NDArray:
-        """(C, 1) kernel of the pairs between the patch cloud P of k and ``points`` of one class.
-
-        ``cloud`` is `_class_cloud(k)`; the points (frame units, one
-        ``weight``) lie on P's background lattice moved by a fixed sub-step.
-        P's cells with them come from `_cell_kernel`, P's background with them
-        from `_background_kernel`.
-        """
-        one = np.zeros(points.shape[0], dtype=np.int64)
-        kern = self._cell_kernel(k, cloud, points, one, weight, np.zeros(ELL))
-        both = self._background_kernel(cloud, points, one, weight)
-        kern[:both.shape[0]] += both
-        return kern
+        return symmetric(kern) if half else kern
 
     def _cell_pairs(self, k: int, move=None) -> NDArray:
         """(P, P) kernel by template offsets of the pairs of two cells of k, or of k and k moved by ``move``.
 
         ``move`` is a frame vector of whole cell widths.  The kernel comes from
         the count table of the k x k cell centers with themselves (its own
-        `_table` slot, shared by `_classes(k)` and the offset blocks of k):
-        offset a against offset b at o_a - o_b over the half table, or at
-        o_b - o_a over the whole table at the translation, evaluated once
-        per distinct difference (81 of the 625 pairs of a 5 x 5 template)
-        and scattered back to (a, b).
+        `_table` slot, shared by every block of k): offset a against offset
+        b at o_a - o_b over the half table, or at o_b - o_a over the whole
+        table at the move, evaluated once per distinct difference (81 of
+        the 625 pairs of a 5 x 5 template) and scattered back to (a, b).
         """
         centers, offs, cell_w = self._cell_lattice(k)
         width = 2 * BLOCK_HALFWIDTH / k
@@ -407,35 +387,30 @@ class PatchModel:
         index = lattice_index(offs, step)[0]
         diffs, inverse = np.unique((index[:, None] - index[None]).reshape(-1, offs.shape[1]),
                                    axis=0, return_inverse=True)
-        cells = lattice_index(centers, width)[0]
-        one = np.zeros(cells.shape[0], dtype=np.int64)
-        table = self._table("centers", cells, one, cells, one)[0]
-        shift = None if move is None else np.rint(np.asarray(move) / width).astype(np.int64)
-        kern = table.kernels(self._kernel_exp, width, (step if move is None else -step) * diffs, shift,
-                             cell_w * cell_w)
+        one = np.zeros(centers.shape[0], dtype=np.int64)
+        kern = self._lattice_kernels("centers", width, centers, one, centers, one,
+                                     (step if move is None else -step) * diffs, move, cell_w * cell_w)
         return kern[inverse.ravel(), 0, 0].reshape(offs.shape[0], offs.shape[0])
 
-    def _cell_kernel(self, k: int, cloud: tuple, points: NDArray, labels: NDArray, weight: float,
-                     move: NDArray) -> NDArray:
+    def _cell_kernel(self, k: int, points: NDArray, labels: NDArray, weight: float, move: NDArray) -> NDArray:
         """(C_P, C_Q) kernel of the cells of the patch cloud P of k with background points Q moved by ``move``.
 
-        ``cloud`` is `_class_cloud(k)`, with C_P classes; Q is ``points``
-        (frame units, one ``weight``, C_Q labels from 0), and ``move`` a
-        frame vector that keeps Q on its lattice.  Two routes give the same
-        sums, and the one of fewer evaluations runs, decided before any array
-        is built (`_lattice_route`): `class_kernel` of P's cells and Q, or
-        the count table of the cell centers against Q on their common
-        lattice, evaluated at each of the P template offsets o_a.  A cell
-        point is a center plus o_a, so its pairs with Q are the table's at
-        the sub-step offset ``g (b_off - a_off) - o_a``; each offset's row
-        goes to its class.  The last table is kept, as in
-        `_background_kernel`, so `_classes(k)` and the offset blocks of one k
-        share one.
+        P is `_class_cloud(k)`, with C_P classes; Q is ``points`` (frame
+        units, one ``weight``, C_Q labels from 0), and ``move`` a frame
+        vector that keeps Q on its lattice.  Two routes give the same sums,
+        and the one of fewer evaluations runs, decided before any array is
+        built (`_lattice_route`): `class_kernel` of P's cells and Q, or the
+        count table of the cell centers against Q on their common lattice,
+        evaluated at each of the P template offsets o_a.  A cell point is a
+        center plus o_a, so its pairs with Q are the table's at the offset
+        -o_a; each offset's row goes to its class.  The last table is kept
+        (`_lattice_kernels`), so the blocks of one k share one.
         """
-        count, cells = cloud[0].shape[0], cloud[1]
+        classes, cells, _ = self._class_cloud(k)
+        count = classes.shape[0]
         centers, offs, cell_w = self._cell_lattice(k)
-        route = self._lattice_route(k, points)
-        if route is None:
+        spacing = self._lattice_route(k, points)
+        if spacing is None:
             cell_points = (centers[:, None, :] + offs).reshape(-1, ELL)
             size = cell_points.shape[0]
             kern = class_kernel(np.concatenate([cell_points, points + move]),
@@ -443,15 +418,12 @@ class PatchModel:
                                 self._kernel_exp, weights=np.repeat([cell_w, weight], [size, points.shape[0]]),
                                 split=size, workers=self.workers)
             return kern[:count, count:]
-        spacing, (a, a_off), (b, b_off) = route
-        table, shift = self._table("cells", a, np.zeros(a.shape[0], dtype=np.int64), b, labels)
-        step = np.rint(np.asarray(move) / spacing).astype(np.int64)
-        rows = table.kernels(self._kernel_exp, spacing, spacing * (b_off - a_off) - offs, shift + step,
-                             cell_w * weight)[:, 0]
+        rows = self._lattice_kernels("cells", spacing, centers, np.zeros(centers.shape[0], dtype=np.int64),
+                                     points, labels, -offs, move, cell_w * weight)[:, 0]
         return np.eye(count)[cells].T @ rows
 
-    def _lattice_route(self, k: int, points: NDArray):
-        """Lattice data of the cell centers of k and ``points`` if their count table is the route, else None.
+    def _lattice_route(self, k: int, points: NDArray) -> float | None:
+        """Spacing of the lattice of the cell centers of k and ``points`` if their count table is the route.
 
         The centers and the points lie on one lattice of spacing
         g = 1/lcm(2k, 1/``COARSE_SPACING``).  The table route evaluates the
@@ -459,17 +431,15 @@ class PatchModel:
         template offsets; `class_kernel` at each of the (P k^2) |Q| pairs.
         The route of fewer evaluations wins, unless the table would exceed
         ``CELL_TABLE_BUDGET`` entries: its memory grows with the entries,
-        `class_kernel`'s does not.  Gives (g, centers' indices and sub-step
-        offset, points' indices and sub-step offset), or None for
-        `class_kernel`.
+        `class_kernel`'s does not.  Gives g, or None for `class_kernel`.
         """
         centers, offs, _ = self._cell_lattice(k)
         spacing = 1 / math.lcm(2 * k, round(1 / COARSE_SPACING))
-        (a, a_off), (b, b_off) = (lattice_index(x, spacing) for x in (centers, points))
+        a, b = (lattice_index(x, spacing)[0] for x in (centers, points))
         entries, pairs = LatticeCounts.entries(a, b), offs.shape[0] * centers.shape[0] * points.shape[0]
         if entries > CELL_TABLE_BUDGET or entries * offs.shape[0] >= pairs:
             return None
-        return spacing, (a, a_off), (b, b_off)
+        return spacing
 
     def _routes(self, ks, points=None, prefix: str = "") -> str:
         """Names the route `_lattice_route` picks for the cells of each k of ``ks`` and ``points``."""
@@ -503,29 +473,23 @@ class PatchModel:
             self._tables[slot] = key, LatticeCounts(a, labels_a, b, labels_b)
         return self._tables[slot][1], lo_b - lo_a
 
-    def _background_kernel(self, cloud: tuple, points: NDArray, labels: NDArray, weight: float,
-                           within: bool = False) -> NDArray:
-        """(C_P, C_Q) kernel of the pairs between the background of a patch cloud P and background points Q.
+    def _lattice_kernels(self, slot: str, spacing: float, a: NDArray, labels_a: NDArray, b: NDArray,
+                         labels_b: NDArray, offsets, move, weight: float) -> NDArray:
+        """(O, C_A, C_B) kernels of the points ``a`` against ``b`` moved by ``move`` and by each offset o.
 
-        ``cloud`` is `_class_cloud` of P.  Q (frame units, one ``weight``)
-        lies on P's background lattice of spacing ``COARSE_SPACING``, or on
-        it moved by a fixed sub-step: the outer background sits on the
-        half-step lattice.  Both index sets come from `lattice_index`, which
-        rounds within a tolerance, and the pairs from their `LatticeCounts`
-        at the translation between them.  The last counts are kept
-        (`_table`): the offset blocks of one k reuse the counts of
-        `_classes(k)`, and the outer blocks of one layer share one table.
-        ``within``: Q is P's own background, each pair of distinct points once.
+        Both point sets lie on one lattice of ``spacing``, each up to a
+        sub-step offset: `lattice_index` rounds them to their indices
+        within a tolerance, `_table` gives their `LatticeCounts` (kept in
+        ``slot``) and the translation between them, and `kernels` sums the
+        table at the sub-step offset spacing (b_off - a_off) plus each o.
+        Without ``move``, b is a itself and the half table gives each pair
+        once; with it, the full table at the translation plus ``move`` in
+        whole steps.
         """
-        bg, bg_w = self._background()
-        (a, a_off), (b, b_off) = (lattice_index(x, COARSE_SPACING) for x in (bg, points))
-        counts, shift = self._table("background", a, cloud[2], b, labels)
-        weight = bg_w * weight
-        if within:  # the half table at one zero offset
-            zero = np.zeros((1, ELL))
-            return symmetric(counts.kernels(self._kernel_exp, COARSE_SPACING, zero, weight=weight)[0])
-        return counts.kernels(self._kernel_exp, COARSE_SPACING, [COARSE_SPACING * (b_off - a_off)],
-                              shift, weight)[0]
+        (a, a_off), (b, b_off) = (lattice_index(x, spacing) for x in (a, b))
+        table, shift = self._table(slot, a, labels_a, b, labels_b)
+        shift = None if move is None else shift + np.rint(np.asarray(move) / spacing).astype(np.int64)
+        return table.kernels(self._kernel_exp, spacing, spacing * (b_off - a_off) + offsets, shift, weight)
 
     def _frame_classes(self) -> tuple[NDArray, NDArray]:
         """Profile value of each class of the frame lattice and their `class_kernel` matrix."""
@@ -630,10 +594,10 @@ class PatchModel:
         so a pair of placed points carries sigma^(2-sp) times its frame
         kernel, and the pairs of the glued layer split four ways: within one
         patch (the class matrix of `_classes`), between the patches I and
-        I + D for each half-offset D of the N x N patch grid (one
-        `_offset_kernel` of P and P + D per D, whatever the patch pair),
-        between patch I and the outer background (one `_outer_kernel` of P
-        and the outer points moved into I's frame, one class of value 0), and
+        I + D for each half-offset D of the N x N patch grid (one `_block`
+        of P and P moved by D patch frames per D, whatever the patch pair),
+        between patch I and the outer background (one `_block` of P and the
+        outer points moved into I's frame, one class of value 0), and
         within one cell (`cluster_energy`).  The pairs of every block come
         from lattice sums, save the cell-background pairs where
         `class_kernel` is the cheaper route (`_cell_kernel`).  One
@@ -654,18 +618,17 @@ class PatchModel:
             collar, profile, kern = self._classes(spec.k)
             vals = _values_from(collar, profile, layer.centers(), spec.amplitude)
             terms = [class_pair_sum(kern, vals, p)]
-            cloud = self._class_cloud(spec.k)
             side = 2**layer.n
             index = np.arange(layer.count).reshape(side, side)  # patch (i, j) of `centers`
             for d in half_lattice(side, ELL):
-                block = self._offset_kernel(spec.k, cloud, 2 * PATCH_MARGIN * d)
+                block = self._block(spec.k, 2 * PATCH_MARGIN * d)
                 di, dj = d
                 firsts = index[max(0, -di):side - max(0, di), max(0, -dj):side - max(0, dj)].ravel()
                 terms.append(class_pair_sum(block, vals[firsts], p, others=vals[firsts + di * side + dj]))
             outer, outer_w = outer_background(layer)
             zero = np.zeros((1, ELL))
             for v, pl in zip(vals, layer.placements()):
-                block = self._outer_kernel(spec.k, cloud, (outer - pl.translate) / pl.scale, outer_w / pl.scale**2)
+                block = self._block(spec.k, outer=((outer - pl.translate) / pl.scale, outer_w / pl.scale**2))
                 terms.append([class_pair_sum(block, v, p, others=zero)])
             cross = 2.0 * sigma ** (2 - sp) * math.fsum(np.concatenate(terms))
             # every patch has the same cells; added one patch at a time

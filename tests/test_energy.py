@@ -756,7 +756,7 @@ def test_lattice_counts_match_class_kernel(case):
     # the indices and the sub-step offset come back from the coordinates
     (ia, off_a), (ib, off_b) = _pairsum.lattice_index(pts_a, h), _pairsum.lattice_index(pts_b, h)
     counts = _pairsum.LatticeCounts(ia, la, ib, lb)
-    if kind == "same":  # the half table at one zero offset, as `_background_kernel(within=True)`
+    if kind == "same":  # the half table at one zero offset, as the background pairs of `PatchModel._block(k)`
         got = symmetric(counts.kernels(q, h, np.zeros((1, 2)), weight=wa * wa)[0])
         expected = class_kernel(pts_a, la, q, weights=wa)
     else:

@@ -360,12 +360,17 @@ def _reference_lower(model, layer, a):
                          ids=lambda pair: f"s{pair[0]}-p{pair[1]}")
 def test_plateau_kernel_is_the_frame_class_entry(pair):
     # the plateau balls are the frame classes of profile +1 and -1, so the
-    # kernel mass between them is twice that entry of the frame class matrix
+    # kernel mass between them, twice that entry of the frame class matrix,
+    # is the pair sum over the frame points of the two balls
     model = PatchModel(FractionalParams(*pair), workers=2)
-    profile, kern = model._frame_classes()
-    plus, minus = np.flatnonzero(profile == 1.0), np.flatnonzero(profile == -1.0)
-    assert plus.size == minus.size == 1
-    expected = 2.0 * kern[plus[0], minus[0]]
+    profile = model._frame_classes()[0]
+    assert np.count_nonzero(profile == 1.0) == np.count_nonzero(profile == -1.0) == 1
+    pts, e1 = model._frame_pts, np.array([1.0, 0.0])
+    pos = pts[np.linalg.norm(pts - e1, axis=1) <= patches.PLATEAU_RADIUS]
+    neg = pts[np.linalg.norm(pts + e1, axis=1) <= patches.PLATEAU_RADIUS]
+    d = pos[:, None, :] - neg[None, :, :]
+    dr2 = np.einsum("ijk,ijk->ij", d, d)
+    expected = 2.0 * model.h0**4 * np.sum(dr2 ** (-0.5 * model._kernel_exp))
     assert model.plateau_kernel == pytest.approx(expected, rel=1e-12, abs=0)
 
 
@@ -395,8 +400,7 @@ def test_layer_offset_block_matches_placed_pair_sum(model_main, params_main, fir
     layer = LayerSpec(2)
     specs, placements = layer.patch_specs(params_main), layer.placements()
     offset = np.divmod(second, 4)[0] - np.divmod(first, 4)[0], second % 4 - first % 4
-    cloud = model_main._class_cloud(specs[0].k)
-    block = model_main._offset_kernel(specs[0].k, cloud, 2 * PATCH_MARGIN * np.array(offset))
+    block = model_main._block(specs[0].k, 2 * PATCH_MARGIN * np.array(offset))
     collar, profile, _ = model_main._classes(specs[0].k)
     values, others = (_values_from(collar, profile, specs[i].c, specs[i].amplitude) for i in (first, second))
     got = layer.placement_scale ** (2 - params_main.sp) * class_pair_sum(block, values, params_main.p,
@@ -416,9 +420,8 @@ def test_layer_outer_block_matches_placed_pair_sum(model_main, params_main, inde
     layer = LayerSpec(2)
     spec, placement = layer.patch_specs(params_main)[index], layer.placements()[index]
     outer, outer_w = outer_background(layer)
-    block = model_main._outer_kernel(spec.k, model_main._class_cloud(spec.k),
-                                     (outer - placement.translate) / placement.scale,
-                                     outer_w / placement.scale**2)
+    block = model_main._block(spec.k, outer=((outer - placement.translate) / placement.scale,
+                                             outer_w / placement.scale**2))
     collar, profile, _ = model_main._classes(spec.k)
     values = _values_from(collar, profile, spec.c, spec.amplitude)
     got = layer.placement_scale ** (2 - params_main.sp) * class_pair_sum(block, values, params_main.p,
@@ -434,13 +437,22 @@ def test_layer_outer_block_matches_placed_pair_sum(model_main, params_main, inde
 def test_cross_kernel_rejects_off_lattice_background(model_main, params_main):
     # outer background points moved off their lattice cannot take the lattice-count route
     layer = LayerSpec(1)
-    cloud = model_main._class_cloud(1)
     outer, outer_w = outer_background(layer)
     placement = layer.placements()[0]
     frame = (outer - placement.translate) / placement.scale
     frame[3] += 1e-3
     with pytest.raises(ValueError, match="off the lattice"):
-        model_main._outer_kernel(1, cloud, frame, outer_w / placement.scale**2)
+        model_main._block(1, outer=(frame, outer_w / placement.scale**2))
+
+
+def test_class_cloud_built_once_per_k(monkeypatch, params_main):
+    # every block of a layer reads the patch cloud of its k: a glued layer at n = 2
+    # (its class matrix, 24 offset blocks and 16 outer blocks) builds that cloud once
+    calls = []
+    check = PatchModel._check_cloud_size
+    monkeypatch.setattr(PatchModel, "_check_cloud_size", lambda self, k: calls.append(k) or check(self, k))
+    PatchModel(params_main).layer_energy_direct(LayerSpec(2))
+    assert calls == [default_cluster_count(2, params_main.s)]
 
 
 def test_layer_energy_same_for_any_worker_count(model_main, params_main):
@@ -621,8 +633,7 @@ def test_cell_pairs_equal_frozen_template_kernels(params_main, k):
 
 def _lattice_always(model, k, points):
     """`PatchModel._lattice_route` without its rule: the count-table route at every k."""
-    spacing = 1 / math.lcm(2 * k, 16)
-    return spacing, lattice_index(model._cell_lattice(k)[0], spacing), lattice_index(points, spacing)
+    return 1 / math.lcm(2 * k, 16)
 
 
 @pytest.mark.parametrize("k", [1, 2, 3, 4, 5, 6, 7, 8, 16, 32])
@@ -631,8 +642,7 @@ def test_cell_background_kernels_match_class_kernel(monkeypatch, params_main, k)
     # and with outer background points on the half-step lattice: the route the rule
     # picks and the count-table route against class_kernel of the two sides of a split
     model = PatchModel(params_main, workers=2)
-    cloud = model._class_cloud(k)
-    classes, template, bg_labels = cloud
+    classes, template, bg_labels = model._class_cloud(k)
     count = classes.shape[0]
     centers, offs, cell_w = model._cell_lattice(k)
     cells = (centers[:, None, :] + offs).reshape(-1, 2)
@@ -655,7 +665,7 @@ def test_cell_background_kernels_match_class_kernel(monkeypatch, params_main, k)
             for move in shifts])
         for route in (PatchModel._lattice_route, _lattice_always):
             monkeypatch.setattr(PatchModel, "_lattice_route", route)
-            got = np.stack([model._cell_kernel(k, cloud, points, q_labels, weight, move) for move in shifts])
+            got = np.stack([model._cell_kernel(k, points, q_labels, weight, move) for move in shifts])
             assert got.shape == expected.shape
             assert np.max(np.abs(got - expected)) <= 1e-13 * np.max(np.abs(expected))
 

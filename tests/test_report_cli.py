@@ -9,7 +9,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from splab import cli, harness
+from splab import chords, cli, harness
 from splab.cli import main
 from splab.config import validate_config
 from splab.energy import FractionalParams, _over, check_grid_budget
@@ -204,6 +204,36 @@ def test_almost_scan_budget_exits_two(tmp_path, capsys, monkeypatch):
     assert not (tmp_path / "out").exists()
     with pytest.raises(_ScanRow):
         almost_projection_scan(harness.AlmostOptions(n_max=15).ctrex, range(2, 16))
+
+
+def test_geometry_sample_budget_exits_two(tmp_path, capsys, monkeypatch):
+    # each n draws (samples, ell) arrays: past the node budget of 4e6 coordinates the
+    # options refuse before any draw; at the budget they construct
+    def refuse(*args):
+        raise AssertionError("drew samples")
+
+    monkeypatch.setattr(chords, "_sample_unit_ball", refuse)
+    assert main(["geometry", "--samples", "2000001", "--out", str(tmp_path / "out")]) == 2
+    assert "geometry samples x ell = 4000002 > budget 4000000" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+    assert harness.GeometryOptions(samples=2_000_000).samples == 2_000_000
+    with pytest.raises(BudgetError, match="5.00e"):
+        harness.GeometryOptions(samples=1_000_000, ell=5)
+
+
+def test_averaging_far_shifts(tmp_path, capsys):
+    # at alpha = 1e12 the mean projected energy (about 3e-17) is far below 1e-12, and the
+    # histogram still spans it; at 1e20 every shift projects the disk onto one value,
+    # the mean is 0 and the run exits 2 with the alpha named, never a traceback
+    argv = ["averaging", "--spacing", "0.5", "--no-refine", "--alpha"]
+    assert main(argv + ["1e12", "--out", str(tmp_path / "near")]) == 0
+    report = json.loads((tmp_path / "near" / "averaging.json").read_text())
+    assert 0 < report["constants"]["mean_projected_energy"] < 1e-15
+    assert main(argv + ["1e20", "--out", str(tmp_path / "far")]) == 2
+    err = capsys.readouterr().err
+    assert "error: experiment 'averaging': mean projected energy 0 at alpha=1e+20" in err
+    assert "Traceback" not in err
+    assert not (tmp_path / "far").exists()
 
 
 def test_suite_failure_keeps_completed_reports(tmp_path, capsys):
