@@ -50,6 +50,9 @@ SELFTEST_SAMPLES = 100_000
 SELFTEST_INNER_RADIUS = 0.5
 SHIFT_CHUNK = 64  # shifts per stacked EnergyPlan call; each call computes its kernel once
 SHIFT_CHUNK_ELEMENTS = 2**21  # values of one shift stack (16 MB); bounds its projection temporaries
+# |u(x) - a| <= sqrt(2) + alpha on the identity map of [-1, 1]^2: at this alpha its square
+# stays below a quarter of the largest float
+MAX_SHIFT_RADIUS = float(np.sqrt(np.finfo(float).max)) / 2
 
 _CALIBRATION_CACHE: dict = {}
 
@@ -113,6 +116,9 @@ class AveragingConfig:
             raise ConfigurationError(f"need at least 100 Monte Carlo shifts, got {self.n_mc}")
         if self.alpha <= 0:
             raise ConfigurationError("shift ball radius must be positive")
+        if self.alpha > MAX_SHIFT_RADIUS:
+            raise ConfigurationError(f"shift ball radius {self.alpha:g} > {MAX_SHIFT_RADIUS:.3g}: "
+                                     "|u(x) - a|^2 would overflow a float")
         check_grid_budget(map_grid("identity2d", self.spacing), self.params, planned=True)
 
 
@@ -283,7 +289,8 @@ def threshold_scan(s_values, p_values, n_range, workers: int = 1,
 
     Ratios come from compositional accounting; at n <= 2 the bounds are
     cross-validated against the composite direct quadrature.  The scheme
-    names the shift table and the routes of each cross-check.
+    names the shift table and the routes of each cross-check.  The models
+    of the pairs share one geometry store, which ends with the scan.
     """
     s_values, p_values = list(s_values), list(p_values)
     pairs = threshold_params(s_values, p_values)
@@ -293,9 +300,10 @@ def threshold_scan(s_values, p_values, n_range, workers: int = 1,
                 "n_range": [int(n) for n in n_range]},
     )
     schemes = [f"layer_lowers over 5*4^n shifts n={','.join(map(str, report.params['n_range']))}"]
+    store: dict = {}
     for params in pairs:
         s, p = params.s, params.p
-        model = PatchModel(params, workers=workers)
+        model = PatchModel(params, workers=workers, store=store)
         ns, ratios = [], []
         for n in n_range:
             layer = LayerSpec(n)

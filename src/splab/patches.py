@@ -227,9 +227,16 @@ class PatchModel:
     the profile energy, the plateau-block kernel constant, the unit collar
     energy, and the cross-term margins.  Everything downstream composes
     these by exact scaling identities.
+
+    The geometry behind them is kept in ``store``, a dict keyed by content:
+    the lattices, patch clouds, `lattice_index` results and count tables
+    depend on the frame alone, the frame class matrix, `_classes` and every
+    `_block` also on q = 2 + sp (part of their keys).  Models that share a
+    store (one per `threshold_scan`) share that geometry; without one, a
+    model keeps its own.  Only the energies, kept per model, depend on p.
     """
 
-    def __init__(self, params: FractionalParams, workers: int = 1):
+    def __init__(self, params: FractionalParams, workers: int = 1, store: dict | None = None):
         if params.ell != ELL:
             raise ConfigurationError(f"patch models are specialized to ell = {ELL}")
         self.params = params
@@ -238,8 +245,13 @@ class PatchModel:
         self._frame_g = two_bump_profile(self._frame_pts)
         self._kernel_exp = 2 + params.sp
         self._memo: dict = {}
-        self._class_memo: dict = {}
-        self._tables: dict = {}  # slot -> (key, the last `LatticeCounts` of that slot)
+        self._store: dict = {} if store is None else store
+
+    def _kept(self, key, build):
+        """The store's value at ``key``, built by ``build()`` on the first ask."""
+        if key not in self._store:
+            self._store[key] = build()
+        return self._store[key]
 
     # -- frame-level constants ------------------------------------------------
 
@@ -281,15 +293,19 @@ class PatchModel:
     # -- composite quadrature clouds -------------------------------------------
 
     def _cell_lattice(self, k: int) -> tuple[NDArray, NDArray, float]:
-        """Cell centers, the midpoint offsets every cell shares, and their weight."""
-        width = 2 * BLOCK_HALFWIDTH / k
-        offs, cell_h = _midpoint_lattice(width / 2, width / CELL_SUBDIVISION)
-        return _midpoint_lattice(BLOCK_HALFWIDTH, width)[0], offs, cell_h**2
+        """Cell centers, the midpoint offsets every cell shares, and their weight; kept per k."""
+        def build():
+            width = 2 * BLOCK_HALFWIDTH / k
+            offs, cell_h = _midpoint_lattice(width / 2, width / CELL_SUBDIVISION)
+            return _midpoint_lattice(BLOCK_HALFWIDTH, width)[0], offs, cell_h**2
+        return self._kept(("cell lattice", k), build)
 
     def _background(self) -> tuple[NDArray, float]:
-        """Background points of one patch frame (outside the cluster block) and their weight."""
-        bg, bg_h = _midpoint_lattice(PATCH_MARGIN, COARSE_SPACING)
-        return bg[np.max(np.abs(bg), axis=1) > BLOCK_HALFWIDTH], bg_h**2
+        """Background points of one patch frame (outside the cluster block) and their weight; kept."""
+        def build():
+            bg, bg_h = _midpoint_lattice(PATCH_MARGIN, COARSE_SPACING)
+            return bg[np.max(np.abs(bg), axis=1) > BLOCK_HALFWIDTH], bg_h**2
+        return self._kept(("background",), build)
 
     def _cloud_size(self, k: int) -> int:
         """Point count of the patch cloud of cluster count k: its cells' points and its background."""
@@ -313,10 +329,9 @@ class PatchModel:
         point takes the class of its offset: the block lies inside the
         plateau, where `collar_factor` is exactly 1, so every cell holds the
         frame profile at its offsets scaled by 1/mu; the background lies
-        outside the block, where the cluster profile is 0.  Built once per k.
+        outside the block, where the cluster profile is 0.  Kept per k.
         """
-        key = ("cloud", k)
-        if key not in self._class_memo:
+        def build():
             self._check_cloud_size(k)
             offs = self._cell_lattice(k)[1]
             bg = self._background()[0]
@@ -325,15 +340,13 @@ class PatchModel:
                 np.column_stack([collar_factor(bg), np.zeros(bg.shape[0])]),
             ])
             classes, labels = np.unique(keys, axis=0, return_inverse=True)
-            self._class_memo[key] = (classes, *np.split(labels.ravel(), [offs.shape[0]]))
-        return self._class_memo[key]
+            return (classes, *np.split(labels.ravel(), [offs.shape[0]]))
+        return self._kept(("cloud", k), build)
 
     def _classes(self, k: int) -> tuple[NDArray, NDArray, NDArray]:
-        """Collar and profile of each class of `_class_cloud(k)`, and `_block(k)`; built once per k."""
-        if k not in self._class_memo:
-            classes = self._class_cloud(k)[0]
-            self._class_memo[k] = classes[:, 0], classes[:, 1], self._block(k)
-        return self._class_memo[k]
+        """Collar and profile of each class of `_class_cloud(k)`, and `_block(k)` (kept per q and k)."""
+        classes = self._class_cloud(k)[0]
+        return classes[:, 0], classes[:, 1], self._block(k)
 
     def _block(self, k: int, move: NDArray | None = None, outer: tuple | None = None) -> NDArray:
         """(C, C_Q) kernel of the pairs between the patch cloud P of k and a cloud Q, no pair within one cell.
@@ -348,8 +361,13 @@ class PatchModel:
         cells (`_cell_pairs`), P's cells with Q's background and P's
         background with Q's cells (P's cells with P's background moved by
         -``move``), both by `_cell_kernel`, and the two backgrounds, from
-        their count table, which the blocks of one k share.
+        their count table (one of P's background with itself, one per
+        layer with the outer points).  Kept under q, k, ``move`` and ``outer``.
         """
+        key = ("block", self._kernel_exp, k, None if move is None else move.tobytes(),
+               None if outer is None else (outer[0].tobytes(), outer[1]))
+        if key in self._store:
+            return self._store[key]
         classes, cells, bg_labels = self._class_cloud(k)
         count = classes.shape[0]
         bg, bg_w = self._background()
@@ -366,17 +384,18 @@ class PatchModel:
             back = self._cell_kernel(k, bg, bg_labels, bg_w, -move)
             kern[:back.shape[1]] += back.T
         half = move is None and outer is None
-        both = self._lattice_kernels("background", COARSE_SPACING, bg, bg_labels, points, labels,
+        both = self._lattice_kernels(COARSE_SPACING, bg, bg_labels, points, labels,
                                      np.zeros((1, ELL)), None if half else at, bg_w * weight)[0]
         kern[:both.shape[0], :both.shape[1]] += both
-        return symmetric(kern) if half else kern
+        self._store[key] = symmetric(kern) if half else kern
+        return self._store[key]
 
     def _cell_pairs(self, k: int, move=None) -> NDArray:
         """(P, P) kernel by template offsets of the pairs of two cells of k, or of k and k moved by ``move``.
 
         ``move`` is a frame vector of whole cell widths.  The kernel comes from
-        the count table of the k x k cell centers with themselves (its own
-        `_table` slot, shared by every block of k): offset a against offset
+        the count table of the k x k cell centers with themselves (shared by
+        every block of k): offset a against offset
         b at o_a - o_b over the half table, or at o_b - o_a over the whole
         table at the move, evaluated once per distinct difference (81 of
         the 625 pairs of a 5 x 5 template) and scattered back to (a, b).
@@ -384,11 +403,11 @@ class PatchModel:
         centers, offs, cell_w = self._cell_lattice(k)
         width = 2 * BLOCK_HALFWIDTH / k
         step = width / CELL_SUBDIVISION
-        index = lattice_index(offs, step)[0]
+        index = self._index(offs, step)[0]
         diffs, inverse = np.unique((index[:, None] - index[None]).reshape(-1, offs.shape[1]),
                                    axis=0, return_inverse=True)
         one = np.zeros(centers.shape[0], dtype=np.int64)
-        kern = self._lattice_kernels("centers", width, centers, one, centers, one,
+        kern = self._lattice_kernels(width, centers, one, centers, one,
                                      (step if move is None else -step) * diffs, move, cell_w * cell_w)
         return kern[inverse.ravel(), 0, 0].reshape(offs.shape[0], offs.shape[0])
 
@@ -403,7 +422,7 @@ class PatchModel:
         count table of the cell centers against Q on their common lattice,
         evaluated at each of the P template offsets o_a.  A cell point is a
         center plus o_a, so its pairs with Q are the table's at the offset
-        -o_a; each offset's row goes to its class.  The last table is kept
+        -o_a; each offset's row goes to its class.  The table is kept
         (`_lattice_kernels`), so the blocks of one k share one.
         """
         classes, cells, _ = self._class_cloud(k)
@@ -418,7 +437,7 @@ class PatchModel:
                                 self._kernel_exp, weights=np.repeat([cell_w, weight], [size, points.shape[0]]),
                                 split=size, workers=self.workers)
             return kern[:count, count:]
-        rows = self._lattice_kernels("cells", spacing, centers, np.zeros(centers.shape[0], dtype=np.int64),
+        rows = self._lattice_kernels(spacing, centers, np.zeros(centers.shape[0], dtype=np.int64),
                                      points, labels, -offs, move, cell_w * weight)[:, 0]
         return np.eye(count)[cells].T @ rows
 
@@ -432,10 +451,11 @@ class PatchModel:
         The route of fewer evaluations wins, unless the table would exceed
         ``CELL_TABLE_BUDGET`` entries: its memory grows with the entries,
         `class_kernel`'s does not.  Gives g, or None for `class_kernel`.
+        The indices stay in the store for `_lattice_kernels`.
         """
         centers, offs, _ = self._cell_lattice(k)
         spacing = 1 / math.lcm(2 * k, round(1 / COARSE_SPACING))
-        a, b = (lattice_index(x, spacing)[0] for x in (centers, points))
+        a, b = (self._index(x, spacing)[0] for x in (centers, points))
         entries, pairs = LatticeCounts.entries(a, b), offs.shape[0] * centers.shape[0] * points.shape[0]
         if entries > CELL_TABLE_BUDGET or entries * offs.shape[0] >= pairs:
             return None
@@ -459,46 +479,46 @@ class PatchModel:
         return (f"offset class kernels kernel_exp={self._kernel_exp!r}: cell lattice counts; "
                 f"{self._routes(ks)}; {self._routes(ks, outer, 'outer ')}")
 
-    def _table(self, slot: str, a: NDArray, labels_a: NDArray, b: NDArray,
+    def _index(self, points: NDArray, spacing: float) -> tuple[NDArray, NDArray]:
+        """`lattice_index` of ``points`` at ``spacing``, kept in the store by content."""
+        return self._kept(("index", spacing, points.tobytes()), lambda: lattice_index(points, spacing))
+
+    def _table(self, a: NDArray, labels_a: NDArray, b: NDArray,
                labels_b: NDArray) -> tuple[LatticeCounts, NDArray]:
         """`LatticeCounts` of the index sets moved to the origin, and the translation min b - min a.
 
-        The table, keyed by the moved sets, is kept in ``slot`` until other sets ask for it.
+        The table is kept in the store under the moved sets and their labels.
         """
         lo_a, lo_b = a.min(axis=0), b.min(axis=0)
         a, b = a - lo_a, b - lo_b
-        key = tuple(x.tobytes() for x in (a, labels_a, b, labels_b))
-        if self._tables.get(slot, (None,))[0] != key:
-            self._tables[slot] = None, None  # the old table goes before the new one is built
-            self._tables[slot] = key, LatticeCounts(a, labels_a, b, labels_b)
-        return self._tables[slot][1], lo_b - lo_a
+        key = ("table", *(x.tobytes() for x in (a, labels_a, b, labels_b)))
+        return self._kept(key, lambda: LatticeCounts(a, labels_a, b, labels_b)), lo_b - lo_a
 
-    def _lattice_kernels(self, slot: str, spacing: float, a: NDArray, labels_a: NDArray, b: NDArray,
+    def _lattice_kernels(self, spacing: float, a: NDArray, labels_a: NDArray, b: NDArray,
                          labels_b: NDArray, offsets, move, weight: float) -> NDArray:
         """(O, C_A, C_B) kernels of the points ``a`` against ``b`` moved by ``move`` and by each offset o.
 
         Both point sets lie on one lattice of ``spacing``, each up to a
         sub-step offset: `lattice_index` rounds them to their indices
-        within a tolerance, `_table` gives their `LatticeCounts` (kept in
-        ``slot``) and the translation between them, and `kernels` sums the
+        within a tolerance (`_index`), `_table` gives their `LatticeCounts`
+        and the translation between them, and `kernels` sums the
         table at the sub-step offset spacing (b_off - a_off) plus each o.
         Without ``move``, b is a itself and the half table gives each pair
         once; with it, the full table at the translation plus ``move`` in
         whole steps.
         """
-        (a, a_off), (b, b_off) = (lattice_index(x, spacing) for x in (a, b))
-        table, shift = self._table(slot, a, labels_a, b, labels_b)
+        (a, a_off), (b, b_off) = (self._index(x, spacing) for x in (a, b))
+        table, shift = self._table(a, labels_a, b, labels_b)
         shift = None if move is None else shift + np.rint(np.asarray(move) / spacing).astype(np.int64)
         return table.kernels(self._kernel_exp, spacing, spacing * (b_off - a_off) + offsets, shift, weight)
 
     def _frame_classes(self) -> tuple[NDArray, NDArray]:
-        """Profile value of each class of the frame lattice and their `class_kernel` matrix."""
-        if "frame" not in self._class_memo:
+        """Profile value of each class of the frame lattice and their `class_kernel` matrix; kept per q."""
+        def build():
             profile, labels = np.unique(self._frame_g, return_inverse=True)
-            kern = class_kernel(self._frame_pts, labels.ravel(), self._kernel_exp,
-                                weights=self.h0**2, workers=self.workers)
-            self._class_memo["frame"] = profile, kern
-        return self._class_memo["frame"]
+            return profile, class_kernel(self._frame_pts, labels.ravel(), self._kernel_exp,
+                                         weights=self.h0**2, workers=self.workers)
+        return self._kept(("frame", self._kernel_exp), build)
 
     def patch_energy_direct(self, spec: PatchSpec) -> float:
         """Composite quadrature of the full patch energy over its frame box.

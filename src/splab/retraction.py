@@ -284,22 +284,26 @@ class AlmostModel:
 
         Each chunk of shifts is one (chunk, 2M) array of about
         ``SCAN_CHUNK_ELEMENTS`` angles of the M slots' lower plateau values,
-        then their upper ones, after each shift.  The coverage check (one full
-        pair in the half-cap, in the blow-up regime) and the lower bounds
-        read the same cap-relative angles, wrapped once.
+        then their upper ones, after each shift.  The cap-relative angle of a
+        point z shifted by xi, wrap_angle(arg(z - xi) - CAP_CENTER), is the
+        angle of xi - z (CAP_CENTER = pi), which `np.arctan2` gives in
+        [-pi, pi] without a wrap; the coverage check (one full pair in the
+        half-cap, in the blow-up regime) and the lower bounds read it.  The
+        image distance 2 |sin(d/2)| has period 2 pi in d, so the difference
+        of two image angles is not wrapped either.
         """
         eps = 2.0**-n
         retr = AlmostRetraction(AlmostRetractionSpec(epsilon=eps))
         centers = self.spec.center_angles(eps)
         half = self.spec.pair_half_separation(eps)
         angles = np.concatenate([centers - half, centers + half])
-        points = np.column_stack([np.cos(angles), np.sin(angles)])
+        x, y = np.cos(angles), np.sin(angles)
         m = centers.shape[0]
         step = max(1, SCAN_CHUNK_ELEMENTS // angles.shape[0])
         lowers = []
         for c0 in range(0, shifts.shape[0], step):
-            z = points - shifts[c0:c0 + step, None, :]
-            phi = wrap_angle(np.arctan2(z[..., 1], z[..., 0]) - CAP_CENTER)  # cap-relative angles
+            xi = shifts[c0:c0 + step]
+            phi = np.arctan2(xi[:, 1:] - y, xi[:, :1] - x)  # cap-relative angles
             if self.spec.regime_ok:
                 near = np.abs(phi) <= eps / 2
                 covered = np.any(near[:, :m] & near[:, m:], axis=1)
@@ -309,7 +313,7 @@ class AlmostModel:
                         f"at eps={eps}; increase the net density"
                     )
             mapped = retr.cap_map(phi)
-            imgdist = 2.0 * np.abs(np.sin(wrap_angle(mapped[:, m:] - mapped[:, :m]) / 2))
+            imgdist = 2.0 * np.abs(np.sin((mapped[:, m:] - mapped[:, :m]) / 2))
             lowers.append(self.cluster_lower_coeff(eps) * np.sum(imgdist**self.params.p, axis=1))
         lowers = np.concatenate(lowers)
         lam = self.spec.support_scale(eps)

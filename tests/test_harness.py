@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from splab import harness, sphere
+from splab._pairsum import LatticeCounts
 from splab.config import ExperimentConfig, RunConfig, load_config, validate_config
 from splab.energy import EnergyPlan, FractionalParams, Region, gagliardo_energy
 from splab.errors import ConfigurationError
@@ -193,6 +194,23 @@ def test_threshold_scan_three_regimes():
     assert report.constants["verdict_s0.4_p1.5"] == "bounded"
     assert report.constants["verdict_s0.5_p2.0"] == "marginal/logarithmic"
     assert "distance_sum_s0.5_p2.0" in report.constants
+
+
+def test_threshold_scan_shares_one_store(monkeypatch):
+    # the benchmark's three pairs at n = 1..5 ask for 18 count tables, 7 of them distinct: the
+    # models of one scan share their geometry, and a second scan builds its own again
+    built = []
+    init = LatticeCounts.__init__
+
+    def spy(self, *args):
+        built.append(self)
+        init(self, *args)
+
+    monkeypatch.setattr(LatticeCounts, "__init__", spy)
+    for _ in range(2):
+        built.clear()
+        threshold_scan([0.4, 0.4, 0.5], [2.5, 1.5, 2.0], range(1, 6), workers=2, cross_validate=False)
+        assert len(built) == 7
 
 
 def test_run_suite_empty_config():

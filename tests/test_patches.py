@@ -258,7 +258,10 @@ def test_layer_class_kernel_pairs_touch_a_cell(monkeypatch, params_main, n):
     # together they are what _layer_pairs counts
     model = PatchModel(params_main, workers=2)
     k = default_cluster_count(n, params_main.s)
-    cell_w = model._cell_lattice(k)[2]
+    centers, _, cell_w = model._cell_lattice(k)
+    index = lattice_index(centers, 2 * patches.BLOCK_HALFWIDTH / k)[0]
+    one = np.zeros(index.shape[0], dtype=np.int64)
+    center_table = LatticeCounts(index, one, index, one)  # found among the model's tables by content
     model._classes(k)
     seen = {"class_kernel": 0, "table": 0, "cell lattice": 0}
     kernels = LatticeCounts.kernels
@@ -271,7 +274,8 @@ def test_layer_class_kernel_pairs_touch_a_cell(monkeypatch, params_main, n):
         return class_kernel(points, labels, q, weights=weights, split=split, **kwargs)
 
     def spy_table(self, q, spacing, offsets, shift=None, weight=1.0):
-        if self is model._tables.get("centers", (None, None))[1]:  # 25^2 template pairs per count
+        if (self.shape == center_table.shape and np.array_equal(self.disp, center_table.disp)
+                and np.array_equal(self.counts, center_table.counts)):  # 25^2 template pairs per count
             half = self.disp[np.arange(self.disp.shape[0]), np.argmax(self.disp != 0, axis=1)] > 0
             rows = half if shift is None else slice(None)
             seen["cell lattice"] += int(self.counts[rows].sum()) * patches.CELL_SUBDIVISION**4
@@ -453,6 +457,35 @@ def test_class_cloud_built_once_per_k(monkeypatch, params_main):
     monkeypatch.setattr(PatchModel, "_check_cloud_size", lambda self, k: calls.append(k) or check(self, k))
     PatchModel(params_main).layer_energy_direct(LayerSpec(2))
     assert calls == [default_cluster_count(2, params_main.s)]
+
+
+def _store_values(models):
+    """`.hex()` of the layer ratios at n = 1..5, both margin factors and the layer energies at n = 1, 2."""
+    values = {}
+    for pair, model in models:
+        for n in range(1, 6):
+            lower, upper, ratio, argmin = model.layer_ratio(LayerSpec(n))
+            values[pair, "ratio", n] = [float(v).hex() for v in (lower, upper, ratio, *argmin)]
+        values[pair, "margins"] = model.patch_margin_factor.hex(), model.layer_margin_factor.hex()
+        for n in (1, 2):
+            values[pair, "layer", n] = model.layer_energy_direct(LayerSpec(n)).hex()
+    return values
+
+
+@pytest.fixture(scope="module")
+def fresh_store_values():
+    return _store_values([(pair, PatchModel(FractionalParams(*pair))) for pair in THRESHOLD_PAIRS])
+
+
+@pytest.mark.parametrize("order, workers", [(1, 2), (-1, 1)], ids=["forward-w2", "reversed-w1"])
+def test_shared_store_matches_fresh_models(fresh_store_values, order, workers):
+    # models that share one store (as in a threshold scan), visited in either order, give
+    # the values of models with their own stores bit for bit; (0.4, 2.5) and (0.5, 2.0)
+    # share q = 3 and so their frame matrix and n = 1 blocks
+    store = {}
+    models = [(pair, PatchModel(FractionalParams(*pair), workers=workers, store=store))
+              for pair in THRESHOLD_PAIRS[::order]]
+    assert _store_values(models) == fresh_store_values
 
 
 def test_layer_energy_same_for_any_worker_count(model_main, params_main):

@@ -236,6 +236,19 @@ def test_averaging_far_shifts(tmp_path, capsys):
     assert not (tmp_path / "far").exists()
 
 
+def test_averaging_rejects_an_overflowing_shift_radius(tmp_path):
+    # at alpha = 1e300 |u(x) - a|^2 would overflow a float: the run exits 2 before any
+    # projection, naming the bound, and numpy prints nothing; alpha = 1e6 is admitted
+    proc = subprocess.run([sys.executable, "-m", "splab.cli", "averaging", "--alpha", "1e300",
+                           "--spacing", "0.5", "--no-refine", "--out", str(tmp_path / "out")],
+                          capture_output=True, text=True)
+    assert proc.returncode == 2
+    assert proc.stderr == ("error: experiment 'averaging': shift ball radius 1e+300 > 6.7e+153: "
+                           "|u(x) - a|^2 would overflow a float\n")
+    assert not (tmp_path / "out").exists()
+    assert harness.AveragingOptions(alpha=1e6, spacing=0.5, refine=False).averaging.alpha == 1e6
+
+
 def test_suite_failure_keeps_completed_reports(tmp_path, capsys):
     # the first experiment's report is written and printed, then the second one's error:
     # the n = 3 layer cloud exceeds the pair budget once its pairs are counted

@@ -137,22 +137,22 @@ def scan_row_per_shift(model, n, shifts):
     half = model.spec.pair_half_separation(eps)
     m = centers.shape[0]
 
-    def pair_angles(xi):
+    def cap_angles(xi):
+        # the cap-relative angle of each point after the shift: the angle of xi - point
         angles = np.concatenate([centers - half, centers + half])
-        z = np.column_stack([np.cos(angles), np.sin(angles)]) - xi
-        return np.arctan2(z[:, 1], z[:, 0])
+        return np.arctan2(xi[1] - np.sin(angles), xi[0] - np.cos(angles))
 
     if model.spec.regime_ok:
         for xi in shifts:
-            phi = np.abs(wrap_angle(pair_angles(xi) - CAP_CENTER))
+            phi = np.abs(cap_angles(xi))
             if not ((phi[:m] <= eps / 2) & (phi[m:] <= eps / 2)).any():
                 raise SamplingError(
                     f"no pair lands in the half-cap for shift {xi} at eps={eps}; increase the net density"
                 )
     lowers = []
     for xi in shifts:
-        mapped = retr.angle_map(pair_angles(xi))
-        imgdist = 2.0 * np.abs(np.sin(wrap_angle(mapped[m:] - mapped[:m]) / 2))
+        mapped = retr.cap_map(cap_angles(xi))
+        imgdist = 2.0 * np.abs(np.sin((mapped[m:] - mapped[:m]) / 2))
         lowers.append(model.cluster_lower_coeff(eps) * float(np.sum(imgdist**model.params.p)))
     lam = model.spec.support_scale(eps)
     scale_pow = lam ** (1 - model.params.sp)
@@ -170,6 +170,25 @@ def scan_row_per_shift(model, n, shifts):
     }
 
 
+def scan_row_wrapped(model, n, shifts):
+    """The lower bounds of `scan_row` in their former, wrapped form, one shift at a time (frozen)."""
+    eps = 2.0**-n
+    retr = make_retr(eps)
+    centers = model.spec.center_angles(eps)
+    half = model.spec.pair_half_separation(eps)
+    m = centers.shape[0]
+    angles = np.concatenate([centers - half, centers + half])
+    lowers = []
+    for xi in shifts:
+        z = np.column_stack([np.cos(angles), np.sin(angles)]) - xi
+        mapped = retr.angle_map(np.arctan2(z[:, 1], z[:, 0]))
+        imgdist = 2.0 * np.abs(np.sin(wrap_angle(mapped[m:] - mapped[:m]) / 2))
+        lowers.append(model.cluster_lower_coeff(eps) * float(np.sum(imgdist**model.params.p)))
+    lowers = np.array(lowers)
+    best = int(np.argmin(lowers))
+    return lowers, model.spec.support_scale(eps) ** (1 - model.params.sp) * lowers[best], best
+
+
 @pytest.mark.parametrize("s, p", [(0.6, 1.5), (0.3, 2.5), (0.4, 1.5), (0.5, 1.0)])
 def test_scan_row_matches_per_shift_reference(s, p):
     # n = 2 runs the 317 shifts in chunks of 130, n = 7 in chunks of 4
@@ -177,6 +196,26 @@ def test_scan_row_matches_per_shift_reference(s, p):
     shifts = xi_grid()
     for n in (2, 4, 7):
         assert model.scan_row(n, shifts) == scan_row_per_shift(model, n, shifts)
+
+
+@pytest.mark.parametrize("s, p", [(0.6, 1.5), (0.3, 2.5), (0.4, 1.5), (0.5, 1.0)])
+def test_scan_row_matches_wrapped_form(s, p):
+    # the angles of xi - point, unwrapped, move each row by at most 1.6e-13 relative from the
+    # former wrap_angle(arg(point - xi) - CAP_CENTER) and wrapped image differences; the argmin
+    # stays, save where the mirror shifts (x, y) and (x, -y), equal by the y -> -y symmetry of
+    # the construction, part by rounding (at n = 7 for s = 0.6 and 0.4: 1.2e-13 relative in
+    # the former form, 1.1e-14 in the new one), where it may move to the mirror shift
+    model = AlmostModel(AlmostCtrexSpec(FractionalParams(s=s, p=p)))
+    shifts = xi_grid()
+    for n in (2, 4, 7):
+        row = model.scan_row(n, shifts)
+        lowers, projected_inf, best = scan_row_wrapped(model, n, shifts)
+        assert row["projected_inf"] == pytest.approx(projected_inf, rel=1e-12, abs=0)
+        x, y = shifts[best]
+        assert row["argmin_xi"] in ((x, y), (x, -y))
+        if row["argmin_xi"] != (x, y):
+            mirror = np.flatnonzero((shifts[:, 0] == x) & (shifts[:, 1] == -y))
+            assert lowers[mirror[0]] == pytest.approx(lowers[best], rel=1e-12, abs=0)
 
 
 def test_scan_row_coverage_error_matches_per_shift_reference():
