@@ -26,9 +26,10 @@ product (`_cross_products`), and its |.|^p the same root power.
 The engine, ``LatticeCounts``, counts the label pairs of two labelled
 sets on one lattice (``lattice_index`` reads the indices from
 coordinates) at each index difference once, by an FFT correlation
-rounded to integers; its one method, ``kernels``, gives their class
-matrices at a few offsets, over the whole table at an integer
-translation or over half of it for a set with itself.
+rounded to integers (for a set with itself, only the label pairs
+a <= b); its one method, ``kernels``, gives their class matrices at a
+few offsets, over the whole table at an integer translation or over
+half of it for a set with itself.
 """
 
 from __future__ import annotations
@@ -193,6 +194,20 @@ def _squared_distances(rows: NDArray, cols: NDArray, out: NDArray, tmp: NDArray)
     return out
 
 
+def _inverse_power(r2: NDArray, q: float, least: float, mask: NDArray) -> NDArray:
+    """r2^(-q/2) in place for squared distances r2, the coincident ones (r2 <= least) set to 0.
+
+    The coincident entries are set to 1 for the power, so it runs unmasked.
+    """
+    coincident = bool(np.less_equal(r2, least, out=mask).any())
+    if coincident:
+        np.copyto(r2, 1.0, where=mask)
+    np.power(r2, -0.5 * q, out=r2)
+    if coincident:
+        np.copyto(r2, 0.0, where=mask)
+    return r2
+
+
 def _root_power(x: NDArray, e: float, tmp: NDArray) -> NDArray:
     """x^e in place for x >= 0: for 4e = n in 1..7 or even n in 8..14, by at most two square roots
     and three products (x^(n/4) = sqrt(x)^(2n/4) while n < 4, then x times x^(n/4 - 1) built in
@@ -237,13 +252,7 @@ class _Geometry:
     def kernel_tile(self, tile, out: NDArray, tmp: NDArray, mask: NDArray) -> NDArray:
         """Fill ``out`` with the tile's w_i w_j |x_i - x_j|^-q, excluded pairs zeroed."""
         a0, a1, b0, b1 = tile
-        np.less_equal(_squared_distances(self.pts[a0:a1], self.pts[b0:b1], out, tmp), 0.0, out=mask)
-        coincident = bool(mask.any())
-        if coincident:
-            np.copyto(out, 1.0, where=mask)
-        np.power(out, -0.5 * self.q, out=out)
-        if coincident:
-            np.copyto(out, 0.0, where=mask)
+        _inverse_power(_squared_distances(self.pts[a0:a1], self.pts[b0:b1], out, tmp), self.q, 0.0, mask)
         if self.w is not None:
             out *= self.w[a0:a1, None]
             out *= self.w[b0:b1]
@@ -549,7 +558,9 @@ class LatticeCounts:
     label b) whose indices differ by j - i = E.  The counts come from an
     FFT correlation of the sets' one-hot label grids, one label pair at a
     time, rounded to integers; ValueError if any lies more than 0.25 from
-    an integer.  They are held as float32, exact below 2^24.  From them,
+    an integer.  A set with itself (equal indices and labels) correlates
+    the label pairs a <= b from one list of spectra and takes the others
+    from C[-E, b, a] = C[E, a, b].  They are held as float32, exact below 2^24.  From them,
     `kernels` gives the class matrix of the pairs of A and B moved apart by
     any integer translation T and offset, from one kernel value per E
     instead of one per pair.  `entries` gives the table's length from the
@@ -564,6 +575,8 @@ class LatticeCounts:
         lo_a, lo_b = a.min(axis=0), b.min(axis=0)
         size_b = b.max(axis=0) - lo_b + 1
         pad = _lattice_pad(a, b)
+        # a set with itself (the same indices, the same labels): C[-E, b, a] = C[E, a, b]
+        same = np.array_equal(a, b) and np.array_equal(labels_a, labels_b)
         self.rows, self.cols = np.unique(labels_a), np.unique(labels_b)
         self.shape = (int(self.rows[-1]) + 1, int(self.cols[-1]) + 1)
 
@@ -575,21 +588,35 @@ class LatticeCounts:
                 spec = np.fft.rfftn(grid)
                 yield np.conj(spec, out=spec) if conj else spec
 
+        def correlations():
+            """(label of A, label of B, spectrum of their correlation), one label pair at a time."""
+            if same:  # one list of spectra, the label pairs a <= b
+                held = list(spectra(a - lo_a, labels_a, self.rows, False))
+                for i, j in itertools.combinations_with_replacement(range(len(held)), 2):
+                    prod = np.conj(held[i])
+                    prod *= held[j]
+                    yield i, j, prod
+                return
+            # the spectra of the set of fewer labels are held, the other set's come one at a time
+            sides = (a - lo_a, labels_a, self.rows, True), (b - lo_b, labels_b, self.cols, False)
+            hold_a = self.rows.size <= self.cols.size
+            held = list(spectra(*sides[not hold_a]))
+            for j, spec in enumerate(spectra(*sides[hold_a])):
+                for i, other in enumerate(held):
+                    yield *((i, j) if hold_a else (j, i)), other * spec
+
         self.counts = np.empty((math.prod(pad), self.rows.size, self.cols.size), dtype=np.float32)
-        off = 0.0
-        # the spectra of the set of fewer labels are held, the other set's come one at a time,
-        # and each label pair is correlated on its own: a few pad-sized work arrays beside them
-        sides = (a - lo_a, labels_a, self.rows, True), (b - lo_b, labels_b, self.cols, False)
-        hold_a = self.rows.size <= self.cols.size
-        held = list(spectra(*sides[not hold_a]))
-        for j, spec in enumerate(spectra(*sides[hold_a])):
-            for i, other in enumerate(held):
-                # corr[E] = sum_x G_a(x) G_b(x + E), E taken modulo pad
-                corr = np.fft.irfftn(other * spec, s=pad, axes=tuple(range(len(pad))))
-                counts = np.rint(corr)
-                self.counts[:, i if hold_a else j, j if hold_a else i] = counts.ravel()
-                corr -= counts
-                off = max(off, float(np.max(np.abs(corr, out=corr))))
+        dims, off = tuple(range(len(pad))), 0.0
+        # each label pair is correlated on its own: a few pad-sized work arrays beside the spectra
+        for i, j, prod in correlations():
+            # corr[E] = sum_x G_a(x) G_b(x + E), E taken modulo pad
+            corr = np.fft.irfftn(prod, s=pad, axes=dims)
+            counts = np.rint(corr)
+            self.counts[:, i, j] = counts.ravel()
+            if same and i != j:  # the entry of -E modulo pad, by a flip and a roll of one step
+                self.counts[:, j, i] = np.roll(np.flip(counts), 1, axis=dims).ravel()
+            corr -= counts
+            off = max(off, float(np.max(np.abs(corr, out=corr))))
         if off > 0.25:
             raise ValueError(f"lattice pair counts lie {off:.3g} from an integer")
         self.counts = self.counts.reshape(math.prod(pad), -1)
@@ -607,19 +634,22 @@ class LatticeCounts:
         """(O, Ca, Cb): sum_E C[E] |spacing (E + shift) + o|^-q over table ``rows``, per row o of ``offsets``.
 
         The rows are streamed ``LATTICE_ROWS`` at a time, every offset at
-        once, and their partials combined by `tree_reduce`.  Pairs closer
-        than twice ``LATTICE_TOLERANCE`` steps count as coincident and are
-        left out.
+        once, and their partials combined by `tree_reduce`.  A chunk's
+        squared distances add one (O, R) square per axis, o_k + spacing
+        (E + shift)_k, from a contiguous row of its separations.  Pairs
+        closer than twice ``LATTICE_TOLERANCE`` steps count as coincident
+        and are left out (`_inverse_power`).
         """
         disp, counts = self.disp[rows], self.counts[rows]
+        least = (2 * LATTICE_TOLERANCE * spacing) ** 2
 
         def chunks():
             for e0 in range(0, disp.shape[0], LATTICE_ROWS):
-                sep = -spacing * (disp[e0:e0 + LATTICE_ROWS] + shift)  # |o + s| = |o - (-s)|
-                shape = (offsets.shape[0], sep.shape[0])
-                r2 = _squared_distances(offsets, sep, np.empty(shape), np.empty(shape))
-                kern = np.zeros_like(r2)
-                np.power(r2, -0.5 * q, out=kern, where=r2 > (2 * LATTICE_TOLERANCE * spacing) ** 2)
+                sep = np.multiply(spacing, (disp[e0:e0 + LATTICE_ROWS] + shift).T, order="C")  # (m, R)
+                kern = np.square(offsets[:, :1] + sep[0])
+                for o, s in zip(offsets.T[1:], sep[1:]):
+                    kern += np.square(o[:, None] + s)
+                _inverse_power(kern, q, least, np.empty(kern.shape, dtype=bool))
                 yield kern @ counts[e0:e0 + LATTICE_ROWS].astype(float)
 
         sums = tree_reduce(chunks(), np.zeros((offsets.shape[0], counts.shape[1])))

@@ -267,13 +267,15 @@ def threshold_verdict(ns, ratios) -> tuple[str, float, float]:
 
 
 def threshold_params(s_values, p_values) -> list[FractionalParams]:
-    """The (s, p) pairs of a threshold scan, checked: distinct, sp < ell, p values straddling ell."""
+    """The (s, p) pairs of a threshold scan, checked: distinct, 0 < s < 1 (`check_pair_sum`),
+    sp < ell, p values straddling ell."""
     if len(s_values) != len(p_values):
         raise ConfigurationError(
             f"s and p values pair up: got {len(s_values)} s and {len(p_values)} p values"
         )
     pairs = [FractionalParams(s=s, p=p) for s, p in zip(s_values, p_values)]
     for i, params in enumerate(pairs):
+        check_pair_sum(params)
         if params.sp >= ELL:
             raise ConfigurationError(f"pair (s={params.s}, p={params.p}) violates sp < ell")
         if params in pairs[:i]:
@@ -399,6 +401,7 @@ class PatchOptions:
         if self.shift_count < 1:
             raise ConfigurationError(f"need at least 1 shift, got {self.shift_count}")
         params = FractionalParams(s=self.s, p=self.p)
+        check_pair_sum(params)
         vars(self).update(params=params,
                           specs={n: PatchSpec((0.3, 0.2), n, params) for n in self.n_values})
 
@@ -437,6 +440,7 @@ class LayerOptions:
 
     def __post_init__(self):
         vars(self).update(params=FractionalParams(s=self.s, p=self.p), layer=LayerSpec(self.n))
+        check_pair_sum(self.params)
 
 
 def _run_layer(opts: LayerOptions, cfg: RunConfig) -> ExperimentReport:

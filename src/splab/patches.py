@@ -33,7 +33,7 @@ from ._pairsum import (
     symmetric,
 )
 from .chords import COS_CONE_BOUND, chords_vectorized
-from .energy import DEFAULT_NODE_BUDGET, PAIR_BUDGET, FractionalParams, _count, _over
+from .energy import DEFAULT_NODE_BUDGET, PAIR_BUDGET, FractionalParams, _count, _over, check_pair_sum
 from .errors import BudgetError, ConfigurationError
 from .grid import Placement
 from .sphere import unit_values
@@ -230,15 +230,17 @@ class PatchModel:
 
     The geometry behind them is kept in ``store``, a dict keyed by content:
     the lattices, patch clouds, `lattice_index` results and count tables
-    depend on the frame alone, the frame class matrix, `_classes` and every
-    `_block` also on q = 2 + sp (part of their keys).  Models that share a
-    store (one per `threshold_scan`) share that geometry; without one, a
-    model keeps its own.  Only the energies, kept per model, depend on p.
+    depend on the frame alone, the frame and collar class matrices,
+    `_classes` and every `_block` also on q = 2 + sp (part of their
+    keys).  Models that share a store (one per `threshold_scan`) share
+    that geometry; without one, a model keeps its own.  Only the
+    energies, kept per model, depend on p.
     """
 
     def __init__(self, params: FractionalParams, workers: int = 1, store: dict | None = None):
         if params.ell != ELL:
             raise ConfigurationError(f"patch models are specialized to ell = {ELL}")
+        check_pair_sum(params)
         self.params = params
         self.workers = workers
         self._frame_pts, self.h0 = _midpoint_lattice(FRAME_HALFWIDTH, FRAME_SPACING)
@@ -270,10 +272,9 @@ class PatchModel:
 
     @cached_property
     def collar_unit_energy(self) -> float:
-        """Energy of the unit-amplitude collar profile over the patch frame."""
-        pts, h = _midpoint_lattice(PATCH_MARGIN, COARSE_SPACING)
-        return frame_energy(pts, collar_factor(pts)[:, None], self.params.p,
-                            self._kernel_exp, h, self.workers)
+        """Energy of the unit-amplitude collar profile over the patch frame, from its class matrix."""
+        collar, kern = self._collar_classes()
+        return 2.0 * class_pair_sum(kern, collar, self.params.p)
 
     def cluster_energy(self, spec: PatchSpec) -> float:
         """Exact-scaling cluster total: k^ell mu^(ell-sp) A^p * profile energy."""
@@ -511,6 +512,23 @@ class PatchModel:
         table, shift = self._table(a, labels_a, b, labels_b)
         shift = None if move is None else shift + np.rint(np.asarray(move) / spacing).astype(np.int64)
         return table.kernels(self._kernel_exp, spacing, spacing * (b_off - a_off) + offsets, shift, weight)
+
+    def _collar_classes(self) -> tuple[NDArray, NDArray]:
+        """Collar value of each class of the patch frame lattice and their class matrix; kept per q.
+
+        The lattice is the background's before the cluster block is cut out,
+        and its matrix comes from its count table with itself over the half
+        table, as the background pairs of `_block`: one table per store,
+        whatever p.
+        """
+        def build():
+            pts, h = _midpoint_lattice(PATCH_MARGIN, COARSE_SPACING)
+            collar, labels = np.unique(collar_factor(pts), return_inverse=True)
+            labels = labels.ravel()
+            kern = self._lattice_kernels(COARSE_SPACING, pts, labels, pts, labels,
+                                         np.zeros((1, ELL)), None, h**4)[0]
+            return collar, symmetric(kern)
+        return self._kept(("collar", self._kernel_exp), build)
 
     def _frame_classes(self) -> tuple[NDArray, NDArray]:
         """Profile value of each class of the frame lattice and their `class_kernel` matrix; kept per q."""

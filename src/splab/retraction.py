@@ -263,19 +263,24 @@ class AlmostModel:
         mu = self.copy_scale(eps)
         return k * mu ** (1 - self.params.sp) * self.copy_frame_energy(eps)
 
-    def slot_collar_bound(self, eps: float, delta: float) -> float:
-        """Angle-Lipschitz upper bound on one slot's collar energy."""
+    def slot_collar_bound(self, eps: float, deltas: NDArray) -> NDArray:
+        """Angle-Lipschitz upper bound on the collar energy of a slot, per angle of ``deltas``.
+
+        `np.float_power` takes each |delta|^p as a float's ``**`` does; the
+        SIMD loop of `np.power` moves some of them by an ulp.
+        """
         q = self.slot_width(eps) / (2 * FRAME_HALFWIDTH)
-        return q ** (1 - self.params.sp) * abs(delta) ** self.params.p * self.collar_unit_energy
+        powers = np.float_power(np.abs(deltas), self.params.p)
+        return q ** (1 - self.params.sp) * powers * self.collar_unit_energy
 
     def glue_energy_upper(self, eps: float) -> float:
-        """Upper accounting of the unscaled glue: slot sums with a glue margin."""
+        """Upper accounting of the unscaled glue: slot sums with a glue margin.
+
+        The slot terms are added one after another (`np.cumsum`), in slot order.
+        """
         deltas = wrap_angle(self.spec.center_angles(eps))
-        total = 0.0
-        cluster = self.slot_cluster_energy(eps)
-        for d in deltas:
-            total += cluster + self.slot_collar_bound(eps, float(d))
-        return GLUE_MARGIN * total
+        terms = self.slot_cluster_energy(eps) + self.slot_collar_bound(eps, deltas)
+        return GLUE_MARGIN * float(np.cumsum(terms)[-1])
 
     # projected quantities -------------------------------------------------------
 
@@ -338,11 +343,15 @@ def almost_projection_scan(spec: AlmostCtrexSpec, n_range=range(2, 7), workers: 
     Returns rows per eps plus measured exponents (in eps): support,
     energy, and projected inf-energy, with their targets alpha/(1-sp),
     alpha-1, and alpha-p, and the scheme that ran.  `check_scan_budget` runs first.
+    The scan covers every `xi_grid` shift but evaluates the mirror half
+    y >= 0, so each ``argmin_xi`` has y >= 0.
     """
     check_scan_budget(spec, n_range)
     shifts = xi_grid()
     model = AlmostModel(spec, workers=workers)
-    rows = [model.scan_row(n, shifts) for n in n_range]
+    # y -> -y maps the slot pairs, xi_grid and the cap map (cap_map(-phi) = -cap_map(phi) mod 2 pi)
+    # onto themselves, so a shift's lower bound is its mirror's up to rounding: the half y >= 0 runs
+    rows = [model.scan_row(n, shifts[shifts[:, 1] >= 0]) for n in n_range]
     ns = np.array([r["n"] for r in rows], dtype=float)
 
     def eps_exponent(key):

@@ -6,6 +6,8 @@ separations in `LatticeCounts`), squared by ``x *= x``, and the numerator
 took ``np.power(d2, p / 2)`` at every p but 2.  The tests patch these in for
 the current passes and compare the results bit for bit (the kernel and
 lattice sums) or to the last bits (the numerator at p with 2p an integer).
+The lattice sums then took the shared pass, `lattice_sums_shared`, before
+their chunks read one contiguous row of separations per axis.
 
 Before the one root power and the one `LatticeCounts.kernels`, the two
 numerators had a power helper each (`half_power`, `abs_power`), and the
@@ -110,6 +112,33 @@ def lattice_sums(self, rows, q, spacing, offsets, shift=0):
     sums = tree_reduce(chunks(), np.zeros((offsets.shape[0], counts.shape[1])))
     return sums.reshape(offsets.shape[0], self.rows.size, self.cols.size)
 
+
+
+def lattice_sums_shared(self, rows, q, spacing, offsets, shift=0):
+    """`LatticeCounts._sums` as it was before its per-axis rows: the chunk's squared distances
+    from the shared pass of the kernel tiles (inlined here) and a power masked by ``where``."""
+    disp, counts = self.disp[rows], self.counts[rows]
+
+    def squared_distances(rows, cols, out, tmp):
+        for k in range(rows.shape[1]):
+            part = tmp if k else out
+            np.copyto(part, rows[:, k, None])
+            np.square(np.subtract(part, np.ascontiguousarray(cols[:, k]), out=part), out=part)
+            if k:
+                out += part
+        return out
+
+    def chunks():
+        for e0 in range(0, disp.shape[0], LATTICE_ROWS):
+            sep = -spacing * (disp[e0:e0 + LATTICE_ROWS] + shift)
+            shape = (offsets.shape[0], sep.shape[0])
+            r2 = squared_distances(offsets, sep, np.empty(shape), np.empty(shape))
+            kern = np.zeros_like(r2)
+            np.power(r2, -0.5 * q, out=kern, where=r2 > (2 * LATTICE_TOLERANCE * spacing) ** 2)
+            yield kern @ counts[e0:e0 + LATTICE_ROWS].astype(float)
+
+    sums = tree_reduce(chunks(), np.zeros((offsets.shape[0], counts.shape[1])))
+    return sums.reshape(offsets.shape[0], self.rows.size, self.cols.size)
 
 def half_power(x, p, tmp):
     """`_half_power` as it was: x^(p/2) in place."""

@@ -822,18 +822,62 @@ def test_lattice_counts_build_peak_memory():
     rng = np.random.default_rng(5)
     a = np.stack(np.meshgrid(np.arange(40), np.arange(40), indexing="ij"), -1).reshape(-1, 2)
     b = a[rng.random(a.shape[0]) < 0.5]
-    for la, lb in ((np.zeros(a.shape[0], dtype=np.int64), rng.integers(0, 7, b.shape[0])),
-                   (rng.integers(0, 7, a.shape[0]), rng.integers(0, 7, b.shape[0]))):
-        padded = 8 * _pairsum.LatticeCounts.entries(a, b)
-        _pairsum.LatticeCounts(a, la, b, lb)  # first build: the FFT's caches fill
+    labels = rng.integers(0, 7, a.shape[0])
+    for x, lx, y, ly in ((a, np.zeros(a.shape[0], dtype=np.int64), b, rng.integers(0, 7, b.shape[0])),
+                         (a, rng.integers(0, 7, a.shape[0]), b, rng.integers(0, 7, b.shape[0])),
+                         (a, labels, a, labels)):  # the last a self-table
+        padded = 8 * _pairsum.LatticeCounts.entries(x, y)
+        _pairsum.LatticeCounts(x, lx, y, ly)  # first build: the FFT's caches fill
         tracemalloc.start()
         try:
-            counts = _pairsum.LatticeCounts(a, la, b, lb)
+            counts = _pairsum.LatticeCounts(x, lx, y, ly)
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
         held = min(counts.rows.size, counts.cols.size)
         assert peak - counts.counts.nbytes - counts.disp.nbytes < (held + 7) * padded
+
+
+def test_self_table_counts_equal_two_sided_build():
+    # a set with itself takes one list of spectra and the label pairs a <= b, and fills the
+    # rest from C[-E, b, a] = C[E, a, b]; the same set in another order is built two-sided
+    rng = np.random.default_rng(9)
+    a = rng.integers(0, 30, size=(400, 2))
+    for labels in (np.zeros(400, dtype=np.int64), rng.integers(0, 5, 400), rng.integers(2, 6, 400)):
+        order = rng.permutation(400)
+        one = _pairsum.LatticeCounts(a, labels, a, labels)
+        two = _pairsum.LatticeCounts(a, labels, a[order], labels[order])
+        assert np.array_equal(one.counts, two.counts)
+        assert np.array_equal(one.disp, two.disp)
+        for shift in (None, [0, 0], [5, -3]):
+            assert np.array_equal(one.kernels(2.6, 0.2, np.zeros((1, 2)), shift),
+                                  two.kernels(2.6, 0.2, np.zeros((1, 2)), shift))
+
+
+@pytest.mark.parametrize("same", [False, True], ids=["two-sided", "self"])
+def test_lattice_kernels_equal_frozen_shared_pass(same):
+    # the chunks' per-axis rows and unmasked power against the former shared squared-distance
+    # pass with a masked power, bit for bit: half and whole table, a translation, 1 and 25
+    # offsets (more than one chunk of rows), and offsets that meet a table entry
+    rng = np.random.default_rng(4)
+    a = rng.integers(0, 70, size=(600, 2))
+    la = rng.integers(0, 4, 600)
+    b, lb = (a, la) if same else (rng.integers(0, 50, size=(500, 2)), rng.integers(0, 3, 500))
+    counts = _pairsum.LatticeCounts(a, la, b, lb)
+    assert counts.disp.shape[0] > _pairsum.LATTICE_ROWS
+    many = 0.3 * (rng.random((25, 2)) - 0.5)
+    many[7] = [0.0, 0.0]  # coincident with E = 0 of the whole table
+    many[11] = [-0.3, 0.6]  # coincident with E = (1, -2)
+
+    def results():
+        return [counts.kernels(2.7, 0.3, offsets, shift, 1.3)
+                for offsets in (np.zeros((1, 2)), many) for shift in (None, [0, 0], [4, -9])]
+
+    got = results()
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(_pairsum.LatticeCounts, "_sums", pairsum_reference.lattice_sums_shared)
+        frozen = results()
+    assert all(x.tobytes() == y.tobytes() for x, y in zip(got, frozen))
 
 
 # ---------------------------------------------------------------------------

@@ -197,8 +197,9 @@ def test_threshold_scan_three_regimes():
 
 
 def test_threshold_scan_shares_one_store(monkeypatch):
-    # the benchmark's three pairs at n = 1..5 ask for 18 count tables, 7 of them distinct: the
-    # models of one scan share their geometry, and a second scan builds its own again
+    # the benchmark's three pairs at n = 1..5 ask for 18 count tables, 7 of them distinct, and
+    # the collar constant of each pair one more, the same for all: the models of one scan share
+    # their geometry, and a second scan builds its own again
     built = []
     init = LatticeCounts.__init__
 
@@ -210,7 +211,7 @@ def test_threshold_scan_shares_one_store(monkeypatch):
     for _ in range(2):
         built.clear()
         threshold_scan([0.4, 0.4, 0.5], [2.5, 1.5, 2.0], range(1, 6), workers=2, cross_validate=False)
-        assert len(built) == 7
+        assert len(built) == 8
 
 
 def test_run_suite_empty_config():

@@ -24,7 +24,7 @@ from splab._pairsum import (
 )
 from splab.chords import chords_vectorized
 from splab.energy import FractionalParams, Region, gagliardo_energy
-from splab.errors import BudgetError
+from splab.errors import BudgetError, WrongSchemeError
 from splab.grid import Box, make_grid, sample_map
 from splab.patches import (
     FRAME_HALFWIDTH,
@@ -387,6 +387,23 @@ def test_profile_energy_matches_frame_pair_sum(pair):
                             model._kernel_exp, model.h0, workers=2)
     assert model.profile_energy == pytest.approx(expected, rel=1e-13, abs=0)
 
+
+
+@pytest.mark.parametrize("pair", [(0.4, 2.5), (0.4, 1.5), (0.5, 2.0), (0.95, 1.5)],
+                         ids=lambda pair: f"s{pair[0]}-p{pair[1]}")
+def test_collar_energy_matches_frame_pair_sum(pair):
+    # the collar energy from the class matrix of its kept count table against the pair sum
+    # over the collar lattice
+    model = PatchModel(FractionalParams(*pair), workers=2)
+    pts, h = _midpoint_lattice(PATCH_MARGIN, patches.COARSE_SPACING)
+    expected = frame_energy(pts, patches.collar_factor(pts)[:, None], model.params.p,
+                            model._kernel_exp, h, workers=2)
+    assert model.collar_unit_energy == pytest.approx(expected, rel=1e-14, abs=0)
+
+
+def test_patch_model_rejects_s_one():
+    with pytest.raises(WrongSchemeError, match="0 < s < 1"):
+        PatchModel(FractionalParams(s=1.0, p=1.5))
 
 @pytest.mark.parametrize("pair", THRESHOLD_PAIRS)
 def test_layer_energy_matches_whole_cloud(threshold_models, pair):

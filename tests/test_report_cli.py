@@ -379,6 +379,42 @@ def test_wrong_scheme_error_names_its_experiment(tmp_path, capsys):
     assert "error: experiment 'flat': the pair-sum quadrature needs 0 < s < 1" in capsys.readouterr().err
 
 
+
+# the class-matrix energies of patch, layer and threshold are pair sums too: s = 1 is rejected
+# when the options are checked, as for seminorm and averaging
+PAIR_SUM_AT_S_ONE = {
+    "patch": (["patch", "--s", "1"], {"kind": "patch", "s": 1.0}),
+    "layer": (["layer", "--s", "1"], {"kind": "layer", "s": 1.0}),
+    "threshold": (["threshold", "--s", "1,0.4", "--p", "1.5,2.5"],
+                  {"kind": "threshold", "s_values": [1.0, 0.4], "p_values": [1.5, 2.5]}),
+}
+
+
+@pytest.mark.parametrize("argv, entry", PAIR_SUM_AT_S_ONE.values(), ids=list(PAIR_SUM_AT_S_ONE))
+def test_class_matrix_kinds_reject_s_one(tmp_path, capsys, argv, entry):
+    assert main(argv + ["--out", str(tmp_path / "cli")]) == 2
+    err = capsys.readouterr().err
+    assert f"error: experiment '{argv[0]}': the pair-sum quadrature needs 0 < s < 1, got s = 1.0" in err
+    assert "Traceback" not in err
+    assert not (tmp_path / "cli").exists()
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps({"experiments": [
+        {"kind": "geometry", "samples": 1000, "n_min": 1, "n_max": 2},
+        dict(entry, name="flat"),
+    ]}))
+    assert main(["suite", "--config", str(path), "--out", str(tmp_path / "suite")]) == 2
+    out = capsys.readouterr()
+    assert "[PASS]" not in out.out
+    assert "error: experiment 'flat': the pair-sum quadrature needs 0 < s < 1" in out.err
+    assert not (tmp_path / "suite").exists()
+
+
+def test_class_matrix_kinds_run_below_s_one(tmp_path):
+    # s = 0.95 is a pair-sum case still (acceptance criterion 10 runs it)
+    assert main(["patch", "--s", "0.95", "--p", "1.5", "--n-values", "1", "--shifts", "2",
+                 "--out", str(tmp_path / "out")]) == 0
+    assert main(["layer", "--s", "0.95", "--p", "1.5", "--out", str(tmp_path / "out")]) == 0
+
 def test_error_keeps_its_exit_code_when_named(tmp_path, monkeypatch, capsys):
     def fail(opts, cfg):
         raise AssertionFailure("rate out of range")

@@ -2,9 +2,12 @@ import numpy as np
 import pytest
 
 from splab.energy import FractionalParams
-from splab.errors import ConfigurationError, SamplingError
+from splab import retraction
+from splab.errors import BudgetError, ConfigurationError, SamplingError
 from splab.retraction import (
     CAP_CENTER,
+    FRAME_HALFWIDTH,
+    GLUE_MARGIN,
     NET_DENSITY,
     XI_RADIUS,
     AlmostCtrexSpec,
@@ -249,3 +252,61 @@ def test_scan_bounded_for_control_regime():
     out = almost_projection_scan(spec, n_range=range(2, 5))
     assert not out["regime_ok"]
     assert not out["diverges"]
+
+
+def glue_energy_upper_loop(model, eps):
+    """`AlmostModel.glue_energy_upper` as it was: one slot at a time (frozen)."""
+    deltas = wrap_angle(model.spec.center_angles(eps))
+    total = 0.0
+    cluster = model.slot_cluster_energy(eps)
+    q = model.slot_width(eps) / (2 * FRAME_HALFWIDTH)
+    for d in deltas:
+        total += cluster + q ** (1 - model.params.sp) * abs(float(d)) ** model.params.p * model.collar_unit_energy
+    return GLUE_MARGIN * total
+
+
+ALMOST_PAIRS = [(0.6, 1.5), (0.4, 1.5), (0.3, 2.5)]
+
+
+@pytest.mark.parametrize("s, p", ALMOST_PAIRS)
+def test_glue_bound_equals_slot_loop(s, p):
+    model = AlmostModel(AlmostCtrexSpec(FractionalParams(s=s, p=p)))
+    for n in range(2, 9):
+        assert model.glue_energy_upper(2.0**-n).hex() == glue_energy_upper_loop(model, 2.0**-n).hex()
+
+
+@pytest.mark.parametrize("s, p", ALMOST_PAIRS)
+def test_scan_over_mirror_half_matches_all_shifts(s, p):
+    # y -> -y maps the construction onto itself, so the scan over the shifts with y >= 0 finds
+    # the least lower bound of all 317 up to rounding, and always at a shift with y >= 0
+    spec = AlmostCtrexSpec(FractionalParams(s=s, p=p))
+    ns = range(2, 9)
+    out = almost_projection_scan(spec, ns)
+    assert out["scheme"] == "slot accounting over 317 xi_grid shifts"
+    model = AlmostModel(spec)
+    full = [model.scan_row(n, xi_grid()) for n in ns]
+    for row, every in zip(out["rows"], full):
+        assert row["argmin_xi"][1] >= 0
+        assert row["projected_inf"] == pytest.approx(every["projected_inf"], rel=1e-12, abs=0)
+        same = ("n", "eps", "support_radius", "energy_upper", "center_count", "cluster_count")
+        assert [row[k] for k in same] == [every[k] for k in same]
+    for key in ("support_radius", "energy_upper", "projected_inf"):
+        slope = -np.polyfit(np.array(ns, dtype=float), np.log2([r[key] for r in full]), 1)[0]
+        assert out[key.split("_")[0] + "_exponent"] == pytest.approx(slope, rel=1e-12, abs=0)
+
+
+@pytest.mark.parametrize("s, p", ALMOST_PAIRS)
+def test_scan_over_mirror_half_raises_as_all_shifts(monkeypatch, s, p):
+    # a net too sparse for coverage fails on both halves; the budget counts all 317 shifts
+    spec = AlmostCtrexSpec(FractionalParams(s=s, p=p))
+    with pytest.raises(BudgetError, match="up to n = 16"):
+        almost_projection_scan(spec, range(2, 17))
+    if not spec.regime_ok:
+        return
+    monkeypatch.setattr(retraction, "NET_DENSITY", 0.3)
+    model = AlmostModel(spec)
+    for n in range(2, 9):
+        with pytest.raises(SamplingError):
+            model.scan_row(n, xi_grid())
+        with pytest.raises(SamplingError):
+            almost_projection_scan(spec, range(n, n + 1))
