@@ -1,7 +1,7 @@
 """Numerical laboratory for singular projections of fractional Sobolev maps."""
 
 from .energy import FractionalParams, Region, EnergyValue, gagliardo_energy
-from .grid import Box, Grid, Placement, SampledMap, make_grid, rescale_map, sample_map
+from .grid import Box, Grid, Placement, SampledMap, make_grid, sample_map
 
 __all__ = [
     "Box",
@@ -13,7 +13,6 @@ __all__ = [
     "SampledMap",
     "gagliardo_energy",
     "make_grid",
-    "rescale_map",
     "sample_map",
 ]
 

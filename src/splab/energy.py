@@ -19,7 +19,7 @@ from ._pairsum import _drop_masks, pair_kernel_sum, to_half_angles
 from .errors import BudgetError, ConfigurationError, GeometryError, NumericalError, WrongSchemeError
 from .grid import Box, Grid, SampledMap
 
-DEFAULT_NODE_BUDGET = 4_000_000  # points of one cloud or nodes of one FFT-route grid
+DEFAULT_NODE_BUDGET = 4_000_000  # points of one cloud, nodes of one FFT-route grid or shifts of one averaging run
 PAIR_BUDGET = 2_000_000_000  # point pairs of one direct quadrature
 
 

@@ -51,12 +51,6 @@ class Box:
             oh <= h + tol for oh, h in zip(other.hi, self.hi)
         )
 
-    def transformed(self, translate: Sequence[float], scale: float) -> "Box":
-        t = np.asarray(translate, dtype=float)
-        lo = np.asarray(self.lo) * scale + t
-        hi = np.asarray(self.hi) * scale + t
-        return Box(tuple(lo), tuple(hi))
-
     @staticmethod
     def cube(halfwidth: float, center: Sequence[float] | None = None, dim: int = 2) -> "Box":
         c = np.zeros(dim) if center is None else np.asarray(center, dtype=float)
@@ -122,9 +116,6 @@ class Grid:
     def nodes(self) -> NDArray:
         """All node coordinates as an (N, dim) array, C order. Cached."""
         return self._node_array
-
-    def transformed(self, translate: Sequence[float], scale: float) -> "Grid":
-        return Grid(self.dim, self.box.transformed(translate, scale), self.spacing * scale)
 
 
 @dataclass(frozen=True)
@@ -216,14 +207,3 @@ def sample_map(
     outside = ~sup.contains_points(pts)
     vals[outside] = const
     return SampledMap(grid, vals, vals.shape[1], sup, tuple(const))
-
-
-def rescale_map(u: SampledMap, placement: Placement) -> SampledMap:
-    """Transform the grid with the map: v(x) = u((x - t) / scale).
-
-    Values are copied bit for bit; no re-interpolation happens, so
-    applying (scale, t) then (1/scale, -t/scale) is a bit-exact inverse.
-    """
-    grid = u.grid.transformed(placement.translate, placement.scale)
-    support = u.support.transformed(placement.translate, placement.scale)
-    return SampledMap(grid, u.values, u.nu, support, u.constant)

@@ -54,8 +54,6 @@ SHIFT_CHUNK_ELEMENTS = 2**21  # values of one shift stack (16 MB); bounds its pr
 # stays below a quarter of the largest float
 MAX_SHIFT_RADIUS = float(np.sqrt(np.finfo(float).max)) / 2
 
-_CALIBRATION_CACHE: dict = {}
-
 
 # ---------------------------------------------------------------------------
 # Standard test maps
@@ -114,6 +112,9 @@ class AveragingConfig:
         check_pair_sum(self.params)
         if self.n_mc < 100:
             raise ConfigurationError(f"need at least 100 Monte Carlo shifts, got {self.n_mc}")
+        if self.n_mc > DEFAULT_NODE_BUDGET:  # all shifts are drawn at once
+            shown, budget = _over(self.n_mc, DEFAULT_NODE_BUDGET)
+            raise BudgetError(f"{shown} Monte Carlo shifts > budget {budget}")
         if self.alpha <= 0:
             raise ConfigurationError("shift ball radius must be positive")
         if self.alpha > MAX_SHIFT_RADIUS:
@@ -151,17 +152,13 @@ def kernel_selftest(p: float, samples: int, seed: int) -> tuple[float, float]:
 
 
 def calibrated_average_bound(params: FractionalParams, workers: int = 1) -> float:
-    """Cached bound constant, measured once on the calibration identity map.
+    """Bound constant, measured on the calibration identity map at each call.
 
     The constant is the calibration run's bound ratio with 50% headroom;
     production runs in the p < ell regime assert against it.
     """
-    key = (params.s, params.p, params.ell)
-    if key not in _CALIBRATION_CACHE:
-        cal = AveragingConfig(params=params, alpha=1.0, n_mc=100, seed=101, spacing=0.1)
-        out = _averaging_core(cal, workers)
-        _CALIBRATION_CACHE[key] = 1.5 * out["bound_ratio"]
-    return _CALIBRATION_CACHE[key]
+    cal = AveragingConfig(params=params, alpha=1.0, n_mc=100, seed=101, spacing=0.1)
+    return 1.5 * _averaging_core(cal, workers)["bound_ratio"]
 
 
 def averaging_check(cfg: AveragingConfig, workers: int = 1) -> dict:
@@ -169,8 +166,8 @@ def averaging_check(cfg: AveragingConfig, workers: int = 1) -> dict:
 
     Returns the mean projected energy, its ratio against the unshifted
     energy, a histogram of per-shift energies, and the kernel self-test.
-    In the p < ell regime the ratio is checked against the cached
-    calibration constant.
+    In the p < ell regime the ratio is checked against the calibration
+    constant.
     """
     out = _averaging_core(cfg, workers)
     # the asserted self-test runs at p = 1; the run-p estimate is reported alongside

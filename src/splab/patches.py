@@ -29,7 +29,6 @@ from ._pairsum import (
     class_pair_sum,
     half_lattice,
     lattice_index,
-    pair_kernel_sum,
     symmetric,
 )
 from .chords import COS_CONE_BOUND, chords_vectorized
@@ -213,11 +212,16 @@ def outer_background(layer: LayerSpec) -> tuple[NDArray, float]:
     return bg[np.max(np.abs(bg), axis=1) > 1.0], bg_h**2
 
 
-def frame_energy(points: NDArray, values: NDArray, p: float, q: float, spacing: float,
-                 workers: int = 1) -> float:
-    """Energy of values on a midpoint lattice of spacing h in R^m: 2 h^(2m) times the pair sum."""
-    s = pair_kernel_sum(points, values, p, q, workers=workers)
-    return 2.0 * spacing ** (2 * points.shape[1]) * s
+def class_matrix(points: NDArray, keys: NDArray, q: float, weight: float,
+                 workers: int = 1) -> tuple[NDArray, NDArray]:
+    """The distinct ``keys`` (one per point) and the `class_kernel` matrix of their classes.
+
+    Every point carries the quadrature ``weight``.  A value that is a
+    function of the key then has the pair sum 2 `class_pair_sum` of the
+    matrix and the value of each class.
+    """
+    classes, labels = np.unique(keys, return_inverse=True)
+    return classes, class_kernel(points, labels.ravel(), q, weights=weight, workers=workers)
 
 
 class PatchModel:
@@ -244,7 +248,6 @@ class PatchModel:
         self.params = params
         self.workers = workers
         self._frame_pts, self.h0 = _midpoint_lattice(FRAME_HALFWIDTH, FRAME_SPACING)
-        self._frame_g = two_bump_profile(self._frame_pts)
         self._kernel_exp = 2 + params.sp
         self._memo: dict = {}
         self._store: dict = {} if store is None else store
@@ -531,12 +534,9 @@ class PatchModel:
         return self._kept(("collar", self._kernel_exp), build)
 
     def _frame_classes(self) -> tuple[NDArray, NDArray]:
-        """Profile value of each class of the frame lattice and their `class_kernel` matrix; kept per q."""
-        def build():
-            profile, labels = np.unique(self._frame_g, return_inverse=True)
-            return profile, class_kernel(self._frame_pts, labels.ravel(), self._kernel_exp,
-                                         weights=self.h0**2, workers=self.workers)
-        return self._kept(("frame", self._kernel_exp), build)
+        """Profile value of each class of the frame lattice and their `class_matrix`; kept per q."""
+        return self._kept(("frame", self._kernel_exp), lambda: class_matrix(
+            self._frame_pts, two_bump_profile(self._frame_pts), self._kernel_exp, self.h0**2, self.workers))
 
     def patch_energy_direct(self, spec: PatchSpec) -> float:
         """Composite quadrature of the full patch energy over its frame box.

@@ -21,9 +21,10 @@ from functools import cached_property
 import numpy as np
 from numpy.typing import NDArray
 
+from ._pairsum import class_pair_sum
 from .energy import PAIR_BUDGET, FractionalParams, _over
 from .errors import AssertionFailure, BudgetError, ConfigurationError, SamplingError
-from .patches import FRAME_HALFWIDTH, cell_midpoints, collar_factor, frame_energy, two_bump_profile
+from .patches import FRAME_HALFWIDTH, cell_midpoints, class_matrix, collar_factor, two_bump_profile
 
 BLEND_FRACTION = 0.05  # C^1 blend zone at each end of the cap, as a cap fraction
 SLOT_FRAME_SPACING = 1 / 64  # frame lattice of one 1D copy
@@ -198,11 +199,19 @@ def check_scan_budget(spec: AlmostCtrexSpec, n_range) -> None:
 
     Row n evaluates 2 center_count(2^-n) angles per `xi_grid` shift.  The
     rows grow with n, so the count stops at the first row past the budget.
-    An eps = 2^-n outside (0, pi/4) raises as `AlmostRetractionSpec` does.
+    An eps = 2^-n outside (0, pi/4) raises as `AlmostRetractionSpec` does,
+    and a support radius below the least normal float, whose logarithm the
+    exponent fit cannot take, a ConfigurationError.
     """
     shifts, angles = xi_grid().shape[0], 0
     for n in n_range:
-        angles += 2 * shifts * spec.center_count(AlmostRetractionSpec(epsilon=2.0**-n).epsilon)
+        eps = AlmostRetractionSpec(epsilon=2.0**-n).epsilon
+        if spec.support_scale(eps) < np.finfo(float).tiny:
+            raise ConfigurationError(
+                f"the support radius eps^(alpha/(1-sp)) underflows at n = {n} "
+                f"(alpha/(1-sp) = {spec.alpha / (1 - spec.params.sp):.4g}); lower n_max"
+            )
+        angles += 2 * shifts * spec.center_count(eps)
         if angles > PAIR_BUDGET:
             shown, budget = _over(angles, PAIR_BUDGET)
             raise BudgetError(f"almost scan up to n = {n} evaluates {shown} angles > budget {budget}")
@@ -215,24 +224,30 @@ class AlmostModel:
         self.spec = spec
         self.params = spec.params
         self.workers = workers
-        self._frame_tau, self.h0 = cell_midpoints(FRAME_HALFWIDTH, SLOT_FRAME_SPACING)
+        tau, self.h0 = cell_midpoints(FRAME_HALFWIDTH, SLOT_FRAME_SPACING)
+        self._frame_tau = tau[:, None]
         self._kernel_exp = 1 + self.params.sp
+
+    def _classes(self, key) -> tuple[NDArray, NDArray]:
+        """`class_matrix` of the frame lattice of one copy by ``key`` (a profile): each frame constant reads one."""
+        return class_matrix(self._frame_tau, key(self._frame_tau), self._kernel_exp, self.h0, self.workers)
+
+    @cached_property
+    def _profile_classes(self) -> tuple[NDArray, NDArray]:
+        return self._classes(two_bump_profile)
 
     @cached_property
     def plateau_kernel(self) -> float:
-        """Kernel mass between the two plateau intervals of a single copy."""
-        tau = self._frame_tau
-        neg = tau[np.abs(tau + 1.0) <= 0.5]
-        pos = tau[np.abs(tau - 1.0) <= 0.5]
-        d = np.abs(pos[:, None] - neg[None, :])
-        return float(2.0 * self.h0**2 * np.sum(d**-self._kernel_exp))
+        """Kernel mass between the two plateau intervals of a single copy: the classes of profile +1 and -1."""
+        profile, kern = self._profile_classes
+        plus, minus = (np.flatnonzero(profile == v)[0] for v in (1.0, -1.0))
+        return float(2.0 * kern[plus, minus])
 
     @cached_property
     def collar_unit_energy(self) -> float:
-        """Frame energy of the unit-amplitude scalar collar profile."""
-        pts = self._frame_tau[:, None]
-        return frame_energy(pts, collar_factor(pts)[:, None], self.params.p,
-                            self._kernel_exp, self.h0, self.workers)
+        """Frame energy of the unit-amplitude scalar collar profile, from its class matrix."""
+        collar, kern = self._classes(collar_factor)
+        return 2.0 * class_pair_sum(kern, collar, self.params.p)
 
     # geometry helpers ---------------------------------------------------------
 
@@ -251,12 +266,10 @@ class AlmostModel:
         return k * mu ** (1 - self.params.sp) * self.plateau_kernel
 
     def copy_frame_energy(self, eps: float) -> float:
-        """Circle-metric frame energy of one copy at the pair amplitude."""
+        """Circle-metric frame energy of one copy at the pair amplitude, from the profile's class matrix."""
         half = self.spec.pair_half_separation(eps)
-        pts = self._frame_tau[:, None]
-        g = two_bump_profile(pts)
-        vals = np.column_stack([np.cos(half * g), np.sin(half * g)])
-        return frame_energy(pts, vals, self.params.p, self._kernel_exp, self.h0, self.workers)
+        g, kern = self._profile_classes
+        return 2.0 * class_pair_sum(kern, np.column_stack([np.cos(half * g), np.sin(half * g)]), self.params.p)
 
     def slot_cluster_energy(self, eps: float) -> float:
         k = self.spec.cluster_count(eps)

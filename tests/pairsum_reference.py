@@ -18,6 +18,10 @@ Before the circle route's cross products came from one matrix product per
 tile, `cross_products` made them in five passes over the tile, and
 `to_half_angles` checked and turned one set at a time; the tests compare
 the current forms with these to 2^-52 and bit for bit.
+
+Before every frame constant of the patch and almost models came from a
+class matrix, `frame_energy` summed the frame lattice point by point; the
+tests check the class-matrix constants against it.
 """
 
 import numpy as np
@@ -28,8 +32,15 @@ from splab._pairsum import (
     LATTICE_ROWS,
     LATTICE_TOLERANCE,
     lattice_index,
+    pair_kernel_sum,
     tree_reduce,
 )
+
+
+def frame_energy(points, values, p, q, spacing, workers=1):
+    """Energy of values on a midpoint lattice of spacing h in R^m: 2 h^(2m) times the pair sum."""
+    s = pair_kernel_sum(points, values, p, q, workers=workers)
+    return 2.0 * spacing ** (2 * points.shape[1]) * s
 
 
 def squared_distances(rows, cols):

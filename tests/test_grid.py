@@ -6,8 +6,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from splab.errors import ConfigurationError, ConsistencyError, EvaluationError
-from splab.grid import Box, Placement, SampledMap, make_grid, rescale_map, sample_map
+from splab.grid import Box, Placement, SampledMap, make_grid, sample_map
 from splab.patches import radial_cutoff
+
+from grid_reference import rescale_map
 
 
 def test_three_node_line():

@@ -6,8 +6,8 @@ import pytest
 from splab import harness, sphere
 from splab._pairsum import LatticeCounts
 from splab.config import ExperimentConfig, RunConfig, load_config, validate_config
-from splab.energy import EnergyPlan, FractionalParams, Region, gagliardo_energy
-from splab.errors import ConfigurationError
+from splab.energy import DEFAULT_NODE_BUDGET, EnergyPlan, FractionalParams, Region, gagliardo_energy
+from splab.errors import BudgetError, ConfigurationError
 from splab.harness import (
     SELFTEST_SAMPLES,
     AveragingConfig,
@@ -72,6 +72,20 @@ def test_averaging_requires_enough_samples():
         AveragingConfig(params=params, n_mc=50)
 
 
+def test_averaging_rejects_more_shifts_than_the_budget(monkeypatch):
+    # all shifts are drawn at once, so the count is checked before any draw
+    def refuse(*args):
+        raise AssertionError("drew shifts")
+
+    monkeypatch.setattr(harness, "_uniform_ball_2d", refuse)
+    params = FractionalParams(s=0.4, p=1.5)
+    with pytest.raises(BudgetError, match=r"^1.00e\+9 Monte Carlo shifts > budget 4.00e\+6$"):
+        AveragingConfig(params=params, n_mc=10**9)
+    with pytest.raises(BudgetError, match="4000001 Monte Carlo shifts > budget 4000000"):
+        AveragingConfig(params=params, n_mc=DEFAULT_NODE_BUDGET + 1)
+    assert AveragingConfig(params=params, n_mc=DEFAULT_NODE_BUDGET).n_mc == DEFAULT_NODE_BUDGET
+
+
 def test_averaging_deterministic():
     params = FractionalParams(s=0.4, p=1.5)
     cfg = AveragingConfig(params=params, spacing=0.1, n_mc=100, seed=3)
@@ -79,6 +93,7 @@ def test_averaging_deterministic():
     b = averaging_check(cfg)
     assert a["mean_projected_energy"] == b["mean_projected_energy"]
     assert a["selftest_estimate"] == b["selftest_estimate"]
+    assert a["calibrated_bound"] == b["calibrated_bound"]
 
 
 def test_averaging_plan_drops_singular_hit():

@@ -38,12 +38,12 @@ from splab.patches import (
     _values_from,
     check_layer_table,
     default_cluster_count,
-    frame_energy,
     outer_background,
 )
 from splab.sphere import unit_values
 
 import pairsum_reference
+from pairsum_reference import frame_energy
 
 
 def frame_grid(h):
@@ -383,7 +383,8 @@ def test_plateau_kernel_is_the_frame_class_entry(pair):
 def test_profile_energy_matches_frame_pair_sum(pair):
     # the profile energy from the frame class matrix against the point-by-point pair sum
     model = PatchModel(FractionalParams(*pair), workers=2)
-    expected = frame_energy(model._frame_pts, model._frame_g[:, None], model.params.p,
+    pts = model._frame_pts
+    expected = frame_energy(pts, patches.two_bump_profile(pts)[:, None], model.params.p,
                             model._kernel_exp, model.h0, workers=2)
     assert model.profile_energy == pytest.approx(expected, rel=1e-13, abs=0)
 

@@ -83,10 +83,9 @@ def test_tracer_target_resolves(target):
 
 def test_pair_kernel_sum_is_bound_where_the_tracer_wraps_it():
     # perfbench/test_perfbench.py checks these bindings are wrapped
-    from splab import _pairsum, energy, patches
+    from splab import _pairsum, energy
 
-    for module in (energy, patches):
-        assert module.pair_kernel_sum is _pairsum.pair_kernel_sum
+    assert energy.pair_kernel_sum is _pairsum.pair_kernel_sum
 
 
 @pytest.mark.parametrize("user", USERS)

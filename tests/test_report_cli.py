@@ -4,6 +4,7 @@ import json
 import subprocess
 import time
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -204,6 +205,36 @@ def test_almost_scan_budget_exits_two(tmp_path, capsys, monkeypatch):
     assert not (tmp_path / "out").exists()
     with pytest.raises(_ScanRow):
         almost_projection_scan(harness.AlmostOptions(n_max=15).ctrex, range(2, 16))
+
+
+def test_almost_scan_support_underflow_exits_two(tmp_path, capsys):
+    # at (0.65, 1.52) alpha/(1 - sp) = 105: the support radius 2^(-105 n) is subnormal at
+    # n = 10 and 0 at n = 11, where the exponent fit took log2 of it; n = 9 runs
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        argv = ["almost", "--s", "0.65", "--p", "1.52", "--formats", "json", "--n-max"]
+        for n_max in (10, 11):
+            assert main(argv + [str(n_max), "--out", str(tmp_path / str(n_max))]) == 2
+            err = capsys.readouterr().err
+            assert "support radius eps^(alpha/(1-sp)) underflows at n = 10 (alpha/(1-sp) = 105)" in err
+            assert "Traceback" not in err
+            assert not (tmp_path / str(n_max)).exists()
+        assert main(argv + ["9", "--out", str(tmp_path / "9")]) == 0
+    report = json.loads((tmp_path / "9" / "almost.json").read_text())
+    assert report["rows"][-1]["support_radius"] == pytest.approx(2.0 ** (-9 * 105), rel=1e-12)
+
+
+def test_averaging_shift_budget_exits_two(tmp_path, capsys, monkeypatch):
+    # the shifts are drawn at once: past the node budget of 4e6 the options refuse before any draw
+    def refuse(*args):
+        raise AssertionError("drew shifts")
+
+    monkeypatch.setattr(harness, "_uniform_ball_2d", refuse)
+    assert main(["averaging", "--n-mc", "1000000000", "--out", str(tmp_path / "out")]) == 2
+    err = capsys.readouterr().err
+    assert "error: experiment 'averaging': 1.00e+9 Monte Carlo shifts > budget 4.00e+6" in err
+    assert "Traceback" not in err
+    assert not (tmp_path / "out").exists()
 
 
 def test_geometry_sample_budget_exits_two(tmp_path, capsys, monkeypatch):

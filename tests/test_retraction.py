@@ -20,6 +20,9 @@ from splab.retraction import (
     wrap_angle,
     xi_grid,
 )
+from splab.patches import collar_factor, two_bump_profile
+
+from pairsum_reference import frame_energy
 
 
 def make_retr(eps):
@@ -266,6 +269,38 @@ def glue_energy_upper_loop(model, eps):
 
 
 ALMOST_PAIRS = [(0.6, 1.5), (0.4, 1.5), (0.3, 2.5)]
+
+
+@pytest.mark.parametrize("s, p", ALMOST_PAIRS)
+def test_plateau_kernel_is_the_profile_class_entry(s, p):
+    # 2 K[+1, -1] of the profile class matrix against the double sum over the two plateau intervals
+    model = AlmostModel(AlmostCtrexSpec(FractionalParams(s=s, p=p)))
+    tau = model._frame_tau[:, 0]
+    neg = tau[np.abs(tau + 1.0) <= 0.5]
+    pos = tau[np.abs(tau - 1.0) <= 0.5]
+    d = np.abs(pos[:, None] - neg[None, :])
+    expected = 2.0 * model.h0**2 * np.sum(d ** -model._kernel_exp)
+    assert model.plateau_kernel == pytest.approx(expected, rel=1e-12, abs=0)
+
+
+@pytest.mark.parametrize("s, p", ALMOST_PAIRS)
+def test_frame_energies_match_frame_pair_sum(s, p):
+    # the collar and copy frame energies from the class matrices against the point-by-point
+    # pair sum over the frame lattice, and the same bit for bit at one and two workers
+    spec = AlmostCtrexSpec(FractionalParams(s=s, p=p))
+    one, two = AlmostModel(spec, workers=1), AlmostModel(spec, workers=2)
+    pts, q, h = one._frame_tau, one._kernel_exp, one.h0
+    expected = frame_energy(pts, collar_factor(pts)[:, None], p, q, h, workers=2)
+    assert one.collar_unit_energy == pytest.approx(expected, rel=1e-14, abs=0)
+    assert one.collar_unit_energy.hex() == two.collar_unit_energy.hex()
+    g = two_bump_profile(pts)
+    for n in range(2, 10):
+        eps = 2.0**-n
+        half = spec.pair_half_separation(eps)
+        vals = np.column_stack([np.cos(half * g), np.sin(half * g)])
+        got = one.copy_frame_energy(eps)
+        assert got == pytest.approx(frame_energy(pts, vals, p, q, h, workers=2), rel=1e-14, abs=0)
+        assert got.hex() == two.copy_frame_energy(eps).hex()
 
 
 @pytest.mark.parametrize("s, p", ALMOST_PAIRS)

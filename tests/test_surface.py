@@ -15,7 +15,9 @@ from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
 SRC = ROOT / "src" / "splab"
-PRODUCTION = sorted(SRC.glob("*.py")) + sorted((ROOT / "perfbench").glob("*.py")) \
+# a re-export from the package __init__ is not a use
+PRODUCTION = sorted(p for p in SRC.glob("*.py") if p.name != "__init__.py") \
+    + sorted((ROOT / "perfbench").glob("*.py")) \
     + sorted((ROOT / "scripts").glob("*.py"))
 DOTTED = re.compile(r"[A-Za-z_][\w.]*")
 
