@@ -1,14 +1,13 @@
 """Numerical laboratory for singular projections of fractional Sobolev maps."""
 
 from .energy import FractionalParams, Region, EnergyValue, gagliardo_energy
-from .grid import Box, Grid, Placement, SampledMap, make_grid, sample_map
+from .grid import Box, Grid, SampledMap, make_grid, sample_map
 
 __all__ = [
     "Box",
     "EnergyValue",
     "FractionalParams",
     "Grid",
-    "Placement",
     "Region",
     "SampledMap",
     "gagliardo_energy",

@@ -119,19 +119,6 @@ class Grid:
 
 
 @dataclass(frozen=True)
-class Placement:
-    """Affine placement x -> scale * x + translate of a map's domain."""
-
-    translate: tuple[float, ...]
-    scale: float = 1.0
-
-    def __post_init__(self):
-        if self.scale <= 0:
-            raise ConfigurationError(f"placement scale must be positive, got {self.scale}")
-        object.__setattr__(self, "translate", tuple(float(t) for t in self.translate))
-
-
-@dataclass(frozen=True)
 class SampledMap:
     """Values in R^nu attached to the nodes of a grid.
 

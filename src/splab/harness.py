@@ -397,6 +397,8 @@ class PatchOptions:
     def __post_init__(self):
         if self.shift_count < 1:
             raise ConfigurationError(f"need at least 1 shift, got {self.shift_count}")
+        if len(set(self.n_values)) < len(self.n_values):
+            raise ConfigurationError(f"n_values repeat a scale index: {list(self.n_values)}")
         params = FractionalParams(s=self.s, p=self.p)
         check_pair_sum(params)
         vars(self).update(params=params,
@@ -628,9 +630,14 @@ EXPERIMENTS = {
 
 
 def named(name: str, step):
-    """step(), with a SplabError prefixed by the experiment's name; its class stays."""
+    """step(), with a SplabError prefixed by the experiment's name; its class stays.
+
+    An OverflowError (a Python float power past the largest float) becomes a NumericalError.
+    """
     try:
         return step()
+    except OverflowError as exc:
+        raise NumericalError(f"experiment {name!r}: a float overflows ({exc.args[-1]})") from None
     except SplabError as exc:
         exc.args = (f"experiment {name!r}: {exc}",)
         raise

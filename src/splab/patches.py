@@ -34,7 +34,6 @@ from ._pairsum import (
 from .chords import COS_CONE_BOUND, chords_vectorized
 from .energy import DEFAULT_NODE_BUDGET, PAIR_BUDGET, FractionalParams, _count, _over, check_pair_sum
 from .errors import BudgetError, ConfigurationError
-from .grid import Placement
 from .sphere import unit_values
 
 ELL = 2  # every patch takes values in R^2, and every layer covers [-1, 1]^2
@@ -160,9 +159,6 @@ class LayerSpec:
     def placement_scale(self) -> float:
         # the patch frame box (half-width PATCH_MARGIN) shrinks into one cube
         return self.cube_inradius / PATCH_MARGIN
-
-    def placements(self) -> list[Placement]:
-        return [Placement(tuple(t), self.placement_scale) for t in self.centers()]
 
     def patch_specs(self, params: FractionalParams) -> list[PatchSpec]:
         return [PatchSpec(tuple(c), self.n, params) for c in self.centers()]
@@ -478,8 +474,8 @@ class PatchModel:
 
     def layer_scheme(self, layer: LayerSpec) -> str:
         """Names the routes of the cells of `layer_energy_direct` with cells, background and outer points."""
-        ks, placement = [default_cluster_count(layer.n, self.params.s)], layer.placements()[0]
-        outer = (outer_background(layer)[0] - placement.translate) / placement.scale
+        ks = [default_cluster_count(layer.n, self.params.s)]
+        outer = (outer_background(layer)[0] - layer.centers()[0]) / layer.placement_scale
         return (f"offset class kernels kernel_exp={self._kernel_exp!r}: cell lattice counts; "
                 f"{self._routes(ks)}; {self._routes(ks, outer, 'outer ')}")
 
@@ -628,20 +624,20 @@ class PatchModel:
     def layer_energy_direct(self, layer: LayerSpec) -> float:
         """Composite quadrature of the glued layer (all cross pairs included).
 
-        Every patch is the cloud P of `_class_cloud` placed by x -> sigma x + t,
-        so a pair of placed points carries sigma^(2-sp) times its frame
-        kernel, and the pairs of the glued layer split four ways: within one
-        patch (the class matrix of `_classes`), between the patches I and
-        I + D for each half-offset D of the N x N patch grid (one `_block`
-        of P and P moved by D patch frames per D, whatever the patch pair),
-        between patch I and the outer background (one `_block` of P and the
-        outer points moved into I's frame, one class of value 0), and
-        within one cell (`cluster_energy`).  The pairs of every block come
-        from lattice sums, save the cell-background pairs where
-        `class_kernel` is the cheaper route (`_cell_kernel`).  One
-        stacked `class_pair_sum` sums all patches, and one per D all its
-        patch pairs, the values of I against those of I + D (``others``).
-        The pair budget runs first.
+        Every patch is the cloud P of `_class_cloud` placed by x -> sigma x + c,
+        c its center and sigma `placement_scale`, so a pair of placed points
+        carries sigma^(2-sp) times its frame kernel, and the pairs of the
+        glued layer split four ways: within one patch (the class matrix of
+        `_classes`), between the patches I and I + D for each half-offset D of
+        the N x N patch grid (one `_block` of P and P moved by D patch frames
+        per D, whatever the patch pair), between patch I and the outer
+        background (one `_block` of P and the outer points moved into I's
+        frame, one class of value 0), and within one cell (`cluster_energy`).
+        The pairs of every block come from lattice sums, save the
+        cell-background pairs where `class_kernel` is the cheaper route
+        (`_cell_kernel`).  One stacked `class_pair_sum` sums all patches, and
+        one per D all its patch pairs, the values of I against those of I + D
+        (``others``).  The pair budget runs first.
         """
         key = ("layer", layer, self.params)
         if key not in self._memo:
@@ -665,8 +661,8 @@ class PatchModel:
                 terms.append(class_pair_sum(block, vals[firsts], p, others=vals[firsts + di * side + dj]))
             outer, outer_w = outer_background(layer)
             zero = np.zeros((1, ELL))
-            for v, pl in zip(vals, layer.placements()):
-                block = self._block(spec.k, outer=((outer - pl.translate) / pl.scale, outer_w / pl.scale**2))
+            for v, c in zip(vals, layer.centers()):
+                block = self._block(spec.k, outer=((outer - c) / sigma, outer_w / sigma**2))
                 terms.append([class_pair_sum(block, v, p, others=zero)])
             cross = 2.0 * sigma ** (2 - sp) * math.fsum(np.concatenate(terms))
             # every patch has the same cells; added one patch at a time
@@ -723,24 +719,12 @@ class PatchModel:
             sel |= (np.abs(d[..., 0]) <= COS_CONE_BOUND * dist) & (dist >= r)
         return sel
 
-    def _layer_lower_coeff(self, layer: LayerSpec) -> float:
-        spec = PatchSpec((0.0,) * ELL, layer.n, self.params)
-        return layer.placement_scale ** (2 - self.params.sp) * self.cluster_lower_constant(spec)
-
-    def layer_lower_compositional(self, layer: LayerSpec, a) -> float:
-        """Sum of plateau-block lower bounds over contributing patches."""
-        a = np.asarray(a, dtype=float)
-        centers = layer.centers()
-        idx = np.flatnonzero(self._contributes(a - centers, layer.cube_inradius))
-        chords = chords_vectorized(centers[idx], layer.n, np.broadcast_to(a, (idx.size, 2)))
-        return self._layer_lower_coeff(layer) * float(np.sum(chords**self.params.p))
-
     def shift_grid(self, layer: LayerSpec) -> NDArray:
         """Dyadic centers plus a 5-point stencil per cube."""
         return (layer.centers()[:, None, :] + _stencil_offsets(layer)[None, :, :]).reshape(-1, 2)
 
     def layer_lowers(self, layer: LayerSpec) -> NDArray:
-        """`layer_lower_compositional` at every shift of `shift_grid`, in its order.
+        """Plateau-block lower bounds summed over the contributing patches, per shift of `shift_grid`.
 
         The selection and the chord of a (shift, center) pair depend only on
         d = shift - center.  A shift is a center J plus a stencil offset o,
@@ -765,17 +749,16 @@ class PatchModel:
             sat = np.zeros((2 * size, 2 * size))
             sat[1:, 1:] = terms.reshape(2 * size - 1, 2 * size - 1).cumsum(0).cumsum(1)
             windows.append(sat[size:, size:] - sat[:size, size:] - sat[size:, :size] + sat[:size, :size])
-        return self._layer_lower_coeff(layer) * np.stack(windows, axis=-1).reshape(-1)
+        spec = PatchSpec((0.0,) * ELL, layer.n, self.params)
+        coeff = layer.placement_scale ** (2 - self.params.sp) * self.cluster_lower_constant(spec)
+        return coeff * np.stack(windows, axis=-1).reshape(-1)
 
     def layer_ratio(self, layer: LayerSpec) -> tuple[float, float, float, NDArray]:
-        """(inf-shift lower, upper, ratio, argmin shift) for one layer.
-
-        The lower value is the per-shift reference sum at the table's argmin,
-        so it equals `layer_lower_compositional` there bit for bit.
-        """
-        best = int(np.argmin(self.layer_lowers(layer)))  # first: the table budget precedes any array
+        """(inf-shift lower, upper, ratio, argmin shift) of one layer; lower is the least `layer_lowers` entry."""
+        lowers = self.layer_lowers(layer)  # first: the table budget precedes any array
+        best = int(np.argmin(lowers))
         # the row `best` of `shift_grid`, by the same float addition
         best_shift = layer.centers()[best // 5] + _stencil_offsets(layer)[best % 5]
         upper = self.layer_upper_compositional(layer)
-        lower = self.layer_lower_compositional(layer, best_shift)
+        lower = float(lowers[best])
         return lower, upper, lower / upper, best_shift

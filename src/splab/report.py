@@ -15,7 +15,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import ConfigurationError, OutputError
+from .errors import ConfigurationError, NumericalError, OutputError
 
 CSV_COLUMNS = ("n_or_eps", "upper", "lower", "ratio", "log2_ratio", "slope", "verdict")
 
@@ -66,11 +66,27 @@ class ExperimentReport:
         return all(a.passed for a in self.assertions)
 
     def validate(self):
+        """NumericalError at a non-finite number; ConfigurationError at a row whose ratio is not lower/upper."""
+        for section in ("params", "rows", "constants"):
+            key = _non_finite(getattr(self, section), section)
+            if key is not None:
+                raise NumericalError(f"report {self.name!r}: {key} is not a finite number")
         for i, row in enumerate(self.rows):
             up, lo, ratio = row.get("upper"), row.get("lower"), row.get("ratio")
             if up is not None and lo is not None and ratio is not None and up > 0:
                 if abs(ratio - lo / up) > 1e-12 * max(1.0, abs(ratio)):
                     raise ConfigurationError(f"row {i}: stored ratio disagrees with lower/upper")
+
+
+def _non_finite(value, key: str) -> str | None:
+    """The key of the first NaN or infinity in ``value`` (nested dicts, lists and tuples), or None."""
+    if isinstance(value, dict):
+        items = [(f"{key}.{k}", v) for k, v in value.items()]
+    elif isinstance(value, (list, tuple)):
+        items = [(f"{key}[{i}]", v) for i, v in enumerate(value)]
+    else:
+        return key if isinstance(value, (float, np.floating)) and not math.isfinite(value) else None
+    return next((bad for k, v in items if (bad := _non_finite(v, k)) is not None), None)
 
 
 def _fmt(value) -> str:
@@ -167,7 +183,8 @@ FORMATS = ("csv", "json", "svg")
 
 
 def emit_report(report: ExperimentReport, out_dir, formats=FORMATS, stem=None) -> list[str]:
-    """Write the requested serializations; returns the written paths."""
+    """Write the requested serializations once the report validates; returns the written paths."""
+    report.validate()
     out = Path(out_dir)
     try:
         out.mkdir(parents=True, exist_ok=True)

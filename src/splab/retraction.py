@@ -200,12 +200,17 @@ def check_scan_budget(spec: AlmostCtrexSpec, n_range) -> None:
     Row n evaluates 2 center_count(2^-n) angles per `xi_grid` shift.  The
     rows grow with n, so the count stops at the first row past the budget.
     An eps = 2^-n outside (0, pi/4) raises as `AlmostRetractionSpec` does,
-    and a support radius below the least normal float, whose logarithm the
-    exponent fit cannot take, a ConfigurationError.
+    a support radius below the least normal float, whose logarithm the
+    exponent fit cannot take, a ConfigurationError, and a cluster count
+    eps^(-1/s) that overflows a float a BudgetError.
     """
     shifts, angles = xi_grid().shape[0], 0
     for n in n_range:
         eps = AlmostRetractionSpec(epsilon=2.0**-n).epsilon
+        try:
+            spec.cluster_count(eps)
+        except OverflowError:
+            raise BudgetError(f"cluster count eps^(-1/s) overflows at n = {n}, s = {spec.params.s}") from None
         if spec.support_scale(eps) < np.finfo(float).tiny:
             raise ConfigurationError(
                 f"the support radius eps^(alpha/(1-sp)) underflows at n = {n} "

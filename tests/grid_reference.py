@@ -6,9 +6,19 @@ re-interpolation happens, so (scale, t) then (1/scale, -t/scale) is a
 bit-exact inverse.
 """
 
+from dataclasses import dataclass
+
 import numpy as np
 
-from splab.grid import Box, Grid, Placement, SampledMap
+from splab.grid import Box, Grid, SampledMap
+
+
+@dataclass(frozen=True)
+class Placement:
+    """Affine placement x -> scale * x + translate of a map's domain."""
+
+    translate: tuple[float, ...]
+    scale: float = 1.0
 
 
 def placed_box(box: Box, placement: Placement) -> Box:

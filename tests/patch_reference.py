@@ -12,10 +12,10 @@ projected on its own, singular hits are dropped point by point, and the
 pairs of different cells are summed point by point in the grouped cloud.
 
 `patch_cloud` is the coarse cloud of one patch point by point (one group
-per cluster cell), and `layer_cloud` glues one per dyadic cube with the
-outer background.  `layer_energy_whole_cloud` evaluates
-`PatchModel.layer_energy_direct` as one pair sum over that whole glued
-cloud, without value classes.
+per cluster cell), and `layer_cloud` glues one per dyadic cube, placed by
+`layer_placements`, with the outer background.
+`layer_energy_whole_cloud` evaluates `PatchModel.layer_energy_direct` as
+one pair sum over that whole glued cloud, without value classes.
 """
 
 import math
@@ -40,6 +40,8 @@ from splab.patches import (
     two_bump_profile,
 )
 from splab.sphere import unit_values
+
+from grid_reference import Placement
 
 
 class ResolutionError(SplabError):
@@ -139,11 +141,16 @@ def patch_cloud(model, spec, group_base=0, placement=None):
     return pts, vals, w, groups
 
 
+def layer_placements(layer):
+    """The placement x -> sigma x + c of each patch of ``layer``: its center c and sigma = `placement_scale`."""
+    return [Placement(tuple(c), layer.placement_scale) for c in layer.centers()]
+
+
 def layer_cloud(model, layer):
     """(points, values, weights, groups) of the glued layer: its patch clouds and the outer background."""
     specs = layer.patch_specs(model.params)
     parts = [patch_cloud(model, spec, group_base=i * spec.k**2, placement=pl)
-             for i, (spec, pl) in enumerate(zip(specs, layer.placements()))]
+             for i, (spec, pl) in enumerate(zip(specs, layer_placements(layer)))]
     outer, outer_w = outer_background(layer)
     parts.append((outer, np.zeros((outer.shape[0], 2)), np.full(outer.shape[0], outer_w),
                   np.full(outer.shape[0], -1, dtype=np.int64)))

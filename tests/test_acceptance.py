@@ -15,7 +15,7 @@ import pytest
 from splab.chords import chords_vectorized, estimate_constant
 from splab.cli import main as cli_main
 from splab.energy import FractionalParams, gagliardo_energy
-from splab.grid import Box, Placement, make_grid, sample_map
+from splab.grid import Box, make_grid, sample_map
 from splab.harness import (
     AveragingConfig,
     averaging_check,
@@ -34,7 +34,7 @@ from splab.retraction import (
 )
 from splab.sphere import ShiftPoint, restricted_diffeo_check
 
-from grid_reference import rescale_map
+from grid_reference import Placement, rescale_map
 
 INDICATOR_TRUNCATED = 10.914604076867487
 H16 = 3.3807289932289937

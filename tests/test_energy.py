@@ -31,12 +31,12 @@ from splab.energy import (
     gagliardo_energy,
 )
 from splab.errors import ConfigurationError, GeometryError, NumericalError, WrongSchemeError
-from splab.grid import Box, Placement, make_grid, sample_map
+from splab.grid import Box, make_grid, sample_map
 from splab.harness import TEST_MAPS, map_grid
 from splab.sphere import shifted_unit_values
 
 import pairsum_reference
-from grid_reference import rescale_map
+from grid_reference import Placement, rescale_map
 
 INDICATOR_TRUNCATED = 10.914604076867487  # closed-form double integral on [-2, 3]
 

@@ -6,10 +6,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from splab.errors import ConfigurationError, ConsistencyError, EvaluationError
-from splab.grid import Box, Placement, SampledMap, make_grid, sample_map
+from splab.grid import Box, SampledMap, make_grid, sample_map
 from splab.patches import radial_cutoff
 
-from grid_reference import rescale_map
+from grid_reference import Placement, rescale_map
 
 
 def test_three_node_line():
@@ -172,11 +172,11 @@ def test_glue_dyadic_layer_piece_count():
 
     for n, count in ((1, 4), (2, 16)):
         layer = LayerSpec(n)
-        placements = layer.placements()
-        assert layer.count == len(placements) == count
+        centers = layer.centers()
+        assert layer.count == len(centers) == count
         r = layer.cube_inradius
-        lo = np.array([np.asarray(pl.translate) - pl.scale * PATCH_MARGIN for pl in placements])
-        assert all(pl.scale * PATCH_MARGIN == pytest.approx(r, rel=1e-15) for pl in placements)
+        lo = centers - layer.placement_scale * PATCH_MARGIN
+        assert layer.placement_scale * PATCH_MARGIN == pytest.approx(r, rel=1e-15)
         idx = np.round((lo + 1.0) / (2 * r))
         assert np.allclose(lo, -1.0 + 2 * r * idx, rtol=0, atol=1e-15)
         assert len({tuple(i) for i in idx.astype(int)}) == count

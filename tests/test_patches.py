@@ -10,6 +10,7 @@ from patch_reference import (
     basic_values,
     build_patch,
     layer_energy_whole_cloud,
+    layer_placements,
     patch_cloud,
     patch_values,
     projected_point_by_point,
@@ -206,7 +207,7 @@ def test_layer_counts_and_budget(params_main):
     # the n = 3 layer cloud fits the node budget but not the pair budget
     layer = LayerSpec(1)
     assert layer.count == 4
-    assert len(layer.placements()) == 4
+    assert len(layer.centers()) == 4
     assert LayerSpec(2).count == 16
     with pytest.raises(BudgetError, match="pairs > budget"):
         PatchModel(params_main).layer_energy_direct(LayerSpec(3))
@@ -315,7 +316,7 @@ def test_layer_ratio_slope_pos_regime(model_main):
 def test_compositional_modes(model_main, params_main):
     layer = LayerSpec(1)
     up = model_main.layer_upper_compositional(layer)
-    lo = model_main.layer_lower_compositional(layer, (0.1, 0.2))
+    lo = _reference_lower(model_main, layer, np.array([0.1, 0.2]))
     assert up > lo > 0
 
 
@@ -331,7 +332,7 @@ def test_lower_bound_below_direct_projected(model_main):
     layer = LayerSpec(1)
     lower, upper, ratio, argmin = model_main.layer_ratio(layer)
     direct_proj = model_main.layer_projected_direct(layer, argmin)
-    comp_lower = model_main.layer_lower_compositional(layer, argmin)
+    comp_lower = _reference_lower(model_main, layer, argmin)
     assert comp_lower <= 1.5 * direct_proj
 
 
@@ -420,7 +421,7 @@ def test_layer_offset_block_matches_placed_pair_sum(model_main, params_main, fir
     # patch (i, j) of the 4 x 4 grid has index 4 i + j; the block of D is
     # the pair sum between patch I and patch I + D in frame units
     layer = LayerSpec(2)
-    specs, placements = layer.patch_specs(params_main), layer.placements()
+    specs, placements = layer.patch_specs(params_main), layer_placements(layer)
     offset = np.divmod(second, 4)[0] - np.divmod(first, 4)[0], second % 4 - first % 4
     block = model_main._block(specs[0].k, 2 * PATCH_MARGIN * np.array(offset))
     collar, profile, _ = model_main._classes(specs[0].k)
@@ -440,7 +441,7 @@ def test_layer_outer_block_matches_placed_pair_sum(model_main, params_main, inde
     # the outer block of patch I is its pair sum with the outer background
     # (value 0) in I's frame units; patch 0 is a corner of the 4 x 4 grid, 5 inside it
     layer = LayerSpec(2)
-    spec, placement = layer.patch_specs(params_main)[index], layer.placements()[index]
+    spec, placement = layer.patch_specs(params_main)[index], layer_placements(layer)[index]
     outer, outer_w = outer_background(layer)
     block = model_main._block(spec.k, outer=((outer - placement.translate) / placement.scale,
                                              outer_w / placement.scale**2))
@@ -460,7 +461,7 @@ def test_cross_kernel_rejects_off_lattice_background(model_main, params_main):
     # outer background points moved off their lattice cannot take the lattice-count route
     layer = LayerSpec(1)
     outer, outer_w = outer_background(layer)
-    placement = layer.placements()[0]
+    placement = layer_placements(layer)[0]
     frame = (outer - placement.translate) / placement.scale
     frame[3] += 1e-3
     with pytest.raises(ValueError, match="off the lattice"):
@@ -520,25 +521,27 @@ def test_layer_lowers_match_per_shift_reference(threshold_models, pair):
         layer = LayerSpec(n)
         shifts = model.shift_grid(layer)
         ref = np.array([_reference_lower(model, layer, a) for a in shifts])
-        per_shift = np.array([model.layer_lower_compositional(layer, a) for a in shifts])
-        np.testing.assert_allclose(per_shift, ref, rtol=1e-12, atol=0)
-        np.testing.assert_allclose(model.layer_lowers(layer), ref, rtol=1e-12, atol=0)
+        lowers = model.layer_lowers(layer)
+        np.testing.assert_allclose(lowers, ref, rtol=1e-12, atol=0)
         lower, _, _, argmin = model.layer_ratio(layer)
-        assert any(np.array_equal(argmin, a) for a in shifts)
-        assert lower == model.layer_lower_compositional(layer, argmin)
+        best = int(np.argmin(lowers))
+        assert np.array_equal(argmin, shifts[best])
+        assert lower == lowers[best]
         assert np.all(ref >= lower * (1 - 1e-12))
 
 
 def test_layer_ratio_builds_no_shift_grid(threshold_models, monkeypatch):
     # the argmin shift is one center plus one stencil offset: the row of
-    # `shift_grid` that the table's argmin names, with the same four values
+    # `shift_grid` that the table's argmin names, with the table's entry there
     expected = {}
     for pair, model in threshold_models.items():
         for n in range(1, 6):
             layer = LayerSpec(n)
-            argmin = model.shift_grid(layer)[int(np.argmin(model.layer_lowers(layer)))]
+            lowers = model.layer_lowers(layer)
+            best = int(np.argmin(lowers))
+            argmin = model.shift_grid(layer)[best]
             upper = model.layer_upper_compositional(layer)
-            lower = model.layer_lower_compositional(layer, argmin)
+            lower = float(lowers[best])
             expected[pair, n] = (lower, upper, lower / upper, argmin.tolist())
 
     def no_grid(self, layer):
@@ -700,7 +703,7 @@ def test_cell_background_kernels_match_class_kernel(monkeypatch, params_main, k)
     labels = np.tile(template, centers.shape[0])
     bg, bg_w = model._background()
     layer = LayerSpec(1)
-    placement = layer.placements()[0]
+    placement = layer_placements(layer)[0]
     outer, outer_w = outer_background(layer)
     moves = np.array([[0.0, 0.0], [2.5, 0.0], [-2.5, -5.0]])
     cases = [(bg, bg_labels, bg_w, moves),

@@ -1,6 +1,7 @@
 import dataclasses
 import functools
 import json
+import re
 import subprocess
 import time
 import sys
@@ -14,7 +15,14 @@ from splab import chords, cli, harness
 from splab.cli import main
 from splab.config import validate_config
 from splab.energy import FractionalParams, _over, check_grid_budget
-from splab.errors import AssertionFailure, BudgetError, ConfigurationError, OutputError, SplabError
+from splab.errors import (
+    AssertionFailure,
+    BudgetError,
+    ConfigurationError,
+    NumericalError,
+    OutputError,
+    SplabError,
+)
 from splab.harness import EXPERIMENTS
 from splab.report import CSV_COLUMNS, ExperimentReport, _fmt, emit_report, to_csv, to_json, to_svg
 from splab.retraction import AlmostModel, almost_projection_scan
@@ -51,6 +59,31 @@ def test_ratio_consistency_enforced():
     rep.rows[0]["ratio"] = 0.5  # tamper
     with pytest.raises(ConfigurationError):
         to_csv(rep)
+
+
+@pytest.mark.parametrize("section, value, key", [
+    ("constants", {"spread": float("nan")}, "constants.spread"),
+    ("constants", {"worst": np.float64(np.inf)}, "constants.worst"),
+    ("params", {"n_range": [2, float("-inf")]}, "params.n_range[1]"),
+], ids=["nan", "numpy-inf", "nested-minus-inf"])
+def test_non_finite_number_refused(tmp_path, section, value, key):
+    # a bare NaN or Infinity token is not JSON: every serialization refuses the report
+    rep = small_report()
+    getattr(rep, section).update(value)
+    for write in (to_csv, to_json):
+        with pytest.raises(NumericalError, match=rf"report 'demo': {re.escape(key)} is not a finite number"):
+            write(rep)
+    with pytest.raises(NumericalError):
+        emit_report(rep, tmp_path / "out", formats=("svg",))
+    assert not (tmp_path / "out").exists()
+
+
+def test_zero_lower_row_refused():
+    # a row of lower 0 has log2 ratio -inf
+    rep = small_report()
+    rep.add_row(4, upper=1.0, lower=0.0)
+    with pytest.raises(NumericalError, match=r"rows\[3\]\.log2_ratio"):
+        to_json(rep)
 
 
 def test_json_contains_assertions_and_constants():
@@ -138,6 +171,9 @@ def test_cli_invalid_config_exit_code(tmp_path):
     (None, ["geometry", "--n-max", "33"]),
     ({"seed": -1, "experiments": [{"kind": "geometry", "samples": 1000, "n_max": 2}]}, None),
     (None, ["patch", "--n-values", "1", "--seed", "-1"]),
+    (None, ["patch", "--n-values", "1,1"]),
+    ({"experiments": [{"kind": "patch", "n_values": [2, 1, 2]}]}, None),
+    ({"experiments": [{"kind": "layer"}, {"kind": "almost", "s": 0.001, "p": 1.5}]}, None),
 ], ids=["config-layer-s", "config-patch-n-values", "config-seed", "config-seminorm-map",
         "flag-threshold-s", "flag-patch-n-values", "flag-seminorm-map", "flag-threshold-unpaired",
         "flag-patch-shifts-0", "flag-patch-shifts-minus-1", "flag-threshold-n-max-1",
@@ -148,7 +184,8 @@ def test_cli_invalid_config_exit_code(tmp_path):
         "flag-seminorm-p-inf", "flag-averaging-alpha-inf", "flag-threshold-p-inf",
         "flag-geometry-empty-range", "flag-geometry-one-scale", "flag-geometry-ell-1",
         "flag-geometry-ell-0", "flag-geometry-n-min-0", "flag-geometry-n-min-negative",
-        "flag-geometry-n-min-huge", "flag-geometry-n-max-past-float", "config-seed-negative", "flag-patch-seed-negative"])
+        "flag-geometry-n-min-huge", "flag-geometry-n-max-past-float", "config-seed-negative", "flag-patch-seed-negative",
+        "flag-patch-n-values-repeated", "config-patch-n-values-repeated", "config-almost-cluster-overflow"])
 def test_malformed_input_exits_two(tmp_path, capsys, config, argv):
     if config is not None:
         path = tmp_path / "cfg.json"
@@ -265,6 +302,37 @@ def test_averaging_far_shifts(tmp_path, capsys):
     assert "error: experiment 'averaging': mean projected energy 0 at alpha=1e+20" in err
     assert "Traceback" not in err
     assert not (tmp_path / "far").exists()
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["almost", "--s", "0.001", "--p", "1.5"], "cluster count eps^(-1/s) overflows at n = 2, s = 0.001"),
+    (["seminorm", "--p", "1100", "--spacing", "0.01"], "a float overflows"),
+    (["averaging", "--s", "0.4", "--p", "1100", "--spacing", "0.1", "--n-mc", "100"], "a float overflows"),
+    (["layer", "--s", "0.4", "--p", "800"], "a float overflows"),
+    (["patch", "--s", "0.4", "--p", "500", "--n-values", "1,2", "--shifts", "1"], "a float overflows"),
+    (["patch", "--s", "0.4", "--p", "500", "--n-values", "1", "--shifts", "1"],
+     "report 'patch': rows[0].upper is not a finite number"),
+    (["patch", "--s", "0.4", "--p", "500", "--n-values", "1", "--shifts", "1", "--formats", "svg"],
+     "report 'patch': rows[0].upper is not a finite number"),
+], ids=["almost-s-0.001", "seminorm-p-1100", "averaging-p-1100", "layer-p-800", "patch-p-500-n-1-2",
+        "patch-p-500-n-1", "patch-p-500-n-1-svg"])
+def test_extreme_parameters_exit_two(tmp_path, capsys, argv, message):
+    # eps^(-1/s), 2^p or mu^(ell - sp) past the largest float, or a NaN energy: one error
+    # line and exit 2, never a traceback or a report file with NaN or Infinity in it
+    out = tmp_path / "out"
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", RuntimeWarning)
+        assert main(argv + ["--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    errors = [line for line in err.splitlines() if line.startswith("error:")]
+    assert len(errors) == 1 and message in errors[0]
+    assert "Traceback" not in err
+    assert not out.exists()
+
+
+def test_named_turns_overflow_into_numerical_error():
+    with pytest.raises(NumericalError, match="experiment 'big': a float overflows"):
+        harness.named("big", lambda: 10.0**400)
 
 
 def test_averaging_rejects_an_overflowing_shift_radius(tmp_path):

@@ -74,3 +74,11 @@ def test_no_definition_is_reached_only_from_tests():
                 unreached.append(f"{path.name}: {key}")
     assert not unreached, "used by tests only, or not at all: " + ", ".join(unreached)
     assert set(ALLOWED) <= defined
+
+
+def test_reach_script_names_no_definition_but_main():
+    # scripts/reach.py lists the definitions that no run reaches; a name it
+    # mentions would count as a use here and hide that definition
+    defined = {name for path in SRC.glob("*.py") for _, name, _ in definitions(path)}
+    named = {name for name, _ in references(ROOT / "scripts" / "reach.py")}
+    assert named & defined == {"main"}
