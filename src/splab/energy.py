@@ -105,9 +105,18 @@ class EnergyValue:
 
 
 def check_pair_sum(params: FractionalParams) -> None:
-    """WrongSchemeError unless the pair-sum quadrature applies: 0 < s < 1."""
+    """WrongSchemeError unless the pair-sum quadrature applies (0 < s < 1); ConfigurationError where 2^p overflows."""
     if params.s >= 1:
         raise WrongSchemeError(f"the pair-sum quadrature needs 0 < s < 1, got s = {params.s}")
+    if params.p >= 1024:
+        raise ConfigurationError(f"the pair sum's factor 2^p overflows a float at p = {params.p}; need p < 1024")
+
+
+def fit_log2_slope(ns, values) -> float:
+    """Least-squares slope of log2(values) against n (0 for fewer than two points)."""
+    if len(ns) < 2:
+        return 0.0
+    return float(np.polyfit(np.asarray(ns, dtype=float), np.log2(np.asarray(values, dtype=float)), 1)[0])
 
 
 def _count(n: int, digits: int = 3) -> str:
@@ -121,6 +130,13 @@ def _over(count: int, budget: int) -> tuple[str, str]:
     while _count(count, digits) == _count(budget, digits) and digits < len(str(max(count, budget))):
         digits += 1
     return _count(count, digits), _count(budget, digits)
+
+
+def check_budget(count: int, budget: int, what: str, after: str = "") -> None:
+    """BudgetError unless ``count`` <= ``budget``: ``what`` (count at its {}) "> budget B``after``", by `_over`."""
+    if count > budget:
+        shown, limit = _over(count, budget)
+        raise BudgetError(f"{what.format(shown)} > budget {limit}{after}")
 
 
 def _convolves(params: FractionalParams) -> bool:
@@ -137,12 +153,9 @@ def check_grid_budget(grid: Grid, params: FractionalParams, planned: bool = Fals
     """
     n = grid.node_count
     if planned and _convolves(params):
-        if n > DEFAULT_NODE_BUDGET:
-            shown, budget = _over(n, DEFAULT_NODE_BUDGET)
-            raise BudgetError(f"grid of {shown} nodes > budget {budget}")
-    elif n * (n - 1) // 2 > PAIR_BUDGET:
-        shown, budget = _over(n * (n - 1) // 2, PAIR_BUDGET)
-        raise BudgetError(f"grid of {_count(n)} nodes sums {shown} pairs > budget {budget}")
+        check_budget(n, DEFAULT_NODE_BUDGET, "grid of {} nodes")
+    else:
+        check_budget(n * (n - 1) // 2, PAIR_BUDGET, f"grid of {_count(n)} nodes sums {{}} pairs")
 
 
 def _pair_setup(grid: Grid, params: FractionalParams, region: Region | None):

@@ -21,14 +21,16 @@ from .energy import (
     EnergyPlan,
     FractionalParams,
     Region,
-    _over,
+    check_budget,
     check_grid_budget,
     check_pair_sum,
+    fit_log2_slope,
     gagliardo_energy,
 )
-from .errors import BudgetError, ConfigurationError, DegenerateShiftError, NumericalError, SplabError
+from .errors import ConfigurationError, DegenerateShiftError, NumericalError, SplabError
 from .grid import Box, Grid, SampledMap, make_grid, sample_map
-from .patches import ELL, LayerSpec, PatchModel, PatchSpec, check_layer_table
+from .patches import (ELL, LayerSpec, PatchModel, PatchSpec, check_layer_pairs, check_layer_table,
+                      check_patch_clouds, default_cluster_count, patch_background)
 from .report import ExperimentReport
 from .retraction import (
     AlmostCtrexSpec,
@@ -112,9 +114,7 @@ class AveragingConfig:
         check_pair_sum(self.params)
         if self.n_mc < 100:
             raise ConfigurationError(f"need at least 100 Monte Carlo shifts, got {self.n_mc}")
-        if self.n_mc > DEFAULT_NODE_BUDGET:  # all shifts are drawn at once
-            shown, budget = _over(self.n_mc, DEFAULT_NODE_BUDGET)
-            raise BudgetError(f"{shown} Monte Carlo shifts > budget {budget}")
+        check_budget(self.n_mc, DEFAULT_NODE_BUDGET, "{} Monte Carlo shifts")  # all shifts are drawn at once
         if self.alpha <= 0:
             raise ConfigurationError("shift ball radius must be positive")
         if self.alpha > MAX_SHIFT_RADIUS:
@@ -241,13 +241,6 @@ def cone_distance_sum(j_max: int, ell: int, p: float) -> float:
     """
     j = np.arange(1, j_max + 1, dtype=float)
     return float(np.sum(j ** (ell - 1 - p)))
-
-
-def fit_log2_slope(ns, values) -> float:
-    if len(ns) < 2:
-        return 0.0
-    ys = np.log2(np.asarray(values, dtype=float))
-    return float(np.polyfit(np.asarray(ns, dtype=float), ys, 1)[0])
 
 
 def threshold_verdict(ns, ratios) -> tuple[str, float, float]:
@@ -403,6 +396,7 @@ class PatchOptions:
         check_pair_sum(params)
         vars(self).update(params=params,
                           specs={n: PatchSpec((0.3, 0.2), n, params) for n in self.n_values})
+        check_patch_clouds((spec.k for spec in self.specs.values()), patch_background()[0])
 
 
 def _run_patch(opts: PatchOptions, cfg: RunConfig) -> ExperimentReport:
@@ -440,6 +434,9 @@ class LayerOptions:
     def __post_init__(self):
         vars(self).update(params=FractionalParams(s=self.s, p=self.p), layer=LayerSpec(self.n))
         check_pair_sum(self.params)
+        background = patch_background()[0]
+        check_layer_pairs(self.n, self.s, background)
+        check_patch_clouds([default_cluster_count(n, self.s) for n in (1, 2)], background)  # the margin factors'
 
 
 def _run_layer(opts: LayerOptions, cfg: RunConfig) -> ExperimentReport:
@@ -471,10 +468,8 @@ class GeometryOptions:
             raise ConfigurationError(f"comparing scales needs 1 <= n_min < n_max <= {MAX_SCALE}, "
                                      f"got n_min={self.n_min} n_max={self.n_max}")
         check_sample_count(self.samples)
-        draws = self.samples * self.ell  # coordinates of one (samples, ell) array, drawn for each n
-        if draws > DEFAULT_NODE_BUDGET:
-            shown, budget = _over(draws, DEFAULT_NODE_BUDGET)
-            raise BudgetError(f"geometry samples x ell = {shown} > budget {budget}")
+        # the coordinates of one (samples, ell) array, drawn for each n
+        check_budget(self.samples * self.ell, DEFAULT_NODE_BUDGET, "geometry samples x ell = {}")
 
 
 def _run_geometry(opts: GeometryOptions, cfg: RunConfig) -> ExperimentReport:
@@ -550,6 +545,9 @@ class ThresholdOptions:
             raise ConfigurationError(f"a slope needs n_max >= 2, got {self.n_max}")
         check_layer_table(self.n_max)
         threshold_params(self.s_values, self.p_values)
+        background = patch_background()[0]
+        for s in self.s_values:  # the direct cross-checks at n <= 2, whose clouds hold the margin factors'
+            check_layer_pairs(2, s, background)
 
 
 def _run_threshold(opts: ThresholdOptions, cfg: RunConfig) -> ExperimentReport:

@@ -32,7 +32,7 @@ from ._pairsum import (
     symmetric,
 )
 from .chords import COS_CONE_BOUND, chords_vectorized
-from .energy import DEFAULT_NODE_BUDGET, PAIR_BUDGET, FractionalParams, _count, _over, check_pair_sum
+from .energy import DEFAULT_NODE_BUDGET, PAIR_BUDGET, FractionalParams, _count, check_budget, check_pair_sum
 from .errors import BudgetError, ConfigurationError
 from .sphere import unit_values
 
@@ -166,10 +166,7 @@ class LayerSpec:
 
 def check_layer_table(n: int) -> None:
     """BudgetError unless the 5 (2^(n+1) - 1)^2 entries of the `layer_lowers` table fit (n <= 11)."""
-    entries = 5 * (2 ** (n + 1) - 1) ** 2
-    if entries > LAYER_TABLE_BUDGET:
-        shown, budget = _over(entries, LAYER_TABLE_BUDGET)
-        raise BudgetError(f"lower-bound table at n = {n} holds {shown} entries > budget {budget}")
+    check_budget(5 * (2 ** (n + 1) - 1) ** 2, LAYER_TABLE_BUDGET, f"lower-bound table at n = {n} holds {{}} entries")
 
 
 def _stencil_offsets(layer: LayerSpec) -> NDArray:
@@ -199,6 +196,39 @@ def _midpoint_lattice(halfwidth: float, spacing: float) -> tuple[NDArray, float]
     coords, h = cell_midpoints(halfwidth, spacing)
     xx, yy = np.meshgrid(coords, coords, indexing="ij")
     return np.column_stack([xx.ravel(), yy.ravel()]), h
+
+
+def patch_background() -> tuple[NDArray, float]:
+    """Background points of one patch frame (outside the cluster block) and their weight."""
+    bg, bg_h = _midpoint_lattice(PATCH_MARGIN, COARSE_SPACING)
+    return bg[np.max(np.abs(bg), axis=1) > BLOCK_HALFWIDTH], bg_h**2
+
+
+def check_patch_clouds(ks, background: NDArray) -> None:
+    """BudgetError unless each patch cloud, the k^2 cells of a k of ``ks`` and ``background``, fits the node budget."""
+    for k in ks:
+        check_budget(k**2 * CELL_SUBDIVISION**2 + background.shape[0], DEFAULT_NODE_BUDGET,
+                     "patch cloud of {} points", f" (cluster count {_count(k)}); use compositional accounting instead")
+
+
+def _layer_pairs(n: int, s: float, background: NDArray) -> int:
+    """Pairs that touch a cell in the blocks of `layer_energy_direct` at n and s, whichever route sums them.
+
+    Each of the ((2N-1)^2 - 1)/2 half-offsets joins the cells of one patch
+    cloud with the other cloud, and its background with the other's cells;
+    each of the N^2 patches joins its cells with the outer background:
+    (N + 1)^2 - N^2 patch frames of ``steps``^2 points.
+    """
+    cells = default_cluster_count(n, s) ** 2 * CELL_SUBDIVISION**2
+    side, steps = 2**n, round(PATCH_MARGIN / (2 * COARSE_SPACING))
+    offsets = ((2 * side - 1) ** 2 - 1) // 2
+    return offsets * cells * (cells + 2 * background.shape[0]) + side**ELL * cells * steps**2 * (2 * side + 1)
+
+
+def check_layer_pairs(n: int, s: float, background: NDArray) -> None:
+    """BudgetError unless the `_layer_pairs` of the glued layer at n and s fit ``PAIR_BUDGET``."""
+    check_budget(_layer_pairs(n, s, background), PAIR_BUDGET, f"layer blocks at n = {n} evaluate {{}} pairs",
+                 "; use compositional accounting instead")
 
 
 def outer_background(layer: LayerSpec) -> tuple[NDArray, float]:
@@ -301,23 +331,8 @@ class PatchModel:
         return self._kept(("cell lattice", k), build)
 
     def _background(self) -> tuple[NDArray, float]:
-        """Background points of one patch frame (outside the cluster block) and their weight; kept."""
-        def build():
-            bg, bg_h = _midpoint_lattice(PATCH_MARGIN, COARSE_SPACING)
-            return bg[np.max(np.abs(bg), axis=1) > BLOCK_HALFWIDTH], bg_h**2
-        return self._kept(("background",), build)
-
-    def _cloud_size(self, k: int) -> int:
-        """Point count of the patch cloud of cluster count k: its cells' points and its background."""
-        return k**2 * CELL_SUBDIVISION**2 + self._background()[0].shape[0]
-
-    def _check_cloud_size(self, k: int) -> None:
-        """BudgetError unless the patch cloud of cluster count k fits the node budget."""
-        size = self._cloud_size(k)
-        if size > DEFAULT_NODE_BUDGET:
-            shown, budget = _over(size, DEFAULT_NODE_BUDGET)
-            raise BudgetError(f"patch cloud of {shown} points > budget {budget} (cluster count "
-                              f"{_count(k)}); use compositional accounting instead")
+        """`patch_background`, kept."""
+        return self._kept(("background",), patch_background)
 
     def _class_cloud(self, k: int) -> tuple[NDArray, NDArray, NDArray]:
         """(collar, g) of each class of the patch cloud of k, and the classes of its template and background.
@@ -332,9 +347,9 @@ class PatchModel:
         outside the block, where the cluster profile is 0.  Kept per k.
         """
         def build():
-            self._check_cloud_size(k)
-            offs = self._cell_lattice(k)[1]
             bg = self._background()[0]
+            check_patch_clouds([k], bg)
+            offs = self._cell_lattice(k)[1]
             keys = np.concatenate([
                 np.column_stack([np.ones(offs.shape[0]), two_bump_profile(offs / cluster_scale(k))]),
                 np.column_stack([collar_factor(bg), np.zeros(bg.shape[0])]),
@@ -604,23 +619,6 @@ class PatchModel:
 
     # -- layers -----------------------------------------------------------------
 
-    def _layer_pairs(self, layer: LayerSpec) -> int:
-        """Pairs of the blocks of `layer_energy_direct` that touch a cell, by arithmetic from k and n.
-
-        They are counted whichever route sums them (`class_kernel` or a
-        count table of the cell centers); the background pairs come from
-        lattice counts and are not counted.
-        Each of the ((2N-1)^2 - 1)/2 half-offsets joins the cells of one patch
-        cloud with the other cloud, and its background with the other's
-        cells; each of the N^2 patches joins its cells with the outer
-        background: (N + 1)^2 - N^2 patch frames of ``steps``^2 points.
-        """
-        cells = default_cluster_count(layer.n, self.params.s) ** 2 * CELL_SUBDIVISION**2
-        bg = self._background()[0].shape[0]
-        side, steps = 2**layer.n, round(PATCH_MARGIN / (2 * COARSE_SPACING))
-        offsets = ((2 * side - 1) ** 2 - 1) // 2
-        return offsets * cells * (cells + 2 * bg) + layer.count * cells * steps**2 * (2 * side + 1)
-
     def layer_energy_direct(self, layer: LayerSpec) -> float:
         """Composite quadrature of the glued layer (all cross pairs included).
 
@@ -637,15 +635,11 @@ class PatchModel:
         cell-background pairs where `class_kernel` is the cheaper route
         (`_cell_kernel`).  One stacked `class_pair_sum` sums all patches, and
         one per D all its patch pairs, the values of I against those of I + D
-        (``others``).  The pair budget runs first.
+        (``others``).  The pair budget (`check_layer_pairs`) runs first.
         """
         key = ("layer", layer, self.params)
         if key not in self._memo:
-            pairs = self._layer_pairs(layer)
-            if pairs > PAIR_BUDGET:
-                shown, budget = _over(pairs, PAIR_BUDGET)
-                raise BudgetError(f"layer blocks at n = {layer.n} evaluate {shown} pairs > budget "
-                                  f"{budget}; use compositional accounting instead")
+            check_layer_pairs(layer.n, self.params.s, self._background()[0])
             p, sp = self.params.p, self.params.sp
             sigma = layer.placement_scale
             spec = PatchSpec((0.0,) * ELL, layer.n, self.params)

@@ -22,7 +22,7 @@ import numpy as np
 from numpy.typing import NDArray
 
 from ._pairsum import class_pair_sum
-from .energy import PAIR_BUDGET, FractionalParams, _over
+from .energy import PAIR_BUDGET, FractionalParams, check_budget, fit_log2_slope
 from .errors import AssertionFailure, BudgetError, ConfigurationError, SamplingError
 from .patches import FRAME_HALFWIDTH, cell_midpoints, class_matrix, collar_factor, two_bump_profile
 
@@ -217,9 +217,7 @@ def check_scan_budget(spec: AlmostCtrexSpec, n_range) -> None:
                 f"(alpha/(1-sp) = {spec.alpha / (1 - spec.params.sp):.4g}); lower n_max"
             )
         angles += 2 * shifts * spec.center_count(eps)
-        if angles > PAIR_BUDGET:
-            shown, budget = _over(angles, PAIR_BUDGET)
-            raise BudgetError(f"almost scan up to n = {n} evaluates {shown} angles > budget {budget}")
+        check_budget(angles, PAIR_BUDGET, f"almost scan up to n = {n} evaluates {{}} angles")
 
 
 class AlmostModel:
@@ -370,24 +368,20 @@ def almost_projection_scan(spec: AlmostCtrexSpec, n_range=range(2, 7), workers: 
     # y -> -y maps the slot pairs, xi_grid and the cap map (cap_map(-phi) = -cap_map(phi) mod 2 pi)
     # onto themselves, so a shift's lower bound is its mirror's up to rounding: the half y >= 0 runs
     rows = [model.scan_row(n, shifts[shifts[:, 1] >= 0]) for n in n_range]
-    ns = np.array([r["n"] for r in rows], dtype=float)
-
-    def eps_exponent(key):
-        vals = np.log2([r[key] for r in rows])
-        # eps = 2^-n, so the eps-exponent is minus the slope against n
-        return -float(np.polyfit(ns, vals, 1)[0])
-
+    # eps = 2^-n, so each eps-exponent is minus the log2 slope against n
+    support, energy, projected = (-fit_log2_slope(list(n_range), [r[key] for r in rows])
+                                  for key in ("support_radius", "energy_upper", "projected_inf"))
     sp = spec.params.sp
     out = {
         "scheme": f"slot accounting over {shifts.shape[0]} xi_grid shifts",
         "rows": rows,
         "regime_ok": spec.regime_ok,
         "alpha": spec.alpha,
-        "support_exponent": eps_exponent("support_radius"),
+        "support_exponent": support,
         "support_target": spec.alpha / (1 - sp),
-        "energy_exponent": eps_exponent("energy_upper"),
+        "energy_exponent": energy,
         "energy_target": spec.alpha - 1.0,
-        "projected_exponent": eps_exponent("projected_inf"),
+        "projected_exponent": projected,
         "projected_target": spec.alpha - spec.params.p,
     }
     out["diverges"] = bool(out["projected_exponent"] < 0) and spec.regime_ok

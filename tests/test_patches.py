@@ -233,7 +233,8 @@ def test_layer_budget_runs_before_any_build(monkeypatch, params_main):
         cells, bg = model._cell_lattice(k)[0].shape[0] * template.size, background.size
         outer = outer_background(layer)[0].shape[0]
         offsets = half_lattice(2**n, 2).shape[0]
-        assert model._layer_pairs(layer) == offsets * cells * (cells + 2 * bg) + layer.count * cells * outer
+        assert patches._layer_pairs(n, params_main.s, model._background()[0]) == (
+            offsets * cells * (cells + 2 * bg) + layer.count * cells * outer)
     monkeypatch.setattr(PatchModel, "_class_cloud", _refuse)
     monkeypatch.setattr(patches, "class_kernel", _refuse)
     with pytest.raises(BudgetError, match="pairs > budget"):
@@ -288,7 +289,7 @@ def test_layer_class_kernel_pairs_touch_a_cell(monkeypatch, params_main, n):
     monkeypatch.setattr(LatticeCounts, "kernels", spy_table)
     model.layer_energy_direct(LayerSpec(n))
     assert seen["cell lattice"] > 0 and (seen["table"] > 0) == (n == 2)
-    assert sum(seen.values()) == model._layer_pairs(LayerSpec(n))
+    assert sum(seen.values()) == patches._layer_pairs(n, params_main.s, model._background()[0])
 
 
 def test_layer_unit_scale_energy_slope(model_main):
@@ -472,8 +473,8 @@ def test_class_cloud_built_once_per_k(monkeypatch, params_main):
     # every block of a layer reads the patch cloud of its k: a glued layer at n = 2
     # (its class matrix, 24 offset blocks and 16 outer blocks) builds that cloud once
     calls = []
-    check = PatchModel._check_cloud_size
-    monkeypatch.setattr(PatchModel, "_check_cloud_size", lambda self, k: calls.append(k) or check(self, k))
+    check = patches.check_patch_clouds
+    monkeypatch.setattr(patches, "check_patch_clouds", lambda ks, bg: calls.extend(ks) or check(ks, bg))
     PatchModel(params_main).layer_energy_direct(LayerSpec(2))
     assert calls == [default_cluster_count(2, params_main.s)]
 
@@ -778,7 +779,7 @@ def test_patch_cloud_budget(model_main, params_main):
     # n = 4 (828k points) fits the node budget, n = 5 (26M points) does not;
     # the layer ratio builds no cloud and runs at any n
     model = PatchModel(params_main)
-    model._check_cloud_size(PatchSpec((0.3, 0.2), 4, params_main).k)
+    patches.check_patch_clouds([PatchSpec((0.3, 0.2), 4, params_main).k], model._background()[0])
     spec = PatchSpec((0.3, 0.2), 5, params_main)
     with pytest.raises(BudgetError):
         model.patch_energy_direct(spec)

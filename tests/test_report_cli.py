@@ -11,10 +11,10 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from splab import chords, cli, harness
+from splab import chords, cli, harness, patches
 from splab.cli import main
 from splab.config import validate_config
-from splab.energy import FractionalParams, _over, check_grid_budget
+from splab.energy import FractionalParams, _over, check_grid_budget, check_pair_sum
 from splab.errors import (
     AssertionFailure,
     BudgetError,
@@ -25,7 +25,7 @@ from splab.errors import (
 )
 from splab.harness import EXPERIMENTS
 from splab.report import CSV_COLUMNS, ExperimentReport, _fmt, emit_report, to_csv, to_json, to_svg
-from splab.retraction import AlmostModel, almost_projection_scan
+from splab.retraction import AlmostCtrexSpec, AlmostModel, almost_projection_scan, check_scan_budget
 
 
 def small_report():
@@ -306,8 +306,9 @@ def test_averaging_far_shifts(tmp_path, capsys):
 
 @pytest.mark.parametrize("argv, message", [
     (["almost", "--s", "0.001", "--p", "1.5"], "cluster count eps^(-1/s) overflows at n = 2, s = 0.001"),
-    (["seminorm", "--p", "1100", "--spacing", "0.01"], "a float overflows"),
-    (["averaging", "--s", "0.4", "--p", "1100", "--spacing", "0.1", "--n-mc", "100"], "a float overflows"),
+    (["seminorm", "--p", "1100", "--spacing", "0.01"], "2^p overflows a float at p = 1100.0"),
+    (["averaging", "--s", "0.4", "--p", "1100", "--spacing", "0.1", "--n-mc", "100"],
+     "2^p overflows a float at p = 1100.0"),
     (["layer", "--s", "0.4", "--p", "800"], "a float overflows"),
     (["patch", "--s", "0.4", "--p", "500", "--n-values", "1,2", "--shifts", "1"], "a float overflows"),
     (["patch", "--s", "0.4", "--p", "500", "--n-values", "1", "--shifts", "1"],
@@ -330,6 +331,22 @@ def test_extreme_parameters_exit_two(tmp_path, capsys, argv, message):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("argv", [
+    ["seminorm", "--p", "1100", "--spacing", "0.0005"],  # 5.0e7 node pairs
+    ["averaging", "--s", "0.4", "--p", "1100", "--spacing", "0.02", "--n-mc", "100", "--no-refine"],
+], ids=["seminorm", "averaging"])
+def test_overflowing_p_exits_two_before_any_sum(tmp_path, capsys, argv):
+    # 2^p, the factor of every pair sum, overflows at p >= 1024: refused with the parameter
+    # checks, naming p, where the sum walked every pair before it overflowed
+    t0 = time.perf_counter()
+    assert main(argv + ["--out", str(tmp_path / "out")]) == 2
+    assert time.perf_counter() - t0 < 0.5
+    assert capsys.readouterr().err == (f"error: experiment '{argv[0]}': the pair sum's factor 2^p "
+                                       "overflows a float at p = 1100.0; need p < 1024\n")
+    assert not (tmp_path / "out").exists()
+    check_pair_sum(FractionalParams(s=0.4, p=1023.0))
+
+
 def test_named_turns_overflow_into_numerical_error():
     with pytest.raises(NumericalError, match="experiment 'big': a float overflows"):
         harness.named("big", lambda: 10.0**400)
@@ -350,13 +367,14 @@ def test_averaging_rejects_an_overflowing_shift_radius(tmp_path):
 
 def test_suite_failure_keeps_completed_reports(tmp_path, capsys):
     # the first experiment's report is written and printed, then the second one's error:
-    # the n = 3 layer cloud exceeds the pair budget once its pairs are counted
+    # at p = 800 the layer's class matrix and cluster energy overflow, which only the run finds
     path = tmp_path / "cfg.json"
     path.write_text(json.dumps({"experiments": [
         {"kind": "seminorm", "spacing": 0.01},
-        {"kind": "layer", "n": 3, "name": "coarse"},
+        {"kind": "layer", "p": 800.0, "name": "coarse"},
     ]}))
-    assert main(["suite", "--config", str(path), "--out", str(tmp_path / "out")]) == 2
+    with np.errstate(over="ignore", invalid="ignore"):
+        assert main(["suite", "--config", str(path), "--out", str(tmp_path / "out")]) == 2
     out = capsys.readouterr()
     assert "[PASS] seminorm:" in out.out
     assert "error: experiment 'coarse'" in out.err
@@ -390,6 +408,14 @@ BAD_OPTIONS = {
     "averaging-spacing-1e-9": {"kind": "averaging", "spacing": 1e-9},
     "averaging-p-2-spacing-1e-9": {"kind": "averaging", "p": 2.0, "spacing": 1e-9},
     "averaging-spacing-0.01-refined": {"kind": "averaging", "spacing": 0.01},
+    "layer-n-3": {"kind": "layer", "n": 3},
+    "layer-n-1000": {"kind": "layer", "n": 1000},
+    "patch-n_values-[1, 5]": {"kind": "patch", "n_values": [1, 5]},
+    "layer-s-0.1-margin-cloud": {"kind": "layer", "s": 0.1},
+    "threshold-s-0.2-cross-check": {"kind": "threshold", "s_values": [0.2, 0.2], "p_values": [2.5, 1.5]},
+    "seminorm-p-1100": {"kind": "seminorm", "p": 1100.0, "spacing": 0.0005},
+    "averaging-p-1100": {"kind": "averaging", "s": 0.4, "p": 1100.0, "spacing": 0.02, "n_mc": 100,
+                         "refine": False},
 }
 
 # a direct quadrature whose grid exceeds its budget, each rejected before any array is built
@@ -443,6 +469,49 @@ def test_budget_counts_read_apart(tmp_path, capsys):
     assert not (tmp_path / "out").exists()
     assert _over(6_255_001, 4_000_000) == ("6.26e+6", "4.00e+6")
     assert _over(2_000_000_001, 2_000_000_000) == ("2000000001", "2000000000")
+
+
+_MAIN = FractionalParams(s=0.4, p=2.5)
+
+# the full text of every budget refusal, raised through the public function that raises it
+BUDGET_MESSAGES = {
+    "grid-fft-nodes": (lambda: check_grid_budget(harness.map_grid("identity2d", 0.0008),
+                                                 FractionalParams(s=0.4, p=2.0), planned=True),
+                       "grid of 6.26e+6 nodes > budget 4.00e+6"),
+    "grid-pairs": (lambda: check_grid_budget(harness.map_grid("identity2d", 0.005),
+                                             FractionalParams(s=0.4, p=1.5), planned=True),
+                   "grid of 1.61e+5 nodes sums 1.29e+10 pairs > budget 2.00e+9"),
+    "layer-table": (lambda: patches.check_layer_table(12),
+                    "lower-bound table at n = 12 holds 3.35e+8 entries > budget 1.00e+8"),
+    "patch-cloud": (lambda: patches.PatchModel(_MAIN).patch_energy_direct(patches.PatchSpec((0.3, 0.2), 5, _MAIN)),
+                    "patch cloud of 2.62e+7 points > budget 4.00e+6 (cluster count 1.02e+3); "
+                    "use compositional accounting instead"),
+    "layer-blocks": (lambda: patches.PatchModel(_MAIN).layer_energy_direct(patches.LayerSpec(3)),
+                     "layer blocks at n = 3 evaluate 8.50e+10 pairs > budget 2.00e+9; "
+                     "use compositional accounting instead"),
+    "layer-blocks-wide": (lambda: patches.PatchModel(_MAIN).layer_energy_direct(patches.LayerSpec(300)),
+                          "layer blocks at n = 300 evaluate 6.23e+1083 pairs > budget 2.00e+9; "
+                          "use compositional accounting instead"),
+    "almost-angles": (lambda: check_scan_budget(AlmostCtrexSpec(FractionalParams(s=0.6, p=1.5), 0.0),
+                                                range(2, 17)),
+                      "almost scan up to n = 16 evaluates 2.61e+9 angles > budget 2.00e+9"),
+    "averaging-shifts": (lambda: harness.AveragingConfig(FractionalParams(s=0.4, p=1.5), n_mc=10**9),
+                         "1.00e+9 Monte Carlo shifts > budget 4.00e+6"),
+    "geometry-draws": (lambda: harness.GeometryOptions(samples=2_000_001),
+                       "geometry samples x ell = 4000002 > budget 4000000"),
+    "cluster-count-overflow": (lambda: patches.default_cluster_count(1000, 0.4),
+                               "cluster count 2^((n-1)/s) overflows at n = 1000, s = 0.4"),
+    "almost-cluster-count-overflow": (lambda: check_scan_budget(
+                                          AlmostCtrexSpec(FractionalParams(s=0.001, p=1.5), 0.0), range(2, 7)),
+                                      "cluster count eps^(-1/s) overflows at n = 2, s = 0.001"),
+}
+
+
+@pytest.mark.parametrize("refuse, message", BUDGET_MESSAGES.values(), ids=list(BUDGET_MESSAGES))
+def test_budget_messages(refuse, message):
+    with pytest.raises(BudgetError) as exc:
+        refuse()
+    assert str(exc.value) == message
 
 
 @pytest.mark.parametrize("entry", BAD_OPTIONS.values(), ids=list(BAD_OPTIONS))
