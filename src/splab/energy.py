@@ -9,13 +9,14 @@ or a slope, so the choice is immaterial.
 from __future__ import annotations
 
 import functools
+import math
 from dataclasses import dataclass
 from decimal import Decimal
 
 import numpy as np
 from numpy.typing import NDArray
 
-from ._pairsum import _drop_masks, pair_kernel_sum, to_half_angles
+from ._pairsum import _drop_masks, _fft_size, pair_kernel_sum, to_half_angles
 from .errors import BudgetError, ConfigurationError, GeometryError, NumericalError, WrongSchemeError
 from .grid import Box, Grid, SampledMap
 
@@ -193,59 +194,58 @@ def gagliardo_energy(
 
 
 class _ConvolutionSum:
-    """Pair sums at p = 2 over a masked lattice by zero-padded FFT convolution.
+    """Pair sums at p = 2 over a masked lattice by Parseval over zero-padded forward FFTs.
 
-    With the kernel K(d) = |h d|^-q on node offsets d, K(0) = 0, and the
-    region mask m, the pair sum of a value set u is
-
-        sum_{x < y} m(x) m(y) K(x - y) |u(x) - u(y)|^2
-            = sum_x m |v|^2 (K * m) - sum_k (m v_k) . (K * (m v_k)),
-
-    where v = u - mean of u over the mask leaves the sum unchanged and
-    keeps the two terms small.  Each axis is padded to twice its node
-    count, so the circular convolution equals the linear one on the grid;
-    the kernel's transform is computed once.
+    With K(d) = |h d|^-q on node offsets d, K(0) = 0, and the mask m of a
+    value set (the region without its dropped nodes), the pair sum of u is
+    sum m |v|^2 (K * m) - sum_k (m v_k) . (K * (m v_k)), where v = u - mean
+    of u over the mask leaves it unchanged and keeps both terms small.
+    Each axis is padded to `_fft_size(2n - 1)`, so the circular
+    convolution is the linear one, and a . (K * b) is
+    sum W Re(conj(F a) F b) over the half spectra F of `rfftn`: W is K's
+    transform (real: K is even) times the number of frequencies +-xi each
+    entry stands for, over the padded size.
     """
 
     def __init__(self, grid: Grid, mask: NDArray, q: float):
         self.shape = grid.shape
-        self.pad = tuple(2 * n for n in self.shape)
-        self.axes = tuple(range(-grid.dim, 0))
-        # |d|^2 summed axis by axis from the 1D squares, then h^2 |d|^2 raised to -q/2 in place
-        # (0 stays 0 at d = 0): one padded array and the transform are all the set-up holds
+        self.mask = mask
+        self.pad = tuple(_fft_size(2 * n - 1) for n in self.shape)
+        # h^2 |d|^2 from the 1D squares, raised to -q/2 in place (0 stays 0), then rfftn's passes (complex ones in place)
         squares = [d * d for d in (np.fft.fftfreq(n, 1.0 / n) for n in self.pad)]
         r2 = functools.reduce(np.add.outer, squares)
         r2 *= grid.spacing**2
         np.power(r2, -0.5 * q, out=r2, where=r2 > 0)
-        self.kernel_hat = np.empty(self.pad[:-1] + (self.pad[-1] // 2 + 1,), dtype=complex)
-        np.fft.rfftn(r2, out=self.kernel_hat)
+        spec = np.fft.rfft(r2)
         del r2
-        self.mask = mask
-        self.k_mask = self._convolve(mask.astype(float))
+        for axis in range(grid.dim - 2, -1, -1):
+            np.fft.fft(spec, axis=axis, out=spec)
+        j = np.arange(spec.shape[-1])  # entry j stands for xi and -xi, but at j = 0 and pad/2
+        self.weights = spec.real * np.where((j > 0) & (2 * j < self.pad[-1]), 2.0, 1.0) / math.prod(self.pad)
 
-    def _convolve(self, f: NDArray) -> NDArray:
-        """K * f on the grid for (..., node_count) arrays f."""
-        spec = np.fft.rfftn(f.reshape(f.shape[:-1] + self.shape), s=self.pad, axes=self.axes)
-        spec *= self.kernel_hat
-        for axis in self.axes[:-1]:  # the passes of irfftn, the complex ones in place
-            spec = np.fft.ifft(spec, axis=axis, out=spec)
-        conv = np.fft.irfft(spec, n=self.pad[-1], axis=-1)
-        return conv[(...,) + tuple(slice(0, n) for n in self.shape)].reshape(f.shape)
+    def _spectrum(self, field: NDArray) -> NDArray:
+        return np.fft.rfftn(field.reshape(self.shape), s=self.pad, axes=range(len(self.pad)))
+
+    def _pair(self, a: NDArray, b: NDArray | None = None) -> float:
+        """sum W Re(conj(a) b) (b = a if None), summed pairwise: a . (K * b) of the fields of a and b."""
+        b = a if b is None else b
+        return float(np.sum(self.weights * (a.real * b.real + a.imag * b.imag)))
 
     def sums(self, stack: NDArray, hits: NDArray | None) -> NDArray:
         """Pair sums of an (S, node_count, nu) stack; set i leaves out the nodes hits[i] marks."""
         out = np.empty(stack.shape[0])
         for i, vals in enumerate(stack):
-            mask, k_mask = self.mask, self.k_mask
-            if hits is not None and hits[i].any():
-                mask = self.mask & ~hits[i]
-                k_mask = self._convolve(mask.astype(float))
+            mask = self.mask if hits is None else self.mask & ~hits[i]
             nodes = np.flatnonzero(mask)
             v = vals[nodes] - vals[nodes[0]]  # exactly zero for a constant set
             v -= v.mean(axis=0)
-            field = np.zeros((vals.shape[1], mask.size))
-            field[:, nodes] = v.T
-            out[i] = np.sum(v * v * k_mask[nodes, None]) - np.sum(field * self._convolve(field))
+            field = np.zeros(mask.size)
+            field[nodes] = np.einsum("ij,ij->i", v, v)
+            # one field's spectrum at a time, none kept past its term
+            out[i] = self._pair(self._spectrum(mask.astype(float)), self._spectrum(field))
+            for k in range(v.shape[1]):
+                field[nodes] = v[:, k]
+                out[i] -= self._pair(self._spectrum(field))
         return out
 
 
@@ -253,14 +253,14 @@ class EnergyPlan:
     """``gagliardo_energy`` of many maps on one grid region, geometry built once.
 
     The route depends on p alone.  At p = 2 the pair sum is a convolution,
-    evaluated exactly by zero-padded FFT (``_ConvolutionSum``).  Otherwise
-    ``energies`` hands its whole value stack to one `pair_kernel_sum` call
-    over the region's nodes, which computes each kernel tile once for the
-    stack and keeps none.  Each set of unit 2-vectors (a projection onto
-    the circle, singular hits aside) goes in as half angles
-    (`to_half_angles`, on the gathered copy), so its numerator is one
-    cross product per pair; every other set takes the generic one.  A
-    set's sum is the same alone or stacked.  Results equal
+    evaluated exactly by Parseval over zero-padded forward FFTs
+    (``_ConvolutionSum``).  Otherwise ``energies`` hands its whole value
+    stack to one `pair_kernel_sum` call over the region's nodes, which
+    computes each kernel tile once for the stack and keeps none.  Each set
+    of unit 2-vectors (a projection onto the circle, singular hits aside)
+    goes in as half angles (`to_half_angles`, on the gathered copy), so its
+    numerator is one cross product per pair; every other set takes the
+    generic one.  A set's sum is the same alone or stacked.  Results equal
     ``gagliardo_energy`` to rounding and are bit-identical for any worker
     count.
     """
@@ -273,9 +273,7 @@ class EnergyPlan:
         self._nodes, q = _pair_setup(grid, params, region)
         if _convolves(params):
             self.route = f"fft-convolution kernel_exp={q!r}"
-            mask = np.zeros(grid.node_count, dtype=bool)
-            mask[self._nodes] = True
-            self._fft = _ConvolutionSum(grid, mask, q)
+            self._fft = _ConvolutionSum(grid, np.isin(np.arange(grid.node_count), self._nodes), q)
         else:
             self.route = f"pair-sum plan kernel_exp={q!r}"
             self._fft = None

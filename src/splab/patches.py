@@ -201,7 +201,7 @@ def _midpoint_lattice(halfwidth: float, spacing: float) -> tuple[NDArray, float]
 def patch_background() -> tuple[NDArray, float]:
     """Background points of one patch frame (outside the cluster block) and their weight."""
     bg, bg_h = _midpoint_lattice(PATCH_MARGIN, COARSE_SPACING)
-    return bg[np.max(np.abs(bg), axis=1) > BLOCK_HALFWIDTH], bg_h**2
+    return bg[np.maximum(abs(bg[:, 0]), abs(bg[:, 1])) > BLOCK_HALFWIDTH], bg_h**2
 
 
 def check_patch_clouds(ks, background: NDArray) -> None:
@@ -235,7 +235,7 @@ def outer_background(layer: LayerSpec) -> tuple[NDArray, float]:
     """Points and weight of the layer's lattice outside [-1, 1]^2 (half a patch frame wide, value 0)."""
     sigma = layer.placement_scale
     bg, bg_h = _midpoint_lattice(1.0 + PATCH_MARGIN * sigma, sigma * COARSE_SPACING * 4)
-    return bg[np.max(np.abs(bg), axis=1) > 1.0], bg_h**2
+    return bg[np.maximum(abs(bg[:, 0]), abs(bg[:, 1])) > 1.0], bg_h**2
 
 
 def class_matrix(points: NDArray, keys: NDArray, q: float, weight: float,
@@ -707,9 +707,9 @@ class PatchModel:
         for p <= ell also every patch in the transverse cone (|cos angle to
         e1| <= 1/8) at center distance >= r.
         """
-        sel = np.max(np.abs(d), axis=-1) <= r + 1e-12
+        sel = np.maximum(abs(d[..., 0]), abs(d[..., 1])) <= r + 1e-12
         if self.params.p <= self.params.ell:
-            dist = np.linalg.norm(d, axis=-1)
+            dist = np.sqrt(np.einsum("...i,...i->...", d, d))
             sel |= (np.abs(d[..., 0]) <= COS_CONE_BOUND * dist) & (dist >= r)
         return sel
 

@@ -46,7 +46,7 @@ def unit_values(values: NDArray, a, out: NDArray) -> NDArray:
     placeholder value e_1.  Positive homogeneous of degree zero in v - a.
     """
     np.subtract(values, a, out=out)
-    r = np.linalg.norm(out, axis=-1)
+    r = np.sqrt(np.einsum("...i,...i->...", out, out))
     hits = r <= SINGULAR_EXCLUSION_RADIUS
     out /= np.where(hits, 1.0, r)[..., None]
     out[hits] = np.eye(out.shape[-1])[0]
@@ -67,7 +67,8 @@ def shifted_unit_values(u: SampledMap, shifts, out: NDArray) -> tuple[NDArray, N
         raise SingularHitError(f"shift dimension {shifts.shape[-1]} != map dimension {u.nu}")
     hits = unit_values(u.values, shifts[:, None, :], out)
     plateau = hits.sum(axis=1) > DEGENERATE_HIT_FRACTION * u.grid.node_count
-    rc = np.linalg.norm(np.asarray(u.constant) - shifts, axis=1)
+    d = np.asarray(u.constant) - shifts
+    rc = np.sqrt(np.einsum("ij,ij->i", d, d))
     outside = not u.support.contains_box(u.grid.box)
     return hits, plateau | ((rc <= SINGULAR_EXCLUSION_RADIUS) & outside)
 

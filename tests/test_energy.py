@@ -32,7 +32,7 @@ from splab.energy import (
 )
 from splab.errors import ConfigurationError, GeometryError, NumericalError, WrongSchemeError
 from splab.grid import Box, make_grid, sample_map
-from splab.harness import TEST_MAPS, map_grid
+from splab.harness import TEST_MAPS, identity_map_2d, map_grid
 from splab.sphere import shifted_unit_values
 
 import pairsum_reference
@@ -305,20 +305,43 @@ def test_energy_plan_keeps_no_kernel():
 
 @pytest.mark.parametrize("dim, h", [(1, 0.01), (2, 0.05), (3, 0.25)])
 def test_convolution_kernel_unchanged(dim, h):
-    # the kernel transform equals the one built from meshgrid offsets, bit for bit
+    # the kept half spectrum equals the one built from meshgrid offsets, bit for bit: the real
+    # part of the kernel's rfftn times the frequencies each entry stands for, over the size
     grid = make_grid(dim, Box.cube(1.0, dim=dim), h)
     conv = energy_module._ConvolutionSum(grid, np.ones(grid.node_count, dtype=bool), 2.7)
     offsets = np.meshgrid(*(np.fft.fftfreq(n, 1.0 / n) for n in conv.pad), indexing="ij")
     r2 = grid.spacing**2 * sum(d * d for d in offsets)
     kern = np.zeros(conv.pad)
     np.power(r2, -0.5 * 2.7, out=kern, where=r2 > 0)
-    assert np.array_equal(conv.kernel_hat, np.fft.rfftn(kern))
+    last = conv.pad[-1]
+    count = np.full(last // 2 + 1, 2.0)
+    count[0] = 1.0
+    if last % 2 == 0:
+        count[-1] = 1.0
+    assert np.array_equal(conv.weights, np.fft.rfftn(kern).real * count / kern.size)
+
+
+def five_smooth(n: int) -> bool:
+    for f in (2, 3, 5):
+        while n % f == 0:
+            n //= f
+    return n == 1
+
+
+@pytest.mark.parametrize("case", list(FFT_CASES))
+def test_convolution_pad_is_five_smooth(case):
+    # each axis holds every node offset without a wrap, at a length with no prime factor above 5
+    make, region, _ = FFT_CASES[case]
+    grid = make().grid
+    plan = EnergyPlan(grid, FractionalParams(s=0.4, p=2.0), region)
+    for n, pad in zip(grid.shape, plan._fft.pad):
+        assert pad >= 2 * n - 1 and five_smooth(pad), (n, pad)
 
 
 def test_convolution_setup_peak_memory():
-    # the set-up holds about one padded grid and the kernel transform at a time: its peak
-    # is under 4 padded real arrays (8.3 when it held the meshgrid offsets and the kernel)
-    grid = make_grid(2, Box.cube(1.0, dim=2), 0.005)  # 401^2 nodes, padded to 802^2
+    # the set-up holds one padded grid and the kernel's half spectrum at a time, its complex
+    # passes in place: its peak is under 3.5 padded real arrays (about 2.1)
+    grid = make_grid(2, Box.cube(1.0, dim=2), 0.005)  # 401^2 nodes, padded to 810^2
     padded = 8 * 4 * grid.node_count
     mask = np.ones(grid.node_count, dtype=bool)
     tracemalloc.start()
@@ -327,7 +350,25 @@ def test_convolution_setup_peak_memory():
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    assert peak < 4 * padded
+    assert peak < 3.5 * padded
+
+
+def test_convolution_call_peak_memory():
+    # a 4-set stack at h = 0.02 whose shifts sit on nodes, so each set drops a singular hit:
+    # each field's spectrum lives only for its own term, so a call peaks under 1.74 MB
+    u = identity_map_2d(0.02)
+    plan = EnergyPlan(u.grid, FractionalParams(s=0.4, p=2.0), BALL)
+    stack = np.empty((4,) + u.values.shape)
+    hits, _ = shifted_unit_values(u, [(0.1, 0.2), (-0.3, 0.5), (0.6, -0.1), (-0.2, -0.7)], stack)
+    assert hits.sum(axis=1).tolist() == [1, 1, 1, 1]
+    plan.energies(stack, hits)
+    tracemalloc.start()
+    try:
+        plan.energies(stack, hits)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 1.74e6
 
 
 def test_energy_plan_rejects_other_grid():

@@ -6,6 +6,14 @@ from hypothesis import strategies as st
 from splab.energy import FractionalParams, Region, gagliardo_energy
 from splab.errors import DegenerateShiftError
 from splab.grid import Box, make_grid, sample_map
+from splab.harness import _uniform_ball_2d, identity_map_2d
+from splab.patches import (
+    BLOCK_HALFWIDTH,
+    COARSE_SPACING,
+    PATCH_MARGIN,
+    _midpoint_lattice,
+    patch_background,
+)
 from splab.sphere import (
     DEGENERATE_HIT_FRACTION,
     SINGULAR_EXCLUSION_RADIUS,
@@ -112,6 +120,29 @@ def test_shifted_unit_values_fills_buffer_and_reports_hits():
     assert shifted_unit_values(flat, [(0.0, 0.0)], out)[1].tolist() == [True]
     with pytest.raises(DegenerateShiftError):
         shifted_projection(flat, ShiftPoint((0.0, 0.0)))
+
+
+def test_length_two_reductions_equal_numpy_reductions():
+    # the sup norms and norms of 2-vectors are taken as np.maximum of two columns and as the
+    # square root of an einsum; on the inputs of their call sites they equal numpy's generic
+    # reductions bit for bit, and so do the results of the functions that take them
+    rng = np.random.default_rng(11)
+    u = identity_map_2d(0.04)
+    shifts = _uniform_ball_2d(rng, 128, 1.0)
+    stack = np.empty((128,) + u.values.shape)  # (128, 2601, 2)
+    hits, _ = shifted_unit_values(u, shifts, stack)
+    bg, _ = _midpoint_lattice(PATCH_MARGIN, COARSE_SPACING)
+    pts = rng.uniform(-1.5, 1.5, (2000, 2))
+    diff = u.values - shifts[:, None, :]
+    for x in (diff, stack, bg, pts, np.asarray(u.constant) - shifts, rng.uniform(-1, 1, (7, 300, 2)),
+              _uniform_ball_2d(np.random.default_rng(5), 20000, 2.0), rng.normal(size=(1000, 2)) * 1e150):
+        assert np.array_equal(np.maximum(abs(x[..., 0]), abs(x[..., 1])), np.max(np.abs(x), axis=-1))
+        assert np.array_equal(np.sqrt(np.einsum("...i,...i->...", x, x)), np.linalg.norm(x, axis=-1))
+    r = np.linalg.norm(diff, axis=-1)
+    expected = diff / np.where(hits, 1.0, r)[..., None]
+    expected[hits] = (1.0, 0.0)
+    assert np.array_equal(stack, expected)
+    assert np.array_equal(patch_background()[0], bg[np.max(np.abs(bg), axis=1) > BLOCK_HALFWIDTH])
 
 
 def shifted_unit_values_reference(u, a):
